@@ -22,16 +22,14 @@
 //! through the persistent worker pool, bounding the pool's per-job
 //! scheduling cost) and `campaign_smoke_cached` (a fully warm
 //! campaign pass answered entirely from the run cache, the cost a
-//! second `repro` invocation pays). `sharded_large_run_s{1,4}` time
-//! one large run through the intra-run sharded engine at 1 and 4
-//! shards, printing the scaling-efficiency headline T₁/(Tₙ·n).
+//! second `repro` invocation pays).
 //! `trace_replay_hot` streams a generated on-disk Poisson trace
 //! through the `DatasetReader` seam and the full simulation, bounding
 //! per-request ingestion cost. `stats_record_hot[_hist]` isolates the
 //! per-request bookkeeping (`RunMetrics::record_completion`, with and
 //! without the histogram) — the baseline for the sub-100 ns/request
-//! push; `stats_record_{stream,batched}` time the full
-//! `record_run_completion` sink in its two stats modes, and
+//! push; `stats_record_stream` times the full
+//! `record_run_completion` sink, and
 //! `hist_bucket_index_hot` the histogram's bit-index bucket record in
 //! isolation. `replay_grid_shared` runs a 3-analyzer grid off one shared
 //! trace scan and `replay_grid_cold` the equivalent sequential
@@ -56,7 +54,7 @@
 //! grid ratio (the headline numbers perf PRs move), and exits 0.
 
 use vmprov_bench::{bench, bench_report, black_box, Timing};
-use vmprov_cloudsim::{NullProbe, SimBuilder, SimConfig, StatsMode};
+use vmprov_cloudsim::NullProbe;
 use vmprov_des::{EventQueue, FelBackend, RngFactory, SimTime};
 use vmprov_experiments::runner::{builder_for, replication_seed};
 use vmprov_experiments::scenario::{PolicySpec, Scenario};
@@ -86,8 +84,6 @@ struct Sizes {
     sampler_draws: usize,
     /// Simulated seconds per scenario of the cached-campaign pass.
     campaign_horizon: f64,
-    /// Simulated seconds of the sharded-vs-serial scaling run.
-    shard_horizon: f64,
     /// Simulated seconds (at 2000 req/s) of the streamed trace replay.
     trace_horizon: f64,
     /// Simulated seconds (at 2000 req/s) of the 3-analyzer replay grid.
@@ -110,7 +106,6 @@ impl Sizes {
             pool_jobs: 20_000,
             sampler_draws: 4_000_000,
             campaign_horizon: 600.0,
-            shard_horizon: 600.0,
             trace_horizon: 600.0,
             grid_horizon: 240.0,
             stats_ops: 4_000_000,
@@ -131,7 +126,6 @@ impl Sizes {
             pool_jobs: 2_000,
             sampler_draws: 200_000,
             campaign_horizon: 120.0,
-            shard_horizon: 60.0,
             trace_horizon: 60.0,
             grid_horizon: 30.0,
             stats_ops: 200_000,
@@ -577,52 +571,6 @@ fn bench_campaign_cached(horizon: f64, runs: u32) -> Timing {
     timing
 }
 
-/// One large run through the sharded engine at shard counts 1 and 4:
-/// a heavily loaded static fleet where request events dominate, the
-/// work per barrier window is large, and the barrier overhead has to
-/// amortize — the workload intra-run sharding exists for. The two
-/// timings feed the scaling headline T₁/(Tₙ·n); on a single-core
-/// machine the efficiency is necessarily ~1/n and only the absence of
-/// *overhead* regressions is informative (CI's multi-core matrix jobs
-/// pin the determinism side; this pins the time side).
-fn bench_sharded_run(horizon: f64, runs: u32) -> Vec<Timing> {
-    use vmprov_core::{QosTargets, RoundRobin, StaticPolicy};
-    use vmprov_workloads::synthetic::PoissonProcess;
-    use vmprov_workloads::ServiceModel;
-    const FLEET: u32 = 250;
-    const RATE: f64 = 2_000.0; // util ≈ 0.8 at 100 ms mean service
-    let cfg = SimConfig {
-        hosts: 300,
-        ..SimConfig::paper(0.100, 0.250)
-    };
-    let rngs = RngFactory::new(0xBE7C);
-    let run = |shards: u32| {
-        let summary = SimBuilder::new(cfg)
-            .workload(PoissonProcess::new(RATE, SimTime::from_secs(horizon)))
-            .service(ServiceModel::new(0.100, 0.10))
-            .policy(Box::new(StaticPolicy::new(FLEET, QosTargets::web_paper())))
-            .dispatcher(RoundRobin::new())
-            .shards(Some(shards))
-            .run(&rngs);
-        black_box(summary)
-    };
-    let offered = run(1).offered_requests;
-    [1u32, 4]
-        .iter()
-        .map(|&n| {
-            bench(
-                &format!("sharded_large_run_s{n}"),
-                offered.max(1),
-                1,
-                runs,
-                || {
-                    run(n);
-                },
-            )
-        })
-        .collect()
-}
-
 /// A streamed trace replay end to end: a stationary Poisson trace is
 /// generated to disk once (unmeasured), then every run pays the full
 /// replay path — CSV re-read through the `DatasetReader` seam in
@@ -656,11 +604,9 @@ fn bench_trace_replay(horizon: f64, runs: u32) -> Timing {
 /// measure-first baseline for the sub-100 ns/request push: the
 /// simulation cannot get under any target this floor exceeds.
 ///
-/// `stats_record_stream` / `stats_record_batched` measure the full
-/// per-completion sink the engine actually calls
-/// (`record_run_completion`, response *and* service accumulation) in
-/// its two modes; the delta is what deferring Welford folds into
-/// 64-sample batches buys per request.
+/// `stats_record_stream` measures the full per-completion sink the
+/// engine actually calls (`record_run_completion`, response *and*
+/// service accumulation).
 fn bench_stats_record(ops: usize, runs: u32) -> Vec<Timing> {
     use vmprov_cloudsim::{MetricsOptions, RunMetrics};
     let mut rng = RngFactory::new(0xBE7C).stream("stats_record");
@@ -678,26 +624,18 @@ fn bench_stats_record(ops: usize, runs: u32) -> Vec<Timing> {
             black_box(metrics.response.mean());
         })
     };
-    let run_mode = |name: &str, stats: StatsMode| {
-        let options = MetricsOptions {
-            stats,
-            ..MetricsOptions::default()
-        };
-        let mut metrics = RunMetrics::new(10, options);
-        bench(name, ops as u64, 1, runs, || {
-            for i in 0..ops {
-                let (resp, svc) = samples[i & 1023];
-                metrics.record_run_completion(black_box(resp), svc, 0.3);
-            }
-            metrics.flush_samples();
-            black_box(metrics.response.mean());
-        })
-    };
+    let mut metrics = RunMetrics::new(10, MetricsOptions::default());
+    let stream = bench("stats_record_stream", ops as u64, 1, runs, || {
+        for i in 0..ops {
+            let (resp, svc) = samples[i & 1023];
+            metrics.record_run_completion(black_box(resp), svc, 0.3);
+        }
+        black_box(metrics.response.mean());
+    });
     vec![
         run_variant("stats_record_hot", MetricsOptions::default()),
         run_variant("stats_record_hot_hist", MetricsOptions::with_histogram()),
-        run_mode("stats_record_stream", StatsMode::Streaming),
-        run_mode("stats_record_batched", StatsMode::Batched),
+        stream,
     ]
 }
 
@@ -740,16 +678,7 @@ fn bench_replay_grid(horizon: f64, runs: u32) -> Vec<Timing> {
     let units = gen.rows.max(1) * analyzers.len() as u64;
 
     let spec = TraceSpec::scan(&path, DEFAULT_CHUNK).expect("scan trace");
-    let grid = ReplayGrid {
-        spec,
-        analyzers: analyzers.clone(),
-        reps: 1,
-        shards: None,
-        fel: None,
-        stats: StatsMode::Streaming,
-        seed: 0xBE7C,
-        concurrency: None,
-    };
+    let grid = ReplayGrid::new(spec, analyzers.clone(), 1, 0xBE7C);
     let shared = bench("replay_grid_shared", units, 1, runs, || {
         black_box(grid.run(None));
     });
@@ -1081,9 +1010,6 @@ fn main() {
         vec![bench_campaign_cached(sizes.campaign_horizon, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
-        bench_sharded_run(sizes.shard_horizon, sizes.runs)
-    })));
-    groups.push(run_group(Box::new(move || {
         vec![bench_trace_replay(sizes.trace_horizon, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
@@ -1206,20 +1132,6 @@ fn main() {
         println!(
             "  replay grid shared vs cold: {:.2}x ({cold:.1} vs {shared:.1} ns/request)",
             cold / shared
-        );
-    }
-    // Headline: intra-run shard scaling. Speedup is T₁/Tₙ, efficiency
-    // divides by the shard count; both are bounded by the cores the
-    // machine actually has.
-    if let (Some(t1), Some(t4)) = (
-        ns_per_op("sharded_large_run_s1"),
-        ns_per_op("sharded_large_run_s4"),
-    ) {
-        println!(
-            "  shard scaling @4: {:.2}x speedup, {:.0}% efficiency \
-             ({t1:.1} vs {t4:.1} ns/request)",
-            t1 / t4,
-            100.0 * t1 / (t4 * 4.0)
         );
     }
 

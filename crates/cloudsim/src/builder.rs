@@ -26,9 +26,10 @@
 //! ```
 
 use crate::config::{AdmissionMode, SimConfig};
-use crate::metrics::{MetricsOptions, RunSummary, StatsMode};
+use crate::metrics::{MetricsOptions, RunSummary};
 use crate::probe::{NullProbe, Probe};
 use crate::sim::{run_engine, run_engine_scratch, CloudSim, SimScratch};
+use std::convert::Infallible;
 use vmprov_core::dispatch::{AnyDispatcher, Dispatcher};
 use vmprov_core::policy::ProvisioningPolicy;
 use vmprov_des::{FelBackend, RngFactory};
@@ -60,7 +61,6 @@ where
     policy: Option<Box<dyn ProvisioningPolicy>>,
     dispatcher: Option<D>,
     probe: P,
-    shards: Option<u32>,
 }
 
 impl SimBuilder {
@@ -73,7 +73,6 @@ impl SimBuilder {
             policy: None,
             dispatcher: None,
             probe: NullProbe,
-            shards: None,
         }
     }
 }
@@ -91,7 +90,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
             policy: self.policy,
             dispatcher: self.dispatcher,
             probe: self.probe,
-            shards: self.shards,
         }
     }
 
@@ -117,7 +115,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
             policy: self.policy,
             dispatcher: Some(dispatcher),
             probe: self.probe,
-            shards: self.shards,
         }
     }
 
@@ -149,14 +146,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
         self
     }
 
-    /// Overrides the per-request stats sink (default: the config's
-    /// streaming path; [`StatsMode::Batched`] defers Welford folding
-    /// into 64-sample batches). See [`StatsMode`].
-    pub fn stats_mode(mut self, mode: StatsMode) -> Self {
-        self.cfg.metrics.stats = mode;
-        self
-    }
-
     /// Attaches a probe, rebinding the builder's probe type. Compose
     /// several with a tuple: `.probe((trace, sampler))`.
     pub fn probe<Q: Probe>(self, probe: Q) -> SimBuilder<Q, W, D> {
@@ -167,25 +156,12 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
             policy: self.policy,
             dispatcher: self.dispatcher,
             probe,
-            shards: self.shards,
         }
     }
 
-    /// Partitions the run across `n` worker shards synchronized at
-    /// every control tick, or `None` (the default) for the serial
-    /// engine. The merged summary is bit-identical for every
-    /// `Some(n)` — shard count changes wall clock, never results — but
-    /// the sharded path draws per-request randomness from
-    /// counter-indexed streams, so `Some(1)` is *not* bit-identical to
-    /// `None` (each path is deterministic on its own; see DESIGN.md
-    /// §10). Sharded runs reject sampling probes, response-time
-    /// histograms, and queue-state-dependent dispatchers
-    /// (least-outstanding).
-    pub fn shards(mut self, shards: Option<u32>) -> Self {
-        if let Some(n) = shards {
-            assert!(n >= 1, "shard count must be at least 1");
-        }
-        self.shards = shards;
+    /// Compatibility stub for the removed intra-run shard engine: only
+    /// `None` inhabits `Option<Infallible>`, so this is a no-op.
+    pub fn shards(self, _shards: Option<Infallible>) -> Self {
         self
     }
 
@@ -207,19 +183,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
         let missing = |what: &str| -> ! {
             panic!("SimBuilder::run: no {what} was set (call .{what}(…) before .run)")
         };
-        if let Some(n) = self.shards {
-            return crate::shard::run_sharded(
-                self.cfg,
-                self.workload.unwrap_or_else(|| missing("workload")),
-                self.service.unwrap_or_else(|| missing("service")),
-                self.policy.unwrap_or_else(|| missing("policy")),
-                self.dispatcher.unwrap_or_else(|| missing("dispatcher")),
-                rngs,
-                self.probe,
-                n,
-                None,
-            );
-        }
         let engine = CloudSim::engine_with_probe(
             self.cfg,
             self.workload.unwrap_or_else(|| missing("workload")),
@@ -254,19 +217,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
         let missing = |what: &str| -> ! {
             panic!("SimBuilder::run: no {what} was set (call .{what}(…) before .run)")
         };
-        if let Some(n) = self.shards {
-            return crate::shard::run_sharded(
-                self.cfg,
-                self.workload.unwrap_or_else(|| missing("workload")),
-                self.service.unwrap_or_else(|| missing("service")),
-                self.policy.unwrap_or_else(|| missing("policy")),
-                self.dispatcher.unwrap_or_else(|| missing("dispatcher")),
-                rngs,
-                self.probe,
-                n,
-                Some(scratch),
-            );
-        }
         let engine = CloudSim::engine_with_probe_scratch(
             self.cfg,
             self.workload.unwrap_or_else(|| missing("workload")),

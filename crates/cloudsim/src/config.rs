@@ -50,8 +50,7 @@ pub struct SimConfig {
     /// event ids across batch boundaries — equivalent in distribution
     /// (and in every continuous-time scenario, bit-identical summaries;
     /// pinned by tests) but not guaranteed bit-identical when arrivals
-    /// tie with control ticks. Sharded runs are bit-identical for every
-    /// value.
+    /// tie with control ticks.
     pub arrival_run: u32,
     /// How round-robin admission probes the active pool.
     pub admission: AdmissionMode,

@@ -25,13 +25,12 @@ pub mod config;
 pub mod host;
 pub mod metrics;
 pub mod probe;
-mod shard;
 pub mod sim;
 
 pub use builder::SimBuilder;
 pub use config::{AdmissionMode, SimConfig};
 pub use host::{HostPool, PlacementPolicy, Resources, PAPER_HOST, PAPER_VM};
-pub use metrics::{MetricsOptions, RunMetrics, RunSummary, StatsMode};
+pub use metrics::{MetricsOptions, RunMetrics, RunSummary};
 pub use probe::{
     CounterProbe, NullProbe, PoolSample, Probe, RejectReason, RequestClass, TimeSample, TimeSeries,
     TimeSeriesProbe, TraceProbe,

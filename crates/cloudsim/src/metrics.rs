@@ -3,29 +3,9 @@
 //! concurrent instances, VM hours, QoS violations, rejection percentage,
 //! and the resource utilization rate (busy time / VM hours).
 
-use vmprov_des::stats::{LogHistogram, OnlineStats, SampleBatch, TimeWeighted};
+use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted};
 use vmprov_des::SimTime;
 use vmprov_json::{field, field_f64, field_str, field_u64, FromJson, Json, ToJson};
-
-/// How per-completion response/service samples reach the accumulators.
-///
-/// Follows the [`AdmissionMode`](crate::config::AdmissionMode) /
-/// `SamplerBackend` precedent: the default is the historical reference
-/// semantics, the alternative is an equivalent-but-not-bit-identical
-/// faster path pinned by its own goldens and equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsMode {
-    /// Fold every sample into the Welford accumulators as it arrives.
-    /// Bit-identical to every pre-existing golden.
-    #[default]
-    Streaming,
-    /// Defer samples in a fixed-capacity [`SampleBatch`] and fold them
-    /// in 64-sample flushes (vectorizable column reductions + one exact
-    /// Chan-style merge). Integer counters, min, and max are exactly
-    /// equal to streaming; mean and variance agree up to floating-point
-    /// reassociation (≤ 1e-9 relative, pinned by tests).
-    Batched,
-}
 
 /// Collection knobs for [`RunMetrics`] — what to record beyond the
 /// always-on counters, and at what cost.
@@ -52,8 +32,6 @@ pub struct MetricsOptions {
     /// `histogram`; with it off the summary's p99 is `None` even when
     /// the histogram was collected).
     pub p99: bool,
-    /// How samples reach the accumulators (streaming default).
-    pub stats: StatsMode,
 }
 
 impl Default for MetricsOptions {
@@ -65,7 +43,6 @@ impl Default for MetricsOptions {
             histogram_bounds: (1e-6, 1.2e4),
             histogram_resolution: 0.01,
             p99: true,
-            stats: StatsMode::Streaming,
         }
     }
 }
@@ -130,11 +107,8 @@ pub struct RunMetrics {
     pub instance_failures: u64,
     /// Admitted requests lost to instance crashes.
     pub requests_lost_to_failures: u64,
-    /// Deferred `(response, service)` samples under
-    /// [`StatsMode::Batched`]; always empty under `Streaming`.
-    batch: SampleBatch,
     /// The options this run was collected with (needed at finalization
-    /// for the p99 toggle and per-completion for the stats mode).
+    /// for the p99 toggle).
     options: MetricsOptions,
 }
 
@@ -146,7 +120,6 @@ impl RunMetrics {
             response: OnlineStats::new(),
             service: OnlineStats::new(),
             response_hist: options.build_histogram(),
-            batch: SampleBatch::new(),
             rejected: 0,
             offered: 0,
             qos_violations: 0,
@@ -169,10 +142,9 @@ impl RunMetrics {
     ///
     /// `inline(always)` (here and on the run-completion wrapper): these
     /// are the per-request sinks on the simulation hot path, and the
-    /// histogram / batch bodies are built to overlap with the Welford
-    /// fold — LLVM outlines them once a binary accumulates several call
-    /// sites, which costs a call per sample and serializes that
-    /// overlap.
+    /// histogram body is built to overlap with the Welford fold — LLVM
+    /// outlines them once a binary accumulates several call sites,
+    /// which costs a call per sample and serializes that overlap.
     #[inline(always)]
     pub fn record_completion(&mut self, response_time: f64, service_time: f64, ts: f64) {
         self.response.push(response_time);
@@ -188,58 +160,41 @@ impl RunMetrics {
     }
 
     /// The engine-facing completion record: response *and* service
-    /// accumulators, dispatched on the configured [`StatsMode`].
-    ///
-    /// Streaming performs exactly the historical operation sequence
-    /// ([`record_completion`](Self::record_completion) followed by a
-    /// service-time push) and is bit-identical to it. Batched defers
-    /// both Welford folds into the sample buffer; counters and the
-    /// histogram still update immediately, so only the moment
-    /// accumulators can go stale (callers flush before every read —
-    /// see [`flush_samples`](Self::flush_samples)).
+    /// accumulators ([`record_completion`](Self::record_completion)
+    /// followed by a service-time push).
     #[inline(always)]
     pub fn record_run_completion(&mut self, response_time: f64, service_time: f64, ts: f64) {
-        match self.options.stats {
-            StatsMode::Streaming => {
-                self.record_completion(response_time, service_time, ts);
-                self.service.push(service_time);
-            }
-            StatsMode::Batched => {
-                if let Some(h) = &mut self.response_hist {
-                    h.record(response_time);
-                }
-                self.busy_seconds += service_time;
-                self.qos_violations += u64::from(response_time > ts);
-                if self.batch.push(response_time, service_time) {
-                    self.batch.flush_into(&mut self.response, &mut self.service);
-                }
-            }
-        }
+        self.record_completion(response_time, service_time, ts);
+        self.service.push(service_time);
     }
 
-    /// Whether no deferred samples are buffered, i.e. accumulator reads
-    /// are current (always `true` under [`StatsMode::Streaming`]).
+    /// No-op: every completion is folded into the accumulators as it
+    /// arrives, so reads are always current. Kept for callers written
+    /// against the removed deferred-sample sink.
     #[inline]
-    pub fn samples_flushed(&self) -> bool {
-        self.batch.is_empty()
-    }
+    pub fn flush_samples(&mut self) {}
 
-    /// Folds any deferred samples into the accumulators. Must run
-    /// before every read of `response`/`service` (monitor ticks, probe
-    /// samples, finalization); a no-op when nothing is buffered (and
-    /// therefore always under [`StatsMode::Streaming`]).
-    #[inline]
-    pub fn flush_samples(&mut self) {
-        if !self.batch.is_empty() {
-            self.batch.flush_into(&mut self.response, &mut self.service);
-        }
-    }
-
-    /// Freezes the accumulators into a summary at `end`, flushing any
-    /// deferred samples first.
-    pub fn finalize(&mut self, end: SimTime, policy: &str) -> RunSummary {
-        self.flush_samples();
+    /// Freezes the accumulators into a summary at `end`. `in_flight`
+    /// is the number of admitted requests still queued or in service.
+    ///
+    /// Debug builds check request conservation: every offered request
+    /// was accepted or rejected, and every accepted one completed, was
+    /// lost to a failure, or is still in flight.
+    pub fn finalize(&self, end: SimTime, policy: &str, in_flight: u64) -> RunSummary {
+        debug_assert!(
+            self.rejected <= self.offered && self.rejected_high <= self.offered_high,
+            "more rejections than offers: {} of {} ({} of {} high)",
+            self.rejected,
+            self.offered,
+            self.rejected_high,
+            self.offered_high
+        );
         let accepted = self.offered - self.rejected;
+        debug_assert_eq!(
+            accepted,
+            self.response.count() + self.requests_lost_to_failures + in_flight,
+            "accepted requests must complete, be lost, or be in flight"
+        );
         RunSummary {
             policy: policy.to_string(),
             end_time: end.as_secs(),
@@ -445,7 +400,7 @@ mod tests {
         m.record_completion(0.3, 0.1, 0.25); // violation
         m.vm_seconds = 7200.0;
         m.instances.update(SimTime::from_secs(100.0), 5.0);
-        let s = m.finalize(SimTime::from_secs(200.0), "Test");
+        let s = m.finalize(SimTime::from_secs(200.0), "Test", 6);
         assert_eq!(s.policy, "Test");
         assert_eq!(s.accepted_requests, 8);
         assert!((s.rejection_rate - 0.2).abs() < 1e-12);
@@ -466,13 +421,13 @@ mod tests {
         m.record_completion(0.2, 0.1, 0.25);
         m.vm_seconds = 7200.0;
         m.instances.update(SimTime::from_secs(100.0), 5.0);
-        let s = m.finalize(SimTime::from_secs(200.0), "Test");
+        let s = m.finalize(SimTime::from_secs(200.0), "Test", 7);
         let text = s.to_json().to_string_pretty();
         let back = RunSummary::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, s);
         // And the Option field serializes as null when absent.
         let empty =
-            RunMetrics::new(1, MetricsOptions::default()).finalize(SimTime::from_secs(1.0), "E");
+            RunMetrics::new(1, MetricsOptions::default()).finalize(SimTime::from_secs(1.0), "E", 0);
         let back =
             RunSummary::from_json(&Json::parse(&empty.to_json().to_string_pretty()).unwrap())
                 .unwrap();
@@ -481,8 +436,8 @@ mod tests {
 
     #[test]
     fn empty_run_is_well_defined() {
-        let mut m = RunMetrics::new(1, MetricsOptions::default());
-        let s = m.finalize(SimTime::from_secs(10.0), "Empty");
+        let m = RunMetrics::new(1, MetricsOptions::default());
+        let s = m.finalize(SimTime::from_secs(10.0), "Empty", 0);
         assert_eq!(s.offered_requests, 0);
         assert_eq!(s.rejection_rate, 0.0);
         assert_eq!(s.utilization, 0.0);
@@ -510,7 +465,7 @@ mod tests {
         m.offered = 1;
         m.record_completion(0.1, 0.1, 1.0);
         assert!(m.response_hist.is_some(), "histogram still collected");
-        let s = m.finalize(SimTime::from_secs(1.0), "T");
+        let s = m.finalize(SimTime::from_secs(1.0), "T", 0);
         assert_eq!(s.p99_response_time, None, "p99 toggled off");
     }
 
@@ -523,14 +478,14 @@ mod tests {
                 histogram_bounds: (1e-3, 10.0),
                 histogram_resolution: 0.05,
                 p99: true,
-                stats: StatsMode::Streaming,
             },
         );
+        m.offered = 100;
         for _ in 0..100 {
             m.record_completion(0.5, 0.5, 1.0);
         }
         let p99 = m
-            .finalize(SimTime::from_secs(1.0), "T")
+            .finalize(SimTime::from_secs(1.0), "T", 0)
             .p99_response_time
             .expect("quantile available");
         assert!((p99 - 0.5).abs() < 0.5 * 0.06, "p99 {p99} within 5% bucket");
@@ -544,7 +499,7 @@ mod tests {
         m.rejected = 3;
         m.offered_high = 4;
         m.rejected_high = 1;
-        let s = m.finalize(SimTime::from_secs(1.0), "P");
+        let s = m.finalize(SimTime::from_secs(1.0), "P", 7);
         assert!((s.rejection_rate_high - 1.0 / 4.0).abs() < 1e-12);
         // Low = (rejected − rejected_high) / (offered − offered_high).
         assert!((s.rejection_rate_low - 2.0 / 6.0).abs() < 1e-12);
@@ -558,64 +513,10 @@ mod tests {
         let mut m = RunMetrics::new(1, MetricsOptions::default());
         m.offered = 8;
         m.rejected = 2;
-        let s = m.finalize(SimTime::from_secs(1.0), "P");
+        let s = m.finalize(SimTime::from_secs(1.0), "P", 6);
         assert_eq!(s.rejection_rate_high, 0.0);
         assert!((s.rejection_rate_low - s.rejection_rate).abs() < 1e-12);
         assert!((s.rejection_rate - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batched_mode_matches_streaming_within_tolerance() {
-        // Counters, min, max exactly equal; mean/std within 1e-9
-        // relative — on a sample count that exercises both full-batch
-        // flushes and a partial tail (1000 = 15 × 64 + 40).
-        let mut stream = RunMetrics::new(1, MetricsOptions::default());
-        let mut batched = RunMetrics::new(
-            1,
-            MetricsOptions {
-                stats: StatsMode::Batched,
-                ..MetricsOptions::default()
-            },
-        );
-        for i in 0..1000u64 {
-            let r = 0.05 + ((i * 37) % 101) as f64 * 3e-3;
-            let svc = 0.02 + ((i * 13) % 53) as f64 * 1e-3;
-            stream.record_run_completion(r, svc, 0.25);
-            batched.record_run_completion(r, svc, 0.25);
-        }
-        batched.flush_samples();
-        assert_eq!(batched.response.count(), stream.response.count());
-        assert_eq!(batched.service.count(), stream.service.count());
-        assert_eq!(batched.qos_violations, stream.qos_violations);
-        assert_eq!(batched.response.min(), stream.response.min());
-        assert_eq!(batched.response.max(), stream.response.max());
-        assert_eq!(batched.busy_seconds, stream.busy_seconds);
-        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
-        assert!(rel(batched.response.mean(), stream.response.mean()) < 1e-9);
-        assert!(rel(batched.response.std_dev(), stream.response.std_dev()) < 1e-9);
-        assert!(rel(batched.service.mean(), stream.service.mean()) < 1e-9);
-        assert!(rel(batched.service.std_dev(), stream.service.std_dev()) < 1e-9);
-    }
-
-    #[test]
-    fn finalize_flushes_deferred_samples() {
-        // A partial batch (fewer than 64 samples) must still reach the
-        // summary: finalize flushes before reading the accumulators.
-        let mut m = RunMetrics::new(
-            1,
-            MetricsOptions {
-                stats: StatsMode::Batched,
-                ..MetricsOptions::default()
-            },
-        );
-        m.offered = 3;
-        for r in [0.1, 0.2, 0.3] {
-            m.record_run_completion(r, 0.1, 0.25);
-        }
-        let s = m.finalize(SimTime::from_secs(10.0), "B");
-        assert!((s.mean_response_time - 0.2).abs() < 1e-12);
-        assert_eq!(s.max_response_time, 0.3);
-        assert_eq!(s.qos_violations, 1);
     }
 
     #[test]

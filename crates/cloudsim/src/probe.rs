@@ -204,22 +204,6 @@ pub trait Probe {
     /// Periodic aggregate pool state (only with a `sample_interval`).
     #[inline]
     fn on_sample(&mut self, _sample: &PoolSample) {}
-
-    /// Sharded runs only: the next replayed hook was recorded on shard
-    /// `shard`. Called immediately before each event replayed at a
-    /// barrier; never called by the serial engine or for hooks the
-    /// coordinator emits itself (VM lifecycle, sizing), so serial
-    /// output is unchanged.
-    #[inline]
-    fn on_shard(&mut self, _shard: u32) {}
-
-    /// Whether this probe observes per-event hooks at all. Sharded runs
-    /// skip buffering events for barrier replay when this is `false`
-    /// ([`NullProbe`]), keeping the probe-less hot path allocation-free.
-    #[inline]
-    fn observes_events(&self) -> bool {
-        true
-    }
 }
 
 /// The default probe: observes nothing, costs nothing. Every hook
@@ -227,12 +211,7 @@ pub trait Probe {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullProbe;
 
-impl Probe for NullProbe {
-    #[inline]
-    fn observes_events(&self) -> bool {
-        false
-    }
-}
+impl Probe for NullProbe {}
 
 /// Tuple composition: both probes see every event. The sample interval
 /// is the smaller of the two members' (both are sampled on the merged
@@ -311,15 +290,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
         self.0.on_sample(sample);
         self.1.on_sample(sample);
     }
-    #[inline]
-    fn on_shard(&mut self, shard: u32) {
-        self.0.on_shard(shard);
-        self.1.on_shard(shard);
-    }
-    #[inline]
-    fn observes_events(&self) -> bool {
-        self.0.observes_events() || self.1.observes_events()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -335,10 +305,6 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
 pub struct TraceProbe<W: Write> {
     out: W,
     lines: u64,
-    /// Origin shard of the next line when replaying a sharded run's
-    /// event buffer; `None` on the serial path and for coordinator
-    /// events, so those lines are unchanged.
-    shard: Option<u32>,
 }
 
 impl TraceProbe<std::io::BufWriter<std::fs::File>> {
@@ -354,11 +320,7 @@ impl<W: Write> TraceProbe<W> {
     /// Wraps a writer. Unbuffered writers pay one syscall per event —
     /// prefer [`TraceProbe::to_path`] or your own `BufWriter` for files.
     pub fn new(out: W) -> Self {
-        TraceProbe {
-            out,
-            lines: 0,
-            shard: None,
-        }
+        TraceProbe { out, lines: 0 }
     }
 
     /// Number of trace lines written so far.
@@ -373,16 +335,6 @@ impl<W: Write> TraceProbe<W> {
     }
 
     fn line(&mut self, obj: Json) {
-        let obj = match self.shard.take() {
-            Some(shard) => {
-                let Json::Obj(mut members) = obj else {
-                    unreachable!("trace lines are JSON objects");
-                };
-                members.push(("shard".to_string(), Json::from(shard)));
-                Json::Obj(members)
-            }
-            None => obj,
-        };
         writeln!(self.out, "{}", obj.to_string_compact()).expect("write trace line");
         self.lines += 1;
     }
@@ -499,9 +451,6 @@ impl<W: Write> Probe for TraceProbe<W> {
         };
         members.insert(1, ("ev".to_string(), Json::from("sample")));
         self.line(Json::Obj(members));
-    }
-    fn on_shard(&mut self, shard: u32) {
-        self.shard = Some(shard);
     }
 }
 

@@ -428,10 +428,6 @@ where
 pub struct SimScratch {
     slots: Option<InstanceSlots>,
     queue: Option<EventQueue<Event>>,
-    /// Per-shard FELs recycled between sharded runs
-    /// ([`SimBuilder::shards`](crate::SimBuilder::shards)); unused on
-    /// the serial path.
-    pub(crate) shard_queues: Vec<EventQueue<crate::shard::ShardEvent>>,
 }
 
 impl SimScratch {
@@ -609,8 +605,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
 
     /// Captures aggregate pool state and hands it to the probe.
     fn emit_sample(&mut self, now: SimTime) {
-        // Deferred samples must land before the accumulators are read.
-        self.metrics.flush_samples();
         let queue_depth: u64 = self
             .active
             .iter()
@@ -868,13 +862,8 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
     }
 
     /// The monitored Tm / SCV, falling back to configured priors until
-    /// enough completions are recorded. Callers must flush deferred
-    /// samples first ([`RunMetrics::flush_samples`]).
+    /// enough completions are recorded.
     fn monitored_service(&self) -> (f64, f64) {
-        debug_assert!(
-            self.metrics.samples_flushed(),
-            "monitored_service read a stale accumulator"
-        );
         let service = &self.metrics.service;
         if service.count() >= 30 {
             let mean = service.mean();
@@ -1057,9 +1046,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
         sched: &mut Scheduler<'_, Event>,
         reschedule: bool,
     ) {
-        // The G/G/1/k refinement reads the service accumulator: fold in
-        // any deferred samples first (no-op when streaming).
-        self.metrics.flush_samples();
         let (tm, scv) = self.monitored_service();
         let new_k = self.policy.queue_capacity(tm);
         if new_k != self.k {
@@ -1182,10 +1168,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W,
                 }
             }
             Event::Monitor => {
-                // Monitor ticks are a flush point: the next accumulator
-                // read (policy evaluation, finalization) must never see
-                // samples deferred across a control boundary.
-                self.metrics.flush_samples();
                 self.policy
                     .observe_arrivals(now, self.window_arrivals, self.cfg.monitor_interval);
                 self.window_arrivals = 0;
@@ -1260,14 +1242,10 @@ fn run_engine_core<P: Probe, W: ArrivalProcess + Send, D: Dispatcher>(
     // bit-identity contract). Billing only — the instance-count tracker
     // keeps its final level so min/max reflect pool dynamics, not the
     // teardown.
+    let mut in_flight = 0u64;
     let mut live: Vec<(u64, SimTime)> = (0..world.instances.len())
         .filter(|&i| world.instances.hot[i].state != InstState::Dead)
-        .inspect(|&i| {
-            debug_assert_eq!(
-                world.instances.hot[i].qlen, 0,
-                "run ended with work in flight"
-            )
-        })
+        .inspect(|&i| in_flight += u64::from(world.instances.hot[i].qlen))
         .map(|i| {
             (
                 world.instances.created_seq[i],
@@ -1275,11 +1253,12 @@ fn run_engine_core<P: Probe, W: ArrivalProcess + Send, D: Dispatcher>(
             )
         })
         .collect();
+    debug_assert_eq!(in_flight, 0, "run ended with work in flight");
     live.sort_unstable_by_key(|&(seq, _)| seq);
     for &(_, created) in &live {
         world.metrics.vm_seconds += end - created;
     }
-    let summary = world.metrics.finalize(end, &name);
+    let summary = world.metrics.finalize(end, &name, in_flight);
     let (world, queue) = engine.into_parts();
     (summary, world, queue)
 }

@@ -6,13 +6,14 @@
 //!   depth, on both FEL backends — arrival times are a deterministic
 //!   multiset and `Arrival` events carry no payload, so reassigning
 //!   insertion ids within a sorted run is unobservable.
-//! * The sharded engine is arrival-run-invariant outright: the
-//!   coordinator expands bursts into the pen in generation order, so
-//!   the prefetch depth can never reorder anything.
 //! * Bitset admission (trailing-zeros scan over the k-full bitmap)
 //!   picks the identical instance as the branchy ring probe at every
 //!   arrival, over randomized k / fleet-size grids, with and without
 //!   priority reservations.
+//! * A policy that oscillates the target every tick churns the
+//!   draining list (drain → revive → drain, with failures landing
+//!   mid-list), exercising its O(1) swap-remove path; runs must stay
+//!   deterministic and FEL-backend identical under that churn.
 
 use vmprov_cloudsim::config::PriorityConfig;
 use vmprov_cloudsim::{AdmissionMode, RunSummary, SimBuilder, SimConfig};
@@ -118,38 +119,6 @@ fn batched_arrivals_match_scalar_web() {
     }
 }
 
-/// The sharded engine expands bursts into the arrival pen in generation
-/// order, so its merged summary is invariant to the prefetch depth —
-/// for every shard count.
-#[test]
-fn sharded_runs_are_arrival_run_invariant() {
-    let run_sharded = |shards: u32, arrival_run: u32| {
-        let cfg = SimConfig {
-            hosts: 50,
-            ..SimConfig::paper(0.100, 0.250)
-        };
-        SimBuilder::new(cfg)
-            .workload(PoissonProcess::new(200.0, SimTime::from_secs(300.0)))
-            .service(ServiceModel::new(0.100, 0.10))
-            .policy(Box::new(StaticPolicy::new(25, QosTargets::web_paper())))
-            .dispatcher(RoundRobin::new())
-            .shards(Some(shards))
-            .arrival_run(arrival_run)
-            .run(&RngFactory::new(0x5AD))
-    };
-    for shards in [1, 4] {
-        let reference = run_sharded(shards, 1);
-        assert!(reference.offered_requests > 10_000);
-        for run in [7, 64] {
-            assert_eq!(
-                reference,
-                run_sharded(shards, run),
-                "shards={shards}: arrival_run={run} changed the merged summary"
-            );
-        }
-    }
-}
-
 /// Bitset admission must make the same pick as the branchy ring probe
 /// at every arrival, across a randomized grid of queue capacities,
 /// fleet sizes (straddling the 64-bit word boundary), and loads.
@@ -205,4 +174,90 @@ fn bitset_admission_matches_branchy_with_priority() {
     let branchy = run(AdmissionMode::Branchy);
     assert!(bitset.offered_high > 1_000, "no high-priority traffic");
     assert_eq!(bitset, branchy, "priority split diverged across modes");
+}
+
+/// A target that flips between a wide and a narrow fleet every
+/// evaluation, so instances continuously drain, revive, and die from
+/// the middle of the draining list.
+struct Oscillator {
+    high: u32,
+    low: u32,
+    tick: u32,
+}
+
+impl ProvisioningPolicy for Oscillator {
+    fn name(&self) -> String {
+        format!("Oscillator-{}-{}", self.high, self.low)
+    }
+
+    fn initial_instances(&self) -> u32 {
+        self.high
+    }
+
+    fn evaluate(&mut self, _status: &PoolStatus) -> u32 {
+        self.tick += 1;
+        if self.tick.is_multiple_of(2) {
+            self.high
+        } else {
+            self.low
+        }
+    }
+
+    fn next_evaluation(&self, now: SimTime) -> SimTime {
+        now + 30.0
+    }
+
+    fn queue_capacity(&self, _tm: f64) -> u32 {
+        5
+    }
+}
+
+fn run_churn(backend: FelBackend) -> RunSummary {
+    let cfg = SimConfig {
+        hosts: 100,
+        instance_mtbf: Some(150.0),
+        ..SimConfig::paper(0.100, 0.250)
+    };
+    SimBuilder::new(cfg)
+        .workload(PoissonProcess::new(160.0, SimTime::from_secs(600.0)))
+        .service(ServiceModel::new(0.100, 0.10))
+        .policy(Box::new(Oscillator {
+            high: 30,
+            low: 8,
+            tick: 0,
+        }))
+        .dispatcher(RoundRobin::new())
+        .fel_backend(backend)
+        .run(&RngFactory::new(0xD4A1))
+}
+
+/// Drain-churn regression: the draining list is removed from at three
+/// sites (revive pop, drain-empty death, mid-drain failure); the
+/// position-indexed swap-remove must keep all of them deterministic
+/// and identical across FEL backends.
+#[test]
+fn drain_churn_is_deterministic_across_backends() {
+    let calendar = run_churn(FelBackend::Calendar);
+    // The churn has to actually happen for this pin to mean anything:
+    // far more boots than the steady fleet, and failures that can land
+    // while instances drain.
+    assert!(
+        calendar.vms_created > 100,
+        "only {} boots — the target never oscillated",
+        calendar.vms_created
+    );
+    assert!(
+        calendar.instance_failures > 0,
+        "no failures — the mid-list removal path never ran"
+    );
+    assert_eq!(
+        calendar,
+        run_churn(FelBackend::Calendar),
+        "repeated churn run diverged (nondeterminism)"
+    );
+    assert_eq!(
+        calendar,
+        run_churn(FelBackend::BinaryHeap),
+        "FEL backends diverged under drain churn"
+    );
 }

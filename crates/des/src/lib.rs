@@ -71,7 +71,6 @@ pub mod dist;
 mod engine;
 mod event;
 mod hash;
-pub mod pool;
 mod rng;
 pub mod special;
 pub mod stats;

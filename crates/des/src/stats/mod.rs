@@ -1,14 +1,12 @@
 //! Streaming statistics: constant-space accumulators sized for runs that
 //! observe hundreds of millions of samples.
 
-mod batch;
 mod batch_means;
 mod ci;
 mod histogram;
 mod timeweighted;
 mod welford;
 
-pub use batch::{SampleBatch, SAMPLE_BATCH};
 pub use batch_means::BatchMeans;
 pub use ci::{confidence_interval, Interval, Level};
 pub use histogram::LogHistogram;

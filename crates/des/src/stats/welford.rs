@@ -92,45 +92,6 @@ impl OnlineStats {
         self.mean * self.n as f64
     }
 
-    /// Folds a whole buffer of observations in at once — the flush path
-    /// of the batched stats sink ([`SampleBatch`](crate::stats::SampleBatch)).
-    ///
-    /// The buffer is reduced with plain vectorizable loops: one pass for
-    /// sum/min/max, a second centered pass for the sum of squared
-    /// deviations (never `Σx² − n·mean²`, which cancels catastrophically
-    /// for offset data), then an exact Chan-style [`merge`](Self::merge).
-    /// The count, min, and max equal what per-sample [`push`](Self::push)
-    /// calls would produce; mean and variance agree up to floating-point
-    /// reassociation (pinned at 1e-9 relative by the batched-vs-streaming
-    /// equivalence tests).
-    pub fn merge_batch(&mut self, xs: &[f64]) {
-        if xs.is_empty() {
-            return;
-        }
-        let mut sum = 0.0f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &x in xs {
-            sum += x;
-            min = min.min(x);
-            max = max.max(x);
-        }
-        let n = xs.len() as f64;
-        let mean = sum / n;
-        let mut m2 = 0.0f64;
-        for &x in xs {
-            let d = x - mean;
-            m2 += d * d;
-        }
-        self.merge(&OnlineStats {
-            n: xs.len() as u64,
-            mean,
-            m2,
-            min,
-            max,
-        });
-    }
-
     /// Merges another accumulator into this one (parallel reduction).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
@@ -238,45 +199,6 @@ mod tests {
         e.merge(&before);
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_batch_equals_sequential() {
-        // Counts/min/max exact, moments within reassociation tolerance —
-        // across many split points, including empty and length-1 tails.
-        let xs: Vec<f64> = (0..513)
-            .map(|i| 0.1 + ((i * 89) % 257) as f64 * 1e-3 + (i as f64).cos() * 1e-4)
-            .collect();
-        for cut in [0usize, 1, 63, 64, 65, 256, 512, 513] {
-            let mut streamed = OnlineStats::new();
-            for &x in &xs {
-                streamed.push(x);
-            }
-            let mut batched = OnlineStats::new();
-            for &x in &xs[..cut] {
-                batched.push(x);
-            }
-            batched.merge_batch(&xs[cut..]);
-            assert_eq!(batched.count(), streamed.count(), "cut {cut}");
-            assert_eq!(batched.min(), streamed.min(), "cut {cut}");
-            assert_eq!(batched.max(), streamed.max(), "cut {cut}");
-            let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
-            assert!(rel(batched.mean(), streamed.mean()) < 1e-12, "cut {cut}");
-            assert!(
-                rel(batched.std_dev(), streamed.std_dev()) < 1e-9,
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_batch_large_offset_is_stable() {
-        // The two-pass centered reduction must not cancel: 1e9-offset
-        // samples with variance 30 (same case as the streaming test).
-        let mut s = OnlineStats::new();
-        s.merge_batch(&[1e9 + 4.0, 1e9 + 7.0, 1e9 + 13.0, 1e9 + 16.0]);
-        assert!((s.variance() - 30.0).abs() < 1e-6, "var {}", s.variance());
-        assert_eq!(s.count(), 4);
     }
 
     #[test]

@@ -5,13 +5,11 @@
 //! repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]…
 //!       [--mode smoke|quick|paper|full] [--seed N] [--out DIR]
 //!       [--trace DIR] [--cache DIR] [--no-cache] [--jobs N]
-//!       [--shards N] [--fel calendar|binary_heap] [--arrival-run N]
-//!       [--stats-mode streaming|batched]
+//!       [--fel calendar|binary_heap] [--arrival-run N]
 //! repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N]
 //!       [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N]
-//!       [--shards N] [--fel calendar|binary_heap] [--seed N]
+//!       [--fel calendar|binary_heap] [--seed N]
 //!       [--out DIR] [--cache DIR] [--no-cache]
-//!       [--stats-mode streaming|batched]
 //! repro smoke [figures flags]
 //! repro gen-trace --out FILE [--rate R] [--horizon SECS] [--seed N]
 //!       [--step-at SECS --step-rate R2]
@@ -26,8 +24,7 @@
 //! worker pool and a content-addressed run cache under `--cache DIR`
 //! (default `<out>/.runcache`; disable with `--no-cache`);
 //! `cache_stats.json` records jobs, hits, and wall-clock. `--jobs N`
-//! pins the worker count; `--shards N` splits each figure run across
-//! intra-run shards; `--fel` pins the future-event-list backend.
+//! pins the worker count; `--fel` pins the future-event-list backend.
 //!
 //! `replay` streams a `time,count,spread` CSV trace through the
 //! `DatasetReader` seam (peak ingestion memory = one chunk of batches,
@@ -61,16 +58,7 @@
 //!
 //! `--arrival-run N` (figures) sets the arrival-burst prefetch depth:
 //! 1 (the default) is the scalar one-batch-ahead cadence, larger
-//! depths drive whole bursts through the batch seam (sharded runs are
-//! bit-identical for every depth — the CI shard matrix pins this).
-//!
-//! `--stats-mode streaming|batched` picks the per-request stats sink:
-//! `streaming` (the default) folds every completion straight into the
-//! Welford accumulators, bit-identical to all pre-existing results;
-//! `batched` defers samples into 64-wide batches flushed at control
-//! ticks — statistically equivalent (counters exact, moments within
-//! float reassociation) and cheaper per request, keyed apart in the
-//! run cache.
+//! depths drive whole bursts through the batch seam.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -84,7 +72,7 @@ use vmprov_experiments::{
     ablation_table, analyzer_ablation, backend_ablation, boot_delay_ablation, dispatch_ablation,
     fig3_series, fig4_series, fig5_spec, fig6_spec, grid_table, peak_rss_kb, qos_verdict,
     replay_once, table2, trace_dt, traced_run, AnalyzerSpec, Campaign, GridCell, PolicySpec,
-    ReplayGrid, Replicated, RunCache, RunMode, Scenario, StatsMode,
+    ReplayGrid, Replicated, RunCache, RunMode, Scenario,
 };
 use vmprov_json::{Json, ToJson};
 use vmprov_workloads::{generate_piecewise_csv, TraceSpec, DEFAULT_CHUNK};
@@ -92,12 +80,10 @@ use vmprov_workloads::{generate_piecewise_csv, TraceSpec, DEFAULT_CHUNK};
 const USAGE: &str = "usage: repro <figures|replay|smoke|gen-trace> …
   repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]… \
 [--mode smoke|quick|paper|full] [--seed N] [--out DIR] [--trace DIR] \
-[--cache DIR] [--no-cache] [--jobs N] [--shards N] [--fel calendar|binary_heap] \
-[--arrival-run N] [--stats-mode streaming|batched]
+[--cache DIR] [--no-cache] [--jobs N] [--fel calendar|binary_heap] [--arrival-run N]
   repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N] \
 [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N] \
-[--shards N] [--fel calendar|binary_heap] [--seed N] [--out DIR] \
-[--cache DIR] [--no-cache] [--stats-mode streaming|batched]
+[--fel calendar|binary_heap] [--seed N] [--out DIR] [--cache DIR] [--no-cache]
   repro smoke [figures flags]
   repro gen-trace --out FILE [--rate R] [--horizon SECS] [--seed N] \
 [--step-at SECS --step-rate R2]";
@@ -107,14 +93,6 @@ fn parse_fel(v: &str) -> Result<FelBackend, String> {
         "calendar" => Ok(FelBackend::Calendar),
         "binary_heap" | "heap" => Ok(FelBackend::BinaryHeap),
         other => Err(format!("unknown FEL backend {other}")),
-    }
-}
-
-fn parse_stats_mode(v: &str) -> Result<StatsMode, String> {
-    match v {
-        "streaming" => Ok(StatsMode::Streaming),
-        "batched" => Ok(StatsMode::Batched),
-        other => Err(format!("unknown stats mode {other} (streaming|batched)")),
     }
 }
 
@@ -128,14 +106,10 @@ struct FigureArgs {
     cache: Option<PathBuf>,
     no_cache: bool,
     jobs: Option<usize>,
-    /// Intra-run shard count for figure runs; `None` = serial engine.
-    shards: Option<u32>,
     /// FEL backend override for figure runs; `None` = scenario default.
     fel: Option<FelBackend>,
     /// Arrival-burst prefetch depth for figure runs (default 1).
     arrival_run: u32,
-    /// Per-request stats sink for figure runs (default streaming).
-    stats: StatsMode,
 }
 
 fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
@@ -147,10 +121,8 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
     let mut cache = None;
     let mut no_cache = false;
     let mut jobs = None;
-    let mut shards = None;
     let mut fel = None;
     let mut arrival_run = 1u32;
-    let mut stats = StatsMode::Streaming;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -180,14 +152,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
                 }
                 jobs = Some(n);
             }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let n: u32 = v.parse().map_err(|_| format!("bad shard count {v}"))?;
-                if n < 1 {
-                    return Err("--shards must be at least 1".into());
-                }
-                shards = Some(n);
-            }
             "--fel" => {
                 fel = Some(parse_fel(it.next().ok_or("--fel needs a value")?)?);
             }
@@ -197,9 +161,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
                 if arrival_run < 1 {
                     return Err("--arrival-run must be at least 1".into());
                 }
-            }
-            "--stats-mode" => {
-                stats = parse_stats_mode(it.next().ok_or("--stats-mode needs a value")?)?;
             }
             "--help" | "-h" => return Err(USAGE.into()),
             t @ ("table2" | "fig3" | "fig4" | "fig5" | "fig6" | "ablations" | "all") => {
@@ -235,10 +196,8 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
         cache,
         no_cache,
         jobs,
-        shards,
         fel,
         arrival_run,
-        stats,
     })
 }
 
@@ -276,14 +235,11 @@ fn run_figure_campaign(args: &FigureArgs) -> (Option<Vec<Replicated>>, Option<Ve
     }
 
     let mut campaign = Campaign::new(cache);
-    let shard = |scenarios: Vec<Scenario>| -> Vec<Scenario> {
+    let tune = |scenarios: Vec<Scenario>| -> Vec<Scenario> {
         scenarios
             .into_iter()
             .map(|s| {
-                let s = s
-                    .with_shards(args.shards)
-                    .with_arrival_run(args.arrival_run)
-                    .with_stats_mode(args.stats);
+                let s = s.with_arrival_run(args.arrival_run);
                 match args.fel {
                     Some(fel) => s.with_fel_backend(fel),
                     None => s,
@@ -293,11 +249,11 @@ fn run_figure_campaign(args: &FigureArgs) -> (Option<Vec<Replicated>>, Option<Ve
     };
     let h5 = want5.then(|| {
         let (scenarios, reps) = fig5_spec(args.mode, args.seed);
-        campaign.add_figure(shard(scenarios), reps)
+        campaign.add_figure(tune(scenarios), reps)
     });
     let h6 = want6.then(|| {
         let (scenarios, reps) = fig6_spec(args.mode, args.seed);
-        campaign.add_figure(shard(scenarios), reps)
+        campaign.add_figure(tune(scenarios), reps)
     });
     println!(
         "running figure campaign (fig5: {want5}, fig6: {want6}, mode {:?})…",
@@ -507,10 +463,7 @@ struct ReplayArgs {
     /// Grid wave concurrency cap (`None` = all misses in one wave).
     jobs: Option<usize>,
     chunk: usize,
-    shards: Option<u32>,
     fel: Option<FelBackend>,
-    /// Per-request stats sink (default streaming).
-    stats: StatsMode,
     seed: u64,
     out: PathBuf,
     cache: Option<PathBuf>,
@@ -525,9 +478,7 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
     let mut rep = 0u32;
     let mut jobs = None;
     let mut chunk = DEFAULT_CHUNK;
-    let mut shards = None;
     let mut fel = None;
-    let mut stats = StatsMode::Streaming;
     let mut seed = 20110926;
     let mut out = PathBuf::from("results");
     let mut cache = None;
@@ -587,19 +538,8 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
                     return Err("--chunk must be at least 1".into());
                 }
             }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let n: u32 = v.parse().map_err(|_| format!("bad shard count {v}"))?;
-                if n < 1 {
-                    return Err("--shards must be at least 1".into());
-                }
-                shards = Some(n);
-            }
             "--fel" => {
                 fel = Some(parse_fel(it.next().ok_or("--fel needs a value")?)?);
-            }
-            "--stats-mode" => {
-                stats = parse_stats_mode(it.next().ok_or("--stats-mode needs a value")?)?;
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -630,9 +570,7 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
         rep,
         jobs,
         chunk,
-        shards,
         fel,
-        stats,
         seed,
         out,
         cache,
@@ -671,16 +609,13 @@ fn replay_main(argv: &[String]) {
         return replay_grid_main(&args, spec, started);
     }
     println!(
-        "analyzer: {} | shards: {} | scan {:.1}s",
+        "analyzer: {} | scan {:.1}s",
         args.analyzer.label(),
-        args.shards.map_or("serial".to_string(), |n| n.to_string()),
         started.elapsed().as_secs_f64()
     );
 
     let mut scenario = Scenario::trace_replay(spec.clone(), PolicySpec::Adaptive, args.seed)
-        .with_analyzer(args.analyzer)
-        .with_shards(args.shards)
-        .with_stats_mode(args.stats);
+        .with_analyzer(args.analyzer);
     if let Some(fel) = args.fel {
         scenario = scenario.with_fel_backend(fel);
     }
@@ -790,22 +725,16 @@ fn replay_grid_main(args: &ReplayArgs, spec: TraceSpec, started: Instant) {
         .unwrap_or_else(|| vec![args.analyzer]);
     let labels: Vec<&str> = analyzers.iter().map(|a| a.label()).collect();
     println!(
-        "grid: {{{}}} × {} rep(s) = {} cells | shards: {} | scan {:.1}s",
+        "grid: {{{}}} × {} rep(s) = {} cells | scan {:.1}s",
         labels.join(","),
         args.reps,
         analyzers.len() * args.reps as usize,
-        args.shards.map_or("serial".to_string(), |n| n.to_string()),
         started.elapsed().as_secs_f64()
     );
     let grid = ReplayGrid {
-        spec: spec.clone(),
-        analyzers: analyzers.clone(),
-        reps: args.reps,
-        shards: args.shards,
         fel: args.fel,
-        stats: args.stats,
-        seed: args.seed,
         concurrency: args.jobs,
+        ..ReplayGrid::new(spec.clone(), analyzers.clone(), args.reps, args.seed)
     };
     let cache = open_cache(&args.out, &args.cache, args.no_cache);
     let outcome = grid.run(cache.as_ref());
@@ -874,10 +803,6 @@ fn replay_grid_main(args: &ReplayArgs, spec: TraceSpec, started: Instant) {
             Json::arr(labels.iter().map(|l| Json::from(*l))),
         ),
         ("reps", Json::from(u64::from(args.reps))),
-        (
-            "shards",
-            args.shards.map_or(Json::Null, |n| Json::from(u64::from(n))),
-        ),
         ("cells", cells_json),
         ("stats", stats.to_json()),
     ]);

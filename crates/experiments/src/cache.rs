@@ -66,7 +66,12 @@ use vmprov_json::{FromJson, Json, ToJson};
 /// cells must hash apart — and every key moves because the canonical
 /// JSON now carries a `stats_mode` member, so warm v5 caches miss
 /// cleanly instead of replaying stale summaries.
-pub const CACHE_SCHEMA_VERSION: u32 = 6;
+///
+/// v7: the intra-run shard engine and the batched stats sink were
+/// removed, and with them the `shards` and `stats_mode` members of the
+/// canonical JSON. Surviving serial streaming runs keep their meaning,
+/// but every key moves, so warm v6 caches miss cleanly.
+pub const CACHE_SCHEMA_VERSION: u32 = 7;
 
 /// Computes the content-addressed cache key of `(scenario, rep)`.
 pub fn run_key(scenario: &Scenario, rep: u32) -> u64 {
@@ -219,54 +224,41 @@ mod tests {
         assert_ne!(k0, run_key(&reseeded, 0));
     }
 
+    /// A warm cache keyed under schema v6 must miss cleanly after the
+    /// v7 re-keying (the v6 canonical JSON also carried `shards` and
+    /// `stats_mode` members), rather than replay entries against the new
+    /// key space.
     #[test]
-    fn key_depends_on_stats_mode() {
-        use vmprov_cloudsim::StatsMode;
-        let s = tiny();
-        assert_ne!(
-            run_key(&s, 0),
-            run_key(&s.clone().with_stats_mode(StatsMode::Batched), 0),
-            "batched-stats cells must not alias streaming entries"
-        );
-    }
-
-    /// A warm cache keyed under schema v5 must miss cleanly after the
-    /// v6 re-keying (the v5 canonical JSON had no `stats_mode` member),
-    /// rather than replay stale summaries against the new key space.
-    #[test]
-    fn v5_keyed_entries_miss_under_v6() {
-        let cache = tmp_cache("v5_rekey");
+    fn v6_keyed_entries_miss_under_v7() {
+        let cache = tmp_cache("v6_rekey");
         let s = tiny();
         let fresh = run_once(&s, 0);
-        // Reconstruct the v5 key: old schema tag, canonical JSON minus
-        // the `stats_mode` member (exactly what v5 binaries hashed).
+        // Reconstruct the v6 key: old schema tag, canonical JSON plus
+        // the two removed members (exactly what v6 binaries hashed for
+        // a serial streaming run).
         let mut h = StableHasher::new();
         h.write(b"vmprov-run-cache");
-        h.write_u32(5);
-        let Json::Obj(members) = s.to_json() else {
+        h.write_u32(6);
+        let Json::Obj(mut members) = s.to_json() else {
             panic!("scenario JSON must be an object");
         };
-        let n = members.len();
-        let v5_json = Json::Obj(
-            members
-                .into_iter()
-                .filter(|(k, _)| k != "stats_mode")
-                .collect(),
-        );
-        let Json::Obj(kept) = &v5_json else {
-            unreachable!()
-        };
-        assert_eq!(kept.len(), n - 1, "v6 JSON must carry stats_mode");
-        h.write(v5_json.to_string_canonical().as_bytes());
+        let after_sampler = members
+            .iter()
+            .position(|(k, _)| k == "sampler")
+            .expect("v7 JSON carries sampler")
+            + 1;
+        members.insert(after_sampler, ("shards".to_string(), Json::Null));
+        members.push(("stats_mode".to_string(), Json::from("streaming")));
+        h.write(Json::Obj(members).to_string_canonical().as_bytes());
         h.write_u32(0);
         h.write_u64(replication_seed(s.seed, 0));
-        let v5_key = h.finish();
-        cache.store(v5_key, &fresh).expect("store");
-        let v6_key = run_key(&s, 0);
-        assert_ne!(v5_key, v6_key, "schema bump must move every key");
+        let v6_key = h.finish();
+        cache.store(v6_key, &fresh).expect("store");
+        let v7_key = run_key(&s, 0);
+        assert_ne!(v6_key, v7_key, "schema bump must move every key");
         assert!(
-            matches!(cache.lookup(v6_key), Lookup::Miss),
-            "a v5-keyed entry must not satisfy a v6 probe"
+            matches!(cache.lookup(v7_key), Lookup::Miss),
+            "a v6-keyed entry must not satisfy a v7 probe"
         );
         let _ = std::fs::remove_dir_all(cache.dir());
     }

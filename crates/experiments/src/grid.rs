@@ -16,7 +16,7 @@
 //!   to the single-run path (`replay_once` on the same scenario/rep):
 //!   the decoded batches are the same, only I/O and parse work is
 //!   amortized. Pinned by the shared-vs-independent grid test across
-//!   chunk sizes, analyzers, shard counts, and FEL backends.
+//!   chunk sizes, analyzers, and FEL backends.
 //! * **Concurrency** — all consumers of one scan must run at once (a
 //!   straggler beyond the window backpressures the rest), so a wave
 //!   never exceeds the pool width. The grid spins up its own
@@ -35,10 +35,21 @@ use crate::pool::WorkerPool;
 use crate::replay::{peak_rss_kb, qos_verdict, ReplaySource};
 use crate::runner::run_once_warm_with;
 use crate::scenario::{AnalyzerSpec, PolicySpec, Scenario};
-use vmprov_cloudsim::{RunSummary, StatsMode};
+use std::convert::Infallible;
+use vmprov_cloudsim::RunSummary;
 use vmprov_des::FelBackend;
 use vmprov_json::{Json, ToJson};
-use vmprov_workloads::{trace_file_opens, TraceSpec};
+use vmprov_workloads::TraceSpec;
+
+/// The per-request stats sink. Streaming (fold every completion as it
+/// arrives) is the only one left; the enum survives as the type of
+/// [`ReplayGrid::stats`], which external callers still name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StatsMode {
+    /// Fold every sample into the accumulators as it arrives.
+    #[default]
+    Streaming,
+}
 
 /// Hard cap on cells per scan wave (= dedicated pool width). Beyond
 /// this the grid splits into waves of one scan each — still far cheaper
@@ -54,11 +65,12 @@ pub struct ReplayGrid {
     pub analyzers: Vec<AnalyzerSpec>,
     /// Replications per analyzer.
     pub reps: u32,
-    /// Intra-run shard count applied to every cell.
-    pub shards: Option<u32>,
+    /// Compatibility field left by the removed intra-run shard engine:
+    /// `None` is its only value.
+    pub shards: Option<Infallible>,
     /// FEL backend override applied to every cell.
     pub fel: Option<FelBackend>,
-    /// Per-request stats sink applied to every cell.
+    /// Per-request stats sink (always [`StatsMode::Streaming`]).
     pub stats: StatsMode,
     /// Base seed (per-rep seeds derive exactly as in the single path).
     pub seed: u64,
@@ -95,8 +107,8 @@ pub struct GridStats {
     /// Batches decoded across all waves — `batches × scan_waves` when
     /// nothing was cached, i.e. each wave decoded the trace once.
     pub batches_decoded: u64,
-    /// Trace file opens during grid execution (the exactly-once probe:
-    /// equals `scan_waves`, never the cell count).
+    /// Trace file opens summed over the waves' own scan counters (the
+    /// exactly-once probe: equals `scan_waves`, never the cell count).
     pub trace_file_opens: u64,
     /// High-water mark of the shared chunk window across waves (≤
     /// [`vmprov_workloads::SCAN_DEPTH`] — the backpressure invariant).
@@ -152,14 +164,27 @@ impl GridOutcome {
 }
 
 impl ReplayGrid {
+    /// A grid over `spec` with no overrides: each cell on the scenario's
+    /// default FEL backend, every miss in one wave (up to [`MAX_WAVE`]).
+    pub fn new(spec: TraceSpec, analyzers: Vec<AnalyzerSpec>, reps: u32, seed: u64) -> Self {
+        ReplayGrid {
+            spec,
+            analyzers,
+            reps,
+            shards: None,
+            fel: None,
+            stats: StatsMode::Streaming,
+            seed,
+            concurrency: None,
+        }
+    }
+
     /// The scenario of one analyzer column — **identical** to what the
     /// single-run `repro replay` path builds, so cache keys (and hence
     /// warm-grid hits against single-run entries) line up exactly.
     pub fn cell_scenario(&self, analyzer: AnalyzerSpec) -> Scenario {
         let mut s = Scenario::trace_replay(self.spec.clone(), PolicySpec::Adaptive, self.seed)
-            .with_analyzer(analyzer)
-            .with_shards(self.shards)
-            .with_stats_mode(self.stats);
+            .with_analyzer(analyzer);
         if let Some(fel) = self.fel {
             s = s.with_fel_backend(fel);
         }
@@ -172,7 +197,6 @@ impl ReplayGrid {
         assert!(!self.analyzers.is_empty(), "a grid needs ≥ 1 analyzer");
         assert!(self.reps >= 1, "a grid needs ≥ 1 replication");
         let start = Instant::now();
-        let opens_before = trace_file_opens();
         let n_cells = self.analyzers.len() * self.reps as usize;
 
         // Cache pass, analyzer-major / rep-minor (the output layout).
@@ -217,6 +241,7 @@ impl ReplayGrid {
         let mut waves = 0usize;
         let mut batches_decoded = 0u64;
         let mut max_window = 0usize;
+        let mut trace_file_opens = 0u64;
         let mut queue = misses;
         while !queue.is_empty() {
             let rest = queue.split_off(queue.len().min(wave_cap));
@@ -252,6 +277,7 @@ impl ReplayGrid {
             let s = scan.stats();
             batches_decoded += s.batches_decoded;
             max_window = max_window.max(s.max_window);
+            trace_file_opens += s.file_opens;
         }
 
         // Regroup into cells (the slot layout already matches).
@@ -281,7 +307,7 @@ impl ReplayGrid {
                 corrupt_entries: corrupt,
                 scan_waves: waves,
                 batches_decoded,
-                trace_file_opens: trace_file_opens() - opens_before,
+                trace_file_opens,
                 max_window,
                 peak_rss_kb: peak_rss_kb(),
                 wall: start.elapsed(),
@@ -356,16 +382,12 @@ mod tests {
     fn grid_cells_match_single_runs_bit_for_bit() {
         let dir = std::env::temp_dir().join(format!("vmprov_grid_unit_{}", std::process::id()));
         let spec = tiny_trace(&dir);
-        let grid = ReplayGrid {
+        let grid = ReplayGrid::new(
             spec,
-            analyzers: vec![AnalyzerSpec::Oracle, AnalyzerSpec::parse("mle").unwrap()],
-            reps: 2,
-            shards: None,
-            fel: None,
-            stats: StatsMode::Streaming,
-            seed: 123,
-            concurrency: None,
-        };
+            vec![AnalyzerSpec::Oracle, AnalyzerSpec::parse("mle").unwrap()],
+            2,
+            123,
+        );
         let out = grid.run(None);
         assert_eq!(out.stats.cells, 4);
         assert_eq!(out.stats.scan_waves, 1, "4 cells fit one wave");

@@ -35,7 +35,7 @@ pub use ablations::{
 pub use cache::{run_key, Lookup, RunCache, CACHE_SCHEMA_VERSION};
 pub use campaign::{Campaign, CampaignResult, CampaignStats, FigureHandle};
 pub use figures::{fig3_series, fig4_series, fig5, fig5_spec, fig6, fig6_spec, table2, RunMode};
-pub use grid::{grid_table, GridCell, GridOutcome, GridStats, ReplayGrid, MAX_WAVE};
+pub use grid::{grid_table, GridCell, GridOutcome, GridStats, ReplayGrid, StatsMode, MAX_WAVE};
 pub use replay::{peak_rss_kb, qos_verdict, replay_once, QosVerdict, ReplaySource};
 pub use runner::{
     builder_for, run_once, run_once_warm, run_once_warm_with, run_policy_set, run_replicated,
@@ -46,4 +46,3 @@ pub use scenario::{
     DEFAULT_EWMA_ALPHA, DEFAULT_MLE_WINDOW, ESTIMATOR_HEADROOM, REPLAY_ARRIVAL_RUN,
     SCI_STATIC_SIZES, WEB_STATIC_SIZES,
 };
-pub use vmprov_cloudsim::StatsMode;

@@ -112,7 +112,6 @@ pub fn run_once_warm_with(
             .service(scenario.service_model())
             .policy(scenario.build_policy())
             .dispatcher(scenario.build_dispatcher())
-            .shards(scenario.shards)
             .run_scratch(
                 &RngFactory::new(replication_seed(scenario.seed, rep)),
                 &mut scratch.borrow_mut(),
@@ -129,15 +128,13 @@ pub fn builder_for(scenario: &Scenario) -> SimBuilder {
         .service(scenario.service_model())
         .policy(scenario.build_policy())
         .dispatcher(scenario.build_dispatcher())
-        .shards(scenario.shards)
 }
 
 /// One observed replication: the summary plus everything the probes
 /// collected along the way.
 #[derive(Debug)]
 pub struct TracedRun {
-    /// The run's metrics (bit-identical to an unprobed *serial* run;
-    /// traced runs never shard — see [`traced_run`]).
+    /// The run's metrics (bit-identical to an unprobed run).
     pub summary: RunSummary,
     /// JSONL event lines written to the trace file.
     pub trace_lines: u64,
@@ -162,11 +159,7 @@ pub fn traced_run(
     trace_path: &std::path::Path,
 ) -> std::io::Result<TracedRun> {
     let trace = TraceProbe::to_path(trace_path)?;
-    // Traced runs always use the serial engine: the time-series sampler
-    // needs a global clock, which sharded runs don't expose between
-    // barriers. (The sharded path rejects sampling probes outright.)
     let (summary, (trace, sampler)) = builder_for(scenario)
-        .shards(None)
         .probe((trace, TimeSeriesProbe::new(dt)))
         .run_probed(&RngFactory::new(replication_seed(scenario.seed, rep)));
     let trace_lines = trace.lines();

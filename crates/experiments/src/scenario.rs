@@ -1,8 +1,9 @@
 //! Scenario definitions: everything needed to reproduce one run of the
 //! paper's evaluation (§V) — workload, policy, data center, horizons.
 
+use std::convert::Infallible;
 use std::sync::Arc;
-use vmprov_cloudsim::{SimConfig, StatsMode};
+use vmprov_cloudsim::SimConfig;
 use vmprov_core::analyzer::ScheduleAnalyzer;
 use vmprov_core::estimator::{EstimatorAnalyzer, EwmaRate, SlidingWindowMle};
 use vmprov_core::modeler::{ModelerOptions, PerformanceModeler, SizingInputs};
@@ -128,11 +129,9 @@ pub struct Scenario {
     /// A/B-checked distributionally the way the FEL backends are
     /// checked bit-for-bit).
     pub sampler: SamplerBackend,
-    /// Intra-run shard count (`None` = the serial engine). Sharded
-    /// runs are bit-identical across `Some(n)` values but follow their
-    /// own deterministic semantics, so `Some(1)` is *not* the same
-    /// stream as `None` — see `DESIGN.md` §10.
-    pub shards: Option<u32>,
+    /// Compatibility field left by the removed intra-run shard engine:
+    /// `None` is its only value, and it is not part of the cache key.
+    pub shards: Option<Infallible>,
     /// Arrival-rate source for the adaptive analyzer (oracle schedule
     /// by default; estimator variants for trace replay).
     pub analyzer: AnalyzerSpec,
@@ -143,19 +142,11 @@ pub struct Scenario {
     /// cadence, the default for every pre-existing scenario). Values
     /// above 1 pull whole inter-arrival bursts through the batch seam:
     /// equivalent in distribution, bit-identical on continuous-time
-    /// workloads and on every sharded run, but a *different* event-id
+    /// workloads, but a *different* event-id
     /// interleaving where arrivals tie control ticks exactly (the
     /// scientific workload's off-peak window boundaries) — so batched
     /// cells hash apart from scalar ones in the run cache.
     pub arrival_run: u32,
-    /// Per-request stats sink ([`StatsMode::Streaming`] by default —
-    /// the historical per-completion Welford fold, bit-identical to
-    /// every pre-existing golden). [`StatsMode::Batched`] defers
-    /// samples into 64-wide batches flushed at control ticks:
-    /// statistically equivalent (counters exact, moments within float
-    /// reassociation), but a different accumulation order, so batched
-    /// cells hash apart from streaming ones in the run cache.
-    pub stats_mode: StatsMode,
 }
 
 /// The paper's MaxVMs negotiation cap used by the adaptive modeler.
@@ -207,7 +198,6 @@ impl Scenario {
             analyzer: AnalyzerSpec::Oracle,
             trace: None,
             arrival_run: 1,
-            stats_mode: StatsMode::Streaming,
         }
     }
 
@@ -215,19 +205,8 @@ impl Scenario {
     pub fn scientific(policy: PolicySpec, seed: u64) -> Self {
         Scenario {
             workload: WorkloadKind::Scientific,
-            policy,
-            dispatch: DispatchSpec::RoundRobin,
             horizon: SimTime::from_secs(vmprov_des::DAY),
-            backend: AnalyticBackend::TwoMoment,
-            seed,
-            boot_delay: 0.0,
-            fel_backend: FelBackend::default(),
-            sampler: SamplerBackend::default(),
-            shards: None,
-            analyzer: AnalyzerSpec::Oracle,
-            trace: None,
-            arrival_run: 1,
-            stats_mode: StatsMode::Streaming,
+            ..Scenario::web(policy, seed)
         }
     }
 
@@ -244,19 +223,10 @@ impl Scenario {
     pub fn trace_replay(spec: TraceSpec, policy: PolicySpec, seed: u64) -> Self {
         Scenario {
             workload: WorkloadKind::Trace,
-            policy,
-            dispatch: DispatchSpec::RoundRobin,
             horizon: spec.end_time,
-            backend: AnalyticBackend::TwoMoment,
-            seed,
-            boot_delay: 0.0,
-            fel_backend: FelBackend::default(),
-            sampler: SamplerBackend::default(),
-            shards: None,
-            analyzer: AnalyzerSpec::Oracle,
             trace: Some(spec),
             arrival_run: REPLAY_ARRIVAL_RUN,
-            stats_mode: StatsMode::Streaming,
+            ..Scenario::web(policy, seed)
         }
     }
 
@@ -287,27 +257,11 @@ impl Scenario {
         self
     }
 
-    /// Same scenario split across `n` intra-run shards (`None` = the
-    /// serial engine). Results are bit-identical for every `Some(n)`,
-    /// but the sharded stream differs from the serial one, so sharded
-    /// and serial cells never alias in the run cache.
-    pub fn with_shards(mut self, shards: Option<u32>) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Same scenario with a different arrival-burst prefetch depth
     /// (see [`Scenario::arrival_run`]; must be at least 1).
     pub fn with_arrival_run(mut self, run: u32) -> Self {
         assert!(run >= 1, "arrival_run must be at least 1");
         self.arrival_run = run;
-        self
-    }
-
-    /// Same scenario with a different per-request stats sink (see
-    /// [`Scenario::stats_mode`]).
-    pub fn with_stats_mode(mut self, mode: StatsMode) -> Self {
-        self.stats_mode = mode;
         self
     }
 
@@ -328,7 +282,6 @@ impl Scenario {
         cfg.boot_delay = self.boot_delay;
         cfg.fel_backend = self.fel_backend;
         cfg.arrival_run = self.arrival_run;
-        cfg.metrics.stats = self.stats_mode;
         cfg
     }
 
@@ -540,13 +493,6 @@ impl vmprov_json::ToJson for Scenario {
             ("fel_backend", Json::from(fel)),
             ("sampler", Json::from(self.sampler.label())),
             (
-                "shards",
-                match self.shards {
-                    Some(n) => Json::from(n),
-                    None => Json::Null,
-                },
-            ),
-            (
                 "analyzer",
                 match self.analyzer {
                     AnalyzerSpec::Oracle => Json::from("oracle"),
@@ -577,13 +523,6 @@ impl vmprov_json::ToJson for Scenario {
                 },
             ),
             ("arrival_run", Json::from(self.arrival_run)),
-            (
-                "stats_mode",
-                Json::from(match self.stats_mode {
-                    StatsMode::Streaming => "streaming",
-                    StatsMode::Batched => "batched",
-                }),
-            ),
         ])
     }
 }
@@ -678,13 +617,33 @@ mod tests {
             analyzer: _,
             trace: _,
             arrival_run: _,
-            stats_mode: _,
         } = s.clone();
         let j = s.to_json();
+        let vmprov_json::Json::Obj(members) = &j else {
+            panic!("scenario JSON is an object");
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "workload",
+                "policy",
+                "dispatch",
+                "horizon_secs",
+                "backend",
+                "seed",
+                "boot_delay",
+                "fel_backend",
+                "sampler",
+                "analyzer",
+                "trace",
+                "arrival_run",
+            ],
+            "the canonical JSON is the run-cache identity (schema v7)"
+        );
         assert_eq!(j.get("seed").unwrap().as_u64(), Some(5));
         assert_eq!(j.get("workload").unwrap().as_str(), Some("web"));
         assert_eq!(j.get("sampler").unwrap().as_str(), Some("inverse_cdf"));
-        assert_eq!(j.get("shards"), Some(&vmprov_json::Json::Null));
         assert_eq!(j.get("arrival_run").unwrap().as_u64(), Some(1));
         let batched = s.clone().with_arrival_run(64).to_json();
         assert_eq!(batched.get("arrival_run").unwrap().as_u64(), Some(64));
@@ -693,18 +652,8 @@ mod tests {
             batched.to_string_canonical(),
             "batched cells must hash apart from scalar ones"
         );
-        assert_eq!(j.get("stats_mode").unwrap().as_str(), Some("streaming"));
-        let bstats = s.clone().with_stats_mode(StatsMode::Batched).to_json();
-        assert_eq!(bstats.get("stats_mode").unwrap().as_str(), Some("batched"));
-        assert_ne!(
-            j.to_string_canonical(),
-            bstats.to_string_canonical(),
-            "batched-stats cells must hash apart from streaming ones"
-        );
         assert_eq!(j.get("analyzer").unwrap().as_str(), Some("oracle"));
         assert_eq!(j.get("trace"), Some(&vmprov_json::Json::Null));
-        let sharded = s.clone().with_shards(Some(4)).to_json();
-        assert_eq!(sharded.get("shards").unwrap().as_u64(), Some(4));
         let mle = s
             .with_analyzer(AnalyzerSpec::SlidingMle { window_secs: 900.0 })
             .to_json();

@@ -20,10 +20,53 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.txt"))
 }
 
-/// Runs `scenario` on both FEL backends, asserts they agree, and
-/// checks the summary against the committed golden (or rewrites it
-/// when `UPDATE_GOLDENS` is set).
-fn check_golden(scenario: Scenario, name: &str) {
+/// Every golden scenario, keyed by its golden file name.
+///
+/// Web runs cover half an hour; ten scientific hours cover the 8am peak
+/// onset, so the adaptive policy actually scales (and shrinks). The
+/// ziggurat sampler consumes a different number of RNG draws than the
+/// inverse-CDF path, so its runs get their own goldens: the two
+/// backends are *distributionally* equivalent (KS gates in
+/// `vmprov-des`, QoS-verdict parity in `backend_parity.rs`), never
+/// bitwise. The paper-verbatim M/M/1/k backend exercises the memoized
+/// recurrence path of the modeler. The batched arrival path
+/// (`arrival_run` > 1) ties arrivals to control ticks on the
+/// scientific workload (off-peak jobs land exactly on 30-minute
+/// boundaries), so that run is a different — equally deterministic —
+/// interleaving with its own golden.
+fn goldens() -> Vec<(&'static str, Scenario)> {
+    let web = |p| Scenario::web(p, 1109).with_horizon(SimTime::from_secs(1800.0));
+    let sci = |p| Scenario::scientific(p, 2011).with_horizon(SimTime::from_hours(10.0));
+    let mut mm1k = web(PolicySpec::Adaptive);
+    mm1k.backend = vmprov_core::AnalyticBackend::Mm1k;
+    vec![
+        ("web_static60", web(PolicySpec::Static(60))),
+        ("web_adaptive", web(PolicySpec::Adaptive)),
+        ("scientific_adaptive", sci(PolicySpec::Adaptive)),
+        (
+            "web_static60_ziggurat",
+            web(PolicySpec::Static(60)).with_sampler(SamplerBackend::Ziggurat),
+        ),
+        (
+            "scientific_adaptive_ziggurat",
+            sci(PolicySpec::Adaptive).with_sampler(SamplerBackend::Ziggurat),
+        ),
+        ("web_adaptive_mm1k", mm1k),
+        (
+            "scientific_adaptive_batched",
+            sci(PolicySpec::Adaptive).with_arrival_run(64),
+        ),
+    ]
+}
+
+/// Runs the golden scenario `name` on both FEL backends, asserts they
+/// agree, and checks the summary against the committed golden (or
+/// rewrites it when `UPDATE_GOLDENS` is set).
+fn check_golden(name: &str) {
+    let (_, scenario) = goldens()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no golden scenario named {name}"));
     let calendar = run_once(&scenario.clone().with_fel_backend(FelBackend::Calendar), 0);
     let heap = run_once(
         &scenario.clone().with_fel_backend(FelBackend::BinaryHeap),
@@ -50,75 +93,38 @@ fn check_golden(scenario: Scenario, name: &str) {
 
 #[test]
 fn golden_web_static() {
-    check_golden(
-        Scenario::web(PolicySpec::Static(60), 1109).with_horizon(SimTime::from_secs(1800.0)),
-        "web_static60",
-    );
+    check_golden("web_static60");
 }
 
 #[test]
 fn golden_web_adaptive() {
-    check_golden(
-        Scenario::web(PolicySpec::Adaptive, 1109).with_horizon(SimTime::from_secs(1800.0)),
-        "web_adaptive",
-    );
+    check_golden("web_adaptive");
 }
 
 #[test]
 fn golden_scientific_adaptive() {
-    // Ten hours covers the 8am peak onset, so the adaptive policy
-    // actually scales (and shrinks) during the run.
-    check_golden(
-        Scenario::scientific(PolicySpec::Adaptive, 2011).with_horizon(SimTime::from_hours(10.0)),
-        "scientific_adaptive",
-    );
+    check_golden("scientific_adaptive");
 }
-
-// The ziggurat sampler consumes a different number of RNG draws than
-// the inverse-CDF path, so its runs get their own goldens: the two
-// backends are *distributionally* equivalent (KS gates in `vmprov-des`,
-// QoS-verdict parity in `backend_parity.rs`), never bitwise. The
-// inverse-CDF goldens above must keep passing untouched when the
-// ziggurat path changes, and vice versa.
 
 #[test]
 fn golden_web_static_ziggurat() {
-    check_golden(
-        Scenario::web(PolicySpec::Static(60), 1109)
-            .with_horizon(SimTime::from_secs(1800.0))
-            .with_sampler(SamplerBackend::Ziggurat),
-        "web_static60_ziggurat",
-    );
+    check_golden("web_static60_ziggurat");
 }
 
 #[test]
 fn golden_scientific_adaptive_ziggurat() {
-    check_golden(
-        Scenario::scientific(PolicySpec::Adaptive, 2011)
-            .with_horizon(SimTime::from_hours(10.0))
-            .with_sampler(SamplerBackend::Ziggurat),
-        "scientific_adaptive_ziggurat",
-    );
+    check_golden("scientific_adaptive_ziggurat");
 }
 
 #[test]
 fn golden_web_adaptive_mm1k() {
-    // The paper-verbatim M/M/1/k backend exercises the memoized
-    // recurrence path of the modeler.
-    let mut s = Scenario::web(PolicySpec::Adaptive, 1109).with_horizon(SimTime::from_secs(1800.0));
-    s.backend = vmprov_core::AnalyticBackend::Mm1k;
-    check_golden(s, "web_adaptive_mm1k");
+    check_golden("web_adaptive_mm1k");
 }
 
-// The batched arrival path (`arrival_run` > 1) prefetches whole
-// inter-arrival bursts through the batch seam. On continuous-time
-// workloads it is bit-identical to the scalar cadence (ties between
-// arrivals and control ticks have probability zero), so the web run is
-// pinned *against the scalar scenario itself*; the scientific workload
-// places off-peak jobs exactly on 30-minute boundaries where arrivals
-// tie the analyzer/monitor ticks, so its batched run is a different —
-// equally deterministic — interleaving and gets its own golden.
-
+/// On continuous-time workloads the batched arrival path is
+/// bit-identical to the scalar cadence (ties between arrivals and
+/// control ticks have probability zero), so the web run is pinned
+/// *against the scalar scenario itself* rather than a golden file.
 #[test]
 fn golden_web_adaptive_batched_matches_scalar() {
     let scalar = Scenario::web(PolicySpec::Adaptive, 1109).with_horizon(SimTime::from_secs(1800.0));
@@ -134,27 +140,28 @@ fn golden_web_adaptive_batched_matches_scalar() {
 
 #[test]
 fn golden_scientific_adaptive_batched() {
-    check_golden(
-        Scenario::scientific(PolicySpec::Adaptive, 2011)
-            .with_horizon(SimTime::from_hours(10.0))
-            .with_arrival_run(64),
-        "scientific_adaptive_batched",
-    );
+    check_golden("scientific_adaptive_batched");
 }
 
-// The batched stats sink (`StatsMode::Batched`) defers per-completion
-// Welford folds into 64-sample batches. Integer counters are exact
-// either way, but the float accumulation order differs, so batched
-// runs get their own golden — while the streaming goldens above must
-// keep passing bit-identically when the batched path changes.
-
+/// Request conservation over every golden scenario on both FEL
+/// backends. `RunMetrics::finalize` debug-asserts the full balance
+/// (accepted = completed + lost + in flight), so the check needs a
+/// build with debug assertions; the summary-level half is asserted
+/// here as well.
 #[test]
-fn golden_web_adaptive_stats_batched() {
-    use vmprov_experiments::StatsMode;
-    check_golden(
-        Scenario::web(PolicySpec::Adaptive, 1109)
-            .with_horizon(SimTime::from_secs(1800.0))
-            .with_stats_mode(StatsMode::Batched),
-        "web_adaptive_stats_batched",
-    );
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the completion balance is a debug assertion"
+)]
+fn goldens_conserve_requests_on_both_backends() {
+    for (name, scenario) in goldens() {
+        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+            let s = run_once(&scenario.clone().with_fel_backend(backend), 0);
+            assert_eq!(
+                s.offered_requests,
+                s.accepted_requests + s.rejected_requests,
+                "{name} on {backend:?}: offered ≠ accepted + rejected"
+            );
+        }
+    }
 }

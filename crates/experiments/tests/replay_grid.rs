@@ -3,7 +3,7 @@
 //! The grid's whole bargain is "same bytes, less work": every cell's
 //! `RunSummary` must be bit-identical to what `run_once` produces from
 //! an independent scan of the same trace, whatever the ingestion chunk
-//! size, shard count, or FEL backend. These tests sweep that product
+//! size or FEL backend. These tests sweep that product
 //! space, pin the warm-cache rerun to 100% hits, and check the `repro
 //! replay` grid CLI surface (per-cell reports without `peak_rss_kb`,
 //! grid summary with the scan counters).
@@ -12,9 +12,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use vmprov_des::FelBackend;
-use vmprov_experiments::{
-    run_once, AnalyzerSpec, GridOutcome, ReplayGrid, ReplaySource, RunCache, StatsMode,
-};
+use vmprov_experiments::{run_once, AnalyzerSpec, GridOutcome, ReplayGrid, ReplaySource, RunCache};
 use vmprov_json::Json;
 use vmprov_workloads::{generate_poisson_csv, TraceSpec, SCAN_DEPTH};
 
@@ -66,16 +64,7 @@ fn shared_scan_grid_matches_independent_scans_across_chunk_sizes() {
     // region per chunk. All must fan out the same bytes.
     for chunk in [1usize, 7, 4096] {
         let spec = TraceSpec::scan(&path, chunk).unwrap();
-        let grid = ReplayGrid {
-            spec,
-            analyzers: all_analyzers(),
-            reps: 2,
-            shards: None,
-            fel: None,
-            stats: StatsMode::Streaming,
-            seed: 13,
-            concurrency: None,
-        };
+        let grid = ReplayGrid::new(spec, all_analyzers(), 2, 13);
         let outcome = grid.run(None);
         assert_eq!(outcome.stats.cells, 6);
         assert_eq!(
@@ -114,29 +103,17 @@ fn replay_batched_cadence_matches_scalar() {
 }
 
 #[test]
-fn shared_scan_grid_matches_independent_scans_across_shards_and_backends() {
-    let path = gen_trace("grid_shards.csv", 25.0, 300.0, 43);
-    for shards in [None, Some(2)] {
-        for fel in [FelBackend::Calendar, FelBackend::BinaryHeap] {
-            let spec = TraceSpec::scan(&path, 64).unwrap();
-            let grid = ReplayGrid {
-                spec,
-                analyzers: all_analyzers(),
-                reps: 1,
-                shards,
-                fel: Some(fel),
-                stats: StatsMode::Streaming,
-                seed: 17,
-                concurrency: None,
-            };
-            let outcome = grid.run(None);
-            assert_eq!(outcome.stats.trace_file_opens, 1);
-            assert_cells_match_single_runs(
-                &grid,
-                &outcome,
-                &format!("shards {shards:?} fel {fel:?}"),
-            );
-        }
+fn shared_scan_grid_matches_independent_scans_across_backends() {
+    let path = gen_trace("grid_backends.csv", 25.0, 300.0, 43);
+    for fel in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        let spec = TraceSpec::scan(&path, 64).unwrap();
+        let grid = ReplayGrid {
+            fel: Some(fel),
+            ..ReplayGrid::new(spec, all_analyzers(), 1, 17)
+        };
+        let outcome = grid.run(None);
+        assert_eq!(outcome.stats.trace_file_opens, 1);
+        assert_cells_match_single_runs(&grid, &outcome, &format!("fel {fel:?}"));
     }
 }
 
@@ -148,16 +125,7 @@ fn warm_grid_rerun_is_all_hits_and_byte_identical() {
     let _ = fs::remove_dir_all(&cache_dir);
     let cache = RunCache::open(&cache_dir).expect("open cache");
     let spec = TraceSpec::scan(&path, 64).unwrap();
-    let grid = ReplayGrid {
-        spec,
-        analyzers: all_analyzers(),
-        reps: 2,
-        shards: None,
-        fel: None,
-        stats: StatsMode::Streaming,
-        seed: 19,
-        concurrency: None,
-    };
+    let grid = ReplayGrid::new(spec, all_analyzers(), 2, 19);
 
     let cold = grid.run(Some(&cache));
     assert_eq!(cold.stats.cache_hits, 0);
@@ -192,14 +160,8 @@ fn narrow_waves_still_match_and_scan_once_per_wave() {
     let path = gen_trace("grid_waves.csv", 25.0, 240.0, 53);
     let spec = TraceSpec::scan(&path, 64).unwrap();
     let grid = ReplayGrid {
-        spec,
-        analyzers: all_analyzers(),
-        reps: 2,
-        shards: None,
-        fel: None,
-        stats: StatsMode::Streaming,
-        seed: 23,
         concurrency: Some(2), // 6 misses → 3 waves of 2
+        ..ReplayGrid::new(spec, all_analyzers(), 2, 23)
     };
     let outcome = grid.run(None);
     assert_eq!(outcome.stats.scan_waves, 3);

@@ -32,7 +32,7 @@ fn gen_trace(name: &str, rate: f64, horizon_secs: f64, seed: u64) -> PathBuf {
 }
 
 #[test]
-fn replay_is_bit_identical_across_chunk_sizes_and_shard_counts() {
+fn replay_is_bit_identical_across_chunk_sizes_and_fel_backends() {
     let path = gen_trace("replay_identity.csv", 25.0, 300.0, 11);
 
     // Chunk size is an ingestion-buffer knob, not a semantic one: the
@@ -47,14 +47,11 @@ fn replay_is_bit_identical_across_chunk_sizes_and_shard_counts() {
         assert_eq!(summary, baseline, "chunk {chunk} diverged");
     }
 
-    // Sharded replays are bit-identical across shard counts (the
-    // sharded engine is its own deterministic semantics; it is not
-    // required to match the serial engine).
+    // Both FEL backends pop in the same (time, id) order.
     let spec = TraceSpec::scan(&path, DEFAULT_CHUNK).unwrap();
-    let base = Scenario::trace_replay(spec, PolicySpec::Adaptive, 5);
-    let s1 = run_once(&base.clone().with_shards(Some(1)), 0);
-    let s4 = run_once(&base.with_shards(Some(4)), 0);
-    assert_eq!(s1, s4, "shard counts 1 and 4 diverged");
+    let heap = Scenario::trace_replay(spec, PolicySpec::Adaptive, 5)
+        .with_fel_backend(vmprov_des::FelBackend::BinaryHeap);
+    assert_eq!(run_once(&heap, 0), baseline, "binary heap diverged");
 }
 
 #[test]

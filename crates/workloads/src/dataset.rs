@@ -21,8 +21,8 @@
 //! through ref-counted chunk handles with a bounded window
 //! ([`SCAN_DEPTH`]), so an analyzer × replication grid over one trace
 //! parses it exactly once (build one via
-//! [`TraceSpec::replay_shared`]; the [`trace_file_opens`] counter is
-//! the probe that asserts the exactly-once property end to end).
+//! [`TraceSpec::replay_shared`]; its [`ScanStats::file_opens`] is the
+//! probe that asserts the exactly-once property end to end).
 //!
 //! External files are validated **up front** by [`TraceSpec::scan`],
 //! which streams the file once to check it parses end to end and to
@@ -43,13 +43,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use vmprov_des::{SimRng, SimTime, StableHasher};
 
-/// Process-wide count of trace files opened for parsing — the probe the
-/// shared-scan grid uses to *assert* it decoded the trace exactly once
-/// (one [`CsvReader::open`] per scan wave, however many grid cells
-/// consume it). Monotonic; callers measure deltas around a phase.
+/// Process-wide count of [`CsvReader::open`] calls, read through
+/// [`trace_file_opens`]. Monotonic and shared by every thread, so
+/// concurrent scans land in each other's deltas.
 static TRACE_FILE_OPENS: AtomicU64 = AtomicU64::new(0);
 
-/// Reads the [`CsvReader::open`] counter (see [`TRACE_FILE_OPENS`]).
+/// Reads the process-wide count of [`CsvReader::open`] calls. Nothing
+/// in this workspace reads it: it is kept only for the external
+/// end-to-end benchmark harness. Per-scan counts are
+/// [`ScanStats::file_opens`].
 pub fn trace_file_opens() -> u64 {
     TRACE_FILE_OPENS.load(Ordering::SeqCst)
 }
@@ -279,6 +281,10 @@ pub struct ScanStats {
     pub max_window: usize,
     /// Consumers registered at fan-out time.
     pub consumers: usize,
+    /// Trace files this scan opened: 1 when built by
+    /// [`TraceSpec::replay_shared`], 0 when [`SharedTraceScan::fan_out`]
+    /// was handed an open reader.
+    pub file_opens: u64,
 }
 
 /// State shared between one scan's consumers, under one mutex.
@@ -350,6 +356,8 @@ struct ScanShared {
 /// group.
 pub struct SharedTraceScan {
     shared: Arc<ScanShared>,
+    /// Files opened to build this scan (see [`ScanStats::file_opens`]).
+    file_opens: u64,
 }
 
 impl SharedTraceScan {
@@ -385,7 +393,13 @@ impl SharedTraceScan {
                 id,
             })
             .collect();
-        (SharedTraceScan { shared }, handles)
+        (
+            SharedTraceScan {
+                shared,
+                file_opens: 0,
+            },
+            handles,
+        )
     }
 
     /// Decode counters so far (final once every consumer finished).
@@ -396,6 +410,7 @@ impl SharedTraceScan {
             batches_decoded: st.batches_decoded,
             max_window: st.max_window,
             consumers: st.cursors.len(),
+            file_opens: self.file_opens,
         }
     }
 }
@@ -600,7 +615,8 @@ impl TraceSpec {
         consumers: usize,
     ) -> Result<(SharedTraceScan, Vec<StreamReplay>), DatasetError> {
         let reader = Box::new(CsvReader::open(&self.path)?);
-        let (scan, handles) = SharedTraceScan::fan_out(reader, consumers, self.chunk);
+        let (mut scan, handles) = SharedTraceScan::fan_out(reader, consumers, self.chunk);
+        scan.file_opens = 1;
         let replays = handles
             .into_iter()
             .map(|consumer| StreamReplay {
@@ -1229,6 +1245,7 @@ mod tests {
                 }
                 let stats = scan.stats();
                 assert_eq!(stats.consumers, consumers);
+                assert_eq!(stats.file_opens, 1, "one shared scan, one open");
                 assert_eq!(
                     stats.batches_decoded, spec.batches,
                     "chunk {chunk}: every batch decoded exactly once"

@@ -4,12 +4,7 @@
 # from the cache — ≥90% hits, at most half the cold pass's campaign
 # wall-clock (in practice it is <1%; the bound only needs to survive a
 # loaded CI machine) — and that it reproduces the cold pass's figure
-# output byte for byte. A third/fourth pass repeat the exercise with
-# `--shards 2`: the sharded cells must MISS the serial entries (the
-# schema-v3 key includes the shard count — sharded runs are a different
-# deterministic stream, so aliasing them onto serial entries would
-# serve wrong results) and then hit their own entries when warm.
-# Leaves cache_stats_{cold,warm,sharded_cold,sharded_warm}.json under
+# output byte for byte. Leaves cache_stats_{cold,warm}.json under
 # target/cache-smoke/ for the CI artifact upload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,33 +37,6 @@ cp "$OUT/cache_stats.json" "$OUT/cache_stats_warm.json"
 # Cache hits must be bit-identical to fresh runs.
 diff -q "$OUT/fig5_cold.json" "$OUT/fig5.json"
 diff -q "$OUT/fig6_cold.json" "$OUT/fig6.json"
-
-# Sharded cells key separately from the serial entries above (v3 cache
-# schema: `shards` is in every key), then hit their own entries.
-echo "cache_smoke.sh: sharded cold pass (--shards 2)" >&2
-run_pass --shards 2
-cp "$OUT/cache_stats.json" "$OUT/cache_stats_sharded_cold.json"
-
-echo "cache_smoke.sh: sharded warm pass (--shards 2)" >&2
-run_pass --shards 2
-cp "$OUT/cache_stats.json" "$OUT/cache_stats_sharded_warm.json"
-
-python3 - "$OUT/cache_stats_sharded_cold.json" "$OUT/cache_stats_sharded_warm.json" <<'EOF'
-import json
-import sys
-
-cold = json.load(open(sys.argv[1]))
-warm = json.load(open(sys.argv[2]))
-print(f"cache_smoke.sh: sharded cold {cold['cache_hits']}/{cold['jobs']} "
-      f"hits; sharded warm {warm['cache_hits']}/{warm['jobs']} hits",
-      file=sys.stderr)
-assert cold["jobs"] > 0, "sharded campaign ran no jobs"
-assert cold["cache_hits"] == 0, (
-    "sharded cold pass hit the cache — sharded keys alias serial entries")
-assert warm["cache_hits"] * 10 >= warm["jobs"] * 9, (
-    f"sharded warm pass hit rate {warm['cache_hits']}/{warm['jobs']} "
-    f"is below 90%")
-EOF
 
 python3 - "$OUT/cache_stats_cold.json" "$OUT/cache_stats_warm.json" <<'EOF'
 import json

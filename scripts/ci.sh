@@ -24,6 +24,9 @@ run cargo fmt --all -- --check
 run cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 run cargo build "${OFFLINE[@]}" --workspace --release
 run cargo test "${OFFLINE[@]}" --workspace -q
+# The end-to-end benchmark harness lives outside the workspace and pins
+# the crates' public API.
+run cargo test --offline -q --manifest-path e2ebench/Cargo.toml
 # Full sizes (the suite takes seconds), written under target/ so the
 # committed BENCH_des.json at the repo root is not clobbered. Two gates:
 # the probe-overhead gate fails the build when a probe-less run is
@@ -45,17 +48,11 @@ run cargo run "${OFFLINE[@]}" --release -p vmprov-bench --bin quickbench -- --di
 echo "ci.sh: wrote target/bench_diff.md" >&2
 # The campaign run cache end to end: a cold fig5+fig6 smoke pass, then a
 # warm pass that must be ≥90% cache hits, measurably faster, and
-# byte-identical in its figure output (plus a sharded cell covering the
-# v3 cache key).
+# byte-identical in its figure output.
 run bash scripts/cache_smoke.sh
-# Shard determinism matrix: figure summaries must be byte-identical
-# across shard counts {1,2,4}, both FEL backends, and the batched
-# arrival path (4:calendar:64 — sharded runs are arrival-run-invariant).
-# CI runs one cell per matrix job; locally we sweep the full matrix.
-run bash scripts/shard_smoke.sh
 # Streaming trace replay at scale: a 10M-request synthetic trace must
 # replay with chunk-bounded ingestion memory (peak-RSS check),
-# byte-identical summaries across chunk sizes and shard×FEL cells, and
+# byte-identical summaries across chunk sizes and FEL backends, and
 # estimator QoS verdicts matching the oracle-λ run.
 run bash scripts/trace_smoke.sh
 

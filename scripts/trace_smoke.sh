@@ -6,19 +6,18 @@
 #   1. Peak ingestion memory is bounded by the chunk buffer: the
 #      process's peak RSS must stay far below the materialized trace
 #      (10M ArrivalBatches ≈ 240 MB; the bound is 128 MB, actual is
-#      single-digit MB). Sharded cells run one pre-sharded stream per
-#      worker and get a proportionally higher bound.
+#      single-digit MB).
 #   2. Replay summaries are byte-identical across ingestion chunk sizes
-#      (serial reference vs --chunk 1024).
-#   3. Sharded replays are byte-identical across {1,4} shards × both
-#      FEL backends (sharded cells agree with each other; the serial
-#      engine is its own deterministic semantics, as in shard_smoke.sh).
+#      (reference vs --chunk 1024).
+#   3. Replay summaries are byte-identical across both FEL backends
+#      (calendar reference vs --fel binary_heap).
 #   4. The estimator-driven runs (sliding-window MLE, EWMA) produce the
 #      same Fig 5-style QoS verdicts as the oracle-λ run on this
 #      stationary trace.
 #   5. A 3-analyzer × 2-rep shared-scan grid opens and parses the trace
 #      exactly once (asserted via the scan counters in
-#      replay_grid.json), stays chunk-bounded in RSS at grid level, and
+#      replay_grid.json's grid stats), stays chunk-bounded in RSS at
+#      grid level, and
 #      every cell's summary is byte-identical to its single-run
 #      counterpart.
 #
@@ -42,8 +41,7 @@ RATE="${1:-2000}"
 HORIZON="${2:-5000}"
 OUT=target/trace-smoke
 TRACE="$OUT/trace.csv"
-RSS_BOUND_KB=131072          # 128 MB: well under the ~240 MB a materialized trace costs
-SHARDED_RSS_BOUND_KB=262144  # sharded cells buffer one chunk per worker stream
+RSS_BOUND_KB=131072  # 128 MB: well under the ~240 MB a materialized trace costs
 
 rm -rf "$OUT"
 mkdir -p "$OUT"
@@ -75,12 +73,12 @@ rss_of() { # QOS_JSON BOUND_KB LABEL — peak_rss_kb must exist and respect the 
     echo "trace_smoke.sh: $label peak RSS ${kb} kB (bound ${bound} kB)" >&2
 }
 
-# --- serial reference + chunk invariance (invariants 1 and 2) ---------
-echo "trace_smoke.sh: serial reference cell (oracle, default chunk)" >&2
+# --- reference + chunk invariance (invariants 1 and 2) ----------------
+echo "trace_smoke.sh: reference cell (oracle, default chunk)" >&2
 run_cell "$OUT/serial" --analyzer oracle
-rss_of "$OUT/serial/replay_oracle_qos.json" "$RSS_BOUND_KB" "serial"
+rss_of "$OUT/serial/replay_oracle_qos.json" "$RSS_BOUND_KB" "reference"
 
-echo "trace_smoke.sh: serial cell with --chunk 1024" >&2
+echo "trace_smoke.sh: cell with --chunk 1024" >&2
 run_cell "$OUT/serial_c1024" --analyzer oracle --chunk 1024
 rss_of "$OUT/serial_c1024/replay_oracle_qos.json" "$RSS_BOUND_KB" "chunk-1024"
 if ! diff -q "$OUT/serial/replay_oracle.json" "$OUT/serial_c1024/replay_oracle.json" >&2; then
@@ -89,21 +87,15 @@ if ! diff -q "$OUT/serial/replay_oracle.json" "$OUT/serial_c1024/replay_oracle.j
 fi
 echo "trace_smoke.sh: chunk sizes agree byte for byte" >&2
 
-# --- shard × FEL matrix (invariant 3) ---------------------------------
-for cell in 1:calendar 4:calendar 1:binary_heap 4:binary_heap; do
-    shards="${cell%%:*}"
-    fel="${cell##*:}"
-    dir="$OUT/s${shards}_${fel}"
-    echo "trace_smoke.sh: sharded cell ${cell}" >&2
-    run_cell "$dir" --analyzer oracle --shards "$shards" --fel "$fel"
-    rss_of "$dir/replay_oracle_qos.json" "$SHARDED_RSS_BOUND_KB" "cell ${cell}"
-    if ! diff -q "$OUT/s1_calendar/replay_oracle.json" "$dir/replay_oracle.json" >&2; then
-        echo "trace_smoke.sh: FAIL — sharded summary at ${cell} differs from" \
-             "the 1:calendar sharded reference" >&2
-        exit 1
-    fi
-    echo "trace_smoke.sh: cell ${cell} matches the sharded reference byte for byte" >&2
-done
+# --- FEL backend invariance (invariant 3) ----------------------------
+echo "trace_smoke.sh: cell with --fel binary_heap" >&2
+run_cell "$OUT/heap" --analyzer oracle --fel binary_heap
+rss_of "$OUT/heap/replay_oracle_qos.json" "$RSS_BOUND_KB" "binary-heap"
+if ! diff -q "$OUT/serial/replay_oracle.json" "$OUT/heap/replay_oracle.json" >&2; then
+    echo "trace_smoke.sh: FAIL — summaries differ across FEL backends" >&2
+    exit 1
+fi
+echo "trace_smoke.sh: FEL backends agree byte for byte" >&2
 
 # --- estimator vs oracle verdicts (invariant 4) -----------------------
 verdict_of() { # QOS_JSON — the three pass/fail verdicts, normalized to one line
