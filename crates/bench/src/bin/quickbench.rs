@@ -470,19 +470,17 @@ fn bench_modeler_sweep(runs: u32) -> Timing {
     })
 }
 
-/// The batched ziggurat exponential sampler in a tight loop: the cost
-/// of one standard-exponential deviate through the block-refill path
-/// (the per-draw unit every workload's interarrival sampling pays on
-/// the ziggurat backend).
+/// The inverse-CDF exponential sampler in a tight loop: the cost of
+/// one standard-exponential deviate, `-ln U` (the per-draw unit every
+/// workload's interarrival and Weibull sampling pays).
 fn bench_exp_sampler(draws: usize, runs: u32) -> Timing {
-    use vmprov_des::dist::StdExp;
-    use vmprov_des::SamplerBackend;
-    let mut rng = RngFactory::new(0x216).stream("zig-exp-hot");
-    let mut sampler = StdExp::new(SamplerBackend::Ziggurat);
+    use vmprov_des::dist::{Distribution, Exponential};
+    let mut rng = RngFactory::new(0x216).stream("exp-hot");
+    let exp = Exponential::new(1.0);
     bench("exp_sampler_hot", draws as u64, 1, runs, || {
         let mut acc = 0.0f64;
         for _ in 0..draws {
-            acc += sampler.next(&mut rng);
+            acc += exp.sample(&mut rng);
         }
         black_box(acc);
     })

@@ -102,6 +102,29 @@ impl Gen {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.usize_in(0..items.len())]
     }
+
+    /// A corruption of `valid`: a truncation, a few bit flips, a run of
+    /// random bytes spliced in, or pure garbage. These are the inputs a
+    /// decoder of external data must reject without panicking.
+    pub fn mangle(&mut self, valid: &[u8]) -> Vec<u8> {
+        let mut out = valid.to_vec();
+        match self.u32_in(0..4) {
+            0 => out.truncate(self.usize_in(0..valid.len() + 1)),
+            1 if !out.is_empty() => {
+                for _ in 0..self.usize_in(1..9) {
+                    let i = self.usize_in(0..out.len());
+                    out[i] ^= 1 << self.u32_in(0..8);
+                }
+            }
+            2 => {
+                let at = self.usize_in(0..out.len() + 1);
+                let junk = self.vec(1..17, |g| g.u64() as u8);
+                out.splice(at..at, junk);
+            }
+            _ => out = self.vec(0..257, |g| g.u64() as u8),
+        }
+        out
+    }
 }
 
 /// Default base seed: stable across runs so CI failures reproduce.
@@ -138,87 +161,6 @@ pub fn cases(default_cases: u32, property: impl Fn(&mut Gen)) {
                 "property failed on case {case}/{n} (replay with \
                  VMPROV_CHECK_SEED={seed}): {msg}"
             );
-        }
-    }
-}
-
-pub mod ks {
-    //! Kolmogorov–Smirnov goodness-of-fit helpers.
-    //!
-    //! Compares an empirical sample against a closed-form CDF: the
-    //! statistic is the supremum distance `D_n = sup_x |F_n(x) − F(x)|`,
-    //! evaluated exactly at the sample points (where the supremum of a
-    //! step-vs-continuous comparison is attained). Together with
-    //! [`critical_value`] this gates the ziggurat samplers against their
-    //! target distributions.
-
-    /// Computes the one-sample KS statistic of `samples` against `cdf`.
-    ///
-    /// Sorts a copy of the samples; `cdf` must be the target's exact
-    /// cumulative distribution function (monotone, in `[0, 1]`).
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty or contains a NaN.
-    pub fn statistic(samples: &[f64], cdf: impl Fn(f64) -> f64) -> f64 {
-        assert!(!samples.is_empty(), "KS statistic needs samples");
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in KS sample"));
-        let n = sorted.len() as f64;
-        let mut d = 0.0f64;
-        for (i, &x) in sorted.iter().enumerate() {
-            let f = cdf(x);
-            // Empirical CDF jumps from i/n to (i+1)/n at x: both sides
-            // of the jump bound the distance.
-            let lo = (f - i as f64 / n).abs();
-            let hi = ((i + 1) as f64 / n - f).abs();
-            d = d.max(lo).max(hi);
-        }
-        d
-    }
-
-    /// Asymptotic critical value `c(α) · √(−ln(α/2) / 2) / √n` of the
-    /// one-sample KS test: a correct sampler's statistic exceeds this
-    /// with probability ≈ `alpha`.
-    ///
-    /// The tests in this workspace use fixed seeds, so exceeding the
-    /// cutoff is a deterministic failure, not flakiness; pick a small
-    /// `alpha` (e.g. `1e-6`) so only a genuinely wrong distribution
-    /// trips it.
-    pub fn critical_value(n: usize, alpha: f64) -> f64 {
-        assert!(n > 0 && alpha > 0.0 && alpha < 1.0);
-        ((-(alpha / 2.0).ln()) / (2.0 * n as f64)).sqrt()
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn statistic_is_zero_for_perfect_grid() {
-            // Midpoints of n equal slots under U(0,1): the empirical CDF
-            // straddles the diagonal, D = 1/(2n).
-            let n = 1000;
-            let samples: Vec<f64> = (0..n).map(|i| (i as f64 + 0.5) / n as f64).collect();
-            let d = statistic(&samples, |x| x.clamp(0.0, 1.0));
-            assert!((d - 0.5 / n as f64).abs() < 1e-12, "D {d}");
-        }
-
-        #[test]
-        fn statistic_detects_wrong_distribution() {
-            // Uniform samples tested against a squared CDF must fail.
-            let samples: Vec<f64> = (0..1000).map(|i| (i as f64 + 0.5) / 1000.0).collect();
-            let d = statistic(&samples, |x| x * x);
-            assert!(d > 0.2, "D {d}");
-            assert!(d > critical_value(1000, 1e-6));
-        }
-
-        #[test]
-        fn critical_value_shrinks_with_n() {
-            let c1 = critical_value(100, 0.01);
-            let c2 = critical_value(10_000, 0.01);
-            assert!(c2 < c1);
-            // Known point: c(0.01) ≈ 1.628 / √n.
-            assert!((c1 - 1.628 / 10.0).abs() < 1e-3, "c1 {c1}");
         }
     }
 }
@@ -265,6 +207,16 @@ mod tests {
         let payload = result.unwrap_err();
         let msg = payload.downcast_ref::<String>().unwrap();
         assert!(msg.contains("VMPROV_CHECK_SEED="), "{msg}");
+    }
+
+    #[test]
+    fn mangle_stays_near_the_input() {
+        let valid = b"time,count,spread\n0,1,0\n";
+        cases(256, |g| {
+            let out = g.mangle(valid);
+            assert!(out.len() <= 256 + valid.len(), "len {}", out.len());
+        });
+        assert!(Gen::new(0).mangle(b"").len() <= 256);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! let series = sampler.into_series();
 //! ```
 
-use crate::config::{AdmissionMode, SimConfig};
+use crate::config::SimConfig;
 use crate::metrics::{MetricsOptions, RunSummary};
 use crate::probe::{NullProbe, Probe};
 use crate::sim::{run_engine, run_engine_scratch, CloudSim, SimScratch};
@@ -136,13 +136,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
     pub fn arrival_run(mut self, run: u32) -> Self {
         assert!(run >= 1, "arrival run length must be at least 1");
         self.cfg.arrival_run = run;
-        self
-    }
-
-    /// Overrides the admission probe strategy (default: the config's
-    /// bitset path; [`AdmissionMode::Branchy`] is the A/B reference).
-    pub fn admission(mut self, mode: AdmissionMode) -> Self {
-        self.cfg.admission = mode;
         self
     }
 

@@ -52,22 +52,6 @@ pub struct SimConfig {
     /// pinned by tests) but not guaranteed bit-identical when arrivals
     /// tie with control ticks.
     pub arrival_run: u32,
-    /// How round-robin admission probes the active pool.
-    pub admission: AdmissionMode,
-}
-
-/// Admission/dispatch probe strategy over the struct-of-arrays instance
-/// slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Branch-free: scan per-word has-room bitsets with trailing-zeros
-    /// selection. Picks the identical instance as `Branchy` (pinned by
-    /// tests), just faster when the pool is large or mostly full.
-    #[default]
-    Bitset,
-    /// The historical per-instance probe loop; kept as the reference
-    /// the bitset path is A/B-tested against.
-    Branchy,
 }
 
 /// Two-class priority admission: a fraction of requests is high
@@ -112,7 +96,6 @@ impl SimConfig {
             instance_mtbf: None,
             fel_backend: FelBackend::default(),
             arrival_run: 1,
-            admission: AdmissionMode::default(),
         }
     }
 
@@ -141,7 +124,6 @@ mod tests {
         assert_eq!(w.vm_shape.ram_mb, 2048);
         assert_eq!(w.qos_ts, 0.250);
         assert_eq!(w.arrival_run, 1, "default stays on the scalar cadence");
-        assert_eq!(w.admission, AdmissionMode::Bitset);
         let s = SimConfig::paper_scientific();
         assert_eq!(s.initial_service_estimate, 300.0);
         assert_eq!(s.qos_ts, 700.0);

@@ -28,7 +28,7 @@ pub mod probe;
 pub mod sim;
 
 pub use builder::SimBuilder;
-pub use config::{AdmissionMode, SimConfig};
+pub use config::SimConfig;
 pub use host::{HostPool, PlacementPolicy, Resources, PAPER_HOST, PAPER_VM};
 pub use metrics::{MetricsOptions, RunMetrics, RunSummary};
 pub use probe::{

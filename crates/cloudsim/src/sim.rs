@@ -16,7 +16,7 @@
 //! path (arrival → dispatch → enqueue, completion → dequeue) is
 //! allocation-free and O(1) except for rare pool-management events.
 
-use crate::config::{AdmissionMode, SimConfig};
+use crate::config::SimConfig;
 use crate::host::HostPool;
 use crate::metrics::{RunMetrics, RunSummary};
 use crate::probe::{NullProbe, PoolSample, Probe, RejectReason, RequestClass};
@@ -307,8 +307,9 @@ impl InstanceSlots {
 /// maintained counter; otherwise the default scan runs (used for the
 /// low-priority class, whose experiments are small-scale). `bits` is
 /// the maintained has-room bitset — exposed only when it encodes this
-/// probe's capacity exactly, i.e. for the `capacity == k` class under
-/// [`AdmissionMode::Bitset`].
+/// probe's capacity exactly, i.e. for the `capacity == k` class.
+/// The low-priority class (capacity < k) falls back to the
+/// dispatcher's per-instance probe loop.
 struct PoolViewRef<'a> {
     hot: &'a [InstHot],
     active: &'a [u32],
@@ -758,6 +759,30 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
         self.instances.release(slot);
     }
 
+    /// Debug-build audit of the admission state: bit `i` of `room_bits`
+    /// is set exactly when `active[i]` holds fewer than `k` requests,
+    /// every bit at an index ≥ `active.len()` is zero, and `free_count`
+    /// is the number of set bits. Runs at each monitor tick and after
+    /// each evaluation (which may change `k` and resize the pool).
+    fn debug_check_room_bits(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert!(self.room_bits.len() * 64 >= self.active.len());
+        for (w, &word) in self.room_bits.iter().enumerate() {
+            for b in 0..64 {
+                let idx = w * 64 + b;
+                let want = self
+                    .active
+                    .get(idx)
+                    .is_some_and(|&s| self.instance_has_room(s));
+                assert_eq!(word >> b & 1 == 1, want, "room_bits[{idx}] out of sync");
+            }
+        }
+        let set: u32 = self.room_bits.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(set as usize, self.free_count, "free_count out of sync");
+    }
+
     /// Recomputes `free_count` and rebuilds the has-room bitset after
     /// `k` changes.
     fn recount_free(&mut self) {
@@ -905,16 +930,12 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
             // The bitset encodes "qlen < k", so it is only valid for
             // the class probing with capacity == k (exactly when the
             // exact-free counter applies).
-            let bits = match (exact_free, self.cfg.admission) {
-                (Some(_), AdmissionMode::Bitset) => Some(self.room_bits.as_slice()),
-                _ => None,
-            };
             let view = PoolViewRef {
                 hot: &self.instances.hot,
                 active: &self.active,
                 capacity,
                 exact_free,
-                bits,
+                bits: exact_free.map(|_| self.room_bits.as_slice()),
             };
             self.dispatcher.pick(&view, self.rng_dispatch.uniform01())
         };
@@ -932,6 +953,10 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
             return;
         };
         let slot = self.active[idx];
+        debug_assert!(
+            self.instances.queue_len(slot) < capacity,
+            "admission picked active[{idx}] with no room"
+        );
         let svc = self.service.sample(&mut self.rng_service);
         let len = self.instances.push_back(slot, (now.as_secs(), svc));
         self.probe.on_admit(now, slot, len);
@@ -1076,6 +1101,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
             self.probe.on_sizing(now, &d);
         }
         self.apply_target(target, now, sched);
+        self.debug_check_room_bits();
         if reschedule {
             let next = self.policy.next_evaluation(now);
             if next <= self.horizon {
@@ -1168,6 +1194,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W,
                 }
             }
             Event::Monitor => {
+                self.debug_check_room_bits();
                 self.policy
                     .observe_arrivals(now, self.window_arrivals, self.cfg.monitor_interval);
                 self.window_arrivals = 0;

@@ -98,17 +98,6 @@ impl Exponential {
     pub fn rate(&self) -> f64 {
         self.rate
     }
-
-    /// Scales a *standard* exponential deviate (mean 1) to this rate.
-    ///
-    /// `sample` is exactly `scale_std(-ln U)`; sampler backends that
-    /// produce standard deviates (see [`StdExp`]) go through here so the
-    /// scaling arithmetic — a division by `rate`, never a multiplication
-    /// by a precomputed mean — is bit-identical to the inversion path.
-    #[inline]
-    pub fn scale_std(&self, std_exp: f64) -> f64 {
-        std_exp / self.rate
-    }
 }
 
 impl Distribution for Exponential {
@@ -181,15 +170,6 @@ impl Weibull {
     /// Cumulative distribution function P(X ≤ x).
     pub fn cdf(&self, x: f64) -> f64 {
         1.0 - self.survival(x)
-    }
-
-    /// Transforms a *standard* exponential deviate into a Weibull draw:
-    /// `λ · E^{1/k}`. With `E = -ln U` this is exactly [`Self::sample`];
-    /// sampler backends that produce standard exponentials (see
-    /// [`StdExp`]) feed them through here.
-    #[inline]
-    pub fn from_std_exp(&self, std_exp: f64) -> f64 {
-        self.scale * std_exp.powf(self.inv_shape)
     }
 }
 
@@ -365,116 +345,6 @@ impl<D: Distribution> Distribution for Clamped<D> {
     }
 }
 
-/// Which algorithm generates standard exponential/normal deviates.
-///
-/// The inverse-CDF path is the reference backend: it is what every
-/// golden summary before the ziggurat landed was generated with, and it
-/// must stay bit-identical to those goldens. The ziggurat backend is the
-/// fast path — same distributions, different (and fewer, amortised) RNG
-/// draws per variate — and is pinned by its own goldens plus
-/// distributional-equivalence gates (KS tests, QoS-verdict parity).
-/// Same A/B pattern as the heap-vs-calendar FEL split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SamplerBackend {
-    /// Inversion (`-ln U`) and Box–Muller: one or two uniforms per
-    /// variate, bit-identical to the pre-ziggurat goldens.
-    #[default]
-    InverseCdf,
-    /// Batched 256-layer ziggurat (see [`crate::ziggurat`]).
-    Ziggurat,
-}
-
-impl SamplerBackend {
-    /// Stable lower-case label ("inverse_cdf" / "ziggurat") for JSON
-    /// serialisation and cache keying.
-    pub fn label(self) -> &'static str {
-        match self {
-            SamplerBackend::InverseCdf => "inverse_cdf",
-            SamplerBackend::Ziggurat => "ziggurat",
-        }
-    }
-
-    /// Parses [`Self::label`] output back into a backend.
-    pub fn from_label(label: &str) -> Result<Self, String> {
-        match label {
-            "inverse_cdf" => Ok(SamplerBackend::InverseCdf),
-            "ziggurat" => Ok(SamplerBackend::Ziggurat),
-            other => Err(format!("unknown sampler backend `{other}`")),
-        }
-    }
-}
-
-/// A source of *standard* exponential deviates (rate 1) behind the
-/// [`SamplerBackend`] switch.
-///
-/// Workload models hold one of these per exponential-consuming process
-/// and scale the output through [`Exponential::scale_std`] /
-/// [`Weibull::from_std_exp`], so switching backends changes only where
-/// the standard deviate comes from, never the scaling arithmetic.
-// The variants differ in size because the ziggurat side carries its
-// refill buffer inline — deliberately: one StdExp lives per workload
-// process for a whole run (never in arrays), and boxing would put a
-// pointer chase on the per-draw hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum StdExp {
-    /// Inversion: `-ln U`, one uniform per deviate.
-    InverseCdf,
-    /// Batched ziggurat sampler.
-    Ziggurat(crate::ziggurat::ExpSampler),
-}
-
-impl StdExp {
-    /// Creates the source for `backend`.
-    pub fn new(backend: SamplerBackend) -> Self {
-        match backend {
-            SamplerBackend::InverseCdf => StdExp::InverseCdf,
-            SamplerBackend::Ziggurat => StdExp::Ziggurat(crate::ziggurat::ExpSampler::new()),
-        }
-    }
-
-    /// Draws one standard exponential deviate.
-    #[inline]
-    pub fn next(&mut self, rng: &mut SimRng) -> f64 {
-        match self {
-            StdExp::InverseCdf => -rng.uniform01_open_left().ln(),
-            StdExp::Ziggurat(z) => z.next(rng),
-        }
-    }
-}
-
-/// A source of *standard* normal deviates behind the [`SamplerBackend`]
-/// switch; the Box–Muller path is bit-identical to
-/// [`Normal::standard_sample`].
-// Inline refill buffer, same rationale as [`StdExp`].
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum StdNormal {
-    /// Box–Muller (cosine branch), two uniforms per deviate.
-    InverseCdf,
-    /// Batched ziggurat sampler.
-    Ziggurat(crate::ziggurat::NormalSampler),
-}
-
-impl StdNormal {
-    /// Creates the source for `backend`.
-    pub fn new(backend: SamplerBackend) -> Self {
-        match backend {
-            SamplerBackend::InverseCdf => StdNormal::InverseCdf,
-            SamplerBackend::Ziggurat => StdNormal::Ziggurat(crate::ziggurat::NormalSampler::new()),
-        }
-    }
-
-    /// Draws one standard normal deviate.
-    #[inline]
-    pub fn next(&mut self, rng: &mut SimRng) -> f64 {
-        match self {
-            StdNormal::InverseCdf => Normal::standard_sample(rng),
-            StdNormal::Ziggurat(z) => z.next(rng),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -625,51 +495,6 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "shape {shape} scale {scale}");
             }
         }
-    }
-
-    #[test]
-    fn std_sources_inverse_backend_is_bit_identical_to_direct_sampling() {
-        // The refactored workloads draw standard deviates through
-        // StdExp/StdNormal and scale them; on the inverse-CDF backend
-        // that must reproduce the pre-refactor per-draw expressions
-        // exactly, or the golden summaries would shift.
-        let exp = Exponential::from_mean(4.0);
-        let mut src = StdExp::new(SamplerBackend::InverseCdf);
-        let mut rng = RngFactory::new(0xAB).stream("std-exp");
-        let mut reference = rng.clone();
-        for _ in 0..10_000 {
-            let got = exp.scale_std(src.next(&mut rng));
-            let want = exp.sample(&mut reference);
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-
-        let wei = Weibull::new(1.79, 24.16);
-        let mut src = StdExp::new(SamplerBackend::InverseCdf);
-        let mut rng = RngFactory::new(0xAB).stream("std-weibull");
-        let mut reference = rng.clone();
-        for _ in 0..10_000 {
-            let got = wei.from_std_exp(src.next(&mut rng));
-            let want = wei.sample(&mut reference);
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-
-        let mut nsrc = StdNormal::new(SamplerBackend::InverseCdf);
-        let mut rng = RngFactory::new(0xCD).stream("std-normal");
-        let mut reference = rng.clone();
-        for _ in 0..10_000 {
-            let got = nsrc.next(&mut rng);
-            let want = Normal::standard_sample(&mut reference);
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn sampler_backend_labels_round_trip() {
-        for backend in [SamplerBackend::InverseCdf, SamplerBackend::Ziggurat] {
-            assert_eq!(SamplerBackend::from_label(backend.label()), Ok(backend));
-        }
-        assert!(SamplerBackend::from_label("sobol").is_err());
-        assert_eq!(SamplerBackend::default(), SamplerBackend::InverseCdf);
     }
 
     #[test]

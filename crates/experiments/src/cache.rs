@@ -71,7 +71,11 @@ use vmprov_json::{FromJson, Json, ToJson};
 /// removed, and with them the `shards` and `stats_mode` members of the
 /// canonical JSON. Surviving serial streaming runs keep their meaning,
 /// but every key moves, so warm v6 caches miss cleanly.
-pub const CACHE_SCHEMA_VERSION: u32 = 7;
+///
+/// v8: the ziggurat variate sampler was removed, and with it the
+/// `sampler` member of the canonical JSON. Inverse-CDF runs keep their
+/// meaning, but every key moves, so warm v7 caches miss cleanly.
+pub const CACHE_SCHEMA_VERSION: u32 = 8;
 
 /// Computes the content-addressed cache key of `(scenario, rep)`.
 pub fn run_key(scenario: &Scenario, rep: u32) -> u64 {
@@ -224,41 +228,42 @@ mod tests {
         assert_ne!(k0, run_key(&reseeded, 0));
     }
 
-    /// A warm cache keyed under schema v6 must miss cleanly after the
-    /// v7 re-keying (the v6 canonical JSON also carried `shards` and
-    /// `stats_mode` members), rather than replay entries against the new
-    /// key space.
+    /// A warm cache keyed under schema v7 must miss cleanly after the
+    /// v8 re-keying (the v7 canonical JSON also carried a `sampler`
+    /// member), rather than replay entries against the new key space.
     #[test]
-    fn v6_keyed_entries_miss_under_v7() {
-        let cache = tmp_cache("v6_rekey");
+    fn v7_keyed_entries_miss_under_v8() {
+        let cache = tmp_cache("v7_rekey");
         let s = tiny();
         let fresh = run_once(&s, 0);
-        // Reconstruct the v6 key: old schema tag, canonical JSON plus
-        // the two removed members (exactly what v6 binaries hashed for
-        // a serial streaming run).
+        // Reconstruct the v7 key: old schema tag, canonical JSON plus
+        // the removed member (exactly what v7 binaries hashed for an
+        // inverse-CDF run).
         let mut h = StableHasher::new();
         h.write(b"vmprov-run-cache");
-        h.write_u32(6);
+        h.write_u32(7);
         let Json::Obj(mut members) = s.to_json() else {
             panic!("scenario JSON must be an object");
         };
-        let after_sampler = members
+        let after_fel = members
             .iter()
-            .position(|(k, _)| k == "sampler")
-            .expect("v7 JSON carries sampler")
+            .position(|(k, _)| k == "fel_backend")
+            .expect("v8 JSON carries fel_backend")
             + 1;
-        members.insert(after_sampler, ("shards".to_string(), Json::Null));
-        members.push(("stats_mode".to_string(), Json::from("streaming")));
+        members.insert(
+            after_fel,
+            ("sampler".to_string(), Json::from("inverse_cdf")),
+        );
         h.write(Json::Obj(members).to_string_canonical().as_bytes());
         h.write_u32(0);
         h.write_u64(replication_seed(s.seed, 0));
-        let v6_key = h.finish();
-        cache.store(v6_key, &fresh).expect("store");
-        let v7_key = run_key(&s, 0);
-        assert_ne!(v6_key, v7_key, "schema bump must move every key");
+        let v7_key = h.finish();
+        cache.store(v7_key, &fresh).expect("store");
+        let v8_key = run_key(&s, 0);
+        assert_ne!(v7_key, v8_key, "schema bump must move every key");
         assert!(
-            matches!(cache.lookup(v7_key), Lookup::Miss),
-            "a v6-keyed entry must not satisfy a v7 probe"
+            matches!(cache.lookup(v8_key), Lookup::Miss),
+            "a v7-keyed entry must not satisfy a v8 probe"
         );
         let _ = std::fs::remove_dir_all(cache.dir());
     }

@@ -10,7 +10,7 @@ use vmprov_core::modeler::{ModelerOptions, PerformanceModeler, SizingInputs};
 use vmprov_core::policy::{AdaptivePolicy, ProvisioningPolicy, StaticPolicy};
 use vmprov_core::qos::QosTargets;
 use vmprov_core::{AnalyticBackend, AnyDispatcher, LeastOutstanding, RandomDispatch, RoundRobin};
-use vmprov_des::{FelBackend, SamplerBackend, SimTime};
+use vmprov_des::{FelBackend, SimTime};
 use vmprov_workloads::scientific::{
     is_peak, OFFPEAK_JOBS_MODE, OFFPEAK_WINDOW, PEAK_INTERARRIVAL_MODE, SIZE_CLASS_MODE,
 };
@@ -124,11 +124,6 @@ pub struct Scenario {
     /// Future-event-list backend (calendar queue by default; the binary
     /// heap is kept for A/B determinism checks).
     pub fel_backend: FelBackend,
-    /// Variate-sampler backend feeding the workload's exponential and
-    /// normal draws (inverse CDF by default; ziggurat is the fast path,
-    /// A/B-checked distributionally the way the FEL backends are
-    /// checked bit-for-bit).
-    pub sampler: SamplerBackend,
     /// Compatibility field left by the removed intra-run shard engine:
     /// `None` is its only value, and it is not part of the cache key.
     pub shards: Option<Infallible>,
@@ -193,7 +188,6 @@ impl Scenario {
             seed,
             boot_delay: 0.0,
             fel_backend: FelBackend::default(),
-            sampler: SamplerBackend::default(),
             shards: None,
             analyzer: AnalyzerSpec::Oracle,
             trace: None,
@@ -246,14 +240,6 @@ impl Scenario {
     /// determinism checks: both backends must yield identical results).
     pub fn with_fel_backend(mut self, backend: FelBackend) -> Self {
         self.fel_backend = backend;
-        self
-    }
-
-    /// Same scenario on a different variate-sampler backend. Unlike the
-    /// FEL A/B, switching samplers changes the RNG draw sequence, so
-    /// results are only distributionally — not bitwise — equivalent.
-    pub fn with_sampler(mut self, sampler: SamplerBackend) -> Self {
-        self.sampler = sampler;
         self
     }
 
@@ -313,13 +299,11 @@ impl Scenario {
         match self.workload {
             WorkloadKind::Web => WebWorkload::new(WebConfig {
                 horizon: self.horizon,
-                sampler: self.sampler,
                 ..WebConfig::default()
             })
             .into(),
             WorkloadKind::Scientific => ScientificWorkload::new(ScientificConfig {
                 horizon: self.horizon,
-                sampler: self.sampler,
             })
             .into(),
             WorkloadKind::Trace => self.trace_spec().replay().into(),
@@ -491,7 +475,6 @@ impl vmprov_json::ToJson for Scenario {
             ("seed", Json::from(self.seed)),
             ("boot_delay", Json::from(self.boot_delay)),
             ("fel_backend", Json::from(fel)),
-            ("sampler", Json::from(self.sampler.label())),
             (
                 "analyzer",
                 match self.analyzer {
@@ -612,7 +595,6 @@ mod tests {
             seed: _,
             boot_delay: _,
             fel_backend: _,
-            sampler: _,
             shards: _,
             analyzer: _,
             trace: _,
@@ -634,16 +616,14 @@ mod tests {
                 "seed",
                 "boot_delay",
                 "fel_backend",
-                "sampler",
                 "analyzer",
                 "trace",
                 "arrival_run",
             ],
-            "the canonical JSON is the run-cache identity (schema v7)"
+            "the canonical JSON is the run-cache identity (schema v8)"
         );
         assert_eq!(j.get("seed").unwrap().as_u64(), Some(5));
         assert_eq!(j.get("workload").unwrap().as_str(), Some("web"));
-        assert_eq!(j.get("sampler").unwrap().as_str(), Some("inverse_cdf"));
         assert_eq!(j.get("arrival_run").unwrap().as_u64(), Some(1));
         let batched = s.clone().with_arrival_run(64).to_json();
         assert_eq!(batched.get("arrival_run").unwrap().as_u64(), Some(64));

@@ -10,7 +10,7 @@
 //! `UPDATE_GOLDENS=1 cargo test -p vmprov-experiments --test golden_summaries`
 
 use std::path::PathBuf;
-use vmprov_des::{FelBackend, SamplerBackend, SimTime};
+use vmprov_des::{FelBackend, SimTime};
 use vmprov_experiments::runner::run_once;
 use vmprov_experiments::scenario::{PolicySpec, Scenario};
 
@@ -24,11 +24,7 @@ fn golden_path(name: &str) -> PathBuf {
 ///
 /// Web runs cover half an hour; ten scientific hours cover the 8am peak
 /// onset, so the adaptive policy actually scales (and shrinks). The
-/// ziggurat sampler consumes a different number of RNG draws than the
-/// inverse-CDF path, so its runs get their own goldens: the two
-/// backends are *distributionally* equivalent (KS gates in
-/// `vmprov-des`, QoS-verdict parity in `backend_parity.rs`), never
-/// bitwise. The paper-verbatim M/M/1/k backend exercises the memoized
+/// paper-verbatim M/M/1/k backend exercises the memoized
 /// recurrence path of the modeler. The batched arrival path
 /// (`arrival_run` > 1) ties arrivals to control ticks on the
 /// scientific workload (off-peak jobs land exactly on 30-minute
@@ -43,14 +39,6 @@ fn goldens() -> Vec<(&'static str, Scenario)> {
         ("web_static60", web(PolicySpec::Static(60))),
         ("web_adaptive", web(PolicySpec::Adaptive)),
         ("scientific_adaptive", sci(PolicySpec::Adaptive)),
-        (
-            "web_static60_ziggurat",
-            web(PolicySpec::Static(60)).with_sampler(SamplerBackend::Ziggurat),
-        ),
-        (
-            "scientific_adaptive_ziggurat",
-            sci(PolicySpec::Adaptive).with_sampler(SamplerBackend::Ziggurat),
-        ),
         ("web_adaptive_mm1k", mm1k),
         (
             "scientific_adaptive_batched",
@@ -104,16 +92,6 @@ fn golden_web_adaptive() {
 #[test]
 fn golden_scientific_adaptive() {
     check_golden("scientific_adaptive");
-}
-
-#[test]
-fn golden_web_static_ziggurat() {
-    check_golden("web_static60_ziggurat");
-}
-
-#[test]
-fn golden_scientific_adaptive_ziggurat() {
-    check_golden("scientific_adaptive_ziggurat");
 }
 
 #[test]

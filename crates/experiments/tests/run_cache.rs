@@ -6,7 +6,7 @@
 
 use vmprov_check::{cases, Gen};
 use vmprov_core::AnalyticBackend;
-use vmprov_des::{FelBackend, SamplerBackend, SimTime};
+use vmprov_des::{FelBackend, SimTime};
 use vmprov_experiments::runner::run_once;
 use vmprov_experiments::scenario::{
     AnalyzerSpec, DispatchSpec, PolicySpec, Scenario, WorkloadKind,
@@ -82,11 +82,6 @@ fn random_scenario(g: &mut Gen) -> Scenario {
     } else {
         FelBackend::BinaryHeap
     };
-    s.sampler = if g.chance(0.5) {
-        SamplerBackend::InverseCdf
-    } else {
-        SamplerBackend::Ziggurat
-    };
     s.analyzer = match g.u32_in(0..3) {
         0 => AnalyzerSpec::Oracle,
         1 => AnalyzerSpec::SlidingMle {
@@ -109,7 +104,7 @@ fn any_field_perturbation_changes_the_key() {
         assert_ne!(key, run_key(&s, rep + 1), "rep must perturb the key");
 
         let mut p = s.clone();
-        let field = match g.u32_in(0..10) {
+        let field = match g.u32_in(0..9) {
             0 => {
                 p.seed = p.seed.wrapping_add(1 + g.u64() % 1_000);
                 "seed"
@@ -161,13 +156,6 @@ fn any_field_perturbation_changes_the_key() {
                     FelBackend::BinaryHeap => FelBackend::Calendar,
                 };
                 "fel_backend"
-            }
-            8 => {
-                p.sampler = match p.sampler {
-                    SamplerBackend::InverseCdf => SamplerBackend::Ziggurat,
-                    SamplerBackend::Ziggurat => SamplerBackend::InverseCdf,
-                };
-                "sampler"
             }
             _ => {
                 p.analyzer = match p.analyzer {
@@ -231,5 +219,24 @@ fn corrupt_entry_recomputes_instead_of_failing() {
         )),
         Lookup::Hit(_)
     ));
+    let _ = std::fs::remove_dir_all(cache.dir());
+}
+
+/// Mangled-input property test of the cache-entry decoder: a valid
+/// entry truncated, bit-flipped, spliced with junk or replaced by
+/// garbage must probe as `Hit`, `Miss` or `Corrupt`, never panic.
+#[test]
+fn lookup_never_panics_on_mangled_entries() {
+    let cache = tmp_cache("fuzz");
+    let s = Scenario::web(PolicySpec::Static(5), 31).with_horizon(SimTime::from_secs(60.0));
+    let key = run_key(&s, 0);
+    cache.store(key, &run_once(&s, 0)).expect("store");
+    let valid = std::fs::read(cache.entry_path(key)).expect("entry on disk");
+    cases(400, |g| {
+        std::fs::write(cache.entry_path(key), g.mangle(&valid)).expect("write entry");
+        match cache.lookup(key) {
+            Lookup::Hit(_) | Lookup::Miss | Lookup::Corrupt => {}
+        }
+    });
     let _ = std::fs::remove_dir_all(cache.dir());
 }

@@ -118,12 +118,16 @@ pub trait DatasetReader: Send {
 /// Unlike the retired `Trace::read_csv`, which slurped the file and
 /// sorted it, this reader holds one line at a time — so out-of-order
 /// timestamps are a *parse error* (streaming cannot sort), as are
-/// truncated rows, non-finite or negative values, all reported with
-/// their line number.
+/// truncated rows, non-finite or negative values, and a count that
+/// would push the running request total past `u64::MAX`, all reported
+/// with their line number.
 pub struct CsvReader<R> {
     input: R,
     line: u64,
     last_time: f64,
+    /// Sum of the count column so far; never overflows, because a row
+    /// that would overflow it is a parse error.
+    total: u64,
     buf: String,
 }
 
@@ -144,6 +148,7 @@ impl<R: BufRead> CsvReader<R> {
             input,
             line: 0,
             last_time: 0.0,
+            total: 0,
             buf: String::new(),
         }
     }
@@ -194,6 +199,12 @@ impl<R: BufRead> CsvReader<R> {
                 ),
             ));
         }
+        self.total = self.total.checked_add(count).ok_or_else(|| {
+            DatasetError::at(
+                n,
+                format!("count {count} overflows the trace's request total"),
+            )
+        })?;
         self.last_time = time;
         Ok(Some(ArrivalBatch {
             time: SimTime::from_secs(time),
@@ -557,22 +568,21 @@ impl TraceSpec {
             hasher.write(&block[..n]);
         }
         // Pass 2: parse every row through the same reader the replay
-        // will use, accumulating totals chunk by chunk.
+        // will use, chunk by chunk. The reader keeps the overflow-checked
+        // request total.
         let mut reader = CsvReader::open(path)?;
         let mut buf = Vec::with_capacity(chunk);
-        let (mut total, mut batches) = (0u64, 0u64);
+        let mut batches = 0u64;
         let mut end = SimTime::ZERO;
         loop {
             buf.clear();
             if reader.read_chunk(&mut buf, chunk)? == 0 {
                 break;
             }
-            for b in &buf {
-                total += b.count;
-                end = b.time;
-            }
+            end = buf.last().map_or(end, |b| b.time);
             batches += buf.len() as u64;
         }
+        let total = reader.total;
         let mean_rate = if end > SimTime::ZERO {
             total as f64 / end.as_secs()
         } else {
@@ -1145,6 +1155,19 @@ mod tests {
         let missing = TraceSpec::scan(&dir.join("nope.csv"), 8).unwrap_err();
         assert_eq!(missing.line, None);
         assert!(missing.msg.contains("cannot open"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_rejects_a_request_total_past_u64_max() {
+        let dir =
+            std::env::temp_dir().join(format!("vmprov_dataset_overflow_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        std::fs::write(&path, "0,18446744073709551615,0\n1,1,0\n").unwrap();
+        let err = TraceSpec::scan(&path, 8).unwrap_err();
+        assert_eq!(err.line, Some(2), "{err}");
+        assert!(err.msg.contains("overflows"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

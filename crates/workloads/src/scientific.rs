@@ -17,7 +17,7 @@
 //! exposed as constants and re-derived in tests.
 
 use crate::traits::{ArrivalBatch, ArrivalProcess, ServiceModel};
-use vmprov_des::dist::{Distribution, SamplerBackend, StdExp, Weibull};
+use vmprov_des::dist::{Distribution, Weibull};
 use vmprov_des::{SimRng, SimTime, DAY, HOUR};
 
 /// Start of peak time (8 a.m.), seconds into the day.
@@ -42,16 +42,12 @@ pub const OFFPEAK_JOBS_MODE: f64 = 15.298;
 pub struct ScientificConfig {
     /// Generation horizon (paper: one day, starting midnight).
     pub horizon: SimTime,
-    /// Backend generating the standard exponentials behind every
-    /// Weibull draw (interarrival, jobs per window, size class).
-    pub sampler: SamplerBackend,
 }
 
 impl Default for ScientificConfig {
     fn default() -> Self {
         ScientificConfig {
             horizon: SimTime::from_secs(DAY),
-            sampler: SamplerBackend::default(),
         }
     }
 }
@@ -79,7 +75,6 @@ pub struct ScientificWorkload {
     /// Job arrival instants already planned for the current off-peak
     /// window, in reverse order (pop from the back).
     planned: Vec<f64>,
-    exp: StdExp,
 }
 
 impl ScientificWorkload {
@@ -92,7 +87,6 @@ impl ScientificWorkload {
             size_class: Weibull::new(1.76, 2.11),
             cursor: 0.0,
             planned: Vec::new(),
-            exp: StdExp::new(config.sampler),
         }
     }
 
@@ -125,15 +119,13 @@ impl ScientificWorkload {
     }
 
     fn draw_size(&mut self, rng: &mut SimRng) -> u64 {
-        let std_exp = self.exp.next(rng);
-        (self.size_class.from_std_exp(std_exp).floor() as u64).max(1)
+        (self.size_class.sample(rng).floor() as u64).max(1)
     }
 
     /// Plans all job instants of the off-peak window starting at
     /// `window_start`: `n` jobs at equal intervals.
     fn plan_offpeak_window(&mut self, window_start: f64, rng: &mut SimRng) {
-        let std_exp = self.exp.next(rng);
-        let n = self.jobs_per_window.from_std_exp(std_exp).round() as u64;
+        let n = self.jobs_per_window.sample(rng).round() as u64;
         self.planned.clear();
         if n == 0 {
             return;
@@ -166,7 +158,7 @@ impl ArrivalProcess for ScientificWorkload {
             }
             let t_day = SimTime::from_secs(self.cursor).second_of_day();
             if is_peak(t_day) {
-                let t = self.cursor + self.interarrival.from_std_exp(self.exp.next(rng));
+                let t = self.cursor + self.interarrival.sample(rng);
                 self.cursor = t;
                 // A draw can overshoot into off-peak; deliver it anyway
                 // (jobs in flight at the boundary), unless past horizon.
@@ -310,7 +302,6 @@ mod tests {
     fn respects_horizon() {
         let mut w = ScientificWorkload::new(ScientificConfig {
             horizon: SimTime::from_secs(3600.0),
-            ..ScientificConfig::default()
         });
         let mut rng = RngFactory::new(9).stream("hz");
         while let Some(b) = w.next_batch(&mut rng) {

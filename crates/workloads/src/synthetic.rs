@@ -3,7 +3,7 @@
 //! crowd), smooth trends (ramp), and bursty modulated traffic (MMPP).
 
 use crate::traits::{ArrivalBatch, ArrivalProcess};
-use vmprov_des::dist::{Exponential, SamplerBackend, StdExp};
+use vmprov_des::dist::{Distribution, Exponential};
 use vmprov_des::{SimRng, SimTime};
 
 /// Homogeneous Poisson arrivals at `rate` requests/second.
@@ -12,30 +12,23 @@ pub struct PoissonProcess {
     rate: f64,
     horizon: SimTime,
     cursor: f64,
-    exp: StdExp,
 }
 
 impl PoissonProcess {
     /// Creates the process. `rate > 0`.
     pub fn new(rate: f64, horizon: SimTime) -> Self {
-        Self::with_sampler(rate, horizon, SamplerBackend::default())
-    }
-
-    /// Creates the process with an explicit exponential sampler backend.
-    pub fn with_sampler(rate: f64, horizon: SimTime, sampler: SamplerBackend) -> Self {
         assert!(rate > 0.0 && rate.is_finite());
         PoissonProcess {
             rate,
             horizon,
             cursor: 0.0,
-            exp: StdExp::new(sampler),
         }
     }
 }
 
 impl ArrivalProcess for PoissonProcess {
     fn next_batch(&mut self, rng: &mut SimRng) -> Option<ArrivalBatch> {
-        let gap = Exponential::new(self.rate).scale_std(self.exp.next(rng));
+        let gap = Exponential::new(self.rate).sample(rng);
         self.cursor += gap;
         if self.cursor >= self.horizon.as_secs() {
             return None;
@@ -62,7 +55,7 @@ impl ArrivalProcess for PoissonProcess {
         let horizon = self.horizon.as_secs();
         let mut n = 0;
         while n < max {
-            self.cursor += dist.scale_std(self.exp.next(rng));
+            self.cursor += dist.sample(rng);
             if self.cursor >= horizon {
                 break;
             }
@@ -93,7 +86,6 @@ pub struct PiecewiseRateProcess {
     pieces: Vec<(f64, f64)>,
     horizon: SimTime,
     cursor: f64,
-    exp: StdExp,
 }
 
 impl PiecewiseRateProcess {
@@ -103,15 +95,6 @@ impl PiecewiseRateProcess {
     /// Panics unless pieces start at 0, are strictly ordered, and have
     /// non-negative finite rates.
     pub fn new(pieces: Vec<(f64, f64)>, horizon: SimTime) -> Self {
-        Self::with_sampler(pieces, horizon, SamplerBackend::default())
-    }
-
-    /// [`Self::new`] with an explicit exponential sampler backend.
-    pub fn with_sampler(
-        pieces: Vec<(f64, f64)>,
-        horizon: SimTime,
-        sampler: SamplerBackend,
-    ) -> Self {
         assert!(
             !pieces.is_empty() && pieces[0].0 == 0.0,
             "must start at t=0"
@@ -124,7 +107,6 @@ impl PiecewiseRateProcess {
             pieces,
             horizon,
             cursor: 0.0,
-            exp: StdExp::new(sampler),
         }
     }
 
@@ -183,7 +165,7 @@ impl ArrivalProcess for PiecewiseRateProcess {
                 self.cursor = end;
                 continue;
             }
-            let gap = Exponential::new(rate).scale_std(self.exp.next(rng));
+            let gap = Exponential::new(rate).sample(rng);
             let t = self.cursor + gap;
             if t >= end {
                 // No arrival in the remainder of this piece; restart the
@@ -220,22 +202,11 @@ pub struct RampProcess {
     end_rate: f64,
     horizon: SimTime,
     cursor: f64,
-    exp: StdExp,
 }
 
 impl RampProcess {
     /// Creates the ramp. Rates non-negative, at least one positive.
     pub fn new(start_rate: f64, end_rate: f64, horizon: SimTime) -> Self {
-        Self::with_sampler(start_rate, end_rate, horizon, SamplerBackend::default())
-    }
-
-    /// [`Self::new`] with an explicit exponential sampler backend.
-    pub fn with_sampler(
-        start_rate: f64,
-        end_rate: f64,
-        horizon: SimTime,
-        sampler: SamplerBackend,
-    ) -> Self {
         assert!(start_rate >= 0.0 && end_rate >= 0.0);
         assert!(start_rate + end_rate > 0.0);
         RampProcess {
@@ -243,7 +214,6 @@ impl RampProcess {
             end_rate,
             horizon,
             cursor: 0.0,
-            exp: StdExp::new(sampler),
         }
     }
 }
@@ -252,7 +222,7 @@ impl ArrivalProcess for RampProcess {
     fn next_batch(&mut self, rng: &mut SimRng) -> Option<ArrivalBatch> {
         let max_rate = self.start_rate.max(self.end_rate);
         loop {
-            let gap = Exponential::new(max_rate).scale_std(self.exp.next(rng));
+            let gap = Exponential::new(max_rate).sample(rng);
             self.cursor += gap;
             if self.cursor >= self.horizon.as_secs() {
                 return None;
@@ -293,32 +263,12 @@ pub struct MmppProcess {
     cursor: f64,
     in_a: bool,
     state_end: f64,
-    exp: StdExp,
 }
 
 impl MmppProcess {
     /// Creates the process; sojourns are the mean times spent in each
     /// state.
     pub fn new(rate_a: f64, rate_b: f64, sojourn_a: f64, sojourn_b: f64, horizon: SimTime) -> Self {
-        Self::with_sampler(
-            rate_a,
-            rate_b,
-            sojourn_a,
-            sojourn_b,
-            horizon,
-            SamplerBackend::default(),
-        )
-    }
-
-    /// [`Self::new`] with an explicit exponential sampler backend.
-    pub fn with_sampler(
-        rate_a: f64,
-        rate_b: f64,
-        sojourn_a: f64,
-        sojourn_b: f64,
-        horizon: SimTime,
-        sampler: SamplerBackend,
-    ) -> Self {
         assert!(rate_a >= 0.0 && rate_b >= 0.0 && rate_a + rate_b > 0.0);
         assert!(sojourn_a > 0.0 && sojourn_b > 0.0);
         MmppProcess {
@@ -330,7 +280,6 @@ impl MmppProcess {
             cursor: 0.0,
             in_a: true,
             state_end: 0.0,
-            exp: StdExp::new(sampler),
         }
     }
 
@@ -358,15 +307,14 @@ impl ArrivalProcess for MmppProcess {
                 } else {
                     self.sojourn_b
                 };
-                self.state_end =
-                    self.cursor + Exponential::from_mean(mean).scale_std(self.exp.next(rng));
+                self.state_end = self.cursor + Exponential::from_mean(mean).sample(rng);
             }
             let rate = if self.in_a { self.rate_a } else { self.rate_b };
             if rate <= 0.0 {
                 self.cursor = self.state_end;
                 continue;
             }
-            let t = self.cursor + Exponential::new(rate).scale_std(self.exp.next(rng));
+            let t = self.cursor + Exponential::new(rate).sample(rng);
             if t >= self.state_end {
                 self.cursor = self.state_end;
                 continue;
@@ -499,9 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_bit_identical_to_direct_inversion() {
-        // `new` must keep producing exactly the pre-sampler-switch
-        // stream: gap = -ln(U)/rate drawn straight off the rng.
+    fn poisson_gaps_are_direct_inversion() {
+        // Every gap is -ln(U)/rate drawn straight off the rng; the
+        // golden summaries pin this stream.
         let mut p = PoissonProcess::new(5.0, SimTime::from_secs(1_000.0));
         let mut rng = RngFactory::new(11).stream("bitid");
         let mut reference = rng.clone();
@@ -513,16 +461,15 @@ mod tests {
     }
 
     #[test]
-    fn ziggurat_backend_preserves_rates() {
+    fn poisson_and_mmpp_preserve_rates() {
         let horizon = SimTime::from_secs(10_000.0);
-        let mut p = PoissonProcess::with_sampler(5.0, horizon, SamplerBackend::Ziggurat);
-        let mut rng = RngFactory::new(12).stream("zig-poisson");
+        let mut p = PoissonProcess::new(5.0, horizon);
+        let mut rng = RngFactory::new(12).stream("poisson-rate");
         let n = drain(&mut p, &mut rng).len() as f64;
         assert!((n - 50_000.0).abs() < 3.0 * 50_000f64.sqrt(), "n = {n}");
 
-        let mut p =
-            MmppProcess::with_sampler(10.0, 1.0, 50.0, 50.0, horizon, SamplerBackend::Ziggurat);
-        let mut rng = RngFactory::new(13).stream("zig-mmpp");
+        let mut p = MmppProcess::new(10.0, 1.0, 50.0, 50.0, horizon);
+        let mut rng = RngFactory::new(13).stream("mmpp-rate");
         let rate = drain(&mut p, &mut rng).len() as f64 / horizon.as_secs();
         assert!((rate - 5.5).abs() < 0.5, "empirical rate {rate}");
     }

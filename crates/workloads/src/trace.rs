@@ -24,7 +24,8 @@ pub struct Trace {
 
 impl Trace {
     /// Creates a trace from explicit batches, validating that they are
-    /// time-ordered with finite, non-negative spreads. The error's
+    /// time-ordered with finite, non-negative spreads and that their
+    /// counts sum to at most `u64::MAX`. The error's
     /// `line` is the 1-based index of the offending batch — the same
     /// contract as the file readers, so callers ingesting external data
     /// report consistent positions.
@@ -41,6 +42,7 @@ impl Trace {
                 ));
             }
         }
+        let mut total = 0u64;
         for (i, b) in batches.iter().enumerate() {
             if !(b.spread >= 0.0 && b.spread.is_finite()) {
                 return Err(DatasetError::at(
@@ -48,6 +50,12 @@ impl Trace {
                     format!("non-finite or negative spread {}", b.spread),
                 ));
             }
+            total = total.checked_add(b.count).ok_or_else(|| {
+                DatasetError::at(
+                    i as u64 + 1,
+                    format!("count {} overflows the trace's request total", b.count),
+                )
+            })?;
         }
         Ok(Trace { batches })
     }
@@ -159,6 +167,18 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.line, Some(2));
         assert!(err.msg.contains("out-of-order"), "{err}");
+    }
+
+    #[test]
+    fn constructor_rejects_count_overflow() {
+        let batch = |count| ArrivalBatch {
+            time: SimTime::from_secs(0.0),
+            count,
+            spread: 0.0,
+        };
+        let err = Trace::new(vec![batch(u64::MAX), batch(1)]).unwrap_err();
+        assert_eq!(err.line, Some(2));
+        assert!(err.msg.contains("overflows"), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   minimum utilization 80% (those targets live in `vmprov-core`).
 
 use crate::traits::{ArrivalBatch, ArrivalProcess, ServiceModel};
-use vmprov_des::dist::{SamplerBackend, StdNormal};
+use vmprov_des::dist::Normal;
 use vmprov_des::{SimRng, SimTime, DAY, WEEK};
 
 /// Table II of the paper: (maximum, minimum) requests per second for
@@ -52,8 +52,6 @@ pub struct WebConfig {
     pub noise_rel_std: f64,
     /// Generation horizon (paper: one week).
     pub horizon: SimTime,
-    /// Backend generating the per-interval noise deviates.
-    pub sampler: SamplerBackend,
 }
 
 impl Default for WebConfig {
@@ -63,7 +61,6 @@ impl Default for WebConfig {
             interval: 60.0,
             noise_rel_std: 0.05,
             horizon: SimTime::from_secs(WEEK),
-            sampler: SamplerBackend::default(),
         }
     }
 }
@@ -84,7 +81,6 @@ pub fn eq2_rate(rmax: f64, rmin: f64, t_day: f64) -> f64 {
 pub struct WebWorkload {
     config: WebConfig,
     next_interval_start: f64,
-    normal: StdNormal,
 }
 
 impl WebWorkload {
@@ -96,7 +92,6 @@ impl WebWorkload {
         WebWorkload {
             config,
             next_interval_start: 0.0,
-            normal: StdNormal::new(config.sampler),
         }
     }
 
@@ -126,7 +121,7 @@ impl ArrivalProcess for WebWorkload {
         let time = SimTime::from_secs(start);
         let mean_rate = self.model_rate(time);
         let noisy = if self.config.noise_rel_std > 0.0 {
-            mean_rate + self.config.noise_rel_std * mean_rate * self.normal.next(rng)
+            mean_rate + self.config.noise_rel_std * mean_rate * Normal::standard_sample(rng)
         } else {
             mean_rate
         };

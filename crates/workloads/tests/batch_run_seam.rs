@@ -102,7 +102,6 @@ fn scientific_runs_match_scalar_pulls() {
         || {
             ScientificWorkload::new(vmprov_workloads::ScientificConfig {
                 horizon: SimTime::from_hours(6.0),
-                ..Default::default()
             })
         },
         "scientific",
