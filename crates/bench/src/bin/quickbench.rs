@@ -25,7 +25,10 @@
 //! second `repro` invocation pays).
 //! `trace_replay_hot` streams a generated on-disk Poisson trace
 //! through the `DatasetReader` seam and the full simulation, bounding
-//! per-request ingestion cost. `stats_record_hot[_hist]` isolates the
+//! per-request ingestion cost; `trace_decode_hot` (CSV decode of an
+//! in-memory trace) and `trace_scan` (`TraceSpec::scan` of the same
+//! trace on disk) isolate the ingestion layer per row.
+//! `stats_record_hot[_hist]` isolates the
 //! per-request bookkeeping (`RunMetrics::record_completion`, with and
 //! without the histogram) — the baseline for the sub-100 ns/request
 //! push; `stats_record_stream` times the full
@@ -84,7 +87,8 @@ struct Sizes {
     sampler_draws: usize,
     /// Simulated seconds per scenario of the cached-campaign pass.
     campaign_horizon: f64,
-    /// Simulated seconds (at 2000 req/s) of the streamed trace replay.
+    /// Simulated seconds (at 2000 req/s) of the streamed trace replay
+    /// and of the trace-ingestion benchmarks.
     trace_horizon: f64,
     /// Simulated seconds (at 2000 req/s) of the 3-analyzer replay grid.
     grid_horizon: f64,
@@ -595,6 +599,43 @@ fn bench_trace_replay(horizon: f64, runs: u32) -> Timing {
     timing
 }
 
+/// Trace ingestion in isolation, over a stationary Poisson trace at
+/// 2000 req/s (one row per request): `trace_decode_hot` is
+/// `CsvReader::read_chunk` in default-sized chunks over the CSV held in
+/// memory (pure decode, no I/O), and `trace_scan` is `TraceSpec::scan`
+/// of the same bytes on disk (parse plus the concurrent content-hash
+/// pass, page cache warm). Both are per row.
+fn bench_trace_ingest(horizon: f64, runs: u32) -> Vec<Timing> {
+    use vmprov_workloads::{
+        generate_poisson_csv, CsvReader, DatasetReader, TraceSpec, DEFAULT_CHUNK,
+    };
+    const RATE: f64 = 2_000.0;
+    let mut csv = Vec::new();
+    let gen = generate_poisson_csv(&mut csv, RATE, SimTime::from_secs(horizon), 0xBE7C)
+        .expect("write trace");
+    let rows = gen.rows.max(1);
+    let mut buf = Vec::with_capacity(DEFAULT_CHUNK);
+    let decode = bench("trace_decode_hot", rows, 1, runs, || {
+        let mut reader = CsvReader::new(&csv[..]);
+        while reader
+            .read_chunk(&mut buf, DEFAULT_CHUNK)
+            .expect("generated trace decodes")
+            > 0
+        {
+            black_box(&buf);
+            buf.clear();
+        }
+    });
+    let path =
+        std::env::temp_dir().join(format!("vmprov_quickbench_scan_{}.csv", std::process::id()));
+    std::fs::write(&path, &csv).expect("write trace file");
+    let scan = bench("trace_scan", rows, 1, runs, || {
+        black_box(TraceSpec::scan(&path, DEFAULT_CHUNK).expect("scan trace"));
+    });
+    let _ = std::fs::remove_file(&path);
+    vec![decode, scan]
+}
+
 /// Per-request bookkeeping in isolation: `RunMetrics::record_completion`
 /// against pre-drawn samples, histogram off (the default hot path — an
 /// `OnlineStats` push, busy-seconds accumulation, and the QoS-violation
@@ -1009,6 +1050,9 @@ fn main() {
     })));
     groups.push(run_group(Box::new(move || {
         vec![bench_trace_replay(sizes.trace_horizon, sizes.runs)]
+    })));
+    groups.push(run_group(Box::new(move || {
+        bench_trace_ingest(sizes.trace_horizon, sizes.runs)
     })));
     groups.push(run_group(Box::new(move || {
         bench_stats_record(sizes.stats_ops, sizes.runs)

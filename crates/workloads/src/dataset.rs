@@ -25,12 +25,12 @@
 //! probe that asserts the exactly-once property end to end).
 //!
 //! External files are validated **up front** by [`TraceSpec::scan`],
-//! which streams the file once to check it parses end to end and to
-//! compute the content hash (the run-cache key component), request
-//! totals, and the mean arrival rate. Scan-time errors are line-numbered
-//! [`DatasetError`]s, never panics. A reader error *during* the
-//! simulation — after a successful scan — means the file changed
-//! underneath the run, and `StreamReplay` treats that as fatal.
+//! which parses the file end to end for the request totals and the mean
+//! arrival rate while a second thread hashes its raw bytes into the
+//! content hash (the run-cache key component). Scan-time errors are
+//! line-numbered [`DatasetError`]s, never panics. A reader error
+//! *during* the simulation — after a successful scan — means the file
+//! changed underneath the run, and `StreamReplay` treats that as fatal.
 
 use crate::trace::Trace;
 use crate::traits::{ArrivalBatch, ArrivalProcess};
@@ -112,23 +112,50 @@ pub trait DatasetReader: Send {
     ) -> Result<usize, DatasetError>;
 }
 
+/// Largest request count one trace row may carry. A replay expands a
+/// row into that many staged arrivals at once (24 bytes each), so the
+/// bound caps one row's expansion at about 400 MB; a larger burst
+/// belongs in several rows with the same timestamp.
+pub const MAX_ROW_COUNT: u64 = 1 << 24;
+
+/// Most digits a count may have on the fast path: 19 nines still fit a
+/// `u64`, so the digit loop cannot overflow.
+const MAX_FAST_COUNT_DIGITS: usize = 19;
+
 /// Streaming `time,count,spread` CSV reader (header and comment lines
 /// skipped; the spread column optional, defaulting to 0).
 ///
 /// Unlike the retired `Trace::read_csv`, which slurped the file and
 /// sorted it, this reader holds one line at a time — so out-of-order
 /// timestamps are a *parse error* (streaming cannot sort), as are
-/// truncated rows, non-finite or negative values, and a count that
-/// would push the running request total past `u64::MAX`, all reported
-/// with their line number.
+/// truncated rows, non-finite or negative values, a count above
+/// [`MAX_ROW_COUNT`], and a count that would push the running request
+/// total past `u64::MAX`, all reported with their line number.
+///
+/// Lines are split straight out of the reader's buffer
+/// (`fill_buf`/`consume`); only a line that straddles a refill is
+/// copied, into a retained carry buffer. A canonical row —
+/// `<digits[.digits]>,<digits>[,<spread>]` ending in `\n` or at end of
+/// input — is decoded from the bytes, with the time (and any spread
+/// other than `0`) still going through `str::parse::<f64>`. Every other
+/// line (headers, comments, whitespace, `\r`, signs, exponents, extra
+/// columns, non-ASCII, anything that fails to parse) takes the general
+/// text parser, so both paths yield the same batches and errors.
 pub struct CsvReader<R> {
     input: R,
+    rows: RowState,
+    /// The start of a line that straddles a buffer refill.
+    carry: Vec<u8>,
+}
+
+/// The per-row validation state, kept apart from the input so a line
+/// can be decoded while it is still borrowed from the input's buffer.
+struct RowState {
     line: u64,
     last_time: f64,
     /// Sum of the count column so far; never overflows, because a row
     /// that would overflow it is a parse error.
     total: u64,
-    buf: String,
 }
 
 impl CsvReader<BufReader<File>> {
@@ -137,7 +164,7 @@ impl CsvReader<BufReader<File>> {
         let file = File::open(path)
             .map_err(|e| DatasetError::io(format!("cannot open {}: {e}", path.display())))?;
         TRACE_FILE_OPENS.fetch_add(1, Ordering::SeqCst);
-        Ok(CsvReader::new(BufReader::new(file)))
+        Ok(CsvReader::new(BufReader::with_capacity(64 * 1024, file)))
     }
 }
 
@@ -146,17 +173,113 @@ impl<R: BufRead> CsvReader<R> {
     pub fn new(input: R) -> Self {
         CsvReader {
             input,
-            line: 0,
-            last_time: 0.0,
-            total: 0,
-            buf: String::new(),
+            rows: RowState {
+                line: 0,
+                last_time: 0.0,
+                total: 0,
+            },
+            carry: Vec::new(),
         }
     }
+}
 
-    /// Parses the current `self.buf` into a batch, or `None` for
-    /// skippable lines (blank, header, comment).
-    fn parse_line(&mut self) -> Result<Option<ArrivalBatch>, DatasetError> {
-        let line = self.buf.trim();
+/// Length of the run of ASCII digits at the start of `b`.
+#[inline]
+fn digit_run(b: &[u8]) -> usize {
+    b.iter().take_while(|c| c.is_ascii_digit()).count()
+}
+
+/// `str::parse::<f64>` of bytes already known to be ASCII. Skipping
+/// `str::from_utf8` measured 10–20 ns/row faster on the decode of a
+/// generated trace (2-vCPU x86-64 host).
+///
+/// # Safety
+///
+/// Every byte of `b` must be ASCII.
+#[inline]
+unsafe fn parse_ascii_f64(b: &[u8]) -> Option<f64> {
+    debug_assert!(b.is_ascii());
+    // SAFETY: the caller guarantees ASCII, which is valid UTF-8.
+    unsafe { std::str::from_utf8_unchecked(b) }.parse().ok()
+}
+
+/// Decodes a canonical row `<digits[.digits]>,<digits>[,<spread>]` at
+/// the start of `b`, where the count has at most 19 digits and the
+/// spread is digits and dots. Returns `(time, count, spread)` and the
+/// index of the first byte after the row; the caller checks that the
+/// row ends there. `None` sends the line to the general parser.
+#[inline]
+fn canonical_row(b: &[u8]) -> Option<((f64, u64, f64), usize)> {
+    let mut i = digit_run(b);
+    if i == 0 {
+        return None;
+    }
+    if b.get(i) == Some(&b'.') {
+        let frac = digit_run(&b[i + 1..]);
+        if frac == 0 {
+            return None;
+        }
+        i += 1 + frac;
+    }
+    let time_end = i;
+    if b.get(i) != Some(&b',') {
+        return None;
+    }
+    i += 1;
+    let digits = digit_run(&b[i..]);
+    if digits == 0 || digits > MAX_FAST_COUNT_DIGITS {
+        return None;
+    }
+    let count = b[i..i + digits]
+        .iter()
+        .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+    i += digits;
+    let spread = if b.get(i) == Some(&b',') {
+        i += 1;
+        let len = b[i..]
+            .iter()
+            .take_while(|&&c| c.is_ascii_digit() || c == b'.')
+            .count();
+        let field = &b[i..i + len];
+        i += len;
+        if field == b"0" {
+            0.0
+        } else {
+            // SAFETY: `field` holds only ASCII digits and dots.
+            unsafe { parse_ascii_f64(field) }?
+        }
+    } else {
+        0.0
+    };
+    // SAFETY: `b[..time_end]` holds only ASCII digits and one dot.
+    let time = unsafe { parse_ascii_f64(&b[..time_end]) }?;
+    Some(((time, count, spread), i))
+}
+
+impl RowState {
+    /// Decodes one complete line (its `\n` included when present), or
+    /// `None` for skippable lines (blank, header, comment).
+    fn decode_line(&mut self, raw: &[u8]) -> Result<Option<ArrivalBatch>, DatasetError> {
+        if let Some((row, end)) = canonical_row(raw) {
+            if end == raw.len() || (end + 1 == raw.len() && raw[end] == b'\n') {
+                self.line += 1;
+                return self.accept(row).map(Some);
+            }
+        }
+        let text = std::str::from_utf8(raw).map_err(|_| {
+            DatasetError::at(
+                self.line + 1,
+                "read failed: stream did not contain valid UTF-8",
+            )
+        })?;
+        self.line += 1;
+        self.parse_line(text)
+    }
+
+    /// The general text parser: trims, splits on commas and parses each
+    /// field with `str::parse`.
+    fn parse_line(&mut self, text: &str) -> Result<Option<ArrivalBatch>, DatasetError> {
+        let line = text.trim();
         if line.is_empty() || line.starts_with("time") || line.starts_with('#') {
             return Ok(None);
         }
@@ -181,6 +304,17 @@ impl<R: BufRead> CsvReader<R> {
                 .map_err(|_| DatasetError::at(n, format!("bad spread {s:?}")))?,
             None => 0.0,
         };
+        self.accept((time, count, spread)).map(Some)
+    }
+
+    /// Range, order, row-bound and running-total checks of one parsed
+    /// row of the current line; both decode paths end here.
+    #[inline]
+    fn accept(
+        &mut self,
+        (time, count, spread): (f64, u64, f64),
+    ) -> Result<ArrivalBatch, DatasetError> {
+        let n = self.line;
         if !time.is_finite() || time < 0.0 {
             return Err(DatasetError::at(n, format!("time {time} out of range")));
         }
@@ -199,6 +333,9 @@ impl<R: BufRead> CsvReader<R> {
                 ),
             ));
         }
+        if count > MAX_ROW_COUNT {
+            return Err(row_count_error(n, count));
+        }
         self.total = self.total.checked_add(count).ok_or_else(|| {
             DatasetError::at(
                 n,
@@ -206,12 +343,83 @@ impl<R: BufRead> CsvReader<R> {
             )
         })?;
         self.last_time = time;
-        Ok(Some(ArrivalBatch {
+        Ok(ArrivalBatch {
             time: SimTime::from_secs(time),
             count,
             spread,
-        }))
+        })
     }
+
+    /// Decodes lines straight out of `buf`, appending at most `max`
+    /// batches. A non-empty `carry` is the start of the first line; a
+    /// line left unfinished at the end of `buf` moves to `carry`.
+    /// Returns the bytes used (every line decoded, the failing one
+    /// included) and the batches appended or the first error.
+    fn decode_buffer(
+        &mut self,
+        buf: &[u8],
+        carry: &mut Vec<u8>,
+        out: &mut Vec<ArrivalBatch>,
+        max: usize,
+    ) -> (usize, Result<usize, DatasetError>) {
+        let mut pos = 0;
+        let mut appended = 0;
+        while appended < max && pos < buf.len() {
+            let rest = &buf[pos..];
+            if carry.is_empty() {
+                if let Some((row, end)) = canonical_row(rest) {
+                    if rest.get(end) == Some(&b'\n') {
+                        pos += end + 1;
+                        self.line += 1;
+                        match self.accept(row) {
+                            Ok(batch) => {
+                                out.push(batch);
+                                appended += 1;
+                                continue;
+                            }
+                            Err(e) => return (pos, Err(e)),
+                        }
+                    }
+                }
+            }
+            let Some(nl) = rest.iter().position(|&c| c == b'\n') else {
+                carry.extend_from_slice(rest);
+                pos = buf.len();
+                break;
+            };
+            pos += nl + 1;
+            let decoded = if carry.is_empty() {
+                self.decode_line(&rest[..=nl])
+            } else {
+                // Finish the line that straddled the previous refill.
+                carry.extend_from_slice(&rest[..=nl]);
+                let decoded = self.decode_line(carry);
+                carry.clear();
+                decoded
+            };
+            match decoded {
+                Ok(Some(batch)) => {
+                    out.push(batch);
+                    appended += 1;
+                }
+                Ok(None) => {}
+                Err(e) => return (pos, Err(e)),
+            }
+        }
+        (pos, Ok(appended))
+    }
+}
+
+/// The error for a row whose count exceeds [`MAX_ROW_COUNT`]; `line`
+/// is the 1-based row (or batch) number.
+pub(crate) fn row_count_error(line: u64, count: u64) -> DatasetError {
+    DatasetError::at(
+        line,
+        format!(
+            "count {count} exceeds the per-row limit of {MAX_ROW_COUNT}; \
+             split it into several rows with the same time"
+        ),
+    )
 }
 
 impl<R: BufRead + Send> DatasetReader for CsvReader<R> {
@@ -222,19 +430,35 @@ impl<R: BufRead + Send> DatasetReader for CsvReader<R> {
     ) -> Result<usize, DatasetError> {
         let mut appended = 0;
         while appended < max {
-            self.buf.clear();
-            let n = self
-                .input
-                .read_line(&mut self.buf)
-                .map_err(|e| DatasetError::at(self.line + 1, format!("read failed: {e}")))?;
-            if n == 0 {
-                break; // EOF
+            let buf = match self.input.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    self.carry.clear();
+                    return Err(DatasetError::at(
+                        self.rows.line + 1,
+                        format!("read failed: {e}"),
+                    ));
+                }
+            };
+            if buf.is_empty() {
+                // End of input: an unterminated last line is still a line.
+                if self.carry.is_empty() {
+                    break;
+                }
+                let decoded = self.rows.decode_line(&self.carry);
+                self.carry.clear();
+                if let Some(batch) = decoded? {
+                    out.push(batch);
+                    appended += 1;
+                }
+                continue;
             }
-            self.line += 1;
-            if let Some(batch) = self.parse_line()? {
-                out.push(batch);
-                appended += 1;
-            }
+            let (used, decoded) =
+                self.rows
+                    .decode_buffer(buf, &mut self.carry, out, max - appended);
+            self.input.consume(used);
+            appended += decoded?;
         }
         Ok(appended)
     }
@@ -548,41 +772,31 @@ pub struct TraceSpec {
 }
 
 impl TraceSpec {
-    /// Streams the file at `path` once, validating every row and
+    /// Reads the file at `path` through, validating every row and
     /// computing the spec. This is where all external-file errors
     /// surface, as line-numbered [`DatasetError`]s.
+    ///
+    /// The content hash is taken over the raw bytes on a second thread
+    /// while this one parses, so the scan costs about one parse pass. A
+    /// hash-pass I/O error takes precedence over a parse error.
     pub fn scan(path: &Path, chunk: usize) -> Result<TraceSpec, DatasetError> {
         assert!(chunk >= 1, "chunk must hold at least one batch");
-        // Pass 1: hash the raw bytes (format-agnostic identity).
-        let mut file = File::open(path)
-            .map_err(|e| DatasetError::io(format!("cannot open {}: {e}", path.display())))?;
-        let mut hasher = StableHasher::new();
-        let mut block = [0u8; 64 * 1024];
-        loop {
-            let n = file
-                .read(&mut block)
-                .map_err(|e| DatasetError::io(format!("read {}: {e}", path.display())))?;
-            if n == 0 {
-                break;
-            }
-            hasher.write(&block[..n]);
-        }
-        // Pass 2: parse every row through the same reader the replay
-        // will use, chunk by chunk. The reader keeps the overflow-checked
-        // request total.
-        let mut reader = CsvReader::open(path)?;
-        let mut buf = Vec::with_capacity(chunk);
-        let mut batches = 0u64;
-        let mut end = SimTime::ZERO;
-        loop {
-            buf.clear();
-            if reader.read_chunk(&mut buf, chunk)? == 0 {
-                break;
-            }
-            end = buf.last().map_or(end, |b| b.time);
-            batches += buf.len() as u64;
-        }
-        let total = reader.total;
+        let (hashed, parsed) = std::thread::scope(|s| {
+            let hasher = std::thread::Builder::new()
+                .name("trace-hash".into())
+                .spawn_scoped(s, || hash_file(path));
+            let parsed = parse_totals(path, chunk);
+            let hashed = match hasher {
+                Ok(handle) => handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                // No thread to spare: hash on this one.
+                Err(_) => hash_file(path),
+            };
+            (hashed, parsed)
+        });
+        let content_hash = hashed?;
+        let (total, batches, end) = parsed?;
         let mean_rate = if end > SimTime::ZERO {
             total as f64 / end.as_secs()
         } else {
@@ -590,7 +804,7 @@ impl TraceSpec {
         };
         Ok(TraceSpec {
             path: path.to_path_buf(),
-            content_hash: hasher.finish(),
+            content_hash,
             total_requests: total,
             batches,
             end_time: end,
@@ -641,6 +855,43 @@ impl TraceSpec {
             .collect();
         Ok((scan, replays))
     }
+}
+
+/// The content hash of a trace: [`StableHasher`] over the raw file
+/// bytes, read in 64 KiB blocks (format-agnostic identity).
+fn hash_file(path: &Path) -> Result<u64, DatasetError> {
+    let mut file = File::open(path)
+        .map_err(|e| DatasetError::io(format!("cannot open {}: {e}", path.display())))?;
+    let mut hasher = StableHasher::new();
+    let mut block = [0u8; 64 * 1024];
+    loop {
+        let n = file
+            .read(&mut block)
+            .map_err(|e| DatasetError::io(format!("read {}: {e}", path.display())))?;
+        if n == 0 {
+            return Ok(hasher.finish());
+        }
+        hasher.write(&block[..n]);
+    }
+}
+
+/// Parses every row of the trace at `path` through the same reader the
+/// replay will use, chunk by chunk: `(request total, batches, end time)`.
+/// The reader keeps the overflow-checked request total.
+fn parse_totals(path: &Path, chunk: usize) -> Result<(u64, u64, SimTime), DatasetError> {
+    let mut reader = CsvReader::open(path)?;
+    let mut buf = Vec::with_capacity(chunk);
+    let mut batches = 0u64;
+    let mut end = SimTime::ZERO;
+    loop {
+        buf.clear();
+        if reader.read_chunk(&mut buf, chunk)? == 0 {
+            break;
+        }
+        end = buf.last().map_or(end, |b| b.time);
+        batches += buf.len() as u64;
+    }
+    Ok((reader.rows.total, batches, end))
 }
 
 /// Where a [`StreamReplay`] gets its reader from. The file and memory
@@ -1159,16 +1410,54 @@ mod tests {
     }
 
     #[test]
-    fn scan_rejects_a_request_total_past_u64_max() {
+    fn scan_rejects_a_row_count_past_the_bound() {
         let dir =
-            std::env::temp_dir().join(format!("vmprov_dataset_overflow_{}", std::process::id()));
+            std::env::temp_dir().join(format!("vmprov_dataset_row_bound_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
-        std::fs::write(&path, "0,18446744073709551615,0\n1,1,0\n").unwrap();
-        let err = TraceSpec::scan(&path, 8).unwrap_err();
+        let max = MAX_ROW_COUNT;
+        std::fs::write(&path, format!("0,{max},0\n1,1,0\n")).unwrap();
+        assert_eq!(TraceSpec::scan(&path, 8).unwrap().total_requests, max + 1);
+        // The bound holds on the fast path and on the general parser
+        // (spaces send a row there), and a count too large for a `u64`
+        // is still a bad count.
+        for (row, what) in [
+            (format!("1,{},0", max + 1), "per-row limit"),
+            (format!(" 1 , {} ,0", max + 1), "per-row limit"),
+            ("1,18446744073709551615,0".to_string(), "per-row limit"),
+            ("1,18446744073709551616,0".to_string(), "bad count"),
+        ] {
+            std::fs::write(&path, format!("0,{max},0\n{row}\n")).unwrap();
+            let err = TraceSpec::scan(&path, 8).unwrap_err();
+            assert_eq!(err.line, Some(2), "{row}: {err}");
+            assert!(err.msg.contains(what), "{row}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_reports_the_hash_pass_error_first() {
+        // A directory opens but fails every read, on both passes; the
+        // hash pass's unnumbered I/O error wins, as when it ran first.
+        let dir = std::env::temp_dir().join(format!("vmprov_dataset_dir_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = TraceSpec::scan(&dir, 8).unwrap_err();
+        assert_eq!(err.line, None, "{err}");
+        assert!(err.msg.starts_with("read "), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reader_rejects_a_request_total_past_u64_max() {
+        // Unreachable from a file under the row bound (it takes 2^40
+        // rows), but the checked total stays as defence in depth.
+        let mut reader = CsvReader::new(io::BufReader::new(&b"0,1,0\n1,2,0\n"[..]));
+        reader.rows.total = u64::MAX - 2;
+        let mut buf = Vec::new();
+        let err = reader.read_chunk(&mut buf, 8).unwrap_err();
+        assert_eq!(buf.len(), 1);
         assert_eq!(err.line, Some(2), "{err}");
         assert!(err.msg.contains("overflows"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod web;
 pub use dataset::{
     generate_piecewise_csv, generate_poisson_csv, trace_file_opens, CsvReader, DatasetError,
     DatasetReader, GeneratedTrace, MemoryReader, ScanConsumer, ScanStats, SharedTraceScan,
-    StreamReplay, TraceSpec, DEFAULT_CHUNK, SCAN_DEPTH,
+    StreamReplay, TraceSpec, DEFAULT_CHUNK, MAX_ROW_COUNT, SCAN_DEPTH,
 };
 pub use scientific::{scientific_service_model, ScientificConfig, ScientificWorkload};
 pub use trace::Trace;

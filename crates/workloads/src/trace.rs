@@ -11,7 +11,7 @@
 //! [`StreamReplay`](crate::dataset::StreamReplay) plumbing the on-disk
 //! readers use.
 
-use crate::dataset::{DatasetError, StreamReplay};
+use crate::dataset::{row_count_error, DatasetError, StreamReplay, MAX_ROW_COUNT};
 use crate::traits::{ArrivalBatch, ArrivalProcess};
 use std::io::{self, Write};
 use vmprov_des::{SimRng, SimTime};
@@ -24,11 +24,11 @@ pub struct Trace {
 
 impl Trace {
     /// Creates a trace from explicit batches, validating that they are
-    /// time-ordered with finite, non-negative spreads and that their
-    /// counts sum to at most `u64::MAX`. The error's
-    /// `line` is the 1-based index of the offending batch — the same
-    /// contract as the file readers, so callers ingesting external data
-    /// report consistent positions.
+    /// time-ordered with finite, non-negative spreads, that no count
+    /// exceeds [`MAX_ROW_COUNT`] and that the counts sum to at most
+    /// `u64::MAX`. The error's `line` is the 1-based index of the
+    /// offending batch — the same contract as the file readers, so
+    /// callers ingesting external data report consistent positions.
     pub fn new(batches: Vec<ArrivalBatch>) -> Result<Self, DatasetError> {
         for (i, w) in batches.windows(2).enumerate() {
             if w[1].time < w[0].time {
@@ -49,6 +49,9 @@ impl Trace {
                     i as u64 + 1,
                     format!("non-finite or negative spread {}", b.spread),
                 ));
+            }
+            if b.count > MAX_ROW_COUNT {
+                return Err(row_count_error(i as u64 + 1, b.count));
             }
             total = total.checked_add(b.count).ok_or_else(|| {
                 DatasetError::at(
@@ -170,15 +173,20 @@ mod tests {
     }
 
     #[test]
-    fn constructor_rejects_count_overflow() {
+    fn constructor_rejects_a_count_past_the_row_bound() {
         let batch = |count| ArrivalBatch {
             time: SimTime::from_secs(0.0),
             count,
             spread: 0.0,
         };
-        let err = Trace::new(vec![batch(u64::MAX), batch(1)]).unwrap_err();
+        let at_bound = Trace::new(vec![batch(MAX_ROW_COUNT), batch(1)]).unwrap();
+        assert_eq!(at_bound.total_requests(), MAX_ROW_COUNT + 1);
+        let err = Trace::new(vec![batch(MAX_ROW_COUNT), batch(MAX_ROW_COUNT + 1)]).unwrap_err();
         assert_eq!(err.line, Some(2));
-        assert!(err.msg.contains("overflows"), "{err}");
+        assert!(err.msg.contains("per-row limit"), "{err}");
+        let err = Trace::new(vec![batch(u64::MAX)]).unwrap_err();
+        assert_eq!(err.line, Some(1));
+        assert!(err.msg.contains("per-row limit"), "{err}");
     }
 
     #[test]

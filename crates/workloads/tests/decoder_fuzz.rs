@@ -7,14 +7,13 @@
 use std::io::BufReader;
 use vmprov_check::{cases, Gen};
 use vmprov_des::SimTime;
-use vmprov_workloads::{ArrivalBatch, CsvReader, DatasetReader, Trace, TraceSpec};
+use vmprov_workloads::{ArrivalBatch, CsvReader, DatasetReader, Trace, TraceSpec, MAX_ROW_COUNT};
 
 /// A small valid trace file: header, a comment, rows with and without
-/// spread, and counts summing to exactly `u64::MAX`. The two large
-/// counts are 19-digit numbers, so a flip that raises one of their
-/// digits still parses and reaches the running-total overflow check.
+/// spread, and two counts at exactly `MAX_ROW_COUNT`, so a flip that
+/// raises one of their digits still parses and reaches the row bound.
 fn valid_csv() -> Vec<u8> {
-    let half = (1 << 63) - 7;
+    let big = MAX_ROW_COUNT;
     let batch = |t: f64, count, spread| ArrivalBatch {
         time: SimTime::from_secs(t),
         count,
@@ -23,9 +22,9 @@ fn valid_csv() -> Vec<u8> {
     let trace = Trace::new(vec![
         batch(0.0, 3, 60.0),
         batch(12.5, 1, 0.0),
-        batch(60.0, half, 0.0),
+        batch(60.0, big, 0.0),
         batch(61.25, 7, 2.5),
-        batch(90.0, half, 0.0),
+        batch(90.0, big, 0.0),
     ])
     .unwrap();
     let mut csv = Vec::new();
