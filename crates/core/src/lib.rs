@@ -11,9 +11,7 @@
 //!   request dispatch ([`dispatch`]) plus the policy layer that the
 //!   simulated data center consults ([`policy`]),
 //!
-//! together with the QoS vocabulary ([`qos`]) and two future-work
-//! extensions the paper names: heterogeneous VM classes ([`hetero`]) and
-//! composite multi-tier services ([`composite`]).
+//! together with the QoS vocabulary ([`qos`]).
 //!
 //! The crate is pure decision logic — no simulation state — so the same
 //! policies drive the `vmprov-cloudsim` simulator and could drive a real
@@ -23,10 +21,8 @@
 
 pub mod analyzer;
 pub mod backend;
-pub mod composite;
 pub mod dispatch;
 pub mod estimator;
-pub mod hetero;
 pub mod modeler;
 pub mod policy;
 pub mod qos;
@@ -36,13 +32,11 @@ pub use analyzer::{
     WorkloadAnalyzer,
 };
 pub use backend::AnalyticBackend;
-pub use composite::{CompositePlan, CompositePlanner, TierSpec};
 pub use dispatch::{
     AnyDispatcher, Dispatcher, InstancePool, InstanceView, LeastOutstanding, RandomDispatch,
     RoundRobin,
 };
 pub use estimator::{EstimatorAnalyzer, EwmaRate, RateEstimator, SlidingWindowMle};
-pub use hetero::{Fleet, HeteroInputs, HeteroPlanner, VmClass};
 pub use modeler::{ModelerOptions, PerformanceModeler, SizingCache, SizingDecision, SizingInputs};
 pub use policy::{AdaptivePolicy, MonitorReport, PoolStatus, ProvisioningPolicy, StaticPolicy};
 pub use qos::QosTargets;

@@ -12,39 +12,33 @@
 //!
 //! The printed listing sets `min ← m + 1` *after* growing `m` (which
 //! would push the lower bound above the iterate); following the paper's
-//! prose we bound by the *failed* value instead. The printed behaviour
-//! is preserved behind [`ModelerOptions::verbatim_bounds`] for
-//! comparison.
+//! prose we bound by the *failed* value instead.
 
 use crate::backend::AnalyticBackend;
 use crate::qos::QosTargets;
 use std::collections::HashMap;
 use vmprov_queueing::QueueMetrics;
 
-/// Tuning knobs of the modeler.
+/// Absolute tolerance added to the rejection-rate target when checking
+/// predicted blocking (a strict 0 is unattainable for any stochastic
+/// model; the evaluation uses 10⁻³).
+const REJECTION_TOLERANCE: f64 = 1e-3;
+
+/// Hard cap on search iterations (safety net; the bracket argument
+/// bounds the count anyway).
+const MAX_ITERATIONS: u32 = 200;
+
+/// Options of the modeler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelerOptions {
     /// Analytic model used for per-instance predictions.
     pub backend: AnalyticBackend,
-    /// Absolute tolerance added to the rejection-rate target when
-    /// checking predicted blocking (a strict 0 is unattainable for any
-    /// stochastic model; the evaluation uses 10⁻³).
-    pub rejection_tolerance: f64,
-    /// Reproduce the printed Algorithm 1 bounds update verbatim
-    /// (see module docs). Default `false`.
-    pub verbatim_bounds: bool,
-    /// Hard cap on search iterations (safety net; the bracket argument
-    /// bounds the count anyway).
-    pub max_iterations: u32,
 }
 
 impl Default for ModelerOptions {
     fn default() -> Self {
         ModelerOptions {
             backend: AnalyticBackend::TwoMoment,
-            rejection_tolerance: 1e-3,
-            verbatim_bounds: false,
-            max_iterations: 200,
         }
     }
 }
@@ -116,8 +110,7 @@ impl PerformanceModeler {
     /// targets (Algorithm 1 line 9).
     fn qos_met(&self, predicted: &QueueMetrics) -> bool {
         predicted.mean_response_time <= self.qos.max_response_time
-            && predicted.blocking_probability
-                <= self.qos.max_rejection_rate + self.options.rejection_tolerance
+            && predicted.blocking_probability <= self.qos.max_rejection_rate + REJECTION_TOLERANCE
     }
 
     /// Algorithm 1: the number of virtualized application instances able
@@ -214,21 +207,15 @@ impl PerformanceModeler {
             let predicted = predict(m);
             if !self.qos_met(&predicted) {
                 // Grow: m is insufficient.
-                let grown = old_m.saturating_add((old_m / 2).max(1));
-                if self.options.verbatim_bounds {
-                    // Printed listing: m ← m + m/2; min ← m + 1.
-                    m = grown.min(max);
-                    min = m.saturating_add(1).min(max);
-                } else {
-                    min = min.max(old_m.saturating_add(1)).min(max);
-                    m = grown.min(max);
-                }
+                min = min.max(old_m.saturating_add(1)).min(max);
+                m = old_m.saturating_add((old_m / 2).max(1)).min(max);
             } else if predicted.utilization < self.qos.min_utilization {
-                // Shrink: over-provisioned. (In verbatim-bounds mode the
-                // bracket can invert — saturate instead of underflowing.)
+                // Shrink: over-provisioned.
                 max = m;
-                let mid = min.min(max) + max.saturating_sub(min) / 2;
-                if mid <= min.min(max) || mid >= old_m {
+                // The grow step keeps `min ≤ m`, so the bracket never
+                // inverts.
+                let mid = min + (max - min) / 2;
+                if mid <= min || mid >= old_m {
                     m = old_m; // revert; loop terminates
                 } else {
                     m = mid;
@@ -244,7 +231,7 @@ impl PerformanceModeler {
                     inputs: *inputs,
                 };
             }
-            if iterations >= self.options.max_iterations {
+            if iterations >= MAX_ITERATIONS {
                 return SizingDecision {
                     instances: m,
                     predicted: predict(m),
@@ -274,9 +261,8 @@ struct MetricsKey {
 /// previous tick already evaluated — skips the analytic model entirely,
 /// and (b) the last full decision, so an identical tick is O(1).
 /// Entries are keyed on exact input bits and invalidated wholesale when
-/// the owning modeler's configuration (QoS targets, MaxVMs, backend,
-/// options) changes, so stale physics can never leak across a
-/// reconfiguration.
+/// the owning modeler's configuration (QoS targets, MaxVMs, backend)
+/// changes, so stale physics can never leak across a reconfiguration.
 #[derive(Debug, Clone, Default)]
 pub struct SizingCache {
     /// Fingerprint of the modeler the entries were computed under.
@@ -420,23 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn verbatim_bounds_still_terminate() {
-        let modeler = PerformanceModeler::new(
-            QosTargets::web_paper(),
-            1000,
-            ModelerOptions {
-                verbatim_bounds: true,
-                ..ModelerOptions::default()
-            },
-        );
-        for lambda in [100.0, 700.0, 1200.0] {
-            let d = modeler.required_instances(&web_inputs(lambda, 1));
-            assert!(d.iterations < 200, "λ={lambda} looped");
-            assert!(d.instances >= 1);
-        }
-    }
-
-    #[test]
     fn verbatim_mm1k_backend_overprovisions() {
         // The headline ablation: the paper-verbatim M/M/1/k backend with
         // a near-zero rejection target needs ~25× more instances.
@@ -445,7 +414,6 @@ mod tests {
             100_000,
             ModelerOptions {
                 backend: AnalyticBackend::Mm1k,
-                ..ModelerOptions::default()
             },
         );
         let aware = web_modeler();
@@ -497,14 +465,8 @@ mod tests {
         // field for field — to the pure recomputation, warm-starting
         // both searches from the previous accepted m.
         for backend in [AnalyticBackend::TwoMoment, AnalyticBackend::Mm1k] {
-            let m = PerformanceModeler::new(
-                QosTargets::web_paper(),
-                1000,
-                ModelerOptions {
-                    backend,
-                    ..ModelerOptions::default()
-                },
-            );
+            let m =
+                PerformanceModeler::new(QosTargets::web_paper(), 1000, ModelerOptions { backend });
             let mut cache = SizingCache::new();
             let mut state = 0xDEAD_BEEF_u64;
             let mut prev = 50u32;
@@ -532,7 +494,6 @@ mod tests {
             1000,
             ModelerOptions {
                 backend: AnalyticBackend::Mm1k,
-                ..ModelerOptions::default()
             },
         );
         let mut cache = SizingCache::new();

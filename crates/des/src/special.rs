@@ -1,10 +1,10 @@
-//! Small special-function toolbox needed by the distribution and
-//! queueing code: log-gamma, gamma, and factorials.
+//! Small special-function toolbox needed by the distribution code:
+//! log-gamma and gamma.
 
 /// Natural log of the gamma function, Lanczos approximation (g = 7, n = 9).
 ///
 /// Accurate to ~1e-13 over the positive reals, which is ample for
-/// distribution moments and Erlang/Poisson terms.
+/// distribution moments.
 pub fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     // Coefficients from Numerical Recipes (Lanczos, g = 7), kept at
@@ -40,17 +40,6 @@ pub fn gamma(x: f64) -> f64 {
     ln_gamma(x).exp()
 }
 
-/// ln(n!) computed via `ln_gamma`.
-pub fn ln_factorial(n: u64) -> f64 {
-    ln_gamma(n as f64 + 1.0)
-}
-
-/// Natural log of the binomial coefficient C(n, k).
-pub fn ln_binomial(n: u64, k: u64) -> f64 {
-    assert!(k <= n, "ln_binomial requires k <= n");
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,20 +63,6 @@ mod tests {
         // Γ(3/2) = sqrt(π)/2
         let g = gamma(1.5);
         assert!((g - want / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ln_factorial_values() {
-        assert!((ln_factorial(0) - 0.0).abs() < 1e-12);
-        assert!((ln_factorial(5) - 120f64.ln()).abs() < 1e-10);
-        assert!((ln_factorial(20) - 2.432_902_008_176_64e18f64.ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ln_binomial_values() {
-        assert!((ln_binomial(5, 2) - 10f64.ln()).abs() < 1e-10);
-        assert!((ln_binomial(10, 0)).abs() < 1e-12);
-        assert!((ln_binomial(52, 5) - 2_598_960f64.ln()).abs() < 1e-9);
     }
 
     #[test]

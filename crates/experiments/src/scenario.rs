@@ -351,7 +351,6 @@ impl Scenario {
             PolicySpec::Adaptive => {
                 let options = ModelerOptions {
                     backend: self.backend,
-                    ..ModelerOptions::default()
                 };
                 let modeler = PerformanceModeler::new(self.qos(), MAX_VMS, options);
                 let rate_fn = self.analyzer_rate_fn();

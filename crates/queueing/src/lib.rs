@@ -1,50 +1,31 @@
 //! # vmprov-queueing — analytical queueing models
 //!
 //! Closed-form and numerically exact steady-state solutions for the
-//! queueing systems the paper's *load predictor and performance modeler*
-//! relies on (§IV-B, Fig. 2):
+//! per-instance queue the paper's *load predictor and performance
+//! modeler* evaluates (§IV-B, Fig. 2, Algorithm 1):
 //!
-//! * each virtualized application instance — [`MM1K`] (M/M/1/k with
-//!   k = ⌊Ts/Tr⌋, Eq. 1 of the paper);
-//! * the application provisioner — [`MMInf`] (M/M/∞, pure delay);
-//! * a dispatch-aware refinement — [`GG1K`], a two-moment GI/G/1/K
-//!   diffusion approximation capturing that round-robin over m instances
-//!   feeds each instance a *smoothed* (Erlang-m, ca² = 1/m) arrival
-//!   stream and that the evaluation's service times are nearly
-//!   deterministic; [`GiM1K`] (exact embedded chain) isolates the
-//!   arrival-side effect;
-//! * supporting models for extensions and cross-validation: [`MM1`],
-//!   [`MMc`] (Erlang C), [`MMcK`], [`MG1`] (Pollaczek–Khinchine),
-//!   a general [`birth_death`] solver, and open [`jackson`] networks
-//!   (composite multi-tier services, the paper's future work).
+//! * [`MM1K`] — M/M/1/k with k = ⌊Ts/Tr⌋ (Eq. 1 of the paper), the model
+//!   the paper names for each virtualized application instance;
+//! * [`GG1K`] — a two-moment GI/G/1/K diffusion approximation, the
+//!   default backend: round-robin over m instances feeds each instance
+//!   a *smoothed* (Erlang-m, ca² = 1/m) arrival stream, and the
+//!   evaluation's service times are nearly deterministic;
+//! * [`GiM1K`] — the exact embedded chain of GI/M/1/K, which isolates
+//!   the arrival-side effect and cross-checks the other two.
 //!
 //! All models report a common [`QueueMetrics`] record so the provisioning
 //! logic can swap analytic backends freely.
 
 #![warn(missing_docs)]
 
-pub mod birth_death;
 pub mod gg1k;
 pub mod gim1k;
-pub mod jackson;
 pub(crate) mod linalg;
-pub mod mg1;
-pub mod mm1;
 pub mod mm1k;
-pub mod mmc;
-pub mod mmck;
-pub mod mminf;
-pub mod staffing;
 
 pub use gg1k::GG1K;
 pub use gim1k::{GiM1K, InterarrivalKind};
-pub use jackson::{JacksonNetwork, NodeSpec};
-pub use mg1::MG1;
-pub use mm1::MM1;
 pub use mm1k::MM1K;
-pub use mmc::MMc;
-pub use mmck::MMcK;
-pub use mminf::MMInf;
 
 /// Steady-state performance metrics shared by every model in this crate.
 ///
@@ -106,13 +87,7 @@ impl QueueMetrics {
 pub enum QueueError {
     /// A rate or size parameter was zero, negative, or non-finite.
     InvalidParameter(String),
-    /// The system has no steady state (offered load ≥ capacity in an
-    /// infinite-buffer model).
-    Unstable {
-        /// Offered load per server, ρ.
-        rho: f64,
-    },
-    /// A numerical solve failed (singular traffic equations, etc.).
+    /// A numerical solve failed (a singular embedded-chain system).
     Numerical(String),
 }
 
@@ -120,9 +95,6 @@ impl std::fmt::Display for QueueError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             QueueError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
-            QueueError::Unstable { rho } => {
-                write!(f, "system is unstable (offered load per server {rho} >= 1)")
-            }
             QueueError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
         }
     }

@@ -1,7 +1,6 @@
 //! Minimal dense linear algebra: Gaussian elimination with partial
-//! pivoting, sized for the small systems that arise here (traffic
-//! equations over a handful of tiers; embedded chains with ≤ a few
-//! hundred states).
+//! pivoting, sized for the small systems that arise here (the GI/M/1/K
+//! embedded chain, with at most a few hundred states).
 
 /// Solves `A x = b` in place. `a` is row-major `n × n`.
 ///

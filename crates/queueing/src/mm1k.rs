@@ -211,13 +211,15 @@ mod tests {
 
     #[test]
     fn converges_to_mm1_for_large_k() {
-        use crate::mm1::MM1;
-        let inf = MM1::new(0.7, 1.0).unwrap().metrics().unwrap();
-        let fin = MM1K::new(0.7, 1.0, 200).unwrap().metrics();
+        // M/M/1 closed form at ρ = 0.7, μ = 1: L = ρ/(1−ρ), W = 1/(μ−λ),
+        // U = ρ.
+        let (lambda, mu) = (0.7, 1.0);
+        let rho = lambda / mu;
+        let fin = MM1K::new(lambda, mu, 200).unwrap().metrics();
         assert!(fin.blocking_probability < 1e-20);
-        assert!((fin.mean_in_system - inf.mean_in_system).abs() < 1e-9);
-        assert!((fin.mean_response_time - inf.mean_response_time).abs() < 1e-9);
-        assert!((fin.utilization - inf.utilization).abs() < 1e-9);
+        assert!((fin.mean_in_system - rho / (1.0 - rho)).abs() < 1e-9);
+        assert!((fin.mean_response_time - 1.0 / (mu - lambda)).abs() < 1e-9);
+        assert!((fin.utilization - rho).abs() < 1e-9);
     }
 
     #[test]

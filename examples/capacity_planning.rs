@@ -1,19 +1,17 @@
 //! Offline capacity planning with the analytic models — no simulation.
 //!
-//! Answers three provisioning questions with the same queueing machinery
+//! Answers two provisioning questions with the same queueing machinery
 //! the adaptive controller uses at runtime:
 //!
 //! 1. how many instances does a target load need (Algorithm 1)?
 //! 2. how wrong would the paper-verbatim M/M/1/k model be (backends)?
-//! 3. what's the cheapest heterogeneous fleet (future-work extension)?
 //!
 //! ```text
 //! cargo run --release --example capacity_planning
 //! ```
 
-use vmprov::core::hetero::{HeteroInputs, HeteroPlanner, VmClass};
 use vmprov::core::modeler::{ModelerOptions, PerformanceModeler, SizingInputs};
-use vmprov::core::{AnalyticBackend, QosTargets};
+use vmprov::core::QosTargets;
 use vmprov::queueing::{GiM1K, InterarrivalKind, GG1K, MM1K};
 
 fn main() {
@@ -57,32 +55,6 @@ fn main() {
     println!("  GI/G/1/2 two-moment (arr + service) : {gg:.2e}");
     println!("  → only the two-moment view matches the ≈0 rejection the");
     println!("    simulation (and the paper's results) actually show.");
-
-    // 3. Heterogeneous fleets (the paper's future work).
-    println!("\nCheapest fleet for 1200 req/s from a two-class catalog:");
-    let classes = [
-        VmClass::new("small (1×, $1/h)", 1.0, 1.0),
-        VmClass::new("large (4×, $3/h)", 4.0, 3.0),
-    ];
-    let planner = HeteroPlanner::new(qos, AnalyticBackend::TwoMoment, 2000);
-    let fleet = planner
-        .cheapest_fleet(
-            &classes,
-            &HeteroInputs {
-                expected_arrival_rate: 1200.0,
-                reference_service_time: tm,
-                service_scv: scv,
-            },
-        )
-        .expect("feasible");
-    for (class_idx, n) in &fleet.allocation {
-        println!("  {:>3} × {}", n, classes[*class_idx].name);
-    }
-    println!(
-        "  total: {} instances, ${:.2}/hour",
-        fleet.total_instances(),
-        fleet.hourly_cost
-    );
 
     assert!(mm > 0.25 && gg < 1e-6);
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: format check, lints, release
-# build, tests, and the quickbench suite.
+# build, tests, the examples, and the quickbench suite.
 #
 # Works without network access: when the registry is unreachable the
 # cargo steps run with --offline against the committed Cargo.lock (the
@@ -24,6 +24,11 @@ run cargo fmt --all -- --check
 run cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 run cargo build "${OFFLINE[@]}" --workspace --release
 run cargo test "${OFFLINE[@]}" --workspace -q
+# Each example asserts the headline result it demonstrates; run them all
+# (release build, a few seconds in total).
+for example in examples/*.rs; do
+    run cargo run "${OFFLINE[@]}" --release -q --example "$(basename "$example" .rs)"
+done
 # The end-to-end benchmark harness lives outside the workspace and pins
 # the crates' public API.
 run cargo test --offline -q --manifest-path e2ebench/Cargo.toml

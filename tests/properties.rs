@@ -85,16 +85,8 @@ fn algorithm1_always_terminates_in_bounds() {
         let tm = g.f64_in(0.001..10.0);
         let current = g.u32_in(1..2_000);
         let max_vms = g.u32_in(1..5_000);
-        let verbatim = g.chance(0.5);
         let qos = QosTargets::new(tm * 3.0, 0.0, 0.80); // k = 3 nominal
-        let modeler = PerformanceModeler::new(
-            qos,
-            max_vms,
-            ModelerOptions {
-                verbatim_bounds: verbatim,
-                ..ModelerOptions::default()
-            },
-        );
+        let modeler = PerformanceModeler::new(qos, max_vms, ModelerOptions::default());
         let d = modeler.required_instances(&SizingInputs {
             expected_arrival_rate: lambda,
             monitored_service_time: tm,
@@ -105,7 +97,7 @@ fn algorithm1_always_terminates_in_bounds() {
         assert!(d.iterations <= 200);
         // If the cap allows ρ ≤ 0.9, the returned size must meet QoS.
         let feasible = lambda * tm / f64::from(max_vms) <= 0.9;
-        if feasible && !verbatim {
+        if feasible {
             assert!(
                 d.predicted.blocking_probability <= 1e-3 + 1e-9,
                 "λ={lambda} tm={tm} m={} blocking {}",
