@@ -132,7 +132,8 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
 
     /// Overrides how many arrival batches are prefetched and expanded
     /// per `Batch` event (default: the config's; `1` is the scalar
-    /// cadence). See [`SimConfig::arrival_run`].
+    /// cadence). Performance only — the summary is the same at every
+    /// depth; see [`SimConfig::arrival_run`].
     pub fn arrival_run(mut self, run: u32) -> Self {
         assert!(run >= 1, "arrival run length must be at least 1");
         self.cfg.arrival_run = run;

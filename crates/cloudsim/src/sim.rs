@@ -571,7 +571,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
                 }
             }
         }
-        // Prime the workload: pull the first burst. With the default
+        // Prime the workload: pull the first burst. With
         // `arrival_run = 1` this is exactly one `next_batch` draw.
         let w = engine.world_mut();
         let run = w.cfg.arrival_run.max(1) as usize;

@@ -80,9 +80,11 @@ impl<'a, E> Scheduler<'a, E> {
     /// `times` should be non-decreasing: monotone runs take the
     /// calendar backend's staged bulk path, non-monotone slices fall
     /// back to per-entry scheduling (see [`EventQueue::schedule_run`]
-    /// for the contract). Entries get consecutive insertion ids in
-    /// slice order — identical to a loop over [`at`](Self::at) — and
-    /// cannot be cancelled (no handles are returned).
+    /// for the contract). Entries tie-break *late*: at an equal
+    /// timestamp they fire after every event placed with
+    /// [`at`](Self::at), [`after`](Self::after) or [`now`](Self::now),
+    /// even one scheduled later, and in release order among
+    /// themselves. They cannot be cancelled (no handles are returned).
     ///
     /// # Panics
     /// Panics if the first time is earlier than the current clock.
@@ -103,7 +105,9 @@ impl<'a, E> Scheduler<'a, E> {
     }
 
     /// Schedules `event` at the current instant (it will fire after all
-    /// other events already scheduled for this instant).
+    /// other events already scheduled for this instant with
+    /// [`at`](Self::at), `after` or `now`, but before any bulk entry
+    /// released for it with [`at_run`](Self::at_run)).
     #[inline]
     pub fn now(&mut self, event: E) -> EventHandle {
         self.queue.schedule(self.now, event)

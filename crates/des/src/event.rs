@@ -1,8 +1,10 @@
 //! Pending-event set (future-event list).
 //!
 //! [`EventQueue`] is a future-event list keyed by [`SimTime`]. Events
-//! with equal timestamps are delivered in insertion (FIFO) order, which
-//! keeps simulations deterministic regardless of the backing structure.
+//! with equal timestamps are delivered in a fixed order, which keeps
+//! simulations deterministic regardless of the backing structure:
+//! individually scheduled events first, in insertion (FIFO) order, then
+//! bulk-released ones ([`EventQueue::schedule_run`]) in release order.
 //!
 //! Two interchangeable backends implement the set ([`FelBackend`]):
 //!
@@ -22,12 +24,14 @@
 //! tombstones at dispatch time.
 //!
 //! [`EventQueue::schedule_run`] bulk-inserts a *monotone run* — many
-//! clones of one event at non-decreasing times. On the calendar
-//! backend the run is staged as a sorted array and merged into the pop
-//! order by `(time, id)` instead of being distributed into buckets, so
-//! an arrival burst costs one append and O(1) per pop; the heap
-//! backend schedules runs entry by entry, keeping it the reference the
-//! A/B tests compare against.
+//! clones of one event at non-decreasing times. Its entries carry ids
+//! with the [`LATE`] bit set, so at an equal timestamp they pop after
+//! every individually scheduled event, however early they were
+//! released. On the calendar backend the run is staged as a sorted
+//! array and merged into the pop order by `(time, id)` instead of being
+//! distributed into buckets, so an arrival burst costs one append and
+//! O(1) per pop; the heap backend schedules runs entry by entry,
+//! keeping it the reference the A/B tests compare against.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -239,6 +243,16 @@ const WIDTH_GAP_FACTOR: f64 = 1.5;
 /// few mean-increments without the length ever changing.
 const CROWDED_BUCKET: usize = 32;
 
+/// Set in the insertion id of every entry released through
+/// [`EventQueue::schedule_run`], on every route (staged, per-entry
+/// fallback, spill). Ids order ties, so a bulk-released entry pops after
+/// every [`EventQueue::schedule`]d entry at the same instant — even one
+/// scheduled later — and bulk entries keep release order among
+/// themselves. A simulator that releases arrivals ahead of time thus
+/// sees the same same-instant order as one that releases each arrival
+/// batch at its own instant. Handles never carry the bit.
+const LATE: u64 = 1 << 63;
+
 /// Below this length a bulk run is scheduled entry by entry: the staging
 /// overhead (buffer swap, merge checks on every subsequent pop) only
 /// pays off once a run amortizes it across many entries.
@@ -253,11 +267,11 @@ const MIN_RUN: usize = 8;
 const MAX_STAGED_RUNS: usize = 8;
 
 /// A bulk-scheduled monotone run: `times[cursor..]` are the pending
-/// firing times (non-decreasing), and entry `i` carries insertion id
-/// `first_id + i` — the same consecutive ids a loop over
-/// [`EventQueue::schedule`] would have assigned, so merging runs into
-/// the pop order by `(time, id)` reproduces the per-entry schedule
-/// exactly (FIFO ties included).
+/// firing times (non-decreasing), and entry `i` carries the late
+/// insertion id `first_id + i` — the same ids the per-entry fallback
+/// would have assigned, so merging runs into the pop order by
+/// `(time, id)` reproduces the per-entry schedule exactly (ties
+/// included).
 ///
 /// Every entry of a run carries a clone of the same payload, so
 /// `events` is drained back to front without tracking which clone maps
@@ -558,8 +572,8 @@ enum Fel<E> {
     Calendar(Calendar<E>),
 }
 
-/// A future-event list with deterministic FIFO tie-breaking and event
-/// cancellation.
+/// A future-event list with deterministic tie-breaking (FIFO among
+/// single events, bulk-released entries last) and event cancellation.
 pub struct EventQueue<E> {
     fel: Fel<E>,
     next_id: u64,
@@ -626,22 +640,31 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
         let id = self.next_id;
+        self.insert(time, id, event);
+        EventHandle { id, time }
+    }
+
+    /// Inserts one entry under `id` into the backend and advances the
+    /// id counter.
+    #[inline]
+    fn insert(&mut self, time: SimTime, id: u64, event: E) {
         self.next_id += 1;
         match &mut self.fel {
             Fel::Heap(h) => h.schedule(time, id, event),
             Fel::Calendar(c) => c.schedule(time, id, event),
         }
         self.live += 1;
-        EventHandle { id, time }
     }
 
     /// Bulk-schedules one clone of `event` at every time in `times`.
     ///
-    /// Entries receive consecutive insertion ids in slice order —
-    /// exactly what a loop over [`schedule`](Self::schedule) would
-    /// assign — so pop order, including FIFO tie-breaking against
-    /// individually scheduled events, is identical whether or not the
-    /// bulk path engages. Returns `times.len()`.
+    /// Entries receive consecutive *late* insertion ids in slice order
+    /// (the `LATE` bit set): at an equal timestamp they pop after
+    /// every entry placed by [`schedule`](Self::schedule), whenever
+    /// that was scheduled, and after entries of earlier
+    /// `schedule_run` calls. Every route below assigns the same ids, so
+    /// pop order is identical whether or not the staged path engages.
+    /// Returns `times.len()`.
     ///
     /// **Monotonicity precondition:** the fast path stages the run as a
     /// sorted array and merges it into the pop order by `(time, id)`,
@@ -665,7 +688,7 @@ impl<E> EventQueue<E> {
         let monotone = times.windows(2).all(|w| w[0] <= w[1]);
         if times.len() < MIN_RUN || !monotone || matches!(self.fel, Fel::Heap(_)) {
             for &t in times {
-                self.schedule(t, event.clone());
+                self.insert(t, LATE | self.next_id, event.clone());
             }
             return times.len();
         }
@@ -677,7 +700,7 @@ impl<E> EventQueue<E> {
         run.times.extend(times.iter().map(|t| t.as_secs()));
         run.events.clear();
         run.events.resize(times.len(), event);
-        run.first_id = self.next_id;
+        run.first_id = LATE | self.next_id;
         run.cursor = 0;
         self.next_id += times.len() as u64;
         self.live += times.len();
@@ -762,17 +785,13 @@ impl<E> EventQueue<E> {
     /// pending count — callers must track liveness (as the cloud model
     /// does by storing handles in `Option`s).
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        debug_assert!(handle.id < self.next_id, "foreign handle");
-        // Bulk-run entries return no handles, so a cancel can only name
-        // one through a forged or stale handle.
+        // Bulk-run entries return no handles, so only a forged handle
+        // can carry the late bit.
         debug_assert!(
-            self.runs.iter().all(|r| {
-                let lo = r.first_id + r.cursor as u64;
-                let hi = r.first_id + r.times.len() as u64;
-                !(lo..hi).contains(&handle.id)
-            }),
+            handle.id & LATE == 0,
             "cancel of a bulk-run entry (runs return no handles)"
         );
+        debug_assert!(handle.id < self.next_id, "foreign handle");
         let removed = match &mut self.fel {
             Fel::Heap(h) => h.cancel(handle),
             Fel::Calendar(c) => c.cancel(handle),
@@ -1039,9 +1058,10 @@ mod tests {
     }
 
     #[test]
-    fn run_ties_are_fifo_against_singles() {
-        // A run entry and a single event at the same instant must keep
-        // insertion order on both backends.
+    fn run_ties_pop_after_singles() {
+        // At one instant, bulk-released entries pop after every single
+        // event on both backends — including one scheduled after the
+        // run was released.
         for backend in BACKENDS {
             let mut q = EventQueue::with_backend(backend);
             let times: Vec<SimTime> = vec![t(5.0); 16];
@@ -1049,10 +1069,102 @@ mod tests {
             q.schedule_run(&times, "run");
             q.schedule(t(5.0), "after");
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order.first(), Some(&"before"), "{backend:?}");
-            assert_eq!(order.last(), Some(&"after"), "{backend:?}");
-            assert_eq!(order.len(), 18, "{backend:?}");
+            let mut expected = vec!["before", "after"];
+            expected.extend(["run"; 16]);
+            assert_eq!(order, expected, "{backend:?}");
         }
+    }
+
+    /// Releases the bulk runs `runs` (run `r` carries payload
+    /// `100 + r`), with single events `0, 1, …` scheduled at t = 5
+    /// before, between and after them. Returns the `(time, payload)`
+    /// pop order and the staged-run depth before the first pop.
+    fn late_rule_order(backend: FelBackend, runs: &[Vec<f64>]) -> (Vec<(f64, u32)>, usize) {
+        let mut q = EventQueue::with_backend(backend);
+        q.schedule(t(5.0), 0);
+        for (r, times) in runs.iter().enumerate() {
+            let times: Vec<SimTime> = times.iter().map(|&s| t(s)).collect();
+            q.schedule_run(&times, 100 + r as u32);
+            q.schedule(t(5.0), r as u32 + 1);
+        }
+        let staged = q.runs.len();
+        let order = std::iter::from_fn(|| q.pop())
+            .map(|(time, tag)| (time.as_secs(), tag))
+            .collect();
+        (order, staged)
+    }
+
+    /// The expected order: every single at t = 5 first, in FIFO order,
+    /// then the run entries at t = 5 in release order, then later
+    /// entries by time (release order again among equal times).
+    fn assert_late_order(order: &[(f64, u32)], runs: &[Vec<f64>], what: &str) {
+        let mut expected: Vec<(f64, u32)> = (0..=runs.len() as u32).map(|s| (5.0, s)).collect();
+        let mut bulk: Vec<(f64, u32)> = runs
+            .iter()
+            .enumerate()
+            .flat_map(|(r, times)| times.iter().map(move |&s| (s, 100 + r as u32)))
+            .collect();
+        bulk.sort_by(|a, b| a.0.total_cmp(&b.0)); // stable
+        expected.extend(bulk);
+        assert_eq!(order, expected, "{what}");
+    }
+
+    #[test]
+    fn late_rule_holds_on_the_staged_route() {
+        let runs = vec![vec![5.0; 12], [vec![5.0; 4], vec![6.0; 8]].concat()];
+        for backend in BACKENDS {
+            let (order, staged) = late_rule_order(backend, &runs);
+            if backend == FelBackend::Calendar {
+                assert_eq!(staged, 2, "both runs must stage");
+            }
+            assert_late_order(&order, &runs, &format!("staged, {backend:?}"));
+        }
+    }
+
+    #[test]
+    fn late_rule_holds_on_the_fallback_route() {
+        // A short run (< MIN_RUN) and a non-monotone one both take the
+        // per-entry path, which must assign late ids just the same.
+        let short = vec![5.0; MIN_RUN - 1];
+        let non_monotone = vec![6.0, 5.0, 5.0, 7.0, 5.0, 6.5, 5.0, 5.0, 5.0];
+        let runs = vec![short, non_monotone];
+        for backend in BACKENDS {
+            let (order, staged) = late_rule_order(backend, &runs);
+            assert_eq!(staged, 0, "{backend:?}: nothing may stage");
+            assert_late_order(&order, &runs, &format!("fallback, {backend:?}"));
+        }
+    }
+
+    #[test]
+    fn late_rule_holds_on_the_spill_route() {
+        // More runs than the stage holds: the overflow spills into the
+        // calendar entry by entry, keeping its late ids.
+        let runs: Vec<Vec<f64>> = (0..MAX_STAGED_RUNS + 3)
+            .map(|r| {
+                let mut times = vec![5.0; MIN_RUN];
+                times.push(5.0 + r as f64);
+                times
+            })
+            .collect();
+        for backend in BACKENDS {
+            let (order, staged) = late_rule_order(backend, &runs);
+            if backend == FelBackend::Calendar {
+                assert_eq!(staged, MAX_STAGED_RUNS, "the stage must have spilled");
+            }
+            assert_late_order(&order, &runs, &format!("spill, {backend:?}"));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "cancel of a bulk-run entry")]
+    fn cancel_rejects_late_ids() {
+        let mut q = EventQueue::with_backend(FelBackend::Calendar);
+        q.schedule_run(&[t(1.0); MIN_RUN], ());
+        q.cancel(EventHandle {
+            id: LATE,
+            time: t(1.0),
+        });
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The substrate on which the cloud model is built (the role CloudSim
 //! plays in the original paper). It provides:
 //!
-//! * a simulation clock and future-event list with deterministic FIFO
-//!   tie-breaking ([`SimTime`], [`EventQueue`]);
+//! * a simulation clock and future-event list with deterministic
+//!   tie-breaking: FIFO for single events, bulk-released ones last
+//!   ([`SimTime`], [`EventQueue`]);
 //! * an engine driving a user-defined [`World`] ([`Engine`]);
 //! * labelled, reproducible random streams ([`RngFactory`], [`SimRng`]);
 //! * the probability distributions used by the workload models

@@ -5,7 +5,7 @@
 //! repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]…
 //!       [--mode smoke|quick|paper|full] [--seed N] [--out DIR]
 //!       [--trace DIR] [--cache DIR] [--no-cache] [--jobs N]
-//!       [--fel calendar|binary_heap] [--arrival-run N]
+//!       [--fel calendar|binary_heap]
 //! repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N]
 //!       [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N]
 //!       [--fel calendar|binary_heap] [--seed N]
@@ -55,10 +55,6 @@
 //! `smoke` is shorthand for `figures all --mode smoke`. `gen-trace`
 //! writes a deterministic synthetic Poisson trace (optionally with one
 //! rate step) for offline CI and benchmarking.
-//!
-//! `--arrival-run N` (figures) sets the arrival-burst prefetch depth:
-//! 1 (the default) is the scalar one-batch-ahead cadence, larger
-//! depths drive whole bursts through the batch seam.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -80,7 +76,7 @@ use vmprov_workloads::{generate_piecewise_csv, TraceSpec, DEFAULT_CHUNK};
 const USAGE: &str = "usage: repro <figures|replay|smoke|gen-trace> …
   repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]… \
 [--mode smoke|quick|paper|full] [--seed N] [--out DIR] [--trace DIR] \
-[--cache DIR] [--no-cache] [--jobs N] [--fel calendar|binary_heap] [--arrival-run N]
+[--cache DIR] [--no-cache] [--jobs N] [--fel calendar|binary_heap]
   repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N] \
 [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N] \
 [--fel calendar|binary_heap] [--seed N] [--out DIR] [--cache DIR] [--no-cache]
@@ -108,8 +104,6 @@ struct FigureArgs {
     jobs: Option<usize>,
     /// FEL backend override for figure runs; `None` = scenario default.
     fel: Option<FelBackend>,
-    /// Arrival-burst prefetch depth for figure runs (default 1).
-    arrival_run: u32,
 }
 
 fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
@@ -122,7 +116,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
     let mut no_cache = false;
     let mut jobs = None;
     let mut fel = None;
-    let mut arrival_run = 1u32;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -154,13 +147,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
             }
             "--fel" => {
                 fel = Some(parse_fel(it.next().ok_or("--fel needs a value")?)?);
-            }
-            "--arrival-run" => {
-                let v = it.next().ok_or("--arrival-run needs a value")?;
-                arrival_run = v.parse().map_err(|_| format!("bad arrival run {v}"))?;
-                if arrival_run < 1 {
-                    return Err("--arrival-run must be at least 1".into());
-                }
             }
             "--help" | "-h" => return Err(USAGE.into()),
             t @ ("table2" | "fig3" | "fig4" | "fig5" | "fig6" | "ablations" | "all") => {
@@ -197,7 +183,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
         no_cache,
         jobs,
         fel,
-        arrival_run,
     })
 }
 
@@ -238,12 +223,9 @@ fn run_figure_campaign(args: &FigureArgs) -> (Option<Vec<Replicated>>, Option<Ve
     let tune = |scenarios: Vec<Scenario>| -> Vec<Scenario> {
         scenarios
             .into_iter()
-            .map(|s| {
-                let s = s.with_arrival_run(args.arrival_run);
-                match args.fel {
-                    Some(fel) => s.with_fel_backend(fel),
-                    None => s,
-                }
+            .map(|s| match args.fel {
+                Some(fel) => s.with_fel_backend(fel),
+                None => s,
             })
             .collect()
     };

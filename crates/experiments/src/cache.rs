@@ -75,7 +75,15 @@ use vmprov_json::{FromJson, Json, ToJson};
 /// v8: the ziggurat variate sampler was removed, and with it the
 /// `sampler` member of the canonical JSON. Inverse-CDF runs keep their
 /// meaning, but every key moves, so warm v7 caches miss cleanly.
-pub const CACHE_SCHEMA_VERSION: u32 = 8;
+///
+/// v9: the `arrival_run` member left the canonical JSON. Bulk-released
+/// arrivals now tie-break after every individually scheduled event at
+/// their instant, so every prefetch depth yields the scalar summary and
+/// the depth is a performance setting of `SimConfig`, not part of a
+/// run's identity. Scalar runs keep their meaning, but every key moves,
+/// so warm v8 caches (including their batched cells, keyed on the old
+/// interleaving) miss cleanly.
+pub const CACHE_SCHEMA_VERSION: u32 = 9;
 
 /// Computes the content-addressed cache key of `(scenario, rep)`.
 pub fn run_key(scenario: &Scenario, rep: u32) -> u64 {
@@ -231,14 +239,15 @@ mod tests {
     /// A warm cache keyed under schema v7 must miss cleanly after the
     /// v8 re-keying (the v7 canonical JSON also carried a `sampler`
     /// member), rather than replay entries against the new key space.
+    /// The probe uses the current key, which moved again at v9.
     #[test]
     fn v7_keyed_entries_miss_under_v8() {
         let cache = tmp_cache("v7_rekey");
         let s = tiny();
         let fresh = run_once(&s, 0);
         // Reconstruct the v7 key: old schema tag, canonical JSON plus
-        // the removed member (exactly what v7 binaries hashed for an
-        // inverse-CDF run).
+        // the removed members (exactly what v7 binaries hashed for a
+        // scalar inverse-CDF run).
         let mut h = StableHasher::new();
         h.write(b"vmprov-run-cache");
         h.write_u32(7);
@@ -248,12 +257,13 @@ mod tests {
         let after_fel = members
             .iter()
             .position(|(k, _)| k == "fel_backend")
-            .expect("v8 JSON carries fel_backend")
+            .expect("the JSON carries fel_backend")
             + 1;
         members.insert(
             after_fel,
             ("sampler".to_string(), Json::from("inverse_cdf")),
         );
+        members.push(("arrival_run".to_string(), Json::from(1u32)));
         h.write(Json::Obj(members).to_string_canonical().as_bytes());
         h.write_u32(0);
         h.write_u64(replication_seed(s.seed, 0));
@@ -264,6 +274,46 @@ mod tests {
         assert!(
             matches!(cache.lookup(v8_key), Lookup::Miss),
             "a v7-keyed entry must not satisfy a v8 probe"
+        );
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A warm cache keyed under schema v8 must miss cleanly after the
+    /// v9 re-keying (the v8 canonical JSON also carried an
+    /// `arrival_run` member, whose depth-64 cells held a different
+    /// interleaving on the scientific workload).
+    #[test]
+    fn v8_keyed_entries_miss_under_v9() {
+        let cache = tmp_cache("v8_rekey");
+        let s = tiny();
+        let fresh = run_once(&s, 0);
+        let mut v8_keys = Vec::new();
+        for depth in [1u32, 64] {
+            // Reconstruct the v8 key: old schema tag, canonical JSON
+            // plus the removed trailing member (exactly what v8
+            // binaries hashed for a run at this depth).
+            let mut h = StableHasher::new();
+            h.write(b"vmprov-run-cache");
+            h.write_u32(8);
+            let Json::Obj(mut members) = s.to_json() else {
+                panic!("scenario JSON must be an object");
+            };
+            members.push(("arrival_run".to_string(), Json::from(depth)));
+            h.write(Json::Obj(members).to_string_canonical().as_bytes());
+            h.write_u32(0);
+            h.write_u64(replication_seed(s.seed, 0));
+            let v8_key = h.finish();
+            cache.store(v8_key, &fresh).expect("store");
+            v8_keys.push(v8_key);
+        }
+        let v9_key = run_key(&s, 0);
+        assert!(
+            !v8_keys.contains(&v9_key),
+            "schema bump must move every key"
+        );
+        assert!(
+            matches!(cache.lookup(v9_key), Lookup::Miss),
+            "a v8-keyed entry must not satisfy a v9 probe"
         );
         let _ = std::fs::remove_dir_all(cache.dir());
     }

@@ -43,6 +43,5 @@ pub use runner::{
 };
 pub use scenario::{
     fig5_scenarios, fig6_scenarios, AnalyzerSpec, DispatchSpec, PolicySpec, Scenario, WorkloadKind,
-    DEFAULT_EWMA_ALPHA, DEFAULT_MLE_WINDOW, ESTIMATOR_HEADROOM, REPLAY_ARRIVAL_RUN,
-    SCI_STATIC_SIZES, WEB_STATIC_SIZES,
+    DEFAULT_EWMA_ALPHA, DEFAULT_MLE_WINDOW, ESTIMATOR_HEADROOM, SCI_STATIC_SIZES, WEB_STATIC_SIZES,
 };

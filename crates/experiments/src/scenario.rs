@@ -133,26 +133,10 @@ pub struct Scenario {
     /// The scanned on-disk trace replayed when `workload` is
     /// [`WorkloadKind::Trace`] (`None` for the generative workloads).
     pub trace: Option<TraceSpec>,
-    /// Arrival-burst prefetch depth (1 = the scalar one-batch-ahead
-    /// cadence, the default for every pre-existing scenario). Values
-    /// above 1 pull whole inter-arrival bursts through the batch seam:
-    /// equivalent in distribution, bit-identical on continuous-time
-    /// workloads, but a *different* event-id
-    /// interleaving where arrivals tie control ticks exactly (the
-    /// scientific workload's off-peak window boundaries) — so batched
-    /// cells hash apart from scalar ones in the run cache.
-    pub arrival_run: u32,
 }
 
 /// The paper's MaxVMs negotiation cap used by the adaptive modeler.
 pub const MAX_VMS: u32 = 1000;
-
-/// Default arrival-burst depth for trace replays (other scenarios stay
-/// scalar). Replay batches are pre-recorded — pulling a run is a bulk
-/// copy out of the chunk buffer into the FEL's run insert, with no RNG
-/// draws to keep in scalar order — so the deeper cadence is pure
-/// per-request savings on the replay hot path.
-pub const REPLAY_ARRIVAL_RUN: u32 = 64;
 
 /// How often the adaptive analyzer re-evaluates (seconds). The paper's
 /// web analyzer tracks its six daily periods; we refresh the schedule
@@ -191,7 +175,6 @@ impl Scenario {
             shards: None,
             analyzer: AnalyzerSpec::Oracle,
             trace: None,
-            arrival_run: 1,
         }
     }
 
@@ -207,19 +190,11 @@ impl Scenario {
     /// A streamed replay of the scanned trace `spec` under `policy`.
     /// The horizon is the trace's end time; the data-center profile is
     /// the web one (see [`WorkloadKind::Trace`]).
-    ///
-    /// Replays default to the batched arrival cadence
-    /// ([`REPLAY_ARRIVAL_RUN`]): a replay consumes no randomness at
-    /// generation time, so pulling whole runs out of the chunk buffer
-    /// is a straight bulk copy into the FEL's run insert, and on
-    /// continuous-timestamp traces the result is bit-identical to the
-    /// scalar cadence (same argument as the batched-web golden).
     pub fn trace_replay(spec: TraceSpec, policy: PolicySpec, seed: u64) -> Self {
         Scenario {
             workload: WorkloadKind::Trace,
             horizon: spec.end_time,
             trace: Some(spec),
-            arrival_run: REPLAY_ARRIVAL_RUN,
             ..Scenario::web(policy, seed)
         }
     }
@@ -243,14 +218,6 @@ impl Scenario {
         self
     }
 
-    /// Same scenario with a different arrival-burst prefetch depth
-    /// (see [`Scenario::arrival_run`]; must be at least 1).
-    pub fn with_arrival_run(mut self, run: u32) -> Self {
-        assert!(run >= 1, "arrival_run must be at least 1");
-        self.arrival_run = run;
-        self
-    }
-
     /// QoS targets of the scenario.
     pub fn qos(&self) -> QosTargets {
         match self.workload {
@@ -267,7 +234,6 @@ impl Scenario {
         };
         cfg.boot_delay = self.boot_delay;
         cfg.fel_backend = self.fel_backend;
-        cfg.arrival_run = self.arrival_run;
         cfg
     }
 
@@ -504,7 +470,6 @@ impl vmprov_json::ToJson for Scenario {
                     None => Json::Null,
                 },
             ),
-            ("arrival_run", Json::from(self.arrival_run)),
         ])
     }
 }
@@ -597,7 +562,6 @@ mod tests {
             shards: _,
             analyzer: _,
             trace: _,
-            arrival_run: _,
         } = s.clone();
         let j = s.to_json();
         let vmprov_json::Json::Obj(members) = &j else {
@@ -617,20 +581,11 @@ mod tests {
                 "fel_backend",
                 "analyzer",
                 "trace",
-                "arrival_run",
             ],
-            "the canonical JSON is the run-cache identity (schema v8)"
+            "the canonical JSON is the run-cache identity (schema v9)"
         );
         assert_eq!(j.get("seed").unwrap().as_u64(), Some(5));
         assert_eq!(j.get("workload").unwrap().as_str(), Some("web"));
-        assert_eq!(j.get("arrival_run").unwrap().as_u64(), Some(1));
-        let batched = s.clone().with_arrival_run(64).to_json();
-        assert_eq!(batched.get("arrival_run").unwrap().as_u64(), Some(64));
-        assert_ne!(
-            j.to_string_canonical(),
-            batched.to_string_canonical(),
-            "batched cells must hash apart from scalar ones"
-        );
         assert_eq!(j.get("analyzer").unwrap().as_str(), Some("oracle"));
         assert_eq!(j.get("trace"), Some(&vmprov_json::Json::Null));
         let mle = s

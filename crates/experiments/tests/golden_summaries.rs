@@ -10,8 +10,9 @@
 //! `UPDATE_GOLDENS=1 cargo test -p vmprov-experiments --test golden_summaries`
 
 use std::path::PathBuf;
-use vmprov_des::{FelBackend, SimTime};
-use vmprov_experiments::runner::run_once;
+use vmprov_cloudsim::RunSummary;
+use vmprov_des::{FelBackend, RngFactory, SimTime};
+use vmprov_experiments::runner::{builder_for, replication_seed, run_once};
 use vmprov_experiments::scenario::{PolicySpec, Scenario};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -25,11 +26,9 @@ fn golden_path(name: &str) -> PathBuf {
 /// Web runs cover half an hour; ten scientific hours cover the 8am peak
 /// onset, so the adaptive policy actually scales (and shrinks). The
 /// paper-verbatim M/M/1/k backend exercises the memoized
-/// recurrence path of the modeler. The batched arrival path
-/// (`arrival_run` > 1) ties arrivals to control ticks on the
-/// scientific workload (off-peak jobs land exactly on 30-minute
-/// boundaries), so that run is a different — equally deterministic —
-/// interleaving with its own golden.
+/// recurrence path of the modeler. Every golden runs at the default
+/// arrival-run depth; the `…_matches_scalar` tests pin the scalar
+/// cadence to the same summaries.
 fn goldens() -> Vec<(&'static str, Scenario)> {
     let web = |p| Scenario::web(p, 1109).with_horizon(SimTime::from_secs(1800.0));
     let sci = |p| Scenario::scientific(p, 2011).with_horizon(SimTime::from_hours(10.0));
@@ -40,11 +39,21 @@ fn goldens() -> Vec<(&'static str, Scenario)> {
         ("web_adaptive", web(PolicySpec::Adaptive)),
         ("scientific_adaptive", sci(PolicySpec::Adaptive)),
         ("web_adaptive_mm1k", mm1k),
-        (
-            "scientific_adaptive_batched",
-            sci(PolicySpec::Adaptive).with_arrival_run(64),
-        ),
     ]
+}
+
+/// `scenario` run on the scalar arrival cadence: one arrival batch
+/// released per `Batch` event.
+fn run_scalar(scenario: &Scenario) -> RunSummary {
+    builder_for(scenario)
+        .arrival_run(1)
+        .run(&RngFactory::new(replication_seed(scenario.seed, 0)))
+}
+
+fn committed_golden(name: &str) -> String {
+    let path = golden_path(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{name}: missing golden {}: {e}", path.display()))
 }
 
 /// Runs the golden scenario `name` on both FEL backends, asserts they
@@ -70,10 +79,9 @@ fn check_golden(name: &str) {
         std::fs::write(&path, &rendered).unwrap();
         return;
     }
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{name}: missing golden {}: {e}", path.display()));
     assert_eq!(
-        rendered, golden,
+        rendered,
+        committed_golden(name),
         "{name}: run summary drifted from the committed golden \
          (if the change is intentional, regenerate with UPDATE_GOLDENS=1)"
     );
@@ -99,10 +107,10 @@ fn golden_web_adaptive_mm1k() {
     check_golden("web_adaptive_mm1k");
 }
 
-/// On continuous-time workloads the batched arrival path is
-/// bit-identical to the scalar cadence (ties between arrivals and
-/// control ticks have probability zero), so the web run is pinned
-/// *against the scalar scenario itself* rather than a golden file.
+/// Bulk-released arrivals tie-break after every individually scheduled
+/// event at their instant, so the batched default reproduces the scalar
+/// cadence. On the web workload ties have probability zero; the web run
+/// is pinned against the scalar scenario itself.
 #[test]
 fn golden_web_adaptive_batched_matches_scalar() {
     let scalar = Scenario::web(PolicySpec::Adaptive, 1109).with_horizon(SimTime::from_secs(1800.0));
@@ -110,15 +118,31 @@ fn golden_web_adaptive_batched_matches_scalar() {
         let s = scalar.clone().with_fel_backend(backend);
         assert_eq!(
             run_once(&s, 0),
-            run_once(&s.clone().with_arrival_run(64), 0),
+            run_scalar(&s),
             "{backend:?}: batched web run diverged from the scalar path"
         );
     }
 }
 
+/// The scientific workload is where the tie rule matters: off-peak jobs
+/// land exactly on 30-minute boundaries, which are also monitor ticks.
+/// The scalar cadence must reproduce the `scientific_adaptive` golden
+/// (which runs batched) on both FEL backends.
 #[test]
-fn golden_scientific_adaptive_batched() {
-    check_golden("scientific_adaptive_batched");
+fn golden_scientific_adaptive_scalar_matches_golden() {
+    let (_, sci) = goldens()
+        .into_iter()
+        .find(|(n, _)| *n == "scientific_adaptive")
+        .expect("scientific golden");
+    let golden = committed_golden("scientific_adaptive");
+    for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        let scalar = run_scalar(&sci.clone().with_fel_backend(backend));
+        assert_eq!(
+            format!("{scalar:#?}\n"),
+            golden,
+            "{backend:?}: scalar scientific run drifted from the batched golden"
+        );
+    }
 }
 
 /// Request conservation over every golden scenario on both FEL

@@ -11,8 +11,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use vmprov_des::FelBackend;
-use vmprov_experiments::{run_once, AnalyzerSpec, GridOutcome, ReplayGrid, ReplaySource, RunCache};
+use vmprov_cloudsim::config::DEFAULT_ARRIVAL_RUN;
+use vmprov_des::{FelBackend, RngFactory};
+use vmprov_experiments::runner::replication_seed;
+use vmprov_experiments::{
+    builder_for, run_once, AnalyzerSpec, GridOutcome, ReplayGrid, ReplaySource, RunCache,
+};
 use vmprov_json::Json;
 use vmprov_workloads::{generate_poisson_csv, TraceSpec, SCAN_DEPTH};
 
@@ -82,22 +86,22 @@ fn shared_scan_grid_matches_independent_scans_across_chunk_sizes() {
 
 #[test]
 fn replay_batched_cadence_matches_scalar() {
-    // `Scenario::trace_replay` defaults to the batched arrival cadence
-    // (REPLAY_ARRIVAL_RUN); on continuous-timestamp traces that must be
-    // bit-identical to the scalar one-batch-ahead pull, same argument
-    // as the batched-web golden.
+    // Replays run at the default arrival-run depth; the scalar
+    // one-batch-ahead pull must give the same summary.
     let path = gen_trace("grid_cadence.csv", 30.0, 300.0, 59);
     let spec = TraceSpec::scan(&path, 64).unwrap();
-    let batched = vmprov_experiments::Scenario::trace_replay(
-        spec.clone(),
+    let s = vmprov_experiments::Scenario::trace_replay(
+        spec,
         vmprov_experiments::PolicySpec::Adaptive,
         29,
     );
-    assert_eq!(batched.arrival_run, vmprov_experiments::REPLAY_ARRIVAL_RUN);
-    let scalar = batched.clone().with_arrival_run(1);
+    assert_eq!(s.sim_config().arrival_run, DEFAULT_ARRIVAL_RUN);
+    let scalar = builder_for(&s)
+        .arrival_run(1)
+        .run(&RngFactory::new(replication_seed(s.seed, 0)));
     assert_eq!(
-        run_once(&batched, 0),
-        run_once(&scalar, 0),
+        run_once(&s, 0),
+        scalar,
         "batched replay cadence diverged from the scalar pull"
     );
 }

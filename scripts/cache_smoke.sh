@@ -4,8 +4,12 @@
 # from the cache — ≥90% hits, at most half the cold pass's campaign
 # wall-clock (in practice it is <1%; the bound only needs to survive a
 # loaded CI machine) — and that it reproduces the cold pass's figure
-# output byte for byte. Leaves cache_stats_{cold,warm}.json under
-# target/cache-smoke/ for the CI artifact upload.
+# output byte for byte. A third, uncached pass on the binary-heap event
+# list must reproduce the cold (calendar) pass's figures byte for byte
+# too: a figure-level check that both backends order same-instant
+# events alike over the full 24 h scientific horizon. Leaves
+# cache_stats_{cold,warm}.json under target/cache-smoke/ for the CI
+# artifact upload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,12 +20,17 @@ if ! cargo metadata --format-version 1 >/dev/null 2>&1; then
 fi
 
 OUT=target/cache-smoke
+HEAP_OUT=target/cache-smoke-heap
 CACHE=target/ci-runcache
-rm -rf "$OUT" "$CACHE"
+rm -rf "$OUT" "$HEAP_OUT" "$CACHE"
 
-run_pass() { # extra repro args...
+repro() { # repro figures args...
     cargo run "${OFFLINE[@]}" --release -p vmprov-experiments --bin repro -- \
-        figures fig5 fig6 --mode smoke --out "$OUT" --cache "$CACHE" "$@"
+        figures fig5 fig6 --mode smoke "$@"
+}
+
+run_pass() {
+    repro --out "$OUT" --cache "$CACHE"
 }
 
 echo "cache_smoke.sh: cold pass" >&2
@@ -37,6 +46,11 @@ cp "$OUT/cache_stats.json" "$OUT/cache_stats_warm.json"
 # Cache hits must be bit-identical to fresh runs.
 diff -q "$OUT/fig5_cold.json" "$OUT/fig5.json"
 diff -q "$OUT/fig6_cold.json" "$OUT/fig6.json"
+
+echo "cache_smoke.sh: binary-heap pass (uncached)" >&2
+repro --out "$HEAP_OUT" --no-cache --fel binary_heap
+diff -q "$OUT/fig5_cold.json" "$HEAP_OUT/fig5.json"
+diff -q "$OUT/fig6_cold.json" "$HEAP_OUT/fig6.json"
 
 python3 - "$OUT/cache_stats_cold.json" "$OUT/cache_stats_warm.json" <<'EOF'
 import json
