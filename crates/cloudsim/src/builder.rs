@@ -28,11 +28,11 @@
 use crate::config::SimConfig;
 use crate::metrics::{MetricsOptions, RunSummary};
 use crate::probe::{NullProbe, Probe};
-use crate::sim::{run_engine, run_engine_scratch, CloudSim, SimScratch};
+use crate::sim::{run_engine, run_engine_scratch, CloudSim, ResumableRun, SimScratch};
 use std::convert::Infallible;
 use vmprov_core::dispatch::{AnyDispatcher, Dispatcher};
 use vmprov_core::policy::ProvisioningPolicy;
-use vmprov_des::{FelBackend, RngFactory};
+use vmprov_des::{Engine, FelBackend, RngFactory};
 use vmprov_workloads::{AnyWorkload, ArrivalProcess, ServiceModel};
 
 /// Builder for one simulation run. Construct with [`SimBuilder::new`],
@@ -174,25 +174,13 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
     /// call happens once per simulation, so the attribute costs nothing.
     #[inline(never)]
     pub fn run_probed(self, rngs: &RngFactory) -> (RunSummary, P) {
-        let missing = |what: &str| -> ! {
-            panic!("SimBuilder::run: no {what} was set (call .{what}(…) before .run)")
-        };
-        let engine = CloudSim::engine_with_probe(
-            self.cfg,
-            self.workload.unwrap_or_else(|| missing("workload")),
-            self.service.unwrap_or_else(|| missing("service")),
-            self.policy.unwrap_or_else(|| missing("policy")),
-            self.dispatcher.unwrap_or_else(|| missing("dispatcher")),
-            rngs,
-            self.probe,
-        );
-        run_engine(engine)
+        run_engine(self.build(rngs, None))
     }
 
     /// Like [`run`](Self::run), but recycles warm simulation storage
     /// from `scratch` (and returns it there afterwards). Bit-identical
     /// to `run`; campaign worker threads use it to avoid rebuilding the
-    /// slot slab and FEL buckets on every job.
+    /// slot slab and FEL storage on every job.
     pub fn run_scratch(self, rngs: &RngFactory, scratch: &mut SimScratch) -> RunSummary {
         self.run_probed_scratch(rngs, scratch).0
     }
@@ -208,20 +196,39 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
         rngs: &RngFactory,
         scratch: &mut SimScratch,
     ) -> (RunSummary, P) {
+        let engine = self.build(rngs, Some(&mut *scratch));
+        run_engine_scratch(engine, scratch)
+    }
+
+    /// Builds the run without starting it, for callers that advance it
+    /// in steps (see [`ResumableRun`]). `start(r).finish()` returns
+    /// what [`run_probed`](Self::run_probed) does.
+    pub fn start(self, rngs: &RngFactory) -> ResumableRun<P, W, D> {
+        ResumableRun::new(self.build(rngs, None))
+    }
+
+    /// Primes the engine, recycling `scratch`'s storage when given.
+    /// Missing components panic here with their names.
+    fn build(
+        self,
+        rngs: &RngFactory,
+        scratch: Option<&mut SimScratch>,
+    ) -> Engine<CloudSim<P, W, D>> {
         let missing = |what: &str| -> ! {
             panic!("SimBuilder::run: no {what} was set (call .{what}(…) before .run)")
         };
-        let engine = CloudSim::engine_with_probe_scratch(
-            self.cfg,
-            self.workload.unwrap_or_else(|| missing("workload")),
-            self.service.unwrap_or_else(|| missing("service")),
-            self.policy.unwrap_or_else(|| missing("policy")),
-            self.dispatcher.unwrap_or_else(|| missing("dispatcher")),
-            rngs,
-            self.probe,
-            scratch,
-        );
-        run_engine_scratch(engine, scratch)
+        let workload = self.workload.unwrap_or_else(|| missing("workload"));
+        let service = self.service.unwrap_or_else(|| missing("service"));
+        let policy = self.policy.unwrap_or_else(|| missing("policy"));
+        let dispatcher = self.dispatcher.unwrap_or_else(|| missing("dispatcher"));
+        match scratch {
+            Some(scratch) => CloudSim::engine_with_probe_scratch(
+                self.cfg, workload, service, policy, dispatcher, rngs, self.probe, scratch,
+            ),
+            None => CloudSim::engine_with_probe(
+                self.cfg, workload, service, policy, dispatcher, rngs, self.probe,
+            ),
+        }
     }
 }
 
@@ -282,7 +289,7 @@ mod tests {
     #[test]
     fn fel_backend_override_is_deterministic() {
         let a = base(8, 50.0, 500.0)
-            .fel_backend(FelBackend::Calendar)
+            .fel_backend(FelBackend::QuadHeap)
             .run(&RngFactory::new(9));
         let b = base(8, 50.0, 500.0)
             .fel_backend(FelBackend::BinaryHeap)
@@ -296,7 +303,7 @@ mod tests {
         // scratch — the second inherits storage shaped by the first
         // (different k, different event population) and must still
         // match a cold run exactly, on both FEL backends.
-        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        for backend in FelBackend::ALL {
             let fresh_a = base(8, 50.0, 500.0)
                 .fel_backend(backend)
                 .run(&RngFactory::new(42));
@@ -327,12 +334,36 @@ mod tests {
     }
 
     #[test]
+    fn paused_runs_match_the_unpaused_summary() {
+        // Arbitrary, often repeated bounds — before the first event, on
+        // event instants, past the horizon — must leave the summary of
+        // a run that never paused.
+        let whole = base(8, 50.0, 500.0).run(&RngFactory::new(11));
+        let mut state = 0x5eed_u64;
+        for trial in 0..4 {
+            let mut run = base(8, 50.0, 500.0).start(&RngFactory::new(11));
+            let mut bound = 0.0;
+            while bound < 520.0 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                bound += match (state >> 33) % 4 {
+                    0 => 0.0,
+                    1 => 0.001,
+                    2 => ((state >> 40) % 50) as f64,
+                    _ => (trial as f64 + 1.0) * 7.5,
+                };
+                run.advance_before(SimTime::from_secs(bound));
+            }
+            assert_eq!(run.finish().0, whole, "trial {trial}");
+        }
+    }
+
+    #[test]
     fn scratch_survives_backend_switch() {
         // A queue recycled from one backend must not leak into a run on
         // the other: the mismatch falls back to fresh storage.
         let mut scratch = SimScratch::new();
         let a = base(8, 50.0, 500.0)
-            .fel_backend(FelBackend::Calendar)
+            .fel_backend(FelBackend::QuadHeap)
             .run_scratch(&RngFactory::new(9), &mut scratch);
         let b = base(8, 50.0, 500.0)
             .fel_backend(FelBackend::BinaryHeap)

@@ -39,8 +39,8 @@ pub struct SimConfig {
     /// Mean time between failures of one *instance* (exponential), the
     /// "uncertain behavior" of §I. `None` disables failures.
     pub instance_mtbf: Option<f64>,
-    /// Future-event-list backend for the engine. The calendar queue is
-    /// the default; the binary heap is kept for A/B determinism checks.
+    /// Future-event-list backend for the engine. The 4-ary heap is the
+    /// default; the binary heap is kept for A/B determinism checks.
     pub fel_backend: FelBackend,
     /// Maximum number of arrival batches pulled from the workload per
     /// `Batch` event and expanded as one bulk FEL insert (at least 1;

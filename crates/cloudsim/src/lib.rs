@@ -35,4 +35,4 @@ pub use probe::{
     CounterProbe, NullProbe, PoolSample, Probe, RejectReason, RequestClass, TimeSample, TimeSeries,
     TimeSeriesProbe, TraceProbe,
 };
-pub use sim::{CloudSim, Event, SimScratch};
+pub use sim::{CloudSim, Event, ResumableRun, SimScratch};

@@ -416,14 +416,14 @@ where
 
 /// Warm per-thread simulation storage recycled between consecutive
 /// runs: the instance-slot slab (state vectors + the flat queue-ring
-/// slab) and the future-event-list storage (calendar buckets or heap).
+/// slab) and the future-event-list storage (heap array and run buffers).
 ///
 /// A campaign worker thread keeps one `SimScratch` and threads it
 /// through every run it executes, so steady-state campaign execution
 /// rebuilds no per-run storage. Recycling is behaviour-neutral: every
 /// structure is fully reset before reuse (only capacity survives), and
-/// FEL pop order is `(time, id)` regardless of retained calendar
-/// geometry — a scratch-vs-fresh run is bit-identical (pinned by
+/// FEL pop order is `(time, id)` regardless of retained heap
+/// capacity — a scratch-vs-fresh run is bit-identical (pinned by
 /// tests).
 #[derive(Default)]
 pub struct SimScratch {
@@ -1204,6 +1204,55 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W,
                 }
             }
         }
+    }
+}
+
+/// A built run that advances in steps: [`advance_before`] handles the
+/// events before a bound and pauses, [`finish`] runs the rest and
+/// returns the summary. Built by [`SimBuilder::start`](crate::SimBuilder::start).
+///
+/// Pausing never changes what a run computes: a paused run's clock
+/// stays at its last event, so stepping through any sequence of bounds
+/// handles the events, in the order, of a run that never paused, and
+/// `finish` returns the same [`RunSummary`]. A replay grid steps each
+/// cell up to the trace rows already decoded, so a `Batch` handler
+/// never pulls a row that is not there yet.
+///
+/// [`advance_before`]: ResumableRun::advance_before
+/// [`finish`]: ResumableRun::finish
+pub struct ResumableRun<P: Probe = NullProbe, W = AnyWorkload, D = AnyDispatcher>
+where
+    W: ArrivalProcess + Send,
+    D: Dispatcher,
+{
+    engine: Engine<CloudSim<P, W, D>>,
+}
+
+impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> ResumableRun<P, W, D> {
+    pub(crate) fn new(engine: Engine<CloudSim<P, W, D>>) -> Self {
+        ResumableRun { engine }
+    }
+
+    /// Handles every event that fires strictly before `bound` and at or
+    /// before the workload horizon, then pauses. Returns events handled.
+    ///
+    /// The drain after the horizon is left to [`finish`](Self::finish),
+    /// which first withdraws the surviving failure clocks.
+    pub fn advance_before(&mut self, bound: SimTime) -> u64 {
+        let horizon = self.engine.world().horizon;
+        if bound > horizon {
+            // Every event up to the horizon is due; `finish` moves the
+            // clock to the horizon next in any case.
+            self.engine.run_until(horizon)
+        } else {
+            self.engine.run_before(bound)
+        }
+    }
+
+    /// Runs the rest of the simulation and returns its summary and
+    /// probe.
+    pub fn finish(self) -> (RunSummary, P) {
+        run_engine(self.engine)
     }
 }
 

@@ -1,6 +1,6 @@
 //! The steady-state event loop must not allocate.
 //!
-//! Slot free lists, the flat queue slab, and calendar-queue storage
+//! Slot free lists, the flat queue slab, and event-list storage
 //! reuse exist so that once the pool and the FEL have warmed up, a
 //! running simulation touches no allocator at all. This test proves it
 //! with a counting `#[global_allocator]`: a probe records the global
@@ -11,8 +11,8 @@
 //! — this is a regression test, not a statistical one. The window
 //! starts after half the horizon: by then the instance pool is at its
 //! static size, every per-slot queue ring has been allocated, metric
-//! accumulators are plain scalars, and the calendar queue's buckets
-//! have grown to their high-water capacities.
+//! accumulators are plain scalars, and the event list's heap array
+//! and run buffers have grown to their high-water capacities.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,5 +1,5 @@
 //! Equivalence pins for the batched request hot path (arrival-burst
-//! prefetch + calendar bulk insert + bitset admission):
+//! prefetch + staged bulk insert + bitset admission):
 //!
 //! * On continuous-time workloads (Poisson, web) the batched arrival
 //!   path is **bit-identical** to the scalar cadence for every prefetch
@@ -27,7 +27,7 @@ use vmprov_des::{FelBackend, RngFactory, SimTime};
 use vmprov_workloads::synthetic::PoissonProcess;
 use vmprov_workloads::{ServiceModel, WebConfig, WebWorkload};
 
-const BACKENDS: [FelBackend; 2] = [FelBackend::Calendar, FelBackend::BinaryHeap];
+const BACKENDS: [FelBackend; 2] = FelBackend::ALL;
 const RUNS: [u32; 3] = [1, 7, 64];
 
 /// A static fleet with an explicitly pinned per-instance queue
@@ -239,26 +239,26 @@ fn run_churn(backend: FelBackend) -> RunSummary {
 /// and identical across FEL backends.
 #[test]
 fn drain_churn_is_deterministic_across_backends() {
-    let calendar = run_churn(FelBackend::Calendar);
+    let quad = run_churn(FelBackend::QuadHeap);
     // The churn has to actually happen for this pin to mean anything:
     // far more boots than the steady fleet, and failures that can land
     // while instances drain.
     assert!(
-        calendar.vms_created > 100,
+        quad.vms_created > 100,
         "only {} boots — the target never oscillated",
-        calendar.vms_created
+        quad.vms_created
     );
     assert!(
-        calendar.instance_failures > 0,
+        quad.instance_failures > 0,
         "no failures — the mid-list removal path never ran"
     );
     assert_eq!(
-        calendar,
-        run_churn(FelBackend::Calendar),
+        quad,
+        run_churn(FelBackend::QuadHeap),
         "repeated churn run diverged (nondeterminism)"
     );
     assert_eq!(
-        calendar,
+        quad,
         run_churn(FelBackend::BinaryHeap),
         "FEL backends diverged under drain churn"
     );

@@ -83,16 +83,16 @@ fn run_traced(backend: FelBackend, seed: u64) -> (RunSummary, String) {
 
 #[test]
 fn trace_counters_match_summary_on_both_fel_backends() {
-    let (cal_summary, cal_trace) = run_traced(FelBackend::Calendar, 77);
+    let (quad_summary, quad_trace) = run_traced(FelBackend::QuadHeap, 77);
     let (heap_summary, heap_trace) = run_traced(FelBackend::BinaryHeap, 77);
 
     // The two backends replay the same history…
-    assert_eq!(cal_summary, heap_summary, "FEL backends must agree");
-    assert_eq!(cal_trace, heap_trace, "…down to the event trace");
+    assert_eq!(quad_summary, heap_summary, "FEL backends must agree");
+    assert_eq!(quad_trace, heap_trace, "…down to the event trace");
 
     // …and the trace folds back to the summary's counters exactly.
     for (label, summary, trace) in [
-        ("calendar", &cal_summary, &cal_trace),
+        ("4-ary-heap", &quad_summary, &quad_trace),
         ("binary-heap", &heap_summary, &heap_trace),
     ] {
         let f = fold(trace);

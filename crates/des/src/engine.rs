@@ -78,7 +78,7 @@ impl<'a, E> Scheduler<'a, E> {
     /// Bulk-schedules one clone of `event` at every time in `times`.
     ///
     /// `times` should be non-decreasing: monotone runs take the
-    /// calendar backend's staged bulk path, non-monotone slices fall
+    /// 4-ary heap's staged bulk path, non-monotone slices fall
     /// back to per-entry scheduling (see [`EventQueue::schedule_run`]
     /// for the contract). Entries tie-break *late*: at an equal
     /// timestamp they fire after every event placed with
@@ -144,7 +144,7 @@ pub struct Engine<W: World> {
 
 impl<W: World> Engine<W> {
     /// Creates an engine at time zero around `world`, using the default
-    /// (calendar) future-event list.
+    /// (4-ary heap) future-event list.
     pub fn new(world: W) -> Self {
         Self::with_backend(world, FelBackend::default())
     }
@@ -160,14 +160,14 @@ impl<W: World> Engine<W> {
     }
 
     /// Creates an engine at time zero around `world`, recycling `queue`
-    /// from a previous run so its bucket/heap storage is reused instead
-    /// of reallocated. The queue is cleared first; any events still
+    /// from a previous run so its heap storage is reused instead of
+    /// reallocated. The queue is cleared first; any events still
     /// pending in it are dropped.
     ///
     /// Recycling never changes what a run computes: pop order is
     /// `(time, insertion-id)` — a total order independent of the
-    /// queue's retained capacity or calendar geometry (pinned by the
-    /// calendar-vs-heap equivalence tests).
+    /// queue's retained capacity (pinned by the backend equivalence
+    /// tests).
     pub fn with_recycled_queue(world: W, mut queue: EventQueue<W::Event>) -> Self {
         queue.clear();
         Engine {
@@ -230,19 +230,25 @@ impl<W: World> Engine<W> {
         (self.world, self.queue)
     }
 
-    /// Processes a single event. Returns `false` when no events remain.
-    pub fn step(&mut self) -> bool {
-        let Some((time, event)) = self.queue.pop() else {
-            return false;
-        };
+    /// Advances the clock to `time` and hands `event` to the world.
+    #[inline]
+    fn dispatch(&mut self, time: SimTime, event: W::Event) {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.steps += 1;
         let mut sched = Scheduler {
             queue: &mut self.queue,
-            now: self.now,
+            now: time,
         };
         self.world.handle(time, event, &mut sched);
+    }
+
+    /// Processes a single event. Returns `false` when no events remain.
+    pub fn step(&mut self) -> bool {
+        let Some((time, event)) = self.queue.pop() else {
+            return false;
+        };
+        self.dispatch(time, event);
         true
     }
 
@@ -258,14 +264,24 @@ impl<W: World> Engine<W> {
     /// clock is advanced to `end` on return. Returns events processed.
     pub fn run_until(&mut self, end: SimTime) -> u64 {
         let start = self.steps;
-        while let Some(t) = self.queue.peek_time() {
-            if t > end {
-                break;
-            }
-            self.step();
+        while let Some((time, event)) = self.queue.pop_until(end) {
+            self.dispatch(time, event);
         }
         if self.now < end {
             self.now = end;
+        }
+        self.steps - start
+    }
+
+    /// Processes every event that fires strictly before `bound`, then
+    /// pauses. Unlike [`run_until`](Self::run_until) the clock stays at
+    /// the last event handled, so a run paused at any sequence of
+    /// bounds handles exactly the events, in exactly the order, of one
+    /// that never paused. Returns events processed.
+    pub fn run_before(&mut self, bound: SimTime) -> u64 {
+        let start = self.steps;
+        while let Some((time, event)) = self.queue.pop_before(bound) {
+            self.dispatch(time, event);
         }
         self.steps - start
     }
@@ -361,6 +377,22 @@ mod tests {
     }
 
     #[test]
+    fn run_before_pauses_without_moving_the_clock() {
+        let mut eng = Engine::new(Recorder { fired: vec![] });
+        for i in 0..10 {
+            eng.schedule(SimTime::from_secs(i as f64), Ev::Mark(i));
+        }
+        // Strictly before: the event at the bound waits.
+        assert_eq!(eng.run_before(SimTime::from_secs(4.0)), 4); // 0..=3
+        assert_eq!(eng.now().as_secs(), 3.0, "a paused clock stays put");
+        assert_eq!(eng.run_before(SimTime::from_secs(4.0)), 0);
+        assert_eq!(eng.run_before(SimTime::from_secs(4.5)), 1); // 4
+        assert_eq!(eng.run_until(SimTime::from_secs(100.0)), 5);
+        let ids: Vec<u32> = eng.world().fired.iter().map(|&(_, id)| id).collect();
+        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn handlers_can_cancel_pending_events() {
         /// Schedules a timer, then cancels it from a later handler.
         struct Canceller {
@@ -385,7 +417,7 @@ mod tests {
                 }
             }
         }
-        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        for backend in FelBackend::ALL {
             let mut eng = Engine::with_backend(
                 Canceller {
                     timer: None,
@@ -426,7 +458,7 @@ mod tests {
             (world.fired, queue)
         }
 
-        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        for backend in FelBackend::ALL {
             let (fresh, queue) = drive(Engine::with_backend(Recorder { fired: vec![] }, backend));
             // Leave stale pending events in the queue to prove recycling
             // clears them.
@@ -464,7 +496,7 @@ mod tests {
                 }
             }
         }
-        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        for backend in FelBackend::ALL {
             let mut eng = Engine::with_backend(Expander { fired: vec![] }, backend);
             eng.schedule(SimTime::from_secs(1.0), REv::Trigger);
             for i in 0..5 {

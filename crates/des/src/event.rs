@@ -8,15 +8,14 @@
 //!
 //! Two interchangeable backends implement the set ([`FelBackend`]):
 //!
-//! * **Calendar queue** (default) — Brown's bucketed priority queue
-//!   ("Calendar Queues: A Fast O(1) Priority Queue Implementation for
-//!   the Simulation Event Set Problem", CACM 1988) with an
-//!   auto-resizing bucket count and width. Amortized O(1) schedule and
-//!   pop, which is what the day-long trace replays of Figs. 5–8 spend
-//!   their time on.
-//! * **Binary heap** — the previous `BinaryHeap` implementation, kept
-//!   as the reference backend; the A/B determinism tests assert both
-//!   produce bit-identical simulations.
+//! * **4-ary heap** (default) — an implicit min-heap with four children
+//!   per node, keyed by `(time, id)` packed into two `u64`s, plus a
+//!   stage of bulk-released runs merged into its pop order. The
+//!   simulator keeps 30–60 single events pending, a depth at which the
+//!   shallow, cache-friendly heap beats bucketed structures.
+//! * **Binary heap** — `std`'s `BinaryHeap`, entry by entry with lazy
+//!   cancellation and no run stage: the reference the A/B determinism
+//!   tests compare against.
 //!
 //! [`EventQueue::schedule`] returns an [`EventHandle`] that can later be
 //! passed to [`EventQueue::cancel`], so models can withdraw timers
@@ -27,11 +26,14 @@
 //! clones of one event at non-decreasing times. Its entries carry ids
 //! with the [`LATE`] bit set, so at an equal timestamp they pop after
 //! every individually scheduled event, however early they were
-//! released. On the calendar backend the run is staged as a sorted
-//! array and merged into the pop order by `(time, id)` instead of being
-//! distributed into buckets, so an arrival burst costs one append and
-//! O(1) per pop; the heap backend schedules runs entry by entry,
-//! keeping it the reference the A/B tests compare against.
+//! released. On the 4-ary heap the run is staged as a sorted array of
+//! keys with one copy of the payload, and its head is merged into the
+//! pop order by `(time, id)`, so an arrival burst costs one append and
+//! O(1) per pop; the binary heap schedules runs entry by entry.
+//!
+//! [`EventQueue::pop_until`] pops the earliest event only if it fires
+//! at or before a bound, comparing the heap top and the earliest run
+//! head once; [`EventQueue::pop`] is the same merge without a bound.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -39,34 +41,71 @@ use std::collections::{BinaryHeap, HashSet};
 
 /// Identifies one scheduled (and not yet delivered) event.
 ///
-/// Handles are cheap to copy and carry the event's timestamp so the
-/// calendar backend can locate the entry without a search. A handle is
-/// *live* from [`EventQueue::schedule`] until the event is popped or
-/// cancelled; cancelling a handle that is no longer live returns
-/// `false` on the calendar backend and is a caller contract violation
-/// on the heap backend (see [`EventQueue::cancel`]).
+/// A handle is *live* from [`EventQueue::schedule`] until the event is
+/// popped or cancelled; cancelling a handle that is no longer live
+/// returns `false` on the 4-ary heap and is a caller contract violation
+/// on the binary heap (see [`EventQueue::cancel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHandle {
     id: u64,
-    time: SimTime,
-}
-
-impl EventHandle {
-    /// The scheduled firing time of the event this handle refers to.
-    #[inline]
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
+    /// The entry's slot on the 4-ary heap (unused on the binary heap).
+    slot: u32,
 }
 
 /// Which data structure backs an [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FelBackend {
-    /// Auto-resizing calendar queue (amortized O(1)).
+    /// Implicit 4-ary min-heap with staged bulk runs.
     #[default]
-    Calendar,
-    /// Binary heap (O(log n)); the reference implementation.
+    QuadHeap,
+    /// `std` binary heap, entry by entry; the reference implementation.
     BinaryHeap,
+}
+
+impl FelBackend {
+    /// Every backend, default first.
+    pub const ALL: [FelBackend; 2] = [FelBackend::QuadHeap, FelBackend::BinaryHeap];
+
+    /// The backend's command-line name.
+    pub fn label(self) -> &'static str {
+        match self {
+            FelBackend::QuadHeap => "quad_heap",
+            FelBackend::BinaryHeap => "binary_heap",
+        }
+    }
+}
+
+/// Set in the insertion id of every entry released through
+/// [`EventQueue::schedule_run`], on every route (staged, per-entry
+/// fallback, spill). Ids order ties, so a bulk-released entry pops after
+/// every [`EventQueue::schedule`]d entry at the same instant — even one
+/// scheduled later — and bulk entries keep release order among
+/// themselves. A simulator that releases arrivals ahead of time thus
+/// sees the same same-instant order as one that releases each arrival
+/// batch at its own instant. Handles never carry the bit.
+const LATE: u64 = 1 << 63;
+
+/// Maps a time onto a `u64` whose unsigned order is the time's numeric
+/// order, so a `(time, id)` key compares as two integers. `-0.0` is
+/// folded onto `+0.0` first: the two are equal [`SimTime`]s, so they
+/// must share a key and tie-break by id.
+#[inline]
+fn time_key(t: SimTime) -> u64 {
+    const SIGN: u64 = 1 << 63;
+    let bits = (t.as_secs() + 0.0).to_bits();
+    if bits & SIGN == 0 {
+        bits | SIGN
+    } else {
+        !bits
+    }
+}
+
+/// Inverse of [`time_key`].
+#[inline]
+fn key_time(key: u64) -> SimTime {
+    const SIGN: u64 = 1 << 63;
+    let bits = if key & SIGN != 0 { key & !SIGN } else { !key };
+    SimTime::from_secs(f64::from_bits(bits))
 }
 
 // ---------------------------------------------------------------------
@@ -123,15 +162,8 @@ impl<E> HeapFel<E> {
         self.heap.push(HeapEntry { time, id, event });
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(e) = self.heap.pop() {
-            if self.cancelled.is_empty() || !self.cancelled.remove(&e.id) {
-                return Some((e.time, e.event));
-            }
-        }
-        None
-    }
-
+    /// Drops cancelled entries off the top, then returns the earliest
+    /// live time.
     fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(e) = self.heap.peek() {
             if self.cancelled.is_empty() || !self.cancelled.contains(&e.id) {
@@ -141,6 +173,15 @@ impl<E> HeapFel<E> {
             self.cancelled.remove(&e.id);
         }
         None
+    }
+
+    /// Pops the earliest live entry if its time key is at most `limit`.
+    fn pop_within(&mut self, limit: u64) -> Option<(SimTime, E)> {
+        if time_key(self.peek_time()?) > limit {
+            return None;
+        }
+        let e = self.heap.pop().expect("peeked");
+        Some((e.time, e.event))
     }
 
     fn cancel(&mut self, handle: EventHandle) -> bool {
@@ -157,101 +198,195 @@ impl<E> HeapFel<E> {
 }
 
 // ---------------------------------------------------------------------
-// Calendar-queue backend
+// 4-ary heap backend
 // ---------------------------------------------------------------------
 
-struct CalEntry<E> {
-    time: f64,
-    id: u64,
+/// Children per node. Four halves the depth of a binary heap, and the
+/// four child keys of a node share one or two cache lines.
+const ARITY: usize = 4;
+
+/// An entry's `(time, id)` key as one integer: the [`time_key`] in the
+/// high half, the insertion id in the low half, so one `u128` compare
+/// orders by time, then id.
+#[inline]
+fn entry_key(time: u64, id: u64) -> u128 {
+    (u128::from(time) << 64) | u128::from(id)
+}
+
+/// The [`time_key`] half of an [`entry_key`].
+#[inline]
+fn key_time_bits(key: u128) -> u64 {
+    (key >> 64) as u64
+}
+
+struct Node<E> {
+    /// [`entry_key`] of the firing time and insertion id.
+    key: u128,
+    /// The entry's index into [`QuadHeap::pos`].
+    slot: u32,
     event: E,
 }
 
-/// Cached location of the earliest entry (filled by `peek_time`, reused
-/// by the next `pop` so `run_until` does not scan twice per step).
-/// Carries the entry's `(time, id)` key so tie-break comparisons during
-/// the scan never chase `buckets[bucket][index]` again.
-#[derive(Clone, Copy)]
-struct PeekCache {
-    bucket: usize,
-    index: usize,
-    time: f64,
-    id: u64,
-    window: u64,
+/// An implicit 4-ary min-heap on `(time, id)`: node `i`'s children are
+/// `4i + 1 ..= 4i + 4`.
+///
+/// A pop moves the last entry to the root and sinks it *bottom-up*: the
+/// hole walks down to a leaf along the smallest children, picked without
+/// branches, and the entry then rises from there. The entry came from
+/// the bottom, so it rarely rises far, and the descent pays no
+/// unpredictable "stop here?" branch per level.
+///
+/// Cancellation is eager and O(log n): every entry holds a slot whose
+/// `pos` is kept at the entry's heap index as it moves, and a handle
+/// names its slot. A slot is recycled once its entry leaves, so a
+/// handle is live only while the node at its slot's position still
+/// carries the handle's id (ids are never reused).
+struct QuadHeap<E> {
+    nodes: Vec<Node<E>>,
+    /// Heap index of the entry in each slot (stale for free slots).
+    pos: Vec<u32>,
+    /// Slots whose entries have left the heap.
+    free: Vec<u32>,
 }
 
-/// Brown's calendar queue with power-of-two bucket counts.
-///
-/// Time is divided into windows of `width` seconds; window `k` (an
-/// absolute `u64` index) maps to bucket `k % nbuckets`. The cursor
-/// walks windows in order; a pop scans the cursor's bucket for the
-/// minimum `(time, id)` entry belonging to the current window and
-/// advances the cursor across empty windows. If a whole lap (one full
-/// wrap of the buckets) finds nothing, the minimum seen during the lap
-/// is taken directly — the "long jump" across sparse stretches.
-///
-/// Window membership is decided by the integer window index
-/// `(time * inv_width) as u64`, never by comparing against a
-/// floating-point window boundary, so bucketing and the pop scan can
-/// never disagree about which window an entry belongs to.
-struct Calendar<E> {
-    /// Bucket storage. Only the first `nbuckets` are addressable (the
-    /// mask keeps indices below `nbuckets`); the vector itself never
-    /// shrinks, so a shrink → regrow cycle reuses both the spine and
-    /// every bucket's capacity instead of reallocating them.
-    buckets: Vec<Vec<CalEntry<E>>>,
-    /// Active bucket count (a power of two; `mask = nbuckets - 1`).
-    nbuckets: usize,
-    mask: usize,
-    width: f64,
-    inv_width: f64,
-    len: usize,
-    /// Absolute window index the cursor is currently scanning.
-    window: u64,
-    /// Lower bound on every pending time (the last popped time).
-    floor: f64,
-    peek: Option<PeekCache>,
-    /// Consecutive pops resolved by the long-jump fallback; a streak
-    /// means the width no longer matches the event spacing.
-    famine_streak: u32,
-    /// Bucket entries scanned by pops since the last width
-    /// re-estimate. A crowd-triggered resize must be paid for by at
-    /// least `len + buckets` of scan work, so rebuilds cost a constant
-    /// factor of the scanning they eliminate — overfull buckets force
-    /// a re-estimate within ~`len / m` pops, while a distribution the
-    /// estimator cannot spread (e.g. thousands of identical
-    /// timestamps) never rebuilds faster than it scans.
-    scan_debt: usize,
-    /// Entry staging area for rebuilds, retained across resizes so the
-    /// steady-state resize path allocates nothing once warm.
-    scratch: Vec<CalEntry<E>>,
-    /// Timestamp sample buffer for width estimation, likewise retained.
-    times_scratch: Vec<f64>,
+impl<E> QuadHeap<E> {
+    fn with_capacity(cap: usize) -> Self {
+        QuadHeap {
+            nodes: Vec::with_capacity(cap),
+            pos: Vec::with_capacity(cap),
+            free: Vec::new(),
+        }
+    }
+
+    #[inline]
+    fn peek_key(&self) -> Option<u128> {
+        self.nodes.first().map(|n| n.key)
+    }
+
+    /// Inserts an entry; returns its slot.
+    #[inline]
+    fn push(&mut self, key: u128, event: E) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.pos.push(0);
+            (self.pos.len() - 1) as u32
+        });
+        self.nodes.push(Node { key, slot, event });
+        self.sift_up(self.nodes.len() - 1);
+        slot
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Node<E>> {
+        let last = self.nodes.pop()?;
+        let top = if self.nodes.is_empty() {
+            last
+        } else {
+            let top = std::mem::replace(&mut self.nodes[0], last);
+            self.sift_down(0);
+            top
+        };
+        self.free.push(top.slot);
+        Some(top)
+    }
+
+    /// Removes the entry a handle names, if it is still pending.
+    fn remove(&mut self, slot: u32, id: u64) -> bool {
+        let Some(&i) = self.pos.get(slot as usize) else {
+            return false;
+        };
+        let i = i as usize;
+        if self.nodes.get(i).is_none_or(|n| n.key as u64 != id) {
+            return false;
+        }
+        let last = self.nodes.pop().expect("found an entry");
+        if i < self.nodes.len() {
+            let removed = std::mem::replace(&mut self.nodes[i], last);
+            // The moved entry may belong above or below the hole.
+            if self.sift_up(i) == i {
+                self.sift_down(i);
+            }
+            self.free.push(removed.slot);
+        } else {
+            self.free.push(last.slot);
+        }
+        true
+    }
+
+    /// Records that node `i` now sits at index `i`.
+    #[inline]
+    fn place(&mut self, i: usize) {
+        self.pos[self.nodes[i].slot as usize] = i as u32;
+    }
+
+    /// Moves node `i` up to its place; returns where it settled.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        let key = self.nodes[i].key;
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if self.nodes[parent].key <= key {
+                break;
+            }
+            self.nodes.swap(i, parent);
+            self.place(i);
+            i = parent;
+        }
+        self.place(i);
+        i
+    }
+
+    /// Moves node `i` (no smaller than its parent) down to its place,
+    /// bottom-up: down to a leaf along the smallest children, then up.
+    #[inline]
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.nodes.len();
+        loop {
+            let first = ARITY * i + 1;
+            if first >= n {
+                break;
+            }
+            let best = self.min_child(first, n);
+            self.nodes.swap(i, best);
+            self.place(i);
+            i = best;
+        }
+        self.sift_up(i);
+    }
+
+    /// Index of the smallest of the children starting at `first`.
+    #[inline]
+    fn min_child(&self, first: usize, n: usize) -> usize {
+        if let Some([a, b, c, d]) = self.nodes.get(first..first + ARITY) {
+            // A full family: a two-round tournament the compiler can
+            // lower to conditional moves.
+            let (lo, lo_key) = if b.key < a.key {
+                (first + 1, b.key)
+            } else {
+                (first, a.key)
+            };
+            let (hi, hi_key) = if d.key < c.key {
+                (first + 3, d.key)
+            } else {
+                (first + 2, c.key)
+            };
+            if hi_key < lo_key {
+                hi
+            } else {
+                lo
+            }
+        } else {
+            (first..n)
+                .min_by_key(|&c| self.nodes[c].key)
+                .expect("a node with children")
+        }
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.pos.clear();
+        self.free.clear();
+    }
 }
-
-const MIN_BUCKETS: usize = 16;
-/// Target mean entries per bucket after a resize. Brown recommends a
-/// small constant; profiling the trace-replay pop loop put the optimum
-/// below his 3.0 — at 3.0 each `locate_min` scanned ~4.5 entries per
-/// pop, while 1.5 roughly halves that for only ~13% more empty-window
-/// hops (the hop is a masked index + an empty-`Vec` length check,
-/// much cheaper than an entry compare).
-const WIDTH_GAP_FACTOR: f64 = 1.5;
-/// A pop that leaves this many entries in the scanned bucket signals a
-/// width far too coarse for the local event spacing (the grow rule keeps
-/// the *mean* occupancy at ≤ 2): time to re-estimate. Seen in hold-model
-/// churn, where the pending set contracts from its prefill span into a
-/// few mean-increments without the length ever changing.
-const CROWDED_BUCKET: usize = 32;
-
-/// Set in the insertion id of every entry released through
-/// [`EventQueue::schedule_run`], on every route (staged, per-entry
-/// fallback, spill). Ids order ties, so a bulk-released entry pops after
-/// every [`EventQueue::schedule`]d entry at the same instant — even one
-/// scheduled later — and bulk entries keep release order among
-/// themselves. A simulator that releases arrivals ahead of time thus
-/// sees the same same-instant order as one that releases each arrival
-/// batch at its own instant. Handles never carry the bit.
-const LATE: u64 = 1 << 63;
 
 /// Below this length a bulk run is scheduled entry by entry: the staging
 /// overhead (buffer swap, merge checks on every subsequent pop) only
@@ -260,316 +395,51 @@ const MIN_RUN: usize = 8;
 
 /// Pop scans every staged run for the earliest head, so the stage is
 /// kept shallow: once `schedule_run` would exceed this depth, the
-/// staged run with the latest head is spilled into the calendar entry
-/// by entry (insertion ids preserved, so pop order is unaffected).
-/// Bounds the per-pop scan no matter how many runs a caller stages
-/// before draining; the simulator's cadence never exceeds one or two.
+/// staged run with the latest head is spilled into the heap entry by
+/// entry (insertion ids preserved, so pop order is unaffected). Bounds
+/// the per-pop scan no matter how many runs a caller stages before
+/// draining; the simulator's cadence never exceeds one or two.
 const MAX_STAGED_RUNS: usize = 8;
 
 /// A bulk-scheduled monotone run: `times[cursor..]` are the pending
-/// firing times (non-decreasing), and entry `i` carries the late
+/// [`time_key`]s (non-decreasing), and entry `i` carries the late
 /// insertion id `first_id + i` — the same ids the per-entry fallback
 /// would have assigned, so merging runs into the pop order by
 /// `(time, id)` reproduces the per-entry schedule exactly (ties
 /// included).
 ///
-/// Every entry of a run carries a clone of the same payload, so
-/// `events` is drained back to front without tracking which clone maps
-/// to which time.
+/// Every entry carries the same payload, so the run stores it once and
+/// hands out clones, moving the original out with the last entry.
+/// `clone` is captured where `E: Clone` is known, so popping needs no
+/// bound on `E`.
 struct RunStage<E> {
-    times: Vec<f64>,
-    events: Vec<E>,
+    times: Vec<u64>,
     first_id: u64,
     cursor: usize,
+    event: E,
+    clone: fn(&E) -> E,
 }
 
 impl<E> RunStage<E> {
-    fn empty() -> Self {
-        RunStage {
-            times: Vec::new(),
-            events: Vec::new(),
-            first_id: 0,
-            cursor: 0,
-        }
-    }
-
-    /// `(time, id)` key of the next pending entry, if any.
+    /// [`entry_key`] of the next pending entry (a staged run always has
+    /// one).
     #[inline]
-    fn head(&self) -> Option<(f64, u64)> {
-        self.times
-            .get(self.cursor)
-            .map(|&t| (t, self.first_id + self.cursor as u64))
+    fn head(&self) -> u128 {
+        entry_key(self.times[self.cursor], self.first_id + self.cursor as u64)
     }
 }
 
-impl<E> Calendar<E> {
-    fn with_capacity(cap: usize) -> Self {
-        let n = (cap / 2).next_power_of_two().max(MIN_BUCKETS);
-        Calendar {
-            buckets: (0..n).map(|_| Vec::new()).collect(),
-            nbuckets: n,
-            mask: n - 1,
-            width: 1.0,
-            inv_width: 1.0,
-            len: 0,
-            window: 0,
-            floor: 0.0,
-            peek: None,
-            famine_streak: 0,
-            scan_debt: 0,
-            scratch: Vec::new(),
-            times_scratch: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn window_of(&self, t: f64) -> u64 {
-        (t * self.inv_width) as u64
-    }
-
-    #[inline]
-    fn schedule(&mut self, time: SimTime, id: u64, event: E) {
-        let t = time.as_secs();
-        let w = self.window_of(t);
-        // An entry landing behind the cursor (possible only through
-        // schedules at the current instant after the cursor advanced
-        // over empty windows) pulls the cursor back so the scan cannot
-        // miss it.
-        if w < self.window {
-            self.window = w;
-        }
-        if let Some(p) = self.peek {
-            if t < p.time {
-                self.peek = None;
-            }
-        }
-        let b = (w as usize) & self.mask;
-        self.buckets[b].push(CalEntry { time: t, id, event });
-        self.len += 1;
-        if self.len > self.nbuckets * 2 {
-            self.resize(self.nbuckets * 2);
-        }
-    }
-
-    /// Finds the earliest live entry without removing it, advancing the
-    /// persistent cursor over empty windows on the way.
-    fn locate_min(&mut self) -> Option<PeekCache> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(p) = self.peek {
-            return Some(p);
-        }
-        let n = self.nbuckets;
-        // Fast lap: find the first window with a due entry. The famine
-        // fallback (a whole empty lap) is rare and pays for its own
-        // second scan below, so the hot loop tracks nothing global.
-        for (lap, window) in (self.window..).take(n).enumerate() {
-            let b = (window as usize) & self.mask;
-            let mut local: Option<PeekCache> = None;
-            for (i, e) in self.buckets[b].iter().enumerate() {
-                let ew = self.window_of(e.time);
-                debug_assert!(ew >= window || lap > 0, "stranded entry behind cursor");
-                if ew <= window && local.is_none_or(|m| (e.time, e.id) < (m.time, m.id)) {
-                    local = Some(PeekCache {
-                        bucket: b,
-                        index: i,
-                        time: e.time,
-                        id: e.id,
-                        window: ew,
-                    });
-                }
-            }
-            if let Some(found) = local {
-                self.window = window;
-                self.famine_streak = 0;
-                self.peek = Some(found);
-                return Some(found);
-            }
-        }
-        // One full lap was empty: every pending entry sits beyond the
-        // lap span, so scan once more for the global minimum and
-        // long-jump the cursor to it.
-        let mut global: Option<PeekCache> = None;
-        for (b, bucket) in self.buckets[..n].iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                if global.is_none_or(|m| (e.time, e.id) < (m.time, m.id)) {
-                    global = Some(PeekCache {
-                        bucket: b,
-                        index: i,
-                        time: e.time,
-                        id: e.id,
-                        window: self.window_of(e.time),
-                    });
-                }
-            }
-        }
-        let found = global.expect("len > 0 but no entries in any bucket");
-        self.window = found.window;
-        self.famine_streak += 1;
-        self.peek = Some(found);
-        Some(found)
-    }
-
-    /// `(time, id)` key of the earliest entry, for merging against
-    /// staged bulk runs without popping.
-    #[inline]
-    fn peek_key(&mut self) -> Option<(f64, u64)> {
-        self.locate_min().map(|p| (p.time, p.id))
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        let p = self.locate_min()?;
-        self.peek = None;
-        let entry = self.buckets[p.bucket].swap_remove(p.index);
-        self.len -= 1;
-        self.scan_debt += self.buckets[p.bucket].len() + 1;
-        self.window = p.window;
-        self.floor = entry.time;
-        let n = self.nbuckets;
-        if self.famine_streak > 8 {
-            // The spacing estimate went stale (e.g. a burst drained and
-            // left sparse long-range timers): re-derive the width.
-            self.famine_streak = 0;
-            self.resize(n);
-        } else if self.buckets[p.bucket].len() >= CROWDED_BUCKET && self.scan_debt >= self.len + n {
-            // The opposite failure: the width is far too coarse, so the
-            // whole pending set crowds into a few windows and every pop
-            // scans one overfull bucket. Re-estimate (paid for by the
-            // scans since the last rebuild).
-            self.resize(n);
-        } else if n > MIN_BUCKETS && self.len < n / 2 {
-            self.resize(n / 2);
-        }
-        Some((SimTime::from_secs(entry.time), entry.event))
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.locate_min().map(|p| SimTime::from_secs(p.time))
-    }
-
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        let b = (self.window_of(handle.time.as_secs()) as usize) & self.mask;
-        match self.buckets[b].iter().position(|e| e.id == handle.id) {
-            Some(i) => {
-                self.buckets[b].swap_remove(i);
-                self.len -= 1;
-                self.peek = None;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Rebuilds with `n` buckets and a bucket width re-estimated from
-    /// the current entries' spacing.
-    ///
-    /// Allocation-free once warm: entries drain into the retained
-    /// `scratch` vector, the bucket spine only ever grows (shrinks just
-    /// lower `nbuckets`/`mask`, keeping the tail buckets' capacity for
-    /// the next regrow), and the width estimator samples into its own
-    /// retained buffer.
-    fn resize(&mut self, n: usize) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for b in &mut self.buckets[..self.nbuckets] {
-            scratch.append(b);
-        }
-        self.width =
-            estimate_width(&scratch, self.floor, &mut self.times_scratch).unwrap_or(self.width);
-        self.inv_width = 1.0 / self.width;
-        if self.nbuckets != n {
-            if n > self.buckets.len() {
-                self.buckets.resize_with(n, Vec::new);
-            }
-            self.nbuckets = n;
-            self.mask = n - 1;
-        }
-        self.window = self.window_of(self.floor);
-        self.peek = None;
-        self.scan_debt = 0;
-        for e in scratch.drain(..) {
-            let b = (self.window_of(e.time) as usize) & self.mask;
-            self.buckets[b].push(e);
-        }
-        self.scratch = scratch;
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
-        self.window = 0;
-        self.floor = 0.0;
-        self.peek = None;
-        self.famine_streak = 0;
-        self.scan_debt = 0;
-    }
-}
-
-/// Estimates a bucket width targeting [`WIDTH_GAP_FACTOR`] entries per
-/// window, from the typical spacing at the *head* (earliest times) of
-/// the pending set — the events the cursor will meet next. A global
-/// estimate fails on bimodal sets: a handful of far-future timers
-/// (failure clocks, horizon markers) would stretch the width until the
-/// dense near-term cluster shares one bucket, and a dense head cluster
-/// would equally hide behind a long sparse tail.
-fn estimate_width<E>(entries: &[CalEntry<E>], floor: f64, times: &mut Vec<f64>) -> Option<f64> {
-    if entries.len() < 2 {
-        return None;
-    }
-    // The width must match the spacing of the events about to be
-    // dequeued (Brown's rule), so sample the true head: the smallest
-    // `MAX_SAMPLE + 1` times, selected in O(len). A strided global
-    // sample misses a dense head cluster entirely once the stride
-    // exceeds the cluster size.
-    const MAX_SAMPLE: usize = 256;
-    let finite = |a: &f64, b: &f64| a.partial_cmp(b).expect("times are finite");
-    times.clear();
-    times.extend(entries.iter().map(|e| e.time));
-    let last = (times.len() - 1).min(MAX_SAMPLE);
-    times.select_nth_unstable_by(last, finite);
-    let sample = &mut times[..=last];
-    sample.sort_by(finite);
-    // Scan cost is set by the *densest* region at the head, so take
-    // the minimum per-entry gap over geometric head prefixes: a short
-    // prefix inside a dense cluster sees the cluster's true spacing
-    // even when a longer span would be diluted by a sparser tail.
-    // Prefixes start at 4 gaps so one coincidentally-close pair cannot
-    // collapse the width.
-    let mut gap = f64::INFINITY;
-    let mut k = 4.min(last);
-    loop {
-        let span = sample[k] - sample[0];
-        if span > 0.0 {
-            gap = gap.min(span / k as f64);
-        }
-        if k == last {
-            break;
-        }
-        k = (k * 2).min(last);
-    }
-    if !gap.is_finite() {
-        // The whole head is one burst of identical timestamps: no
-        // width can spread it, so keep the current one.
-        return None;
-    }
-    let width = WIDTH_GAP_FACTOR * gap;
-    // Keep the width positive and large enough that absolute window
-    // indices fit comfortably in u64 even at the end of a long run.
-    let hi = sample[last];
-    let min_width = (floor.abs().max(hi.abs()) * 1e-12).max(1e-9);
-    Some(width.max(min_width))
-}
+/// Run-key buffers kept for reuse, so steady-state bulk scheduling
+/// allocates nothing once warm.
+const SPARE_RUNS: usize = 4;
 
 // ---------------------------------------------------------------------
 // Public queue
 // ---------------------------------------------------------------------
 
 enum Fel<E> {
-    Heap(HeapFel<E>),
-    Calendar(Calendar<E>),
+    Quad(QuadHeap<E>),
+    Binary(HeapFel<E>),
 }
 
 /// A future-event list with deterministic tie-breaking (FIFO among
@@ -578,14 +448,13 @@ pub struct EventQueue<E> {
     fel: Fel<E>,
     next_id: u64,
     live: usize,
-    /// Staged bulk runs ([`Self::schedule_run`]), calendar backend only
-    /// — the heap backend schedules runs entry by entry so the A/B
+    /// Staged bulk runs ([`Self::schedule_run`]), 4-ary heap only —
+    /// the binary heap schedules runs entry by entry so the A/B
     /// determinism tests exercise the merge against a run-free
     /// reference. Almost always zero or one run deep.
     runs: Vec<RunStage<E>>,
-    /// Retired run buffers kept for reuse, so steady-state bulk
-    /// scheduling allocates nothing once warm.
-    spare_runs: Vec<RunStage<E>>,
+    /// Retired run-key buffers kept for reuse.
+    spare_times: Vec<Vec<u64>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -595,7 +464,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default (calendar) backend.
+    /// Creates an empty queue on the default (4-ary heap) backend.
     pub fn new() -> Self {
         Self::with_capacity_and_backend(0, FelBackend::default())
     }
@@ -615,23 +484,23 @@ impl<E> EventQueue<E> {
     /// backend.
     pub fn with_capacity_and_backend(cap: usize, backend: FelBackend) -> Self {
         let fel = match backend {
-            FelBackend::BinaryHeap => Fel::Heap(HeapFel::with_capacity(cap)),
-            FelBackend::Calendar => Fel::Calendar(Calendar::with_capacity(cap)),
+            FelBackend::QuadHeap => Fel::Quad(QuadHeap::with_capacity(cap)),
+            FelBackend::BinaryHeap => Fel::Binary(HeapFel::with_capacity(cap)),
         };
         EventQueue {
             fel,
             next_id: 0,
             live: 0,
             runs: Vec::new(),
-            spare_runs: Vec::new(),
+            spare_times: Vec::new(),
         }
     }
 
     /// Which backend this queue runs on.
     pub fn backend(&self) -> FelBackend {
         match self.fel {
-            Fel::Heap(_) => FelBackend::BinaryHeap,
-            Fel::Calendar(_) => FelBackend::Calendar,
+            Fel::Quad(_) => FelBackend::QuadHeap,
+            Fel::Binary(_) => FelBackend::BinaryHeap,
         }
     }
 
@@ -640,20 +509,23 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
         let id = self.next_id;
-        self.insert(time, id, event);
-        EventHandle { id, time }
+        let slot = self.insert(time, id, event);
+        EventHandle { id, slot }
     }
 
     /// Inserts one entry under `id` into the backend and advances the
-    /// id counter.
+    /// id counter; returns the entry's slot (0 on the binary heap).
     #[inline]
-    fn insert(&mut self, time: SimTime, id: u64, event: E) {
+    fn insert(&mut self, time: SimTime, id: u64, event: E) -> u32 {
         self.next_id += 1;
-        match &mut self.fel {
-            Fel::Heap(h) => h.schedule(time, id, event),
-            Fel::Calendar(c) => c.schedule(time, id, event),
-        }
         self.live += 1;
+        match &mut self.fel {
+            Fel::Quad(h) => h.push(entry_key(time_key(time), id), event),
+            Fel::Binary(h) => {
+                h.schedule(time, id, event);
+                0
+            }
+        }
     }
 
     /// Bulk-schedules one clone of `event` at every time in `times`.
@@ -671,14 +543,14 @@ impl<E> EventQueue<E> {
     /// which requires `times` to be non-decreasing. A non-monotone
     /// slice is detected in one pass and falls back to per-entry
     /// scheduling — still correct, just not O(1) per entry. Runs
-    /// shorter than `MIN_RUN` and the heap backend (the reference
+    /// shorter than `MIN_RUN` and the binary heap (the reference
     /// implementation) also take the per-entry path.
     ///
-    /// The stage is at most [`MAX_STAGED_RUNS`] deep: staging beyond
-    /// that spills the latest-firing staged run into the calendar
-    /// (ids preserved), so pathological stage-everything-then-drain
-    /// callers degrade to per-entry cost instead of an O(depth) scan
-    /// on every pop.
+    /// The stage is at most `MAX_STAGED_RUNS` deep: staging beyond
+    /// that spills the latest-firing staged run into the heap (ids
+    /// preserved), so pathological stage-everything-then-drain callers
+    /// degrade to per-entry cost instead of an O(depth) scan on every
+    /// pop.
     ///
     /// Run entries cannot be cancelled: no handles are returned.
     pub fn schedule_run(&mut self, times: &[SimTime], event: E) -> usize
@@ -686,7 +558,7 @@ impl<E> EventQueue<E> {
         E: Clone,
     {
         let monotone = times.windows(2).all(|w| w[0] <= w[1]);
-        if times.len() < MIN_RUN || !monotone || matches!(self.fel, Fel::Heap(_)) {
+        if times.len() < MIN_RUN || !monotone || matches!(self.fel, Fel::Binary(_)) {
             for &t in times {
                 self.insert(t, LATE | self.next_id, event.clone());
             }
@@ -695,93 +567,73 @@ impl<E> EventQueue<E> {
         if self.runs.len() >= MAX_STAGED_RUNS {
             self.spill_latest_run();
         }
-        let mut run = self.spare_runs.pop().unwrap_or_else(RunStage::empty);
-        run.times.clear();
-        run.times.extend(times.iter().map(|t| t.as_secs()));
-        run.events.clear();
-        run.events.resize(times.len(), event);
-        run.first_id = LATE | self.next_id;
-        run.cursor = 0;
+        let mut keys = self.spare_times.pop().unwrap_or_default();
+        keys.extend(times.iter().map(|&t| time_key(t)));
+        self.runs.push(RunStage {
+            times: keys,
+            first_id: LATE | self.next_id,
+            cursor: 0,
+            event,
+            clone: E::clone,
+        });
         self.next_id += times.len() as u64;
         self.live += times.len();
-        self.runs.push(run);
         times.len()
     }
 
-    /// Spills the staged run with the *latest* head into the calendar
-    /// entry by entry, preserving every entry's insertion id — so pop
-    /// order is untouched, the run merely loses its O(1) staging.
+    /// Spills the staged run with the *latest* head into the heap entry
+    /// by entry, preserving every entry's insertion id — so pop order
+    /// is untouched, the run merely loses its O(1) staging.
     ///
     /// The latest-head run is the one whose entries will stay pending
     /// longest, making it the cheapest to demote: the soonest-firing
     /// runs keep the fast merge path.
-    fn spill_latest_run(&mut self)
-    where
-        E: Clone,
-    {
-        let mut latest = (0usize, (f64::NEG_INFINITY, 0u64));
-        for (i, r) in self.runs.iter().enumerate() {
-            let key = r.head().expect("staged runs always have pending entries");
-            if key > latest.1 {
-                latest = (i, key);
-            }
-        }
-        let mut spill = self.runs.swap_remove(latest.0);
-        let Fel::Calendar(c) = &mut self.fel else {
-            unreachable!("runs stage only on the calendar backend")
+    fn spill_latest_run(&mut self) {
+        let latest = (0..self.runs.len())
+            .max_by_key(|&i| self.runs[i].head())
+            .expect("spilling needs a staged run");
+        let run = self.runs.swap_remove(latest);
+        let Fel::Quad(heap) = &mut self.fel else {
+            unreachable!("runs stage only on the 4-ary heap")
         };
-        for i in spill.cursor..spill.times.len() {
-            let ev = spill.events.pop().expect("events track pending entries");
-            c.schedule(
-                SimTime::from_secs(spill.times[i]),
-                spill.first_id + i as u64,
-                ev,
+        for i in run.cursor..run.times.len() {
+            heap.push(
+                entry_key(run.times[i], run.first_id + i as u64),
+                (run.clone)(&run.event),
             );
         }
-        if self.spare_runs.len() < 4 {
-            spill.times.clear();
-            self.spare_runs.push(spill);
+        self.recycle(run.times);
+    }
+
+    fn recycle(&mut self, mut times: Vec<u64>) {
+        if self.spare_times.len() < SPARE_RUNS {
+            times.clear();
+            self.spare_times.push(times);
         }
     }
 
-    /// `((time, id), index)` of the earliest pending run entry.
+    /// Removes the head entry of run `ri`, retiring the run when it
+    /// drains.
     #[inline]
-    fn earliest_run(&self) -> Option<((f64, u64), usize)> {
-        let mut best: Option<((f64, u64), usize)> = None;
-        for (i, r) in self.runs.iter().enumerate() {
-            if let Some(key) = r.head() {
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, i));
-                }
-            }
-        }
-        best
-    }
-
-    /// Removes the head entry of run `ri`, retiring the run's buffers
-    /// into the spare pool when it drains.
     fn pop_run(&mut self, ri: usize) -> (SimTime, E) {
         let run = &mut self.runs[ri];
-        let t = run.times[run.cursor];
+        let time = key_time(run.times[run.cursor]);
         run.cursor += 1;
-        let ev = run.events.pop().expect("run events track pending entries");
-        if run.cursor == run.times.len() {
-            let mut done = self.runs.swap_remove(ri);
-            if self.spare_runs.len() < 4 {
-                done.times.clear();
-                self.spare_runs.push(done);
-            }
+        if run.cursor < run.times.len() {
+            return (time, (run.clone)(&run.event));
         }
-        (SimTime::from_secs(t), ev)
+        let done = self.runs.swap_remove(ri);
+        self.recycle(done.times);
+        (time, done.event)
     }
 
     /// Cancels a pending event. Returns whether the backend withdrew an
     /// entry.
     ///
     /// The handle must be *live* (scheduled and neither popped nor
-    /// cancelled). The calendar backend verifies this and returns
-    /// `false` for a dead handle; the heap backend cancels lazily and
-    /// cannot distinguish a dead handle, so cancelling one corrupts its
+    /// cancelled). The 4-ary heap verifies this and returns `false` for
+    /// a dead handle; the binary heap cancels lazily and cannot
+    /// distinguish a dead handle, so cancelling one corrupts its
     /// pending count — callers must track liveness (as the cloud model
     /// does by storing handles in `Option`s).
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
@@ -793,8 +645,8 @@ impl<E> EventQueue<E> {
         );
         debug_assert!(handle.id < self.next_id, "foreign handle");
         let removed = match &mut self.fel {
-            Fel::Heap(h) => h.cancel(handle),
-            Fel::Calendar(c) => c.cancel(handle),
+            Fel::Quad(h) => h.remove(handle.slot, handle.id),
+            Fel::Binary(h) => h.cancel(handle),
         };
         if removed {
             self.live -= 1;
@@ -805,47 +657,72 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, if any.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let run_head = if self.runs.is_empty() {
-            None
-        } else {
-            self.earliest_run()
-        };
-        let take_run = match (&mut self.fel, run_head) {
-            (Fel::Calendar(c), Some((rk, _))) => !c.peek_key().is_some_and(|ck| ck < rk),
-            (_, Some(_)) => true, // heap never stages runs
-            (_, None) => false,
-        };
-        let popped = if take_run {
-            let (_, ri) = run_head.expect("take_run implies a run head");
-            Some(self.pop_run(ri))
-        } else {
-            match &mut self.fel {
-                Fel::Heap(h) => h.pop(),
-                Fel::Calendar(c) => c.pop(),
+        self.pop_within(u64::MAX)
+    }
+
+    /// Removes and returns the earliest event if it fires at or before
+    /// `end`; leaves the queue untouched otherwise.
+    #[inline]
+    pub fn pop_until(&mut self, end: SimTime) -> Option<(SimTime, E)> {
+        self.pop_within(time_key(end))
+    }
+
+    /// Removes and returns the earliest event if it fires strictly
+    /// before `bound`.
+    #[inline]
+    pub(crate) fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
+        self.pop_within(time_key(bound).checked_sub(1)?)
+    }
+
+    /// The one merge behind every pop: the earlier of the heap top and
+    /// the earliest staged-run head, if its time key is at most
+    /// `limit`.
+    #[inline]
+    fn pop_within(&mut self, limit: u64) -> Option<(SimTime, E)> {
+        let popped = match &mut self.fel {
+            Fel::Quad(heap) => {
+                let top = heap.peek_key();
+                let mut run: Option<(u128, usize)> = None;
+                for (i, r) in self.runs.iter().enumerate() {
+                    let key = r.head();
+                    if run.is_none_or(|(best, _)| key < best) {
+                        run = Some((key, i));
+                    }
+                }
+                match (top, run) {
+                    (top, Some((key, ri))) if top.is_none_or(|t| key < t) => {
+                        if key_time_bits(key) > limit {
+                            return None;
+                        }
+                        self.pop_run(ri)
+                    }
+                    (Some(key), _) => {
+                        if key_time_bits(key) > limit {
+                            return None;
+                        }
+                        let node = heap.pop().expect("peeked");
+                        (key_time(key_time_bits(node.key)), node.event)
+                    }
+                    (None, _) => return None,
+                }
             }
+            Fel::Binary(h) => h.pop_within(limit)?,
         };
-        if popped.is_some() {
-            self.live -= 1;
-        }
-        popped
+        self.live -= 1;
+        Some(popped)
     }
 
     /// Timestamp of the earliest pending event.
     ///
-    /// Takes `&mut self` because both backends tidy internal state while
-    /// peeking (the heap drops surfaced cancelled entries; the calendar
-    /// advances its cursor and caches the found entry for the next pop).
-    #[inline]
+    /// Takes `&mut self` because the binary heap drops surfaced
+    /// cancelled entries while peeking.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let fel_t = match &mut self.fel {
-            Fel::Heap(h) => h.peek_time(),
-            Fel::Calendar(c) => c.peek_time(),
+        let fel = match &mut self.fel {
+            Fel::Quad(h) => h.peek_key().map(|k| key_time(key_time_bits(k))),
+            Fel::Binary(h) => h.peek_time(),
         };
-        if self.runs.is_empty() {
-            return fel_t;
-        }
-        let run_t = self.earliest_run().map(|((t, _), _)| SimTime::from_secs(t));
-        match (fel_t, run_t) {
+        let run = self.runs.iter().map(|r| key_time(r.times[r.cursor])).min();
+        match (fel, run) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
@@ -866,15 +743,11 @@ impl<E> EventQueue<E> {
     /// Drops every pending event.
     pub fn clear(&mut self) {
         match &mut self.fel {
-            Fel::Heap(h) => h.clear(),
-            Fel::Calendar(c) => c.clear(),
+            Fel::Quad(h) => h.clear(),
+            Fel::Binary(h) => h.clear(),
         }
-        while let Some(mut run) = self.runs.pop() {
-            run.times.clear();
-            run.events.clear();
-            if self.spare_runs.len() < 4 {
-                self.spare_runs.push(run);
-            }
+        while let Some(run) = self.runs.pop() {
+            self.recycle(run.times);
         }
         self.live = 0;
     }
@@ -888,7 +761,7 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    const BACKENDS: [FelBackend; 2] = [FelBackend::Calendar, FelBackend::BinaryHeap];
+    const BACKENDS: [FelBackend; 2] = FelBackend::ALL;
 
     #[test]
     fn pops_in_time_order() {
@@ -915,6 +788,40 @@ mod tests {
     }
 
     #[test]
+    fn signed_zeros_share_a_key_and_stay_fifo() {
+        // The packed key folds -0.0 onto +0.0: equal SimTimes, so the
+        // tie goes to the earlier insertion, as on the reference heap.
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            q.schedule(t(0.0), 0);
+            q.schedule(t(-0.0), 1);
+            q.schedule(t(0.0), 2);
+            q.schedule(t(-0.0), 3);
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec![0, 1, 2, 3], "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn time_keys_order_like_times() {
+        let times = [
+            -1e300, -2.5, -1e-300, 0.0, 1e-300, 0.25, 1.0, 86_400.0, 1e300,
+        ];
+        for w in times.windows(2) {
+            assert!(
+                time_key(t(w[0])) < time_key(t(w[1])),
+                "{} !< {}",
+                w[0],
+                w[1]
+            );
+        }
+        for &s in &times {
+            assert_eq!(key_time(time_key(t(s))).as_secs().to_bits(), s.to_bits());
+        }
+        assert_eq!(time_key(t(-0.0)), time_key(t(0.0)));
+    }
+
+    #[test]
     fn interleaved_schedule_and_pop() {
         for backend in BACKENDS {
             let mut q = EventQueue::with_backend(backend);
@@ -927,6 +834,29 @@ mod tests {
             assert_eq!(q.pop(), Some((t(10.0), 10)));
             assert!(q.is_empty());
             assert_eq!(q.pop(), None);
+        }
+    }
+
+    #[test]
+    fn pop_until_respects_the_bound() {
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            q.schedule(t(2.0), "single");
+            q.schedule_run(&[t(3.0); MIN_RUN], "run");
+            // Just before the first event: nothing moves.
+            assert_eq!(q.pop_until(t(1.999_999)), None, "{backend:?}");
+            assert_eq!(q.len(), MIN_RUN + 1);
+            // At the bound: the event is due.
+            assert_eq!(q.pop_until(t(2.0)), Some((t(2.0), "single")));
+            assert_eq!(q.pop_until(t(2.0)), None);
+            // Strictly before the run's instant: the run waits.
+            assert_eq!(q.pop_before(t(3.0)), None);
+            // Past the bound: the run drains in order, then nothing.
+            for _ in 0..MIN_RUN {
+                assert_eq!(q.pop_until(t(100.0)), Some((t(3.0), "run")));
+            }
+            assert_eq!(q.pop_until(t(100.0)), None);
+            assert!(q.is_empty());
         }
     }
 
@@ -951,7 +881,6 @@ mod tests {
             q.schedule(t(1.0), "keep-1");
             let h = q.schedule(t(2.0), "drop");
             q.schedule(t(3.0), "keep-3");
-            assert_eq!(h.time(), t(2.0));
             assert!(q.cancel(h));
             assert_eq!(q.len(), 2);
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
@@ -974,14 +903,43 @@ mod tests {
     }
 
     #[test]
-    fn calendar_detects_dead_handles() {
-        let mut q = EventQueue::with_backend(FelBackend::Calendar);
+    fn quad_heap_detects_dead_handles() {
+        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
         let h = q.schedule(t(1.0), ());
         assert_eq!(q.pop(), Some((t(1.0), ())));
         assert!(!q.cancel(h), "popped handle must not cancel");
         let h2 = q.schedule(t(2.0), ());
         assert!(q.cancel(h2));
         assert!(!q.cancel(h2), "double cancel must fail");
+        assert!(q.is_empty());
+    }
+
+    /// Schedules 0..40 at scrambled times, cancels the entry `pick`
+    /// selects from the heap's own layout, and checks the rest drain in
+    /// order.
+    fn cancel_at(pick: impl Fn(&QuadHeap<u32>) -> usize) {
+        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
+        let handles: Vec<_> = (0..40u32)
+            .map(|i| q.schedule(t(((i * 17) % 40) as f64), i))
+            .collect();
+        let Fel::Quad(heap) = &q.fel else {
+            unreachable!()
+        };
+        let victim = heap.nodes[pick(heap)].event;
+        assert!(q.cancel(handles[victim as usize]));
+        assert!(!q.cancel(handles[victim as usize]));
+        let mut expected: Vec<u32> = (0..40).filter(|&i| i != victim).collect();
+        expected.sort_by_key(|&i| (i * 17) % 40);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, expected, "after cancelling {victim}");
+    }
+
+    #[test]
+    fn cancel_the_root_an_interior_entry_and_the_last_entry() {
+        cancel_at(|_| 0);
+        cancel_at(|_| 2);
+        cancel_at(|h| h.nodes.len() / 2);
+        cancel_at(|h| h.nodes.len() - 1);
     }
 
     #[test]
@@ -997,9 +955,8 @@ mod tests {
     }
 
     #[test]
-    fn calendar_survives_resize_cycles() {
-        let mut q = EventQueue::with_backend(FelBackend::Calendar);
-        // Grow far past the initial 16 buckets, then drain to shrink.
+    fn heap_survives_growth_and_drain() {
+        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
         let n = 10_000;
         for i in 0..n {
             q.schedule(t((i % 97) as f64 * 0.5 + (i / 97) as f64 * 60.0), i);
@@ -1016,41 +973,24 @@ mod tests {
     }
 
     #[test]
-    fn calendar_handles_sparse_far_future_events() {
-        let mut q = EventQueue::with_backend(FelBackend::Calendar);
-        // Dense burst now + sparse timers 10⁶ seconds out.
-        for i in 0..1000 {
-            q.schedule(t(i as f64 * 0.001), i);
-        }
-        for i in 0..10 {
-            q.schedule(t(1.0e6 + i as f64 * 1.0e4), 10_000 + i);
-        }
-        let mut last = t(-1.0);
-        while let Some((time, _)) = q.pop() {
-            assert!(time >= last);
-            last = time;
-        }
-        assert_eq!(last, t(1.0e6 + 9.0e4));
-    }
-
-    #[test]
     fn schedule_run_matches_per_entry_scheduling() {
-        // The calendar stages runs; the heap schedules them entry by
-        // entry. Identical pop sequences prove the merge assigns the
-        // same (time, id) order as the per-entry reference.
-        let mut heap = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(FelBackend::Calendar);
+        // The 4-ary heap stages runs; the binary heap schedules them
+        // entry by entry. Identical pop sequences prove the merge
+        // assigns the same (time, id) order as the per-entry reference.
+        let mut binary = EventQueue::with_backend(FelBackend::BinaryHeap);
+        let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
         let run: Vec<SimTime> = (0..64).map(|i| t(1.0 + i as f64 * 0.25)).collect();
-        for q in [&mut heap, &mut cal] {
+        for q in [&mut binary, &mut quad] {
             q.schedule(t(0.5), "pre");
             q.schedule_run(&run, "run");
             q.schedule(t(3.0), "mid");
             q.schedule(t(100.0), "post");
         }
-        assert_eq!(heap.len(), cal.len());
+        assert_eq!(quad.runs.len(), 1, "the run must stage");
+        assert_eq!(binary.len(), quad.len());
         loop {
-            let a = heap.pop();
-            assert_eq!(a, cal.pop());
+            let a = binary.pop();
+            assert_eq!(a, quad.pop());
             if a.is_none() {
                 break;
             }
@@ -1114,7 +1054,7 @@ mod tests {
         let runs = vec![vec![5.0; 12], [vec![5.0; 4], vec![6.0; 8]].concat()];
         for backend in BACKENDS {
             let (order, staged) = late_rule_order(backend, &runs);
-            if backend == FelBackend::Calendar {
+            if backend == FelBackend::QuadHeap {
                 assert_eq!(staged, 2, "both runs must stage");
             }
             assert_late_order(&order, &runs, &format!("staged, {backend:?}"));
@@ -1138,7 +1078,7 @@ mod tests {
     #[test]
     fn late_rule_holds_on_the_spill_route() {
         // More runs than the stage holds: the overflow spills into the
-        // calendar entry by entry, keeping its late ids.
+        // heap entry by entry, keeping its late ids.
         let runs: Vec<Vec<f64>> = (0..MAX_STAGED_RUNS + 3)
             .map(|r| {
                 let mut times = vec![5.0; MIN_RUN];
@@ -1148,7 +1088,7 @@ mod tests {
             .collect();
         for backend in BACKENDS {
             let (order, staged) = late_rule_order(backend, &runs);
-            if backend == FelBackend::Calendar {
+            if backend == FelBackend::QuadHeap {
                 assert_eq!(staged, MAX_STAGED_RUNS, "the stage must have spilled");
             }
             assert_late_order(&order, &runs, &format!("spill, {backend:?}"));
@@ -1159,12 +1099,9 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "cancel of a bulk-run entry")]
     fn cancel_rejects_late_ids() {
-        let mut q = EventQueue::with_backend(FelBackend::Calendar);
+        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
         q.schedule_run(&[t(1.0); MIN_RUN], ());
-        q.cancel(EventHandle {
-            id: LATE,
-            time: t(1.0),
-        });
+        q.cancel(EventHandle { id: LATE, slot: 0 });
     }
 
     #[test]
@@ -1187,50 +1124,83 @@ mod tests {
     }
 
     #[test]
+    fn runs_clone_their_payload_per_pop() {
+        use std::rc::Rc;
+        let payload = Rc::new(7u32);
+        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
+        q.schedule_run(&[t(1.0); 16], Rc::clone(&payload));
+        // One stored copy, not one per entry.
+        assert_eq!(Rc::strong_count(&payload), 2);
+        let first = q.pop().expect("pending").1;
+        assert_eq!(Rc::strong_count(&payload), 3);
+        drop(first);
+        while q.pop().is_some() {}
+        assert_eq!(Rc::strong_count(&payload), 1, "the last pop moves it out");
+    }
+
+    #[test]
     fn interleaved_runs_singles_and_cancels_agree_across_backends() {
-        let mut heap = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(FelBackend::Calendar);
+        let mut binary = EventQueue::with_backend(FelBackend::BinaryHeap);
+        let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
         let mut state = 0x9e37_79b9_u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             state >> 33
         };
         let mut clock = 0.0;
+        let mut live = Vec::new();
         for i in 0..2_000_u64 {
-            match next() % 5 {
+            match next() % 6 {
                 0 | 1 => {
                     let dt = (next() % 1000) as f64 / 100.0;
-                    heap.schedule(t(clock + dt), i);
-                    cal.schedule(t(clock + dt), i);
+                    live.push((
+                        i,
+                        binary.schedule(t(clock + dt), i),
+                        quad.schedule(t(clock + dt), i),
+                    ));
                 }
                 2 => {
                     let start = clock + (next() % 100) as f64 / 10.0;
                     let n = 8 + (next() % 40) as usize;
-                    let times: Vec<SimTime> = (0..n)
+                    let mut times: Vec<SimTime> = (0..n)
                         .map(|j| t(start + j as f64 * ((next() % 50) as f64 / 500.0)))
                         .collect();
-                    // Cumulative gaps would be monotone; these aren't
-                    // necessarily (each term re-rolls), so sort.
-                    let mut times = times;
+                    // Each gap re-rolls, so the times need not be
+                    // monotone: sort.
                     times.sort_unstable();
-                    heap.schedule_run(&times, 1_000_000 + i);
-                    cal.schedule_run(&times, 1_000_000 + i);
+                    binary.schedule_run(&times, 1_000_000 + i);
+                    quad.schedule_run(&times, 1_000_000 + i);
                 }
                 3 => {
-                    let a = heap.pop();
-                    assert_eq!(a, cal.pop());
-                    if let Some((time, _)) = a {
+                    let a = binary.pop();
+                    assert_eq!(a, quad.pop());
+                    if let Some((time, ev)) = a {
                         clock = time.as_secs();
+                        live.retain(|&(id, _, _)| id != ev);
+                    }
+                }
+                4 => {
+                    if !live.is_empty() {
+                        let (_, hb, hq) = live.swap_remove(next() as usize % live.len());
+                        assert!(binary.cancel(hb));
+                        assert!(quad.cancel(hq));
                     }
                 }
                 _ => {
-                    assert_eq!(heap.peek_time(), cal.peek_time());
+                    let end = t(clock + (next() % 300) as f64 / 100.0);
+                    let a = binary.pop_until(end);
+                    assert_eq!(a, quad.pop_until(end));
+                    if let Some((time, ev)) = a {
+                        clock = time.as_secs();
+                        live.retain(|&(id, _, _)| id != ev);
+                    }
                 }
             }
+            assert_eq!(binary.len(), quad.len());
         }
         loop {
-            let a = heap.pop();
-            assert_eq!(a, cal.pop());
+            let a = binary.pop();
+            assert_eq!(a, quad.pop());
             if a.is_none() {
                 break;
             }
@@ -1239,7 +1209,7 @@ mod tests {
 
     #[test]
     fn clear_drops_pending_runs() {
-        let mut q = EventQueue::with_backend(FelBackend::Calendar);
+        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
         let times: Vec<SimTime> = (0..32).map(|i| t(i as f64)).collect();
         q.schedule_run(&times, ());
         q.schedule(t(50.0), ());
@@ -1257,65 +1227,23 @@ mod tests {
     #[test]
     fn deep_run_backlog_spills_without_reordering() {
         // Stage far more runs than MAX_STAGED_RUNS before the first
-        // pop: the overflow spills into the calendar entry by entry,
-        // and the pop order must still match the heap reference (which
-        // never stages) exactly — spilling preserves insertion ids.
-        let mut heap = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(FelBackend::Calendar);
+        // pop: the overflow spills into the heap entry by entry, and
+        // the pop order must still match the reference (which never
+        // stages) exactly — spilling preserves insertion ids.
+        let mut binary = EventQueue::with_backend(FelBackend::BinaryHeap);
+        let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
         for i in 0..(6 * MAX_STAGED_RUNS as u64) {
             let base = ((i * 37) % 100) as f64;
             let times: Vec<SimTime> = (0..16).map(|j| t(base + j as f64 * 0.25)).collect();
-            heap.schedule_run(&times, i);
-            cal.schedule_run(&times, i);
+            binary.schedule_run(&times, i);
+            quad.schedule_run(&times, i);
         }
         loop {
-            let a = heap.pop();
-            assert_eq!(a, cal.pop());
+            let a = binary.pop();
+            assert_eq!(a, quad.pop());
             if a.is_none() {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn backends_agree_under_interleaving() {
-        let mut heap = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(FelBackend::Calendar);
-        let mut state = 0x1234_5678_u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        let mut clock = 0.0;
-        let mut log = Vec::new();
-        for i in 0..5_000_u64 {
-            match next() % 4 {
-                0 | 1 => {
-                    let dt = (next() % 1000) as f64 / 250.0;
-                    heap.schedule(t(clock + dt), i);
-                    cal.schedule(t(clock + dt), i);
-                }
-                2 => {
-                    let a = heap.pop();
-                    assert_eq!(a, cal.pop());
-                    if let Some((time, ev)) = a {
-                        clock = time.as_secs();
-                        log.push((time, ev));
-                    }
-                }
-                _ => {
-                    assert_eq!(heap.peek_time(), cal.peek_time());
-                }
-            }
-        }
-        loop {
-            let a = heap.pop();
-            assert_eq!(a, cal.pop());
-            match a {
-                Some(e) => log.push(e),
-                None => break,
-            }
-        }
-        assert!(log.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 }

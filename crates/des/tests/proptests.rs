@@ -125,7 +125,7 @@ fn event_queue_is_a_sorting_network() {
         let times = g.vec(0..200, |g| g.f64_in(0.0..1e9));
         let mut sorted = times.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        for backend in FelBackend::ALL {
             let mut q = EventQueue::with_backend(backend);
             for &t in &times {
                 q.schedule(SimTime::from_secs(t), ());
@@ -153,70 +153,106 @@ fn rng_streams_reproducible() {
     });
 }
 
-/// The tentpole property: under arbitrary interleavings of schedule,
-/// cancel, pop, and peek — including bursts at identical timestamps —
-/// the calendar queue and the binary heap agree on every observation.
+/// Under arbitrary interleavings of schedule, bulk runs, cancel, pop,
+/// bounded pop and peek — including bursts at identical timestamps —
+/// the 4-ary heap with its run stage and the run-free binary heap agree
+/// on every observation.
 #[test]
 fn fel_backends_are_observationally_equivalent() {
     cases(256, |g: &mut Gen| {
         let mut heap = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut cal = EventQueue::with_backend(FelBackend::Calendar);
+        let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
         let mut clock = 0.0_f64;
         // Live handles, keyed by a unique payload so a pop can retire
-        // exactly the entry it delivered.
+        // exactly the entry it delivered. Run entries have no handles.
         let mut live: Vec<(u64, vmprov_des::EventHandle, vmprov_des::EventHandle)> = Vec::new();
         let mut next_payload = 0_u64;
         let push = |heap: &mut EventQueue<u64>,
-                    cal: &mut EventQueue<u64>,
+                    quad: &mut EventQueue<u64>,
                     live: &mut Vec<_>,
                     next_payload: &mut u64,
                     t: SimTime| {
             let p = *next_payload;
             *next_payload += 1;
-            live.push((p, heap.schedule(t, p), cal.schedule(t, p)));
+            live.push((p, heap.schedule(t, p), quad.schedule(t, p)));
+        };
+        let retire = |live: &mut Vec<(u64, _, _)>, popped: Option<(SimTime, u64)>| {
+            if let Some((_, payload)) = popped {
+                live.retain(|&(p, _, _)| p != payload);
+            }
         };
         let n_ops = g.usize_in(10..400);
         for _ in 0..n_ops {
-            match g.usize_in(0..10) {
+            match g.usize_in(0..13) {
                 // Schedule at a fresh future time.
                 0..=3 => {
                     let t = SimTime::from_secs(clock + g.f64_in(0.0..8.0));
-                    push(&mut heap, &mut cal, &mut live, &mut next_payload, t);
+                    push(&mut heap, &mut quad, &mut live, &mut next_payload, t);
                 }
                 // Burst: several events at one identical timestamp.
                 4 => {
                     let t = SimTime::from_secs(clock + g.f64_in(0.0..8.0));
                     for _ in 0..g.usize_in(2..6) {
-                        push(&mut heap, &mut cal, &mut live, &mut next_payload, t);
+                        push(&mut heap, &mut quad, &mut live, &mut next_payload, t);
                     }
                 }
+                // Bulk run: monotone (staged on the 4-ary heap when long
+                // enough) or not (per-entry), often tying single events.
+                5 => {
+                    let start = clock + g.f64_in(0.0..4.0);
+                    let n = g.usize_in(1..40);
+                    let mut times: Vec<SimTime> = (0..n)
+                        .map(|_| SimTime::from_secs(start + g.usize_in(0..8) as f64 * 0.5))
+                        .collect();
+                    if g.usize_in(0..4) > 0 {
+                        times.sort_unstable();
+                    }
+                    let p = next_payload;
+                    next_payload += 1;
+                    heap.schedule_run(&times, p);
+                    quad.schedule_run(&times, p);
+                }
                 // Cancel a random live handle.
-                5 | 6 => {
+                6 | 7 => {
                     if !live.is_empty() {
                         let k = g.usize_in(0..live.len());
-                        let (_, hh, hc) = live.swap_remove(k);
+                        let (_, hh, hq) = live.swap_remove(k);
                         assert!(heap.cancel(hh));
-                        assert!(cal.cancel(hc));
+                        assert!(quad.cancel(hq));
                     }
                 }
                 // Pop.
-                7 | 8 => {
+                8 | 9 => {
                     let a = heap.pop();
-                    assert_eq!(a, cal.pop());
-                    if let Some((t, payload)) = a {
+                    assert_eq!(a, quad.pop());
+                    if let Some((t, _)) = a {
                         clock = t.as_secs();
-                        live.retain(|&(p, _, _)| p != payload);
                     }
+                    retire(&mut live, a);
+                }
+                // Bounded pop, the bound often exactly on a pending time.
+                10 | 11 => {
+                    let end = match heap.peek_time() {
+                        Some(t) if g.usize_in(0..2) == 0 => t,
+                        _ => SimTime::from_secs(clock + g.f64_in(0.0..4.0)),
+                    };
+                    let a = heap.pop_until(end);
+                    assert_eq!(a, quad.pop_until(end));
+                    if let Some((t, _)) = a {
+                        assert!(t <= end);
+                        clock = t.as_secs();
+                    }
+                    retire(&mut live, a);
                 }
                 // Peek.
-                _ => assert_eq!(heap.peek_time(), cal.peek_time()),
+                _ => assert_eq!(heap.peek_time(), quad.peek_time()),
             }
-            assert_eq!(heap.len(), cal.len());
+            assert_eq!(heap.len(), quad.len());
         }
         // Drain: both must agree to the last event.
         loop {
             let a = heap.pop();
-            assert_eq!(a, cal.pop());
+            assert_eq!(a, quad.pop());
             if a.is_none() {
                 break;
             }

@@ -5,10 +5,10 @@
 //! repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]…
 //!       [--mode smoke|quick|paper|full] [--seed N] [--out DIR]
 //!       [--trace DIR] [--cache DIR] [--no-cache] [--jobs N]
-//!       [--fel calendar|binary_heap]
+//!       [--fel quad_heap|binary_heap]
 //! repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N]
 //!       [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N]
-//!       [--fel calendar|binary_heap] [--seed N]
+//!       [--fel quad_heap|binary_heap] [--seed N]
 //!       [--out DIR] [--cache DIR] [--no-cache]
 //! repro smoke [figures flags]
 //! repro gen-trace --out FILE [--rate R] [--horizon SECS] [--seed N]
@@ -41,16 +41,18 @@
 //! With `--analyzers a,b,…` and/or `--reps N`, `replay` becomes a
 //! *grid*: every (analyzer, rep) cell runs as one job queue off a
 //! single shared trace scan — the CSV is opened, read, and decoded
-//! exactly once per wave of cache misses, and the decoded chunks fan
-//! out to all concurrent cells through ref-counted handles (memory
-//! stays chunk-bounded; see DESIGN.md §13). The run cache is consulted
+//! exactly once, and the decoded chunks fan out to every cell through
+//! ref-counted handles (memory stays chunk-bounded; see DESIGN.md
+//! §13). The run cache is consulted
 //! per cell with the *single-run* keys, so warm grids are pure cache
 //! reads. Cells emit `replay_<analyzer>_rep<r>.txt/.csv/.json`
 //! (byte-identical in content to the single-run files) plus a
 //! per-cell `…_qos.json` *without* `peak_rss_kb` — RSS is process-wide
 //! and meaningless per pooled cell, so the grid reports one grid-level
 //! peak in `replay_grid.json` alongside the cross-analyzer comparison
-//! table (`replay_grid.txt`). `--jobs N` caps cells per scan wave.
+//! table (`replay_grid.txt`). `--jobs N` sets the grid's worker
+//! threads, each stepping its share of the cells chunk by chunk
+//! (default: one per available core, at most one per cell).
 //!
 //! `smoke` is shorthand for `figures all --mode smoke`. `gen-trace`
 //! writes a deterministic synthetic Poisson trace (optionally with one
@@ -76,20 +78,19 @@ use vmprov_workloads::{generate_piecewise_csv, TraceSpec, DEFAULT_CHUNK};
 const USAGE: &str = "usage: repro <figures|replay|smoke|gen-trace> …
   repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]… \
 [--mode smoke|quick|paper|full] [--seed N] [--out DIR] [--trace DIR] \
-[--cache DIR] [--no-cache] [--jobs N] [--fel calendar|binary_heap]
+[--cache DIR] [--no-cache] [--jobs N] [--fel quad_heap|binary_heap]
   repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N] \
 [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N] \
-[--fel calendar|binary_heap] [--seed N] [--out DIR] [--cache DIR] [--no-cache]
+[--fel quad_heap|binary_heap] [--seed N] [--out DIR] [--cache DIR] [--no-cache]
   repro smoke [figures flags]
   repro gen-trace --out FILE [--rate R] [--horizon SECS] [--seed N] \
 [--step-at SECS --step-rate R2]";
 
 fn parse_fel(v: &str) -> Result<FelBackend, String> {
-    match v {
-        "calendar" => Ok(FelBackend::Calendar),
-        "binary_heap" | "heap" => Ok(FelBackend::BinaryHeap),
-        other => Err(format!("unknown FEL backend {other}")),
-    }
+    FelBackend::ALL
+        .into_iter()
+        .find(|b| b.label() == v)
+        .ok_or_else(|| format!("unknown FEL backend {v}"))
 }
 
 struct FigureArgs {
@@ -442,7 +443,8 @@ struct ReplayArgs {
     reps: u32,
     /// Replication index in single-run mode (seed derivation only).
     rep: u32,
-    /// Grid wave concurrency cap (`None` = all misses in one wave).
+    /// Grid worker threads (`None` = one per core, at most one per
+    /// cell).
     jobs: Option<usize>,
     chunk: usize,
     fel: Option<FelBackend>,

@@ -83,7 +83,13 @@ use vmprov_json::{FromJson, Json, ToJson};
 /// run's identity. Scalar runs keep their meaning, but every key moves,
 /// so warm v8 caches (including their batched cells, keyed on the old
 /// interleaving) miss cleanly.
-pub const CACHE_SCHEMA_VERSION: u32 = 9;
+///
+/// v10: the `fel_backend` member left the canonical JSON. The calendar
+/// queue was replaced by a 4-ary heap, and every event-list backend
+/// yields the same summary, so the backend is an execution setting,
+/// not part of a run's identity. Results keep their meaning, but every
+/// key moves, so warm v9 caches (keyed per backend) miss cleanly.
+pub const CACHE_SCHEMA_VERSION: u32 = 10;
 
 /// Computes the content-addressed cache key of `(scenario, rep)`.
 pub fn run_key(scenario: &Scenario, rep: u32) -> u64 {
@@ -175,7 +181,7 @@ mod tests {
     use super::*;
     use crate::runner::run_once;
     use crate::scenario::PolicySpec;
-    use vmprov_des::SimTime;
+    use vmprov_des::{FelBackend, SimTime};
 
     fn tiny() -> Scenario {
         Scenario::web(PolicySpec::Static(5), 31).with_horizon(SimTime::from_secs(60.0))
@@ -236,10 +242,40 @@ mod tests {
         assert_ne!(k0, run_key(&reseeded, 0));
     }
 
+    /// The canonical JSON of `s` as an older schema hashed it:
+    /// `fel_backend` (v9 and earlier, always the calendar default
+    /// here) after `boot_delay`, then `extra` right after it.
+    fn legacy_members(s: &Scenario, extra: &[(&str, Json)]) -> Vec<(String, Json)> {
+        let Json::Obj(mut members) = s.to_json() else {
+            panic!("scenario JSON must be an object");
+        };
+        let at = members
+            .iter()
+            .position(|(k, _)| k == "boot_delay")
+            .expect("the JSON carries boot_delay")
+            + 1;
+        let legacy = std::iter::once(("fel_backend", Json::from("calendar")))
+            .chain(extra.iter().cloned())
+            .map(|(k, v)| (k.to_string(), v));
+        members.splice(at..at, legacy);
+        members
+    }
+
+    /// Hashes `members` the way a binary at schema `version` did.
+    fn legacy_key(version: u32, members: Vec<(String, Json)>, s: &Scenario) -> u64 {
+        let mut h = StableHasher::new();
+        h.write(b"vmprov-run-cache");
+        h.write_u32(version);
+        h.write(Json::Obj(members).to_string_canonical().as_bytes());
+        h.write_u32(0);
+        h.write_u64(replication_seed(s.seed, 0));
+        h.finish()
+    }
+
     /// A warm cache keyed under schema v7 must miss cleanly after the
     /// v8 re-keying (the v7 canonical JSON also carried a `sampler`
     /// member), rather than replay entries against the new key space.
-    /// The probe uses the current key, which moved again at v9.
+    /// The probe uses the current key, which moved again at v9 and v10.
     #[test]
     fn v7_keyed_entries_miss_under_v8() {
         let cache = tmp_cache("v7_rekey");
@@ -248,26 +284,9 @@ mod tests {
         // Reconstruct the v7 key: old schema tag, canonical JSON plus
         // the removed members (exactly what v7 binaries hashed for a
         // scalar inverse-CDF run).
-        let mut h = StableHasher::new();
-        h.write(b"vmprov-run-cache");
-        h.write_u32(7);
-        let Json::Obj(mut members) = s.to_json() else {
-            panic!("scenario JSON must be an object");
-        };
-        let after_fel = members
-            .iter()
-            .position(|(k, _)| k == "fel_backend")
-            .expect("the JSON carries fel_backend")
-            + 1;
-        members.insert(
-            after_fel,
-            ("sampler".to_string(), Json::from("inverse_cdf")),
-        );
+        let mut members = legacy_members(&s, &[("sampler", Json::from("inverse_cdf"))]);
         members.push(("arrival_run".to_string(), Json::from(1u32)));
-        h.write(Json::Obj(members).to_string_canonical().as_bytes());
-        h.write_u32(0);
-        h.write_u64(replication_seed(s.seed, 0));
-        let v7_key = h.finish();
+        let v7_key = legacy_key(7, members, &s);
         cache.store(v7_key, &fresh).expect("store");
         let v8_key = run_key(&s, 0);
         assert_ne!(v7_key, v8_key, "schema bump must move every key");
@@ -292,17 +311,9 @@ mod tests {
             // Reconstruct the v8 key: old schema tag, canonical JSON
             // plus the removed trailing member (exactly what v8
             // binaries hashed for a run at this depth).
-            let mut h = StableHasher::new();
-            h.write(b"vmprov-run-cache");
-            h.write_u32(8);
-            let Json::Obj(mut members) = s.to_json() else {
-                panic!("scenario JSON must be an object");
-            };
+            let mut members = legacy_members(&s, &[]);
             members.push(("arrival_run".to_string(), Json::from(depth)));
-            h.write(Json::Obj(members).to_string_canonical().as_bytes());
-            h.write_u32(0);
-            h.write_u64(replication_seed(s.seed, 0));
-            let v8_key = h.finish();
+            let v8_key = legacy_key(8, members, &s);
             cache.store(v8_key, &fresh).expect("store");
             v8_keys.push(v8_key);
         }
@@ -314,6 +325,45 @@ mod tests {
         assert!(
             matches!(cache.lookup(v9_key), Lookup::Miss),
             "a v8-keyed entry must not satisfy a v9 probe"
+        );
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// A warm cache keyed under schema v9 must miss cleanly after the
+    /// v10 re-keying (the v9 canonical JSON also carried a
+    /// `fel_backend` member, one key per backend).
+    #[test]
+    fn v9_keyed_entries_miss_under_v10() {
+        let cache = tmp_cache("v9_rekey");
+        let s = tiny();
+        let fresh = run_once(&s, 0);
+        let mut v9_keys = Vec::new();
+        for fel in ["calendar", "binary_heap"] {
+            // Reconstruct the v9 key: old schema tag, canonical JSON
+            // with the removed member after `boot_delay`.
+            let mut members = legacy_members(&s, &[]);
+            let at = members
+                .iter()
+                .position(|(k, _)| k == "fel_backend")
+                .expect("legacy members carry fel_backend");
+            members[at].1 = Json::from(fel);
+            let v9_key = legacy_key(9, members, &s);
+            cache.store(v9_key, &fresh).expect("store");
+            v9_keys.push(v9_key);
+        }
+        let v10_key = run_key(&s, 0);
+        assert!(
+            !v9_keys.contains(&v10_key),
+            "schema bump must move every key"
+        );
+        assert!(
+            matches!(cache.lookup(v10_key), Lookup::Miss),
+            "a v9-keyed entry must not satisfy a v10 probe"
+        );
+        // The backend no longer splits the key space.
+        assert_eq!(
+            run_key(&s.clone().with_fel_backend(FelBackend::BinaryHeap), 0),
+            v10_key
         );
         let _ = std::fs::remove_dir_all(cache.dir());
     }

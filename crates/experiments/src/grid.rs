@@ -1,29 +1,39 @@
 //! Shared-scan replay grids: one trace decode fanned out across an
 //! analyzer × replication matrix.
 //!
-//! `repro replay` (PR 7) executed one `(trace, analyzer, rep)` cell per
+//! `repro replay` executes one `(trace, analyzer, rep)` cell per
 //! invocation, so comparing the three analyzers over N replications
-//! re-read and re-parsed the trace once per cell. A [`ReplayGrid`]
-//! instead runs the whole matrix as **one job queue**: cache-first per
-//! cell (the keys are exactly the single-run keys — content hash +
-//! scenario + rep, schema unchanged), then every miss executes
-//! concurrently against a [`SharedTraceScan`] that decodes each chunk
-//! exactly once and hands out ref-counted handles
-//! ([`TraceSpec::replay_shared`]).
+//! re-reads and re-parses the trace once per cell. A [`ReplayGrid`]
+//! instead runs the whole matrix off **one** scan: cache-first per cell
+//! (the keys are exactly the single-run keys: content hash, scenario
+//! and rep), then every miss replays a stepped consumer of one
+//! [`SharedTraceScan`] ([`TraceSpec::replay_stepped`]), which opens and
+//! decodes the trace exactly once and hands out ref-counted chunks.
+//!
+//! Execution: `W` worker threads (the caller's thread is one of them)
+//! each own ⌈misses / W⌉ cells. A worker builds and advances each of
+//! its cells as a [`ResumableRun`] through every event before the
+//! scan's bound — the timestamp of the row `lookahead` rows behind the
+//! last published one, where `lookahead` covers the rows one `Batch`
+//! event may pull. So a cell's pulls never outrun the decoded rows, and
+//! no cell ever blocks inside its simulation. Once all of a worker's
+//! cells are parked at the bound, it publishes the next chunk, or waits
+//! for the other workers' cells while the window holds
+//! [`SCAN_DEPTH`](vmprov_workloads::SCAN_DEPTH) chunks — unless every
+//! worker is parked, in which case the window grows past the depth
+//! rather than deadlock (see [`SharedTraceScan::publish_past`]). Cells
+//! pause without moving their clocks, so a stepped cell computes what
+//! an unpaused run does.
 //!
 //! Invariants:
 //! * **Byte identity** — every cell's [`RunSummary`] is bit-identical
 //!   to the single-run path (`replay_once` on the same scenario/rep):
 //!   the decoded batches are the same, only I/O and parse work is
-//!   amortized. Pinned by the shared-vs-independent grid test across
-//!   chunk sizes, analyzers, and FEL backends.
-//! * **Concurrency** — all consumers of one scan must run at once (a
-//!   straggler beyond the window backpressures the rest), so a wave
-//!   never exceeds the pool width. The grid spins up its own
-//!   [`WorkerPool`] sized to the widest wave: cells are whole
-//!   simulations that timeshare fine when the wave exceeds the core
-//!   count, and 5 of 6 duplicate parses saved beats perfect core
-//!   affinity.
+//!   amortized. Pinned by the shared-vs-independent grid tests across
+//!   chunk sizes, worker counts, analyzers, and FEL backends.
+//! * **One decode** — `scan_waves` and `trace_file_opens` are 1 and
+//!   `batches_decoded` is the trace's batch count whenever anything
+//!   missed the cache, whatever the worker count.
 //! * **RSS** — per-cell `peak_rss_kb` is meaningless once cells share
 //!   the process, so the grid reports one process-wide peak in
 //!   [`GridStats`] and per-cell reports carry none.
@@ -31,15 +41,14 @@
 use std::time::{Duration, Instant};
 
 use crate::cache::{run_key, Lookup, RunCache};
-use crate::pool::WorkerPool;
 use crate::replay::{peak_rss_kb, qos_verdict, ReplaySource};
-use crate::runner::run_once_warm_with;
+use crate::runner::start_with;
 use crate::scenario::{AnalyzerSpec, PolicySpec, Scenario};
 use std::convert::Infallible;
-use vmprov_cloudsim::RunSummary;
+use vmprov_cloudsim::{ResumableRun, RunSummary};
 use vmprov_des::FelBackend;
 use vmprov_json::{Json, ToJson};
-use vmprov_workloads::TraceSpec;
+use vmprov_workloads::{ScanStats, SharedTraceScan, StepBound, StreamReplay, TraceSpec};
 
 /// The per-request stats sink. Streaming (fold every completion as it
 /// arrives) is the only one left; the enum survives as the type of
@@ -51,9 +60,9 @@ pub enum StatsMode {
     Streaming,
 }
 
-/// Hard cap on cells per scan wave (= dedicated pool width). Beyond
-/// this the grid splits into waves of one scan each — still far cheaper
-/// than per-cell scans, and it bounds thread count and live sim state.
+/// Hard cap on a grid's worker threads. Callers that plan their own
+/// waves over [`TraceSpec::replay_shared`] (one thread per consumer)
+/// use it as their wave width.
 pub const MAX_WAVE: usize = 64;
 
 /// An analyzer × replication replay matrix over one scanned trace.
@@ -74,7 +83,8 @@ pub struct ReplayGrid {
     pub stats: StatsMode,
     /// Base seed (per-rep seeds derive exactly as in the single path).
     pub seed: u64,
-    /// Cells per scan wave; `None` = all misses at once (≤ [`MAX_WAVE`]).
+    /// Worker threads stepping the cells; `None` = one per available
+    /// core. Never more than one per miss, nor more than [`MAX_WAVE`].
     pub concurrency: Option<usize>,
 }
 
@@ -102,16 +112,17 @@ pub struct GridStats {
     pub cache_misses: usize,
     /// Cache entries that existed but were unreadable.
     pub corrupt_entries: usize,
-    /// Shared scans executed (1 when all misses fit one wave).
+    /// Shared scans executed: 1 when any cell missed the cache, else 0.
     pub scan_waves: usize,
-    /// Batches decoded across all waves — `batches × scan_waves` when
-    /// nothing was cached, i.e. each wave decoded the trace once.
+    /// Batches decoded by the scan — the trace's batch count when
+    /// anything ran, i.e. the trace was decoded once.
     pub batches_decoded: u64,
-    /// Trace file opens summed over the waves' own scan counters (the
-    /// exactly-once probe: equals `scan_waves`, never the cell count).
+    /// Trace file opens by the scan (the exactly-once probe: equals
+    /// `scan_waves`, never the cell count).
     pub trace_file_opens: u64,
-    /// High-water mark of the shared chunk window across waves (≤
-    /// [`vmprov_workloads::SCAN_DEPTH`] — the backpressure invariant).
+    /// High-water mark of the shared chunk window (see
+    /// [`vmprov_workloads::SCAN_DEPTH`] for when it may exceed the
+    /// depth).
     pub max_window: usize,
     /// Process-wide peak RSS after the grid ran — the *only* RSS figure
     /// a pooled grid can honestly report (per-cell values would all
@@ -165,7 +176,7 @@ impl GridOutcome {
 
 impl ReplayGrid {
     /// A grid over `spec` with no overrides: each cell on the scenario's
-    /// default FEL backend, every miss in one wave (up to [`MAX_WAVE`]).
+    /// default FEL backend, one worker per available core.
     pub fn new(spec: TraceSpec, analyzers: Vec<AnalyzerSpec>, reps: u32, seed: u64) -> Self {
         ReplayGrid {
             spec,
@@ -191,8 +202,8 @@ impl ReplayGrid {
         s
     }
 
-    /// Executes the grid: cache-first per cell, then each wave of
-    /// misses runs concurrently off one shared scan.
+    /// Executes the grid: cache-first per cell, then every miss off one
+    /// stepped scan.
     pub fn run(&self, cache: Option<&RunCache>) -> GridOutcome {
         assert!(!self.analyzers.is_empty(), "a grid needs ≥ 1 analyzer");
         assert!(self.reps >= 1, "a grid needs ≥ 1 replication");
@@ -225,47 +236,14 @@ impl ReplayGrid {
             }
         }
 
-        // Waves of misses, one shared scan per wave. Every consumer of
-        // a scan must run concurrently, so the dedicated pool is sized
-        // to the widest wave (oversubscribing cores is fine: the cells
-        // timeshare, determinism is per-cell, and the parse saving is
-        // the point).
-        let wave_cap = self.concurrency.unwrap_or(MAX_WAVE).clamp(1, MAX_WAVE);
-        let widest = misses.len().min(wave_cap);
-        let pool = (widest > 1).then(|| WorkerPool::new(widest));
         let miss_source = if cache.is_some() {
             ReplaySource::CacheMiss
         } else {
             ReplaySource::Uncached
         };
-        let mut waves = 0usize;
-        let mut batches_decoded = 0u64;
-        let mut max_window = 0usize;
-        let mut trace_file_opens = 0u64;
-        let mut queue = misses;
-        while !queue.is_empty() {
-            let rest = queue.split_off(queue.len().min(wave_cap));
-            let wave = std::mem::replace(&mut queue, rest);
-            let (scan, replays) = self
-                .spec
-                .replay_shared(wave.len())
-                .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
-            let jobs: Vec<_> = wave
-                .into_iter()
-                .zip(replays)
-                .map(|((slot, scenario, rep), replay)| (slot, scenario, rep, replay))
-                .collect();
-            let run_cell = |_, (slot, scenario, rep, replay): (usize, Scenario, u32, _)| {
-                let summary =
-                    run_once_warm_with(&scenario, rep, vmprov_workloads::AnyWorkload::from(replay));
-                (slot, scenario, rep, summary)
-            };
-            let finished = match &pool {
-                Some(p) => p.run_batch(jobs, run_cell),
-                // ≤ 1 miss: run inline (a lone shared consumer drives
-                // its own scan cooperatively, no threads needed).
-                None => jobs.into_iter().map(|j| run_cell(0, j)).collect(),
-            };
+        let mut scan = None;
+        if !misses.is_empty() {
+            let (stats, finished) = self.run_misses(misses);
             for (slot, scenario, rep, summary) in finished {
                 if let Some(cache) = cache {
                     // Best-effort, exactly like the campaign.
@@ -273,11 +251,7 @@ impl ReplayGrid {
                 }
                 slots[slot] = Some((summary, miss_source));
             }
-            waves += 1;
-            let s = scan.stats();
-            batches_decoded += s.batches_decoded;
-            max_window = max_window.max(s.max_window);
-            trace_file_opens += s.file_opens;
+            scan = Some(stats);
         }
 
         // Regroup into cells (the slot layout already matches).
@@ -305,15 +279,143 @@ impl ReplayGrid {
                 cache_hits: hits,
                 cache_misses: misses_run,
                 corrupt_entries: corrupt,
-                scan_waves: waves,
-                batches_decoded,
-                trace_file_opens,
-                max_window,
+                scan_waves: usize::from(scan.is_some()),
+                batches_decoded: scan.map_or(0, |s| s.batches_decoded),
+                trace_file_opens: scan.map_or(0, |s| s.file_opens),
+                max_window: scan.map_or(0, |s| s.max_window),
                 peak_rss_kb: peak_rss_kb(),
                 wall: start.elapsed(),
             },
         }
     }
+
+    /// Runs every miss off one stepped scan on the grid's workers; the
+    /// caller's thread is the first worker.
+    fn run_misses(
+        &self,
+        misses: Vec<(usize, Scenario, u32)>,
+    ) -> (ScanStats, Vec<(usize, Scenario, u32, RunSummary)>) {
+        let workers = self
+            .concurrency
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .clamp(1, MAX_WAVE)
+            .min(misses.len());
+        let per_worker = misses.len().div_ceil(workers);
+        // Rounding the share up can leave fewer threads than `workers`.
+        let threads = misses.len().div_ceil(per_worker);
+        // A `Batch` event at row i holds the pulled rows up to
+        // i + run − 1 and pulls up to `run` more.
+        let run = misses
+            .iter()
+            .map(|(_, s, _)| s.sim_config().arrival_run.max(1) as usize)
+            .max()
+            .expect("misses is not empty");
+        let (scan, replays) = self
+            .spec
+            .replay_stepped(misses.len(), threads, 2 * run - 1)
+            .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
+        let mut groups: Vec<Vec<SteppedCell>> = Vec::with_capacity(threads);
+        for (i, ((slot, scenario, rep), replay)) in misses.into_iter().zip(replays).enumerate() {
+            if i % per_worker == 0 {
+                groups.push(Vec::with_capacity(per_worker));
+            }
+            groups.last_mut().expect("pushed above").push(SteppedCell {
+                slot,
+                scenario,
+                rep,
+                replay: Some(replay),
+                run: None,
+            });
+        }
+        let first = groups.remove(0);
+        let finished = std::thread::scope(|s| {
+            let scan = &scan;
+            let others: Vec<_> = groups
+                .into_iter()
+                .map(|group| {
+                    std::thread::Builder::new()
+                        .name("grid-worker".into())
+                        .spawn_scoped(s, move || step_cells(scan, group))
+                        .expect("spawn a grid worker")
+                })
+                .collect();
+            let mut finished = step_cells(scan, first);
+            for worker in others {
+                match worker.join() {
+                    Ok(cells) => finished.extend(cells),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            finished
+        });
+        (scan.stats(), finished)
+    }
+}
+
+/// One grid miss on its worker: built once the scan's reach lets its
+/// first pull through, then stepped to the end.
+struct SteppedCell {
+    slot: usize,
+    scenario: Scenario,
+    rep: u32,
+    replay: Option<StreamReplay>,
+    run: Option<ResumableRun>,
+}
+
+impl SteppedCell {
+    fn run(&mut self) -> &mut ResumableRun {
+        let Self {
+            scenario,
+            rep,
+            replay,
+            run,
+            ..
+        } = self;
+        run.get_or_insert_with(|| {
+            let replay = replay.take().expect("a cell starts once");
+            start_with(scenario, *rep, replay.into())
+        })
+    }
+
+    fn finish(mut self) -> (usize, Scenario, u32, RunSummary) {
+        self.run();
+        let (summary, _) = self.run.take().expect("started above").finish();
+        (self.slot, self.scenario, self.rep, summary)
+    }
+}
+
+/// A worker's loop: advance every cell through the events the scan's
+/// reach allows, then publish (or wait for) the next chunk, until the
+/// whole trace is out; then finish the cells one by one.
+fn step_cells(
+    scan: &SharedTraceScan,
+    mut cells: Vec<SteppedCell>,
+) -> Vec<(usize, Scenario, u32, RunSummary)> {
+    /// Retires the worker however it stops, so a panicking cell cannot
+    /// leave the other workers waiting for it.
+    struct Retire<'a>(&'a SharedTraceScan);
+    impl Drop for Retire<'_> {
+        fn drop(&mut self) {
+            self.0.retire_worker();
+        }
+    }
+    let _retire = Retire(scan);
+    let mut reach = scan.reach();
+    loop {
+        match reach.bound {
+            StepBound::Nothing => {}
+            StepBound::Before(bound) => {
+                for cell in &mut cells {
+                    cell.run().advance_before(bound);
+                }
+            }
+            StepBound::End => break,
+        }
+        reach = scan
+            .publish_past(reach)
+            .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
+    }
+    cells.into_iter().map(SteppedCell::finish).collect()
 }
 
 /// The cross-analyzer QoS comparison table: one row per analyzer,

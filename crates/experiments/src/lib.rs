@@ -38,8 +38,8 @@ pub use figures::{fig3_series, fig4_series, fig5, fig5_spec, fig6, fig6_spec, ta
 pub use grid::{grid_table, GridCell, GridOutcome, GridStats, ReplayGrid, StatsMode, MAX_WAVE};
 pub use replay::{peak_rss_kb, qos_verdict, replay_once, QosVerdict, ReplaySource};
 pub use runner::{
-    builder_for, run_once, run_once_warm, run_once_warm_with, run_policy_set, run_replicated,
-    trace_dt, traced_run, Replicated, TracedRun,
+    builder_for, run_once, run_once_warm, run_policy_set, run_replicated, start_with, trace_dt,
+    traced_run, Replicated, TracedRun,
 };
 pub use scenario::{
     fig5_scenarios, fig6_scenarios, AnalyzerSpec, DispatchSpec, PolicySpec, Scenario, WorkloadKind,

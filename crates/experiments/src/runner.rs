@@ -10,7 +10,7 @@
 
 use crate::scenario::Scenario;
 use vmprov_cloudsim::{
-    RunSummary, SimBuilder, SimScratch, TimeSeries, TimeSeriesProbe, TraceProbe,
+    ResumableRun, RunSummary, SimBuilder, SimScratch, TimeSeries, TimeSeriesProbe, TraceProbe,
 };
 use vmprov_des::stats::{confidence_interval, Interval, Level, OnlineStats};
 use vmprov_des::RngFactory;
@@ -95,28 +95,24 @@ pub fn run_once_warm(scenario: &Scenario, rep: u32) -> RunSummary {
     })
 }
 
-/// [`run_once_warm`] with a caller-supplied arrival process in place of
-/// `scenario.build_workload()`. The replay grid injects shared-scan
-/// consumers here; the caller **must** hand in a workload that yields
-/// the byte-identical arrival stream the scenario describes, or cached
-/// summaries keyed on the scenario would lie (pinned by the
-/// shared-vs-independent grid test).
-pub fn run_once_warm_with(
+/// Builds one replication of `scenario` as a [`ResumableRun`], with a
+/// caller-supplied arrival process in place of
+/// `scenario.build_workload()`. The replay grid injects stepped
+/// shared-scan consumers here; the caller **must** hand in a workload
+/// that yields the byte-identical arrival stream the scenario
+/// describes, or cached summaries keyed on the scenario would lie
+/// (pinned by the shared-vs-independent grid test).
+pub fn start_with(
     scenario: &Scenario,
     rep: u32,
     workload: vmprov_workloads::AnyWorkload,
-) -> RunSummary {
-    WARM.with(|scratch| {
-        SimBuilder::new(scenario.sim_config())
-            .workload(workload)
-            .service(scenario.service_model())
-            .policy(scenario.build_policy())
-            .dispatcher(scenario.build_dispatcher())
-            .run_scratch(
-                &RngFactory::new(replication_seed(scenario.seed, rep)),
-                &mut scratch.borrow_mut(),
-            )
-    })
+) -> ResumableRun {
+    SimBuilder::new(scenario.sim_config())
+        .workload(workload)
+        .service(scenario.service_model())
+        .policy(scenario.build_policy())
+        .dispatcher(scenario.build_dispatcher())
+        .start(&RngFactory::new(replication_seed(scenario.seed, rep)))
 }
 
 /// A [`SimBuilder`] primed with every component of `scenario` — attach

@@ -121,8 +121,9 @@ pub struct Scenario {
     pub seed: u64,
     /// VM boot delay override (paper: 0).
     pub boot_delay: f64,
-    /// Future-event-list backend (calendar queue by default; the binary
-    /// heap is kept for A/B determinism checks).
+    /// Future-event-list backend (4-ary heap by default; the binary
+    /// heap is kept for A/B determinism checks). Every backend gives
+    /// the same result, so it is not part of the cache key.
     pub fel_backend: FelBackend,
     /// Compatibility field left by the removed intra-run shard engine:
     /// `None` is its only value, and it is not part of the cache key.
@@ -427,10 +428,6 @@ impl vmprov_json::ToJson for Scenario {
             AnalyticBackend::Mm1k => "mm1k",
             AnalyticBackend::TwoMoment => "two_moment",
         };
-        let fel = match self.fel_backend {
-            FelBackend::Calendar => "calendar",
-            FelBackend::BinaryHeap => "binary_heap",
-        };
         Json::obj([
             ("workload", Json::from(workload)),
             ("policy", policy),
@@ -439,7 +436,6 @@ impl vmprov_json::ToJson for Scenario {
             ("backend", Json::from(backend)),
             ("seed", Json::from(self.seed)),
             ("boot_delay", Json::from(self.boot_delay)),
-            ("fel_backend", Json::from(fel)),
             (
                 "analyzer",
                 match self.analyzer {
@@ -558,6 +554,8 @@ mod tests {
             backend: _,
             seed: _,
             boot_delay: _,
+            // Every backend gives the same summary (pinned by the A/B
+            // determinism tests), so the backend stays out of the key.
             fel_backend: _,
             shards: _,
             analyzer: _,
@@ -578,11 +576,10 @@ mod tests {
                 "backend",
                 "seed",
                 "boot_delay",
-                "fel_backend",
                 "analyzer",
                 "trace",
             ],
-            "the canonical JSON is the run-cache identity (schema v9)"
+            "the canonical JSON is the run-cache identity (schema v10)"
         );
         assert_eq!(j.get("seed").unwrap().as_u64(), Some(5));
         assert_eq!(j.get("workload").unwrap().as_str(), Some("web"));

@@ -16,7 +16,7 @@ use vmprov_des::{FelBackend, RngFactory};
 use vmprov_experiments::runner::{builder_for, replication_seed};
 use vmprov_experiments::scenario::{AnalyzerSpec, PolicySpec, Scenario};
 
-const BACKENDS: [FelBackend; 2] = [FelBackend::Calendar, FelBackend::BinaryHeap];
+const BACKENDS: [FelBackend; 2] = FelBackend::ALL;
 const DEPTHS: [u32; 2] = [7, 64];
 
 fn run_at_depth(scenario: &Scenario, depth: u32) -> RunSummary {

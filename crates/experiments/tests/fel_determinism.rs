@@ -1,6 +1,6 @@
-//! A/B determinism: the calendar-queue and binary-heap FEL backends
-//! must produce **bit-identical** run summaries for the paper's
-//! scenarios. Any divergence means the calendar queue broke the
+//! A/B determinism: the 4-ary-heap and binary-heap FEL backends must
+//! produce **bit-identical** run summaries for the paper's scenarios.
+//! Any divergence means the 4-ary heap (or its run stage) broke the
 //! deterministic `(time, seq)` dispatch order the engine guarantees.
 
 use vmprov_des::{FelBackend, SimTime};
@@ -10,8 +10,8 @@ use vmprov_experiments::scenario::{PolicySpec, Scenario};
 /// Runs `scenario` on both backends and asserts identical summaries.
 fn assert_backends_agree(scenario: Scenario, label: &str) {
     for rep in 0..2 {
-        let calendar = run_once(
-            &scenario.clone().with_fel_backend(FelBackend::Calendar),
+        let quad = run_once(
+            &scenario.clone().with_fel_backend(FelBackend::QuadHeap),
             rep,
         );
         let heap = run_once(
@@ -19,11 +19,11 @@ fn assert_backends_agree(scenario: Scenario, label: &str) {
             rep,
         );
         assert_eq!(
-            calendar, heap,
-            "{label} rep {rep}: calendar and heap backends diverged"
+            quad, heap,
+            "{label} rep {rep}: 4-ary and binary heap backends diverged"
         );
         // Sanity: the run actually exercised the simulator.
-        assert!(calendar.offered_requests > 0, "{label}: empty run");
+        assert!(quad.offered_requests > 0, "{label}: empty run");
     }
 }
 

@@ -64,15 +64,15 @@ fn check_golden(name: &str) {
         .into_iter()
         .find(|(n, _)| *n == name)
         .unwrap_or_else(|| panic!("no golden scenario named {name}"));
-    let calendar = run_once(&scenario.clone().with_fel_backend(FelBackend::Calendar), 0);
+    let quad = run_once(&scenario.clone().with_fel_backend(FelBackend::QuadHeap), 0);
     let heap = run_once(
         &scenario.clone().with_fel_backend(FelBackend::BinaryHeap),
         0,
     );
-    assert_eq!(calendar, heap, "{name}: FEL backends diverged");
-    assert!(calendar.offered_requests > 0, "{name}: empty run");
+    assert_eq!(quad, heap, "{name}: FEL backends diverged");
+    assert!(quad.offered_requests > 0, "{name}: empty run");
 
-    let rendered = format!("{calendar:#?}\n");
+    let rendered = format!("{quad:#?}\n");
     let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -114,7 +114,7 @@ fn golden_web_adaptive_mm1k() {
 #[test]
 fn golden_web_adaptive_batched_matches_scalar() {
     let scalar = Scenario::web(PolicySpec::Adaptive, 1109).with_horizon(SimTime::from_secs(1800.0));
-    for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+    for backend in FelBackend::ALL {
         let s = scalar.clone().with_fel_backend(backend);
         assert_eq!(
             run_once(&s, 0),
@@ -135,7 +135,7 @@ fn golden_scientific_adaptive_scalar_matches_golden() {
         .find(|(n, _)| *n == "scientific_adaptive")
         .expect("scientific golden");
     let golden = committed_golden("scientific_adaptive");
-    for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+    for backend in FelBackend::ALL {
         let scalar = run_scalar(&sci.clone().with_fel_backend(backend));
         assert_eq!(
             format!("{scalar:#?}\n"),
@@ -157,7 +157,7 @@ fn golden_scientific_adaptive_scalar_matches_golden() {
 )]
 fn goldens_conserve_requests_on_both_backends() {
     for (name, scenario) in goldens() {
-        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        for backend in FelBackend::ALL {
             let s = run_once(&scenario.clone().with_fel_backend(backend), 0);
             assert_eq!(
                 s.offered_requests,

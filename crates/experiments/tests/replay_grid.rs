@@ -3,10 +3,12 @@
 //! The grid's whole bargain is "same bytes, less work": every cell's
 //! `RunSummary` must be bit-identical to what `run_once` produces from
 //! an independent scan of the same trace, whatever the ingestion chunk
-//! size or FEL backend. These tests sweep that product
-//! space, pin the warm-cache rerun to 100% hits, and check the `repro
-//! replay` grid CLI surface (per-cell reports without `peak_rss_kb`,
-//! grid summary with the scan counters).
+//! size, worker count or FEL backend, and the trace is decoded once.
+//! These tests sweep that product space, step cells through a run of
+//! equal timestamps longer than a chunk, pin the warm-cache rerun to
+//! 100% hits, and check the `repro replay` grid CLI surface (per-cell
+//! reports without `peak_rss_kb`, grid summary with the scan
+//! counters).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,16 +70,25 @@ fn shared_scan_grid_matches_independent_scans_across_chunk_sizes() {
     // region per chunk. All must fan out the same bytes.
     for chunk in [1usize, 7, 4096] {
         let spec = TraceSpec::scan(&path, chunk).unwrap();
-        let grid = ReplayGrid::new(spec, all_analyzers(), 2, 13);
+        let grid = ReplayGrid {
+            concurrency: Some(2),
+            ..ReplayGrid::new(spec.clone(), all_analyzers(), 2, 13)
+        };
         let outcome = grid.run(None);
         assert_eq!(outcome.stats.cells, 6);
         assert_eq!(
             outcome.stats.trace_file_opens, 1,
             "chunk {chunk}: the grid must scan the trace exactly once"
         );
+        assert_eq!(outcome.stats.batches_decoded, spec.batches);
+        // A stepped cell needs the rows a `Batch` event holds and pulls
+        // (two arrival runs) decoded before it handles the event. The
+        // window stays at SCAN_DEPTH while a chunk covers that, and
+        // grows only as far as it needs for smaller chunks.
+        let reach = (2 * DEFAULT_ARRIVAL_RUN as usize).div_ceil(chunk) + 1;
         assert!(
-            outcome.stats.max_window <= SCAN_DEPTH,
-            "chunk {chunk}: window {} exceeded SCAN_DEPTH — backpressure broke",
+            outcome.stats.max_window <= SCAN_DEPTH.max(reach),
+            "chunk {chunk}: window {} exceeded max(SCAN_DEPTH, {reach}) — backpressure broke",
             outcome.stats.max_window
         );
         assert_cells_match_single_runs(&grid, &outcome, &format!("chunk {chunk}"));
@@ -109,7 +120,7 @@ fn replay_batched_cadence_matches_scalar() {
 #[test]
 fn shared_scan_grid_matches_independent_scans_across_backends() {
     let path = gen_trace("grid_backends.csv", 25.0, 300.0, 43);
-    for fel in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+    for fel in FelBackend::ALL {
         let spec = TraceSpec::scan(&path, 64).unwrap();
         let grid = ReplayGrid {
             fel: Some(fel),
@@ -160,20 +171,61 @@ fn warm_grid_rerun_is_all_hits_and_byte_identical() {
 }
 
 #[test]
-fn narrow_waves_still_match_and_scan_once_per_wave() {
+fn two_workers_step_six_cells_off_one_scan() {
     let path = gen_trace("grid_waves.csv", 25.0, 240.0, 53);
     let spec = TraceSpec::scan(&path, 64).unwrap();
+    for workers in [2, 1, 4] {
+        let grid = ReplayGrid {
+            concurrency: Some(workers), // 6 misses on `workers` threads
+            ..ReplayGrid::new(spec.clone(), all_analyzers(), 2, 23)
+        };
+        let outcome = grid.run(None);
+        assert_eq!(outcome.stats.scan_waves, 1, "{workers} workers");
+        assert_eq!(
+            outcome.stats.trace_file_opens, 1,
+            "{workers} workers: one open per grid, never per cell or wave"
+        );
+        assert_eq!(
+            outcome.stats.batches_decoded, spec.batches,
+            "{workers} workers: every batch decoded exactly once"
+        );
+        assert!(outcome.stats.max_window <= SCAN_DEPTH);
+        assert_cells_match_single_runs(&grid, &outcome, &format!("{workers} workers"));
+    }
+}
+
+#[test]
+fn equal_timestamps_longer_than_a_chunk_still_step_through() {
+    // 300 rows at one instant, against 16-row chunks: the stepping
+    // bound cannot pass the instant until the scan has published past
+    // the whole run, so the window must grow beyond SCAN_DEPTH instead
+    // of every worker waiting on the others.
+    let path = tmpdir().join("grid_ties.csv");
+    let mut csv = String::from("time,count,spread\n");
+    for i in 0..400 {
+        csv.push_str(&format!("{:.3},1,0\n", i as f64 * 0.25));
+    }
+    for _ in 0..300 {
+        csv.push_str("100.000,1,0\n");
+    }
+    for i in 1..400 {
+        csv.push_str(&format!("{:.3},2,0.5\n", 100.0 + i as f64 * 0.25));
+    }
+    fs::write(&path, csv).expect("write trace");
+    let spec = TraceSpec::scan(&path, 16).unwrap();
     let grid = ReplayGrid {
-        concurrency: Some(2), // 6 misses → 3 waves of 2
-        ..ReplayGrid::new(spec, all_analyzers(), 2, 23)
+        concurrency: Some(2),
+        ..ReplayGrid::new(spec.clone(), all_analyzers(), 2, 31)
     };
     let outcome = grid.run(None);
-    assert_eq!(outcome.stats.scan_waves, 3);
-    assert_eq!(
-        outcome.stats.trace_file_opens, 3,
-        "one open per wave, never per cell"
+    assert_eq!(outcome.stats.trace_file_opens, 1);
+    assert_eq!(outcome.stats.batches_decoded, spec.batches);
+    assert!(
+        outcome.stats.max_window > SCAN_DEPTH,
+        "the tie run should have forced the window open (max {})",
+        outcome.stats.max_window
     );
-    assert_cells_match_single_runs(&grid, &outcome, "waves of 2");
+    assert_cells_match_single_runs(&grid, &outcome, "equal timestamps");
 }
 
 #[test]

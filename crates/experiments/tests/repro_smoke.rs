@@ -83,3 +83,33 @@ fn repro_smoke_emits_well_formed_results() {
         assert!(curves.contains(label), "curves missing panel {label}");
     }
 }
+
+#[test]
+fn fel_flag_takes_the_remaining_backends_only() {
+    let run = |fel: &str| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["figures", "table2", "--no-cache", "--fel", fel, "--out"])
+            .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("repro-fel-{fel}")))
+            .output()
+            .expect("spawn repro")
+    };
+    for fel in ["quad_heap", "binary_heap"] {
+        let out = run(fel);
+        assert!(
+            out.status.success(),
+            "--fel {fel} exited with {}",
+            out.status
+        );
+    }
+    // The calendar queue is gone: its name is a usage error, as is any
+    // other unknown backend.
+    for fel in ["calendar", "heap"] {
+        let out = run(fel);
+        assert_eq!(out.status.code(), Some(2), "--fel {fel}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown FEL backend"),
+            "--fel {fel}: {stderr}"
+        );
+    }
+}

@@ -17,12 +17,19 @@
 //! buffer is pure plumbing, invisible to the simulation.
 //!
 //! [`SharedTraceScan`] is the **fan-out layer** on top of the seam:
-//! one decode pass feeding N concurrent [`StreamReplay`] consumers
-//! through ref-counted chunk handles with a bounded window
-//! ([`SCAN_DEPTH`]), so an analyzer × replication grid over one trace
-//! parses it exactly once (build one via
-//! [`TraceSpec::replay_shared`]; its [`ScanStats::file_opens`] is the
-//! probe that asserts the exactly-once property end to end).
+//! one decode pass feeding N [`StreamReplay`] consumers through
+//! ref-counted chunk handles with a bounded window ([`SCAN_DEPTH`]), so
+//! an analyzer × replication grid over one trace parses it exactly once
+//! (its [`ScanStats::file_opens`] is the probe that asserts the
+//! exactly-once property end to end). The consumers either run
+//! concurrently, one thread each, and decode on demand
+//! ([`TraceSpec::replay_shared`]), or are *stepped*: a few worker
+//! threads each advance several simulations up to a bound the scan
+//! derives from the rows it has published, and publish the next chunk
+//! once all their cells are parked there ([`TraceSpec::replay_stepped`],
+//! [`SharedTraceScan::publish_past`]). Stepping never blocks inside a
+//! simulation, so any number of cells share one scan on any number of
+//! threads.
 //!
 //! External files are validated **up front** by [`TraceSpec::scan`],
 //! which parses the file end to end for the request totals and the mean
@@ -40,7 +47,7 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use vmprov_des::{SimRng, SimTime, StableHasher};
 
 /// Process-wide count of [`CsvReader::open`] calls, read through
@@ -501,8 +508,12 @@ pub const DEFAULT_CHUNK: usize = 8192;
 /// Chunks the shared scan buffers ahead of the slowest consumer: the
 /// whole fan-out holds at most `SCAN_DEPTH + 1` chunks alive (the
 /// window plus one evicted chunk a straggler may still be iterating),
-/// independent of the consumer count.
-pub const SCAN_DEPTH: usize = 4;
+/// independent of the consumer count. A stepped scan goes past it only
+/// when every worker is parked and the window is full — the bound has
+/// not moved because the rows it needs are not out yet (a run of equal
+/// timestamps longer than the window, or chunks shorter than the
+/// lookahead).
+pub const SCAN_DEPTH: usize = 2;
 
 /// Counters of one [`SharedTraceScan`], for the exactly-once probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -511,8 +522,9 @@ pub struct ScanStats {
     pub chunks_decoded: u64,
     /// Batches decoded off the underlying reader (each exactly once).
     pub batches_decoded: u64,
-    /// High-water mark of the chunk window (≤ [`SCAN_DEPTH`] always —
-    /// the backpressure invariant).
+    /// High-water mark of the chunk window: ≤ [`SCAN_DEPTH`] for
+    /// concurrent consumers (the backpressure invariant); a stepped
+    /// scan exceeds it only to move a stalled bound (see there).
     pub max_window: usize,
     /// Consumers registered at fan-out time.
     pub consumers: usize,
@@ -544,6 +556,16 @@ struct ScanState {
     chunks_decoded: u64,
     batches_decoded: u64,
     max_window: usize,
+    /// Publications so far (chunks, end of stream, failure): a stepping
+    /// worker compares it with the [`Reach`] it acted on.
+    epoch: u64,
+    /// Timestamps of the last `lookahead` published rows (stepped scans
+    /// only); the front one is the stepping bound.
+    tail: VecDeque<SimTime>,
+    /// Stepping workers still running.
+    workers: usize,
+    /// Stepping workers waiting in `publish_past` at the current epoch.
+    parked: usize,
 }
 
 impl ScanState {
@@ -564,27 +586,38 @@ impl ScanState {
 
 struct ScanShared {
     chunk: usize,
+    /// Rows one simulation event may pull past the row it fires at
+    /// (stepped scans; 0 for concurrent consumers).
+    lookahead: usize,
     state: Mutex<ScanState>,
     /// Notified on every state transition: chunk published, chunk
-    /// evicted, reader finished/failed, consumer dropped. Consumers
-    /// re-check their own condition on wake.
+    /// evicted, reader finished/failed, consumer dropped, stepping
+    /// worker retired. Waiters re-check their own condition on wake.
     cv: Condvar,
 }
 
 /// One reader, one decode pass, N consumers: the **shared-scan
 /// broadcaster** behind replay grids.
 ///
-/// The scan has no thread of its own. Whichever consumer first needs a
-/// chunk that is not buffered yet takes the reader out of the shared
-/// state, decodes one chunk *outside* the lock, publishes it, and puts
-/// the reader back — so I/O and parsing happen exactly once per chunk,
-/// cooperatively, on whichever pool worker got there first. Chunks fan
-/// out as `Arc` handles (no per-consumer copy); a chunk is evicted as
-/// soon as every live consumer has taken it. The window is bounded at
-/// [`SCAN_DEPTH`] chunks: when it is full, fast consumers block until
-/// the slowest advances — backpressure instead of unbounded buffering,
-/// keeping memory `O(chunk × SCAN_DEPTH)` rather than
-/// `O(chunk × consumers)`.
+/// The scan has no thread of its own. The decoder of the moment takes
+/// the reader out of the shared state, decodes one chunk *outside* the
+/// lock, publishes it, and puts the reader back — so I/O and parsing
+/// happen exactly once per chunk. Chunks fan out as `Arc` handles (no
+/// per-consumer copy); a chunk is evicted as soon as every live
+/// consumer has taken it. The window is bounded at [`SCAN_DEPTH`]
+/// chunks — backpressure instead of unbounded buffering, keeping memory
+/// `O(chunk × SCAN_DEPTH)` rather than `O(chunk × consumers)`.
+///
+/// Who decodes depends on how the scan was built:
+/// * [`TraceSpec::replay_shared`]: each consumer runs on its own
+///   thread and decodes the next chunk itself when it gets there first;
+///   when the window is full, fast consumers block until the slowest
+///   advances, so every consumer must be running.
+/// * [`TraceSpec::replay_stepped`]: worker threads advance their
+///   consumers' simulations only through events before the
+///   [`reach`](Self::reach) bound, so a consumer always finds its chunk
+///   published; a worker whose cells are all parked at the bound
+///   decodes the next chunk in [`publish_past`](Self::publish_past).
 ///
 /// Dropping a [`ScanConsumer`] (including mid-stream, e.g. a panicking
 /// grid cell) marks it finished, so stragglers can never wedge the
@@ -593,6 +626,58 @@ pub struct SharedTraceScan {
     shared: Arc<ScanShared>,
     /// Files opened to build this scan (see [`ScanStats::file_opens`]).
     file_opens: u64,
+}
+
+impl ScanShared {
+    fn lock(&self) -> MutexGuard<'_, ScanState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes the reader out, decodes the next chunk *outside* the lock,
+    /// and publishes it (or the end of stream, or the failure). The
+    /// caller has checked that the reader is free.
+    fn decode_next<'a>(&'a self, mut st: MutexGuard<'a, ScanState>) -> MutexGuard<'a, ScanState> {
+        let mut reader = st.reader.take().expect("the reader is free");
+        st.reading = true;
+        drop(st);
+        let mut buf = Vec::with_capacity(self.chunk);
+        let res = reader.read_chunk(&mut buf, self.chunk);
+        let mut st = self.lock();
+        st.reading = false;
+        st.epoch += 1;
+        st.parked = 0;
+        match res {
+            Ok(0) => st.eof = true, // reader retired (file closes)
+            Ok(n) => {
+                st.chunks_decoded += 1;
+                st.batches_decoded += n as u64;
+                let keep = n.min(self.lookahead);
+                st.tail.extend(buf[n - keep..].iter().map(|b| b.time));
+                let excess = st.tail.len().saturating_sub(self.lookahead);
+                st.tail.drain(..excess);
+                st.window.push_back(Arc::new(buf));
+                st.max_window = st.max_window.max(st.window.len());
+                st.reader = Some(reader);
+            }
+            Err(e) => st.failed = Some(e),
+        }
+        self.cv.notify_all();
+        st
+    }
+
+    fn reach(&self, st: &ScanState) -> Reach {
+        let bound = if st.eof {
+            StepBound::End
+        } else if self.lookahead > 0 && st.tail.len() == self.lookahead {
+            StepBound::Before(st.tail[0])
+        } else {
+            StepBound::Nothing
+        };
+        Reach {
+            epoch: st.epoch,
+            bound,
+        }
+    }
 }
 
 impl SharedTraceScan {
@@ -604,10 +689,25 @@ impl SharedTraceScan {
         consumers: usize,
         chunk: usize,
     ) -> (SharedTraceScan, Vec<ScanConsumer>) {
+        Self::build(reader, consumers, chunk, 0, 0)
+    }
+
+    /// The one constructor of both kinds of scan: `workers` threads
+    /// step the consumers (see [`publish_past`](Self::publish_past)),
+    /// whose events pull at most `lookahead` rows past the row they fire
+    /// at; both are 0 when the consumers run concurrently instead.
+    fn build(
+        reader: Box<dyn DatasetReader>,
+        consumers: usize,
+        chunk: usize,
+        workers: usize,
+        lookahead: usize,
+    ) -> (SharedTraceScan, Vec<ScanConsumer>) {
         assert!(consumers >= 1, "a scan needs at least one consumer");
         assert!(chunk >= 1, "chunk must hold at least one batch");
         let shared = Arc::new(ScanShared {
             chunk,
+            lookahead,
             state: Mutex::new(ScanState {
                 window: VecDeque::new(),
                 base: 0,
@@ -619,6 +719,10 @@ impl SharedTraceScan {
                 chunks_decoded: 0,
                 batches_decoded: 0,
                 max_window: 0,
+                epoch: 0,
+                tail: VecDeque::with_capacity(lookahead),
+                workers,
+                parked: 0,
             }),
             cv: Condvar::new(),
         });
@@ -639,7 +743,7 @@ impl SharedTraceScan {
 
     /// Decode counters so far (final once every consumer finished).
     pub fn stats(&self) -> ScanStats {
-        let st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        let st = self.shared.lock();
         ScanStats {
             chunks_decoded: st.chunks_decoded,
             batches_decoded: st.batches_decoded,
@@ -648,6 +752,77 @@ impl SharedTraceScan {
             file_opens: self.file_opens,
         }
     }
+
+    /// How far stepped cells may run on what is published now.
+    pub fn reach(&self) -> Reach {
+        self.shared.reach(&self.shared.lock())
+    }
+
+    /// Called by a stepping worker once every cell it owns has handled
+    /// all that `seen` allows. Returns a newer reach: at once if another
+    /// worker published meanwhile, else after publishing the next chunk
+    /// itself. It publishes while the window holds fewer than
+    /// [`SCAN_DEPTH`] chunks, or past that when every other worker is
+    /// parked too (their cells need rows the window lacks, so waiting
+    /// would deadlock); otherwise it waits for the other workers' cells
+    /// to take chunks. A decode error reaches every worker.
+    pub fn publish_past(&self, seen: Reach) -> Result<Reach, DatasetError> {
+        let sh = &self.shared;
+        let mut st = sh.lock();
+        loop {
+            if let Some(e) = &st.failed {
+                return Err(e.clone());
+            }
+            if st.epoch != seen.epoch || st.eof {
+                return Ok(sh.reach(&st));
+            }
+            let all_parked = st.parked + 1 >= st.workers;
+            if !st.reading && (st.window.len() < SCAN_DEPTH || all_parked) {
+                st = sh.decode_next(st);
+                continue;
+            }
+            let epoch = st.epoch;
+            st.parked += 1;
+            st = sh.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            if st.epoch == epoch {
+                st.parked -= 1;
+            }
+        }
+    }
+
+    /// Called once by each stepping worker when it stops (its cells
+    /// finished, or it is unwinding), so the rest no longer count it as
+    /// a worker that could still move.
+    pub fn retire_worker(&self) {
+        let mut st = self.shared.lock();
+        st.workers = st.workers.saturating_sub(1);
+        self.shared.cv.notify_all();
+    }
+}
+
+/// How far the stepped cells of a [`SharedTraceScan`] may run, as read
+/// at one publication.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reach {
+    epoch: u64,
+    /// What the cells may handle.
+    pub bound: StepBound,
+}
+
+/// What the stepped cells of a scan may handle.
+///
+/// With `P` rows published and a lookahead of `L` rows, the bound is
+/// the timestamp of row `P − L`. An event strictly before it fires at a
+/// row below `P − L` (rows are time-ordered), so the rows it may pull
+/// all lie below `P`: a cell never asks for a row that is not out yet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StepBound {
+    /// Fewer than the lookahead's rows are out: no cell may start.
+    Nothing,
+    /// Every event strictly before this time.
+    Before(SimTime),
+    /// The whole trace is out: every event, to the end.
+    End,
 }
 
 impl fmt::Debug for SharedTraceScan {
@@ -675,7 +850,7 @@ impl ScanConsumer {
     /// the slowest consumer to free space.
     pub fn next_chunk(&mut self) -> Result<Option<Arc<Vec<ArrivalBatch>>>, DatasetError> {
         let sh = &self.shared;
-        let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = sh.lock();
         loop {
             let seq = st.cursors[self.id];
             debug_assert!(seq >= st.base, "cursor behind the window");
@@ -693,31 +868,17 @@ impl ScanConsumer {
             if st.eof {
                 return Ok(None);
             }
+            // A stepped cell only ever asks for published rows.
+            debug_assert!(
+                sh.lookahead == 0,
+                "a stepped cell outran the published rows"
+            );
             // Nothing buffered for us and the stream is live: decode the
             // next chunk ourselves if the reader is free and the window
             // has room, else wait for whoever has it / for space.
             if !st.reading && st.window.len() < SCAN_DEPTH {
-                if let Some(mut reader) = st.reader.take() {
-                    st.reading = true;
-                    drop(st);
-                    let mut buf = Vec::with_capacity(sh.chunk);
-                    let res = reader.read_chunk(&mut buf, sh.chunk);
-                    st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-                    st.reading = false;
-                    match res {
-                        Ok(0) => st.eof = true, // reader retired (file closes)
-                        Ok(n) => {
-                            st.chunks_decoded += 1;
-                            st.batches_decoded += n as u64;
-                            st.window.push_back(Arc::new(buf));
-                            st.max_window = st.max_window.max(st.window.len());
-                            st.reader = Some(reader);
-                        }
-                        Err(e) => st.failed = Some(e),
-                    }
-                    sh.cv.notify_all();
-                    continue;
-                }
+                st = sh.decode_next(st);
+                continue;
             }
             st = sh.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
@@ -729,7 +890,7 @@ impl Drop for ScanConsumer {
     /// so a dropped (or panicked) consumer can never backpressure the
     /// rest of the group forever.
     fn drop(&mut self) {
-        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.shared.lock();
         st.cursors[self.id] = u64::MAX;
         st.evict();
         self.shared.cv.notify_all();
@@ -838,8 +999,39 @@ impl TraceSpec {
         &self,
         consumers: usize,
     ) -> Result<(SharedTraceScan, Vec<StreamReplay>), DatasetError> {
+        self.replay_fanned(consumers, 0, 0)
+    }
+
+    /// Like [`replay_shared`](Self::replay_shared), but the replays are
+    /// *stepped* by `workers` threads rather than run one per thread:
+    /// each worker advances its simulations only through events before
+    /// the scan's [`reach`](SharedTraceScan::reach) and then calls
+    /// [`publish_past`](SharedTraceScan::publish_past), so any number of
+    /// replays share one decode on a few threads without ever blocking
+    /// inside a simulation. `lookahead` is the most rows one event of a
+    /// replaying simulation may pull past the row it fires at.
+    pub fn replay_stepped(
+        &self,
+        consumers: usize,
+        workers: usize,
+        lookahead: usize,
+    ) -> Result<(SharedTraceScan, Vec<StreamReplay>), DatasetError> {
+        assert!(
+            workers >= 1 && lookahead >= 1,
+            "stepping needs a worker and a lookahead"
+        );
+        self.replay_fanned(consumers, workers, lookahead)
+    }
+
+    fn replay_fanned(
+        &self,
+        consumers: usize,
+        workers: usize,
+        lookahead: usize,
+    ) -> Result<(SharedTraceScan, Vec<StreamReplay>), DatasetError> {
         let reader = Box::new(CsvReader::open(&self.path)?);
-        let (mut scan, handles) = SharedTraceScan::fan_out(reader, consumers, self.chunk);
+        let (mut scan, handles) =
+            SharedTraceScan::build(reader, consumers, self.chunk, workers, lookahead);
         scan.file_opens = 1;
         let replays = handles
             .into_iter()

@@ -26,8 +26,8 @@ pub mod web;
 
 pub use dataset::{
     generate_piecewise_csv, generate_poisson_csv, trace_file_opens, CsvReader, DatasetError,
-    DatasetReader, GeneratedTrace, MemoryReader, ScanConsumer, ScanStats, SharedTraceScan,
-    StreamReplay, TraceSpec, DEFAULT_CHUNK, MAX_ROW_COUNT, SCAN_DEPTH,
+    DatasetReader, GeneratedTrace, MemoryReader, Reach, ScanConsumer, ScanStats, SharedTraceScan,
+    StepBound, StreamReplay, TraceSpec, DEFAULT_CHUNK, MAX_ROW_COUNT, SCAN_DEPTH,
 };
 pub use scientific::{scientific_service_model, ScientificConfig, ScientificWorkload};
 pub use trace::Trace;

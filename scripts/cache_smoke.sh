@@ -5,8 +5,8 @@
 # wall-clock (in practice it is <1%; the bound only needs to survive a
 # loaded CI machine) — and that it reproduces the cold pass's figure
 # output byte for byte. A third, uncached pass on the binary-heap event
-# list must reproduce the cold (calendar) pass's figures byte for byte
-# too: a figure-level check that both backends order same-instant
+# list must reproduce the cold (4-ary heap) pass's figures byte for
+# byte too: a figure-level check that both backends order same-instant
 # events alike over the full 24 h scientific horizon. Leaves
 # cache_stats_{cold,warm}.json under target/cache-smoke/ for the CI
 # artifact upload.

@@ -10,7 +10,7 @@
 #   2. Replay summaries are byte-identical across ingestion chunk sizes
 #      (reference vs --chunk 1024).
 #   3. Replay summaries are byte-identical across both FEL backends
-#      (calendar reference vs --fel binary_heap).
+#      (the default 4-ary heap vs the --fel binary_heap reference).
 #   4. The estimator-driven runs (sliding-window MLE, EWMA) produce the
 #      same Fig 5-style QoS verdicts as the oracle-λ run on this
 #      stationary trace.
@@ -19,7 +19,9 @@
 #      replay_grid.json's grid stats), stays chunk-bounded in RSS at
 #      grid level, and
 #      every cell's summary is byte-identical to its single-run
-#      counterpart.
+#      counterpart — on the default worker count and again on two
+#      workers stepping three cells each (--jobs 2), which must still
+#      decode every batch exactly once.
 #
 # usage: trace_smoke.sh [RATE HORIZON_SECS]
 #   trace_smoke.sh              # 2000 req/s × 5000 s ≈ 10M requests
@@ -123,28 +125,46 @@ for analyzer in oracle mle ewma; do
     run_cell "$OUT/rep1_${analyzer}" --analyzer "$analyzer" --rep 1
 done
 
+grid_stat() { # GRID_DIR FIELD — integer field from replay_grid.json
+    sed -n "s/.*\"$2\": *\([0-9][0-9]*\).*/\1/p" "$1/replay_grid.json" | head -1
+}
+# Data rows of the trace (every line but the header).
+BATCHES=$(( $(wc -l < "$TRACE") - 1 ))
+
+check_grid() { # GRID_DIR LABEL — one scan, every batch decoded once, RSS bound
+    local dir="$1" label="$2" opens waves decoded
+    opens=$(grid_stat "$dir" trace_file_opens)
+    waves=$(grid_stat "$dir" scan_waves)
+    decoded=$(grid_stat "$dir" batches_decoded)
+    if [ "$opens" != 1 ] || [ "$waves" != 1 ]; then
+        echo "trace_smoke.sh: FAIL — $label opened the trace ${opens:-?} time(s) in" \
+             "${waves:-?} wave(s); the shared scan must decode it exactly once" >&2
+        exit 1
+    fi
+    if [ "$decoded" != "$BATCHES" ]; then
+        echo "trace_smoke.sh: FAIL — $label decoded ${decoded:-?} batches of a" \
+             "${BATCHES}-batch trace; each must be decoded exactly once" >&2
+        exit 1
+    fi
+    echo "trace_smoke.sh: $label scanned the trace exactly once" \
+         "(1 open, 1 wave, ${decoded} batches)" >&2
+    # The grid-level peak covers all 6 live cells; the per-cell bound
+    # still applies because the shared window is chunk-bounded (DESIGN §13).
+    rss_of "$dir/replay_grid.json" "$RSS_BOUND_KB" "$label"
+    if grep -q peak_rss_kb "$dir/replay_oracle_rep0_qos.json"; then
+        echo "trace_smoke.sh: FAIL — per-cell qos reports claim an RSS figure;" \
+             "under a shared-process grid that number is process-wide and meaningless" >&2
+        exit 1
+    fi
+}
+
 echo "trace_smoke.sh: 3-analyzer × 2-rep shared-scan grid" >&2
 run_cell "$OUT/grid" --analyzers oracle,mle,ewma --reps 2
+check_grid "$OUT/grid" "grid"
 
-grid_stat() { # FIELD — integer field from replay_grid.json
-    sed -n "s/.*\"$1\": *\([0-9][0-9]*\).*/\1/p" "$OUT/grid/replay_grid.json" | head -1
-}
-opens=$(grid_stat trace_file_opens)
-waves=$(grid_stat scan_waves)
-if [ "$opens" != 1 ] || [ "$waves" != 1 ]; then
-    echo "trace_smoke.sh: FAIL — grid opened the trace ${opens:-?} time(s) in" \
-         "${waves:-?} wave(s); the shared scan must decode it exactly once" >&2
-    exit 1
-fi
-echo "trace_smoke.sh: grid scanned the trace exactly once (1 open, 1 wave)" >&2
-# The grid-level peak covers all 6 concurrent cells; the per-cell bound
-# still applies because the shared window is chunk-bounded (DESIGN §13).
-rss_of "$OUT/grid/replay_grid.json" "$RSS_BOUND_KB" "grid"
-if grep -q peak_rss_kb "$OUT/grid/replay_oracle_rep0_qos.json"; then
-    echo "trace_smoke.sh: FAIL — per-cell qos reports claim an RSS figure;" \
-         "under a pooled grid that number is process-wide and meaningless" >&2
-    exit 1
-fi
+echo "trace_smoke.sh: the same grid on two workers (--jobs 2)" >&2
+run_cell "$OUT/grid_jobs2" --analyzers oracle,mle,ewma --reps 2 --jobs 2
+check_grid "$OUT/grid_jobs2" "two-worker grid"
 
 grid_cell_of() { # ANALYZER REP — the single-run counterpart summary
     local analyzer="$1" rep="$2"
@@ -157,17 +177,20 @@ grid_cell_of() { # ANALYZER REP — the single-run counterpart summary
         echo "$OUT/rep1_${analyzer}/replay_${analyzer}.json"
     fi
 }
-for analyzer in oracle mle ewma; do
-    for rep in 0 1; do
-        single=$(grid_cell_of "$analyzer" "$rep")
-        if ! diff -q "$OUT/grid/replay_${analyzer}_rep${rep}.json" "$single" >&2; then
-            echo "trace_smoke.sh: FAIL — grid cell ${analyzer} rep ${rep} differs" \
-                 "from its single-run counterpart" >&2
-            exit 1
-        fi
+for grid in grid grid_jobs2; do
+    for analyzer in oracle mle ewma; do
+        for rep in 0 1; do
+            single=$(grid_cell_of "$analyzer" "$rep")
+            if ! diff -q "$OUT/$grid/replay_${analyzer}_rep${rep}.json" "$single" >&2; then
+                echo "trace_smoke.sh: FAIL — $grid cell ${analyzer} rep ${rep} differs" \
+                     "from its single-run counterpart" >&2
+                exit 1
+            fi
+        done
     done
+    echo "trace_smoke.sh: all 6 $grid cells match their single-run counterparts" \
+         "byte for byte" >&2
 done
-echo "trace_smoke.sh: all 6 grid cells match their single-run counterparts byte for byte" >&2
 
 # The generated trace is ~220 MB; don't leave it for the artifact upload.
 rm -f "$TRACE"

@@ -194,7 +194,7 @@ fn online_stats_merge_equals_sequential() {
 #[test]
 fn event_queue_pops_sorted_stable() {
     cases(128, |g: &mut Gen| {
-        for backend in [FelBackend::Calendar, FelBackend::BinaryHeap] {
+        for backend in FelBackend::ALL {
             let times = g.vec(1..300, |g| g.f64_in(0.0..1e6));
             let mut q = EventQueue::with_backend(backend);
             for (i, &t) in times.iter().enumerate() {
