@@ -12,12 +12,14 @@
 //! monotone bulk insert (`fel_bulk_insert_*` — the staged-run append
 //! one expanded arrival burst pays, vs per-entry `fel_fill_drain_*`),
 //! the branchless admission probe (`admission_bitset_hot`), and
-//! three end-to-end measurements: a small web simulation — run twice,
+//! four end-to-end measurements: a small web simulation — run twice,
 //! once through the default (probe-less) path and once with an
 //! explicitly attached `NullProbe`, to measure that the observability
 //! generic monomorphizes away — a scientific simulation under the
-//! adaptive policy, and an Algorithm 1 sizing sweep through the
-//! cross-tick cache. Two campaign-scheduler measurements round the
+//! adaptive policy, the per-run set-up of the Fig 6 set
+//! (`sci_setup_run`: each scenario built and run for one simulated
+//! second), and an Algorithm 1 sizing sweep through the cross-tick
+//! cache. Two campaign-scheduler measurements round the
 //! suite out: `pool_dispatch_overhead` (thousands of trivial jobs
 //! through the persistent worker pool, bounding the pool's per-job
 //! scheduling cost) and `campaign_smoke_cached` (a fully warm
@@ -60,7 +62,7 @@ use vmprov_bench::{bench, bench_report, black_box, Timing};
 use vmprov_cloudsim::NullProbe;
 use vmprov_des::{EventQueue, FelBackend, RngFactory, SimTime};
 use vmprov_experiments::runner::{builder_for, replication_seed};
-use vmprov_experiments::scenario::{PolicySpec, Scenario};
+use vmprov_experiments::scenario::{fig6_scenarios, PolicySpec, Scenario};
 use vmprov_json::Json;
 
 /// Workload sizes, shrunk by `--quick`.
@@ -81,6 +83,8 @@ struct Sizes {
     /// Simulated hours of the scientific run (long batch jobs need
     /// hours before the adaptive policy scales).
     sci_hours: f64,
+    /// Passes over the six Fig 6 scenarios per `sci_setup_run` run.
+    setup_rounds: usize,
     /// Trivial jobs per `pool_dispatch_overhead` batch.
     pool_jobs: usize,
     /// Standard-exponential draws per `exp_sampler_hot` run.
@@ -107,6 +111,7 @@ impl Sizes {
             fill: 100_000,
             web_horizon: 600.0,
             sci_hours: 10.0,
+            setup_rounds: 40,
             pool_jobs: 20_000,
             sampler_draws: 4_000_000,
             campaign_horizon: 600.0,
@@ -127,6 +132,7 @@ impl Sizes {
             // the probe-overhead gate needs stable per-run times.
             web_horizon: 120.0,
             sci_hours: 2.0,
+            setup_rounds: 5,
             pool_jobs: 2_000,
             sampler_draws: 200_000,
             campaign_horizon: 120.0,
@@ -436,6 +442,27 @@ fn bench_sci_run(hours: f64, runs: u32) -> Timing {
             black_box(builder_for(&scenario).run(&rngs));
         },
     )
+}
+
+/// Per-run set-up of the Fig 6 set: each scenario built and run for
+/// one simulated second, in ns per run (the unit e2ebench reports as
+/// `cloudsim.setup_us_per_run`, in µs). A second holds a handful of
+/// batch jobs, so booting the initial fleet onto the 1000-host data
+/// center and building the policy and workload dominate.
+fn bench_sci_setup(rounds: usize, runs: u32) -> Timing {
+    let scenarios: Vec<Scenario> = fig6_scenarios(0x5E7)
+        .into_iter()
+        .map(|s| s.with_horizon(SimTime::from_secs(1.0)))
+        .collect();
+    let ops = (rounds * scenarios.len()) as u64;
+    bench("sci_setup_run", ops, 1, (2 * runs).max(5), || {
+        for _ in 0..rounds {
+            for s in &scenarios {
+                let rngs = RngFactory::new(replication_seed(s.seed, 0));
+                black_box(builder_for(s).run(&rngs));
+            }
+        }
+    })
 }
 
 /// Algorithm 1 sizing over a repeating diurnal λ profile, through the
@@ -1035,6 +1062,9 @@ fn main() {
         vec![bench_sci_run(sizes.sci_hours, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
+        vec![bench_sci_setup(sizes.setup_rounds, sizes.runs)]
+    })));
+    groups.push(run_group(Box::new(move || {
         vec![bench_modeler_sweep(sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
@@ -1166,6 +1196,10 @@ fn main() {
             "  erased vs monomorphized web run: {:.2}x ({erased:.1} vs {mono:.1} ns/request)",
             erased / mono
         );
+    }
+    // Headline: what one Fig 6 run costs before its requests do.
+    if let Some(setup) = ns_per_op("sci_setup_run") {
+        println!("  sci set-up: {:.1} us per Fig 6 run", setup / 1e3);
     }
     // Headline: the shared-scan replay grid vs the sequential
     // scan-per-cell equivalent — the wall-clock number the grid buys.

@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use crate::host::{PlacementPolicy, Resources, PAPER_HOST, PAPER_VM};
+use crate::host::{Resources, PAPER_HOST, PAPER_VM};
 use crate::metrics::MetricsOptions;
 use vmprov_des::FelBackend;
 
@@ -13,8 +13,6 @@ pub struct SimConfig {
     pub host_shape: Resources,
     /// VM shape (paper: 1 core, 2 GB).
     pub vm_shape: Resources,
-    /// Host-selection policy for new VMs (paper: least-loaded).
-    pub placement: PlacementPolicy,
     /// Seconds between VM creation and readiness (paper/CloudSim
     /// default: 0; the boot-delay ablation sweeps this).
     pub boot_delay: f64,
@@ -90,7 +88,6 @@ impl SimConfig {
             hosts: 1000,
             host_shape: PAPER_HOST,
             vm_shape: PAPER_VM,
-            placement: PlacementPolicy::LeastLoaded,
             boot_delay: 0.0,
             monitor_interval: 60.0,
             initial_service_estimate,

@@ -3,7 +3,7 @@
 //! The discrete-event model of the paper's evaluation environment
 //! (built on `vmprov-des`, filling the role CloudSim plays in §V):
 //!
-//! * [`host`] — 1000-host data center, VM placement policies;
+//! * [`host`] — 1000-host data center, least-loaded VM placement;
 //! * [`config`] — scenario configuration ([`SimConfig::paper_web`],
 //!   [`SimConfig::paper_scientific`]);
 //! * [`sim`] — the event loop: admission control, round-robin dispatch,
@@ -29,7 +29,7 @@ pub mod sim;
 
 pub use builder::SimBuilder;
 pub use config::SimConfig;
-pub use host::{HostPool, PlacementPolicy, Resources, PAPER_HOST, PAPER_VM};
+pub use host::{HostPool, Resources, PAPER_HOST, PAPER_VM};
 pub use metrics::{MetricsOptions, RunMetrics, RunSummary};
 pub use probe::{
     CounterProbe, NullProbe, PoolSample, Probe, RejectReason, RequestClass, TimeSample, TimeSeries,

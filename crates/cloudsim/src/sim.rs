@@ -525,7 +525,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
             None => InstanceSlots::with_capacity(1024, k),
         };
         let world = CloudSim {
-            hosts: HostPool::new(cfg.hosts, cfg.host_shape, cfg.placement),
+            hosts: HostPool::new(cfg.hosts, cfg.host_shape, cfg.vm_shape),
             instances,
             active: Vec::with_capacity(256),
             draining: Vec::new(),
@@ -723,7 +723,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
     /// Allocates host resources and records a new instance in `Booting`
     /// state. Returns the slot, or `None` if the data center is full.
     fn allocate_instance(&mut self, now: SimTime) -> Option<u32> {
-        let Some(host) = self.hosts.place(self.cfg.vm_shape) else {
+        let Some(host) = self.hosts.place() else {
             self.metrics.vm_creation_failures += 1;
             return None;
         };
@@ -754,7 +754,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
         self.metrics.vm_seconds += now - self.instances.created_at[i];
         self.metrics.instances.add(now, -1.0);
         let host = self.instances.host[i];
-        self.hosts.release(host, self.cfg.vm_shape);
+        self.hosts.release(host);
         self.probe.on_vm_destroy(now, slot);
         self.instances.release(slot);
     }
@@ -1102,6 +1102,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
         }
         self.apply_target(target, now, sched);
         self.debug_check_room_bits();
+        self.hosts.debug_check_hosts();
         if reschedule {
             let next = self.policy.next_evaluation(now);
             if next <= self.horizon {
@@ -1195,6 +1196,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W,
             }
             Event::Monitor => {
                 self.debug_check_room_bits();
+                self.hosts.debug_check_hosts();
                 self.policy
                     .observe_arrivals(now, self.window_arrivals, self.cfg.monitor_interval);
                 self.window_arrivals = 0;
