@@ -9,9 +9,11 @@
 //!
 //! Covers the future-event-list backends (4-ary heap vs binary heap)
 //! at small and large pending sizes, cancellation churn,
-//! monotone bulk insert (`fel_bulk_insert_*` — the staged-run append
-//! one expanded arrival burst pays, vs per-entry `fel_fill_drain_*`),
-//! the branchless admission probe (`admission_bitset_hot`), and
+//! lane releases (`fel_bulk_insert_*` — sorted arrival runs appended to
+//! the event list's lane, vs per-entry `fel_fill_drain_*`), the
+//! expansion of one web arrival batch (`arrival_expand_web`: ~30.5k
+//! spread offsets drawn and sorted), the branchless admission probe
+//! (`admission_bitset_hot`), and
 //! four end-to-end measurements: a small web simulation — run twice,
 //! once through the default (probe-less) path and once with an
 //! explicitly attached `NullProbe`, to measure that the observability
@@ -80,6 +82,8 @@ struct Sizes {
     fill: usize,
     /// Simulated seconds of the small web run.
     web_horizon: f64,
+    /// 60-second web batches per `arrival_expand_web` run.
+    web_batches: usize,
     /// Simulated hours of the scientific run (long batch jobs need
     /// hours before the adaptive policy scales).
     sci_hours: f64,
@@ -110,6 +114,7 @@ impl Sizes {
             churn: 200_000,
             fill: 100_000,
             web_horizon: 600.0,
+            web_batches: 20,
             sci_hours: 10.0,
             setup_rounds: 40,
             pool_jobs: 20_000,
@@ -131,6 +136,7 @@ impl Sizes {
             // Kept large enough that one run dominates scheduler noise —
             // the probe-overhead gate needs stable per-run times.
             web_horizon: 120.0,
+            web_batches: 2,
             sci_hours: 2.0,
             setup_rounds: 5,
             pool_jobs: 2_000,
@@ -202,16 +208,17 @@ fn bench_fill_drain(backend: FelBackend, n: usize, runs: u32) -> Timing {
     })
 }
 
-/// Bulk insert of monotone runs at the simulator's cadence: sorted
-/// 64-entry runs land through `schedule_run` a few runs ahead of the
-/// drain (a steady window, like arrival prefetch staying just ahead of
-/// the clock), `n` events in total. One staged append per run on the
-/// 4-ary heap, a per-entry fallback on the binary heap; compare with
-/// `fel_fill_drain_*`, which pays per-entry insertion for the same
-/// event count.
+/// Lane releases at the simulator's cadence: sorted 64-entry runs,
+/// all with one payload as the lane requires, land through
+/// `schedule_run` a few runs ahead of the drain (a steady window, like
+/// arrival slices released just ahead of the clock), `n` events in
+/// total. Each run starts where the previous one ends, as slices of
+/// one sorted arrival stream do, so every release appends. One append
+/// per run, O(1) per pop; compare with `fel_fill_drain_*`, which pays
+/// per-entry insertion for the same event count.
 fn bench_bulk_insert(backend: FelBackend, n: usize, runs: u32) -> Timing {
     const RUN: usize = 64;
-    const WINDOW: usize = 4; // runs in flight, well under MAX_STAGED_RUNS
+    const WINDOW: usize = 4; // runs in flight
     let mut rng = RngFactory::new(0xB0B5).stream("bulk");
     let name = format!("fel_bulk_insert_{}_{}", n, backend_tag(backend));
     bench(&name, 2 * n as u64, 1, runs, || {
@@ -220,13 +227,13 @@ fn bench_bulk_insert(backend: FelBackend, n: usize, runs: u32) -> Timing {
         let mut base = 0.0;
         let mut scheduled = 0usize;
         let mut push_run = |q: &mut EventQueue<usize>, scheduled: &mut usize| {
-            base += rng.uniform(0.5, 1.5);
+            base += 1.0;
             times.clear();
             for _ in 0..RUN {
                 times.push(SimTime::from_secs(base + rng.uniform(0.0, 1.0)));
             }
             times.sort_unstable();
-            q.schedule_run(&times, *scheduled);
+            q.schedule_run(&times, 0);
             *scheduled += RUN;
         };
         for _ in 0..WINDOW {
@@ -241,6 +248,39 @@ fn bench_bulk_insert(backend: FelBackend, n: usize, runs: u32) -> Timing {
         while let Some(ev) = q.pop() {
             black_box(ev);
         }
+    })
+}
+
+/// One web release in isolation: the paper's web workload expanded a
+/// 60-second batch at a time (≈30.5k requests at Monday's midnight
+/// rate), each request's spread offset drawn and the batch sorted —
+/// what a Fig 5 replication's arrival stream pays once for all its
+/// policies. In ns per arrival.
+fn bench_arrival_expand(batches: usize, runs: u32) -> Timing {
+    use vmprov_cloudsim::ArrivalStream;
+    use vmprov_workloads::{WebConfig, WebWorkload};
+    let rngs = RngFactory::new(0xA221);
+    let workload = || {
+        WebWorkload::new(WebConfig {
+            horizon: SimTime::from_secs(60.0 * batches as f64),
+            ..WebConfig::default()
+        })
+    };
+    let expand = |stream: &mut ArrivalStream<WebWorkload>| -> u64 {
+        let mut arrivals = 0;
+        while stream.next_release().is_some() {
+            stream.expand();
+            let n = stream.ready().len();
+            black_box(stream.ready().last());
+            stream.take(n);
+            arrivals += n as u64;
+        }
+        arrivals
+    };
+    let arrivals = expand(&mut ArrivalStream::new(workload(), &rngs, 64));
+    bench("arrival_expand_web", arrivals, 1, runs, || {
+        let mut stream = ArrivalStream::new(workload(), &rngs, 64);
+        black_box(expand(&mut stream));
     })
 }
 
@@ -1042,6 +1082,9 @@ fn main() {
             vec![bench_bulk_insert(backend, sizes.fill, sizes.runs)]
         })));
     }
+    groups.push(run_group(Box::new(move || {
+        vec![bench_arrival_expand(sizes.web_batches, sizes.runs)]
+    })));
     groups.push(run_group(Box::new(move || {
         vec![bench_admission_bitset(sizes.churn, sizes.runs)]
     })));

@@ -28,11 +28,11 @@
 use crate::config::SimConfig;
 use crate::metrics::{MetricsOptions, RunSummary};
 use crate::probe::{NullProbe, Probe};
-use crate::sim::{run_engine, run_engine_scratch, CloudSim, ResumableRun, SimScratch};
+use crate::sim::{RunGroup, SimScratch};
 use std::convert::Infallible;
 use vmprov_core::dispatch::{AnyDispatcher, Dispatcher};
 use vmprov_core::policy::ProvisioningPolicy;
-use vmprov_des::{Engine, FelBackend, RngFactory};
+use vmprov_des::{FelBackend, RngFactory};
 use vmprov_workloads::{AnyWorkload, ArrivalProcess, ServiceModel};
 
 /// Builder for one simulation run. Construct with [`SimBuilder::new`],
@@ -41,8 +41,8 @@ use vmprov_workloads::{AnyWorkload, ArrivalProcess, ServiceModel};
 /// then [`run`](SimBuilder::run). Missing components panic at `run`
 /// time with the component's name.
 ///
-/// The builder is generic over the workload and dispatcher it carries
-/// (mirroring [`CloudSim`]); [`workload`](SimBuilder::workload) and
+/// The builder is generic over the workload and dispatcher it carries;
+/// [`workload`](SimBuilder::workload) and
 /// [`dispatcher`](SimBuilder::dispatcher) rebind those parameters the
 /// same way [`probe`](SimBuilder::probe) rebinds the probe type, so the
 /// simulation that eventually runs is monomorphized over exactly the
@@ -130,10 +130,10 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
         self
     }
 
-    /// Overrides how many arrival batches are prefetched and expanded
-    /// per `Batch` event (default: the config's; `1` is the scalar
-    /// cadence). Performance only — the summary is the same at every
-    /// depth; see [`SimConfig::arrival_run`].
+    /// Overrides how many arrival batches the run's arrival stream
+    /// pulls and expands at a time (default: the config's; `1` is the
+    /// scalar cadence). Performance only — the summary is the same at
+    /// every depth; see [`SimConfig::arrival_run`].
     pub fn arrival_run(mut self, run: u32) -> Self {
         assert!(run >= 1, "arrival run length must be at least 1");
         self.cfg.arrival_run = run;
@@ -174,7 +174,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
     /// call happens once per simulation, so the attribute costs nothing.
     #[inline(never)]
     pub fn run_probed(self, rngs: &RngFactory) -> (RunSummary, P) {
-        run_engine(self.build(rngs, None))
+        solo(RunGroup::start(vec![self], rngs, None).finish(None))
     }
 
     /// Like [`run`](Self::run), but recycles warm simulation storage
@@ -196,40 +196,51 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
         rngs: &RngFactory,
         scratch: &mut SimScratch,
     ) -> (RunSummary, P) {
-        let engine = self.build(rngs, Some(&mut *scratch));
-        run_engine_scratch(engine, scratch)
+        let group = RunGroup::start(vec![self], rngs, Some(&mut *scratch));
+        solo(group.finish(Some(scratch)))
     }
 
-    /// Builds the run without starting it, for callers that advance it
-    /// in steps (see [`ResumableRun`]). `start(r).finish()` returns
-    /// what [`run_probed`](Self::run_probed) does.
-    pub fn start(self, rngs: &RngFactory) -> ResumableRun<P, W, D> {
-        ResumableRun::new(self.build(rngs, None))
+    /// Builds the run without starting it, as a group of one, for
+    /// callers that advance it in steps (see [`RunGroup`]).
+    /// `start(r).finish(None)` returns what
+    /// [`run_probed`](Self::run_probed) does.
+    pub fn start(self, rngs: &RngFactory) -> RunGroup<P, W, D> {
+        RunGroup::start(vec![self], rngs, None)
     }
 
-    /// Primes the engine, recycling `scratch`'s storage when given.
-    /// Missing components panic here with their names.
-    fn build(
-        self,
-        rngs: &RngFactory,
-        scratch: Option<&mut SimScratch>,
-    ) -> Engine<CloudSim<P, W, D>> {
-        let missing = |what: &str| -> ! {
-            panic!("SimBuilder::run: no {what} was set (call .{what}(…) before .run)")
-        };
-        let workload = self.workload.unwrap_or_else(|| missing("workload"));
-        let service = self.service.unwrap_or_else(|| missing("service"));
-        let policy = self.policy.unwrap_or_else(|| missing("policy"));
-        let dispatcher = self.dispatcher.unwrap_or_else(|| missing("dispatcher"));
-        match scratch {
-            Some(scratch) => CloudSim::engine_with_probe_scratch(
-                self.cfg, workload, service, policy, dispatcher, rngs, self.probe, scratch,
-            ),
-            None => CloudSim::engine_with_probe(
-                self.cfg, workload, service, policy, dispatcher, rngs, self.probe,
-            ),
+    /// The builder's components; missing ones panic here with their
+    /// names (the workload may be absent: a group reads only its first
+    /// run's).
+    pub(crate) fn into_parts(self) -> Parts<P, W, D> {
+        Parts {
+            cfg: self.cfg,
+            workload: self.workload,
+            service: self.service.unwrap_or_else(|| missing("service")),
+            policy: self.policy.unwrap_or_else(|| missing("policy")),
+            dispatcher: self.dispatcher.unwrap_or_else(|| missing("dispatcher")),
+            probe: self.probe,
         }
     }
+}
+
+/// A [`SimBuilder`]'s components, checked.
+pub(crate) struct Parts<P, W, D> {
+    pub(crate) cfg: SimConfig,
+    pub(crate) workload: Option<W>,
+    pub(crate) service: ServiceModel,
+    pub(crate) policy: Box<dyn ProvisioningPolicy>,
+    pub(crate) dispatcher: D,
+    pub(crate) probe: P,
+}
+
+/// Panics for a component no builder supplied.
+pub(crate) fn missing(what: &str) -> ! {
+    panic!("SimBuilder::run: no {what} was set (call .{what}(…) before .run)")
+}
+
+/// The one result of a group of one.
+fn solo<P>(mut results: Vec<(RunSummary, P)>) -> (RunSummary, P) {
+    results.pop().expect("a group of one has one result")
 }
 
 #[cfg(test)]
@@ -353,7 +364,7 @@ mod tests {
                 };
                 run.advance_before(SimTime::from_secs(bound));
             }
-            assert_eq!(run.finish().0, whole, "trial {trial}");
+            assert_eq!(solo(run.finish(None)).0, whole, "trial {trial}");
         }
     }
 

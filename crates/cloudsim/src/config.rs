@@ -40,21 +40,22 @@ pub struct SimConfig {
     /// Future-event-list backend for the engine. The 4-ary heap is the
     /// default; the binary heap is kept for A/B determinism checks.
     pub fel_backend: FelBackend,
-    /// Maximum number of arrival batches pulled from the workload per
-    /// `Batch` event and expanded as one bulk FEL insert (at least 1;
-    /// default [`DEFAULT_ARRIVAL_RUN`]). Performance only: every depth
-    /// yields the same [`RunSummary`](crate::RunSummary), because
-    /// bulk-released arrivals tie-break after every individually
-    /// scheduled event at their instant (the event list's late rule),
-    /// exactly where the one-batch-at-a-time cadence (`1`) puts them.
-    /// Pinned for every depth by the batched-vs-scalar tests.
+    /// Maximum number of arrival batches the run's
+    /// [`ArrivalStream`](crate::ArrivalStream) pulls from the workload
+    /// and expands at a time (at least 1; default
+    /// [`DEFAULT_ARRIVAL_RUN`]). Performance only: every depth yields
+    /// the same [`RunSummary`](crate::RunSummary), because arrivals
+    /// enter the event list's lane, whose entries tie-break after every
+    /// individually scheduled event at their instant, exactly where the
+    /// one-batch-at-a-time cadence (`1`) puts them. Pinned for every
+    /// depth by the batched-vs-scalar tests.
     pub arrival_run: u32,
 }
 
 /// Default [`SimConfig::arrival_run`]: deep enough that a pull covers a
 /// whole burst of zero-spread batches (the scientific workload's jobs)
-/// and a replay chunk's run of rows in one bulk FEL insert. Spread
-/// batches (the web workload) stop a pull after one batch anyway.
+/// and a replay chunk's run of rows in one expansion. Spread batches
+/// (the web workload) stop a pull after one batch anyway.
 pub const DEFAULT_ARRIVAL_RUN: u32 = 64;
 
 /// Two-class priority admission: a fraction of requests is high

@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod arrivals;
 pub mod builder;
 pub mod config;
 pub mod host;
@@ -27,6 +28,7 @@ pub mod metrics;
 pub mod probe;
 pub mod sim;
 
+pub use arrivals::ArrivalStream;
 pub use builder::SimBuilder;
 pub use config::SimConfig;
 pub use host::{HostPool, Resources, PAPER_HOST, PAPER_VM};
@@ -35,4 +37,4 @@ pub use probe::{
     CounterProbe, NullProbe, PoolSample, Probe, RejectReason, RequestClass, TimeSample, TimeSeries,
     TimeSeriesProbe, TraceProbe,
 };
-pub use sim::{CloudSim, Event, ResumableRun, SimScratch};
+pub use sim::{CloudSim, Event, RunGroup, SimScratch};

@@ -16,6 +16,7 @@
 //! path (arrival → dispatch → enqueue, completion → dequeue) is
 //! allocation-free and O(1) except for rare pool-management events.
 
+use crate::arrivals::ArrivalStream;
 use crate::config::SimConfig;
 use crate::host::HostPool;
 use crate::metrics::{RunMetrics, RunSummary};
@@ -24,14 +25,13 @@ use vmprov_core::dispatch::{AnyDispatcher, Dispatcher, InstancePool, InstanceVie
 use vmprov_core::policy::{MonitorReport, PoolStatus, ProvisioningPolicy};
 use vmprov_des::stats::TimeWeighted;
 use vmprov_des::{Engine, EventHandle, EventQueue, RngFactory, Scheduler, SimRng, SimTime, World};
-use vmprov_workloads::{AnyWorkload, ArrivalBatch, ArrivalProcess, ServiceModel};
+use vmprov_workloads::{AnyWorkload, ArrivalProcess, ServiceModel};
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
-    /// Release the pending arrival batch and fetch the next one.
-    Batch,
-    /// One request reaches admission control.
+    /// One request reaches admission control. Arrivals enter the event
+    /// list's lane, released by the run's [`RunGroup`].
     Arrival,
     /// The request at the head of instance `slot`'s queue completes.
     Completion {
@@ -340,23 +340,17 @@ impl InstancePool for PoolViewRef<'_> {
     }
 }
 
-/// The simulation world, generic over its observer, workload, and
-/// dispatcher. The default [`NullProbe`] monomorphizes every hook to
-/// nothing, so an unprobed `CloudSim` compiles to the same hot path as
-/// before the observability layer existed; the workload and dispatcher
-/// parameters monomorphize the per-request hot path
-/// (`handle_arrival` → `pick`, `Batch` → `next_batch`) to direct calls.
-/// The defaults are the closed runtime-selection enums the scenario
-/// decoder produces, so `CloudSim`/`SimBuilder` written without type
-/// arguments still names one concrete devirtualized type. Callers that
-/// must erase the component types instead (plugin-style composition)
-/// pass `Box<dyn ArrivalProcess + Send>` / `Box<ConcreteDispatcher>`,
-/// which satisfy the same bounds through the forwarding impls.
-pub struct CloudSim<P: Probe = NullProbe, W = AnyWorkload, D = AnyDispatcher>
-where
-    W: ArrivalProcess + Send,
-    D: Dispatcher,
-{
+/// The simulation world, generic over its observer and dispatcher.
+/// The default [`NullProbe`] monomorphizes every hook to nothing, so an
+/// unprobed `CloudSim` compiles to the same hot path as before the
+/// observability layer existed; the dispatcher parameter monomorphizes
+/// the per-request hot path (`handle_arrival` → `pick`) to direct
+/// calls. The default is the closed runtime-selection enum the
+/// scenario decoder produces; callers that must erase the dispatcher
+/// pass `Box<ConcreteDispatcher>`, which satisfies the same bound
+/// through the forwarding impl. The world holds no workload: its
+/// arrivals come from the [`RunGroup`] that steps it.
+pub struct CloudSim<P: Probe = NullProbe, D: Dispatcher = AnyDispatcher> {
     cfg: SimConfig,
     hosts: HostPool,
     instances: InstanceSlots,
@@ -384,17 +378,9 @@ where
     /// Current per-instance queue capacity (Eq. 1, re-derived from the
     /// monitored Tm at each evaluation).
     k: u32,
-    workload: W,
-    /// The pulled run of arrival batches awaiting expansion at the next
-    /// `Batch` event (up to `cfg.arrival_run` of them per pull).
-    pending: Vec<ArrivalBatch>,
-    /// Scratch buffer of expanded arrival times, recycled across
-    /// `Batch` events so steady-state expansion allocates nothing.
-    arrival_times: Vec<SimTime>,
     service: ServiceModel,
     policy: Box<dyn ProvisioningPolicy>,
     dispatcher: D,
-    rng_arrivals: SimRng,
     rng_service: SimRng,
     rng_dispatch: SimRng,
     rng_class: SimRng,
@@ -415,11 +401,12 @@ where
 }
 
 /// Warm per-thread simulation storage recycled between consecutive
-/// runs: the instance-slot slab (state vectors + the flat queue-ring
-/// slab) and the future-event-list storage (heap array and run buffers).
+/// runs: instance-slot slabs (state vectors + the flat queue-ring slab)
+/// and future-event lists (heap array and lane buffers), one of each
+/// per run of the largest group stepped so far.
 ///
 /// A campaign worker thread keeps one `SimScratch` and threads it
-/// through every run it executes, so steady-state campaign execution
+/// through every group it executes, so steady-state campaign execution
 /// rebuilds no per-run storage. Recycling is behaviour-neutral: every
 /// structure is fully reset before reuse (only capacity survives), and
 /// FEL pop order is `(time, id)` regardless of retained heap
@@ -427,8 +414,8 @@ where
 /// tests).
 #[derive(Default)]
 pub struct SimScratch {
-    slots: Option<InstanceSlots>,
-    queue: Option<EventQueue<Event>>,
+    slots: Vec<InstanceSlots>,
+    queues: Vec<EventQueue<Event>>,
 }
 
 impl SimScratch {
@@ -439,69 +426,15 @@ impl SimScratch {
     }
 }
 
-impl<W: ArrivalProcess + Send, D: Dispatcher> CloudSim<NullProbe, W, D> {
-    /// Builds an unprobed world — see
-    /// [`engine_with_probe`](CloudSim::engine_with_probe).
-    pub fn engine(
-        cfg: SimConfig,
-        workload: W,
-        service: ServiceModel,
-        policy: Box<dyn ProvisioningPolicy>,
-        dispatcher: D,
-        rngs: &RngFactory,
-    ) -> Engine<Self> {
-        Self::engine_with_probe(cfg, workload, service, policy, dispatcher, rngs, NullProbe)
-    }
-}
-
-impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
+impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
     /// Builds the world and returns an [`Engine`] primed with the
-    /// initial fleet, first batch, first evaluation, and monitor tick
-    /// (plus the sampling tick when the probe asks for one).
-    pub fn engine_with_probe(
-        cfg: SimConfig,
-        workload: W,
-        service: ServiceModel,
-        policy: Box<dyn ProvisioningPolicy>,
-        dispatcher: D,
-        rngs: &RngFactory,
-        probe: P,
-    ) -> Engine<Self> {
-        Self::build_engine(
-            cfg, workload, service, policy, dispatcher, rngs, probe, None,
-        )
-    }
-
-    /// Like [`engine_with_probe`](Self::engine_with_probe), but recycles
-    /// the slot slab and FEL storage held in `scratch` (taking them out;
-    /// [`run_engine_scratch`] puts them back after the run).
-    #[allow(clippy::too_many_arguments)]
-    pub fn engine_with_probe_scratch(
-        cfg: SimConfig,
-        workload: W,
-        service: ServiceModel,
-        policy: Box<dyn ProvisioningPolicy>,
-        dispatcher: D,
-        rngs: &RngFactory,
-        probe: P,
-        scratch: &mut SimScratch,
-    ) -> Engine<Self> {
-        Self::build_engine(
-            cfg,
-            workload,
-            service,
-            policy,
-            dispatcher,
-            rngs,
-            probe,
-            Some(scratch),
-        )
-    }
-
+    /// initial fleet, first evaluation, and monitor tick (plus the
+    /// sampling tick when the probe asks for one), recycling `scratch`'s
+    /// storage when given. Arrivals are released by the caller.
     #[allow(clippy::too_many_arguments)]
     fn build_engine(
         cfg: SimConfig,
-        workload: W,
+        horizon: SimTime,
         service: ServiceModel,
         policy: Box<dyn ProvisioningPolicy>,
         dispatcher: D,
@@ -509,12 +442,20 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
         probe: P,
         scratch: Option<&mut SimScratch>,
     ) -> Engine<Self> {
-        let horizon = workload.horizon();
         let initial = policy.initial_instances();
         let ts = cfg.qos_ts;
         let k = policy.queue_capacity(cfg.initial_service_estimate);
+        let backend = cfg.fel_backend;
         let (warm_slots, warm_queue) = match scratch {
-            Some(s) => (s.slots.take(), s.queue.take()),
+            Some(s) => {
+                // A recycled queue is only usable on the run's backend.
+                let queue = s
+                    .queues
+                    .iter()
+                    .rposition(|q| q.backend() == backend)
+                    .map(|i| s.queues.swap_remove(i));
+                (s.slots.pop(), queue)
+            }
             None => (None, None),
         };
         let instances = match warm_slots {
@@ -522,7 +463,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
                 slots.reset(k);
                 slots
             }
-            None => InstanceSlots::with_capacity(1024, k),
+            None => InstanceSlots::with_capacity(64, k),
         };
         let world = CloudSim {
             hosts: HostPool::new(cfg.hosts, cfg.host_shape, cfg.vm_shape),
@@ -534,13 +475,9 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
             room_bits: Vec::new(),
             busy_count: 0,
             k,
-            workload,
-            pending: Vec::new(),
-            arrival_times: Vec::new(),
             service,
             policy,
             dispatcher,
-            rng_arrivals: rngs.stream("arrivals"),
             rng_service: rngs.stream("service"),
             rng_dispatch: rngs.stream("dispatch"),
             rng_class: rngs.stream("class"),
@@ -553,13 +490,9 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
             last_sample_t: f64::NEG_INFINITY,
             cfg,
         };
-        let backend = world.cfg.fel_backend;
-        // A recycled queue is only usable if its backend matches the
-        // run's; otherwise fall back to a fresh one (the mismatched
-        // queue is simply dropped).
         let mut engine = match warm_queue {
-            Some(q) if q.backend() == backend => Engine::with_recycled_queue(world, q),
-            _ => Engine::with_backend(world, backend),
+            Some(q) => Engine::with_recycled_queue(world, q),
+            None => Engine::with_backend(world, backend),
         };
         // Initial fleet exists (active) at t = 0, as in the paper.
         for _ in 0..initial {
@@ -570,16 +503,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
                     engine.world_mut().instances.failure_timer[slot as usize] = Some(h);
                 }
             }
-        }
-        // Prime the workload: pull the first burst. With
-        // `arrival_run = 1` this is exactly one `next_batch` draw.
-        let w = engine.world_mut();
-        let run = w.cfg.arrival_run.max(1) as usize;
-        w.workload
-            .next_batch_run(&mut w.rng_arrivals, run, &mut w.pending);
-        let first = w.pending.first().map(|b| b.time);
-        if let Some(t) = first {
-            engine.schedule(t, Event::Batch);
         }
         engine.schedule(SimTime::ZERO, Event::Evaluate);
         let tick = engine.world().cfg.monitor_interval;
@@ -1112,53 +1035,13 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> CloudSim<P, W, D> {
     }
 }
 
-impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W, D> {
+impl<P: Probe, D: Dispatcher> World for CloudSim<P, D> {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<'_, Event>) {
         match event {
             Event::Arrival => self.handle_arrival(now, sched),
             Event::Completion { slot } => self.handle_completion(slot, now, sched),
-            Event::Batch => {
-                // Expand the whole pulled run in one pass: spread
-                // offsets drawn in the scalar per-batch order, then the
-                // burst lands as a single bulk FEL insert instead of
-                // `count` independent schedules. Within a batch the
-                // `Arrival` payloads are indistinguishable, so sorting
-                // the offsets to form a monotone run leaves the pop
-                // sequence — and every golden — bit-identical. The
-                // burst seam stops a run after its first `spread > 0`
-                // batch, so only the final segment ever needs sorting
-                // and the concatenation stays monotone.
-                debug_assert!(!self.pending.is_empty(), "batch event without batches");
-                debug_assert!(self.pending[0].time <= now);
-                let mut times = std::mem::take(&mut self.arrival_times);
-                times.clear();
-                for b in &self.pending {
-                    let base = b.time.max(now);
-                    if b.spread > 0.0 {
-                        let from = times.len();
-                        for _ in 0..b.count {
-                            times.push(base + self.rng_arrivals.uniform(0.0, b.spread));
-                        }
-                        times[from..].sort_unstable();
-                    } else {
-                        for _ in 0..b.count {
-                            times.push(base);
-                        }
-                    }
-                }
-                sched.at_run(&times, Event::Arrival);
-                self.arrival_times = times;
-                self.pending.clear();
-                let run = self.cfg.arrival_run.max(1) as usize;
-                let n =
-                    self.workload
-                        .next_batch_run(&mut self.rng_arrivals, run, &mut self.pending);
-                if n > 0 {
-                    sched.at(self.pending[0].time.max(now), Event::Batch);
-                }
-            }
             Event::Booted { slot } => {
                 // Scale-downs withdraw the boot timer when they cancel a
                 // boot, so this event always finds the instance booting.
@@ -1209,92 +1092,148 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> World for CloudSim<P, W,
     }
 }
 
-/// A built run that advances in steps: [`advance_before`] handles the
-/// events before a bound and pauses, [`finish`] runs the rest and
-/// returns the summary. Built by [`SimBuilder::start`](crate::SimBuilder::start).
+/// Arrival times a run's lane takes in one release. The group hands a
+/// ready run of arrivals to its runs in slices of this many, each
+/// released just before the runs reach it, so a lane never holds more
+/// than about one slice whatever the workload's batch size.
+const LANE_SLICE: usize = 4096;
+
+/// Runs that read one arrival stream, stepped together: the policies
+/// of one replication of a figure set, or a single run (a group of
+/// one — [`SimBuilder::start`](crate::SimBuilder::start) and every
+/// `run` entry point go through here, so there is one arrival path).
 ///
-/// Pausing never changes what a run computes: a paused run's clock
-/// stays at its last event, so stepping through any sequence of bounds
-/// handles the events, in the order, of a run that never paused, and
-/// `finish` returns the same [`RunSummary`]. A replay grid steps each
-/// cell up to the trace rows already decoded, so a `Batch` handler
-/// never pulls a row that is not there yet.
+/// The group expands the workload once ([`ArrivalStream`]) and releases
+/// each ready slice of arrival times into every run's event-list lane
+/// after advancing that run through every event before the slice's
+/// first time. Lane entries lose ties to every other event, so a run
+/// pops its events in the order of the scalar cadence, which released
+/// each batch's arrivals at the batch's own instant; the group only
+/// decides *when* the times are copied in, which never changes what a
+/// run computes.
 ///
-/// [`advance_before`]: ResumableRun::advance_before
-/// [`finish`]: ResumableRun::finish
-pub struct ResumableRun<P: Probe = NullProbe, W = AnyWorkload, D = AnyDispatcher>
+/// [`advance_before`](Self::advance_before) pauses the runs: a paused
+/// run's clock stays at its last event, so stepping through any
+/// sequence of bounds handles the events, in the order, of a group that
+/// never paused, and [`finish`](Self::finish) returns the same
+/// [`RunSummary`]s. The group pulls from its workload only to expand a
+/// run released before the bound, so a replay grid can step a cell up
+/// to the trace rows already decoded.
+pub struct RunGroup<P: Probe = NullProbe, W = AnyWorkload, D: Dispatcher = AnyDispatcher>
 where
     W: ArrivalProcess + Send,
-    D: Dispatcher,
 {
-    engine: Engine<CloudSim<P, W, D>>,
+    stream: ArrivalStream<W>,
+    runs: Vec<Engine<CloudSim<P, D>>>,
 }
 
-impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> ResumableRun<P, W, D> {
-    pub(crate) fn new(engine: Engine<CloudSim<P, W, D>>) -> Self {
-        ResumableRun { engine }
+impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> RunGroup<P, W, D> {
+    /// Builds one run per builder off one arrival stream on `rngs`,
+    /// recycling `scratch`'s storage when given. The stream reads the
+    /// first builder's workload; the others' workloads, if set, are
+    /// dropped, so every builder must describe the same arrivals.
+    ///
+    /// # Panics
+    /// Panics when `builders` is empty, when the first builder carries
+    /// no workload, or when a builder lacks another component.
+    pub fn start(
+        builders: Vec<crate::SimBuilder<P, W, D>>,
+        rngs: &RngFactory,
+        mut scratch: Option<&mut SimScratch>,
+    ) -> Self {
+        let mut parts: Vec<_> = builders
+            .into_iter()
+            .map(crate::SimBuilder::into_parts)
+            .collect();
+        let first = parts.first_mut().expect("a group needs at least one run");
+        let workload = first
+            .workload
+            .take()
+            .unwrap_or_else(|| crate::builder::missing("workload"));
+        let stream = ArrivalStream::new(workload, rngs, first.cfg.arrival_run);
+        let horizon = stream.horizon();
+        let runs = parts
+            .into_iter()
+            .map(|p| {
+                CloudSim::build_engine(
+                    p.cfg,
+                    horizon,
+                    p.service,
+                    p.policy,
+                    p.dispatcher,
+                    rngs,
+                    p.probe,
+                    scratch.as_deref_mut(),
+                )
+            })
+            .collect();
+        RunGroup { stream, runs }
     }
 
-    /// Handles every event that fires strictly before `bound` and at or
-    /// before the workload horizon, then pauses. Returns events handled.
-    ///
-    /// The drain after the horizon is left to [`finish`](Self::finish),
-    /// which first withdraws the surviving failure clocks.
-    pub fn advance_before(&mut self, bound: SimTime) -> u64 {
-        let horizon = self.engine.world().horizon;
-        if bound > horizon {
-            // Every event up to the horizon is due; `finish` moves the
-            // clock to the horizon next in any case.
-            self.engine.run_until(horizon)
-        } else {
-            self.engine.run_before(bound)
+    /// Handles, in every run, each event that fires strictly before
+    /// `bound`, then pauses. Expands only stream runs released before
+    /// `bound`; arrivals already expanded are released up to the bound.
+    pub fn advance_before(&mut self, bound: SimTime) {
+        let RunGroup { stream, runs } = self;
+        loop {
+            while let Some(&first) = stream.ready().first() {
+                if first >= bound {
+                    break;
+                }
+                let ready = stream.ready();
+                let slice = &ready[..ready.len().min(LANE_SLICE)];
+                for run in runs.iter_mut() {
+                    step_before(run, first);
+                    run.schedule_run(slice, Event::Arrival);
+                }
+                stream.take(slice.len());
+            }
+            match stream.next_release() {
+                Some(release) if release < bound && stream.ready().is_empty() => stream.expand(),
+                _ => break,
+            }
+        }
+        for run in runs.iter_mut() {
+            step_before(run, bound);
         }
     }
 
-    /// Runs the rest of the simulation and returns its summary and
-    /// probe.
-    pub fn finish(self) -> (RunSummary, P) {
-        run_engine(self.engine)
+    /// Runs the rest of every simulation; returns each run's summary and
+    /// probe, in builder order.
+    pub fn finish(mut self, mut scratch: Option<&mut SimScratch>) -> Vec<(RunSummary, P)> {
+        self.advance_before(SimTime::from_secs(f64::MAX));
+        let mut out = Vec::with_capacity(self.runs.len());
+        for engine in self.runs {
+            let (summary, world, queue) = run_engine_core(engine);
+            if let Some(s) = scratch.as_deref_mut() {
+                s.slots.push(world.instances);
+                s.queues.push(queue);
+            }
+            out.push((summary, world.probe));
+        }
+        out
     }
 }
 
-/// Runs a primed engine to completion and returns the summary plus the
-/// probe (for reading back collected samples/counters). The shared core
-/// behind [`SimBuilder::run`](crate::SimBuilder::run).
-///
-/// The run ends when the workload is exhausted and every accepted
-/// request has completed; surviving VMs are then destroyed and billed to
-/// that final instant.
-pub(crate) fn run_engine<P: Probe, W: ArrivalProcess + Send, D: Dispatcher>(
-    engine: Engine<CloudSim<P, W, D>>,
-) -> (RunSummary, P) {
-    let (summary, world, _queue) = run_engine_core(engine);
-    (summary, world.probe)
-}
-
-/// Like [`run_engine`], but returns the run's slot slab and FEL storage
-/// to `scratch` so the next run on this thread reuses them.
-pub(crate) fn run_engine_scratch<P: Probe, W: ArrivalProcess + Send, D: Dispatcher>(
-    engine: Engine<CloudSim<P, W, D>>,
-    scratch: &mut SimScratch,
-) -> (RunSummary, P) {
-    let (summary, world, queue) = run_engine_core(engine);
-    scratch.slots = Some(world.instances);
-    scratch.queue = Some(queue);
-    (summary, world.probe)
-}
-
-fn run_engine_core<P: Probe, W: ArrivalProcess + Send, D: Dispatcher>(
-    mut engine: Engine<CloudSim<P, W, D>>,
-) -> (RunSummary, CloudSim<P, W, D>, EventQueue<Event>) {
-    let name = engine.world().policy.name();
+/// Advances `engine` through every event strictly before `bound`. Past
+/// the workload horizon the run first handles everything up to the
+/// horizon and withdraws its failure clocks, as the end of a run does
+/// (see [`run_engine_core`]); both steps are no-ops once done.
+fn step_before<P: Probe, D: Dispatcher>(engine: &mut Engine<CloudSim<P, D>>, bound: SimTime) {
     let horizon = engine.world().horizon;
-    engine.run_until(horizon);
-    // The workload is exhausted: withdraw the failure clocks still armed
-    // for surviving instances. Left in place they would fire during the
-    // drain — each crash re-evaluates the policy, which boots a
-    // replacement with a fresh clock, so the run would never end, and
-    // every ghost crash would push the billed end time further out.
+    if bound > horizon {
+        engine.run_until(horizon);
+        withdraw_failure_clocks(engine);
+    }
+    engine.run_before(bound);
+}
+
+/// Cancels the failure clocks still armed for surviving instances.
+/// Left in place they would fire during the drain — each crash
+/// re-evaluates the policy, which boots a replacement with a fresh
+/// clock, so the run would never end, and every ghost crash would push
+/// the billed end time further out.
+fn withdraw_failure_clocks<P: Probe, D: Dispatcher>(engine: &mut Engine<CloudSim<P, D>>) {
     let clocks: Vec<EventHandle> = engine
         .world_mut()
         .instances
@@ -1305,6 +1244,19 @@ fn run_engine_core<P: Probe, W: ArrivalProcess + Send, D: Dispatcher>(
     for clock in clocks {
         engine.cancel(clock);
     }
+}
+
+/// Ends a run whose arrivals are all released: handles everything up to
+/// the horizon, withdraws the failure clocks, drains the accepted work
+/// still in flight, and bills the surviving VMs up to that final
+/// instant.
+fn run_engine_core<P: Probe, D: Dispatcher>(
+    mut engine: Engine<CloudSim<P, D>>,
+) -> (RunSummary, CloudSim<P, D>, EventQueue<Event>) {
+    let name = engine.world().policy.name();
+    let horizon = engine.world().horizon;
+    engine.run_until(horizon);
+    withdraw_failure_clocks(&mut engine);
     // Drain the accepted work that is still in flight.
     engine.run();
     let end = engine.now();
@@ -1530,19 +1482,17 @@ mod tests {
     fn completions_equal_accepted_requests() {
         // Every accepted request completes exactly once (the drain
         // invariant): metrics.response counts completions.
-        let cfg = small_config();
-        let mut engine = CloudSim::engine(
-            cfg,
-            poisson(50.0, 1_000.0),
-            service(),
-            Box::new(StaticPolicy::new(6, QosTargets::web_paper())),
-            Box::new(RoundRobin::new()),
-            &RngFactory::new(9),
+        let (s, counters) = SimBuilder::new(small_config())
+            .workload(poisson(50.0, 1_000.0))
+            .service(service())
+            .policy(Box::new(StaticPolicy::new(6, QosTargets::web_paper())))
+            .dispatcher(Box::new(RoundRobin::new()))
+            .probe(crate::probe::CounterProbe::new())
+            .run_probed(&RngFactory::new(9));
+        assert_eq!(
+            counters.completions,
+            s.offered_requests - s.rejected_requests
         );
-        engine.run();
-        let w = engine.world();
-        let accepted = w.metrics.offered - w.metrics.rejected;
-        assert_eq!(w.metrics.response.count(), accepted);
     }
 
     #[test]
@@ -1609,7 +1559,7 @@ mod tests {
             idx: std::cell::Cell::new(0),
             period: 30.0,
         };
-        let burst = |t: f64| ArrivalBatch {
+        let burst = |t: f64| vmprov_workloads::ArrivalBatch {
             time: SimTime::from_secs(t),
             count: 10,
             spread: 0.0,

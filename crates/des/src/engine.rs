@@ -75,39 +75,29 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.schedule(self.now + delay, event)
     }
 
-    /// Bulk-schedules one clone of `event` at every time in `times`.
-    ///
-    /// `times` should be non-decreasing: monotone runs take the
-    /// 4-ary heap's staged bulk path, non-monotone slices fall
-    /// back to per-entry scheduling (see [`EventQueue::schedule_run`]
-    /// for the contract). Entries tie-break *late*: at an equal
-    /// timestamp they fire after every event placed with
-    /// [`at`](Self::at), [`after`](Self::after) or [`now`](Self::now),
-    /// even one scheduled later, and in release order among
-    /// themselves. They cannot be cancelled (no handles are returned).
+    /// Releases one entry carrying `event` at every time in `times`
+    /// into the queue's lane (see [`EventQueue::schedule_run`] for the
+    /// contract: one payload per lane, sorted releases cheapest).
+    /// Lane entries tie-break *late*: at an equal timestamp they fire
+    /// after every event placed with [`at`](Self::at),
+    /// [`after`](Self::after) or [`now`](Self::now), even one scheduled
+    /// later. They cannot be cancelled (no handles are returned).
     ///
     /// # Panics
-    /// Panics if the first time is earlier than the current clock.
+    /// Panics if the earliest time is earlier than the current clock.
     #[inline]
     pub fn at_run(&mut self, times: &[SimTime], event: E)
     where
         E: Clone,
     {
-        if let Some(&first) = times.first() {
-            assert!(
-                first >= self.now,
-                "cannot schedule into the past: now={}, requested={}",
-                self.now,
-                first
-            );
-        }
+        assert_not_past(self.now, times);
         self.queue.schedule_run(times, event);
     }
 
     /// Schedules `event` at the current instant (it will fire after all
     /// other events already scheduled for this instant with
-    /// [`at`](Self::at), `after` or `now`, but before any bulk entry
-    /// released for it with [`at_run`](Self::at_run)).
+    /// [`at`](Self::at), `after` or `now`, but before any lane entry
+    /// at this instant, released with [`at_run`](Self::at_run)).
     #[inline]
     pub fn now(&mut self, event: E) -> EventHandle {
         self.queue.schedule(self.now, event)
@@ -131,6 +121,16 @@ impl<'a, E> Scheduler<'a, E> {
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+}
+
+/// The causality check of a lane release: no time before `now`.
+fn assert_not_past(now: SimTime, times: &[SimTime]) {
+    if let Some(first) = times.iter().copied().reduce(SimTime::min) {
+        assert!(
+            first >= now,
+            "cannot schedule into the past: now={now}, requested={first}"
+        );
     }
 }
 
@@ -187,6 +187,20 @@ impl<W: World> Engine<W> {
     pub fn schedule(&mut self, time: SimTime, event: W::Event) -> EventHandle {
         assert!(time >= self.now, "cannot schedule into the past");
         self.queue.schedule(time, event)
+    }
+
+    /// Releases lane entries from outside a handler (see
+    /// [`Scheduler::at_run`]): a caller that feeds the lane in slices
+    /// releases each one before the clock passes its earliest time.
+    ///
+    /// # Panics
+    /// Panics if the earliest time is earlier than the current clock.
+    pub fn schedule_run(&mut self, times: &[SimTime], event: W::Event)
+    where
+        W::Event: Clone,
+    {
+        assert_not_past(self.now, times);
+        self.queue.schedule_run(times, event);
     }
 
     /// Cancels a pending event from outside a handler.

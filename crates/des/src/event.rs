@@ -4,36 +4,34 @@
 //! with equal timestamps are delivered in a fixed order, which keeps
 //! simulations deterministic regardless of the backing structure:
 //! individually scheduled events first, in insertion (FIFO) order, then
-//! bulk-released ones ([`EventQueue::schedule_run`]) in release order.
+//! lane entries ([`EventQueue::schedule_run`]).
 //!
-//! Two interchangeable backends implement the set ([`FelBackend`]):
+//! Two interchangeable backends hold the individually scheduled events
+//! ([`FelBackend`]):
 //!
 //! * **4-ary heap** (default) — an implicit min-heap with four children
-//!   per node, keyed by `(time, id)` packed into two `u64`s, plus a
-//!   stage of bulk-released runs merged into its pop order. The
+//!   per node, keyed by `(time, id)` packed into two `u64`s. The
 //!   simulator keeps 30–60 single events pending, a depth at which the
 //!   shallow, cache-friendly heap beats bucketed structures.
-//! * **Binary heap** — `std`'s `BinaryHeap`, entry by entry with lazy
-//!   cancellation and no run stage: the reference the A/B determinism
-//!   tests compare against.
+//! * **Binary heap** — `std`'s `BinaryHeap` with lazy cancellation: the
+//!   reference the A/B determinism tests compare against.
 //!
 //! [`EventQueue::schedule`] returns an [`EventHandle`] that can later be
 //! passed to [`EventQueue::cancel`], so models can withdraw timers
 //! (boot deadlines, failure clocks) outright instead of filtering
 //! tombstones at dispatch time.
 //!
-//! [`EventQueue::schedule_run`] bulk-inserts a *monotone run* — many
-//! clones of one event at non-decreasing times. Its entries carry ids
-//! with the [`LATE`] bit set, so at an equal timestamp they pop after
-//! every individually scheduled event, however early they were
-//! released. On the 4-ary heap the run is staged as a sorted array of
-//! keys with one copy of the payload, and its head is merged into the
-//! pop order by `(time, id)`, so an arrival burst costs one append and
-//! O(1) per pop; the binary heap schedules runs entry by entry.
+//! [`EventQueue::schedule_run`] releases many entries carrying one
+//! payload — the simulator's arrivals — into a *lane* beside the
+//! backend: a sorted array of time keys behind a cursor. Every pop
+//! compares the lane head with the backend minimum once, and the lane
+//! loses ties, so at an equal timestamp lane entries pop after every
+//! individually scheduled event, on both backends. An arrival costs an
+//! append and O(1) per pop instead of a heap insertion.
 //!
 //! [`EventQueue::pop_until`] pops the earliest event only if it fires
-//! at or before a bound, comparing the heap top and the earliest run
-//! head once; [`EventQueue::pop`] is the same merge without a bound.
+//! at or before a bound; [`EventQueue::pop`] is the same merge without
+//! a bound.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -55,10 +53,10 @@ pub struct EventHandle {
 /// Which data structure backs an [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FelBackend {
-    /// Implicit 4-ary min-heap with staged bulk runs.
+    /// Implicit 4-ary min-heap.
     #[default]
     QuadHeap,
-    /// `std` binary heap, entry by entry; the reference implementation.
+    /// `std` binary heap; the reference implementation.
     BinaryHeap,
 }
 
@@ -74,16 +72,6 @@ impl FelBackend {
         }
     }
 }
-
-/// Set in the insertion id of every entry released through
-/// [`EventQueue::schedule_run`], on every route (staged, per-entry
-/// fallback, spill). Ids order ties, so a bulk-released entry pops after
-/// every [`EventQueue::schedule`]d entry at the same instant — even one
-/// scheduled later — and bulk entries keep release order among
-/// themselves. A simulator that releases arrivals ahead of time thus
-/// sees the same same-instant order as one that releases each arrival
-/// batch at its own instant. Handles never carry the bit.
-const LATE: u64 = 1 << 63;
 
 /// Maps a time onto a `u64` whose unsigned order is the time's numeric
 /// order, so a `(time, id)` key compares as two integers. `-0.0` is
@@ -173,15 +161,6 @@ impl<E> HeapFel<E> {
             self.cancelled.remove(&e.id);
         }
         None
-    }
-
-    /// Pops the earliest live entry if its time key is at most `limit`.
-    fn pop_within(&mut self, limit: u64) -> Option<(SimTime, E)> {
-        if time_key(self.peek_time()?) > limit {
-            return None;
-        }
-        let e = self.heap.pop().expect("peeked");
-        Some((e.time, e.event))
     }
 
     fn cancel(&mut self, handle: EventHandle) -> bool {
@@ -388,50 +367,79 @@ impl<E> QuadHeap<E> {
     }
 }
 
-/// Below this length a bulk run is scheduled entry by entry: the staging
-/// overhead (buffer swap, merge checks on every subsequent pop) only
-/// pays off once a run amortizes it across many entries.
-const MIN_RUN: usize = 8;
-
-/// Pop scans every staged run for the earliest head, so the stage is
-/// kept shallow: once `schedule_run` would exceed this depth, the
-/// staged run with the latest head is spilled into the heap entry by
-/// entry (insertion ids preserved, so pop order is unaffected). Bounds
-/// the per-pop scan no matter how many runs a caller stages before
-/// draining; the simulator's cadence never exceeds one or two.
-const MAX_STAGED_RUNS: usize = 8;
-
-/// A bulk-scheduled monotone run: `times[cursor..]` are the pending
-/// [`time_key`]s (non-decreasing), and entry `i` carries the late
-/// insertion id `first_id + i` — the same ids the per-entry fallback
-/// would have assigned, so merging runs into the pop order by
-/// `(time, id)` reproduces the per-entry schedule exactly (ties
-/// included).
+/// The arrival lane: entries released through
+/// [`EventQueue::schedule_run`], all carrying one payload, kept as
+/// sorted [`time_key`]s behind a cursor.
 ///
-/// Every entry carries the same payload, so the run stores it once and
-/// hands out clones, moving the original out with the last entry.
-/// `clone` is captured where `E: Clone` is known, so popping needs no
-/// bound on `E`.
-struct RunStage<E> {
-    times: Vec<u64>,
-    first_id: u64,
+/// The lane sits beside the backend, not in it: a pop compares the
+/// lane head with the backend minimum, and the lane takes the pop only
+/// when it is strictly earlier. So at an equal timestamp every entry
+/// placed with [`EventQueue::schedule`] pops first, whenever it was
+/// scheduled, on either backend.
+struct Lane<E> {
+    /// Released keys, non-decreasing; `keys[cursor..]` are pending.
+    keys: Vec<u64>,
     cursor: usize,
+    /// The payload every lane entry pops with.
+    event: Option<Payload<E>>,
+}
+
+/// The lane's payload and its clone function, captured where `E: Clone`
+/// is known, so popping needs no bound on `E`.
+struct Payload<E> {
     event: E,
     clone: fn(&E) -> E,
 }
 
-impl<E> RunStage<E> {
-    /// [`entry_key`] of the next pending entry (a staged run always has
-    /// one).
+impl<E> Lane<E> {
+    fn new() -> Self {
+        Lane {
+            keys: Vec::new(),
+            cursor: 0,
+            event: None,
+        }
+    }
+
     #[inline]
-    fn head(&self) -> u128 {
-        entry_key(self.times[self.cursor], self.first_id + self.cursor as u64)
+    fn head(&self) -> Option<u64> {
+        self.keys.get(self.cursor).copied()
+    }
+
+    /// Adds `times` to the lane, keeping it sorted: a sorted release
+    /// that starts at or after the lane's tail (every release the
+    /// simulator makes) is appended; any other re-sorts the pending
+    /// keys. Lane entries share one payload, so the order of equal keys
+    /// is unobservable.
+    fn release(&mut self, times: &[SimTime]) {
+        // Drop the popped prefix once it outweighs the pending tail, so
+        // compaction costs O(1) per popped entry.
+        if self.cursor > 0 && self.cursor * 2 >= self.keys.len() {
+            self.keys.drain(..self.cursor);
+            self.cursor = 0;
+        }
+        let from = self.keys.len();
+        self.keys.extend(times.iter().map(|&t| time_key(t)));
+        let check = from.saturating_sub(1).max(self.cursor);
+        if !self.keys[check..].windows(2).all(|w| w[0] <= w[1]) {
+            self.keys[self.cursor..].sort_unstable();
+        }
+    }
+
+    /// Pops the head entry (the lane must have one).
+    #[inline]
+    fn pop(&mut self) -> (SimTime, E) {
+        let time = key_time(self.keys[self.cursor]);
+        self.cursor += 1;
+        let payload = self.event.as_ref().expect("a released lane has a payload");
+        (time, (payload.clone)(&payload.event))
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.cursor = 0;
+        self.event = None;
     }
 }
-
-/// Run-key buffers kept for reuse, so steady-state bulk scheduling
-/// allocates nothing once warm.
-const SPARE_RUNS: usize = 4;
 
 // ---------------------------------------------------------------------
 // Public queue
@@ -442,19 +450,40 @@ enum Fel<E> {
     Binary(HeapFel<E>),
 }
 
+impl<E> Fel<E> {
+    /// [`time_key`] of the earliest live entry.
+    #[inline]
+    fn peek(&mut self) -> Option<u64> {
+        match self {
+            Fel::Quad(h) => h.peek_key().map(key_time_bits),
+            Fel::Binary(h) => h.peek_time().map(time_key),
+        }
+    }
+
+    /// Removes the earliest live entry (after a [`peek`](Self::peek)
+    /// that found one).
+    #[inline]
+    fn pop(&mut self) -> (SimTime, E) {
+        match self {
+            Fel::Quad(h) => {
+                let node = h.pop().expect("peeked");
+                (key_time(key_time_bits(node.key)), node.event)
+            }
+            Fel::Binary(h) => {
+                let e = h.heap.pop().expect("peeked");
+                (e.time, e.event)
+            }
+        }
+    }
+}
+
 /// A future-event list with deterministic tie-breaking (FIFO among
-/// single events, bulk-released entries last) and event cancellation.
+/// single events, lane entries last) and event cancellation.
 pub struct EventQueue<E> {
     fel: Fel<E>,
+    lane: Lane<E>,
     next_id: u64,
     live: usize,
-    /// Staged bulk runs ([`Self::schedule_run`]), 4-ary heap only —
-    /// the binary heap schedules runs entry by entry so the A/B
-    /// determinism tests exercise the merge against a run-free
-    /// reference. Almost always zero or one run deep.
-    runs: Vec<RunStage<E>>,
-    /// Retired run-key buffers kept for reuse.
-    spare_times: Vec<Vec<u64>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -489,10 +518,9 @@ impl<E> EventQueue<E> {
         };
         EventQueue {
             fel,
+            lane: Lane::new(),
             next_id: 0,
             live: 0,
-            runs: Vec::new(),
-            spare_times: Vec::new(),
         }
     }
 
@@ -509,122 +537,47 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
         let id = self.next_id;
-        let slot = self.insert(time, id, event);
-        EventHandle { id, slot }
-    }
-
-    /// Inserts one entry under `id` into the backend and advances the
-    /// id counter; returns the entry's slot (0 on the binary heap).
-    #[inline]
-    fn insert(&mut self, time: SimTime, id: u64, event: E) -> u32 {
         self.next_id += 1;
         self.live += 1;
-        match &mut self.fel {
+        let slot = match &mut self.fel {
             Fel::Quad(h) => h.push(entry_key(time_key(time), id), event),
             Fel::Binary(h) => {
                 h.schedule(time, id, event);
                 0
             }
-        }
+        };
+        EventHandle { id, slot }
     }
 
-    /// Bulk-schedules one clone of `event` at every time in `times`.
+    /// Releases one entry carrying `event` at every time in `times`
+    /// into the queue's lane. Returns `times.len()`.
     ///
-    /// Entries receive consecutive *late* insertion ids in slice order
-    /// (the `LATE` bit set): at an equal timestamp they pop after
-    /// every entry placed by [`schedule`](Self::schedule), whenever
-    /// that was scheduled, and after entries of earlier
-    /// `schedule_run` calls. Every route below assigns the same ids, so
-    /// pop order is identical whether or not the staged path engages.
-    /// Returns `times.len()`.
+    /// At an equal timestamp a lane entry pops after every entry placed
+    /// by [`schedule`](Self::schedule), whenever that was scheduled.
+    /// The lane keeps its entries sorted: a sorted release that starts
+    /// at or after the lane's tail is appended; any other release
+    /// (unsorted, or starting before the tail) re-sorts the pending
+    /// entries. Releases are cheapest sorted and in time order, as the
+    /// simulator's are.
     ///
-    /// **Monotonicity precondition:** the fast path stages the run as a
-    /// sorted array and merges it into the pop order by `(time, id)`,
-    /// which requires `times` to be non-decreasing. A non-monotone
-    /// slice is detected in one pass and falls back to per-entry
-    /// scheduling — still correct, just not O(1) per entry. Runs
-    /// shorter than `MIN_RUN` and the binary heap (the reference
-    /// implementation) also take the per-entry path.
-    ///
-    /// The stage is at most `MAX_STAGED_RUNS` deep: staging beyond
-    /// that spills the latest-firing staged run into the heap (ids
-    /// preserved), so pathological stage-everything-then-drain callers
-    /// degrade to per-entry cost instead of an O(depth) scan on every
-    /// pop.
-    ///
-    /// Run entries cannot be cancelled: no handles are returned.
+    /// The lane holds **one** payload: every entry pops with a clone of
+    /// the latest release's `event`, so all releases into a queue
+    /// should carry equal payloads. Lane entries cannot be cancelled
+    /// (no handles are returned).
     pub fn schedule_run(&mut self, times: &[SimTime], event: E) -> usize
     where
         E: Clone,
     {
-        let monotone = times.windows(2).all(|w| w[0] <= w[1]);
-        if times.len() < MIN_RUN || !monotone || matches!(self.fel, Fel::Binary(_)) {
-            for &t in times {
-                self.insert(t, LATE | self.next_id, event.clone());
-            }
-            return times.len();
+        if times.is_empty() {
+            return 0;
         }
-        if self.runs.len() >= MAX_STAGED_RUNS {
-            self.spill_latest_run();
-        }
-        let mut keys = self.spare_times.pop().unwrap_or_default();
-        keys.extend(times.iter().map(|&t| time_key(t)));
-        self.runs.push(RunStage {
-            times: keys,
-            first_id: LATE | self.next_id,
-            cursor: 0,
+        self.lane.release(times);
+        self.lane.event = Some(Payload {
             event,
             clone: E::clone,
         });
-        self.next_id += times.len() as u64;
         self.live += times.len();
         times.len()
-    }
-
-    /// Spills the staged run with the *latest* head into the heap entry
-    /// by entry, preserving every entry's insertion id — so pop order
-    /// is untouched, the run merely loses its O(1) staging.
-    ///
-    /// The latest-head run is the one whose entries will stay pending
-    /// longest, making it the cheapest to demote: the soonest-firing
-    /// runs keep the fast merge path.
-    fn spill_latest_run(&mut self) {
-        let latest = (0..self.runs.len())
-            .max_by_key(|&i| self.runs[i].head())
-            .expect("spilling needs a staged run");
-        let run = self.runs.swap_remove(latest);
-        let Fel::Quad(heap) = &mut self.fel else {
-            unreachable!("runs stage only on the 4-ary heap")
-        };
-        for i in run.cursor..run.times.len() {
-            heap.push(
-                entry_key(run.times[i], run.first_id + i as u64),
-                (run.clone)(&run.event),
-            );
-        }
-        self.recycle(run.times);
-    }
-
-    fn recycle(&mut self, mut times: Vec<u64>) {
-        if self.spare_times.len() < SPARE_RUNS {
-            times.clear();
-            self.spare_times.push(times);
-        }
-    }
-
-    /// Removes the head entry of run `ri`, retiring the run when it
-    /// drains.
-    #[inline]
-    fn pop_run(&mut self, ri: usize) -> (SimTime, E) {
-        let run = &mut self.runs[ri];
-        let time = key_time(run.times[run.cursor]);
-        run.cursor += 1;
-        if run.cursor < run.times.len() {
-            return (time, (run.clone)(&run.event));
-        }
-        let done = self.runs.swap_remove(ri);
-        self.recycle(done.times);
-        (time, done.event)
     }
 
     /// Cancels a pending event. Returns whether the backend withdrew an
@@ -637,12 +590,6 @@ impl<E> EventQueue<E> {
     /// pending count — callers must track liveness (as the cloud model
     /// does by storing handles in `Option`s).
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        // Bulk-run entries return no handles, so only a forged handle
-        // can carry the late bit.
-        debug_assert!(
-            handle.id & LATE == 0,
-            "cancel of a bulk-run entry (runs return no handles)"
-        );
         debug_assert!(handle.id < self.next_id, "foreign handle");
         let removed = match &mut self.fel {
             Fel::Quad(h) => h.remove(handle.slot, handle.id),
@@ -674,39 +621,25 @@ impl<E> EventQueue<E> {
         self.pop_within(time_key(bound).checked_sub(1)?)
     }
 
-    /// The one merge behind every pop: the earlier of the heap top and
-    /// the earliest staged-run head, if its time key is at most
-    /// `limit`.
+    /// The one merge behind every pop: the lane head if it is strictly
+    /// earlier than the backend minimum, else the backend minimum — if
+    /// its time key is at most `limit`.
     #[inline]
     fn pop_within(&mut self, limit: u64) -> Option<(SimTime, E)> {
-        let popped = match &mut self.fel {
-            Fel::Quad(heap) => {
-                let top = heap.peek_key();
-                let mut run: Option<(u128, usize)> = None;
-                for (i, r) in self.runs.iter().enumerate() {
-                    let key = r.head();
-                    if run.is_none_or(|(best, _)| key < best) {
-                        run = Some((key, i));
-                    }
+        let top = self.fel.peek();
+        let popped = match self.lane.head() {
+            Some(lane) if top.is_none_or(|t| lane < t) => {
+                if lane > limit {
+                    return None;
                 }
-                match (top, run) {
-                    (top, Some((key, ri))) if top.is_none_or(|t| key < t) => {
-                        if key_time_bits(key) > limit {
-                            return None;
-                        }
-                        self.pop_run(ri)
-                    }
-                    (Some(key), _) => {
-                        if key_time_bits(key) > limit {
-                            return None;
-                        }
-                        let node = heap.pop().expect("peeked");
-                        (key_time(key_time_bits(node.key)), node.event)
-                    }
-                    (None, _) => return None,
-                }
+                self.lane.pop()
             }
-            Fel::Binary(h) => h.pop_within(limit)?,
+            _ => {
+                if top? > limit {
+                    return None;
+                }
+                self.fel.pop()
+            }
         };
         self.live -= 1;
         Some(popped)
@@ -717,15 +650,11 @@ impl<E> EventQueue<E> {
     /// Takes `&mut self` because the binary heap drops surfaced
     /// cancelled entries while peeking.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let fel = match &mut self.fel {
-            Fel::Quad(h) => h.peek_key().map(|k| key_time(key_time_bits(k))),
-            Fel::Binary(h) => h.peek_time(),
-        };
-        let run = self.runs.iter().map(|r| key_time(r.times[r.cursor])).min();
-        match (fel, run) {
+        let key = match (self.fel.peek(), self.lane.head()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
-        }
+        };
+        key.map(key_time)
     }
 
     /// Number of pending (non-cancelled) events.
@@ -740,15 +669,13 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Drops every pending event.
+    /// Drops every pending event, the lane's included.
     pub fn clear(&mut self) {
         match &mut self.fel {
             Fel::Quad(h) => h.clear(),
             Fel::Binary(h) => h.clear(),
         }
-        while let Some(run) = self.runs.pop() {
-            self.recycle(run.times);
-        }
+        self.lane.clear();
         self.live = 0;
     }
 }
@@ -838,23 +765,26 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_respects_the_bound() {
+    fn pop_until_and_pop_before_honour_the_lane() {
         for backend in BACKENDS {
             let mut q = EventQueue::with_backend(backend);
             q.schedule(t(2.0), "single");
-            q.schedule_run(&[t(3.0); MIN_RUN], "run");
-            // Just before the first event: nothing moves.
-            assert_eq!(q.pop_until(t(1.999_999)), None, "{backend:?}");
-            assert_eq!(q.len(), MIN_RUN + 1);
-            // At the bound: the event is due.
-            assert_eq!(q.pop_until(t(2.0)), Some((t(2.0), "single")));
-            assert_eq!(q.pop_until(t(2.0)), None);
-            // Strictly before the run's instant: the run waits.
+            q.schedule_run(&[t(1.5), t(3.0), t(3.0), t(4.0)], "lane");
+            // Just before the lane head: nothing moves.
+            assert_eq!(q.pop_until(t(1.499)), None, "{backend:?}");
+            assert_eq!(q.pop_before(t(1.5)), None);
+            assert_eq!(q.len(), 5);
+            // At the bound: the lane head is due, then the single.
+            assert_eq!(q.pop_until(t(1.5)), Some((t(1.5), "lane")));
+            assert_eq!(q.pop_until(t(1.5)), None);
+            assert_eq!(q.pop_before(t(2.5)), Some((t(2.0), "single")));
+            // Strictly before the lane's next instant: the lane waits.
             assert_eq!(q.pop_before(t(3.0)), None);
-            // Past the bound: the run drains in order, then nothing.
-            for _ in 0..MIN_RUN {
-                assert_eq!(q.pop_until(t(100.0)), Some((t(3.0), "run")));
-            }
+            assert_eq!(q.peek_time(), Some(t(3.0)));
+            assert_eq!(q.pop_until(t(3.5)), Some((t(3.0), "lane")));
+            assert_eq!(q.pop_until(t(3.5)), Some((t(3.0), "lane")));
+            assert_eq!(q.pop_until(t(3.5)), None);
+            assert_eq!(q.pop_until(t(100.0)), Some((t(4.0), "lane")));
             assert_eq!(q.pop_until(t(100.0)), None);
             assert!(q.is_empty());
         }
@@ -972,159 +902,74 @@ mod tests {
         assert_eq!(count, n);
     }
 
-    #[test]
-    fn schedule_run_matches_per_entry_scheduling() {
-        // The 4-ary heap stages runs; the binary heap schedules them
-        // entry by entry. Identical pop sequences prove the merge
-        // assigns the same (time, id) order as the per-entry reference.
-        let mut binary = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
-        let run: Vec<SimTime> = (0..64).map(|i| t(1.0 + i as f64 * 0.25)).collect();
-        for q in [&mut binary, &mut quad] {
-            q.schedule(t(0.5), "pre");
-            q.schedule_run(&run, "run");
-            q.schedule(t(3.0), "mid");
-            q.schedule(t(100.0), "post");
-        }
-        assert_eq!(quad.runs.len(), 1, "the run must stage");
-        assert_eq!(binary.len(), quad.len());
-        loop {
-            let a = binary.pop();
-            assert_eq!(a, quad.pop());
-            if a.is_none() {
-                break;
-            }
-        }
+    /// Pops everything, as `(time, payload)`.
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(f64, E)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|(time, e)| (time.as_secs(), e))
+            .collect()
     }
 
     #[test]
-    fn run_ties_pop_after_singles() {
-        // At one instant, bulk-released entries pop after every single
-        // event on both backends — including one scheduled after the
-        // run was released.
+    fn the_lane_loses_ties_to_singles_scheduled_before_and_after_it() {
+        // At one instant, lane entries pop after every single event on
+        // both backends, including one scheduled after the release.
         for backend in BACKENDS {
             let mut q = EventQueue::with_backend(backend);
-            let times: Vec<SimTime> = vec![t(5.0); 16];
-            q.schedule(t(5.0), "before");
-            q.schedule_run(&times, "run");
-            q.schedule(t(5.0), "after");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            let mut expected = vec!["before", "after"];
-            expected.extend(["run"; 16]);
+            q.schedule(t(5.0), 0);
+            q.schedule_run(&[t(4.0), t(5.0), t(5.0), t(6.0)], 9);
+            q.schedule(t(5.0), 1);
+            q.schedule(t(6.0), 2);
+            let order = drain(&mut q);
+            let expected = vec![
+                (4.0, 9),
+                (5.0, 0),
+                (5.0, 1),
+                (5.0, 9),
+                (5.0, 9),
+                (6.0, 2),
+                (6.0, 9),
+            ];
             assert_eq!(order, expected, "{backend:?}");
         }
     }
 
-    /// Releases the bulk runs `runs` (run `r` carries payload
-    /// `100 + r`), with single events `0, 1, …` scheduled at t = 5
-    /// before, between and after them. Returns the `(time, payload)`
-    /// pop order and the staged-run depth before the first pop.
-    fn late_rule_order(backend: FelBackend, runs: &[Vec<f64>]) -> (Vec<(f64, u32)>, usize) {
-        let mut q = EventQueue::with_backend(backend);
-        q.schedule(t(5.0), 0);
-        for (r, times) in runs.iter().enumerate() {
-            let times: Vec<SimTime> = times.iter().map(|&s| t(s)).collect();
-            q.schedule_run(&times, 100 + r as u32);
-            q.schedule(t(5.0), r as u32 + 1);
-        }
-        let staged = q.runs.len();
-        let order = std::iter::from_fn(|| q.pop())
-            .map(|(time, tag)| (time.as_secs(), tag))
-            .collect();
-        (order, staged)
-    }
-
-    /// The expected order: every single at t = 5 first, in FIFO order,
-    /// then the run entries at t = 5 in release order, then later
-    /// entries by time (release order again among equal times).
-    fn assert_late_order(order: &[(f64, u32)], runs: &[Vec<f64>], what: &str) {
-        let mut expected: Vec<(f64, u32)> = (0..=runs.len() as u32).map(|s| (5.0, s)).collect();
-        let mut bulk: Vec<(f64, u32)> = runs
-            .iter()
-            .enumerate()
-            .flat_map(|(r, times)| times.iter().map(move |&s| (s, 100 + r as u32)))
-            .collect();
-        bulk.sort_by(|a, b| a.0.total_cmp(&b.0)); // stable
-        expected.extend(bulk);
-        assert_eq!(order, expected, "{what}");
-    }
-
     #[test]
-    fn late_rule_holds_on_the_staged_route() {
-        let runs = vec![vec![5.0; 12], [vec![5.0; 4], vec![6.0; 8]].concat()];
-        for backend in BACKENDS {
-            let (order, staged) = late_rule_order(backend, &runs);
-            if backend == FelBackend::QuadHeap {
-                assert_eq!(staged, 2, "both runs must stage");
-            }
-            assert_late_order(&order, &runs, &format!("staged, {backend:?}"));
-        }
-    }
-
-    #[test]
-    fn late_rule_holds_on_the_fallback_route() {
-        // A short run (< MIN_RUN) and a non-monotone one both take the
-        // per-entry path, which must assign late ids just the same.
-        let short = vec![5.0; MIN_RUN - 1];
-        let non_monotone = vec![6.0, 5.0, 5.0, 7.0, 5.0, 6.5, 5.0, 5.0, 5.0];
-        let runs = vec![short, non_monotone];
-        for backend in BACKENDS {
-            let (order, staged) = late_rule_order(backend, &runs);
-            assert_eq!(staged, 0, "{backend:?}: nothing may stage");
-            assert_late_order(&order, &runs, &format!("fallback, {backend:?}"));
-        }
-    }
-
-    #[test]
-    fn late_rule_holds_on_the_spill_route() {
-        // More runs than the stage holds: the overflow spills into the
-        // heap entry by entry, keeping its late ids.
-        let runs: Vec<Vec<f64>> = (0..MAX_STAGED_RUNS + 3)
-            .map(|r| {
-                let mut times = vec![5.0; MIN_RUN];
-                times.push(5.0 + r as f64);
-                times
-            })
-            .collect();
-        for backend in BACKENDS {
-            let (order, staged) = late_rule_order(backend, &runs);
-            if backend == FelBackend::QuadHeap {
-                assert_eq!(staged, MAX_STAGED_RUNS, "the stage must have spilled");
-            }
-            assert_late_order(&order, &runs, &format!("spill, {backend:?}"));
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "cancel of a bulk-run entry")]
-    fn cancel_rejects_late_ids() {
-        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
-        q.schedule_run(&[t(1.0); MIN_RUN], ());
-        q.cancel(EventHandle { id: LATE, slot: 0 });
-    }
-
-    #[test]
-    fn non_monotone_run_falls_back_correctly() {
+    fn overlapping_releases_merge_in_time_order() {
         for backend in BACKENDS {
             let mut q = EventQueue::with_backend(backend);
-            let times: Vec<SimTime> = (0..32).map(|i| t(((i * 13) % 32) as f64)).collect();
-            assert_eq!(q.schedule_run(&times, 7u32), 32);
-            assert_eq!(q.len(), 32);
-            let mut last = t(-1.0);
-            let mut n = 0;
-            while let Some((time, ev)) = q.pop() {
-                assert!(time >= last, "{backend:?}");
-                assert_eq!(ev, 7);
-                last = time;
-                n += 1;
-            }
-            assert_eq!(n, 32, "{backend:?}");
+            q.schedule_run(&[t(1.0), t(3.0), t(5.0), t(7.0)], 'a');
+            assert_eq!(q.pop(), Some((t(1.0), 'a')));
+            // Lands before the tail: sorted into the pending entries.
+            q.schedule_run(&[t(2.0), t(3.0), t(6.0), t(9.0)], 'a');
+            // Lands after the tail: appended.
+            q.schedule_run(&[t(9.5), t(10.0)], 'a');
+            // Unsorted and partly before the head: sorted in as well.
+            q.schedule_run(&[t(4.0), t(0.5), t(8.0)], 'a');
+            q.schedule(t(3.0), 's');
+            assert_eq!(q.len(), 13);
+            let order = drain(&mut q);
+            let expected = vec![
+                (0.5, 'a'),
+                (2.0, 'a'),
+                (3.0, 's'),
+                (3.0, 'a'),
+                (3.0, 'a'),
+                (4.0, 'a'),
+                (5.0, 'a'),
+                (6.0, 'a'),
+                (7.0, 'a'),
+                (8.0, 'a'),
+                (9.0, 'a'),
+                (9.5, 'a'),
+                (10.0, 'a'),
+            ];
+            assert_eq!(order, expected, "{backend:?}");
+            assert!(q.is_empty());
         }
     }
 
     #[test]
-    fn runs_clone_their_payload_per_pop() {
+    fn the_lane_stores_one_payload() {
         use std::rc::Rc;
         let payload = Rc::new(7u32);
         let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
@@ -1134,8 +979,8 @@ mod tests {
         let first = q.pop().expect("pending").1;
         assert_eq!(Rc::strong_count(&payload), 3);
         drop(first);
-        while q.pop().is_some() {}
-        assert_eq!(Rc::strong_count(&payload), 1, "the last pop moves it out");
+        q.clear();
+        assert_eq!(Rc::strong_count(&payload), 1, "clear drops the payload");
     }
 
     #[test]
@@ -1168,8 +1013,8 @@ mod tests {
                     // Each gap re-rolls, so the times need not be
                     // monotone: sort.
                     times.sort_unstable();
-                    binary.schedule_run(&times, 1_000_000 + i);
-                    quad.schedule_run(&times, 1_000_000 + i);
+                    binary.schedule_run(&times, u64::MAX);
+                    quad.schedule_run(&times, u64::MAX);
                 }
                 3 => {
                     let a = binary.pop();
@@ -1208,42 +1053,34 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_pending_runs() {
-        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
-        let times: Vec<SimTime> = (0..32).map(|i| t(i as f64)).collect();
-        q.schedule_run(&times, ());
-        q.schedule(t(50.0), ());
-        assert_eq!(q.len(), 33);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
-        // The queue stays usable (and the run buffers recycled).
-        q.schedule_run(&times, ());
-        assert_eq!(q.len(), 32);
-        assert_eq!(q.pop(), Some((t(0.0), ())));
-    }
-
-    #[test]
-    fn deep_run_backlog_spills_without_reordering() {
-        // Stage far more runs than MAX_STAGED_RUNS before the first
-        // pop: the overflow spills into the heap entry by entry, and
-        // the pop order must still match the reference (which never
-        // stages) exactly — spilling preserves insertion ids.
-        let mut binary = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
-        for i in 0..(6 * MAX_STAGED_RUNS as u64) {
-            let base = ((i * 37) % 100) as f64;
-            let times: Vec<SimTime> = (0..16).map(|j| t(base + j as f64 * 0.25)).collect();
-            binary.schedule_run(&times, i);
-            quad.schedule_run(&times, i);
+    fn clear_and_a_recycled_queue_drop_the_lane() {
+        for backend in BACKENDS {
+            let mut q = EventQueue::with_backend(backend);
+            let times: Vec<SimTime> = (0..32).map(|i| t(i as f64)).collect();
+            q.schedule_run(&times, ());
+            assert_eq!(q.pop(), Some((t(0.0), ())));
+            q.schedule(t(50.0), ());
+            assert_eq!(q.len(), 32);
+            q.clear();
+            assert!(q.is_empty());
+            assert_eq!(q.pop(), None);
+            assert_eq!(q.peek_time(), None);
+            // The queue stays usable, and the old lane is gone.
+            q.schedule_run(&times[10..12], ());
+            assert_eq!(q.len(), 2);
+            assert_eq!(drain(&mut q), vec![(10.0, ()), (11.0, ())], "{backend:?}");
         }
-        loop {
-            let a = binary.pop();
-            assert_eq!(a, quad.pop());
-            if a.is_none() {
-                break;
+        // An engine recycling a queue starts without its lane.
+        struct Count(u32);
+        impl crate::World for Count {
+            type Event = ();
+            fn handle(&mut self, _: SimTime, _: (), _: &mut crate::Scheduler<'_, ()>) {
+                self.0 += 1;
             }
         }
+        let mut q = EventQueue::new();
+        q.schedule_run(&[t(1.0), t(2.0)], ());
+        let mut engine = crate::Engine::with_recycled_queue(Count(0), q);
+        assert_eq!(engine.run(), 0);
     }
 }

@@ -4,7 +4,7 @@
 //! plays in the original paper). It provides:
 //!
 //! * a simulation clock and future-event list with deterministic
-//!   tie-breaking: FIFO for single events, bulk-released ones last
+//!   tie-breaking: FIFO for single events, lane-released ones last
 //!   ([`SimTime`], [`EventQueue`]);
 //! * an engine driving a user-defined [`World`] ([`Engine`]);
 //! * labelled, reproducible random streams ([`RngFactory`], [`SimRng`]);

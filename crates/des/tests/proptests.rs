@@ -153,28 +153,40 @@ fn rng_streams_reproducible() {
     });
 }
 
-/// Under arbitrary interleavings of schedule, bulk runs, cancel, pop,
-/// bounded pop and peek — including bursts at identical timestamps —
-/// the 4-ary heap with its run stage and the run-free binary heap agree
-/// on every observation.
+/// Under arbitrary interleavings of schedule, lane releases, cancel,
+/// pop, bounded pop and peek — including bursts at identical
+/// timestamps — the 4-ary heap and the binary heap agree on every
+/// observation, and every pop is the one a sorted reference list gives:
+/// earliest time first, singles before lane entries at one instant,
+/// singles in scheduling order.
 #[test]
 fn fel_backends_are_observationally_equivalent() {
+    const LANE: u64 = u64::MAX;
+    /// Removes and returns the reference list's next event, if it fires
+    /// at or before `end`.
+    fn model_pop(model: &mut Vec<(SimTime, u64)>, end: SimTime) -> Option<(SimTime, u64)> {
+        let i = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1 == LANE, model[i].1))?;
+        (model[i].0 <= end).then(|| model.swap_remove(i))
+    }
     cases(256, |g: &mut Gen| {
+        let mut model: Vec<(SimTime, u64)> = Vec::new();
         let mut heap = EventQueue::with_backend(FelBackend::BinaryHeap);
         let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
         let mut clock = 0.0_f64;
         // Live handles, keyed by a unique payload so a pop can retire
-        // exactly the entry it delivered. Run entries have no handles.
+        // exactly the entry it delivered. Lane entries have no handles.
         let mut live: Vec<(u64, vmprov_des::EventHandle, vmprov_des::EventHandle)> = Vec::new();
         let mut next_payload = 0_u64;
         let push = |heap: &mut EventQueue<u64>,
                     quad: &mut EventQueue<u64>,
                     live: &mut Vec<_>,
+                    model: &mut Vec<(SimTime, u64)>,
                     next_payload: &mut u64,
                     t: SimTime| {
             let p = *next_payload;
             *next_payload += 1;
             live.push((p, heap.schedule(t, p), quad.schedule(t, p)));
+            model.push((t, p));
         };
         let retire = |live: &mut Vec<(u64, _, _)>, popped: Option<(SimTime, u64)>| {
             if let Some((_, payload)) = popped {
@@ -187,17 +199,32 @@ fn fel_backends_are_observationally_equivalent() {
                 // Schedule at a fresh future time.
                 0..=3 => {
                     let t = SimTime::from_secs(clock + g.f64_in(0.0..8.0));
-                    push(&mut heap, &mut quad, &mut live, &mut next_payload, t);
+                    push(
+                        &mut heap,
+                        &mut quad,
+                        &mut live,
+                        &mut model,
+                        &mut next_payload,
+                        t,
+                    );
                 }
                 // Burst: several events at one identical timestamp.
                 4 => {
                     let t = SimTime::from_secs(clock + g.f64_in(0.0..8.0));
                     for _ in 0..g.usize_in(2..6) {
-                        push(&mut heap, &mut quad, &mut live, &mut next_payload, t);
+                        push(
+                            &mut heap,
+                            &mut quad,
+                            &mut live,
+                            &mut model,
+                            &mut next_payload,
+                            t,
+                        );
                     }
                 }
-                // Bulk run: monotone (staged on the 4-ary heap when long
-                // enough) or not (per-entry), often tying single events.
+                // Lane release: sorted or not, often before the lane's
+                // tail and often tying single events. The lane holds
+                // one payload, so every release carries the same one.
                 5 => {
                     let start = clock + g.f64_in(0.0..4.0);
                     let n = g.usize_in(1..40);
@@ -207,24 +234,25 @@ fn fel_backends_are_observationally_equivalent() {
                     if g.usize_in(0..4) > 0 {
                         times.sort_unstable();
                     }
-                    let p = next_payload;
-                    next_payload += 1;
-                    heap.schedule_run(&times, p);
-                    quad.schedule_run(&times, p);
+                    heap.schedule_run(&times, LANE);
+                    quad.schedule_run(&times, LANE);
+                    model.extend(times.iter().map(|&t| (t, LANE)));
                 }
                 // Cancel a random live handle.
                 6 | 7 => {
                     if !live.is_empty() {
                         let k = g.usize_in(0..live.len());
-                        let (_, hh, hq) = live.swap_remove(k);
+                        let (p, hh, hq) = live.swap_remove(k);
                         assert!(heap.cancel(hh));
                         assert!(quad.cancel(hq));
+                        model.retain(|&(_, q)| q != p);
                     }
                 }
                 // Pop.
                 8 | 9 => {
                     let a = heap.pop();
                     assert_eq!(a, quad.pop());
+                    assert_eq!(a, model_pop(&mut model, SimTime::from_secs(f64::MAX)));
                     if let Some((t, _)) = a {
                         clock = t.as_secs();
                     }
@@ -238,6 +266,7 @@ fn fel_backends_are_observationally_equivalent() {
                     };
                     let a = heap.pop_until(end);
                     assert_eq!(a, quad.pop_until(end));
+                    assert_eq!(a, model_pop(&mut model, end));
                     if let Some((t, _)) = a {
                         assert!(t <= end);
                         clock = t.as_secs();
@@ -248,11 +277,13 @@ fn fel_backends_are_observationally_equivalent() {
                 _ => assert_eq!(heap.peek_time(), quad.peek_time()),
             }
             assert_eq!(heap.len(), quad.len());
+            assert_eq!(heap.len(), model.len());
         }
         // Drain: both must agree to the last event.
         loop {
             let a = heap.pop();
             assert_eq!(a, quad.pop());
+            assert_eq!(a, model_pop(&mut model, SimTime::from_secs(f64::MAX)));
             if a.is_none() {
                 break;
             }

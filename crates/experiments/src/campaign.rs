@@ -4,15 +4,24 @@
 //! Running each figure through its own `run_policy_set` call puts a
 //! barrier at every figure boundary — cores idle while the last
 //! replication of figure N finishes, then the pool refills for figure
-//! N+1. A [`Campaign`] instead collects the `(scenario, rep)` jobs of
+//! N+1. A [`Campaign`] instead collects the `(scenario, rep)` runs of
 //! *all* figures first, consults the [`RunCache`] (when one is
 //! attached), dispatches every miss to the persistent worker pool in a
 //! single batch, and only then regroups results per figure.
 //!
-//! Correctness does not depend on scheduling: each job derives its RNG
-//! streams from its own `(scenario, rep)` pair and jobs share no
-//! mutable state, so any execution order yields bit-identical
-//! summaries (see DESIGN.md §8). Jobs are laid out figure-major,
+//! Misses are grouped by [`Scenario::arrival_key`]: the policies of one
+//! replication of a figure set see identical arrivals, so each group is
+//! one pool job that expands the arrivals once and steps its runs off
+//! that one read-only stream (see [`run_group_warm`]). On a pool of
+//! several workers, the largest groups are halved until there are two
+//! jobs per worker, so a one-rep figure still spreads over the pool; a
+//! serial pool never splits.
+//!
+//! Correctness does not depend on scheduling or grouping: each run
+//! derives its RNG streams from its own `(scenario, rep)` pair, and the
+//! only thing the runs of a group share is the arrival stream they
+//! would each have drawn, so any execution order yields bit-identical
+//! summaries (see DESIGN.md §8). Runs are laid out figure-major,
 //! scenario-major, rep-minor, which makes regrouping a single linear
 //! chunking pass.
 
@@ -20,8 +29,9 @@ use std::time::Duration;
 
 use crate::cache::{run_key, Lookup, RunCache};
 use crate::pool;
-use crate::runner::{run_once_warm, Replicated};
-use crate::scenario::Scenario;
+use crate::runner::{run_group_warm, Replicated};
+use crate::scenario::{ArrivalKey, Scenario};
+use std::collections::HashMap;
 use vmprov_cloudsim::RunSummary;
 use vmprov_json::{Json, ToJson};
 
@@ -163,11 +173,19 @@ impl Campaign {
 
         // One batch for every miss across every figure: no inter-figure
         // barrier, and workers reuse warm per-thread sim storage.
-        let fresh = pool::global().run_batch(to_run, |_, (slot, scenario, rep)| {
-            let summary = run_once_warm(&scenario, rep);
-            (slot, scenario, rep, summary)
+        let pool = pool::global();
+        let groups = arrival_groups(to_run, pool.workers());
+        let fresh = pool.run_batch(groups, |_, group: Vec<(usize, Scenario, u32)>| {
+            let cells: Vec<(Scenario, u32)> =
+                group.iter().map(|(_, s, rep)| (s.clone(), *rep)).collect();
+            let summaries = run_group_warm(&cells);
+            group
+                .into_iter()
+                .zip(summaries)
+                .map(|((slot, scenario, rep), summary)| (slot, scenario, rep, summary))
+                .collect::<Vec<_>>()
         });
-        for (slot, scenario, rep, summary) in fresh {
+        for (slot, scenario, rep, summary) in fresh.into_iter().flatten() {
             if let Some(cache) = &self.cache {
                 // Best-effort: a full disk must not fail the campaign.
                 let _ = cache.store(run_key(&scenario, rep), &summary);
@@ -204,6 +222,39 @@ impl Campaign {
             },
         }
     }
+}
+
+/// Groups runs by [`Scenario::arrival_key`], in first-seen order,
+/// then, on a pool of several workers, halves the largest group while
+/// there are fewer than two groups per worker: groups differ in cost,
+/// and a halved group only repeats its arrival expansion.
+fn arrival_groups<T>(
+    runs: Vec<(T, Scenario, u32)>,
+    workers: usize,
+) -> Vec<Vec<(T, Scenario, u32)>> {
+    let mut index: HashMap<ArrivalKey, usize> = HashMap::new();
+    let mut groups: Vec<Vec<(T, Scenario, u32)>> = Vec::new();
+    for run in runs {
+        let key = run.1.arrival_key(run.2);
+        let i = *index.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[i].push(run);
+    }
+    let target = if workers > 1 { 2 * workers } else { 1 };
+    while groups.len() < target {
+        let Some(largest) = (0..groups.len()).max_by_key(|&i| groups[i].len()) else {
+            break;
+        };
+        let len = groups[largest].len();
+        if len < 2 {
+            break;
+        }
+        let half = groups[largest].split_off(len / 2);
+        groups.push(half);
+    }
+    groups
 }
 
 #[cfg(test)]
@@ -267,6 +318,35 @@ mod tests {
             assert_eq!(x.runs, y.runs, "cache hit diverged from fresh run");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn groups_follow_arrival_keys_and_split_only_for_parallelism() {
+        let runs = || -> Vec<(usize, Scenario, u32)> {
+            let mut out = Vec::new();
+            for (i, m) in [6, 8, 10, 12].into_iter().enumerate() {
+                out.push((2 * i, tiny(PolicySpec::Static(m)), 0));
+                out.push((2 * i + 1, tiny(PolicySpec::Static(m)), 1));
+            }
+            out
+        };
+        let slots = |groups: &[Vec<(usize, Scenario, u32)>]| -> Vec<Vec<usize>> {
+            groups
+                .iter()
+                .map(|g| g.iter().map(|r| r.0).collect())
+                .collect()
+        };
+        // One group per rep, in first-seen order; a serial pool keeps them.
+        let serial = arrival_groups(runs(), 1);
+        assert_eq!(slots(&serial), vec![vec![0, 2, 4, 6], vec![1, 3, 5, 7]]);
+        // Two workers want four jobs: both groups are halved.
+        let pooled = arrival_groups(runs(), 2);
+        assert_eq!(
+            slots(&pooled),
+            vec![vec![0, 2], vec![1, 3], vec![5, 7], vec![4, 6]]
+        );
+        // Groups of one are never split further.
+        assert_eq!(arrival_groups(runs(), 8).len(), 8);
     }
 
     #[test]

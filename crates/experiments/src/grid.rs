@@ -12,13 +12,14 @@
 //!
 //! Execution: `W` worker threads (the caller's thread is one of them)
 //! each own ⌈misses / W⌉ cells. A worker builds and advances each of
-//! its cells as a [`ResumableRun`] through every event before the
+//! its cells as a [`RunGroup`] of one through every event before the
 //! scan's bound — the timestamp of the row `lookahead` rows behind the
-//! last published one, where `lookahead` covers the rows one `Batch`
-//! event may pull. So a cell's pulls never outrun the decoded rows, and
-//! no cell ever blocks inside its simulation. Once all of a worker's
-//! cells are parked at the bound, it publishes the next chunk, or waits
-//! for the other workers' cells while the window holds
+//! last published one, where `lookahead` covers the rows one expansion
+//! of the cell's arrival stream may pull. So a cell's pulls never
+//! outrun the decoded rows, and no cell ever blocks inside its
+//! simulation. Once all of a worker's cells are parked at the bound,
+//! it publishes the next chunk, or waits for the other workers' cells
+//! while the window holds
 //! [`SCAN_DEPTH`](vmprov_workloads::SCAN_DEPTH) chunks — unless every
 //! worker is parked, in which case the window grows past the depth
 //! rather than deadlock (see [`SharedTraceScan::publish_past`]). Cells
@@ -45,7 +46,7 @@ use crate::replay::{peak_rss_kb, qos_verdict, ReplaySource};
 use crate::runner::start_with;
 use crate::scenario::{AnalyzerSpec, PolicySpec, Scenario};
 use std::convert::Infallible;
-use vmprov_cloudsim::{ResumableRun, RunSummary};
+use vmprov_cloudsim::{RunGroup, RunSummary};
 use vmprov_des::FelBackend;
 use vmprov_json::{Json, ToJson};
 use vmprov_workloads::{ScanStats, SharedTraceScan, StepBound, StreamReplay, TraceSpec};
@@ -303,8 +304,9 @@ impl ReplayGrid {
         let per_worker = misses.len().div_ceil(workers);
         // Rounding the share up can leave fewer threads than `workers`.
         let threads = misses.len().div_ceil(per_worker);
-        // A `Batch` event at row i holds the pulled rows up to
-        // i + run − 1 and pulls up to `run` more.
+        // Expanding the stream run released at row i (only done
+        // before the bound) holds the pulled rows up to i + run − 1 and
+        // pulls up to `run` more.
         let run = misses
             .iter()
             .map(|(_, s, _)| s.sim_config().arrival_run.max(1) as usize)
@@ -359,11 +361,11 @@ struct SteppedCell {
     scenario: Scenario,
     rep: u32,
     replay: Option<StreamReplay>,
-    run: Option<ResumableRun>,
+    run: Option<RunGroup>,
 }
 
 impl SteppedCell {
-    fn run(&mut self) -> &mut ResumableRun {
+    fn run(&mut self) -> &mut RunGroup {
         let Self {
             scenario,
             rep,
@@ -379,7 +381,8 @@ impl SteppedCell {
 
     fn finish(mut self) -> (usize, Scenario, u32, RunSummary) {
         self.run();
-        let (summary, _) = self.run.take().expect("started above").finish();
+        let run = self.run.take().expect("started above");
+        let (summary, _) = run.finish(None).pop().expect("a cell is a group of one");
         (self.slot, self.scenario, self.rep, summary)
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::scenario::Scenario;
 use vmprov_cloudsim::{
-    ResumableRun, RunSummary, SimBuilder, SimScratch, TimeSeries, TimeSeriesProbe, TraceProbe,
+    RunGroup, RunSummary, SimBuilder, SimScratch, TimeSeries, TimeSeriesProbe, TraceProbe,
 };
 use vmprov_des::stats::{confidence_interval, Interval, Level, OnlineStats};
 use vmprov_des::RngFactory;
@@ -95,7 +95,46 @@ pub fn run_once_warm(scenario: &Scenario, rep: u32) -> RunSummary {
     })
 }
 
-/// Builds one replication of `scenario` as a [`ResumableRun`], with a
+/// Runs the cells of one arrival group — replications that share a
+/// [`Scenario::arrival_key`] — off one arrival stream, with warm
+/// per-thread storage reuse. Returns the summaries in cell order, each
+/// bit-identical to [`run_once`] of its cell (pinned by the
+/// shared-arrival tests).
+///
+/// # Panics
+/// Panics when `cells` is empty or its cells' arrival keys differ.
+pub fn run_group_warm(cells: &[(Scenario, u32)]) -> Vec<RunSummary> {
+    let (first, rep) = cells.first().expect("a group needs a cell");
+    let key = first.arrival_key(*rep);
+    let builders: Vec<SimBuilder> = cells
+        .iter()
+        .enumerate()
+        .map(|(i, (scenario, rep))| {
+            assert!(
+                scenario.arrival_key(*rep) == key,
+                "a group's cells must share their arrivals"
+            );
+            let builder = components(scenario);
+            if i == 0 {
+                builder.workload(scenario.build_workload())
+            } else {
+                builder
+            }
+        })
+        .collect();
+    let rngs = RngFactory::new(replication_seed(first.seed, *rep));
+    WARM.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let group = RunGroup::start(builders, &rngs, Some(&mut *scratch));
+        group
+            .finish(Some(scratch))
+            .into_iter()
+            .map(|(summary, _)| summary)
+            .collect()
+    })
+}
+
+/// Builds one replication of `scenario` as a group of one, with a
 /// caller-supplied arrival process in place of
 /// `scenario.build_workload()`. The replay grid injects stepped
 /// shared-scan consumers here; the caller **must** hand in a workload
@@ -106,12 +145,9 @@ pub fn start_with(
     scenario: &Scenario,
     rep: u32,
     workload: vmprov_workloads::AnyWorkload,
-) -> ResumableRun {
-    SimBuilder::new(scenario.sim_config())
+) -> RunGroup {
+    components(scenario)
         .workload(workload)
-        .service(scenario.service_model())
-        .policy(scenario.build_policy())
-        .dispatcher(scenario.build_dispatcher())
         .start(&RngFactory::new(replication_seed(scenario.seed, rep)))
 }
 
@@ -119,8 +155,12 @@ pub fn start_with(
 /// a probe and run for observed replications ([`run_once`] is
 /// `builder_for(s).run(…)`).
 pub fn builder_for(scenario: &Scenario) -> SimBuilder {
+    components(scenario).workload(scenario.build_workload())
+}
+
+/// [`builder_for`] without the workload: what a group member needs.
+fn components(scenario: &Scenario) -> SimBuilder {
     SimBuilder::new(scenario.sim_config())
-        .workload(scenario.build_workload())
         .service(scenario.service_model())
         .policy(scenario.build_policy())
         .dispatcher(scenario.build_dispatcher())

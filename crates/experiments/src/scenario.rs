@@ -20,7 +20,7 @@ use vmprov_workloads::{
 };
 
 /// Which of the evaluation workloads drives the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// The Wikipedia-derived web workload (§V-B1).
     Web,
@@ -134,6 +134,22 @@ pub struct Scenario {
     /// The scanned on-disk trace replayed when `workload` is
     /// [`WorkloadKind::Trace`] (`None` for the generative workloads).
     pub trace: Option<TraceSpec>,
+}
+
+/// What fixes one replication's arrival timestamps: the workload (its
+/// kind, horizon and replayed trace content), the base seed and the
+/// rep. Replications with equal keys see identical arrivals, so a
+/// [`Campaign`](crate::Campaign) runs them as one group off one
+/// arrival stream ([`run_group_warm`](crate::runner::run_group_warm)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ArrivalKey {
+    workload: WorkloadKind,
+    horizon_bits: u64,
+    /// Content hash, request total, batch count and end-time bits of
+    /// the replayed trace.
+    trace: Option<(u64, u64, u64, u64)>,
+    seed: u64,
+    rep: u32,
 }
 
 /// The paper's MaxVMs negotiation cap used by the adaptive modeler.
@@ -390,6 +406,39 @@ impl Scenario {
             DispatchSpec::RoundRobin => RoundRobin::new().into(),
             DispatchSpec::LeastOutstanding => LeastOutstanding::new().into(),
             DispatchSpec::Random => RandomDispatch::new().into(),
+        }
+    }
+
+    /// The arrival group of replication `rep` (see [`ArrivalKey`]).
+    pub fn arrival_key(&self, rep: u32) -> ArrivalKey {
+        // Exhaustive: a new field must be sorted into "shapes the
+        // arrivals" or not before this builds.
+        let Scenario {
+            workload,
+            horizon,
+            seed,
+            trace,
+            policy: _,
+            dispatch: _,
+            backend: _,
+            boot_delay: _,
+            fel_backend: _,
+            shards: _,
+            analyzer: _,
+        } = self;
+        ArrivalKey {
+            workload: *workload,
+            horizon_bits: horizon.as_secs().to_bits(),
+            trace: trace.as_ref().map(|t| {
+                (
+                    t.content_hash,
+                    t.total_requests,
+                    t.batches,
+                    t.end_time.as_secs().to_bits(),
+                )
+            }),
+            seed: *seed,
+            rep,
         }
     }
 

@@ -1,12 +1,12 @@
 //! Arrival-run depth is a performance setting only: whatever number of
-//! arrival batches a `Batch` event prefetches, the run summary equals
-//! the scalar cadence's (one batch released per event).
+//! arrival batches the arrival stream pulls at a time, the run summary
+//! equals the scalar cadence's (one batch per pull).
 //!
 //! The scientific workload is the hard case. Off-peak Bag-of-Tasks jobs
 //! land exactly on 30-minute boundaries, which are also monitor ticks,
 //! so a prefetched arrival ties with a control event scheduled after it
-//! was released. The event list's late rule (bulk-released entries pop
-//! after every individually scheduled entry at their instant) puts it
+//! was released. The event list's late rule (lane entries pop after
+//! every individually scheduled entry at their instant) puts it
 //! where the scalar cadence does; the estimator analyzers, which read
 //! each monitor window's arrival count, see any other order.
 

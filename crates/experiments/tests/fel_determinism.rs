@@ -1,6 +1,6 @@
 //! A/B determinism: the 4-ary-heap and binary-heap FEL backends must
 //! produce **bit-identical** run summaries for the paper's scenarios.
-//! Any divergence means the 4-ary heap (or its run stage) broke the
+//! Any divergence means the 4-ary heap (or the lane beside it) broke the
 //! deterministic `(time, seq)` dispatch order the engine guarantees.
 
 use vmprov_des::{FelBackend, SimTime};

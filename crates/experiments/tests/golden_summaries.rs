@@ -42,8 +42,8 @@ fn goldens() -> Vec<(&'static str, Scenario)> {
     ]
 }
 
-/// `scenario` run on the scalar arrival cadence: one arrival batch
-/// released per `Batch` event.
+/// `scenario` run on the scalar arrival cadence: the arrival stream
+/// pulls and expands one batch at a time.
 fn run_scalar(scenario: &Scenario) -> RunSummary {
     builder_for(scenario)
         .arrival_run(1)

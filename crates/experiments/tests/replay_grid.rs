@@ -81,8 +81,8 @@ fn shared_scan_grid_matches_independent_scans_across_chunk_sizes() {
             "chunk {chunk}: the grid must scan the trace exactly once"
         );
         assert_eq!(outcome.stats.batches_decoded, spec.batches);
-        // A stepped cell needs the rows a `Batch` event holds and pulls
-        // (two arrival runs) decoded before it handles the event. The
+        // A stepped cell needs the rows one expansion of its arrival
+        // stream holds and pulls (two arrival runs) decoded first. The
         // window stays at SCAN_DEPTH while a chunk covers that, and
         // grows only as far as it needs for smaller chunks.
         let reach = (2 * DEFAULT_ARRIVAL_RUN as usize).div_ceil(chunk) + 1;

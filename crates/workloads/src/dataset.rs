@@ -586,8 +586,9 @@ impl ScanState {
 
 struct ScanShared {
     chunk: usize,
-    /// Rows one simulation event may pull past the row it fires at
-    /// (stepped scans; 0 for concurrent consumers).
+    /// Rows one step of a consumer — an arrival-stream expansion
+    /// released at some row — may pull past that row (stepped scans; 0
+    /// for concurrent consumers).
     lookahead: usize,
     state: Mutex<ScanState>,
     /// Notified on every state transition: chunk published, chunk
@@ -694,8 +695,9 @@ impl SharedTraceScan {
 
     /// The one constructor of both kinds of scan: `workers` threads
     /// step the consumers (see [`publish_past`](Self::publish_past)),
-    /// whose events pull at most `lookahead` rows past the row they fire
-    /// at; both are 0 when the consumers run concurrently instead.
+    /// whose steps pull at most `lookahead` rows past the row they are
+    /// released at; both are 0 when the consumers run concurrently
+    /// instead.
     fn build(
         reader: Box<dyn DatasetReader>,
         consumers: usize,
@@ -812,9 +814,10 @@ pub struct Reach {
 /// What the stepped cells of a scan may handle.
 ///
 /// With `P` rows published and a lookahead of `L` rows, the bound is
-/// the timestamp of row `P − L`. An event strictly before it fires at a
-/// row below `P − L` (rows are time-ordered), so the rows it may pull
-/// all lie below `P`: a cell never asks for a row that is not out yet.
+/// the timestamp of row `P − L`. A step released strictly before it is
+/// released at a row below `P − L` (rows are time-ordered), so the rows
+/// it may pull all lie below `P`: a cell never asks for a row that is
+/// not out yet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StepBound {
     /// Fewer than the lookahead's rows are out: no cell may start.
@@ -1008,8 +1011,9 @@ impl TraceSpec {
     /// the scan's [`reach`](SharedTraceScan::reach) and then calls
     /// [`publish_past`](SharedTraceScan::publish_past), so any number of
     /// replays share one decode on a few threads without ever blocking
-    /// inside a simulation. `lookahead` is the most rows one event of a
-    /// replaying simulation may pull past the row it fires at.
+    /// inside a simulation. `lookahead` is the most rows one step of a
+    /// replay (an expansion of its run's arrival stream) may pull past
+    /// the row it is released at.
     pub fn replay_stepped(
         &self,
         consumers: usize,

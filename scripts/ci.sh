@@ -24,6 +24,8 @@ run cargo fmt --all -- --check
 run cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
 run cargo build "${OFFLINE[@]}" --workspace --release
 run cargo test "${OFFLINE[@]}" --workspace -q
+# Again on one test thread: the suite must pass at any thread count.
+run env RUST_TEST_THREADS=1 cargo test "${OFFLINE[@]}" --workspace -q
 # Each example asserts the headline result it demonstrates; run them all
 # (release build, a few seconds in total).
 for example in examples/*.rs; do
