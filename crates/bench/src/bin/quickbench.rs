@@ -7,7 +7,7 @@
 //! quickbench --diff OLD.json NEW.json
 //! ```
 //!
-//! Covers the future-event-list backends (4-ary heap vs binary heap)
+//! Covers the future-event list (the 4-ary heap, `fel_*_quad_heap`)
 //! at small and large pending sizes, cancellation churn,
 //! lane releases (`fel_bulk_insert_*` — sorted arrival runs appended to
 //! the event list's lane, vs per-entry `fel_fill_drain_*`), the
@@ -62,7 +62,7 @@
 
 use vmprov_bench::{bench, bench_report, black_box, Timing};
 use vmprov_cloudsim::NullProbe;
-use vmprov_des::{EventQueue, FelBackend, RngFactory, SimTime};
+use vmprov_des::{EventQueue, RngFactory, SimTime};
 use vmprov_experiments::runner::{builder_for, replication_seed};
 use vmprov_experiments::scenario::{fig6_scenarios, PolicySpec, Scenario};
 use vmprov_json::Json;
@@ -74,7 +74,7 @@ struct Sizes {
     /// FELs hold ~10⁴ events).
     hold_small: usize,
     /// Pending events for the large hold-model benchmark, where the
-    /// 4-ary heap's halved depth should show against the binary heap.
+    /// heap's depth and cache misses show.
     hold_large: usize,
     /// Pop+push pairs per hold-model run.
     churn: usize,
@@ -160,27 +160,23 @@ impl Sizes {
     }
 }
 
-/// Benchmark-name suffix of a backend. The reference keeps its old
-/// `heap` suffix so its trajectory in `BENCH_des.json` stays unbroken.
-fn backend_tag(backend: FelBackend) -> &'static str {
-    match backend {
-        FelBackend::QuadHeap => "quad_heap",
-        FelBackend::BinaryHeap => "heap",
-    }
-}
+/// Benchmark-name suffix of the event-list micro-benchmarks, kept from
+/// when two heaps were compared so the names' trajectories in
+/// `BENCH_des.json` stay unbroken.
+const FEL_TAG: &str = "quad_heap";
 
 /// Classic hold model: a queue held at a steady `pending` size while
 /// `churn` (pop, schedule-ahead) pairs cycle through it. This is the
 /// steady-state access pattern of a running simulation.
-fn bench_hold(backend: FelBackend, pending: usize, churn: usize, runs: u32) -> Timing {
+fn bench_hold(pending: usize, churn: usize, runs: u32) -> Timing {
     let mut rng = RngFactory::new(0xBE7C).stream("hold");
-    let mut q = EventQueue::with_capacity_and_backend(pending, backend);
+    let mut q = EventQueue::with_capacity(pending);
     let mut t = 0.0f64;
     for i in 0..pending {
         t += rng.uniform01();
         q.schedule(SimTime::from_secs(t), i);
     }
-    let name = format!("fel_hold_{}_pending_{}", pending, backend_tag(backend));
+    let name = format!("fel_hold_{pending}_pending_{FEL_TAG}");
     bench(&name, 2 * churn as u64, 1, runs, || {
         for _ in 0..churn {
             let (now, payload) = q.pop().expect("hold queue never empties");
@@ -194,11 +190,11 @@ fn bench_hold(backend: FelBackend, pending: usize, churn: usize, runs: u32) -> T
 
 /// Fill-then-drain: schedule `n` events in random time order, then pop
 /// all of them (the transient pattern of batch priming and shutdown).
-fn bench_fill_drain(backend: FelBackend, n: usize, runs: u32) -> Timing {
+fn bench_fill_drain(n: usize, runs: u32) -> Timing {
     let mut rng = RngFactory::new(0xF17D).stream("fill");
-    let name = format!("fel_fill_drain_{}_{}", n, backend_tag(backend));
+    let name = format!("fel_fill_drain_{n}_{FEL_TAG}");
     bench(&name, 2 * n as u64, 1, runs, || {
-        let mut q = EventQueue::with_capacity_and_backend(n, backend);
+        let mut q = EventQueue::with_capacity(n);
         for i in 0..n {
             q.schedule(SimTime::from_secs(rng.uniform(0.0, 1e4)), i);
         }
@@ -216,13 +212,13 @@ fn bench_fill_drain(backend: FelBackend, n: usize, runs: u32) -> Timing {
 /// one sorted arrival stream do, so every release appends. One append
 /// per run, O(1) per pop; compare with `fel_fill_drain_*`, which pays
 /// per-entry insertion for the same event count.
-fn bench_bulk_insert(backend: FelBackend, n: usize, runs: u32) -> Timing {
+fn bench_bulk_insert(n: usize, runs: u32) -> Timing {
     const RUN: usize = 64;
     const WINDOW: usize = 4; // runs in flight
     let mut rng = RngFactory::new(0xB0B5).stream("bulk");
-    let name = format!("fel_bulk_insert_{}_{}", n, backend_tag(backend));
+    let name = format!("fel_bulk_insert_{n}_{FEL_TAG}");
     bench(&name, 2 * n as u64, 1, runs, || {
-        let mut q = EventQueue::with_capacity_and_backend(RUN * (WINDOW + 1), backend);
+        let mut q = EventQueue::with_capacity(RUN * (WINDOW + 1));
         let mut times = Vec::with_capacity(RUN);
         let mut base = 0.0;
         let mut scheduled = 0usize;
@@ -345,11 +341,11 @@ fn bench_admission_bitset(picks: usize, runs: u32) -> Timing {
 
 /// Cancellation churn: schedule `n`, cancel every other handle, drain
 /// the survivors (the pattern of timer-heavy simulations).
-fn bench_cancel(backend: FelBackend, n: usize, runs: u32) -> Timing {
+fn bench_cancel(n: usize, runs: u32) -> Timing {
     let mut rng = RngFactory::new(0xCA7CE1).stream("cancel");
-    let name = format!("fel_cancel_churn_{}_{}", n, backend_tag(backend));
+    let name = format!("fel_cancel_churn_{n}_{FEL_TAG}");
     bench(&name, 2 * n as u64 + n as u64 / 2, 1, runs, || {
-        let mut q = EventQueue::with_capacity_and_backend(n, backend);
+        let mut q = EventQueue::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
             handles.push(q.schedule(SimTime::from_secs(rng.uniform(0.0, 1e4)), i));
@@ -1055,33 +1051,21 @@ fn main() {
         .map(|path| load_baseline(path, profile, sizes.tag()));
 
     let mut groups: Vec<BenchGroup> = Vec::new();
-    for backend in FelBackend::ALL {
-        groups.push(run_group(Box::new(move || {
-            vec![bench_hold(
-                backend,
-                sizes.hold_small,
-                sizes.churn,
-                sizes.runs,
-            )]
-        })));
-        groups.push(run_group(Box::new(move || {
-            vec![bench_hold(
-                backend,
-                sizes.hold_large,
-                sizes.churn,
-                sizes.runs,
-            )]
-        })));
-        groups.push(run_group(Box::new(move || {
-            vec![bench_fill_drain(backend, sizes.fill, sizes.runs)]
-        })));
-        groups.push(run_group(Box::new(move || {
-            vec![bench_cancel(backend, sizes.fill, sizes.runs)]
-        })));
-        groups.push(run_group(Box::new(move || {
-            vec![bench_bulk_insert(backend, sizes.fill, sizes.runs)]
-        })));
-    }
+    groups.push(run_group(Box::new(move || {
+        vec![bench_hold(sizes.hold_small, sizes.churn, sizes.runs)]
+    })));
+    groups.push(run_group(Box::new(move || {
+        vec![bench_hold(sizes.hold_large, sizes.churn, sizes.runs)]
+    })));
+    groups.push(run_group(Box::new(move || {
+        vec![bench_fill_drain(sizes.fill, sizes.runs)]
+    })));
+    groups.push(run_group(Box::new(move || {
+        vec![bench_cancel(sizes.fill, sizes.runs)]
+    })));
+    groups.push(run_group(Box::new(move || {
+        vec![bench_bulk_insert(sizes.fill, sizes.runs)]
+    })));
     groups.push(run_group(Box::new(move || {
         vec![bench_arrival_expand(sizes.web_batches, sizes.runs)]
     })));
@@ -1206,23 +1190,6 @@ fn main() {
 
     let timings: Vec<Timing> = groups.into_iter().flat_map(|g| g.timings).collect();
 
-    // Headline comparison: 4-ary vs binary heap on the hold model.
-    let rate = |name: &str| {
-        timings
-            .iter()
-            .find(|t| t.name == name)
-            .map(Timing::ops_per_sec)
-            .unwrap_or(0.0)
-    };
-    for pending in [sizes.hold_small, sizes.hold_large] {
-        let quad = rate(&format!("fel_hold_{pending}_pending_quad_heap"));
-        let binary = rate(&format!("fel_hold_{pending}_pending_heap"));
-        println!(
-            "  hold @ {pending} pending: 4-ary {:.2}x binary heap \
-             ({quad:.0} vs {binary:.0} ops/s)",
-            quad / binary
-        );
-    }
     // Headline comparison: the erased entry point vs the monomorphized
     // hot path on the identical seeded web run.
     let ns_per_op = |name: &str| {

@@ -2,8 +2,8 @@
 //!
 //! [`SimBuilder`] replaced the old six-positional-argument
 //! `run_scenario` free function (removed after its one-release
-//! deprecation window) so probes, FEL backend choice, metrics options,
-//! and future knobs compose without another argument explosion:
+//! deprecation window) so probes, metrics options, and future knobs
+//! compose without another argument explosion:
 //!
 //! ```ignore
 //! let summary = SimBuilder::new(cfg)
@@ -32,7 +32,7 @@ use crate::sim::{RunGroup, SimScratch};
 use std::convert::Infallible;
 use vmprov_core::dispatch::{AnyDispatcher, Dispatcher};
 use vmprov_core::policy::ProvisioningPolicy;
-use vmprov_des::{FelBackend, RngFactory};
+use vmprov_des::RngFactory;
 use vmprov_workloads::{AnyWorkload, ArrivalProcess, ServiceModel};
 
 /// Builder for one simulation run. Construct with [`SimBuilder::new`],
@@ -116,12 +116,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
             dispatcher: Some(dispatcher),
             probe: self.probe,
         }
-    }
-
-    /// Overrides the future-event-list backend (default: the config's).
-    pub fn fel_backend(mut self, backend: FelBackend) -> Self {
-        self.cfg.fel_backend = backend;
-        self
     }
 
     /// Overrides the metrics collection options (default: the config's).
@@ -298,50 +292,24 @@ mod tests {
     }
 
     #[test]
-    fn fel_backend_override_is_deterministic() {
-        let a = base(8, 50.0, 500.0)
-            .fel_backend(FelBackend::QuadHeap)
-            .run(&RngFactory::new(9));
-        let b = base(8, 50.0, 500.0)
-            .fel_backend(FelBackend::BinaryHeap)
-            .run(&RngFactory::new(9));
-        assert_eq!(a, b, "FEL backends must agree bit-for-bit");
-    }
-
-    #[test]
     fn scratch_reuse_is_bit_identical_to_fresh() {
         // Run two *different* scenarios back-to-back through the same
         // scratch — the second inherits storage shaped by the first
         // (different k, different event population) and must still
-        // match a cold run exactly, on both FEL backends.
-        for backend in FelBackend::ALL {
-            let fresh_a = base(8, 50.0, 500.0)
-                .fel_backend(backend)
-                .run(&RngFactory::new(42));
-            let fresh_b = base(3, 20.0, 700.0)
-                .fel_backend(backend)
-                .run(&RngFactory::new(43));
+        // match a cold run exactly.
+        let fresh_a = base(8, 50.0, 500.0).run(&RngFactory::new(42));
+        let fresh_b = base(3, 20.0, 700.0).run(&RngFactory::new(43));
 
-            let mut scratch = SimScratch::new();
-            let warm_a = base(8, 50.0, 500.0)
-                .fel_backend(backend)
-                .run_scratch(&RngFactory::new(42), &mut scratch);
-            let warm_b = base(3, 20.0, 700.0)
-                .fel_backend(backend)
-                .run_scratch(&RngFactory::new(43), &mut scratch);
-            // And the same scenario again, now through storage warmed
-            // by a different one.
-            let warm_a2 = base(8, 50.0, 500.0)
-                .fel_backend(backend)
-                .run_scratch(&RngFactory::new(42), &mut scratch);
+        let mut scratch = SimScratch::new();
+        let warm_a = base(8, 50.0, 500.0).run_scratch(&RngFactory::new(42), &mut scratch);
+        let warm_b = base(3, 20.0, 700.0).run_scratch(&RngFactory::new(43), &mut scratch);
+        // And the same scenario again, now through storage warmed by a
+        // different one.
+        let warm_a2 = base(8, 50.0, 500.0).run_scratch(&RngFactory::new(42), &mut scratch);
 
-            assert_eq!(fresh_a, warm_a, "{backend:?}: first warm run diverged");
-            assert_eq!(
-                fresh_b, warm_b,
-                "{backend:?}: cross-scenario reuse diverged"
-            );
-            assert_eq!(fresh_a, warm_a2, "{backend:?}: re-warmed run diverged");
-        }
+        assert_eq!(fresh_a, warm_a, "first warm run diverged");
+        assert_eq!(fresh_b, warm_b, "cross-scenario reuse diverged");
+        assert_eq!(fresh_a, warm_a2, "re-warmed run diverged");
     }
 
     #[test]
@@ -366,20 +334,6 @@ mod tests {
             }
             assert_eq!(solo(run.finish(None)).0, whole, "trial {trial}");
         }
-    }
-
-    #[test]
-    fn scratch_survives_backend_switch() {
-        // A queue recycled from one backend must not leak into a run on
-        // the other: the mismatch falls back to fresh storage.
-        let mut scratch = SimScratch::new();
-        let a = base(8, 50.0, 500.0)
-            .fel_backend(FelBackend::QuadHeap)
-            .run_scratch(&RngFactory::new(9), &mut scratch);
-        let b = base(8, 50.0, 500.0)
-            .fel_backend(FelBackend::BinaryHeap)
-            .run_scratch(&RngFactory::new(9), &mut scratch);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::host::{Resources, PAPER_HOST, PAPER_VM};
 use crate::metrics::MetricsOptions;
-use vmprov_des::FelBackend;
 
 /// Configuration of the simulated data center and measurement set-up.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,9 +36,6 @@ pub struct SimConfig {
     /// Mean time between failures of one *instance* (exponential), the
     /// "uncertain behavior" of §I. `None` disables failures.
     pub instance_mtbf: Option<f64>,
-    /// Future-event-list backend for the engine. The 4-ary heap is the
-    /// default; the binary heap is kept for A/B determinism checks.
-    pub fel_backend: FelBackend,
     /// Maximum number of arrival batches the run's
     /// [`ArrivalStream`](crate::ArrivalStream) pulls from the workload
     /// and expands at a time (at least 1; default
@@ -97,7 +93,6 @@ impl SimConfig {
             metrics: MetricsOptions::default(),
             priority: None,
             instance_mtbf: None,
-            fel_backend: FelBackend::default(),
             arrival_run: DEFAULT_ARRIVAL_RUN,
         }
     }

@@ -445,17 +445,8 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
         let initial = policy.initial_instances();
         let ts = cfg.qos_ts;
         let k = policy.queue_capacity(cfg.initial_service_estimate);
-        let backend = cfg.fel_backend;
         let (warm_slots, warm_queue) = match scratch {
-            Some(s) => {
-                // A recycled queue is only usable on the run's backend.
-                let queue = s
-                    .queues
-                    .iter()
-                    .rposition(|q| q.backend() == backend)
-                    .map(|i| s.queues.swap_remove(i));
-                (s.slots.pop(), queue)
-            }
+            Some(s) => (s.slots.pop(), s.queues.pop()),
             None => (None, None),
         };
         let instances = match warm_slots {
@@ -492,7 +483,7 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
         };
         let mut engine = match warm_queue {
             Some(q) => Engine::with_recycled_queue(world, q),
-            None => Engine::with_backend(world, backend),
+            None => Engine::new(world),
         };
         // Initial fleet exists (active) at t = 0, as in the paper.
         for _ in 0..initial {

@@ -3,7 +3,7 @@
 //!
 //! * On continuous-time workloads (Poisson, web) the batched arrival
 //!   path is **bit-identical** to the scalar cadence for every prefetch
-//!   depth, on both FEL backends — arrival times are a deterministic
+//!   depth — arrival times are a deterministic
 //!   multiset and `Arrival` events carry no payload, so reassigning
 //!   insertion ids within a sorted run is unobservable.
 //! * Bitset admission (trailing-zeros scan over the k-full bitmap)
@@ -16,18 +16,17 @@
 //! * A policy that oscillates the target every tick churns the
 //!   draining list (drain → revive → drain, with failures landing
 //!   mid-list), exercising its O(1) swap-remove path; runs must stay
-//!   deterministic and FEL-backend identical under that churn.
+//!   deterministic under that churn.
 
 use vmprov_cloudsim::config::PriorityConfig;
 use vmprov_cloudsim::{RunSummary, SimBuilder, SimConfig};
 use vmprov_core::policy::{PoolStatus, ProvisioningPolicy};
 use vmprov_core::qos::QosTargets;
 use vmprov_core::{RoundRobin, StaticPolicy};
-use vmprov_des::{FelBackend, RngFactory, SimTime};
+use vmprov_des::{RngFactory, SimTime};
 use vmprov_workloads::synthetic::PoissonProcess;
 use vmprov_workloads::{ServiceModel, WebConfig, WebWorkload};
 
-const BACKENDS: [FelBackend; 2] = FelBackend::ALL;
 const RUNS: [u32; 3] = [1, 7, 64];
 
 /// A static fleet with an explicitly pinned per-instance queue
@@ -59,23 +58,18 @@ impl ProvisioningPolicy for FixedPool {
     }
 }
 
-fn run_poisson(backend: FelBackend, arrival_run: u32) -> RunSummary {
+fn run_poisson(arrival_run: u32) -> RunSummary {
     SimBuilder::new(SimConfig::paper(0.100, 0.250))
         .workload(PoissonProcess::new(150.0, SimTime::from_secs(600.0)))
         .service(ServiceModel::new(0.100, 0.10))
         .policy(Box::new(StaticPolicy::new(20, QosTargets::web_paper())))
         .dispatcher(RoundRobin::new())
-        .fel_backend(backend)
         .arrival_run(arrival_run)
         .run(&RngFactory::new(0xBA7C))
 }
 
-fn run_web(backend: FelBackend, arrival_run: u32, seed: u64) -> RunSummary {
-    let cfg = SimConfig {
-        fel_backend: backend,
-        ..SimConfig::paper_web()
-    };
-    SimBuilder::new(cfg)
+fn run_web(arrival_run: u32, seed: u64) -> RunSummary {
+    SimBuilder::new(SimConfig::paper_web())
         .workload(WebWorkload::new(WebConfig {
             horizon: SimTime::from_secs(1800.0),
             ..WebConfig::default()
@@ -87,20 +81,18 @@ fn run_web(backend: FelBackend, arrival_run: u32, seed: u64) -> RunSummary {
         .run(&RngFactory::new(seed))
 }
 
-/// Poisson arrivals: every prefetch depth × both FEL backends must
-/// reproduce the scalar run bit for bit.
+/// Poisson arrivals: every prefetch depth must reproduce the scalar
+/// run bit for bit.
 #[test]
 fn batched_arrivals_match_scalar_poisson() {
-    for backend in BACKENDS {
-        let scalar = run_poisson(backend, 1);
-        assert!(scalar.offered_requests > 10_000, "run too small to pin");
-        for run in RUNS {
-            assert_eq!(
-                scalar,
-                run_poisson(backend, run),
-                "{backend:?}: arrival_run={run} diverged from scalar"
-            );
-        }
+    let scalar = run_poisson(1);
+    assert!(scalar.offered_requests > 10_000, "run too small to pin");
+    for run in RUNS {
+        assert_eq!(
+            scalar,
+            run_poisson(run),
+            "arrival_run={run} diverged from scalar"
+        );
     }
 }
 
@@ -109,16 +101,14 @@ fn batched_arrivals_match_scalar_poisson() {
 /// prefetch must still be bit-identical.
 #[test]
 fn batched_arrivals_match_scalar_web() {
-    for backend in BACKENDS {
-        let scalar = run_web(backend, 1, 1109);
-        assert!(scalar.offered_requests > 10_000, "run too small to pin");
-        for run in RUNS {
-            assert_eq!(
-                scalar,
-                run_web(backend, run, 1109),
-                "{backend:?}: web arrival_run={run} diverged from scalar"
-            );
-        }
+    let scalar = run_web(1, 1109);
+    assert!(scalar.offered_requests > 10_000, "run too small to pin");
+    for run in RUNS {
+        assert_eq!(
+            scalar,
+            run_web(run, 1109),
+            "web arrival_run={run} diverged from scalar"
+        );
     }
 }
 
@@ -214,7 +204,7 @@ impl ProvisioningPolicy for Oscillator {
     }
 }
 
-fn run_churn(backend: FelBackend) -> RunSummary {
+fn run_churn() -> RunSummary {
     let cfg = SimConfig {
         hosts: 100,
         instance_mtbf: Some(150.0),
@@ -229,37 +219,30 @@ fn run_churn(backend: FelBackend) -> RunSummary {
             tick: 0,
         }))
         .dispatcher(RoundRobin::new())
-        .fel_backend(backend)
         .run(&RngFactory::new(0xD4A1))
 }
 
 /// Drain-churn regression: the draining list is removed from at three
 /// sites (revive pop, drain-empty death, mid-drain failure); the
-/// position-indexed swap-remove must keep all of them deterministic
-/// and identical across FEL backends.
+/// position-indexed swap-remove must keep all of them deterministic.
 #[test]
-fn drain_churn_is_deterministic_across_backends() {
-    let quad = run_churn(FelBackend::QuadHeap);
+fn drain_churn_is_deterministic() {
+    let churn = run_churn();
     // The churn has to actually happen for this pin to mean anything:
     // far more boots than the steady fleet, and failures that can land
     // while instances drain.
     assert!(
-        quad.vms_created > 100,
+        churn.vms_created > 100,
         "only {} boots — the target never oscillated",
-        quad.vms_created
+        churn.vms_created
     );
     assert!(
-        quad.instance_failures > 0,
+        churn.instance_failures > 0,
         "no failures — the mid-list removal path never ran"
     );
     assert_eq!(
-        quad,
-        run_churn(FelBackend::QuadHeap),
+        churn,
+        run_churn(),
         "repeated churn run diverged (nondeterminism)"
-    );
-    assert_eq!(
-        quad,
-        run_churn(FelBackend::BinaryHeap),
-        "FEL backends diverged under drain churn"
     );
 }

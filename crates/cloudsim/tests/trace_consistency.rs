@@ -1,6 +1,6 @@
 //! The event trace and the run summary are two views of one run — the
 //! counters folded out of the JSONL trace must agree bit-for-bit with
-//! the [`RunSummary`], on both future-event-list backends.
+//! the [`RunSummary`].
 
 use vmprov_cloudsim::config::PriorityConfig;
 use vmprov_cloudsim::{RunSummary, SimBuilder, SimConfig, TraceProbe};
@@ -9,7 +9,7 @@ use vmprov_core::modeler::{ModelerOptions, PerformanceModeler};
 use vmprov_core::policy::AdaptivePolicy;
 use vmprov_core::qos::QosTargets;
 use vmprov_core::RoundRobin;
-use vmprov_des::{FelBackend, RngFactory, SimTime};
+use vmprov_des::{RngFactory, SimTime};
 use vmprov_json::Json;
 use vmprov_workloads::synthetic::PoissonProcess;
 use vmprov_workloads::ServiceModel;
@@ -50,7 +50,7 @@ fn fold(trace: &str) -> Folded {
 /// A deliberately eventful scenario: priority classes, injected
 /// crashes, and an adaptive policy scaling a small pool under load, so
 /// every counter in the fold is non-trivially exercised.
-fn run_traced(backend: FelBackend, seed: u64) -> (RunSummary, String) {
+fn run_traced(seed: u64) -> (RunSummary, String) {
     let mut cfg = SimConfig {
         hosts: 50,
         monitor_interval: 10.0,
@@ -58,7 +58,6 @@ fn run_traced(backend: FelBackend, seed: u64) -> (RunSummary, String) {
     };
     cfg.priority = Some(PriorityConfig::new(0.20, 1));
     cfg.instance_mtbf = Some(120.0);
-    cfg.fel_backend = backend;
     let qos = QosTargets::web_paper();
     let modeler = PerformanceModeler::new(qos, 500, ModelerOptions::default());
     let policy = AdaptivePolicy::new(
@@ -82,40 +81,30 @@ fn run_traced(backend: FelBackend, seed: u64) -> (RunSummary, String) {
 }
 
 #[test]
-fn trace_counters_match_summary_on_both_fel_backends() {
-    let (quad_summary, quad_trace) = run_traced(FelBackend::QuadHeap, 77);
-    let (heap_summary, heap_trace) = run_traced(FelBackend::BinaryHeap, 77);
+fn trace_counters_match_summary() {
+    let (summary, trace) = run_traced(77);
 
-    // The two backends replay the same history…
-    assert_eq!(quad_summary, heap_summary, "FEL backends must agree");
-    assert_eq!(quad_trace, heap_trace, "…down to the event trace");
-
-    // …and the trace folds back to the summary's counters exactly.
-    for (label, summary, trace) in [
-        ("4-ary-heap", &quad_summary, &quad_trace),
-        ("binary-heap", &heap_summary, &heap_trace),
-    ] {
-        let f = fold(trace);
-        assert_eq!(f.offered, summary.offered_requests, "{label}: offered");
-        assert_eq!(f.accepted, summary.accepted_requests, "{label}: accepted");
-        assert_eq!(f.rejected, summary.rejected_requests, "{label}: rejected");
-        assert_eq!(f.vms_created, summary.vms_created, "{label}: vms_created");
-        assert_eq!(
-            f.instance_failures, summary.instance_failures,
-            "{label}: instance_failures"
-        );
-        assert_eq!(
-            f.requests_lost_to_failures, summary.requests_lost_to_failures,
-            "{label}: requests_lost_to_failures"
-        );
-        // Completions + in-flight losses account for every admission.
-        assert_eq!(
-            f.completions + f.requests_lost_to_failures,
-            f.accepted,
-            "{label}: accepted requests either complete or die with a crash"
-        );
-        // The scenario actually exercised the interesting paths.
-        assert!(f.rejected > 0, "{label}: expected some rejections");
-        assert!(f.instance_failures > 0, "{label}: expected some crashes");
-    }
+    // The trace folds back to the summary's counters exactly.
+    let f = fold(&trace);
+    assert_eq!(f.offered, summary.offered_requests, "offered");
+    assert_eq!(f.accepted, summary.accepted_requests, "accepted");
+    assert_eq!(f.rejected, summary.rejected_requests, "rejected");
+    assert_eq!(f.vms_created, summary.vms_created, "vms_created");
+    assert_eq!(
+        f.instance_failures, summary.instance_failures,
+        "instance_failures"
+    );
+    assert_eq!(
+        f.requests_lost_to_failures, summary.requests_lost_to_failures,
+        "requests_lost_to_failures"
+    );
+    // Completions + in-flight losses account for every admission.
+    assert_eq!(
+        f.completions + f.requests_lost_to_failures,
+        f.accepted,
+        "accepted requests either complete or die with a crash"
+    );
+    // The scenario actually exercised the interesting paths.
+    assert!(f.rejected > 0, "expected some rejections");
+    assert!(f.instance_failures > 0, "expected some crashes");
 }

@@ -29,7 +29,7 @@
 //! assert_eq!(engine.now().as_secs(), 9.0);
 //! ```
 
-use crate::event::{EventHandle, EventQueue, FelBackend};
+use crate::event::{EventHandle, EventQueue};
 use crate::time::SimTime;
 
 /// Model state driven by an [`Engine`].
@@ -104,8 +104,8 @@ impl<'a, E> Scheduler<'a, E> {
     }
 
     /// Cancels a pending event scheduled earlier. Returns whether an
-    /// entry was withdrawn; see [`EventQueue::cancel`] for the handle
-    /// liveness contract.
+    /// entry was withdrawn: `false` if the event already fired or was
+    /// cancelled.
     #[inline]
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         self.queue.cancel(handle)
@@ -143,16 +143,10 @@ pub struct Engine<W: World> {
 }
 
 impl<W: World> Engine<W> {
-    /// Creates an engine at time zero around `world`, using the default
-    /// (4-ary heap) future-event list.
+    /// Creates an engine at time zero around `world`.
     pub fn new(world: W) -> Self {
-        Self::with_backend(world, FelBackend::default())
-    }
-
-    /// Creates an engine whose future-event list runs on `backend`.
-    pub fn with_backend(world: W, backend: FelBackend) -> Self {
         Engine {
-            queue: EventQueue::with_backend(backend),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             world,
             steps: 0,
@@ -166,8 +160,7 @@ impl<W: World> Engine<W> {
     ///
     /// Recycling never changes what a run computes: pop order is
     /// `(time, insertion-id)` — a total order independent of the
-    /// queue's retained capacity (pinned by the backend equivalence
-    /// tests).
+    /// queue's retained capacity.
     pub fn with_recycled_queue(world: W, mut queue: EventQueue<W::Event>) -> Self {
         queue.clear();
         Engine {
@@ -176,11 +169,6 @@ impl<W: World> Engine<W> {
             world,
             steps: 0,
         }
-    }
-
-    /// Which future-event-list backend this engine runs on.
-    pub fn fel_backend(&self) -> FelBackend {
-        self.queue.backend()
     }
 
     /// Schedules an event from outside a handler (e.g. initial events).
@@ -431,21 +419,15 @@ mod tests {
                 }
             }
         }
-        for backend in FelBackend::ALL {
-            let mut eng = Engine::with_backend(
-                Canceller {
-                    timer: None,
-                    timer_fired: false,
-                },
-                backend,
-            );
-            assert_eq!(eng.fel_backend(), backend);
-            eng.schedule(SimTime::ZERO, CEv::Arm);
-            eng.schedule(SimTime::from_secs(5.0), CEv::Disarm);
-            eng.run();
-            assert!(!eng.world().timer_fired, "{backend:?}");
-            assert_eq!(eng.now().as_secs(), 5.0, "cancelled timer moved the clock");
-        }
+        let mut eng = Engine::new(Canceller {
+            timer: None,
+            timer_fired: false,
+        });
+        eng.schedule(SimTime::ZERO, CEv::Arm);
+        eng.schedule(SimTime::from_secs(5.0), CEv::Disarm);
+        eng.run();
+        assert!(!eng.world().timer_fired);
+        assert_eq!(eng.now().as_secs(), 5.0, "cancelled timer moved the clock");
     }
 
     #[test]
@@ -472,18 +454,16 @@ mod tests {
             (world.fired, queue)
         }
 
-        for backend in FelBackend::ALL {
-            let (fresh, queue) = drive(Engine::with_backend(Recorder { fired: vec![] }, backend));
-            // Leave stale pending events in the queue to prove recycling
-            // clears them.
-            let mut queue = queue;
-            queue.schedule(SimTime::from_secs(9999.0), Ev::Mark(99));
-            let recycled_engine = Engine::with_recycled_queue(Recorder { fired: vec![] }, queue);
-            assert_eq!(recycled_engine.now(), SimTime::ZERO);
-            assert_eq!(recycled_engine.steps(), 0);
-            let (recycled, _) = drive(recycled_engine);
-            assert_eq!(fresh, recycled, "{backend:?}");
-        }
+        let (fresh, queue) = drive(Engine::new(Recorder { fired: vec![] }));
+        // Leave stale pending events in the queue to prove recycling
+        // clears them.
+        let mut queue = queue;
+        queue.schedule(SimTime::from_secs(9999.0), Ev::Mark(99));
+        let recycled_engine = Engine::with_recycled_queue(Recorder { fired: vec![] }, queue);
+        assert_eq!(recycled_engine.now(), SimTime::ZERO);
+        assert_eq!(recycled_engine.steps(), 0);
+        let (recycled, _) = drive(recycled_engine);
+        assert_eq!(fresh, recycled);
     }
 
     #[test]
@@ -510,21 +490,19 @@ mod tests {
                 }
             }
         }
-        for backend in FelBackend::ALL {
-            let mut eng = Engine::with_backend(Expander { fired: vec![] }, backend);
-            eng.schedule(SimTime::from_secs(1.0), REv::Trigger);
-            for i in 0..5 {
-                eng.schedule(SimTime::from_secs(2.0 + i as f64), REv::Mark(2));
-            }
-            eng.run();
-            let world = eng.world();
-            assert_eq!(world.fired.len(), 25, "{backend:?}");
-            assert!(
-                world.fired.windows(2).all(|w| w[0].0 <= w[1].0),
-                "{backend:?}: out of time order: {:?}",
-                world.fired
-            );
+        let mut eng = Engine::new(Expander { fired: vec![] });
+        eng.schedule(SimTime::from_secs(1.0), REv::Trigger);
+        for i in 0..5 {
+            eng.schedule(SimTime::from_secs(2.0 + i as f64), REv::Mark(2));
         }
+        eng.run();
+        let world = eng.world();
+        assert_eq!(world.fired.len(), 25);
+        assert!(
+            world.fired.windows(2).all(|w| w[0].0 <= w[1].0),
+            "out of time order: {:?}",
+            world.fired
+        );
     }
 
     #[test]

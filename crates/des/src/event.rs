@@ -2,19 +2,16 @@
 //!
 //! [`EventQueue`] is a future-event list keyed by [`SimTime`]. Events
 //! with equal timestamps are delivered in a fixed order, which keeps
-//! simulations deterministic regardless of the backing structure:
-//! individually scheduled events first, in insertion (FIFO) order, then
-//! lane entries ([`EventQueue::schedule_run`]).
+//! simulations deterministic: individually scheduled events first, in
+//! insertion (FIFO) order, then lane entries
+//! ([`EventQueue::schedule_run`]).
 //!
-//! Two interchangeable backends hold the individually scheduled events
-//! ([`FelBackend`]):
-//!
-//! * **4-ary heap** (default) — an implicit min-heap with four children
-//!   per node, keyed by `(time, id)` packed into two `u64`s. The
-//!   simulator keeps 30–60 single events pending, a depth at which the
-//!   shallow, cache-friendly heap beats bucketed structures.
-//! * **Binary heap** — `std`'s `BinaryHeap` with lazy cancellation: the
-//!   reference the A/B determinism tests compare against.
+//! Individually scheduled events sit on an implicit min-heap with four
+//! children per node, keyed by `(time, id)` packed into two `u64`s. The
+//! simulator keeps 30–60 single events pending, a depth at which the
+//! shallow, cache-friendly heap beats bucketed structures. The
+//! reference it is checked against is a sorted list in the crate's
+//! property tests, not a second backend.
 //!
 //! [`EventQueue::schedule`] returns an [`EventHandle`] that can later be
 //! passed to [`EventQueue::cancel`], so models can withdraw timers
@@ -22,55 +19,39 @@
 //! tombstones at dispatch time.
 //!
 //! [`EventQueue::schedule_run`] releases many entries carrying one
-//! payload — the simulator's arrivals — into a *lane* beside the
-//! backend: a sorted array of time keys behind a cursor. Every pop
-//! compares the lane head with the backend minimum once, and the lane
-//! loses ties, so at an equal timestamp lane entries pop after every
-//! individually scheduled event, on both backends. An arrival costs an
-//! append and O(1) per pop instead of a heap insertion.
+//! payload — the simulator's arrivals — into a *lane* beside the heap:
+//! a sorted array of time keys behind a cursor. Every pop compares the
+//! lane head with the heap minimum once, and the lane loses ties, so at
+//! an equal timestamp lane entries pop after every individually
+//! scheduled event. An arrival costs an append and O(1) per pop instead
+//! of a heap insertion.
 //!
 //! [`EventQueue::pop_until`] pops the earliest event only if it fires
 //! at or before a bound; [`EventQueue::pop`] is the same merge without
 //! a bound.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
 
 /// Identifies one scheduled (and not yet delivered) event.
 ///
 /// A handle is *live* from [`EventQueue::schedule`] until the event is
 /// popped or cancelled; cancelling a handle that is no longer live
-/// returns `false` on the 4-ary heap and is a caller contract violation
-/// on the binary heap (see [`EventQueue::cancel`]).
+/// returns `false` (see [`EventQueue::cancel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventHandle {
     id: u64,
-    /// The entry's slot on the 4-ary heap (unused on the binary heap).
+    /// The entry's slot on the heap.
     slot: u32,
 }
 
-/// Which data structure backs an [`EventQueue`].
+/// The future-event list's data structure. It has one value: the 4-ary
+/// heap every [`EventQueue`] runs on. The type is kept so that code
+/// naming it, such as [`EventQueue::with_backend`], still compiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FelBackend {
     /// Implicit 4-ary min-heap.
     #[default]
     QuadHeap,
-    /// `std` binary heap; the reference implementation.
-    BinaryHeap,
-}
-
-impl FelBackend {
-    /// Every backend, default first.
-    pub const ALL: [FelBackend; 2] = [FelBackend::QuadHeap, FelBackend::BinaryHeap];
-
-    /// The backend's command-line name.
-    pub fn label(self) -> &'static str {
-        match self {
-            FelBackend::QuadHeap => "quad_heap",
-            FelBackend::BinaryHeap => "binary_heap",
-        }
-    }
 }
 
 /// Maps a time onto a `u64` whose unsigned order is the time's numeric
@@ -97,87 +78,7 @@ fn key_time(key: u64) -> SimTime {
 }
 
 // ---------------------------------------------------------------------
-// Binary-heap backend
-// ---------------------------------------------------------------------
-
-struct HeapEntry<E> {
-    time: SimTime,
-    id: u64,
-    event: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.id == other.id
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, id)
-        // pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-/// Heap backend: O(log n) schedule/pop, *lazy* cancellation (cancelled
-/// ids are skipped when they surface at the top of the heap).
-struct HeapFel<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    cancelled: HashSet<u64>,
-}
-
-impl<E> HeapFel<E> {
-    fn with_capacity(cap: usize) -> Self {
-        HeapFel {
-            heap: BinaryHeap::with_capacity(cap),
-            cancelled: HashSet::new(),
-        }
-    }
-
-    #[inline]
-    fn schedule(&mut self, time: SimTime, id: u64, event: E) {
-        self.heap.push(HeapEntry { time, id, event });
-    }
-
-    /// Drops cancelled entries off the top, then returns the earliest
-    /// live time.
-    fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(e) = self.heap.peek() {
-            if self.cancelled.is_empty() || !self.cancelled.contains(&e.id) {
-                return Some(e.time);
-            }
-            let e = self.heap.pop().expect("peeked");
-            self.cancelled.remove(&e.id);
-        }
-        None
-    }
-
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        // Lazy: the entry stays in the heap until it surfaces. We cannot
-        // tell a live handle from an already-fired one here, which is
-        // why `EventQueue::cancel` documents the liveness contract.
-        self.cancelled.insert(handle.id)
-    }
-
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.cancelled.clear();
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4-ary heap backend
+// 4-ary heap
 // ---------------------------------------------------------------------
 
 /// Children per node. Four halves the depth of a binary heap, and the
@@ -371,11 +272,10 @@ impl<E> QuadHeap<E> {
 /// [`EventQueue::schedule_run`], all carrying one payload, kept as
 /// sorted [`time_key`]s behind a cursor.
 ///
-/// The lane sits beside the backend, not in it: a pop compares the
-/// lane head with the backend minimum, and the lane takes the pop only
-/// when it is strictly earlier. So at an equal timestamp every entry
-/// placed with [`EventQueue::schedule`] pops first, whenever it was
-/// scheduled, on either backend.
+/// The lane sits beside the heap, not in it: a pop compares the lane
+/// head with the heap minimum, and the lane takes the pop only when it
+/// is strictly earlier. So at an equal timestamp every entry placed
+/// with [`EventQueue::schedule`] pops first, whenever it was scheduled.
 struct Lane<E> {
     /// Released keys, non-decreasing; `keys[cursor..]` are pending.
     keys: Vec<u64>,
@@ -445,42 +345,10 @@ impl<E> Lane<E> {
 // Public queue
 // ---------------------------------------------------------------------
 
-enum Fel<E> {
-    Quad(QuadHeap<E>),
-    Binary(HeapFel<E>),
-}
-
-impl<E> Fel<E> {
-    /// [`time_key`] of the earliest live entry.
-    #[inline]
-    fn peek(&mut self) -> Option<u64> {
-        match self {
-            Fel::Quad(h) => h.peek_key().map(key_time_bits),
-            Fel::Binary(h) => h.peek_time().map(time_key),
-        }
-    }
-
-    /// Removes the earliest live entry (after a [`peek`](Self::peek)
-    /// that found one).
-    #[inline]
-    fn pop(&mut self) -> (SimTime, E) {
-        match self {
-            Fel::Quad(h) => {
-                let node = h.pop().expect("peeked");
-                (key_time(key_time_bits(node.key)), node.event)
-            }
-            Fel::Binary(h) => {
-                let e = h.heap.pop().expect("peeked");
-                (e.time, e.event)
-            }
-        }
-    }
-}
-
 /// A future-event list with deterministic tie-breaking (FIFO among
 /// single events, lane entries last) and event cancellation.
 pub struct EventQueue<E> {
-    fel: Fel<E>,
+    heap: QuadHeap<E>,
     lane: Lane<E>,
     next_id: u64,
     live: usize,
@@ -493,42 +361,24 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default (4-ary heap) backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity_and_backend(0, FelBackend::default())
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue on the given backend.
-    pub fn with_backend(backend: FelBackend) -> Self {
-        Self::with_capacity_and_backend(0, backend)
+    /// Creates an empty queue; the same as [`new`](Self::new), as
+    /// [`FelBackend`] has one value.
+    pub fn with_backend(_: FelBackend) -> Self {
+        Self::new()
     }
 
-    /// Creates an empty queue with pre-allocated capacity (default
-    /// backend).
+    /// Creates an empty queue with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        Self::with_capacity_and_backend(cap, FelBackend::default())
-    }
-
-    /// Creates an empty queue with pre-allocated capacity on the given
-    /// backend.
-    pub fn with_capacity_and_backend(cap: usize, backend: FelBackend) -> Self {
-        let fel = match backend {
-            FelBackend::QuadHeap => Fel::Quad(QuadHeap::with_capacity(cap)),
-            FelBackend::BinaryHeap => Fel::Binary(HeapFel::with_capacity(cap)),
-        };
         EventQueue {
-            fel,
+            heap: QuadHeap::with_capacity(cap),
             lane: Lane::new(),
             next_id: 0,
             live: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> FelBackend {
-        match self.fel {
-            Fel::Quad(_) => FelBackend::QuadHeap,
-            Fel::Binary(_) => FelBackend::BinaryHeap,
         }
     }
 
@@ -539,13 +389,7 @@ impl<E> EventQueue<E> {
         let id = self.next_id;
         self.next_id += 1;
         self.live += 1;
-        let slot = match &mut self.fel {
-            Fel::Quad(h) => h.push(entry_key(time_key(time), id), event),
-            Fel::Binary(h) => {
-                h.schedule(time, id, event);
-                0
-            }
-        };
+        let slot = self.heap.push(entry_key(time_key(time), id), event);
         EventHandle { id, slot }
     }
 
@@ -580,21 +424,11 @@ impl<E> EventQueue<E> {
         times.len()
     }
 
-    /// Cancels a pending event. Returns whether the backend withdrew an
-    /// entry.
-    ///
-    /// The handle must be *live* (scheduled and neither popped nor
-    /// cancelled). The 4-ary heap verifies this and returns `false` for
-    /// a dead handle; the binary heap cancels lazily and cannot
-    /// distinguish a dead handle, so cancelling one corrupts its
-    /// pending count — callers must track liveness (as the cloud model
-    /// does by storing handles in `Option`s).
+    /// Cancels a pending event. Returns whether an entry was withdrawn:
+    /// `false` if the handle's event was already popped or cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         debug_assert!(handle.id < self.next_id, "foreign handle");
-        let removed = match &mut self.fel {
-            Fel::Quad(h) => h.remove(handle.slot, handle.id),
-            Fel::Binary(h) => h.cancel(handle),
-        };
+        let removed = self.heap.remove(handle.slot, handle.id);
         if removed {
             self.live -= 1;
         }
@@ -622,11 +456,11 @@ impl<E> EventQueue<E> {
     }
 
     /// The one merge behind every pop: the lane head if it is strictly
-    /// earlier than the backend minimum, else the backend minimum — if
-    /// its time key is at most `limit`.
+    /// earlier than the heap minimum, else the heap minimum — if its
+    /// time key is at most `limit`.
     #[inline]
     fn pop_within(&mut self, limit: u64) -> Option<(SimTime, E)> {
-        let top = self.fel.peek();
+        let top = self.heap.peek_key().map(key_time_bits);
         let popped = match self.lane.head() {
             Some(lane) if top.is_none_or(|t| lane < t) => {
                 if lane > limit {
@@ -638,7 +472,8 @@ impl<E> EventQueue<E> {
                 if top? > limit {
                     return None;
                 }
-                self.fel.pop()
+                let node = self.heap.pop().expect("peeked");
+                (key_time(key_time_bits(node.key)), node.event)
             }
         };
         self.live -= 1;
@@ -646,11 +481,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Timestamp of the earliest pending event.
-    ///
-    /// Takes `&mut self` because the binary heap drops surfaced
-    /// cancelled entries while peeking.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let key = match (self.fel.peek(), self.lane.head()) {
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let key = match (self.heap.peek_key().map(key_time_bits), self.lane.head()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
@@ -671,10 +503,7 @@ impl<E> EventQueue<E> {
 
     /// Drops every pending event, the lane's included.
     pub fn clear(&mut self) {
-        match &mut self.fel {
-            Fel::Quad(h) => h.clear(),
-            Fel::Binary(h) => h.clear(),
-        }
+        self.heap.clear();
         self.lane.clear();
         self.live = 0;
     }
@@ -688,45 +517,37 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    const BACKENDS: [FelBackend; 2] = FelBackend::ALL;
-
     #[test]
     fn pops_in_time_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(t(3.0), "c");
-            q.schedule(t(1.0), "a");
-            q.schedule(t(2.0), "b");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["a", "b", "c"], "{backend:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(3.0), "c");
+        q.schedule(t(1.0), "a");
+        q.schedule(t(2.0), "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn equal_times_are_fifo() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            for i in 0..100 {
-                q.schedule(t(5.0), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{backend:?}");
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(t(5.0), i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn signed_zeros_share_a_key_and_stay_fifo() {
         // The packed key folds -0.0 onto +0.0: equal SimTimes, so the
-        // tie goes to the earlier insertion, as on the reference heap.
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(t(0.0), 0);
-            q.schedule(t(-0.0), 1);
-            q.schedule(t(0.0), 2);
-            q.schedule(t(-0.0), 3);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![0, 1, 2, 3], "{backend:?}");
-        }
+        // tie goes to the earlier insertion.
+        let mut q = EventQueue::new();
+        q.schedule(t(0.0), 0);
+        q.schedule(t(-0.0), 1);
+        q.schedule(t(0.0), 2);
+        q.schedule(t(-0.0), 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -750,97 +571,98 @@ mod tests {
 
     #[test]
     fn interleaved_schedule_and_pop() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(t(10.0), 10);
-            q.schedule(t(1.0), 1);
-            assert_eq!(q.pop(), Some((t(1.0), 1)));
-            q.schedule(t(5.0), 5);
-            assert_eq!(q.peek_time(), Some(t(5.0)));
-            assert_eq!(q.pop(), Some((t(5.0), 5)));
-            assert_eq!(q.pop(), Some((t(10.0), 10)));
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(10.0), 10);
+        q.schedule(t(1.0), 1);
+        assert_eq!(q.pop(), Some((t(1.0), 1)));
+        q.schedule(t(5.0), 5);
+        assert_eq!(q.peek_time(), Some(t(5.0)));
+        assert_eq!(q.pop(), Some((t(5.0), 5)));
+        assert_eq!(q.pop(), Some((t(10.0), 10)));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn pop_until_and_pop_before_honour_the_lane() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(t(2.0), "single");
-            q.schedule_run(&[t(1.5), t(3.0), t(3.0), t(4.0)], "lane");
-            // Just before the lane head: nothing moves.
-            assert_eq!(q.pop_until(t(1.499)), None, "{backend:?}");
-            assert_eq!(q.pop_before(t(1.5)), None);
-            assert_eq!(q.len(), 5);
-            // At the bound: the lane head is due, then the single.
-            assert_eq!(q.pop_until(t(1.5)), Some((t(1.5), "lane")));
-            assert_eq!(q.pop_until(t(1.5)), None);
-            assert_eq!(q.pop_before(t(2.5)), Some((t(2.0), "single")));
-            // Strictly before the lane's next instant: the lane waits.
-            assert_eq!(q.pop_before(t(3.0)), None);
-            assert_eq!(q.peek_time(), Some(t(3.0)));
-            assert_eq!(q.pop_until(t(3.5)), Some((t(3.0), "lane")));
-            assert_eq!(q.pop_until(t(3.5)), Some((t(3.0), "lane")));
-            assert_eq!(q.pop_until(t(3.5)), None);
-            assert_eq!(q.pop_until(t(100.0)), Some((t(4.0), "lane")));
-            assert_eq!(q.pop_until(t(100.0)), None);
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(2.0), "single");
+        q.schedule_run(&[t(1.5), t(3.0), t(3.0), t(4.0)], "lane");
+        // Just before the lane head: nothing moves.
+        assert_eq!(q.pop_until(t(1.499)), None);
+        assert_eq!(q.pop_before(t(1.5)), None);
+        assert_eq!(q.len(), 5);
+        // At the bound: the lane head is due, then the single.
+        assert_eq!(q.pop_until(t(1.5)), Some((t(1.5), "lane")));
+        assert_eq!(q.pop_until(t(1.5)), None);
+        assert_eq!(q.pop_before(t(2.5)), Some((t(2.0), "single")));
+        // Strictly before the lane's next instant: the lane waits.
+        assert_eq!(q.pop_before(t(3.0)), None);
+        assert_eq!(q.peek_time(), Some(t(3.0)));
+        assert_eq!(q.pop_until(t(3.5)), Some((t(3.0), "lane")));
+        assert_eq!(q.pop_until(t(3.5)), Some((t(3.0), "lane")));
+        assert_eq!(q.pop_until(t(3.5)), None);
+        assert_eq!(q.pop_until(t(100.0)), Some((t(4.0), "lane")));
+        assert_eq!(q.pop_until(t(100.0)), None);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn len_and_clear() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            assert!(q.is_empty());
-            q.schedule(t(1.0), ());
-            q.schedule(t(2.0), ());
-            assert_eq!(q.len(), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule(t(1.0), ());
+        q.schedule(t(2.0), ());
+        assert_eq!(q.len(), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn cancel_withdraws_an_event() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(t(1.0), "keep-1");
-            let h = q.schedule(t(2.0), "drop");
-            q.schedule(t(3.0), "keep-3");
-            assert!(q.cancel(h));
-            assert_eq!(q.len(), 2);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["keep-1", "keep-3"], "{backend:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(t(1.0), "keep-1");
+        let h = q.schedule(t(2.0), "drop");
+        q.schedule(t(3.0), "keep-3");
+        assert!(q.cancel(h));
+        assert_eq!(q.len(), 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["keep-1", "keep-3"]);
     }
 
     #[test]
     fn cancel_everything_leaves_an_empty_queue() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            let handles: Vec<_> = (0..50).map(|i| q.schedule(t(i as f64), i)).collect();
-            for h in handles {
-                assert!(q.cancel(h));
-            }
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.peek_time(), None);
+        let mut q = EventQueue::new();
+        let handles: Vec<_> = (0..50).map(|i| q.schedule(t(i as f64), i)).collect();
+        for h in handles {
+            assert!(q.cancel(h));
         }
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
-    fn quad_heap_detects_dead_handles() {
-        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
-        let h = q.schedule(t(1.0), ());
-        assert_eq!(q.pop(), Some((t(1.0), ())));
+    fn cancel_of_a_dead_handle_returns_false() {
+        let mut q = EventQueue::new();
+        let h = q.schedule(t(1.0), 1);
+        assert_eq!(q.pop(), Some((t(1.0), 1)));
         assert!(!q.cancel(h), "popped handle must not cancel");
-        let h2 = q.schedule(t(2.0), ());
+        // The popped entry's slot is recycled: the dead handle names it
+        // but must not withdraw its new occupant.
+        let h2 = q.schedule(t(2.0), 2);
+        assert!(!q.cancel(h));
+        assert_eq!(q.len(), 1);
         assert!(q.cancel(h2));
         assert!(!q.cancel(h2), "double cancel must fail");
+        assert!(q.is_empty());
+        let h3 = q.schedule(t(3.0), 3);
+        q.clear();
+        assert!(!q.cancel(h3), "cleared handle must not cancel");
+        q.schedule(t(4.0), 4);
+        assert!(!q.cancel(h3));
+        assert_eq!(q.pop(), Some((t(4.0), 4)));
         assert!(q.is_empty());
     }
 
@@ -848,13 +670,11 @@ mod tests {
     /// selects from the heap's own layout, and checks the rest drain in
     /// order.
     fn cancel_at(pick: impl Fn(&QuadHeap<u32>) -> usize) {
-        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
+        let mut q = EventQueue::new();
         let handles: Vec<_> = (0..40u32)
             .map(|i| q.schedule(t(((i * 17) % 40) as f64), i))
             .collect();
-        let Fel::Quad(heap) = &q.fel else {
-            unreachable!()
-        };
+        let heap = &q.heap;
         let victim = heap.nodes[pick(heap)].event;
         assert!(q.cancel(handles[victim as usize]));
         assert!(!q.cancel(handles[victim as usize]));
@@ -874,19 +694,17 @@ mod tests {
 
     #[test]
     fn peek_after_cancel_skips_the_cancelled_head() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            let h = q.schedule(t(1.0), "head");
-            q.schedule(t(2.0), "next");
-            q.cancel(h);
-            assert_eq!(q.peek_time(), Some(t(2.0)), "{backend:?}");
-            assert_eq!(q.pop(), Some((t(2.0), "next")));
-        }
+        let mut q = EventQueue::new();
+        let h = q.schedule(t(1.0), "head");
+        q.schedule(t(2.0), "next");
+        q.cancel(h);
+        assert_eq!(q.peek_time(), Some(t(2.0)));
+        assert_eq!(q.pop(), Some((t(2.0), "next")));
     }
 
     #[test]
     fn heap_survives_growth_and_drain() {
-        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
+        let mut q = EventQueue::new();
         let n = 10_000;
         for i in 0..n {
             q.schedule(t((i % 97) as f64 * 0.5 + (i / 97) as f64 * 60.0), i);
@@ -911,68 +729,64 @@ mod tests {
 
     #[test]
     fn the_lane_loses_ties_to_singles_scheduled_before_and_after_it() {
-        // At one instant, lane entries pop after every single event on
-        // both backends, including one scheduled after the release.
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule(t(5.0), 0);
-            q.schedule_run(&[t(4.0), t(5.0), t(5.0), t(6.0)], 9);
-            q.schedule(t(5.0), 1);
-            q.schedule(t(6.0), 2);
-            let order = drain(&mut q);
-            let expected = vec![
-                (4.0, 9),
-                (5.0, 0),
-                (5.0, 1),
-                (5.0, 9),
-                (5.0, 9),
-                (6.0, 2),
-                (6.0, 9),
-            ];
-            assert_eq!(order, expected, "{backend:?}");
-        }
+        // At one instant, lane entries pop after every single event,
+        // including one scheduled after the release.
+        let mut q = EventQueue::new();
+        q.schedule(t(5.0), 0);
+        q.schedule_run(&[t(4.0), t(5.0), t(5.0), t(6.0)], 9);
+        q.schedule(t(5.0), 1);
+        q.schedule(t(6.0), 2);
+        let order = drain(&mut q);
+        let expected = vec![
+            (4.0, 9),
+            (5.0, 0),
+            (5.0, 1),
+            (5.0, 9),
+            (5.0, 9),
+            (6.0, 2),
+            (6.0, 9),
+        ];
+        assert_eq!(order, expected);
     }
 
     #[test]
     fn overlapping_releases_merge_in_time_order() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            q.schedule_run(&[t(1.0), t(3.0), t(5.0), t(7.0)], 'a');
-            assert_eq!(q.pop(), Some((t(1.0), 'a')));
-            // Lands before the tail: sorted into the pending entries.
-            q.schedule_run(&[t(2.0), t(3.0), t(6.0), t(9.0)], 'a');
-            // Lands after the tail: appended.
-            q.schedule_run(&[t(9.5), t(10.0)], 'a');
-            // Unsorted and partly before the head: sorted in as well.
-            q.schedule_run(&[t(4.0), t(0.5), t(8.0)], 'a');
-            q.schedule(t(3.0), 's');
-            assert_eq!(q.len(), 13);
-            let order = drain(&mut q);
-            let expected = vec![
-                (0.5, 'a'),
-                (2.0, 'a'),
-                (3.0, 's'),
-                (3.0, 'a'),
-                (3.0, 'a'),
-                (4.0, 'a'),
-                (5.0, 'a'),
-                (6.0, 'a'),
-                (7.0, 'a'),
-                (8.0, 'a'),
-                (9.0, 'a'),
-                (9.5, 'a'),
-                (10.0, 'a'),
-            ];
-            assert_eq!(order, expected, "{backend:?}");
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        q.schedule_run(&[t(1.0), t(3.0), t(5.0), t(7.0)], 'a');
+        assert_eq!(q.pop(), Some((t(1.0), 'a')));
+        // Lands before the tail: sorted into the pending entries.
+        q.schedule_run(&[t(2.0), t(3.0), t(6.0), t(9.0)], 'a');
+        // Lands after the tail: appended.
+        q.schedule_run(&[t(9.5), t(10.0)], 'a');
+        // Unsorted and partly before the head: sorted in as well.
+        q.schedule_run(&[t(4.0), t(0.5), t(8.0)], 'a');
+        q.schedule(t(3.0), 's');
+        assert_eq!(q.len(), 13);
+        let order = drain(&mut q);
+        let expected = vec![
+            (0.5, 'a'),
+            (2.0, 'a'),
+            (3.0, 's'),
+            (3.0, 'a'),
+            (3.0, 'a'),
+            (4.0, 'a'),
+            (5.0, 'a'),
+            (6.0, 'a'),
+            (7.0, 'a'),
+            (8.0, 'a'),
+            (9.0, 'a'),
+            (9.5, 'a'),
+            (10.0, 'a'),
+        ];
+        assert_eq!(order, expected);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn the_lane_stores_one_payload() {
         use std::rc::Rc;
         let payload = Rc::new(7u32);
-        let mut q = EventQueue::with_backend(FelBackend::QuadHeap);
+        let mut q = EventQueue::new();
         q.schedule_run(&[t(1.0); 16], Rc::clone(&payload));
         // One stored copy, not one per entry.
         assert_eq!(Rc::strong_count(&payload), 2);
@@ -984,92 +798,21 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_runs_singles_and_cancels_agree_across_backends() {
-        let mut binary = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        let mut clock = 0.0;
-        let mut live = Vec::new();
-        for i in 0..2_000_u64 {
-            match next() % 6 {
-                0 | 1 => {
-                    let dt = (next() % 1000) as f64 / 100.0;
-                    live.push((
-                        i,
-                        binary.schedule(t(clock + dt), i),
-                        quad.schedule(t(clock + dt), i),
-                    ));
-                }
-                2 => {
-                    let start = clock + (next() % 100) as f64 / 10.0;
-                    let n = 8 + (next() % 40) as usize;
-                    let mut times: Vec<SimTime> = (0..n)
-                        .map(|j| t(start + j as f64 * ((next() % 50) as f64 / 500.0)))
-                        .collect();
-                    // Each gap re-rolls, so the times need not be
-                    // monotone: sort.
-                    times.sort_unstable();
-                    binary.schedule_run(&times, u64::MAX);
-                    quad.schedule_run(&times, u64::MAX);
-                }
-                3 => {
-                    let a = binary.pop();
-                    assert_eq!(a, quad.pop());
-                    if let Some((time, ev)) = a {
-                        clock = time.as_secs();
-                        live.retain(|&(id, _, _)| id != ev);
-                    }
-                }
-                4 => {
-                    if !live.is_empty() {
-                        let (_, hb, hq) = live.swap_remove(next() as usize % live.len());
-                        assert!(binary.cancel(hb));
-                        assert!(quad.cancel(hq));
-                    }
-                }
-                _ => {
-                    let end = t(clock + (next() % 300) as f64 / 100.0);
-                    let a = binary.pop_until(end);
-                    assert_eq!(a, quad.pop_until(end));
-                    if let Some((time, ev)) = a {
-                        clock = time.as_secs();
-                        live.retain(|&(id, _, _)| id != ev);
-                    }
-                }
-            }
-            assert_eq!(binary.len(), quad.len());
-        }
-        loop {
-            let a = binary.pop();
-            assert_eq!(a, quad.pop());
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn clear_and_a_recycled_queue_drop_the_lane() {
-        for backend in BACKENDS {
-            let mut q = EventQueue::with_backend(backend);
-            let times: Vec<SimTime> = (0..32).map(|i| t(i as f64)).collect();
-            q.schedule_run(&times, ());
-            assert_eq!(q.pop(), Some((t(0.0), ())));
-            q.schedule(t(50.0), ());
-            assert_eq!(q.len(), 32);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.peek_time(), None);
-            // The queue stays usable, and the old lane is gone.
-            q.schedule_run(&times[10..12], ());
-            assert_eq!(q.len(), 2);
-            assert_eq!(drain(&mut q), vec![(10.0, ()), (11.0, ())], "{backend:?}");
-        }
+        let mut q = EventQueue::new();
+        let times: Vec<SimTime> = (0..32).map(|i| t(i as f64)).collect();
+        q.schedule_run(&times, ());
+        assert_eq!(q.pop(), Some((t(0.0), ())));
+        q.schedule(t(50.0), ());
+        assert_eq!(q.len(), 32);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.peek_time(), None);
+        // The queue stays usable, and the old lane is gone.
+        q.schedule_run(&times[10..12], ());
+        assert_eq!(q.len(), 2);
+        assert_eq!(drain(&mut q), vec![(10.0, ()), (11.0, ())]);
         // An engine recycling a queue starts without its lane.
         struct Count(u32);
         impl crate::World for Count {

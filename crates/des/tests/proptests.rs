@@ -4,7 +4,7 @@ use vmprov_check::{cases, Gen};
 use vmprov_des::dist::{Clamped, Distribution, Exponential, Normal, Pareto, Uniform, Weibull};
 use vmprov_des::special::ln_gamma;
 use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted};
-use vmprov_des::{EventQueue, FelBackend, RngFactory, SimTime};
+use vmprov_des::{EventHandle, EventQueue, RngFactory, SimTime};
 
 #[test]
 fn samples_stay_in_support() {
@@ -125,17 +125,15 @@ fn event_queue_is_a_sorting_network() {
         let times = g.vec(0..200, |g| g.f64_in(0.0..1e9));
         let mut sorted = times.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for backend in FelBackend::ALL {
-            let mut q = EventQueue::with_backend(backend);
-            for &t in &times {
-                q.schedule(SimTime::from_secs(t), ());
-            }
-            let mut popped = Vec::with_capacity(times.len());
-            while let Some((t, ())) = q.pop() {
-                popped.push(t.as_secs());
-            }
-            assert_eq!(popped, sorted, "{backend:?}");
+        let mut q = EventQueue::new();
+        for &t in &times {
+            q.schedule(SimTime::from_secs(t), ());
         }
+        let mut popped = Vec::with_capacity(times.len());
+        while let Some((t, ())) = q.pop() {
+            popped.push(t.as_secs());
+        }
+        assert_eq!(popped, sorted);
     });
 }
 
@@ -155,12 +153,14 @@ fn rng_streams_reproducible() {
 
 /// Under arbitrary interleavings of schedule, lane releases, cancel,
 /// pop, bounded pop and peek — including bursts at identical
-/// timestamps — the 4-ary heap and the binary heap agree on every
-/// observation, and every pop is the one a sorted reference list gives:
-/// earliest time first, singles before lane entries at one instant,
-/// singles in scheduling order.
+/// timestamps — the event queue agrees with a sorted reference list at
+/// every step: every pop and bounded pop is the list's (earliest time
+/// first, singles before lane entries at one instant, singles in
+/// scheduling order), and `peek_time` and `len` match the list's after
+/// every operation. A handle whose event was popped or cancelled does
+/// not cancel.
 #[test]
-fn fel_backends_are_observationally_equivalent() {
+fn event_queue_matches_the_sorted_reference_list() {
     const LANE: u64 = u64::MAX;
     /// Removes and returns the reference list's next event, if it fires
     /// at or before `end`.
@@ -170,56 +170,44 @@ fn fel_backends_are_observationally_equivalent() {
     }
     cases(256, |g: &mut Gen| {
         let mut model: Vec<(SimTime, u64)> = Vec::new();
-        let mut heap = EventQueue::with_backend(FelBackend::BinaryHeap);
-        let mut quad = EventQueue::with_backend(FelBackend::QuadHeap);
+        let mut q = EventQueue::new();
         let mut clock = 0.0_f64;
         // Live handles, keyed by a unique payload so a pop can retire
         // exactly the entry it delivered. Lane entries have no handles.
-        let mut live: Vec<(u64, vmprov_des::EventHandle, vmprov_des::EventHandle)> = Vec::new();
+        let mut live: Vec<(u64, EventHandle)> = Vec::new();
+        let mut dead: Vec<EventHandle> = Vec::new();
         let mut next_payload = 0_u64;
-        let push = |heap: &mut EventQueue<u64>,
-                    quad: &mut EventQueue<u64>,
-                    live: &mut Vec<_>,
-                    model: &mut Vec<(SimTime, u64)>,
-                    next_payload: &mut u64,
-                    t: SimTime| {
-            let p = *next_payload;
-            *next_payload += 1;
-            live.push((p, heap.schedule(t, p), quad.schedule(t, p)));
+        let mut push = |q: &mut EventQueue<u64>,
+                        live: &mut Vec<(u64, EventHandle)>,
+                        model: &mut Vec<(SimTime, u64)>,
+                        t: SimTime| {
+            let p = next_payload;
+            next_payload += 1;
+            live.push((p, q.schedule(t, p)));
             model.push((t, p));
         };
-        let retire = |live: &mut Vec<(u64, _, _)>, popped: Option<(SimTime, u64)>| {
+        let retire = |live: &mut Vec<(u64, EventHandle)>,
+                      dead: &mut Vec<EventHandle>,
+                      popped: Option<(SimTime, u64)>| {
             if let Some((_, payload)) = popped {
-                live.retain(|&(p, _, _)| p != payload);
+                if let Some(k) = live.iter().position(|&(p, _)| p == payload) {
+                    dead.push(live.swap_remove(k).1);
+                }
             }
         };
         let n_ops = g.usize_in(10..400);
         for _ in 0..n_ops {
-            match g.usize_in(0..13) {
+            match g.usize_in(0..14) {
                 // Schedule at a fresh future time.
                 0..=3 => {
                     let t = SimTime::from_secs(clock + g.f64_in(0.0..8.0));
-                    push(
-                        &mut heap,
-                        &mut quad,
-                        &mut live,
-                        &mut model,
-                        &mut next_payload,
-                        t,
-                    );
+                    push(&mut q, &mut live, &mut model, t);
                 }
                 // Burst: several events at one identical timestamp.
                 4 => {
                     let t = SimTime::from_secs(clock + g.f64_in(0.0..8.0));
                     for _ in 0..g.usize_in(2..6) {
-                        push(
-                            &mut heap,
-                            &mut quad,
-                            &mut live,
-                            &mut model,
-                            &mut next_payload,
-                            t,
-                        );
+                        push(&mut q, &mut live, &mut model, t);
                     }
                 }
                 // Lane release: sorted or not, often before the lane's
@@ -234,56 +222,59 @@ fn fel_backends_are_observationally_equivalent() {
                     if g.usize_in(0..4) > 0 {
                         times.sort_unstable();
                     }
-                    heap.schedule_run(&times, LANE);
-                    quad.schedule_run(&times, LANE);
+                    assert_eq!(q.schedule_run(&times, LANE), n);
                     model.extend(times.iter().map(|&t| (t, LANE)));
                 }
                 // Cancel a random live handle.
-                6 | 7 => {
-                    if !live.is_empty() {
-                        let k = g.usize_in(0..live.len());
-                        let (p, hh, hq) = live.swap_remove(k);
-                        assert!(heap.cancel(hh));
-                        assert!(quad.cancel(hq));
-                        model.retain(|&(_, q)| q != p);
-                    }
+                6 | 7 if !live.is_empty() => {
+                    let k = g.usize_in(0..live.len());
+                    let (p, h) = live.swap_remove(k);
+                    assert!(q.cancel(h));
+                    dead.push(h);
+                    model.retain(|&(_, x)| x != p);
                 }
                 // Pop.
                 8 | 9 => {
-                    let a = heap.pop();
-                    assert_eq!(a, quad.pop());
+                    let a = q.pop();
                     assert_eq!(a, model_pop(&mut model, SimTime::from_secs(f64::MAX)));
                     if let Some((t, _)) = a {
                         clock = t.as_secs();
                     }
-                    retire(&mut live, a);
+                    retire(&mut live, &mut dead, a);
                 }
                 // Bounded pop, the bound often exactly on a pending time.
                 10 | 11 => {
-                    let end = match heap.peek_time() {
+                    let end = match q.peek_time() {
                         Some(t) if g.usize_in(0..2) == 0 => t,
                         _ => SimTime::from_secs(clock + g.f64_in(0.0..4.0)),
                     };
-                    let a = heap.pop_until(end);
-                    assert_eq!(a, quad.pop_until(end));
+                    let a = q.pop_until(end);
                     assert_eq!(a, model_pop(&mut model, end));
                     if let Some((t, _)) = a {
                         assert!(t <= end);
                         clock = t.as_secs();
                     }
-                    retire(&mut live, a);
+                    retire(&mut live, &mut dead, a);
                 }
-                // Peek.
-                _ => assert_eq!(heap.peek_time(), quad.peek_time()),
+                // Cancel a handle whose event already left.
+                12 if !dead.is_empty() => {
+                    let h = dead[g.usize_in(0..dead.len())];
+                    assert!(!q.cancel(h));
+                }
+                // Peek alone (and the arms above with nothing to
+                // cancel); checked below, as after every step.
+                _ => {}
             }
-            assert_eq!(heap.len(), quad.len());
-            assert_eq!(heap.len(), model.len());
+            let earliest = model.iter().map(|&(t, _)| t).reduce(SimTime::min);
+            assert_eq!(q.peek_time(), earliest);
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.is_empty(), model.is_empty());
         }
-        // Drain: both must agree to the last event.
+        // Drain: the queue and the list agree to the last event.
         loop {
-            let a = heap.pop();
-            assert_eq!(a, quad.pop());
+            let a = q.pop();
             assert_eq!(a, model_pop(&mut model, SimTime::from_secs(f64::MAX)));
+            assert_eq!(q.len(), model.len());
             if a.is_none() {
                 break;
             }

@@ -5,10 +5,8 @@
 //! repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]…
 //!       [--mode smoke|quick|paper|full] [--seed N] [--out DIR]
 //!       [--trace DIR] [--cache DIR] [--no-cache] [--jobs N]
-//!       [--fel quad_heap|binary_heap]
 //! repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N]
-//!       [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N]
-//!       [--fel quad_heap|binary_heap] [--seed N]
+//!       [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N] [--seed N]
 //!       [--out DIR] [--cache DIR] [--no-cache]
 //! repro smoke [figures flags]
 //! repro gen-trace --out FILE [--rate R] [--horizon SECS] [--seed N]
@@ -24,7 +22,7 @@
 //! worker pool and a content-addressed run cache under `--cache DIR`
 //! (default `<out>/.runcache`; disable with `--no-cache`);
 //! `cache_stats.json` records jobs, hits, and wall-clock. `--jobs N`
-//! pins the worker count; `--fel` pins the future-event-list backend.
+//! pins the worker count.
 //!
 //! `replay` streams a `time,count,spread` CSV trace through the
 //! `DatasetReader` seam (peak ingestion memory = one chunk of batches,
@@ -61,7 +59,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use vmprov_des::{FelBackend, SimTime};
+use vmprov_des::SimTime;
 use vmprov_experiments::pool::configure_global_workers;
 use vmprov_experiments::report::{
     figure_table, runs_csv, runs_json, series_csv, sparkline, timeseries_curves,
@@ -78,20 +76,13 @@ use vmprov_workloads::{generate_piecewise_csv, TraceSpec, DEFAULT_CHUNK};
 const USAGE: &str = "usage: repro <figures|replay|smoke|gen-trace> …
   repro figures [table2|fig3|fig4|fig5|fig6|ablations|all]… \
 [--mode smoke|quick|paper|full] [--seed N] [--out DIR] [--trace DIR] \
-[--cache DIR] [--no-cache] [--jobs N] [--fel quad_heap|binary_heap]
+[--cache DIR] [--no-cache] [--jobs N]
   repro replay --trace FILE [--analyzer oracle|mle|ewma] [--chunk N] \
 [--analyzers a,b,…] [--reps N] [--rep N] [--jobs N] \
-[--fel quad_heap|binary_heap] [--seed N] [--out DIR] [--cache DIR] [--no-cache]
+[--seed N] [--out DIR] [--cache DIR] [--no-cache]
   repro smoke [figures flags]
   repro gen-trace --out FILE [--rate R] [--horizon SECS] [--seed N] \
 [--step-at SECS --step-rate R2]";
-
-fn parse_fel(v: &str) -> Result<FelBackend, String> {
-    FelBackend::ALL
-        .into_iter()
-        .find(|b| b.label() == v)
-        .ok_or_else(|| format!("unknown FEL backend {v}"))
-}
 
 struct FigureArgs {
     targets: Vec<String>,
@@ -103,8 +94,6 @@ struct FigureArgs {
     cache: Option<PathBuf>,
     no_cache: bool,
     jobs: Option<usize>,
-    /// FEL backend override for figure runs; `None` = scenario default.
-    fel: Option<FelBackend>,
 }
 
 fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
@@ -116,7 +105,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
     let mut cache = None;
     let mut no_cache = false;
     let mut jobs = None;
-    let mut fel = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -145,9 +133,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
                     return Err("--jobs must be at least 1".into());
                 }
                 jobs = Some(n);
-            }
-            "--fel" => {
-                fel = Some(parse_fel(it.next().ok_or("--fel needs a value")?)?);
             }
             "--help" | "-h" => return Err(USAGE.into()),
             t @ ("table2" | "fig3" | "fig4" | "fig5" | "fig6" | "ablations" | "all") => {
@@ -183,7 +168,6 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
         cache,
         no_cache,
         jobs,
-        fel,
     })
 }
 
@@ -221,22 +205,13 @@ fn run_figure_campaign(args: &FigureArgs) -> (Option<Vec<Replicated>>, Option<Ve
     }
 
     let mut campaign = Campaign::new(cache);
-    let tune = |scenarios: Vec<Scenario>| -> Vec<Scenario> {
-        scenarios
-            .into_iter()
-            .map(|s| match args.fel {
-                Some(fel) => s.with_fel_backend(fel),
-                None => s,
-            })
-            .collect()
-    };
     let h5 = want5.then(|| {
         let (scenarios, reps) = fig5_spec(args.mode, args.seed);
-        campaign.add_figure(tune(scenarios), reps)
+        campaign.add_figure(scenarios, reps)
     });
     let h6 = want6.then(|| {
         let (scenarios, reps) = fig6_spec(args.mode, args.seed);
-        campaign.add_figure(tune(scenarios), reps)
+        campaign.add_figure(scenarios, reps)
     });
     println!(
         "running figure campaign (fig5: {want5}, fig6: {want6}, mode {:?})…",
@@ -447,7 +422,6 @@ struct ReplayArgs {
     /// cell).
     jobs: Option<usize>,
     chunk: usize,
-    fel: Option<FelBackend>,
     seed: u64,
     out: PathBuf,
     cache: Option<PathBuf>,
@@ -462,7 +436,6 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
     let mut rep = 0u32;
     let mut jobs = None;
     let mut chunk = DEFAULT_CHUNK;
-    let mut fel = None;
     let mut seed = 20110926;
     let mut out = PathBuf::from("results");
     let mut cache = None;
@@ -522,9 +495,6 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
                     return Err("--chunk must be at least 1".into());
                 }
             }
-            "--fel" => {
-                fel = Some(parse_fel(it.next().ok_or("--fel needs a value")?)?);
-            }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
                 seed = v.parse().map_err(|_| format!("bad seed {v}"))?;
@@ -554,7 +524,6 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
         rep,
         jobs,
         chunk,
-        fel,
         seed,
         out,
         cache,
@@ -598,11 +567,8 @@ fn replay_main(argv: &[String]) {
         started.elapsed().as_secs_f64()
     );
 
-    let mut scenario = Scenario::trace_replay(spec.clone(), PolicySpec::Adaptive, args.seed)
+    let scenario = Scenario::trace_replay(spec.clone(), PolicySpec::Adaptive, args.seed)
         .with_analyzer(args.analyzer);
-    if let Some(fel) = args.fel {
-        scenario = scenario.with_fel_backend(fel);
-    }
     let cache = open_cache(&args.out, &args.cache, args.no_cache);
     let run_started = Instant::now();
     let (summary, source) = replay_once(&scenario, args.rep, cache.as_ref());
@@ -716,7 +682,6 @@ fn replay_grid_main(args: &ReplayArgs, spec: TraceSpec, started: Instant) {
         started.elapsed().as_secs_f64()
     );
     let grid = ReplayGrid {
-        fel: args.fel,
         concurrency: args.jobs,
         ..ReplayGrid::new(spec.clone(), analyzers.clone(), args.reps, args.seed)
     };

@@ -84,11 +84,12 @@ use vmprov_json::{FromJson, Json, ToJson};
 /// so warm v8 caches (including their batched cells, keyed on the old
 /// interleaving) miss cleanly.
 ///
-/// v10: the `fel_backend` member left the canonical JSON. The calendar
-/// queue was replaced by a 4-ary heap, and every event-list backend
-/// yields the same summary, so the backend is an execution setting,
-/// not part of a run's identity. Results keep their meaning, but every
-/// key moves, so warm v9 caches (keyed per backend) miss cleanly.
+/// v10: the event-list backend member left the canonical JSON. The
+/// calendar queue was replaced by a 4-ary heap, and every event-list
+/// backend yielded the same summary, so the backend was an execution
+/// setting, not part of a run's identity (it has since been removed).
+/// Results keep their meaning, but every key moves, so warm v9 caches
+/// (keyed per backend) miss cleanly.
 pub const CACHE_SCHEMA_VERSION: u32 = 10;
 
 /// Computes the content-addressed cache key of `(scenario, rep)`.
@@ -180,8 +181,9 @@ impl RunCache {
 mod tests {
     use super::*;
     use crate::runner::run_once;
-    use crate::scenario::PolicySpec;
-    use vmprov_des::{FelBackend, SimTime};
+    use crate::scenario::{AnalyzerSpec, PolicySpec};
+    use vmprov_des::SimTime;
+    use vmprov_workloads::TraceSpec;
 
     fn tiny() -> Scenario {
         Scenario::web(PolicySpec::Static(5), 31).with_horizon(SimTime::from_secs(60.0))
@@ -360,11 +362,30 @@ mod tests {
             matches!(cache.lookup(v10_key), Lookup::Miss),
             "a v9-keyed entry must not satisfy a v10 probe"
         );
-        // The backend no longer splits the key space.
-        assert_eq!(
-            run_key(&s.clone().with_fel_backend(FelBackend::BinaryHeap), 0),
-            v10_key
-        );
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// The v10 key space, pinned to literals for one web and one
+    /// trace-replay scenario. A change to `Scenario`'s canonical JSON,
+    /// the hash or the seed derivation that moves a key without a
+    /// schema bump fails here.
+    #[test]
+    fn run_keys_are_pinned() {
+        let web = Scenario::web(PolicySpec::Adaptive, 42).with_horizon(SimTime::from_secs(3600.0));
+        let spec = TraceSpec {
+            path: std::path::PathBuf::from("/nonexistent/pinned.csv"),
+            content_hash: 0x5EED_CAFE,
+            total_requests: 60_000,
+            batches: 60_000,
+            end_time: SimTime::from_secs(600.0),
+            mean_rate: 100.0,
+            chunk: 4096,
+        };
+        let replay = Scenario::trace_replay(spec, PolicySpec::Adaptive, 7)
+            .with_analyzer(AnalyzerSpec::SlidingMle { window_secs: 900.0 });
+        assert_eq!(CACHE_SCHEMA_VERSION, 10);
+        assert_eq!(run_key(&web, 0), 0x13fc_302d_d08e_c083);
+        assert_eq!(run_key(&web, 3), 0x6ea8_4aa4_69ed_59dc);
+        assert_eq!(run_key(&replay, 1), 0x98ee_4b02_c37d_9a6a);
     }
 }

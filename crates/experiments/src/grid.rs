@@ -31,7 +31,7 @@
 //!   to the single-run path (`replay_once` on the same scenario/rep):
 //!   the decoded batches are the same, only I/O and parse work is
 //!   amortized. Pinned by the shared-vs-independent grid tests across
-//!   chunk sizes, worker counts, analyzers, and FEL backends.
+//!   chunk sizes, worker counts and analyzers.
 //! * **One decode** — `scan_waves` and `trace_file_opens` are 1 and
 //!   `batches_decoded` is the trace's batch count whenever anything
 //!   missed the cache, whatever the worker count.
@@ -78,7 +78,8 @@ pub struct ReplayGrid {
     /// Compatibility field left by the removed intra-run shard engine:
     /// `None` is its only value.
     pub shards: Option<Infallible>,
-    /// FEL backend override applied to every cell.
+    /// Compatibility field left by the removed binary-heap event list:
+    /// [`FelBackend`] has one value, so every setting runs the same.
     pub fel: Option<FelBackend>,
     /// Per-request stats sink (always [`StatsMode::Streaming`]).
     pub stats: StatsMode,
@@ -176,8 +177,7 @@ impl GridOutcome {
 }
 
 impl ReplayGrid {
-    /// A grid over `spec` with no overrides: each cell on the scenario's
-    /// default FEL backend, one worker per available core.
+    /// A grid over `spec` with one worker per available core.
     pub fn new(spec: TraceSpec, analyzers: Vec<AnalyzerSpec>, reps: u32, seed: u64) -> Self {
         ReplayGrid {
             spec,
@@ -195,12 +195,8 @@ impl ReplayGrid {
     /// single-run `repro replay` path builds, so cache keys (and hence
     /// warm-grid hits against single-run entries) line up exactly.
     pub fn cell_scenario(&self, analyzer: AnalyzerSpec) -> Scenario {
-        let mut s = Scenario::trace_replay(self.spec.clone(), PolicySpec::Adaptive, self.seed)
-            .with_analyzer(analyzer);
-        if let Some(fel) = self.fel {
-            s = s.with_fel_backend(fel);
-        }
-        s
+        Scenario::trace_replay(self.spec.clone(), PolicySpec::Adaptive, self.seed)
+            .with_analyzer(analyzer)
     }
 
     /// Executes the grid: cache-first per cell, then every miss off one

@@ -10,7 +10,7 @@ use vmprov_core::modeler::{ModelerOptions, PerformanceModeler, SizingInputs};
 use vmprov_core::policy::{AdaptivePolicy, ProvisioningPolicy, StaticPolicy};
 use vmprov_core::qos::QosTargets;
 use vmprov_core::{AnalyticBackend, AnyDispatcher, LeastOutstanding, RandomDispatch, RoundRobin};
-use vmprov_des::{FelBackend, SimTime};
+use vmprov_des::SimTime;
 use vmprov_workloads::scientific::{
     is_peak, OFFPEAK_JOBS_MODE, OFFPEAK_WINDOW, PEAK_INTERARRIVAL_MODE, SIZE_CLASS_MODE,
 };
@@ -121,10 +121,6 @@ pub struct Scenario {
     pub seed: u64,
     /// VM boot delay override (paper: 0).
     pub boot_delay: f64,
-    /// Future-event-list backend (4-ary heap by default; the binary
-    /// heap is kept for A/B determinism checks). Every backend gives
-    /// the same result, so it is not part of the cache key.
-    pub fel_backend: FelBackend,
     /// Compatibility field left by the removed intra-run shard engine:
     /// `None` is its only value, and it is not part of the cache key.
     pub shards: Option<Infallible>,
@@ -188,7 +184,6 @@ impl Scenario {
             backend: AnalyticBackend::TwoMoment,
             seed,
             boot_delay: 0.0,
-            fel_backend: FelBackend::default(),
             shards: None,
             analyzer: AnalyzerSpec::Oracle,
             trace: None,
@@ -228,13 +223,6 @@ impl Scenario {
         self
     }
 
-    /// Same scenario on a different future-event-list backend (A/B
-    /// determinism checks: both backends must yield identical results).
-    pub fn with_fel_backend(mut self, backend: FelBackend) -> Self {
-        self.fel_backend = backend;
-        self
-    }
-
     /// QoS targets of the scenario.
     pub fn qos(&self) -> QosTargets {
         match self.workload {
@@ -250,7 +238,6 @@ impl Scenario {
             WorkloadKind::Scientific => SimConfig::paper_scientific(),
         };
         cfg.boot_delay = self.boot_delay;
-        cfg.fel_backend = self.fel_backend;
         cfg
     }
 
@@ -422,7 +409,6 @@ impl Scenario {
             dispatch: _,
             backend: _,
             boot_delay: _,
-            fel_backend: _,
             shards: _,
             analyzer: _,
         } = self;
@@ -603,9 +589,6 @@ mod tests {
             backend: _,
             seed: _,
             boot_delay: _,
-            // Every backend gives the same summary (pinned by the A/B
-            // determinism tests), so the backend stays out of the key.
-            fel_backend: _,
             shards: _,
             analyzer: _,
             trace: _,

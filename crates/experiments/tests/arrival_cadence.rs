@@ -12,11 +12,10 @@
 
 use vmprov_check::{cases, Gen};
 use vmprov_cloudsim::RunSummary;
-use vmprov_des::{FelBackend, RngFactory};
+use vmprov_des::RngFactory;
 use vmprov_experiments::runner::{builder_for, replication_seed};
 use vmprov_experiments::scenario::{AnalyzerSpec, PolicySpec, Scenario};
 
-const BACKENDS: [FelBackend; 2] = FelBackend::ALL;
 const DEPTHS: [u32; 2] = [7, 64];
 
 fn run_at_depth(scenario: &Scenario, depth: u32) -> RunSummary {
@@ -26,27 +25,23 @@ fn run_at_depth(scenario: &Scenario, depth: u32) -> RunSummary {
 }
 
 /// A full simulated day of the adaptive Fig 6 scenario under every
-/// analyzer and FEL backend: depths 7 and 64 reproduce depth 1.
+/// analyzer: depths 7 and 64 reproduce depth 1.
 #[test]
 fn scientific_batched_arrivals_match_scalar() {
     let analyzers = ["oracle", "mle", "ewma"].map(|a| AnalyzerSpec::parse(a).unwrap());
     cases(10, |g: &mut Gen| {
         let seed = g.u64();
         for analyzer in analyzers {
-            for backend in BACKENDS {
-                let s = Scenario::scientific(PolicySpec::Adaptive, seed)
-                    .with_analyzer(analyzer)
-                    .with_fel_backend(backend);
-                let scalar = run_at_depth(&s, 1);
-                assert!(scalar.offered_requests > 0, "empty run");
-                for depth in DEPTHS {
-                    assert_eq!(
-                        run_at_depth(&s, depth),
-                        scalar,
-                        "seed {seed}, {} on {backend:?}: arrival_run {depth} diverged from scalar",
-                        analyzer.label()
-                    );
-                }
+            let s = Scenario::scientific(PolicySpec::Adaptive, seed).with_analyzer(analyzer);
+            let scalar = run_at_depth(&s, 1);
+            assert!(scalar.offered_requests > 0, "empty run");
+            for depth in DEPTHS {
+                assert_eq!(
+                    run_at_depth(&s, depth),
+                    scalar,
+                    "seed {seed}, {}: arrival_run {depth} diverged from scalar",
+                    analyzer.label()
+                );
             }
         }
     });

@@ -1,8 +1,8 @@
 //! Golden run summaries: the hot-path optimizations (event-slot
 //! layout, instance free lists, memoized analytics) must never change
 //! what a run computes. These goldens were captured before the
-//! optimization work and every run summary — on both FEL backends —
-//! must stay **bit-identical** to them (`Debug` formatting of `f64`
+//! optimization work and every run summary must stay
+//! **bit-identical** to them (`Debug` formatting of `f64`
 //! uses the shortest round-trip representation, so string equality is
 //! bit equality).
 //!
@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 use vmprov_cloudsim::RunSummary;
-use vmprov_des::{FelBackend, RngFactory, SimTime};
+use vmprov_des::{RngFactory, SimTime};
 use vmprov_experiments::runner::{builder_for, replication_seed, run_once};
 use vmprov_experiments::scenario::{PolicySpec, Scenario};
 
@@ -56,23 +56,17 @@ fn committed_golden(name: &str) -> String {
         .unwrap_or_else(|e| panic!("{name}: missing golden {}: {e}", path.display()))
 }
 
-/// Runs the golden scenario `name` on both FEL backends, asserts they
-/// agree, and checks the summary against the committed golden (or
-/// rewrites it when `UPDATE_GOLDENS` is set).
+/// Runs the golden scenario `name` and checks the summary against the
+/// committed golden (or rewrites it when `UPDATE_GOLDENS` is set).
 fn check_golden(name: &str) {
     let (_, scenario) = goldens()
         .into_iter()
         .find(|(n, _)| *n == name)
         .unwrap_or_else(|| panic!("no golden scenario named {name}"));
-    let quad = run_once(&scenario.clone().with_fel_backend(FelBackend::QuadHeap), 0);
-    let heap = run_once(
-        &scenario.clone().with_fel_backend(FelBackend::BinaryHeap),
-        0,
-    );
-    assert_eq!(quad, heap, "{name}: FEL backends diverged");
-    assert!(quad.offered_requests > 0, "{name}: empty run");
+    let summary = run_once(&scenario, 0);
+    assert!(summary.offered_requests > 0, "{name}: empty run");
 
-    let rendered = format!("{quad:#?}\n");
+    let rendered = format!("{summary:#?}\n");
     let path = golden_path(name);
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -114,20 +108,17 @@ fn golden_web_adaptive_mm1k() {
 #[test]
 fn golden_web_adaptive_batched_matches_scalar() {
     let scalar = Scenario::web(PolicySpec::Adaptive, 1109).with_horizon(SimTime::from_secs(1800.0));
-    for backend in FelBackend::ALL {
-        let s = scalar.clone().with_fel_backend(backend);
-        assert_eq!(
-            run_once(&s, 0),
-            run_scalar(&s),
-            "{backend:?}: batched web run diverged from the scalar path"
-        );
-    }
+    assert_eq!(
+        run_once(&scalar, 0),
+        run_scalar(&scalar),
+        "batched web run diverged from the scalar path"
+    );
 }
 
 /// The scientific workload is where the tie rule matters: off-peak jobs
 /// land exactly on 30-minute boundaries, which are also monitor ticks.
 /// The scalar cadence must reproduce the `scientific_adaptive` golden
-/// (which runs batched) on both FEL backends.
+/// (which runs batched).
 #[test]
 fn golden_scientific_adaptive_scalar_matches_golden() {
     let (_, sci) = goldens()
@@ -135,18 +126,16 @@ fn golden_scientific_adaptive_scalar_matches_golden() {
         .find(|(n, _)| *n == "scientific_adaptive")
         .expect("scientific golden");
     let golden = committed_golden("scientific_adaptive");
-    for backend in FelBackend::ALL {
-        let scalar = run_scalar(&sci.clone().with_fel_backend(backend));
-        assert_eq!(
-            format!("{scalar:#?}\n"),
-            golden,
-            "{backend:?}: scalar scientific run drifted from the batched golden"
-        );
-    }
+    let scalar = run_scalar(&sci);
+    assert_eq!(
+        format!("{scalar:#?}\n"),
+        golden,
+        "scalar scientific run drifted from the batched golden"
+    );
 }
 
-/// Request conservation over every golden scenario on both FEL
-/// backends. `RunMetrics::finalize` debug-asserts the full balance
+/// Request conservation over every golden scenario.
+/// `RunMetrics::finalize` debug-asserts the full balance
 /// (accepted = completed + lost + in flight), so the check needs a
 /// build with debug assertions; the summary-level half is asserted
 /// here as well.
@@ -155,15 +144,13 @@ fn golden_scientific_adaptive_scalar_matches_golden() {
     not(debug_assertions),
     ignore = "the completion balance is a debug assertion"
 )]
-fn goldens_conserve_requests_on_both_backends() {
+fn goldens_conserve_requests() {
     for (name, scenario) in goldens() {
-        for backend in FelBackend::ALL {
-            let s = run_once(&scenario.clone().with_fel_backend(backend), 0);
-            assert_eq!(
-                s.offered_requests,
-                s.accepted_requests + s.rejected_requests,
-                "{name} on {backend:?}: offered ≠ accepted + rejected"
-            );
-        }
+        let s = run_once(&scenario, 0);
+        assert_eq!(
+            s.offered_requests,
+            s.accepted_requests + s.rejected_requests,
+            "{name}: offered ≠ accepted + rejected"
+        );
     }
 }

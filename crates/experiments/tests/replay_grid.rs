@@ -3,7 +3,7 @@
 //! The grid's whole bargain is "same bytes, less work": every cell's
 //! `RunSummary` must be bit-identical to what `run_once` produces from
 //! an independent scan of the same trace, whatever the ingestion chunk
-//! size, worker count or FEL backend, and the trace is decoded once.
+//! size or worker count, and the trace is decoded once.
 //! These tests sweep that product space, step cells through a run of
 //! equal timestamps longer than a chunk, pin the warm-cache rerun to
 //! 100% hits, and check the `repro replay` grid CLI surface (per-cell
@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use vmprov_cloudsim::config::DEFAULT_ARRIVAL_RUN;
-use vmprov_des::{FelBackend, RngFactory};
+use vmprov_des::RngFactory;
 use vmprov_experiments::runner::replication_seed;
 use vmprov_experiments::{
     builder_for, run_once, AnalyzerSpec, GridOutcome, ReplayGrid, ReplaySource, RunCache,
@@ -118,18 +118,13 @@ fn replay_batched_cadence_matches_scalar() {
 }
 
 #[test]
-fn shared_scan_grid_matches_independent_scans_across_backends() {
-    let path = gen_trace("grid_backends.csv", 25.0, 300.0, 43);
-    for fel in FelBackend::ALL {
-        let spec = TraceSpec::scan(&path, 64).unwrap();
-        let grid = ReplayGrid {
-            fel: Some(fel),
-            ..ReplayGrid::new(spec, all_analyzers(), 1, 17)
-        };
-        let outcome = grid.run(None);
-        assert_eq!(outcome.stats.trace_file_opens, 1);
-        assert_cells_match_single_runs(&grid, &outcome, &format!("fel {fel:?}"));
-    }
+fn shared_scan_grid_matches_independent_scans_on_default_workers() {
+    let path = gen_trace("grid_default_workers.csv", 25.0, 300.0, 43);
+    let spec = TraceSpec::scan(&path, 64).unwrap();
+    let grid = ReplayGrid::new(spec, all_analyzers(), 1, 17);
+    let outcome = grid.run(None);
+    assert_eq!(outcome.stats.trace_file_opens, 1);
+    assert_cells_match_single_runs(&grid, &outcome, "default workers");
 }
 
 #[test]

@@ -85,31 +85,27 @@ fn repro_smoke_emits_well_formed_results() {
 }
 
 #[test]
-fn fel_flag_takes_the_remaining_backends_only() {
-    let run = |fel: &str| {
-        Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["figures", "table2", "--no-cache", "--fel", fel, "--out"])
-            .arg(Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("repro-fel-{fel}")))
+fn fel_flag_is_gone_from_both_subcommands() {
+    // The event list has one implementation, so there is nothing to
+    // select: `--fel` is an unknown argument, whatever its value.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-fel-gone");
+    let trace = dir.join("trace.csv");
+    for sub in ["figures", "replay"] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+        cmd.arg(sub);
+        if sub == "replay" {
+            cmd.arg("--trace").arg(&trace);
+        }
+        let out = cmd
+            .args(["--no-cache", "--fel", "quad_heap", "--out"])
+            .arg(&dir)
             .output()
-            .expect("spawn repro")
-    };
-    for fel in ["quad_heap", "binary_heap"] {
-        let out = run(fel);
-        assert!(
-            out.status.success(),
-            "--fel {fel} exited with {}",
-            out.status
-        );
-    }
-    // The calendar queue is gone: its name is a usage error, as is any
-    // other unknown backend.
-    for fel in ["calendar", "heap"] {
-        let out = run(fel);
-        assert_eq!(out.status.code(), Some(2), "--fel {fel}");
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{sub} --fel quad_heap");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("unknown FEL backend"),
-            "--fel {fel}: {stderr}"
+            stderr.contains("unknown argument --fel"),
+            "{sub} --fel quad_heap: {stderr}"
         );
     }
 }

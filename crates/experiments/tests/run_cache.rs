@@ -1,13 +1,12 @@
 //! Integration tests of the content-addressed run cache: a cache hit
 //! must be bit-identical to the simulation it stands in for, *every*
 //! result-influencing scenario field (and the replication index) must
-//! perturb the key, the event-list backend (which changes no result)
-//! must not, and rot on disk must degrade to recomputation, never to
-//! an error.
+//! perturb the key, and rot on disk must degrade to recomputation,
+//! never to an error.
 
 use vmprov_check::{cases, Gen};
 use vmprov_core::AnalyticBackend;
-use vmprov_des::{FelBackend, SimTime};
+use vmprov_des::SimTime;
 use vmprov_experiments::runner::run_once;
 use vmprov_experiments::scenario::{
     AnalyzerSpec, DispatchSpec, PolicySpec, Scenario, WorkloadKind,
@@ -78,11 +77,6 @@ fn random_scenario(g: &mut Gen) -> Scenario {
     };
     s.horizon = SimTime::from_secs(g.f64_in(60.0..1_000_000.0));
     s.boot_delay = g.f64_in(0.0..300.0);
-    s.fel_backend = if g.chance(0.5) {
-        FelBackend::QuadHeap
-    } else {
-        FelBackend::BinaryHeap
-    };
     s.analyzer = match g.u32_in(0..3) {
         0 => AnalyzerSpec::Oracle,
         1 => AnalyzerSpec::SlidingMle {
@@ -103,14 +97,6 @@ fn any_field_perturbation_changes_the_key() {
         let key = run_key(&s, rep);
         assert_eq!(key, run_key(&s.clone(), rep), "key must be stable");
         assert_ne!(key, run_key(&s, rep + 1), "rep must perturb the key");
-
-        // The event-list backend changes no result, so it must not
-        // split the key space.
-        let other = match s.fel_backend {
-            FelBackend::QuadHeap => FelBackend::BinaryHeap,
-            FelBackend::BinaryHeap => FelBackend::QuadHeap,
-        };
-        assert_eq!(run_key(&s.clone().with_fel_backend(other), rep), key);
 
         let mut p = s.clone();
         let field = match g.u32_in(0..8) {

@@ -163,8 +163,8 @@ fn spec(g: &mut Gen) -> TraceSpec {
 
 /// Perturbing anything that shapes the arrivals — the workload kind,
 /// horizon, replayed trace, seed or rep — splits the group key; what
-/// shapes only the run (policy, analyzer, dispatch, backends, boot
-/// delay, the trace's path and chunk) does not.
+/// shapes only the run (policy, analyzer, dispatch, boot delay, the
+/// trace's path and chunk) does not.
 #[test]
 fn every_arrival_input_splits_the_group_key() {
     cases(64, |g: &mut Gen| {
@@ -183,7 +183,6 @@ fn every_arrival_input_splits_the_group_key() {
         same.analyzer = vmprov_experiments::AnalyzerSpec::parse("ewma").unwrap();
         same.dispatch = vmprov_experiments::DispatchSpec::Random;
         same.boot_delay = g.f64_in(0.0..600.0);
-        same.fel_backend = vmprov_des::FelBackend::BinaryHeap;
         if let Some(t) = &mut same.trace {
             t.path = std::path::PathBuf::from("copy-of-trace.csv");
             t.chunk = 7;

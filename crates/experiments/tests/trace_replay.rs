@@ -32,7 +32,7 @@ fn gen_trace(name: &str, rate: f64, horizon_secs: f64, seed: u64) -> PathBuf {
 }
 
 #[test]
-fn replay_is_bit_identical_across_chunk_sizes_and_fel_backends() {
+fn replay_is_bit_identical_across_chunk_sizes() {
     let path = gen_trace("replay_identity.csv", 25.0, 300.0, 11);
 
     // Chunk size is an ingestion-buffer knob, not a semantic one: the
@@ -46,12 +46,6 @@ fn replay_is_bit_identical_across_chunk_sizes_and_fel_backends() {
         let summary = run_once(&Scenario::trace_replay(spec, PolicySpec::Adaptive, 5), 0);
         assert_eq!(summary, baseline, "chunk {chunk} diverged");
     }
-
-    // Both FEL backends pop in the same (time, id) order.
-    let spec = TraceSpec::scan(&path, DEFAULT_CHUNK).unwrap();
-    let heap = Scenario::trace_replay(spec, PolicySpec::Adaptive, 5)
-        .with_fel_backend(vmprov_des::FelBackend::BinaryHeap);
-    assert_eq!(run_once(&heap, 0), baseline, "binary heap diverged");
 }
 
 #[test]

@@ -55,12 +55,11 @@ run cargo run "${OFFLINE[@]}" --release -p vmprov-bench --bin quickbench -- --di
 echo "ci.sh: wrote target/bench_diff.md" >&2
 # The campaign run cache end to end: a cold fig5+fig6 smoke pass, then a
 # warm pass that must be ≥90% cache hits, measurably faster, and
-# byte-identical in its figure output, then an uncached binary-heap pass
-# that must match the cold pass byte for byte.
+# byte-identical in its figure output.
 run bash scripts/cache_smoke.sh
 # Streaming trace replay at scale: a 10M-request synthetic trace must
 # replay with chunk-bounded ingestion memory (peak-RSS check),
-# byte-identical summaries across chunk sizes and FEL backends, and
+# byte-identical summaries across chunk sizes, and
 # estimator QoS verdicts matching the oracle-λ run.
 run bash scripts/trace_smoke.sh
 

@@ -9,12 +9,10 @@
 #      single-digit MB).
 #   2. Replay summaries are byte-identical across ingestion chunk sizes
 #      (reference vs --chunk 1024).
-#   3. Replay summaries are byte-identical across both FEL backends
-#      (the default 4-ary heap vs the --fel binary_heap reference).
-#   4. The estimator-driven runs (sliding-window MLE, EWMA) produce the
+#   3. The estimator-driven runs (sliding-window MLE, EWMA) produce the
 #      same Fig 5-style QoS verdicts as the oracle-λ run on this
 #      stationary trace.
-#   5. A 3-analyzer × 2-rep shared-scan grid opens and parses the trace
+#   4. A 3-analyzer × 2-rep shared-scan grid opens and parses the trace
 #      exactly once (asserted via the scan counters in
 #      replay_grid.json's grid stats), stays chunk-bounded in RSS at
 #      grid level, and
@@ -89,17 +87,7 @@ if ! diff -q "$OUT/serial/replay_oracle.json" "$OUT/serial_c1024/replay_oracle.j
 fi
 echo "trace_smoke.sh: chunk sizes agree byte for byte" >&2
 
-# --- FEL backend invariance (invariant 3) ----------------------------
-echo "trace_smoke.sh: cell with --fel binary_heap" >&2
-run_cell "$OUT/heap" --analyzer oracle --fel binary_heap
-rss_of "$OUT/heap/replay_oracle_qos.json" "$RSS_BOUND_KB" "binary-heap"
-if ! diff -q "$OUT/serial/replay_oracle.json" "$OUT/heap/replay_oracle.json" >&2; then
-    echo "trace_smoke.sh: FAIL — summaries differ across FEL backends" >&2
-    exit 1
-fi
-echo "trace_smoke.sh: FEL backends agree byte for byte" >&2
-
-# --- estimator vs oracle verdicts (invariant 4) -----------------------
+# --- estimator vs oracle verdicts (invariant 3) -----------------------
 verdict_of() { # QOS_JSON — the three pass/fail verdicts, normalized to one line
     sed -n 's/.*"\(rejections_met\|response_met\|nothing_lost\)": *\(true\|false\).*/\1=\2/p' \
         "$1" | sort | tr '\n' ' '
@@ -117,9 +105,9 @@ for analyzer in mle ewma; do
     echo "trace_smoke.sh: ${analyzer} verdicts match the oracle (${got})" >&2
 done
 
-# --- shared-scan grid (invariant 5) -----------------------------------
+# --- shared-scan grid (invariant 4) -----------------------------------
 # Single-run rep-1 counterparts for the grid byte-diff (rep-0
-# counterparts already exist from invariants 2 and 4 above).
+# counterparts already exist from invariants 2 and 3 above).
 for analyzer in oracle mle ewma; do
     echo "trace_smoke.sh: single-run rep-1 cell ${analyzer}" >&2
     run_cell "$OUT/rep1_${analyzer}" --analyzer "$analyzer" --rep 1

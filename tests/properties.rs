@@ -5,7 +5,7 @@ use vmprov::core::dispatch::{Dispatcher, InstanceView, LeastOutstanding, RoundRo
 use vmprov::core::modeler::{ModelerOptions, PerformanceModeler, SizingInputs};
 use vmprov::core::QosTargets;
 use vmprov::des::stats::OnlineStats;
-use vmprov::des::{EventQueue, FelBackend, SimTime};
+use vmprov::des::{EventQueue, SimTime};
 use vmprov::queueing::{GiM1K, InterarrivalKind, GG1K, MM1K};
 use vmprov_check::{cases, Gen};
 
@@ -194,24 +194,22 @@ fn online_stats_merge_equals_sequential() {
 #[test]
 fn event_queue_pops_sorted_stable() {
     cases(128, |g: &mut Gen| {
-        for backend in FelBackend::ALL {
-            let times = g.vec(1..300, |g| g.f64_in(0.0..1e6));
-            let mut q = EventQueue::with_backend(backend);
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_secs(t), i);
-            }
-            let mut prev: Option<(SimTime, usize)> = None;
-            while let Some((t, id)) = q.pop() {
-                if let Some((pt, pid)) = prev {
-                    assert!(t >= pt, "{backend:?} went backwards");
-                    if t == pt {
-                        // FIFO within equal timestamps: ids increase.
-                        assert!(id > pid, "{backend:?} broke same-time FIFO");
-                    }
-                }
-                prev = Some((t, id));
-            }
-            assert!(q.is_empty());
+        let times = g.vec(1..300, |g| g.f64_in(0.0..1e6));
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_secs(t), i);
         }
+        let mut prev: Option<(SimTime, usize)> = None;
+        while let Some((t, id)) = q.pop() {
+            if let Some((pt, pid)) = prev {
+                assert!(t >= pt, "went backwards");
+                if t == pt {
+                    // FIFO within equal timestamps: ids increase.
+                    assert!(id > pid, "broke same-time FIFO");
+                }
+            }
+            prev = Some((t, id));
+        }
+        assert!(q.is_empty());
     });
 }
