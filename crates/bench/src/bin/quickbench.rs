@@ -22,9 +22,10 @@
 //! (`sci_setup_run`: each scenario built and run for one simulated
 //! second), and an Algorithm 1 sizing sweep through the cross-tick
 //! cache. Two campaign-scheduler measurements round the
-//! suite out: `pool_dispatch_overhead` (thousands of trivial jobs
-//! through the persistent worker pool, bounding the pool's per-job
-//! scheduling cost) and `campaign_smoke_cached` (a fully warm
+//! suite out: `pool_dispatch_overhead` (one batch of thousands of
+//! trivial jobs on the scoped executor, thread spawns included,
+//! bounding the per-job scheduling cost) and `campaign_smoke_cached`
+//! (a fully warm
 //! campaign pass answered entirely from the run cache, the cost a
 //! second `repro` invocation pays).
 //! `trace_replay_hot` streams a generated on-disk Poisson trace
@@ -582,17 +583,17 @@ fn bench_dispatch_erased(horizon: f64, runs: u32) -> Timing {
     })
 }
 
-/// Raw scheduling cost of the persistent worker pool: one `run_batch`
-/// of `jobs` trivial closures. Real jobs are whole simulation runs
-/// (milliseconds to minutes), so the per-job overhead measured here —
-/// boxing, dealing, stealing, result collection — must stay in the
-/// microsecond range for dispatch to be free in practice. The pool is
-/// created once outside the measured region, matching the process-wide
-/// pool's lifecycle.
+/// Raw scheduling cost of the executor: one `run_batch` of `jobs`
+/// trivial closures, timed whole — the batch's thread spawns and
+/// joins, the atomic claims and the input-order result collection.
+/// Real jobs are whole simulation runs (milliseconds to minutes), so
+/// the per-job overhead measured here must stay in the microsecond
+/// range for dispatch to be free in practice.
 fn bench_pool_dispatch(jobs: usize, runs: u32) -> Timing {
     use vmprov_experiments::pool::WorkerPool;
     // A fixed width keeps the measurement comparable across machines
-    // with different core counts.
+    // with different core counts; the threads themselves are spawned
+    // inside each measured batch.
     let pool = WorkerPool::new(2);
     bench("pool_dispatch_overhead", jobs as u64, 1, runs, || {
         let out = pool.run_batch((0..jobs as u64).collect::<Vec<u64>>(), |_, x| {

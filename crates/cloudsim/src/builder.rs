@@ -28,7 +28,7 @@
 use crate::config::SimConfig;
 use crate::metrics::{MetricsOptions, RunSummary};
 use crate::probe::{NullProbe, Probe};
-use crate::sim::{RunGroup, SimScratch};
+use crate::sim::RunGroup;
 use std::convert::Infallible;
 use vmprov_core::dispatch::{AnyDispatcher, Dispatcher};
 use vmprov_core::policy::ProvisioningPolicy;
@@ -171,29 +171,6 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
         solo(RunGroup::start(vec![self], rngs, None).finish(None))
     }
 
-    /// Like [`run`](Self::run), but recycles warm simulation storage
-    /// from `scratch` (and returns it there afterwards). Bit-identical
-    /// to `run`; campaign worker threads use it to avoid rebuilding the
-    /// slot slab and FEL storage on every job.
-    pub fn run_scratch(self, rngs: &RngFactory, scratch: &mut SimScratch) -> RunSummary {
-        self.run_probed_scratch(rngs, scratch).0
-    }
-
-    /// Like [`run_probed`](Self::run_probed), with warm-storage reuse —
-    /// see [`run_scratch`](Self::run_scratch).
-    ///
-    /// `inline(never)` for the same phantom-overhead reason as
-    /// `run_probed`.
-    #[inline(never)]
-    pub fn run_probed_scratch(
-        self,
-        rngs: &RngFactory,
-        scratch: &mut SimScratch,
-    ) -> (RunSummary, P) {
-        let group = RunGroup::start(vec![self], rngs, Some(&mut *scratch));
-        solo(group.finish(Some(scratch)))
-    }
-
     /// Builds the run without starting it, as a group of one, for
     /// callers that advance it in steps (see [`RunGroup`]).
     /// `start(r).finish(None)` returns what
@@ -241,6 +218,7 @@ fn solo<P>(mut results: Vec<(RunSummary, P)>) -> (RunSummary, P) {
 mod tests {
     use super::*;
     use crate::probe::{CounterProbe, TimeSeriesProbe, TraceProbe};
+    use crate::sim::SimScratch;
     use vmprov_core::qos::QosTargets;
     use vmprov_core::{RoundRobin, StaticPolicy};
     use vmprov_des::SimTime;
@@ -301,11 +279,15 @@ mod tests {
         let fresh_b = base(3, 20.0, 700.0).run(&RngFactory::new(43));
 
         let mut scratch = SimScratch::new();
-        let warm_a = base(8, 50.0, 500.0).run_scratch(&RngFactory::new(42), &mut scratch);
-        let warm_b = base(3, 20.0, 700.0).run_scratch(&RngFactory::new(43), &mut scratch);
+        let mut warm = |builder, seed| {
+            let group = RunGroup::start(vec![builder], &RngFactory::new(seed), Some(&mut scratch));
+            solo(group.finish(Some(&mut scratch))).0
+        };
+        let warm_a = warm(base(8, 50.0, 500.0), 42);
+        let warm_b = warm(base(3, 20.0, 700.0), 43);
         // And the same scenario again, now through storage warmed by a
         // different one.
-        let warm_a2 = base(8, 50.0, 500.0).run_scratch(&RngFactory::new(42), &mut scratch);
+        let warm_a2 = warm(base(8, 50.0, 500.0), 42);
 
         assert_eq!(fresh_a, warm_a, "first warm run diverged");
         assert_eq!(fresh_b, warm_b, "cross-scenario reuse diverged");

@@ -18,11 +18,13 @@
 //! `figN.csv`, and `figN.json`. With `--trace DIR`, fig5/fig6
 //! additionally run one fully-observed adaptive replication and write
 //! `figN_adaptive.jsonl`, `figN_timeseries.json`, and `figN_curves.txt`.
-//! Fig. 5 and Fig. 6 execute as one *campaign* sharing a persistent
-//! worker pool and a content-addressed run cache under `--cache DIR`
-//! (default `<out>/.runcache`; disable with `--no-cache`);
-//! `cache_stats.json` records jobs, hits, and wall-clock. `--jobs N`
-//! pins the worker count.
+//! Fig. 5 and Fig. 6 execute as one *campaign*: one batch of jobs on
+//! scoped worker threads, cache-first against a content-addressed run
+//! cache under `--cache DIR` (default `<out>/.runcache`; disable with
+//! `--no-cache`); `cache_stats.json` records jobs, hits, and
+//! wall-clock. `--jobs N` pins the worker count (default:
+//! `$VMPROV_JOBS`, else one per available core; a `VMPROV_JOBS` that
+//! is not a whole number ≥ 1 exits 2, like `--jobs 0`).
 //!
 //! `replay` streams a `time,count,spread` CSV trace through the
 //! `DatasetReader` seam (peak ingestion memory = one chunk of batches,
@@ -50,7 +52,8 @@
 //! peak in `replay_grid.json` alongside the cross-analyzer comparison
 //! table (`replay_grid.txt`). `--jobs N` sets the grid's worker
 //! threads, each stepping its share of the cells chunk by chunk
-//! (default: one per available core, at most one per cell).
+//! (default: the figures' width — `$VMPROV_JOBS`, else one per
+//! available core — at most one per cell).
 //!
 //! `smoke` is shorthand for `figures all --mode smoke`. `gen-trace`
 //! writes a deterministic synthetic Poisson trace (optionally with one
@@ -60,7 +63,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use vmprov_des::SimTime;
-use vmprov_experiments::pool::configure_global_workers;
+use vmprov_experiments::pool::{configure_global_workers, env_workers};
 use vmprov_experiments::report::{
     figure_table, runs_csv, runs_json, series_csv, sparkline, timeseries_curves,
 };
@@ -159,6 +162,7 @@ fn parse_figure_args(argv: &[String]) -> Result<FigureArgs, String> {
     if no_cache && cache.is_some() {
         return Err("--cache and --no-cache are mutually exclusive".into());
     }
+    env_workers()?;
     Ok(FigureArgs {
         targets,
         mode,
@@ -418,8 +422,8 @@ struct ReplayArgs {
     reps: u32,
     /// Replication index in single-run mode (seed derivation only).
     rep: u32,
-    /// Grid worker threads (`None` = one per core, at most one per
-    /// cell).
+    /// Grid worker threads (`None` = `$VMPROV_JOBS`, else one per
+    /// core; at most one per cell).
     jobs: Option<usize>,
     chunk: usize,
     seed: u64,
@@ -516,6 +520,7 @@ fn parse_replay_args(argv: &[String]) -> Result<ReplayArgs, String> {
     if analyzers.is_some() && rep != 0 {
         return Err("--rep is single-run only; grids use --reps N".into());
     }
+    env_workers()?;
     Ok(ReplayArgs {
         trace: trace.ok_or("replay needs --trace FILE")?,
         analyzer,

@@ -177,6 +177,75 @@ impl RunCache {
     }
 }
 
+/// What a [`cache_first`] pass found and ran.
+#[derive(Debug)]
+pub(crate) struct CacheFirst {
+    /// Every run's summary, in input order, and whether the cache
+    /// answered it.
+    pub(crate) runs: Vec<(RunSummary, bool)>,
+    /// Runs answered from the cache.
+    pub(crate) hits: usize,
+    /// Entries that existed but were unreadable (also run, so also
+    /// counted among the misses).
+    pub(crate) corrupt: usize,
+}
+
+/// The cache-first pass of campaigns and replay grids: looks every
+/// `(scenario, rep)` run up in `cache`, hands the misses — each with
+/// its input index — to `run_misses` (called only when something
+/// missed; it returns the summaries tagged with those indices, in any
+/// order), stores the fresh summaries best-effort (a full disk must not
+/// fail the caller), and returns every summary in input order.
+pub(crate) fn cache_first<F>(
+    cache: Option<&RunCache>,
+    runs: Vec<(Scenario, u32)>,
+    run_misses: F,
+) -> CacheFirst
+where
+    F: FnOnce(Vec<(usize, Scenario, u32)>) -> Vec<(usize, RunSummary)>,
+{
+    let mut slots: Vec<Option<(RunSummary, bool)>> = Vec::with_capacity(runs.len());
+    let mut keys = Vec::new();
+    let mut misses = Vec::new();
+    let mut corrupt = 0usize;
+    for (slot, (scenario, rep)) in runs.into_iter().enumerate() {
+        if let Some(cache) = cache {
+            let key = run_key(&scenario, rep);
+            match cache.lookup(key) {
+                Lookup::Hit(summary) => {
+                    slots.push(Some((*summary, true)));
+                    continue;
+                }
+                Lookup::Corrupt => corrupt += 1,
+                Lookup::Miss => {}
+            }
+            keys.push((slot, key));
+        }
+        slots.push(None);
+        misses.push((slot, scenario, rep));
+    }
+    let hits = slots.len() - misses.len();
+    if !misses.is_empty() {
+        for (slot, summary) in run_misses(misses) {
+            slots[slot] = Some((summary, false));
+        }
+    }
+    if let Some(cache) = cache {
+        for (slot, key) in keys {
+            let (summary, _) = slots[slot].as_ref().expect("every miss ran");
+            let _ = cache.store(key, summary);
+        }
+    }
+    CacheFirst {
+        runs: slots
+            .into_iter()
+            .map(|run| run.expect("every miss ran"))
+            .collect(),
+        hits,
+        corrupt,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,21 +1,22 @@
 //! Cross-figure batched execution: one job queue for a whole repro
 //! invocation.
 //!
-//! Running each figure through its own `run_policy_set` call puts a
-//! barrier at every figure boundary — cores idle while the last
-//! replication of figure N finishes, then the pool refills for figure
-//! N+1. A [`Campaign`] instead collects the `(scenario, rep)` runs of
-//! *all* figures first, consults the [`RunCache`] (when one is
-//! attached), dispatches every miss to the persistent worker pool in a
-//! single batch, and only then regroups results per figure.
+//! Running each figure as its own batch would put a barrier at every
+//! figure boundary — cores idle while the last replication of figure N
+//! finishes, then the workers refill for figure N+1. A [`Campaign`]
+//! instead collects the `(scenario, rep)` runs of *all* figures first,
+//! consults the [`RunCache`] (when one is attached), runs every miss
+//! in a single [`WorkerPool::run_batch`], and only then regroups
+//! results per figure. The batch is [`pool::default_workers`] wide,
+//! read when the campaign runs.
 //!
 //! Misses are grouped by [`Scenario::arrival_key`]: the policies of one
 //! replication of a figure set see identical arrivals, so each group is
-//! one pool job that expands the arrivals once and steps its runs off
-//! that one read-only stream (see [`run_group_warm`]). On a pool of
-//! several workers, the largest groups are halved until there are two
-//! jobs per worker, so a one-rep figure still spreads over the pool; a
-//! serial pool never splits.
+//! one job that expands the arrivals once and steps its runs off that
+//! one read-only stream (see [`run_group_warm`]). On several workers,
+//! the largest groups are halved until there are two jobs per worker,
+//! so a one-rep figure still spreads over the workers; a serial
+//! campaign never splits.
 //!
 //! Correctness does not depend on scheduling or grouping: each run
 //! derives its RNG streams from its own `(scenario, rep)` pair, and the
@@ -27,12 +28,11 @@
 
 use std::time::Duration;
 
-use crate::cache::{run_key, Lookup, RunCache};
-use crate::pool;
+use crate::cache::{cache_first, RunCache};
+use crate::pool::{self, WorkerPool};
 use crate::runner::{run_group_warm, Replicated};
 use crate::scenario::{ArrivalKey, Scenario};
 use std::collections::HashMap;
-use vmprov_cloudsim::RunSummary;
 use vmprov_json::{Json, ToJson};
 
 /// Identifies one figure's slice of a [`CampaignResult`].
@@ -104,7 +104,7 @@ struct FigureSpec {
     reps: u32,
 }
 
-/// A batch of figures to execute as one pooled, cache-aware job queue.
+/// A batch of figures to execute as one cache-aware job queue.
 pub struct Campaign {
     cache: Option<RunCache>,
     figures: Vec<FigureSpec>,
@@ -128,84 +128,53 @@ impl Campaign {
         handle
     }
 
-    /// Executes every queued job (cache first, then one pool batch for
-    /// the misses) and regroups the results per figure.
+    /// Executes every queued job (cache first, then one batch for the
+    /// misses) and regroups the results per figure.
     pub fn run(self) -> CampaignResult {
         let start = std::time::Instant::now();
-        let n_jobs: usize = self
+        // Lay out all jobs figure-major, scenario-major, rep-minor; the
+        // results share this layout, so per-figure regrouping below is
+        // sequential chunking, not a scan per scenario.
+        let runs: Vec<(Scenario, u32)> = self
             .figures
             .iter()
-            .map(|f| f.scenarios.len() * f.reps as usize)
-            .sum();
-
-        // Lay out all jobs figure-major, scenario-major, rep-minor; the
-        // result vector shares this layout, so per-figure regrouping
-        // below is sequential chunking, not a scan per scenario.
-        let mut slots: Vec<Option<RunSummary>> = Vec::with_capacity(n_jobs);
-        let mut to_run: Vec<(usize, Scenario, u32)> = Vec::new();
-        let mut hits = 0usize;
-        let mut corrupt = 0usize;
-        for fig in &self.figures {
-            for scenario in &fig.scenarios {
-                for rep in 0..fig.reps {
-                    let slot = slots.len();
-                    let cached = self.cache.as_ref().map(|c| {
-                        let key = run_key(scenario, rep);
-                        c.lookup(key)
-                    });
-                    match cached {
-                        Some(Lookup::Hit(summary)) => {
-                            hits += 1;
-                            slots.push(Some(*summary));
-                        }
-                        other => {
-                            if matches!(other, Some(Lookup::Corrupt)) {
-                                corrupt += 1;
-                            }
-                            slots.push(None);
-                            to_run.push((slot, scenario.clone(), rep));
-                        }
-                    }
-                }
-            }
-        }
-        let misses = to_run.len();
+            .flat_map(|fig| {
+                fig.scenarios
+                    .iter()
+                    .flat_map(move |s| (0..fig.reps).map(move |rep| (s.clone(), rep)))
+            })
+            .collect();
+        let n_jobs = runs.len();
 
         // One batch for every miss across every figure: no inter-figure
-        // barrier, and workers reuse warm per-thread sim storage.
-        let pool = pool::global();
-        let groups = arrival_groups(to_run, pool.workers());
-        let fresh = pool.run_batch(groups, |_, group: Vec<(usize, Scenario, u32)>| {
-            let cells: Vec<(Scenario, u32)> =
-                group.iter().map(|(_, s, rep)| (s.clone(), *rep)).collect();
-            let summaries = run_group_warm(&cells);
-            group
-                .into_iter()
-                .zip(summaries)
-                .map(|((slot, scenario, rep), summary)| (slot, scenario, rep, summary))
-                .collect::<Vec<_>>()
+        // barrier.
+        let pass = cache_first(self.cache.as_ref(), runs, |misses| {
+            let pool = WorkerPool::new(pool::default_workers());
+            let groups = arrival_groups(misses, pool.workers());
+            pool.run_batch(groups, |_, group: Vec<(usize, Scenario, u32)>| {
+                let cells: Vec<(Scenario, u32)> =
+                    group.iter().map(|(_, s, rep)| (s.clone(), *rep)).collect();
+                group
+                    .iter()
+                    .map(|(slot, _, _)| *slot)
+                    .zip(run_group_warm(&cells))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
         });
-        for (slot, scenario, rep, summary) in fresh.into_iter().flatten() {
-            if let Some(cache) = &self.cache {
-                // Best-effort: a full disk must not fail the campaign.
-                let _ = cache.store(run_key(&scenario, rep), &summary);
-            }
-            slots[slot] = Some(summary);
-        }
 
-        // Regroup: the slot layout mirrors the figure specs, so one
+        // Regroup: the run layout mirrors the figure specs, so one
         // linear walk rebuilds every figure.
         let mut figures = Vec::with_capacity(self.figures.len());
-        let mut cursor = slots.into_iter();
+        let mut cursor = pass.runs.into_iter().map(|(summary, _)| summary);
         for fig in &self.figures {
             let mut replicated = Vec::with_capacity(fig.scenarios.len());
             for scenario in &fig.scenarios {
-                let runs: Vec<RunSummary> = (0..fig.reps)
-                    .map(|_| cursor.next().flatten().expect("campaign job missing"))
-                    .collect();
                 replicated.push(Replicated {
                     policy: scenario.policy_label(),
-                    runs,
+                    runs: cursor.by_ref().take(fig.reps as usize).collect(),
                 });
             }
             figures.push(Some(replicated));
@@ -215,9 +184,9 @@ impl Campaign {
             figures,
             stats: CampaignStats {
                 jobs: n_jobs,
-                cache_hits: hits,
-                cache_misses: misses,
-                corrupt_entries: corrupt,
+                cache_hits: pass.hits,
+                cache_misses: n_jobs - pass.hits,
+                corrupt_entries: pass.corrupt,
                 wall: start.elapsed(),
             },
         }
@@ -225,7 +194,7 @@ impl Campaign {
 }
 
 /// Groups runs by [`Scenario::arrival_key`], in first-seen order,
-/// then, on a pool of several workers, halves the largest group while
+/// then, on several workers, halves the largest group while
 /// there are fewer than two groups per worker: groups differ in cost,
 /// and a halved group only repeats its arrival expansion.
 fn arrival_groups<T>(
@@ -336,7 +305,7 @@ mod tests {
                 .map(|g| g.iter().map(|r| r.0).collect())
                 .collect()
         };
-        // One group per rep, in first-seen order; a serial pool keeps them.
+        // One group per rep, in first-seen order; a serial run keeps them.
         let serial = arrival_groups(runs(), 1);
         assert_eq!(slots(&serial), vec![vec![0, 2, 4, 6], vec![1, 3, 5, 7]]);
         // Two workers want four jobs: both groups are halved.

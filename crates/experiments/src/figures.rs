@@ -5,10 +5,12 @@
 //! | Table II | [`table2`] | per-weekday web min/max rates |
 //! | Fig. 3 | [`fig3_series`] | web arrival-rate curve over one week |
 //! | Fig. 4 | [`fig4_series`] | scientific arrival-rate curve over one day |
-//! | Fig. 5 | [`fig5`] | web: adaptive vs Static-{50..150}, panels a–d |
-//! | Fig. 6 | [`fig6`] | scientific: adaptive vs Static-{15..75}, panels a–d |
+//! | Fig. 5 | [`fig5_spec`] | web: adaptive vs Static-{50..150}, panels a–d |
+//! | Fig. 6 | [`fig6_spec`] | scientific: adaptive vs Static-{15..75}, panels a–d |
+//!
+//! Figs. 5 and 6 are job specs: `repro` queues both on one
+//! [`Campaign`](crate::campaign::Campaign).
 
-use crate::runner::{run_policy_set, Replicated};
 use crate::scenario::{fig5_scenarios, fig6_scenarios, Scenario};
 use vmprov_des::{RngFactory, SimTime, DAY, HOUR, WEEK};
 use vmprov_workloads::{
@@ -135,18 +137,6 @@ pub fn fig5_spec(mode: RunMode, seed: u64) -> (Vec<Scenario>, u32) {
 /// The `(scenarios, reps)` job spec of Fig. 6.
 pub fn fig6_spec(mode: RunMode, seed: u64) -> (Vec<Scenario>, u32) {
     (fig6_scenarios(seed), mode.sci_reps())
-}
-
-/// Fig. 5: the web experiment — Adaptive vs Static-{50,75,100,125,150}.
-pub fn fig5(mode: RunMode, seed: u64) -> Vec<Replicated> {
-    let (scenarios, reps) = fig5_spec(mode, seed);
-    run_policy_set(&scenarios, reps)
-}
-
-/// Fig. 6: the scientific experiment — Adaptive vs Static-{15,…,75}.
-pub fn fig6(mode: RunMode, seed: u64) -> Vec<Replicated> {
-    let (scenarios, reps) = fig6_spec(mode, seed);
-    run_policy_set(&scenarios, reps)
 }
 
 #[cfg(test)]

@@ -10,16 +10,18 @@
 //! [`SharedTraceScan`] ([`TraceSpec::replay_stepped`]), which opens and
 //! decodes the trace exactly once and hands out ref-counted chunks.
 //!
-//! Execution: `W` worker threads (the caller's thread is one of them)
-//! each own ⌈misses / W⌉ cells. A worker builds and advances each of
-//! its cells as a [`RunGroup`] of one through every event before the
-//! scan's bound — the timestamp of the row `lookahead` rows behind the
-//! last published one, where `lookahead` covers the rows one expansion
-//! of the cell's arrival stream may pull. So a cell's pulls never
-//! outrun the decoded rows, and no cell ever blocks inside its
-//! simulation. Once all of a worker's cells are parked at the bound,
-//! it publishes the next chunk, or waits for the other workers' cells
-//! while the window holds
+//! Execution: one [`WorkerPool::run_batch`] of `W` shares, one per
+//! worker thread (the caller's thread is one of them), each of
+//! ⌈misses / W⌉ cells; `W` is [`ReplayGrid::concurrency`], else
+//! [`pool::default_workers`], capped by the misses and [`MAX_WAVE`].
+//! A worker builds and advances each of its cells as a [`RunGroup`] of
+//! one through every event before the scan's bound — the timestamp of
+//! the row `lookahead` rows behind the last published one, where
+//! `lookahead` covers the rows one expansion of the cell's arrival
+//! stream may pull. So a cell's pulls never outrun the decoded rows,
+//! and no cell ever blocks inside its simulation. Once all of a
+//! worker's cells are parked at the bound, it publishes the next chunk,
+//! or waits for the other workers' cells while the window holds
 //! [`SCAN_DEPTH`](vmprov_workloads::SCAN_DEPTH) chunks — unless every
 //! worker is parked, in which case the window grows past the depth
 //! rather than deadlock (see [`SharedTraceScan::publish_past`]). Cells
@@ -41,7 +43,8 @@
 
 use std::time::{Duration, Instant};
 
-use crate::cache::{run_key, Lookup, RunCache};
+use crate::cache::{cache_first, RunCache};
+use crate::pool::{self, WorkerPool};
 use crate::replay::{peak_rss_kb, qos_verdict, ReplaySource};
 use crate::runner::start_with;
 use crate::scenario::{AnalyzerSpec, PolicySpec, Scenario};
@@ -85,8 +88,9 @@ pub struct ReplayGrid {
     pub stats: StatsMode,
     /// Base seed (per-rep seeds derive exactly as in the single path).
     pub seed: u64,
-    /// Worker threads stepping the cells; `None` = one per available
-    /// core. Never more than one per miss, nor more than [`MAX_WAVE`].
+    /// Worker threads stepping the cells; `None` = the campaigns' width
+    /// ([`pool::default_workers`]). Never more than one per miss, nor
+    /// more than [`MAX_WAVE`].
     pub concurrency: Option<usize>,
 }
 
@@ -177,7 +181,7 @@ impl GridOutcome {
 }
 
 impl ReplayGrid {
-    /// A grid over `spec` with one worker per available core.
+    /// A grid over `spec` at the default width.
     pub fn new(spec: TraceSpec, analyzers: Vec<AnalyzerSpec>, reps: u32, seed: u64) -> Self {
         ReplayGrid {
             spec,
@@ -205,77 +209,51 @@ impl ReplayGrid {
         assert!(!self.analyzers.is_empty(), "a grid needs ≥ 1 analyzer");
         assert!(self.reps >= 1, "a grid needs ≥ 1 replication");
         let start = Instant::now();
-        let n_cells = self.analyzers.len() * self.reps as usize;
-
-        // Cache pass, analyzer-major / rep-minor (the output layout).
-        let mut slots: Vec<Option<(RunSummary, ReplaySource)>> = Vec::with_capacity(n_cells);
-        let mut misses: Vec<(usize, Scenario, u32)> = Vec::new();
-        let mut hits = 0usize;
-        let mut corrupt = 0usize;
-        for &analyzer in &self.analyzers {
-            let scenario = self.cell_scenario(analyzer);
-            for rep in 0..self.reps {
-                let slot = slots.len();
-                let cached = cache.map(|c| c.lookup(run_key(&scenario, rep)));
-                match cached {
-                    Some(Lookup::Hit(summary)) => {
-                        hits += 1;
-                        slots.push(Some((*summary, ReplaySource::CacheHit)));
-                    }
-                    other => {
-                        if matches!(other, Some(Lookup::Corrupt)) {
-                            corrupt += 1;
-                        }
-                        slots.push(None);
-                        misses.push((slot, scenario.clone(), rep));
-                    }
-                }
-            }
-        }
+        // Analyzer-major / rep-minor: the output layout.
+        let runs: Vec<(Scenario, u32)> = self
+            .analyzers
+            .iter()
+            .flat_map(|&analyzer| {
+                let scenario = self.cell_scenario(analyzer);
+                (0..self.reps).map(move |rep| (scenario.clone(), rep))
+            })
+            .collect();
+        let n_cells = runs.len();
+        let mut scan = None;
+        let pass = cache_first(cache, runs, |misses| {
+            let (stats, finished) = self.run_misses(misses);
+            scan = Some(stats);
+            finished
+        });
 
         let miss_source = if cache.is_some() {
             ReplaySource::CacheMiss
         } else {
             ReplaySource::Uncached
         };
-        let mut scan = None;
-        if !misses.is_empty() {
-            let (stats, finished) = self.run_misses(misses);
-            for (slot, scenario, rep, summary) in finished {
-                if let Some(cache) = cache {
-                    // Best-effort, exactly like the campaign.
-                    let _ = cache.store(run_key(&scenario, rep), &summary);
-                }
-                slots[slot] = Some((summary, miss_source));
-            }
-            scan = Some(stats);
-        }
-
-        // Regroup into cells (the slot layout already matches).
-        let mut cells = Vec::with_capacity(n_cells);
-        let mut cursor = slots.into_iter();
-        for &analyzer in &self.analyzers {
-            for rep in 0..self.reps {
-                let (summary, source) = cursor
-                    .next()
-                    .flatten()
-                    .expect("grid cell missing after execution");
-                cells.push(GridCell {
-                    analyzer,
-                    rep,
-                    summary,
-                    source,
-                });
-            }
-        }
-        let misses_run = n_cells - hits;
+        let cells = self
+            .analyzers
+            .iter()
+            .flat_map(|&analyzer| (0..self.reps).map(move |rep| (analyzer, rep)))
+            .zip(pass.runs)
+            .map(|((analyzer, rep), (summary, hit))| GridCell {
+                analyzer,
+                rep,
+                summary,
+                source: if hit {
+                    ReplaySource::CacheHit
+                } else {
+                    miss_source
+                },
+            })
+            .collect();
         GridOutcome {
             cells,
             stats: GridStats {
                 cells: n_cells,
-                cache_hits: hits,
-                cache_misses: misses_run,
-                corrupt_entries: corrupt,
+                cache_hits: pass.hits,
+                cache_misses: n_cells - pass.hits,
+                corrupt_entries: pass.corrupt,
                 scan_waves: usize::from(scan.is_some()),
                 batches_decoded: scan.map_or(0, |s| s.batches_decoded),
                 trace_file_opens: scan.map_or(0, |s| s.file_opens),
@@ -286,15 +264,15 @@ impl ReplayGrid {
         }
     }
 
-    /// Runs every miss off one stepped scan on the grid's workers; the
-    /// caller's thread is the first worker.
+    /// Runs every miss off one stepped scan, one share of the cells per
+    /// worker thread; the caller's thread is the first worker.
     fn run_misses(
         &self,
         misses: Vec<(usize, Scenario, u32)>,
-    ) -> (ScanStats, Vec<(usize, Scenario, u32, RunSummary)>) {
+    ) -> (ScanStats, Vec<(usize, RunSummary)>) {
         let workers = self
             .concurrency
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            .unwrap_or_else(pool::default_workers)
             .clamp(1, MAX_WAVE)
             .min(misses.len());
         let per_worker = misses.len().div_ceil(workers);
@@ -325,28 +303,11 @@ impl ReplayGrid {
                 run: None,
             });
         }
-        let first = groups.remove(0);
-        let finished = std::thread::scope(|s| {
-            let scan = &scan;
-            let others: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    std::thread::Builder::new()
-                        .name("grid-worker".into())
-                        .spawn_scoped(s, move || step_cells(scan, group))
-                        .expect("spawn a grid worker")
-                })
-                .collect();
-            let mut finished = step_cells(scan, first);
-            for worker in others {
-                match worker.join() {
-                    Ok(cells) => finished.extend(cells),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            finished
-        });
-        (scan.stats(), finished)
+        // One group per thread: every worker steps its own share, so
+        // the scan's lockstep counts each of them.
+        let finished =
+            WorkerPool::new(threads).run_batch(groups, |_, group| step_cells(&scan, group));
+        (scan.stats(), finished.into_iter().flatten().collect())
     }
 }
 
@@ -375,21 +336,18 @@ impl SteppedCell {
         })
     }
 
-    fn finish(mut self) -> (usize, Scenario, u32, RunSummary) {
+    fn finish(mut self) -> (usize, RunSummary) {
         self.run();
         let run = self.run.take().expect("started above");
         let (summary, _) = run.finish(None).pop().expect("a cell is a group of one");
-        (self.slot, self.scenario, self.rep, summary)
+        (self.slot, summary)
     }
 }
 
 /// A worker's loop: advance every cell through the events the scan's
 /// reach allows, then publish (or wait for) the next chunk, until the
 /// whole trace is out; then finish the cells one by one.
-fn step_cells(
-    scan: &SharedTraceScan,
-    mut cells: Vec<SteppedCell>,
-) -> Vec<(usize, Scenario, u32, RunSummary)> {
+fn step_cells(scan: &SharedTraceScan, mut cells: Vec<SteppedCell>) -> Vec<(usize, RunSummary)> {
     /// Retires the worker however it stops, so a panicking cell cannot
     /// leave the other workers waiting for it.
     struct Retire<'a>(&'a SharedTraceScan);

@@ -4,8 +4,10 @@
 //!
 //! * [`scenario`] — the two evaluation scenarios (web, scientific) with
 //!   every policy variant;
-//! * [`runner`] — replicated execution on scoped worker threads and
-//!   cross-replication aggregation;
+//! * [`runner`] — single runs, arrival groups and cross-replication
+//!   aggregation;
+//! * [`campaign`] — every figure's runs as one cache-first batch on the
+//!   scoped executor of [`pool`];
 //! * [`figures`] — one function per table/figure;
 //! * [`report`] — ASCII tables, CSV, JSON.
 //!
@@ -34,12 +36,11 @@ pub use ablations::{
 };
 pub use cache::{run_key, Lookup, RunCache, CACHE_SCHEMA_VERSION};
 pub use campaign::{Campaign, CampaignResult, CampaignStats, FigureHandle};
-pub use figures::{fig3_series, fig4_series, fig5, fig5_spec, fig6, fig6_spec, table2, RunMode};
+pub use figures::{fig3_series, fig4_series, fig5_spec, fig6_spec, table2, RunMode};
 pub use grid::{grid_table, GridCell, GridOutcome, GridStats, ReplayGrid, StatsMode, MAX_WAVE};
 pub use replay::{peak_rss_kb, qos_verdict, replay_once, QosVerdict, ReplaySource};
 pub use runner::{
-    builder_for, run_group_warm, run_once, run_once_warm, run_policy_set, run_replicated,
-    start_with, trace_dt, traced_run, Replicated, TracedRun,
+    builder_for, run_group_warm, run_once, start_with, trace_dt, traced_run, Replicated, TracedRun,
 };
 pub use scenario::{
     fig5_scenarios, fig6_scenarios, AnalyzerSpec, ArrivalKey, DispatchSpec, PolicySpec, Scenario,

@@ -1,300 +1,170 @@
-//! A persistent work-stealing worker pool.
+//! The one executor: a batch of independent jobs on scoped threads.
 //!
 //! The campaign runner and the replay grid parallelize *across*
-//! independent simulation runs: one job per `(scenario, rep)` pair.
+//! independent simulation work — a campaign's arrival groups, a grid's
+//! per-worker cell shares — and need one thing from an executor: run
+//! the items in parallel and return the results in input order.
 //!
-//! Workers spawn **once per pool** and persist across batches, so
-//! consecutive jobs on a worker can reuse warm per-thread storage
-//! (recycled event queues, instance slabs) instead of re-allocating.
+//! A [`WorkerPool`] is only a width. Each [`WorkerPool::run_batch`]
+//! spawns its threads inside [`std::thread::scope`] and joins them
+//! before it returns, so no thread, queue or lock outlives a batch:
+//! jobs may borrow from the caller, and a job may run a nested batch
+//! of its own. The caller's thread is worker 0; the workers claim
+//! items through one atomic index, so a worker that finishes early
+//! takes the next unclaimed item.
 //!
-//! Scheduling: each worker owns a deque; submitted jobs are dealt
-//! round-robin across the deques; a worker pops its own deque from the
-//! front and steals from the *back* of a sibling's when its own is
-//! empty (classic Chase–Lev discipline, here with plain mutexed deques
-//! — jobs are whole simulation runs, so per-job locking is noise).
-//!
-//! Determinism: the pool executes jobs in a nondeterministic order on
+//! Determinism: the items run in a nondeterministic order on
 //! nondeterministic threads, which is safe *only* because every job is
 //! self-contained — it derives its RNG streams from its own
 //! `(scenario, rep)` pair and shares no mutable state. Scheduling order
 //! must never affect any result; the pool-width sweep test pins this.
 //!
-//! Jobs must not submit nested batches to the same pool: a job that
-//! blocks on `run_batch` while occupying a worker can deadlock a
-//! single-worker pool.
+//! Width: [`default_workers`] is the one rule campaigns and grids
+//! without an explicit width follow — the [`configure_global_workers`]
+//! value if one is set, else `$VMPROV_JOBS`, else the machine's
+//! available parallelism.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-type Job = Box<dyn FnOnce() + Send>;
-
-/// Shared state between the pool handle and its workers.
-struct Inner {
-    /// One deque per worker: owner pops the front, thieves the back.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Jobs submitted but not yet popped (across all deques).
-    pending: AtomicUsize,
-    /// Sleep coordination: workers wait here when every deque is empty.
-    /// Submitters acquire the mutex *after* publishing jobs and before
-    /// notifying, so a worker that just observed `pending == 0` under
-    /// this mutex cannot miss the wakeup.
-    sleep: Mutex<()>,
-    wake: Condvar,
-    shutdown: AtomicBool,
-}
-
-/// Per-batch completion state: result slots plus a countdown latch.
-struct BatchState<R> {
-    slots: Vec<Mutex<Option<R>>>,
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-/// Decrements the batch latch when dropped — runs even if the job
-/// panics, so a poisoned job can never strand the submitting thread.
-struct CompletionGuard<R> {
-    batch: Arc<BatchState<R>>,
-}
-
-impl<R> Drop for CompletionGuard<R> {
-    fn drop(&mut self) {
-        let mut remaining = self
-            .batch
-            .remaining
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.batch.done.notify_all();
-        }
-    }
-}
-
-/// A persistent pool of worker threads executing boxed jobs.
+/// A width: how many threads (the caller's included) a batch runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPool {
-    inner: Arc<Inner>,
-    handles: Vec<JoinHandle<()>>,
-    /// Round-robin deal position for the next submitted job.
-    next_queue: AtomicUsize,
+    workers: usize,
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `workers` threads (minimum 1).
+    /// An executor `workers` threads wide (minimum 1).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let inner = Arc::new(Inner {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("vmprov-pool-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
         WorkerPool {
-            inner,
-            handles,
-            next_queue: AtomicUsize::new(0),
+            workers: workers.max(1),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads, the caller's included.
     pub fn workers(&self) -> usize {
-        self.inner.queues.len()
+        self.workers
     }
 
-    /// Runs `f(index, item)` for every item, in parallel across the
-    /// pool's workers, and returns the results **in input order**
-    /// (scheduling order never leaks into the output).
+    /// Runs `f(index, item)` for every item, in parallel on
+    /// `min(workers, items)` threads, and returns the results **in
+    /// input order** (scheduling order never leaks into the output).
     ///
-    /// A single-item batch runs inline on the calling thread — the
-    /// common `run_replicated` smoke case pays zero dispatch cost.
+    /// A single item, or a width of 1, runs inline on the calling
+    /// thread and spawns nothing.
     ///
     /// # Panics
-    /// Panics if any job panicked (after the whole batch has settled,
-    /// so the pool itself stays usable).
+    /// Resumes the panic of a job that panicked, once every worker has
+    /// stopped.
     pub fn run_batch<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
     {
-        if items.len() <= 1 {
+        let n = items.len();
+        let threads = self.workers.min(n);
+        if threads <= 1 {
             return items
                 .into_iter()
                 .enumerate()
                 .map(|(i, t)| f(i, t))
                 .collect();
         }
-        let n = items.len();
-        let batch = Arc::new(BatchState {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-        });
-        let f = Arc::new(f);
-
-        // Publish every job before waking anyone: one notify_all beats
-        // per-job rendezvous, and round-robin dealing spreads the batch
-        // so most workers start on their own deque.
-        let start = self.next_queue.fetch_add(n, Ordering::Relaxed);
-        for (i, item) in items.into_iter().enumerate() {
-            let batch = Arc::clone(&batch);
-            let f = Arc::clone(&f);
-            let job: Job = Box::new(move || {
-                let guard = CompletionGuard {
-                    batch: Arc::clone(&batch),
+        // Each slot is taken exactly once, by the worker that claimed
+        // its index, so its lock is never contended.
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else {
+                    return done;
                 };
-                let result = f(i, item);
-                *batch.slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                drop(guard);
-            });
-            let q = (start + i) % self.inner.queues.len();
-            self.inner.queues[q]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push_back(job);
-        }
-        self.inner.pending.fetch_add(n, Ordering::SeqCst);
-        {
-            let _sleep = self.inner.sleep.lock().unwrap_or_else(|e| e.into_inner());
-            self.inner.wake.notify_all();
-        }
-
-        // Wait for the latch.
-        let mut remaining = batch.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        while *remaining > 0 {
-            remaining = batch
-                .done
-                .wait(remaining)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        drop(remaining);
-
-        // Jobs may still hold Arc clones for a moment after the final
-        // notify; taking through the slot mutexes avoids racing
-        // `Arc::try_unwrap`.
-        let results: Vec<Option<R>> = batch
-            .slots
-            .iter()
-            .map(|slot| slot.lock().unwrap_or_else(|e| e.into_inner()).take())
-            .collect();
-        let missing = results.iter().filter(|r| r.is_none()).count();
-        assert!(missing == 0, "{missing} pool job(s) panicked");
-        results.into_iter().map(|r| r.unwrap()).collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _sleep = self.inner.sleep.lock().unwrap_or_else(|e| e.into_inner());
-            self.inner.wake.notify_all();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner, me: usize) {
-    let n = inner.queues.len();
-    loop {
-        // Own deque first (front), then steal from siblings (back),
-        // starting at the next worker so thieves spread out.
-        let mut job = inner.queues[me]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front();
-        if job.is_none() {
-            for off in 1..n {
-                let victim = (me + off) % n;
-                job = inner.queues[victim]
+                let item = slot
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .pop_back();
-                if job.is_some() {
-                    break;
+                    .take()
+                    .expect("an index is claimed once");
+                done.push((i, f(i, item)));
+            }
+        };
+        let done = std::thread::scope(|s| {
+            let others: Vec<_> = (1..threads)
+                .map(|w| {
+                    std::thread::Builder::new()
+                        .name(format!("vmprov-worker-{w}"))
+                        .spawn_scoped(s, work)
+                        .expect("spawn a worker thread")
+                })
+                .collect();
+            let mut done = work();
+            for worker in others {
+                match worker.join() {
+                    Ok(part) => done.extend(part),
+                    Err(panic) => resume_unwind(panic),
                 }
             }
+            done
+        });
+        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        for (i, r) in done {
+            results[i] = Some(r);
         }
-        match job {
-            Some(job) => {
-                inner.pending.fetch_sub(1, Ordering::SeqCst);
-                // A panicking job must not kill the worker: the panic is
-                // contained here and surfaces on the submitter via the
-                // job's empty result slot.
-                let _ = catch_unwind(AssertUnwindSafe(job));
-            }
-            None => {
-                let sleep = inner.sleep.lock().unwrap_or_else(|e| e.into_inner());
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if inner.pending.load(Ordering::SeqCst) == 0 {
-                    // Submitters notify while holding `sleep`, so this
-                    // wait cannot miss a job published after the load.
-                    let _unused = inner.wake.wait(sleep);
-                }
-            }
-        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every item ran"))
+            .collect()
     }
 }
 
-/// The process-wide pool used by the campaign runner.
-static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-/// Worker-count request recorded before the global pool first spins up.
+/// Width set by [`configure_global_workers`]; 0 while none is set.
 static REQUESTED_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Requests `workers` threads for the global pool. Effective only
-/// before the pool's first use; returns whether the request took (the
-/// pool, once spun up, keeps its size for the life of the process).
-pub fn configure_global_workers(workers: usize) -> bool {
+/// Sets the width every later campaign (and every grid without a
+/// `concurrency`) runs at, overriding `$VMPROV_JOBS` and the core
+/// count. Takes effect at once, for the next batch.
+pub fn configure_global_workers(workers: usize) {
     REQUESTED_WORKERS.store(workers.max(1), Ordering::SeqCst);
-    GLOBAL.get().is_none() || GLOBAL.get().map(WorkerPool::workers) == Some(workers.max(1))
 }
 
-/// Default worker count: `$VMPROV_JOBS` if set and ≥ 1, else the
-/// machine's available parallelism.
-fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("VMPROV_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
+/// `$VMPROV_JOBS` as a width: `Ok(None)` when unset, an error naming
+/// the value when it is set but not a whole number ≥ 1.
+pub fn env_workers() -> Result<Option<usize>, String> {
+    match std::env::var("VMPROV_JOBS") {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            Err(format!("VMPROV_JOBS={v:?} is not a whole number ≥ 1"))
         }
+        Ok(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(Some(n)),
+            _ => Err(format!("VMPROV_JOBS={v:?} is not a whole number ≥ 1")),
+        },
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The process-wide worker pool, spun up on first use with the
-/// configured (or default) worker count.
-pub fn global() -> &'static WorkerPool {
-    GLOBAL.get_or_init(|| {
-        let requested = REQUESTED_WORKERS.load(Ordering::SeqCst);
-        let workers = if requested >= 1 {
-            requested
-        } else {
-            default_workers()
-        };
-        WorkerPool::new(workers)
-    })
+/// The width a campaign, or a grid without a `concurrency`, runs at:
+/// the [`configure_global_workers`] value if one is set, else
+/// `$VMPROV_JOBS`, else the machine's available parallelism.
+///
+/// # Panics
+/// Panics when it reads a malformed `$VMPROV_JOBS` (see
+/// [`env_workers`]; `repro` checks it up front and exits 2).
+pub fn default_workers() -> usize {
+    match REQUESTED_WORKERS.load(Ordering::SeqCst) {
+        0 => env_workers()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        n => n,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn results_arrive_in_input_order() {
@@ -338,7 +208,11 @@ mod tests {
     #[test]
     fn width_one_pool_completes_wide_batches() {
         let pool = WorkerPool::new(1);
-        let out = pool.run_batch((0..50).collect::<Vec<u64>>(), |_, x| x * x);
+        let caller = std::thread::current().id();
+        let out = pool.run_batch((0..50).collect::<Vec<u64>>(), |_, x| {
+            assert_eq!(std::thread::current().id(), caller, "width 1 runs inline");
+            x * x
+        });
         assert_eq!(out[7], 49);
         assert_eq!(out.len(), 50);
     }
@@ -352,17 +226,36 @@ mod tests {
                 x
             })
         }));
-        assert!(poisoned.is_err(), "batch with a panicking job must fail");
+        let payload = poisoned.expect_err("batch with a panicking job must fail");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned());
+        assert_eq!(message.as_deref(), Some("boom"), "the job's own panic");
         // The pool is still serviceable afterwards.
         let out = pool.run_batch((0..8).collect::<Vec<u64>>(), |_, x| x);
         assert_eq!(out.len(), 8);
     }
 
     #[test]
-    fn global_pool_is_reused() {
-        let a = global() as *const WorkerPool;
-        let b = global() as *const WorkerPool;
-        assert_eq!(a, b);
-        assert!(global().workers() >= 1);
+    fn nested_batches_complete() {
+        // A job that runs a batch of its own must complete, also at
+        // width 1, where the caller's thread is the only worker.
+        for width in [1, 2] {
+            let pool = WorkerPool::new(width);
+            let out = pool.run_batch((0..4).collect::<Vec<u64>>(), |_, x| {
+                pool.run_batch((0..3).collect::<Vec<u64>>(), |_, y| 10 * x + y)
+                    .into_iter()
+                    .sum::<u64>()
+            });
+            assert_eq!(out, vec![3, 33, 63, 93], "width {width}");
+        }
+    }
+
+    #[test]
+    fn jobs_may_borrow_from_the_caller() {
+        let table: Vec<u64> = (0..16).map(|x| x * x).collect();
+        let out = WorkerPool::new(3).run_batch((0..16).collect::<Vec<usize>>(), |_, i| table[i]);
+        assert_eq!(out, table);
     }
 }

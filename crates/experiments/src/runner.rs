@@ -1,12 +1,14 @@
 //! Replicated scenario execution and cross-replication aggregation.
 //!
 //! The paper repeats every scenario 10 times and reports averages
-//! (§V-A); [`run_replicated`] does the same, fanning replications out
-//! over the persistent worker pool (see [`crate::pool`]) and folding
-//! the per-run [`RunSummary`] records into means with 95% Student-t
-//! confidence intervals. Multi-figure invocations should batch through
-//! [`crate::campaign::Campaign`] instead, which shares one job queue
-//! (and optionally a run cache) across figures.
+//! (§V-A). This module runs one replication ([`run_once`]), or one
+//! arrival group of them off a shared arrival stream
+//! ([`run_group_warm`]), and folds the per-run [`RunSummary`] records
+//! of a scenario into means with 95% Student-t confidence intervals
+//! ([`Replicated`]). Replications run in parallel through a
+//! [`crate::campaign::Campaign`], which batches every figure's groups
+//! on the scoped executor of [`crate::pool`] (and optionally answers
+//! them from a run cache).
 
 use crate::scenario::Scenario;
 use vmprov_cloudsim::{
@@ -77,22 +79,10 @@ pub fn run_once(scenario: &Scenario, rep: u32) -> RunSummary {
 }
 
 std::thread_local! {
-    /// Warm per-thread simulation storage for [`run_once_warm`]: pool
-    /// workers (and any other thread that runs jobs back-to-back) reuse
-    /// the previous run's slot slab and FEL storage instead of
-    /// reallocating them.
+    /// Warm per-thread simulation storage for [`run_group_warm`]: a
+    /// thread that runs groups back-to-back reuses the previous run's
+    /// slot slab and FEL storage instead of reallocating them.
     static WARM: std::cell::RefCell<SimScratch> = std::cell::RefCell::new(SimScratch::new());
-}
-
-/// [`run_once`] with warm per-thread storage reuse — bit-identical
-/// results (pinned by the pool-width sweep test), cheaper back-to-back.
-pub fn run_once_warm(scenario: &Scenario, rep: u32) -> RunSummary {
-    WARM.with(|scratch| {
-        builder_for(scenario).run_scratch(
-            &RngFactory::new(replication_seed(scenario.seed, rep)),
-            &mut scratch.borrow_mut(),
-        )
-    })
 }
 
 /// Runs the cells of one arrival group — replications that share a
@@ -207,33 +197,6 @@ pub fn traced_run(
     })
 }
 
-/// Runs `reps` replications of `scenario` on the persistent worker
-/// pool. A single replication runs inline on the caller — the smoke
-/// path pays no dispatch cost.
-pub fn run_replicated(scenario: &Scenario, reps: u32) -> Replicated {
-    assert!(reps >= 1);
-    let scenario_for_jobs = scenario.clone();
-    let runs = crate::pool::global().run_batch((0..reps).collect(), move |_, rep| {
-        run_once_warm(&scenario_for_jobs, rep)
-    });
-    Replicated {
-        policy: scenario.policy_label(),
-        runs,
-    }
-}
-
-/// Runs a whole policy set (e.g. one figure) with `reps` replications
-/// each, parallelising over (scenario × replication). A thin wrapper
-/// over an uncached single-figure [`Campaign`](crate::campaign::Campaign);
-/// multi-figure invocations should build the campaign themselves so
-/// figures share one job queue.
-pub fn run_policy_set(scenarios: &[Scenario], reps: u32) -> Vec<Replicated> {
-    assert!(reps >= 1);
-    let mut campaign = crate::campaign::Campaign::new(None);
-    let handle = campaign.add_figure(scenarios.to_vec(), reps);
-    campaign.run().take(handle)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +224,10 @@ mod tests {
     #[test]
     fn replicated_aggregation() {
         let s = tiny_web(PolicySpec::Static(60));
-        let rep = run_replicated(&s, 3);
+        let rep = Replicated {
+            policy: s.policy_label(),
+            runs: (0..3).map(|r| run_once(&s, r)).collect(),
+        };
         assert_eq!(rep.runs.len(), 3);
         assert_eq!(rep.policy, "Static-60");
         let mean_resp = rep.mean(|r| r.mean_response_time);
@@ -277,7 +243,9 @@ mod tests {
             tiny_web(PolicySpec::Static(55)),
             tiny_web(PolicySpec::Static(65)),
         ];
-        let out = run_policy_set(&set, 2);
+        let mut campaign = crate::campaign::Campaign::new(None);
+        let handle = campaign.add_figure(set, 2);
+        let out = campaign.run().take(handle);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].policy, "Static-55");
         assert_eq!(out[1].policy, "Static-65");

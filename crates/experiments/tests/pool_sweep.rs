@@ -1,14 +1,14 @@
-//! Pool-width sweep: the persistent worker pool executes jobs in a
-//! nondeterministic order on a nondeterministic number of threads, and
-//! none of that may ever reach a result. Every `RunSummary` here must
-//! be **bit-identical** (full `PartialEq`, which on this struct is
+//! Pool-width sweep: the executor runs jobs in a nondeterministic
+//! order on a nondeterministic number of threads, and none of that may
+//! ever reach a result. Every `RunSummary` here must be
+//! **bit-identical** (full `PartialEq`, which on this struct is
 //! field-wise `f64` equality) to the sequential `run_once` reference —
-//! across pool widths 1, 2, and 4, with warm per-thread scratch reuse,
-//! and after a round trip through the run cache (see DESIGN.md §8).
+//! across widths 1, 2, and 4, with warm per-thread scratch reuse, and
+//! after a round trip through the run cache (see DESIGN.md §8).
 
 use vmprov_des::SimTime;
 use vmprov_experiments::pool::WorkerPool;
-use vmprov_experiments::runner::{run_once, run_once_warm};
+use vmprov_experiments::runner::{run_group_warm, run_once};
 use vmprov_experiments::scenario::{PolicySpec, Scenario};
 use vmprov_experiments::{Campaign, RunCache};
 
@@ -41,10 +41,9 @@ fn summaries_are_bit_identical_across_pool_widths() {
         .collect();
 
     for width in [1usize, 2, 4] {
-        let pool = WorkerPool::new(width);
-        let scen = scenarios.clone();
-        let swept = pool.run_batch(jobs(scenarios.len()), move |_, (si, rep)| {
-            run_once_warm(&scen[si], rep)
+        let swept = WorkerPool::new(width).run_batch(jobs(scenarios.len()), |_, (si, rep)| {
+            let mut summaries = run_group_warm(&[(scenarios[si].clone(), rep)]);
+            summaries.pop().expect("a group of one has one summary")
         });
         assert_eq!(
             swept, reference,

@@ -109,3 +109,33 @@ fn fel_flag_is_gone_from_both_subcommands() {
         );
     }
 }
+
+#[test]
+fn malformed_vmprov_jobs_exits_2_on_both_subcommands() {
+    // A width that is not a whole number ≥ 1 is reported, not replaced
+    // by the core count, whether or not `--jobs` is given.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-bad-jobs-env");
+    let trace = dir.join("trace.csv");
+    for value in ["0", "abc", ""] {
+        for sub in ["figures", "replay"] {
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+            cmd.env("VMPROV_JOBS", value).arg(sub);
+            if sub == "replay" {
+                cmd.arg("--trace").arg(&trace);
+            } else {
+                cmd.arg("table2");
+            }
+            let out = cmd
+                .args(["--no-cache", "--jobs", "1", "--out"])
+                .arg(&dir)
+                .output()
+                .expect("spawn repro");
+            assert_eq!(out.status.code(), Some(2), "{sub} VMPROV_JOBS={value:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("VMPROV_JOBS"),
+                "{sub} VMPROV_JOBS={value:?}: {stderr}"
+            );
+        }
+    }
+}

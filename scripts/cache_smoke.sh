@@ -4,8 +4,11 @@
 # from the cache — ≥90% hits, at most half the cold pass's campaign
 # wall-clock (in practice it is <1%; the bound only needs to survive a
 # loaded CI machine) — and that it reproduces the cold pass's figure
-# output byte for byte. Leaves cache_stats_{cold,warm}.json under
-# target/cache-smoke/ for the CI artifact upload.
+# output byte for byte. A last, uncached pass runs the same campaign at
+# --jobs 1 and at --jobs 2 and byte-diffs those figure files against
+# each other and the cold pass: the worker count must never reach a
+# result. Leaves cache_stats_{cold,warm}.json under target/cache-smoke/
+# for the CI artifact upload.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,5 +59,16 @@ assert warm["wall_secs"] * 2 <= cold["wall_secs"], (
     f"warm pass ({warm['wall_secs']:.3f}s) is not measurably faster than "
     f"cold ({cold['wall_secs']:.3f}s)")
 EOF
+
+echo "cache_smoke.sh: uncached pass at --jobs 1 and --jobs 2" >&2
+for jobs in 1 2; do
+    cargo run "${OFFLINE[@]}" --release -p vmprov-experiments --bin repro -- \
+        figures fig5 fig6 --mode smoke --no-cache --jobs "$jobs" --out "$OUT/jobs$jobs"
+done
+for f in fig5.json fig5.csv fig5.txt fig6.json fig6.csv fig6.txt; do
+    cmp "$OUT/jobs1/$f" "$OUT/jobs2/$f"
+done
+diff -q "$OUT/fig5_cold.json" "$OUT/jobs1/fig5.json"
+diff -q "$OUT/fig6_cold.json" "$OUT/jobs1/fig6.json"
 
 echo "cache_smoke.sh: ok" >&2
