@@ -669,8 +669,9 @@ fn bench_trace_replay(horizon: f64, runs: u32) -> Timing {
 /// 2000 req/s (one row per request): `trace_decode_hot` is
 /// `CsvReader::read_chunk` in default-sized chunks over the CSV held in
 /// memory (pure decode, no I/O), and `trace_scan` is `TraceSpec::scan`
-/// of the same bytes on disk (parse plus the concurrent content-hash
-/// pass, page cache warm). Both are per row.
+/// of the same bytes on disk (the content-hash pass beside the ranged
+/// parse, on one batch as wide as the machine; page cache warm). Both
+/// are per row.
 fn bench_trace_ingest(horizon: f64, runs: u32) -> Vec<Timing> {
     use vmprov_workloads::{
         generate_poisson_csv, CsvReader, DatasetReader, TraceSpec, DEFAULT_CHUNK,

@@ -851,7 +851,8 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
                 exact_free,
                 bits: exact_free.map(|_| self.room_bits.as_slice()),
             };
-            self.dispatcher.pick(&view, self.rng_dispatch.uniform01())
+            self.dispatcher
+                .pick_drawing(&view, || self.rng_dispatch.uniform01())
         };
         let Some(idx) = pick else {
             self.metrics.rejected += 1;

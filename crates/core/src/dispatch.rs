@@ -96,6 +96,19 @@ pub trait Dispatcher: Send {
     /// streams.
     fn pick<P: InstancePool + ?Sized>(&mut self, pool: &P, random01: f64) -> Option<usize>;
 
+    /// [`pick`](Self::pick) with the uniform draw taken from `draw`,
+    /// called only by a strategy that reads it, so a caller's random
+    /// stream advances only when the draw is used. A strategy that
+    /// ignores `random01` overrides this to skip the draw.
+    #[inline]
+    fn pick_drawing<P: InstancePool + ?Sized>(
+        &mut self,
+        pool: &P,
+        draw: impl FnOnce() -> f64,
+    ) -> Option<usize> {
+        self.pick(pool, draw())
+    }
+
     /// Human-readable strategy name for reports.
     fn name(&self) -> &'static str;
 }
@@ -107,6 +120,15 @@ impl<T: Dispatcher> Dispatcher for Box<T> {
     #[inline]
     fn pick<P: InstancePool + ?Sized>(&mut self, pool: &P, random01: f64) -> Option<usize> {
         (**self).pick(pool, random01)
+    }
+
+    #[inline]
+    fn pick_drawing<P: InstancePool + ?Sized>(
+        &mut self,
+        pool: &P,
+        draw: impl FnOnce() -> f64,
+    ) -> Option<usize> {
+        (**self).pick_drawing(pool, draw)
     }
 
     fn name(&self) -> &'static str {
@@ -163,6 +185,19 @@ impl Dispatcher for AnyDispatcher {
             AnyDispatcher::RoundRobin(d) => d.pick(pool, random01),
             AnyDispatcher::LeastOutstanding(d) => d.pick(pool, random01),
             AnyDispatcher::Random(d) => d.pick(pool, random01),
+        }
+    }
+
+    #[inline]
+    fn pick_drawing<P: InstancePool + ?Sized>(
+        &mut self,
+        pool: &P,
+        draw: impl FnOnce() -> f64,
+    ) -> Option<usize> {
+        match self {
+            AnyDispatcher::RoundRobin(d) => d.pick_drawing(pool, draw),
+            AnyDispatcher::LeastOutstanding(d) => d.pick_drawing(pool, draw),
+            AnyDispatcher::Random(d) => d.pick_drawing(pool, draw),
         }
     }
 
@@ -228,11 +263,15 @@ impl Dispatcher for RoundRobin {
         if n == 0 || !pool.has_free() {
             return None;
         }
-        // One integer division to re-enter the ring (the pool may have
-        // shrunk since the last pick), then conditional wrapping: the
-        // probe order is identical to the old `(start + off) % n` loop
-        // without a division per probe.
-        let start = self.next % n;
+        // Re-enter the ring with a division only when the pool has
+        // shrunk past the pointer since the last pick, then wrap
+        // conditionally: the probe order is identical to the old
+        // `(start + off) % n` loop without a division per probe.
+        let start = if self.next < n {
+            self.next
+        } else {
+            self.next % n
+        };
         if let Some(bits) = pool.room_bits() {
             // Branch-free selection: word scans + trailing zeros land on
             // the same instance the probe loop below would (the first
@@ -260,6 +299,15 @@ impl Dispatcher for RoundRobin {
             }
         }
         None
+    }
+
+    #[inline]
+    fn pick_drawing<P: InstancePool + ?Sized>(
+        &mut self,
+        pool: &P,
+        _draw: impl FnOnce() -> f64,
+    ) -> Option<usize> {
+        self.pick(pool, 0.0)
     }
 
     fn name(&self) -> &'static str {
@@ -293,6 +341,15 @@ impl Dispatcher for LeastOutstanding {
             }
         }
         best.map(|(i, _)| i)
+    }
+
+    #[inline]
+    fn pick_drawing<P: InstancePool + ?Sized>(
+        &mut self,
+        pool: &P,
+        _draw: impl FnOnce() -> f64,
+    ) -> Option<usize> {
+        self.pick(pool, 0.0)
     }
 
     fn name(&self) -> &'static str {
@@ -446,6 +503,46 @@ mod tests {
             AnyDispatcher::default(),
             AnyDispatcher::RoundRobin(_)
         ));
+    }
+
+    #[test]
+    fn only_random_dispatch_draws() {
+        let views = vec![view(0, 2, true); 3];
+        let mut draws = 0;
+        let mut draw = || {
+            draws += 1;
+            0.5
+        };
+        assert_eq!(RoundRobin::new().pick_drawing(&views, &mut draw), Some(0));
+        assert_eq!(
+            LeastOutstanding::new().pick_drawing(&views, &mut draw),
+            Some(0)
+        );
+        let mut any = AnyDispatcher::from(RoundRobin::new());
+        assert_eq!(any.pick_drawing(&views, &mut draw), Some(0));
+        let mut boxed = Box::new(LeastOutstanding::new());
+        assert_eq!(boxed.pick_drawing(&views, &mut draw), Some(0));
+        let picked = RandomDispatch::new().pick(&views, 0.5);
+        assert_eq!(
+            RandomDispatch::new().pick_drawing(&views, &mut draw),
+            picked
+        );
+        let mut any = AnyDispatcher::from(RandomDispatch::new());
+        assert_eq!(any.pick_drawing(&views, &mut draw), picked);
+        assert_eq!(draws, 2, "only the random strategy draws");
+    }
+
+    #[test]
+    fn round_robin_re_enters_a_shrunk_ring() {
+        let mut rr = RoundRobin::new();
+        let five = vec![view(0, 2, true); 5];
+        for _ in 0..4 {
+            rr.pick(&five, 0.0);
+        }
+        // The pointer is at 4; a three-instance pool re-enters at 4 % 3.
+        let three = vec![view(0, 2, true); 3];
+        let picks: Vec<_> = (0..4).map(|_| rr.pick(&three, 0.0).unwrap()).collect();
+        assert_eq!(picks, vec![1, 2, 0, 1]);
     }
 
     /// A pool that also publishes its has-room flags as a bitset.

@@ -90,8 +90,7 @@ impl<'a, E> Scheduler<'a, E> {
     where
         E: Clone,
     {
-        assert_not_past(self.now, times);
-        self.queue.schedule_run(times, event);
+        self.queue.release_run(times, event, Some(self.now));
     }
 
     /// Schedules `event` at the current instant (it will fire after all
@@ -121,16 +120,6 @@ impl<'a, E> Scheduler<'a, E> {
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-}
-
-/// The causality check of a lane release: no time before `now`.
-fn assert_not_past(now: SimTime, times: &[SimTime]) {
-    if let Some(first) = times.iter().copied().reduce(SimTime::min) {
-        assert!(
-            first >= now,
-            "cannot schedule into the past: now={now}, requested={first}"
-        );
     }
 }
 
@@ -187,8 +176,7 @@ impl<W: World> Engine<W> {
     where
         W::Event: Clone,
     {
-        assert_not_past(self.now, times);
-        self.queue.schedule_run(times, event);
+        self.queue.release_run(times, event, Some(self.now));
     }
 
     /// Cancels a pending event from outside a handler.
@@ -503,6 +491,36 @@ mod tests {
             "out of time order: {:?}",
             world.fired
         );
+    }
+
+    #[test]
+    fn a_lane_release_into_the_past_panics_and_releases_nothing() {
+        struct Idle;
+        impl World for Idle {
+            type Event = ();
+            fn handle(&mut self, _: SimTime, _: (), _: &mut Scheduler<'_, ()>) {}
+        }
+        let mut eng = Engine::new(Idle);
+        eng.schedule(SimTime::from_secs(5.0), ());
+        eng.step();
+        eng.schedule_run(&[SimTime::from_secs(6.0)], ());
+        let times = [7.0, 3.0, 4.0, 9.0].map(SimTime::from_secs);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.schedule_run(&times, ());
+        }))
+        .expect_err("a release before the clock must panic");
+        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(
+            msg,
+            format!(
+                "cannot schedule into the past: now={}, requested={}",
+                SimTime::from_secs(5.0),
+                SimTime::from_secs(3.0)
+            ),
+            "the earliest time is named, not the first"
+        );
+        assert_eq!(eng.run(), 1, "only the earlier release is pending");
+        assert_eq!(eng.now(), SimTime::from_secs(6.0));
     }
 
     #[test]

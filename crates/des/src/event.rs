@@ -309,8 +309,13 @@ impl<E> Lane<E> {
     /// that starts at or after the lane's tail (every release the
     /// simulator makes) is appended; any other re-sorts the pending
     /// keys. Lane entries share one payload, so the order of equal keys
-    /// is unobservable.
-    fn release(&mut self, times: &[SimTime]) {
+    /// is unobservable. One pass over `times` converts them, finds the
+    /// earliest and checks the order.
+    ///
+    /// # Panics
+    /// Panics, leaving the lane as it was, if a time is earlier than
+    /// `not_before`.
+    fn release(&mut self, times: &[SimTime], not_before: Option<SimTime>) {
         // Drop the popped prefix once it outweighs the pending tail, so
         // compaction costs O(1) per popped entry.
         if self.cursor > 0 && self.cursor * 2 >= self.keys.len() {
@@ -318,9 +323,27 @@ impl<E> Lane<E> {
             self.cursor = 0;
         }
         let from = self.keys.len();
-        self.keys.extend(times.iter().map(|&t| time_key(t)));
-        let check = from.saturating_sub(1).max(self.cursor);
-        if !self.keys[check..].windows(2).all(|w| w[0] <= w[1]) {
+        let mut prev = if from > self.cursor {
+            self.keys[from - 1]
+        } else {
+            0
+        };
+        let (mut earliest, mut sorted) = (u64::MAX, true);
+        self.keys.extend(times.iter().map(|&t| {
+            let key = time_key(t);
+            earliest = earliest.min(key);
+            sorted &= prev <= key;
+            prev = key;
+            key
+        }));
+        if let Some(now) = not_before {
+            let first = key_time(earliest);
+            if first < now {
+                self.keys.truncate(from);
+                panic!("cannot schedule into the past: now={now}, requested={first}");
+            }
+        }
+        if !sorted {
             self.keys[self.cursor..].sort_unstable();
         }
     }
@@ -412,10 +435,28 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
+        self.release_run(times, event, None)
+    }
+
+    /// [`schedule_run`](Self::schedule_run) with the engine's causality
+    /// check folded into the release's one pass over `times`.
+    ///
+    /// # Panics
+    /// Panics, releasing nothing, if a time is earlier than
+    /// `not_before`.
+    pub(crate) fn release_run(
+        &mut self,
+        times: &[SimTime],
+        event: E,
+        not_before: Option<SimTime>,
+    ) -> usize
+    where
+        E: Clone,
+    {
         if times.is_empty() {
             return 0;
         }
-        self.lane.release(times);
+        self.lane.release(times, not_before);
         self.lane.event = Some(Payload {
             event,
             clone: E::clone,

@@ -10,7 +10,9 @@
 //! * labelled, reproducible random streams ([`RngFactory`], [`SimRng`]);
 //! * the probability distributions used by the workload models
 //!   ([`dist`]);
-//! * constant-space streaming statistics ([`stats`]).
+//! * constant-space streaming statistics ([`stats`]);
+//! * the one parallel executor, a width that runs a batch of jobs on
+//!   scoped threads ([`pool::WorkerPool`]).
 //!
 //! ## Example: an M/M/1 queue in ~40 lines
 //!
@@ -72,6 +74,7 @@ pub mod dist;
 mod engine;
 mod event;
 mod hash;
+pub mod pool;
 mod rng;
 pub mod special;
 pub mod stats;

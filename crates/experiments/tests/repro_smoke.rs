@@ -139,3 +139,16 @@ fn malformed_vmprov_jobs_exits_2_on_both_subcommands() {
         }
     }
 }
+
+#[test]
+fn the_pre_subcommand_spelling_is_an_unknown_subcommand() {
+    // `repro all --mode smoke` was once an alias for `figures`; it is
+    // now an unknown subcommand, reported before any run starts.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["all", "--mode", "smoke"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("unknown subcommand `all`\n"), "{stderr}");
+}

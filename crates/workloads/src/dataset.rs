@@ -33,21 +33,25 @@
 //!
 //! External files are validated **up front** by [`TraceSpec::scan`],
 //! which parses the file end to end for the request totals and the mean
-//! arrival rate while a second thread hashes its raw bytes into the
-//! content hash (the run-cache key component). Scan-time errors are
-//! line-numbered [`DatasetError`]s, never panics. A reader error
-//! *during* the simulation — after a successful scan — means the file
-//! changed underneath the run, and `StreamReplay` treats that as fatal.
+//! arrival rate and hashes its raw bytes into the content hash (the
+//! run-cache key component), all on one executor batch: the hash pass
+//! beside the file's line-aligned decode ranges, stitched in file
+//! order. A bad file is decoded again as one range, so scan-time
+//! errors are the single pass's line-numbered [`DatasetError`]s, never
+//! panics. A reader error *during* the simulation — after a successful
+//! scan — means the file changed underneath the run, and
+//! `StreamReplay` treats that as fatal.
 
 use crate::trace::Trace;
 use crate::traits::{ArrivalBatch, ArrivalProcess};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use vmprov_des::pool::WorkerPool;
 use vmprov_des::{SimRng, SimTime, StableHasher};
 
 /// Process-wide count of [`CsvReader::open`] calls, read through
@@ -940,27 +944,63 @@ impl TraceSpec {
     /// computing the spec. This is where all external-file errors
     /// surface, as line-numbered [`DatasetError`]s.
     ///
-    /// The content hash is taken over the raw bytes on a second thread
-    /// while this one parses, so the scan costs about one parse pass. A
-    /// hash-pass I/O error takes precedence over a parse error.
+    /// The scan is one [`WorkerPool::run_batch`] as wide as the
+    /// machine: the content-hash pass over the raw bytes, then the file
+    /// cut into about four line-aligned decode ranges per thread, none
+    /// under 1 MiB (a smaller file is one range). Each range runs the
+    /// replay's own [`CsvReader`] over its bytes; the ranges' totals
+    /// are stitched in file order, with each range's first row checked
+    /// against the row before it. A hash-pass I/O error takes
+    /// precedence over a parse error. When a range fails, or the stitch
+    /// does, the file is decoded again as one range, so every error and
+    /// its line are those of a single pass; only a bad file pays for
+    /// that second decode. The hash pass is the floor: on two cores the
+    /// scan takes about (hash + parse) / 2.
     pub fn scan(path: &Path, chunk: usize) -> Result<TraceSpec, DatasetError> {
+        let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let len = std::fs::metadata(path).map_or(0, |m| m.len());
+        let ranges = (len / MIN_RANGE_BYTES).clamp(1, (RANGES_PER_WORKER * width) as u64);
+        TraceSpec::scan_ranges(path, chunk, width, ranges as usize)
+    }
+
+    /// [`scan`](Self::scan) on `width` threads with the file cut into at
+    /// most `ranges` decode ranges.
+    fn scan_ranges(
+        path: &Path,
+        chunk: usize,
+        width: usize,
+        ranges: usize,
+    ) -> Result<TraceSpec, DatasetError> {
         assert!(chunk >= 1, "chunk must hold at least one batch");
-        let (hashed, parsed) = std::thread::scope(|s| {
-            let hasher = std::thread::Builder::new()
-                .name("trace-hash".into())
-                .spawn_scoped(s, || hash_file(path));
-            let parsed = parse_totals(path, chunk);
-            let hashed = match hasher {
-                Ok(handle) => handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                // No thread to spare: hash on this one.
-                Err(_) => hash_file(path),
-            };
-            (hashed, parsed)
-        });
-        let content_hash = hashed?;
-        let (total, batches, end) = parsed?;
+        let starts = line_starts(path, ranges);
+        // Item 0 is the hash pass; item `i + 1` decodes range `i`, which
+        // runs to the next range's start (the last one to the end).
+        let items: Vec<Option<(u64, u64)>> = std::iter::once(None)
+            .chain(starts.iter().enumerate().map(|(i, &start)| {
+                let end = starts.get(i + 1).copied().unwrap_or(u64::MAX);
+                Some((start, end - start))
+            }))
+            .collect();
+        let mut hashed = None;
+        let mut decoded = Vec::with_capacity(starts.len());
+        for pass in WorkerPool::new(width).run_batch(items, |_, item| match item {
+            None => ScanPass::Hash(hash_file(path)),
+            Some((start, len)) => ScanPass::Decode(decode_range(path, chunk, start, len)),
+        }) {
+            match pass {
+                ScanPass::Hash(h) => hashed = Some(h),
+                ScanPass::Decode(d) => decoded.push(d),
+            }
+        }
+        let content_hash = hashed.expect("the batch ran the hash pass")?;
+        // A lone range is the single pass, errors included.
+        let totals = match (decoded.len(), stitch(&decoded)) {
+            (1, _) => decoded.pop().expect("one range")?,
+            (_, Some(totals)) => totals,
+            (_, None) => decode_range(path, chunk, 0, u64::MAX)?,
+        };
+        let (total, batches) = (totals.total, totals.batches);
+        let end = totals.times.map_or(SimTime::ZERO, |(_, last)| last);
         let mean_rate = if end > SimTime::ZERO {
             total as f64 / end.as_secs()
         } else {
@@ -1071,23 +1111,136 @@ fn hash_file(path: &Path) -> Result<u64, DatasetError> {
     }
 }
 
-/// Parses every row of the trace at `path` through the same reader the
-/// replay will use, chunk by chunk: `(request total, batches, end time)`.
-/// The reader keeps the overflow-checked request total.
-fn parse_totals(path: &Path, chunk: usize) -> Result<(u64, u64, SimTime), DatasetError> {
-    let mut reader = CsvReader::open(path)?;
+/// Fewest bytes a decode range of [`TraceSpec::scan`] holds: below
+/// this, a range's opens and seeks start to show beside its decode.
+const MIN_RANGE_BYTES: u64 = 1 << 20;
+
+/// Decode ranges [`TraceSpec::scan`] cuts per thread, so a thread that
+/// finishes its share early (the hash pass is the cheaper one) takes
+/// another range instead of idling.
+const RANGES_PER_WORKER: usize = 4;
+
+/// What one item of a scan's batch found.
+enum ScanPass {
+    Hash(Result<u64, DatasetError>),
+    Decode(Result<RangeTotals, DatasetError>),
+}
+
+/// What decoding one line-aligned byte range found.
+#[derive(Debug, Clone, Copy)]
+struct RangeTotals {
+    /// Batch rows in the range.
+    batches: u64,
+    /// Overflow-checked sum of the range's count column.
+    total: u64,
+    /// The range's first and last row times (each row's own `f64`, as
+    /// `SimTime::from_secs` keeps it); `None` for a range with no rows
+    /// (only blank, header or comment lines).
+    times: Option<(SimTime, SimTime)>,
+}
+
+/// The starts of at most `ranges` line-aligned decode ranges of the file
+/// at `path`, the first at 0: the file's length is cut into `ranges`
+/// equal parts, and each cut moves to just after the next `\n`. Cuts
+/// that meet (a line longer than a range) merge, and a cut with no
+/// `\n` after it is dropped. An I/O error stops the cutting there; the
+/// decode of the ranges reports it.
+fn line_starts(path: &Path, ranges: usize) -> Vec<u64> {
+    let mut starts = vec![0];
+    if ranges <= 1 {
+        return starts;
+    }
+    let Ok(mut file) = File::open(path) else {
+        return starts;
+    };
+    let len = file.metadata().map_or(0, |m| m.len());
+    let mut block = [0u8; 4096];
+    for k in 1..ranges as u64 {
+        let nominal = (u128::from(len) * u128::from(k) / ranges as u128) as u64;
+        // A cut at `nominal` is line-aligned when the byte before it is
+        // `\n`, so the search starts there, or past the previous cut.
+        let mut at = nominal.saturating_sub(1).max(starts[starts.len() - 1]);
+        if file.seek(SeekFrom::Start(at)).is_err() {
+            break;
+        }
+        let cut = loop {
+            let n = match file.read(&mut block) {
+                Ok(0) | Err(_) => break None,
+                Ok(n) => n,
+            };
+            if let Some(i) = block[..n].iter().position(|&c| c == b'\n') {
+                break Some(at + i as u64 + 1);
+            }
+            at += n as u64;
+        };
+        match cut {
+            Some(cut) if cut < len => starts.push(cut),
+            _ => break,
+        }
+    }
+    starts
+}
+
+/// Decodes the `len` bytes of the trace at `path` from `start` (a line
+/// start) through the replay's own reader, chunk by chunk. The reader
+/// keeps the overflow-checked request total; its line numbers count
+/// from the range's first line, so they are the file's only for the
+/// range at 0.
+fn decode_range(
+    path: &Path,
+    chunk: usize,
+    start: u64,
+    len: u64,
+) -> Result<RangeTotals, DatasetError> {
+    let mut file = File::open(path)
+        .map_err(|e| DatasetError::io(format!("cannot open {}: {e}", path.display())))?;
+    if start > 0 {
+        file.seek(SeekFrom::Start(start))
+            .map_err(|e| DatasetError::io(format!("read {}: {e}", path.display())))?;
+    }
+    let mut reader = CsvReader::new(BufReader::with_capacity(64 * 1024, file.take(len)));
     let mut buf = Vec::with_capacity(chunk);
     let mut batches = 0u64;
-    let mut end = SimTime::ZERO;
+    let mut times = None;
     loop {
         buf.clear();
         if reader.read_chunk(&mut buf, chunk)? == 0 {
             break;
         }
-        end = buf.last().map_or(end, |b| b.time);
+        let (first, last) = (buf[0].time, buf[buf.len() - 1].time);
+        times = Some((times.map_or(first, |(first, _)| first), last));
         batches += buf.len() as u64;
     }
-    Ok((reader.rows.total, batches, end))
+    Ok(RangeTotals {
+        batches,
+        total: reader.rows.total,
+        times,
+    })
+}
+
+/// Joins the ranges' totals in file order into the whole file's:
+/// batches add, request totals add with an overflow check, and each
+/// range's first row must not be earlier than the last row before it,
+/// the check its reader could not make. `None` when a range failed or
+/// a check does: the file must then be decoded again as one range to
+/// get its error and line right.
+fn stitch(decoded: &[Result<RangeTotals, DatasetError>]) -> Option<RangeTotals> {
+    let mut whole = RangeTotals {
+        batches: 0,
+        total: 0,
+        times: None,
+    };
+    for range in decoded {
+        let range = range.as_ref().ok()?;
+        whole.batches += range.batches;
+        whole.total = whole.total.checked_add(range.total)?;
+        whole.times = match (whole.times, range.times) {
+            (Some((_, last)), Some((first, _))) if first < last => return None,
+            (Some((start, _)), Some((_, end))) => Some((start, end)),
+            (times, None) | (None, times) => times,
+        };
+    }
+    Some(whole)
 }
 
 /// Where a [`StreamReplay`] gets its reader from. The file and memory
@@ -1640,6 +1793,121 @@ mod tests {
         let err = TraceSpec::scan(&dir, 8).unwrap_err();
         assert_eq!(err.line, None, "{err}");
         assert!(err.msg.starts_with("read "), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Scans `path` as one range, then at forced range counts 1–8, and
+    /// asserts every ranged result equals the one-range result, error
+    /// line and message included; returns the one-range result.
+    fn ranged_scans_agree(path: &Path) -> Result<TraceSpec, DatasetError> {
+        let whole = TraceSpec::scan_ranges(path, 3, 1, 1);
+        for ranges in 1..=8 {
+            let ranged = TraceSpec::scan_ranges(path, 3, 2, ranges);
+            assert_eq!(ranged, whole, "{ranges} ranges");
+        }
+        whole
+    }
+
+    #[test]
+    fn ranged_scan_matches_one_range_on_mangled_files() {
+        let dir = std::env::temp_dir().join(format!("vmprov_ranged_fuzz_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mangled.csv");
+        let mut valid = b"time,count,spread\n# comment\n".to_vec();
+        for i in 0..40 {
+            let row = match i % 4 {
+                0 => format!("{i},{},0\n", i % 7),
+                1 => format!("{i}.5,3\n"),
+                2 => format!(" {i}.75 , 2 , 1.5\r\n"),
+                _ => format!("{}e0,{MAX_ROW_COUNT},0\n", i + 1),
+            };
+            valid.extend_from_slice(row.as_bytes());
+        }
+        vmprov_check::cases(150, |g| {
+            std::fs::write(&path, g.mangle(&valid)).unwrap();
+            let _ = ranged_scans_agree(&path);
+        });
+        std::fs::write(&path, &valid).unwrap();
+        assert_eq!(ranged_scans_agree(&path).unwrap().batches, 40);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ranged_scan_keeps_errors_exact_at_range_cuts() {
+        let dir = std::env::temp_dir().join(format!("vmprov_ranged_cuts_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        let rows = 40;
+        let row = |i: usize| format!("{i},{},0\n", 1 + i % 5);
+        // Each fault replaces row `i` (file line `i + 1`); `Some(msg)`
+        // is the error it must raise there.
+        type Fault = (&'static str, fn(usize) -> String, Option<&'static str>);
+        let faults: [Fault; 4] = [
+            (
+                "out-of-order",
+                |i| format!("{}.5,1,0\n", i - 2),
+                Some("out-of-order"),
+            ),
+            (
+                "count",
+                |i| format!("{i},{},0\n", MAX_ROW_COUNT + 1),
+                Some("per-row limit"),
+            ),
+            ("header", |_| "time,count,spread\n".to_string(), None),
+            ("comment", |_| "# a comment mid-file\n".to_string(), None),
+        ];
+        for (name, fault, expect) in faults {
+            let mut at_a_cut = 0;
+            for i in 2..rows {
+                let text: String = (0..rows)
+                    .map(|j| if j == i { fault(i) } else { row(j) })
+                    .collect();
+                std::fs::write(&path, &text).unwrap();
+                let offset: usize = (0..i).map(|j| row(j).len()).sum();
+                at_a_cut += (2..=8)
+                    .filter(|&r| line_starts(&path, r).contains(&(offset as u64)))
+                    .count();
+                match (ranged_scans_agree(&path), expect) {
+                    (Err(e), Some(msg)) => {
+                        assert_eq!(e.line, Some(i as u64 + 1), "{name} at row {i}: {e}");
+                        assert!(e.msg.contains(msg), "{name} at row {i}: {e}");
+                    }
+                    (Ok(spec), None) => assert_eq!(spec.batches, rows as u64 - 1),
+                    (got, _) => panic!("{name} at row {i}: {got:?}"),
+                }
+            }
+            assert!(at_a_cut > 0, "{name} never started a range");
+        }
+        // Line endings and the last line: CRLF throughout, and a last
+        // line without its `\n`, with and without an error in it.
+        let crlf: String = (0..rows).map(|j| row(j).replace('\n', "\r\n")).collect();
+        let unterminated: String = (0..rows).map(row).collect::<String>();
+        for (text, ok) in [
+            (crlf.clone(), true),
+            (format!("{crlf}1,1,0\r\n"), false),
+            (unterminated.trim_end().to_string(), true),
+            (format!("{unterminated}0,1,0"), false),
+        ] {
+            std::fs::write(&path, &text).unwrap();
+            let got = ranged_scans_agree(&path);
+            assert_eq!(got.is_ok(), ok, "{got:?}");
+            if let Err(e) = got {
+                assert_eq!(e.line, Some(rows as u64 + 1), "{e}");
+            }
+        }
+        // Lines longer than a range: one mid-file, and a file that is
+        // one line.
+        let long = format!("# {}\n", "x".repeat(600));
+        let text = format!("0,1,0\n{long}1,2,0\n2,3,0\n");
+        std::fs::write(&path, &text).unwrap();
+        // The cuts inside the long line all move past it and merge.
+        let past = 6 + long.len() as u64;
+        assert_eq!(line_starts(&path, 8), vec![0, past, past + 6]);
+        assert_eq!(ranged_scans_agree(&path).unwrap().total_requests, 6);
+        let one_line = format!("0.{}1,5", "0".repeat(600));
+        std::fs::write(&path, &one_line).unwrap();
+        assert_eq!(line_starts(&path, 8), vec![0]);
+        assert_eq!(ranged_scans_agree(&path).unwrap().batches, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

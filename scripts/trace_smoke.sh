@@ -20,6 +20,10 @@
 #      counterpart — on the default worker count and again on two
 #      workers stepping three cells each (--jobs 2), which must still
 #      decode every batch exactly once.
+#   5. Scan errors stay exact at scale: on a copy of the trace with one
+#      row past the middle set earlier than its predecessor, `repro
+#      replay` exits 1 and names exactly that line, although the scan
+#      decodes the file in line-aligned ranges on every core.
 #
 # usage: trace_smoke.sh [RATE HORIZON_SECS]
 #   trace_smoke.sh              # 2000 req/s × 5000 s ≈ 10M requests
@@ -179,6 +183,23 @@ for grid in grid grid_jobs2; do
     echo "trace_smoke.sh: all 6 $grid cells match their single-run counterparts" \
          "byte for byte" >&2
 done
+
+# --- exact scan errors through the ranged scan (invariant 5) ----------
+BAD="$OUT/out_of_order.csv"
+BAD_LINE=$(( BATCHES / 2 + 7 ))
+awk -F, -v OFS=, -v bad="$BAD_LINE" 'NR == bad { $1 = 0 } { print }' "$TRACE" > "$BAD"
+echo "trace_smoke.sh: trace with line ${BAD_LINE} out of order" >&2
+set +e
+err=$("$REPRO" replay --trace "$BAD" --no-cache --out "$OUT/out_of_order" 2>&1 >/dev/null)
+status=$?
+set -e
+rm -f "$BAD"
+if [ "$status" != 1 ] || [[ "$err" != *": line ${BAD_LINE}: out-of-order timestamp 0 "* ]]; then
+    echo "trace_smoke.sh: FAIL — an out-of-order row at line ${BAD_LINE} gave exit" \
+         "${status} and: ${err}" >&2
+    exit 1
+fi
+echo "trace_smoke.sh: the scan names line ${BAD_LINE} and exits 1" >&2
 
 # The generated trace is ~220 MB; don't leave it for the artifact upload.
 rm -f "$TRACE"
