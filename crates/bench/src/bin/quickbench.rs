@@ -14,14 +14,14 @@
 //! expansion of one web arrival batch (`arrival_expand_web`: ~30.5k
 //! spread offsets drawn and sorted), the branchless admission probe
 //! (`admission_bitset_hot`), and
-//! four end-to-end measurements: a small web simulation — run twice,
+//! five end-to-end measurements: a small web simulation — run twice,
 //! once through the default (probe-less) path and once with an
 //! explicitly attached `NullProbe`, to measure that the observability
 //! generic monomorphizes away — a scientific simulation under the
-//! adaptive policy, the per-run set-up of the Fig 6 set
-//! (`sci_setup_run`: each scenario built and run for one simulated
-//! second), and an Algorithm 1 sizing sweep through the cross-tick
-//! cache. Two campaign-scheduler measurements round the
+//! adaptive policy, the per-run set-up of the Fig 6 and Fig 5 sets
+//! (`sci_setup_run`, `web_setup_run`: each scenario built and run for
+//! one simulated second), and an Algorithm 1 sizing sweep through the
+//! cross-tick cache. Two campaign-scheduler measurements round the
 //! suite out: `pool_dispatch_overhead` (one batch of thousands of
 //! trivial jobs on the scoped executor, thread spawns included,
 //! bounding the per-job scheduling cost) and `campaign_smoke_cached`
@@ -65,7 +65,7 @@ use vmprov_bench::{bench, bench_report, black_box, Timing};
 use vmprov_cloudsim::NullProbe;
 use vmprov_des::{EventQueue, RngFactory, SimTime};
 use vmprov_experiments::runner::{builder_for, replication_seed};
-use vmprov_experiments::scenario::{fig6_scenarios, PolicySpec, Scenario};
+use vmprov_experiments::scenario::{fig5_scenarios, fig6_scenarios, PolicySpec, Scenario};
 use vmprov_json::Json;
 
 /// Workload sizes, shrunk by `--quick`.
@@ -88,7 +88,8 @@ struct Sizes {
     /// Simulated hours of the scientific run (long batch jobs need
     /// hours before the adaptive policy scales).
     sci_hours: f64,
-    /// Passes over the six Fig 6 scenarios per `sci_setup_run` run.
+    /// Passes over the six Fig 6 (Fig 5) scenarios per `sci_setup_run`
+    /// (`web_setup_run`) run.
     setup_rounds: usize,
     /// Trivial jobs per `pool_dispatch_overhead` batch.
     pool_jobs: usize,
@@ -487,12 +488,27 @@ fn bench_sci_run(hours: f64, runs: u32) -> Timing {
 /// batch jobs, so booting the initial fleet onto the 1000-host data
 /// center and building the policy and workload dominate.
 fn bench_sci_setup(rounds: usize, runs: u32) -> Timing {
-    let scenarios: Vec<Scenario> = fig6_scenarios(0x5E7)
+    bench_setup("sci_setup_run", fig6_scenarios(0x5E7), rounds, runs)
+}
+
+/// Per-run set-up of the Fig 5 set, timed like `sci_setup_run`. One
+/// simulated second of the web workload is ≈500 requests at Monday
+/// 00:00 (the last 60-second interval is clipped to the horizon), and
+/// those requests, not the fleet boot, make most of a run's cost.
+fn bench_web_setup(rounds: usize, runs: u32) -> Timing {
+    let set = fig5_scenarios(0x5E7, SimTime::from_secs(1.0));
+    bench_setup("web_setup_run", set, rounds, runs)
+}
+
+/// Times `rounds` passes over `scenarios`, each built and run for one
+/// simulated second, in ns per run.
+fn bench_setup(name: &str, scenarios: Vec<Scenario>, rounds: usize, runs: u32) -> Timing {
+    let scenarios: Vec<Scenario> = scenarios
         .into_iter()
         .map(|s| s.with_horizon(SimTime::from_secs(1.0)))
         .collect();
     let ops = (rounds * scenarios.len()) as u64;
-    bench("sci_setup_run", ops, 1, (2 * runs).max(5), || {
+    bench(name, ops, 1, (2 * runs).max(5), || {
         for _ in 0..rounds {
             for s in &scenarios {
                 let rngs = RngFactory::new(replication_seed(s.seed, 0));
@@ -1094,6 +1110,9 @@ fn main() {
         vec![bench_sci_setup(sizes.setup_rounds, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
+        vec![bench_web_setup(sizes.setup_rounds, sizes.runs)]
+    })));
+    groups.push(run_group(Box::new(move || {
         vec![bench_modeler_sweep(sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
@@ -1212,6 +1231,9 @@ fn main() {
     // Headline: what one Fig 6 run costs before its requests do.
     if let Some(setup) = ns_per_op("sci_setup_run") {
         println!("  sci set-up: {:.1} us per Fig 6 run", setup / 1e3);
+    }
+    if let Some(setup) = ns_per_op("web_setup_run") {
+        println!("  web set-up: {:.1} us per Fig 5 run", setup / 1e3);
     }
     // Headline: the shared-scan replay grid vs the sequential
     // scan-per-cell equivalent — the wall-clock number the grid buys.

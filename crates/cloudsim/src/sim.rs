@@ -1249,7 +1249,13 @@ fn run_engine_core<P: Probe, D: Dispatcher>(
     let horizon = engine.world().horizon;
     engine.run_until(horizon);
     withdraw_failure_clocks(&mut engine);
-    // Drain the accepted work that is still in flight.
+    // Drain the accepted work that is still in flight. Generated
+    // workloads submit nothing at or past the horizon (the web
+    // workload clips its last interval to it), so for them the drain
+    // only finishes that work. A replayed trace whose last row carries
+    // a spread still releases arrivals past the trace's end time; the
+    // drain admits and serves them, so a replay offers every request
+    // of the trace.
     engine.run();
     let end = engine.now();
     let world = engine.world_mut();

@@ -90,7 +90,15 @@ use vmprov_json::{FromJson, Json, ToJson};
 /// setting, not part of a run's identity (it has since been removed).
 /// Results keep their meaning, but every key moves, so warm v9 caches
 /// (keyed per backend) miss cleanly.
-pub const CACHE_SCHEMA_VERSION: u32 = 10;
+///
+/// v11: the web workload clips its last interval to the horizon. A web
+/// run whose horizon is not a multiple of 60 s used to simulate the
+/// whole last minute past its end; it now submits only arrivals before
+/// the horizon, so its summary changes meaning. Runs at tiled horizons
+/// (every recorded figure and golden) keep theirs, but a cached entry
+/// does not say which kind of run it answers, so every key moves and
+/// warm v10 caches miss cleanly.
+pub const CACHE_SCHEMA_VERSION: u32 = 11;
 
 /// Computes the content-addressed cache key of `(scenario, rep)`.
 pub fn run_key(scenario: &Scenario, rep: u32) -> u64 {
@@ -434,7 +442,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// The v10 key space, pinned to literals for one web and one
+    /// The v11 key space, pinned to literals for one web and one
     /// trace-replay scenario. A change to `Scenario`'s canonical JSON,
     /// the hash or the seed derivation that moves a key without a
     /// schema bump fails here.
@@ -452,9 +460,9 @@ mod tests {
         };
         let replay = Scenario::trace_replay(spec, PolicySpec::Adaptive, 7)
             .with_analyzer(AnalyzerSpec::SlidingMle { window_secs: 900.0 });
-        assert_eq!(CACHE_SCHEMA_VERSION, 10);
-        assert_eq!(run_key(&web, 0), 0x13fc_302d_d08e_c083);
-        assert_eq!(run_key(&web, 3), 0x6ea8_4aa4_69ed_59dc);
-        assert_eq!(run_key(&replay, 1), 0x98ee_4b02_c37d_9a6a);
+        assert_eq!(CACHE_SCHEMA_VERSION, 11);
+        assert_eq!(run_key(&web, 0), 0x612e_92c8_f696_73ea);
+        assert_eq!(run_key(&web, 3), 0x8a19_025c_a1ae_9da1);
+        assert_eq!(run_key(&replay, 1), 0x881d_b966_7107_4175);
     }
 }

@@ -218,6 +218,12 @@ impl Scenario {
     }
 
     /// Same scenario with a shorter horizon (quick modes).
+    ///
+    /// A generated workload submits only arrivals before the horizon,
+    /// whatever its value: the web workload clips its last 60-second
+    /// interval to it. A horizon the intervals tile (every recorded
+    /// mode) generates exactly the full intervals; one that does not
+    /// ends with a shorter interval carrying its share of the requests.
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = horizon;
         self

@@ -12,8 +12,9 @@
 use std::path::PathBuf;
 use vmprov_cloudsim::RunSummary;
 use vmprov_des::{RngFactory, SimTime};
+use vmprov_experiments::campaign::Campaign;
 use vmprov_experiments::runner::{builder_for, replication_seed, run_once};
-use vmprov_experiments::scenario::{PolicySpec, Scenario};
+use vmprov_experiments::scenario::{fig5_scenarios, PolicySpec, Scenario};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -28,7 +29,9 @@ fn golden_path(name: &str) -> PathBuf {
 /// paper-verbatim M/M/1/k backend exercises the memoized
 /// recurrence path of the modeler. Every golden runs at the default
 /// arrival-run depth; the `…_matches_scalar` tests pin the scalar
-/// cadence to the same summaries.
+/// cadence to the same summaries. `web_adaptive_unaligned` ends half
+/// way through a 60-second web interval, so it pins the clipped last
+/// interval (the run submits nothing past its horizon).
 fn goldens() -> Vec<(&'static str, Scenario)> {
     let web = |p| Scenario::web(p, 1109).with_horizon(SimTime::from_secs(1800.0));
     let sci = |p| Scenario::scientific(p, 2011).with_horizon(SimTime::from_hours(10.0));
@@ -39,6 +42,10 @@ fn goldens() -> Vec<(&'static str, Scenario)> {
         ("web_adaptive", web(PolicySpec::Adaptive)),
         ("scientific_adaptive", sci(PolicySpec::Adaptive)),
         ("web_adaptive_mm1k", mm1k),
+        (
+            "web_adaptive_unaligned",
+            web(PolicySpec::Adaptive).with_horizon(SimTime::from_secs(1830.0)),
+        ),
     ]
 }
 
@@ -99,6 +106,30 @@ fn golden_scientific_adaptive() {
 #[test]
 fn golden_web_adaptive_mm1k() {
     check_golden("web_adaptive_mm1k");
+}
+
+#[test]
+fn golden_web_adaptive_unaligned() {
+    check_golden("web_adaptive_unaligned");
+}
+
+/// A Fig 5 set at one simulated second offers about one second of
+/// traffic (≈500 requests at Monday 00:00), not the whole first
+/// 60-second interval (≈30,000).
+#[test]
+fn a_one_second_fig5_set_offers_one_second_of_traffic() {
+    let mut campaign = Campaign::new(None);
+    let handle = campaign.add_figure(fig5_scenarios(1109, SimTime::from_secs(1.0)), 2);
+    let figure = campaign.run().take(handle);
+    assert_eq!(figure.len(), 6, "one entry per Fig 5 policy");
+    for run in figure.iter().flat_map(|r| &r.runs) {
+        assert!(
+            (1..1000).contains(&run.offered_requests),
+            "{}: {} requests offered in one simulated second",
+            run.policy,
+            run.offered_requests
+        );
+    }
 }
 
 /// Bulk-released arrivals tie-break after every individually scheduled

@@ -9,6 +9,12 @@
 //! * Requests are delivered to the data center in 60-second intervals;
 //!   the per-interval count is normally distributed with σ = 5% of the
 //!   mean, and the requests are spread uniformly inside the interval.
+//! * Generation stops at the horizon. When the horizon is not a
+//!   multiple of the interval, the last interval is clipped to it: it
+//!   runs from its start to the horizon, and its count is the noisy
+//!   rate times that shorter length. Every interval that fits is
+//!   unchanged, so a horizon that the intervals tile (the paper's week,
+//!   every recorded run) generates exactly what it always did.
 //! * Each request needs 100 ms on an idle instance, inflated by
 //!   U(0, 10%) ([`ServiceModel`]); Ts = 250 ms; rejection target 0;
 //!   minimum utilization 80% (those targets live in `vmprov-core`).
@@ -114,10 +120,20 @@ impl WebWorkload {
 impl ArrivalProcess for WebWorkload {
     fn next_batch(&mut self, rng: &mut SimRng) -> Option<ArrivalBatch> {
         let start = self.next_interval_start;
-        if start >= self.config.horizon.as_secs() {
+        let horizon = self.config.horizon.as_secs();
+        if start >= horizon {
             return None;
         }
-        self.next_interval_start = start + self.config.interval;
+        let end = start + self.config.interval;
+        self.next_interval_start = end;
+        // The last interval stops at the horizon. An interval that fits
+        // keeps `interval` itself, not `horizon − start`, so its count
+        // and spread are the unclipped ones bit for bit.
+        let len = if end <= horizon {
+            self.config.interval
+        } else {
+            horizon - start
+        };
         let time = SimTime::from_secs(start);
         let mean_rate = self.model_rate(time);
         let noisy = if self.config.noise_rel_std > 0.0 {
@@ -125,11 +141,11 @@ impl ArrivalProcess for WebWorkload {
         } else {
             mean_rate
         };
-        let count = (noisy.max(0.0) * self.config.interval).round() as u64;
+        let count = (noisy.max(0.0) * len).round() as u64;
         Some(ArrivalBatch {
             time,
             count,
-            spread: self.config.interval,
+            spread: len,
         })
     }
 
@@ -190,22 +206,37 @@ mod tests {
         assert!((w.model_rate(sunday_midnight) - 400.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn batches_cover_horizon_at_interval_spacing() {
+    /// Every batch of a web run at `horizon` seconds, on one seeded stream.
+    fn web_batches(horizon: f64) -> Vec<ArrivalBatch> {
         let mut w = WebWorkload::new(WebConfig {
-            horizon: SimTime::from_secs(600.0),
+            horizon: SimTime::from_secs(horizon),
             ..WebConfig::default()
         });
         let mut rng = RngFactory::new(1).stream("web");
-        let mut times = vec![];
-        while let Some(b) = w.next_batch(&mut rng) {
-            assert_eq!(b.spread, 60.0);
-            times.push(b.time.as_secs());
-        }
+        std::iter::from_fn(|| w.next_batch(&mut rng)).collect()
+    }
+
+    #[test]
+    fn batches_cover_horizon_at_interval_spacing() {
+        let aligned = web_batches(600.0);
+        assert!(aligned.iter().all(|b| b.spread == 60.0));
+        let times: Vec<f64> = aligned.iter().map(|b| b.time.as_secs()).collect();
         assert_eq!(
             times,
             vec![0.0, 60.0, 120.0, 180.0, 240.0, 300.0, 360.0, 420.0, 480.0, 540.0]
         );
+
+        // An unaligned horizon clips only the last interval; the full
+        // ones draw and emit exactly what the aligned run does.
+        let clipped = web_batches(570.0);
+        assert_eq!(clipped.len(), 10);
+        assert_eq!(clipped[..9], aligned[..9]);
+        let last = clipped[9];
+        assert_eq!(last.time.as_secs(), 540.0);
+        assert_eq!(last.spread, 30.0);
+        // Same draw as the aligned run's last interval, over half the length.
+        let full = aligned[9].count as f64;
+        assert!((last.count as f64 - full / 2.0).abs() <= 1.0);
     }
 
     #[test]
