@@ -3,13 +3,15 @@
 //! expands lies in `[0, horizon)`, at the scalar cadence and at the
 //! default run depth alike, including at horizons that cut through a
 //! generator's natural step (a web interval, a scientific off-peak
-//! window, a piecewise step).
+//! window, a piecewise step). A trace replay cut short stops at its
+//! first row past the horizon.
 
 use vmprov_cloudsim::ArrivalStream;
 use vmprov_des::{RngFactory, SimTime, HOUR};
 use vmprov_workloads::synthetic::{PiecewiseRateProcess, PoissonProcess, RampProcess};
 use vmprov_workloads::{
-    ArrivalProcess, ScientificConfig, ScientificWorkload, WebConfig, WebWorkload,
+    generate_poisson_csv, ArrivalProcess, ScientificConfig, ScientificWorkload, TraceSpec,
+    WebConfig, WebWorkload,
 };
 
 /// Every arrival time of `workload`, expanding and taking until the end.
@@ -74,6 +76,15 @@ fn every_generated_arrival_falls_before_the_horizon() {
     });
     assert_within_horizon("ramp", 7.7, || {
         RampProcess::new(10.0, 300.0, SimTime::from_secs(7.7))
+    });
+    // A 600-second trace cut at 10.5 s, read 7 rows at a time so the
+    // cut lands inside a chunk, past several refills.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("horizon_contract.csv");
+    let file = std::fs::File::create(&path).expect("create trace");
+    generate_poisson_csv(file, 50.0, SimTime::from_secs(600.0), 3).expect("write trace");
+    let spec = TraceSpec::scan(&path, 7).expect("scan trace");
+    assert_within_horizon("trace", 10.5, || {
+        spec.replay().with_horizon(SimTime::from_secs(10.5))
     });
 }
 

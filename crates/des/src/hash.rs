@@ -14,6 +14,10 @@
 //! behaviour over the multi-hundred-byte canonical-JSON keys the cache
 //! feeds it is indistinguishable from random for 64-bit use. Callers
 //! that need a one-shot digest can use [`stable_hash64`].
+//!
+//! Every method is a `const fn`, so a digest of bytes known at compile
+//! time (the run cache's digest of the committed goldens) is computed
+//! by this same code at compile time.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -35,41 +39,43 @@ impl Default for StableHasher {
 
 impl StableHasher {
     /// Starts a hasher at the FNV offset basis.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         StableHasher { state: FNV_OFFSET }
     }
 
     /// Feeds raw bytes.
     #[inline]
-    pub fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.state ^= u64::from(*b);
+    pub const fn write(&mut self, bytes: &[u8]) {
+        let mut i = 0;
+        while i < bytes.len() {
+            self.state ^= bytes[i] as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
+            i += 1;
         }
     }
 
     /// Feeds a `u32` as little-endian bytes.
     #[inline]
-    pub fn write_u32(&mut self, n: u32) {
+    pub const fn write_u32(&mut self, n: u32) {
         self.write(&n.to_le_bytes());
     }
 
     /// Feeds a `u64` as little-endian bytes.
     #[inline]
-    pub fn write_u64(&mut self, n: u64) {
+    pub const fn write_u64(&mut self, n: u64) {
         self.write(&n.to_le_bytes());
     }
 
     /// The digest of everything written so far.
     #[inline]
-    pub fn finish(&self) -> u64 {
+    pub const fn finish(&self) -> u64 {
         self.state
     }
 }
 
 /// One-shot digest of a byte string (FNV-1a 64).
 #[inline]
-pub fn stable_hash64(bytes: &[u8]) -> u64 {
+pub const fn stable_hash64(bytes: &[u8]) -> u64 {
     let mut h = StableHasher::new();
     h.write(bytes);
     h.finish()

@@ -34,7 +34,7 @@
 //! process's peak RSS. `--analyzer` picks the rate source driving
 //! Algorithm 1: the oracle (whole-trace mean), the sliding-window MLE,
 //! or the EWMA estimator. Replays share the figures' run cache, keyed
-//! by trace *content hash* (schema v5). `--rep N` picks the
+//! by trace *content hash*. `--rep N` picks the
 //! replication index (seed derivation only; output names are
 //! unchanged).
 //!

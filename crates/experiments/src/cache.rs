@@ -3,23 +3,23 @@
 //! A run is fully determined by its [`Scenario`] and replication index
 //! (the simulation is deterministic given its derived seed), so its
 //! [`RunSummary`] can be addressed by *content*: the cache key is a
-//! stable 64-bit hash over the canonical JSON of the scenario plus the
-//! replication index, its derived seed, and a schema tag. Re-running an
-//! unchanged figure then costs one file read per replication instead of
-//! a simulation.
+//! stable 64-bit hash over the digest of the committed goldens, the
+//! canonical JSON of the scenario, the replication index and its
+//! derived seed. Re-running an unchanged figure then costs one file
+//! read per replication instead of a simulation.
 //!
 //! Keying rules:
 //!
 //! * **Every** result-influencing scenario field is in the canonical
 //!   JSON (`Scenario::to_json` serializes all fields; an exhaustiveness
 //!   test breaks when a new field is added unserialized).
-//! * [`CACHE_SCHEMA_VERSION`] must be bumped whenever the *meaning* of
-//!   a cached entry changes: a `RunSummary` field is added/removed/
-//!   reinterpreted, simulation semantics change intentionally (i.e.
-//!   whenever goldens are regenerated), or the key derivation itself
-//!   changes. The bump orphans all old entries, which simply become
-//!   dead files (there is no eviction — entries are a few hundred bytes
-//!   and campaigns are finite).
+//! * Keys move when the goldens move. A change to run semantics or to
+//!   `RunSummary` fails the goldens (`tests/golden_summaries.rs`), and
+//!   regenerating them changes the bytes `build.rs` embeds, so every
+//!   key moves with no manual step. Old entries simply become dead
+//!   files (there is no eviction — entries are a few hundred bytes and
+//!   campaigns are finite). A change to the key derivation itself moves
+//!   the literals `run_keys_are_pinned` holds.
 //! * A corrupted, truncated, or unparseable entry is a **miss**, never
 //!   an error: the run is recomputed and the entry rewritten.
 //!
@@ -36,75 +36,39 @@ use vmprov_cloudsim::RunSummary;
 use vmprov_des::StableHasher;
 use vmprov_json::{FromJson, Json, ToJson};
 
-/// Bump on any change to run semantics, `RunSummary` layout, or key
-/// derivation (see the module docs for the checklist).
-///
-/// v2: `Scenario` gained the `sampler` field (variate-sampler backend),
-/// which enters the canonical JSON and therefore every key.
-///
-/// v3: `Scenario` gained the `shards` field (intra-run shard count).
-/// Serial entries are unchanged in meaning, but the canonical JSON now
-/// carries a `shards` member, so every key moves; sharded cells hash
-/// distinctly from serial ones because the sharded stream is its own
-/// deterministic semantics.
-///
-/// v4: `Scenario` gained the `analyzer` (rate-estimator spec) and
-/// `trace` (streamed trace replay) fields. Replay entries key on the
-/// trace's *content hash* — never its path or chunk size — so two
-/// copies of one trace share entries while an edited trace can never
-/// alias the old one.
-///
-/// v5: `Scenario` gained the `arrival_run` field (arrival-burst
-/// prefetch depth). The default of 1 leaves run semantics untouched
-/// (the scalar path stays golden-identical), but depths above 1 are a
-/// different event-id interleaving on workloads whose arrivals tie
-/// control ticks exactly, so batched cells must hash apart.
-///
-/// v6: `Scenario` gained the `stats_mode` field (per-request stats
-/// sink). The streaming default stays golden-identical, but batched
-/// accumulation folds samples in a different float order, so batched
-/// cells must hash apart — and every key moves because the canonical
-/// JSON now carries a `stats_mode` member, so warm v5 caches miss
-/// cleanly instead of replaying stale summaries.
-///
-/// v7: the intra-run shard engine and the batched stats sink were
-/// removed, and with them the `shards` and `stats_mode` members of the
-/// canonical JSON. Surviving serial streaming runs keep their meaning,
-/// but every key moves, so warm v6 caches miss cleanly.
-///
-/// v8: the ziggurat variate sampler was removed, and with it the
-/// `sampler` member of the canonical JSON. Inverse-CDF runs keep their
-/// meaning, but every key moves, so warm v7 caches miss cleanly.
-///
-/// v9: the `arrival_run` member left the canonical JSON. Bulk-released
-/// arrivals now tie-break after every individually scheduled event at
-/// their instant, so every prefetch depth yields the scalar summary and
-/// the depth is a performance setting of `SimConfig`, not part of a
-/// run's identity. Scalar runs keep their meaning, but every key moves,
-/// so warm v8 caches (including their batched cells, keyed on the old
-/// interleaving) miss cleanly.
-///
-/// v10: the event-list backend member left the canonical JSON. The
-/// calendar queue was replaced by a 4-ary heap, and every event-list
-/// backend yielded the same summary, so the backend was an execution
-/// setting, not part of a run's identity (it has since been removed).
-/// Results keep their meaning, but every key moves, so warm v9 caches
-/// (keyed per backend) miss cleanly.
-///
-/// v11: the web workload clips its last interval to the horizon. A web
-/// run whose horizon is not a multiple of 60 s used to simulate the
-/// whole last minute past its end; it now submits only arrivals before
-/// the horizon, so its summary changes meaning. Runs at tiled horizons
-/// (every recorded figure and golden) keep theirs, but a cached entry
-/// does not say which kind of run it answers, so every key moves and
-/// warm v10 caches miss cleanly.
-pub const CACHE_SCHEMA_VERSION: u32 = 11;
+/// The committed goldens, `(file name, bytes)` in name order, embedded
+/// by `build.rs`.
+const GOLDENS: &[(&str, &[u8])] = include!(concat!(env!("OUT_DIR"), "/goldens.rs"));
+
+/// The tag every key mixes in, computed at compile time.
+const GOLDENS_TAG: u64 = goldens_digest(GOLDENS);
+
+/// Digest of a goldens table: each file's name and bytes, each
+/// length-prefixed so no two tables hash alike by shifting a boundary.
+pub const fn goldens_digest(goldens: &[(&str, &[u8])]) -> u64 {
+    let mut h = StableHasher::new();
+    let mut i = 0;
+    while i < goldens.len() {
+        let (name, bytes) = goldens[i];
+        h.write_u64(name.len() as u64);
+        h.write(name.as_bytes());
+        h.write_u64(bytes.len() as u64);
+        h.write(bytes);
+        i += 1;
+    }
+    h.finish()
+}
 
 /// Computes the content-addressed cache key of `(scenario, rep)`.
 pub fn run_key(scenario: &Scenario, rep: u32) -> u64 {
+    run_key_with(GOLDENS_TAG, scenario, rep)
+}
+
+/// [`run_key`] under the goldens digest `tag`.
+fn run_key_with(tag: u64, scenario: &Scenario, rep: u32) -> u64 {
     let mut h = StableHasher::new();
     h.write(b"vmprov-run-cache");
-    h.write_u32(CACHE_SCHEMA_VERSION);
+    h.write_u64(tag);
     h.write(scenario.to_json().to_string_canonical().as_bytes());
     h.write_u32(rep);
     // The derived seed is implied by (scenario.seed, rep), but hashing
@@ -321,135 +285,8 @@ mod tests {
         assert_ne!(k0, run_key(&reseeded, 0));
     }
 
-    /// The canonical JSON of `s` as an older schema hashed it:
-    /// `fel_backend` (v9 and earlier, always the calendar default
-    /// here) after `boot_delay`, then `extra` right after it.
-    fn legacy_members(s: &Scenario, extra: &[(&str, Json)]) -> Vec<(String, Json)> {
-        let Json::Obj(mut members) = s.to_json() else {
-            panic!("scenario JSON must be an object");
-        };
-        let at = members
-            .iter()
-            .position(|(k, _)| k == "boot_delay")
-            .expect("the JSON carries boot_delay")
-            + 1;
-        let legacy = std::iter::once(("fel_backend", Json::from("calendar")))
-            .chain(extra.iter().cloned())
-            .map(|(k, v)| (k.to_string(), v));
-        members.splice(at..at, legacy);
-        members
-    }
-
-    /// Hashes `members` the way a binary at schema `version` did.
-    fn legacy_key(version: u32, members: Vec<(String, Json)>, s: &Scenario) -> u64 {
-        let mut h = StableHasher::new();
-        h.write(b"vmprov-run-cache");
-        h.write_u32(version);
-        h.write(Json::Obj(members).to_string_canonical().as_bytes());
-        h.write_u32(0);
-        h.write_u64(replication_seed(s.seed, 0));
-        h.finish()
-    }
-
-    /// A warm cache keyed under schema v7 must miss cleanly after the
-    /// v8 re-keying (the v7 canonical JSON also carried a `sampler`
-    /// member), rather than replay entries against the new key space.
-    /// The probe uses the current key, which moved again at v9 and v10.
-    #[test]
-    fn v7_keyed_entries_miss_under_v8() {
-        let cache = tmp_cache("v7_rekey");
-        let s = tiny();
-        let fresh = run_once(&s, 0);
-        // Reconstruct the v7 key: old schema tag, canonical JSON plus
-        // the removed members (exactly what v7 binaries hashed for a
-        // scalar inverse-CDF run).
-        let mut members = legacy_members(&s, &[("sampler", Json::from("inverse_cdf"))]);
-        members.push(("arrival_run".to_string(), Json::from(1u32)));
-        let v7_key = legacy_key(7, members, &s);
-        cache.store(v7_key, &fresh).expect("store");
-        let v8_key = run_key(&s, 0);
-        assert_ne!(v7_key, v8_key, "schema bump must move every key");
-        assert!(
-            matches!(cache.lookup(v8_key), Lookup::Miss),
-            "a v7-keyed entry must not satisfy a v8 probe"
-        );
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    /// A warm cache keyed under schema v8 must miss cleanly after the
-    /// v9 re-keying (the v8 canonical JSON also carried an
-    /// `arrival_run` member, whose depth-64 cells held a different
-    /// interleaving on the scientific workload).
-    #[test]
-    fn v8_keyed_entries_miss_under_v9() {
-        let cache = tmp_cache("v8_rekey");
-        let s = tiny();
-        let fresh = run_once(&s, 0);
-        let mut v8_keys = Vec::new();
-        for depth in [1u32, 64] {
-            // Reconstruct the v8 key: old schema tag, canonical JSON
-            // plus the removed trailing member (exactly what v8
-            // binaries hashed for a run at this depth).
-            let mut members = legacy_members(&s, &[]);
-            members.push(("arrival_run".to_string(), Json::from(depth)));
-            let v8_key = legacy_key(8, members, &s);
-            cache.store(v8_key, &fresh).expect("store");
-            v8_keys.push(v8_key);
-        }
-        let v9_key = run_key(&s, 0);
-        assert!(
-            !v8_keys.contains(&v9_key),
-            "schema bump must move every key"
-        );
-        assert!(
-            matches!(cache.lookup(v9_key), Lookup::Miss),
-            "a v8-keyed entry must not satisfy a v9 probe"
-        );
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    /// A warm cache keyed under schema v9 must miss cleanly after the
-    /// v10 re-keying (the v9 canonical JSON also carried a
-    /// `fel_backend` member, one key per backend).
-    #[test]
-    fn v9_keyed_entries_miss_under_v10() {
-        let cache = tmp_cache("v9_rekey");
-        let s = tiny();
-        let fresh = run_once(&s, 0);
-        let mut v9_keys = Vec::new();
-        for fel in ["calendar", "binary_heap"] {
-            // Reconstruct the v9 key: old schema tag, canonical JSON
-            // with the removed member after `boot_delay`.
-            let mut members = legacy_members(&s, &[]);
-            let at = members
-                .iter()
-                .position(|(k, _)| k == "fel_backend")
-                .expect("legacy members carry fel_backend");
-            members[at].1 = Json::from(fel);
-            let v9_key = legacy_key(9, members, &s);
-            cache.store(v9_key, &fresh).expect("store");
-            v9_keys.push(v9_key);
-        }
-        let v10_key = run_key(&s, 0);
-        assert!(
-            !v9_keys.contains(&v10_key),
-            "schema bump must move every key"
-        );
-        assert!(
-            matches!(cache.lookup(v10_key), Lookup::Miss),
-            "a v9-keyed entry must not satisfy a v10 probe"
-        );
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    /// The v11 key space, pinned to literals for one web and one
-    /// trace-replay scenario. A change to `Scenario`'s canonical JSON,
-    /// the hash or the seed derivation that moves a key without a
-    /// schema bump fails here.
-    #[test]
-    fn run_keys_are_pinned() {
-        let web = Scenario::web(PolicySpec::Adaptive, 42).with_horizon(SimTime::from_secs(3600.0));
-        let spec = TraceSpec {
+    fn pinned_trace() -> TraceSpec {
+        TraceSpec {
             path: std::path::PathBuf::from("/nonexistent/pinned.csv"),
             content_hash: 0x5EED_CAFE,
             total_requests: 60_000,
@@ -457,12 +294,61 @@ mod tests {
             end_time: SimTime::from_secs(600.0),
             mean_rate: 100.0,
             chunk: 4096,
-        };
-        let replay = Scenario::trace_replay(spec, PolicySpec::Adaptive, 7)
-            .with_analyzer(AnalyzerSpec::SlidingMle { window_secs: 900.0 });
-        assert_eq!(CACHE_SCHEMA_VERSION, 11);
-        assert_eq!(run_key(&web, 0), 0x612e_92c8_f696_73ea);
-        assert_eq!(run_key(&web, 3), 0x8a19_025c_a1ae_9da1);
-        assert_eq!(run_key(&replay, 1), 0x881d_b966_7107_4175);
+        }
+    }
+
+    /// One scenario of each workload kind.
+    fn every_kind() -> [Scenario; 3] {
+        [
+            Scenario::web(PolicySpec::Adaptive, 42).with_horizon(SimTime::from_secs(3600.0)),
+            Scenario::scientific(PolicySpec::Static(45), 11)
+                .with_horizon(SimTime::from_hours(10.0)),
+            Scenario::trace_replay(pinned_trace(), PolicySpec::Adaptive, 7)
+                .with_analyzer(AnalyzerSpec::SlidingMle { window_secs: 900.0 }),
+        ]
+    }
+
+    /// Editing any one byte of any golden moves the key of every
+    /// scenario kind: regenerating a golden re-keys the whole cache.
+    #[test]
+    fn every_golden_byte_moves_every_key() {
+        assert!(!GOLDENS.is_empty(), "the goldens table is embedded");
+        for edited in 0..GOLDENS.len() {
+            let mut copy: Vec<(&str, Vec<u8>)> =
+                GOLDENS.iter().map(|&(n, b)| (n, b.to_vec())).collect();
+            let bytes = &mut copy[edited].1;
+            let at = bytes.len() / 2;
+            bytes[at] ^= 1;
+            let table: Vec<(&str, &[u8])> = copy.iter().map(|(n, b)| (*n, &b[..])).collect();
+            let tag = goldens_digest(&table);
+            for s in every_kind() {
+                assert_ne!(
+                    run_key_with(tag, &s, 0),
+                    run_key(&s, 0),
+                    "{}: a flipped byte left the {:?} key in place",
+                    GOLDENS[edited].0,
+                    s.workload
+                );
+            }
+        }
+    }
+
+    /// The key derivation, pinned to literals under a fixed tag for one
+    /// scenario of each workload kind. A change to `Scenario`'s
+    /// canonical JSON, the hash or the seed derivation fails here;
+    /// regenerating a golden does not (it moves the tag, not the
+    /// derivation).
+    #[test]
+    fn run_keys_are_pinned() {
+        const TAG: u64 = 0x0123_4567_89ab_cdef;
+        let [web, sci, replay] = every_kind();
+        assert_eq!(
+            run_key(&web, 0),
+            run_key_with(goldens_digest(GOLDENS), &web, 0)
+        );
+        assert_eq!(run_key_with(TAG, &web, 0), 0xa551_c624_4cfa_d909);
+        assert_eq!(run_key_with(TAG, &web, 3), 0x495e_9efe_6c3a_1706);
+        assert_eq!(run_key_with(TAG, &sci, 2), 0xddc8_6eda_41d7_59c5);
+        assert_eq!(run_key_with(TAG, &replay, 1), 0xbe6d_aacb_6007_ff64);
     }
 }

@@ -34,7 +34,7 @@ pub use ablations::{
     ablation_table, analyzer_ablation, backend_ablation, boot_delay_ablation, dispatch_ablation,
     AblationRow,
 };
-pub use cache::{run_key, Lookup, RunCache, CACHE_SCHEMA_VERSION};
+pub use cache::{run_key, Lookup, RunCache};
 pub use campaign::{Campaign, CampaignResult, CampaignStats, FigureHandle};
 pub use figures::{fig3_series, fig4_series, fig5_spec, fig6_spec, table2, RunMode};
 pub use grid::{grid_table, GridCell, GridOutcome, GridStats, ReplayGrid, StatsMode, MAX_WAVE};

@@ -224,6 +224,8 @@ impl Scenario {
     /// interval to it. A horizon the intervals tile (every recorded
     /// mode) generates exactly the full intervals; one that does not
     /// ends with a shorter interval carrying its share of the requests.
+    /// A trace replay stops at its first row past the horizon; past the
+    /// trace's last row it replays every row.
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = horizon;
         self
@@ -282,7 +284,12 @@ impl Scenario {
                 horizon: self.horizon,
             })
             .into(),
-            WorkloadKind::Trace => self.trace_spec().replay().into(),
+            WorkloadKind::Trace => {
+                let spec = self.trace_spec();
+                spec.replay()
+                    .with_horizon(self.horizon.min(spec.end_time))
+                    .into()
+            }
         }
     }
 
@@ -585,8 +592,8 @@ mod tests {
         use vmprov_json::ToJson;
         let s = Scenario::web(PolicySpec::Static(3), 5);
         // Exhaustive destructuring: adding a field to `Scenario` breaks
-        // this build until `to_json` serializes it (and the cache
-        // schema tag is bumped — see the checklist in EXPERIMENTS.md).
+        // this build until `to_json` serializes it, which moves every
+        // run-cache key on its own.
         let Scenario {
             workload: _,
             policy: _,
@@ -617,7 +624,7 @@ mod tests {
                 "analyzer",
                 "trace",
             ],
-            "the canonical JSON is the run-cache identity (schema v10)"
+            "the canonical JSON is the run-cache identity"
         );
         assert_eq!(j.get("seed").unwrap().as_u64(), Some(5));
         assert_eq!(j.get("workload").unwrap().as_str(), Some("web"));

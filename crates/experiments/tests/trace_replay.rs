@@ -1,6 +1,7 @@
 //! End-to-end tests of the streaming trace-replay path: the
 //! `DatasetReader` seam under the full simulator, estimator-driven
-//! provisioning vs the oracle, v4 cache keying, and the `repro replay`
+//! provisioning vs the oracle, content-hash cache keying, horizon cuts
+//! and the `repro replay`
 //! subcommand.
 
 use std::fs;
@@ -131,6 +132,31 @@ fn cache_keys_track_trace_content_not_location_or_chunk() {
     let spec_edited = TraceSpec::scan(&edited, DEFAULT_CHUNK).unwrap();
     assert_ne!(spec.content_hash, spec_edited.content_hash);
     assert_ne!(base, key(spec_edited, AnalyzerSpec::Oracle));
+}
+
+/// A trace scenario cut short with `with_horizon` replays only the rows
+/// at or before its horizon. Its cache key moves with the horizon, so
+/// its run must too: a 10-second cut of a 600-second, 50 req/s trace
+/// offers about 500 requests, not the whole trace's 30,000.
+#[test]
+fn with_horizon_cuts_a_trace_replay() {
+    let path = gen_trace("replay_horizon.csv", 50.0, 600.0, 41);
+    let spec = TraceSpec::scan(&path, DEFAULT_CHUNK).unwrap();
+    let whole = Scenario::trace_replay(spec.clone(), PolicySpec::Static(5), 41);
+    let cut = whole
+        .clone()
+        .with_horizon(vmprov_des::SimTime::from_secs(10.0));
+    assert_ne!(run_key(&whole, 0), run_key(&cut, 0));
+
+    let rows_by_10s = fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .skip(1)
+        .filter(|row| row.split(',').next().unwrap().parse::<f64>().unwrap() <= 10.0)
+        .count() as u64;
+    assert!((400..600).contains(&rows_by_10s), "{rows_by_10s} rows");
+    assert_eq!(run_once(&whole, 0).offered_requests, spec.total_requests);
+    assert_eq!(run_once(&cut, 0).offered_requests, rows_by_10s);
 }
 
 #[test]

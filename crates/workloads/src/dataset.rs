@@ -1331,6 +1331,14 @@ impl StreamReplay {
         }
     }
 
+    /// The same replay, ending at `horizon`: the first row whose time
+    /// is past it ends the stream (a row at the horizon still replays).
+    /// A horizon at or past the trace's last row replays every row.
+    pub fn with_horizon(mut self, horizon: SimTime) -> StreamReplay {
+        self.horizon = horizon;
+        self
+    }
+
     fn refill(&mut self) -> Option<()> {
         self.pos = 0;
         if let ReplaySource::Shared(consumer) = &mut self.source {
@@ -1428,6 +1436,9 @@ impl ArrivalProcess for StreamReplay {
             self.refill()?;
         }
         let b = self.buf.as_slice()[self.pos];
+        if b.time > self.horizon {
+            return None;
+        }
         self.pos += 1;
         Some(b)
     }
@@ -1450,7 +1461,13 @@ impl ArrivalProcess for StreamReplay {
                 break;
             }
             let buf = self.buf.as_slice();
-            let window = &buf[self.pos..buf.len().min(self.pos + (max - n))];
+            let mut window = &buf[self.pos..buf.len().min(self.pos + (max - n))];
+            // Rows are in time order, so the horizon cuts a window at
+            // most once, and only the last window it reaches.
+            let past = window.last().is_some_and(|b| b.time > self.horizon);
+            if past {
+                window = &window[..window.partition_point(|b| b.time <= self.horizon)];
+            }
             // Honor the stop-after-spread rule: copy up to and
             // including the first spread > 0 batch of the window.
             let take = match window.iter().position(|b| b.spread > 0.0) {
@@ -1461,7 +1478,7 @@ impl ArrivalProcess for StreamReplay {
             let stop = window[..take].last().is_some_and(|b| b.spread > 0.0);
             self.pos += take;
             n += take;
-            if stop {
+            if stop || past {
                 break;
             }
         }
