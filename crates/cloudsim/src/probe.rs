@@ -133,10 +133,11 @@ impl ToJson for PoolSample {
 /// needs. Hooks receive `&mut self` and plain data; they must not (and
 /// cannot) touch the simulation, its RNG streams, or its event list —
 /// which is what keeps any probe's run bit-identical to a probe-less
-/// one. Periodic sampling is opt-in via [`sample_interval`]
-/// (Self::sample_interval): returning `Some(Δt)` makes the simulation
-/// deliver [`on_sample`](Self::on_sample) at t = 0, Δt, 2Δt, … (plus
-/// one final sample when the run ends off-grid).
+/// one. Periodic sampling is opt-in via
+/// [`sample_interval`](Self::sample_interval): returning `Some(Δt)`
+/// makes the simulation deliver [`on_sample`](Self::on_sample) at
+/// t = 0, Δt, 2Δt, … (plus one final sample when the run ends
+/// off-grid).
 pub trait Probe {
     /// A request reaches admission control.
     #[inline]

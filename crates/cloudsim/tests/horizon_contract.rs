@@ -8,7 +8,7 @@
 
 use vmprov_cloudsim::ArrivalStream;
 use vmprov_des::{RngFactory, SimTime, HOUR};
-use vmprov_workloads::synthetic::{PiecewiseRateProcess, PoissonProcess, RampProcess};
+use vmprov_workloads::synthetic::{PiecewiseRateProcess, PoissonProcess};
 use vmprov_workloads::{
     generate_poisson_csv, ArrivalProcess, ScientificConfig, ScientificWorkload, TraceSpec,
     WebConfig, WebWorkload,
@@ -73,9 +73,6 @@ fn every_generated_arrival_falls_before_the_horizon() {
     });
     assert_within_horizon("step", 12.3, || {
         PiecewiseRateProcess::step(50.0, 200.0, 5.0, SimTime::from_secs(12.3))
-    });
-    assert_within_horizon("ramp", 7.7, || {
-        RampProcess::new(10.0, 300.0, SimTime::from_secs(7.7))
     });
     // A 600-second trace cut at 10.5 s, read 7 rows at a time so the
     // cut lands inside a chunk, past several refills.

@@ -6,9 +6,9 @@
 //! supplies the missing piece: estimators that consume the monitoring
 //! loop's per-window arrival counts and expose a current rate estimate,
 //! plus [`EstimatorAnalyzer`], the adapter that mounts any estimator
-//! behind the [`WorkloadAnalyzer`](crate::analyzer::WorkloadAnalyzer)
-//! seam so [`AdaptivePolicy`](crate::policy::AdaptivePolicy) runs
-//! unchanged on estimated λ.
+//! behind the [`WorkloadAnalyzer`] seam so
+//! [`AdaptivePolicy`](crate::policy::AdaptivePolicy) runs unchanged on
+//! estimated λ.
 //!
 //! Two estimators:
 //!
@@ -136,8 +136,7 @@ impl RateEstimator for EwmaRate {
     }
 }
 
-/// Mounts a [`RateEstimator`] behind the
-/// [`WorkloadAnalyzer`](crate::analyzer::WorkloadAnalyzer) seam:
+/// Mounts a [`RateEstimator`] behind the [`WorkloadAnalyzer`] seam:
 /// `observe` feeds the estimator, `predict_rate` reports the estimate
 /// inflated by a relative `headroom` (the estimator's standard error is
 /// what the headroom buys slack against), and until the first

@@ -1,4 +1,6 @@
-//! Probability distributions for workload and service-time modelling.
+//! Probability distributions for workload modelling: exponential gaps
+//! (Poisson traffic), Weibull (the Bag-of-Tasks model) and normal (the
+//! web model's rate noise).
 //!
 //! Implemented over the engine's own uniform source ([`SimRng`]) so that
 //! every sampler in the repository is deterministic, documented, and
@@ -19,60 +21,6 @@ pub trait Distribution: Send + Sync {
 
     /// Analytic variance, if finite and known.
     fn variance(&self) -> Option<f64>;
-}
-
-/// Degenerate distribution: always `value`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deterministic {
-    /// The constant returned by every draw.
-    pub value: f64,
-}
-
-impl Deterministic {
-    /// Creates the point mass at `value`.
-    pub fn new(value: f64) -> Self {
-        Deterministic { value }
-    }
-}
-
-impl Distribution for Deterministic {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.value
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.value)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(0.0)
-    }
-}
-
-/// Continuous uniform on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates U(lo, hi). Panics if `lo > hi` or either bound is non-finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.uniform(self.lo, self.hi)
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(0.5 * (self.lo + self.hi))
-    }
-    fn variance(&self) -> Option<f64> {
-        let w = self.hi - self.lo;
-        Some(w * w / 12.0)
-    }
 }
 
 /// Exponential with rate λ (mean 1/λ). Sampled by inversion.
@@ -223,148 +171,23 @@ impl Distribution for Normal {
     }
 }
 
-/// Log-normal: `exp(N(mu, sigma²))`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates LogNormal with underlying normal parameters (mu, sigma).
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0 && sigma.is_finite() && mu.is_finite());
-        LogNormal { mu, sigma }
-    }
-}
-
-impl Distribution for LogNormal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        (self.mu + self.sigma * Normal::standard_sample(rng)).exp()
-    }
-    fn mean(&self) -> Option<f64> {
-        Some((self.mu + 0.5 * self.sigma * self.sigma).exp())
-    }
-    fn variance(&self) -> Option<f64> {
-        let s2 = self.sigma * self.sigma;
-        Some((s2.exp() - 1.0) * (2.0 * self.mu + s2).exp())
-    }
-}
-
-/// Pareto (type I) with scale `x_m > 0` and shape `alpha > 0`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    xm: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates Pareto(x_m, alpha). Panics unless both are positive.
-    pub fn new(xm: f64, alpha: f64) -> Self {
-        assert!(xm > 0.0 && alpha > 0.0);
-        Pareto { xm, alpha }
-    }
-}
-
-impl Distribution for Pareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.xm / rng.uniform01_open_left().powf(1.0 / self.alpha)
-    }
-    fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.xm / (self.alpha - 1.0))
-    }
-    fn variance(&self) -> Option<f64> {
-        (self.alpha > 2.0).then(|| {
-            let a = self.alpha;
-            self.xm * self.xm * a / ((a - 1.0) * (a - 1.0) * (a - 2.0))
-        })
-    }
-}
-
-/// Empirical distribution: samples uniformly from observed values.
-#[derive(Debug, Clone)]
-pub struct Empirical {
-    values: Vec<f64>,
-}
-
-impl Empirical {
-    /// Creates an empirical distribution over `values`.
-    ///
-    /// # Panics
-    /// Panics if `values` is empty.
-    pub fn new(values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "empirical distribution needs data");
-        Empirical { values }
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.values[rng.below(self.values.len())]
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-    }
-    fn variance(&self) -> Option<f64> {
-        let m = self.mean()?;
-        let n = self.values.len() as f64;
-        Some(self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / n)
-    }
-}
-
-/// Wraps a distribution so samples are clamped to `[lo, hi]`.
-///
-/// Used e.g. to keep noisy arrival counts non-negative. Note that
-/// clamping biases the moments; `mean`/`variance` report the *underlying*
-/// values and callers relying on exact moments should avoid heavy
-/// truncation.
-#[derive(Debug, Clone)]
-pub struct Clamped<D> {
-    inner: D,
-    lo: f64,
-    hi: f64,
-}
-
-impl<D: Distribution> Clamped<D> {
-    /// Clamps `inner` to `[lo, hi]`.
-    pub fn new(inner: D, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi);
-        Clamped { inner, lo, hi }
-    }
-}
-
-impl<D: Distribution> Distribution for Clamped<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.inner.sample(rng).clamp(self.lo, self.hi)
-    }
-    fn mean(&self) -> Option<f64> {
-        self.inner.mean()
-    }
-    fn variance(&self) -> Option<f64> {
-        self.inner.variance()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::RngFactory;
 
-    fn sample_moments(d: &dyn Distribution, n: usize, label: &str) -> (f64, f64) {
+    fn check_moments(d: &dyn Distribution, label: &str, tol: f64) {
+        const N: usize = 200_000;
         let mut rng = RngFactory::new(0xD15C0).stream(label);
         let mut sum = 0.0;
         let mut sum2 = 0.0;
-        for _ in 0..n {
+        for _ in 0..N {
             let x = d.sample(&mut rng);
             sum += x;
             sum2 += x * x;
         }
-        let mean = sum / n as f64;
-        (mean, sum2 / n as f64 - mean * mean)
-    }
-
-    fn check_moments(d: &dyn Distribution, label: &str, tol: f64) {
-        let (m, v) = sample_moments(d, 200_000, label);
+        let m = sum / N as f64;
+        let v = sum2 / N as f64 - m * m;
         let want_m = d.mean().unwrap();
         let want_v = d.variance().unwrap();
         assert!(
@@ -375,22 +198,6 @@ mod tests {
             (v - want_v).abs() <= 4.0 * tol * want_v.abs().max(1.0),
             "{label}: var {v} vs {want_v}"
         );
-    }
-
-    #[test]
-    fn deterministic_is_constant() {
-        let d = Deterministic::new(3.5);
-        let mut rng = RngFactory::new(1).stream("det");
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 3.5);
-        }
-        assert_eq!(d.mean(), Some(3.5));
-        assert_eq!(d.variance(), Some(0.0));
-    }
-
-    #[test]
-    fn uniform_moments() {
-        check_moments(&Uniform::new(2.0, 8.0), "uniform", 0.01);
     }
 
     #[test]
@@ -427,7 +234,7 @@ mod tests {
         assert_eq!(d.survival(-1.0), 1.0);
         assert!((d.survival(2.11) - (-1.0f64).exp()).abs() < 1e-12);
         assert!((d.cdf(2.11) + d.survival(2.11) - 1.0).abs() < 1e-15);
-        // Empirical check at one point.
+        // Monte Carlo check at one point.
         let mut rng = RngFactory::new(21).stream("wsf");
         let n = 100_000;
         let over = (0..n).filter(|_| d.sample(&mut rng) > 3.0).count();
@@ -442,42 +249,6 @@ mod tests {
     #[test]
     fn normal_moments() {
         check_moments(&Normal::new(10.0, 3.0), "normal", 0.01);
-    }
-
-    #[test]
-    fn lognormal_moments() {
-        check_moments(&LogNormal::new(0.0, 0.5), "lognormal", 0.02);
-    }
-
-    #[test]
-    fn pareto_moments_and_infinite_variance() {
-        check_moments(&Pareto::new(1.0, 4.0), "pareto", 0.03);
-        assert!(Pareto::new(1.0, 1.5).mean().is_some());
-        assert!(Pareto::new(1.0, 1.5).variance().is_none());
-        assert!(Pareto::new(1.0, 0.5).mean().is_none());
-    }
-
-    #[test]
-    fn empirical_sampling() {
-        let d = Empirical::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.mean(), Some(2.5));
-        let (m, _) = sample_moments(&d, 100_000, "emp");
-        assert!((m - 2.5).abs() < 0.02);
-        let mut rng = RngFactory::new(5).stream("emp2");
-        for _ in 0..100 {
-            let x = d.sample(&mut rng);
-            assert!([1.0, 2.0, 3.0, 4.0].contains(&x));
-        }
-    }
-
-    #[test]
-    fn clamped_respects_bounds() {
-        let d = Clamped::new(Normal::new(0.0, 10.0), -1.0, 1.0);
-        let mut rng = RngFactory::new(6).stream("clamp");
-        for _ in 0..1_000 {
-            let x = d.sample(&mut rng);
-            assert!((-1.0..=1.0).contains(&x));
-        }
     }
 
     #[test]

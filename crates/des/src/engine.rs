@@ -75,28 +75,10 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.schedule(self.now + delay, event)
     }
 
-    /// Releases one entry carrying `event` at every time in `times`
-    /// into the queue's lane (see [`EventQueue::schedule_run`] for the
-    /// contract: one payload per lane, sorted releases cheapest).
-    /// Lane entries tie-break *late*: at an equal timestamp they fire
-    /// after every event placed with [`at`](Self::at),
-    /// [`after`](Self::after) or [`now`](Self::now), even one scheduled
-    /// later. They cannot be cancelled (no handles are returned).
-    ///
-    /// # Panics
-    /// Panics if the earliest time is earlier than the current clock.
-    #[inline]
-    pub fn at_run(&mut self, times: &[SimTime], event: E)
-    where
-        E: Clone,
-    {
-        self.queue.release_run(times, event, Some(self.now));
-    }
-
     /// Schedules `event` at the current instant (it will fire after all
     /// other events already scheduled for this instant with
     /// [`at`](Self::at), `after` or `now`, but before any lane entry
-    /// at this instant, released with [`at_run`](Self::at_run)).
+    /// at this instant, released with [`Engine::schedule_run`]).
     #[inline]
     pub fn now(&mut self, event: E) -> EventHandle {
         self.queue.schedule(self.now, event)
@@ -166,9 +148,15 @@ impl<W: World> Engine<W> {
         self.queue.schedule(time, event)
     }
 
-    /// Releases lane entries from outside a handler (see
-    /// [`Scheduler::at_run`]): a caller that feeds the lane in slices
-    /// releases each one before the clock passes its earliest time.
+    /// Releases one entry carrying `event` at every time in `times`
+    /// into the queue's lane (see [`EventQueue::schedule_run`] for the
+    /// contract: one payload per lane, sorted releases cheapest).
+    /// Lane entries tie-break *late*: at an equal timestamp they fire
+    /// after every event placed with [`Scheduler::at`],
+    /// [`Scheduler::after`] or [`Scheduler::now`], even one scheduled
+    /// later. They cannot be cancelled (no handles are returned). A
+    /// caller that feeds the lane in slices releases each one before
+    /// the clock passes its earliest time.
     ///
     /// # Panics
     /// Panics if the earliest time is earlier than the current clock.
@@ -452,45 +440,6 @@ mod tests {
         assert_eq!(recycled_engine.steps(), 0);
         let (recycled, _) = drive(recycled_engine);
         assert_eq!(fresh, recycled);
-    }
-
-    #[test]
-    fn handlers_can_bulk_schedule_runs() {
-        /// Expands one trigger into a run of marks, interleaved with a
-        /// chain scheduled the ordinary way.
-        struct Expander {
-            fired: Vec<(f64, u32)>,
-        }
-        #[derive(Clone)]
-        enum REv {
-            Trigger,
-            Mark(u32),
-        }
-        impl World for Expander {
-            type Event = REv;
-            fn handle(&mut self, now: SimTime, ev: REv, sched: &mut Scheduler<'_, REv>) {
-                match ev {
-                    REv::Trigger => {
-                        let times: Vec<SimTime> = (0..20).map(|i| now + (i as f64) * 0.5).collect();
-                        sched.at_run(&times, REv::Mark(1));
-                    }
-                    REv::Mark(id) => self.fired.push((now.as_secs(), id)),
-                }
-            }
-        }
-        let mut eng = Engine::new(Expander { fired: vec![] });
-        eng.schedule(SimTime::from_secs(1.0), REv::Trigger);
-        for i in 0..5 {
-            eng.schedule(SimTime::from_secs(2.0 + i as f64), REv::Mark(2));
-        }
-        eng.run();
-        let world = eng.world();
-        assert_eq!(world.fired.len(), 25);
-        assert!(
-            world.fired.windows(2).all(|w| w[0].0 <= w[1].0),
-            "out of time order: {:?}",
-            world.fired
-        );
     }
 
     #[test]

@@ -125,30 +125,6 @@ impl SimRng {
         lo + (hi - lo) * self.uniform01()
     }
 
-    /// Uniform integer in `[0, n)` (Lemire's multiply-shift with
-    /// rejection, so the draw is exactly uniform).
-    ///
-    /// Audited for modulo bias: the widening multiply maps the 64-bit
-    /// draw onto `[0, n)` and the `lo < threshold` rejection loop
-    /// discards exactly the `2^64 mod n` overhanging values, so no
-    /// residue class is over-represented (unlike a bare `x % n`). The
-    /// chi-square test below pins this over a non-power-of-two modulus.
-    #[inline]
-    pub fn below(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        let n = n as u64;
-        let mut m = u128::from(self.next_u64()) * u128::from(n);
-        let mut lo = m as u64;
-        if lo < n {
-            let threshold = n.wrapping_neg() % n;
-            while lo < threshold {
-                m = u128::from(self.next_u64()) * u128::from(n);
-                lo = m as u64;
-            }
-        }
-        (m >> 64) as usize
-    }
-
     /// Raw 64-bit draw (xoshiro256++ step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -222,43 +198,12 @@ mod tests {
     }
 
     #[test]
-    fn uniform_range_and_below() {
+    fn uniform_stays_in_range() {
         let mut r = RngFactory::new(9).stream("u");
         for _ in 0..1_000 {
             let x = r.uniform(5.0, 6.0);
             assert!((5.0..6.0).contains(&x));
-            assert!(r.below(3) < 3);
         }
-    }
-
-    #[test]
-    fn below_is_uniform_over_non_power_of_two_modulus() {
-        // Chi-square goodness of fit for `below(n)` with n = 1000 (not a
-        // power of two, so a biased `x % n` implementation would skew
-        // low residues). With k − 1 = 999 degrees of freedom the
-        // statistic concentrates around 999 with σ ≈ √1998 ≈ 45; the
-        // cutoff below is ≈ +4.5σ (p ≪ 1e-4) and the test is seeded, so
-        // it is deterministic, not flaky.
-        let n = 1000usize;
-        let draws = 1_000_000u32;
-        let mut counts = vec![0u32; n];
-        let mut r = RngFactory::new(0x1E41).stream("below-chi2");
-        for _ in 0..draws {
-            counts[r.below(n)] += 1;
-        }
-        let expected = f64::from(draws) / n as f64;
-        let chi2: f64 = counts
-            .iter()
-            .map(|&c| {
-                let d = f64::from(c) - expected;
-                d * d / expected
-            })
-            .sum();
-        assert!(chi2 < 1200.0, "chi-square statistic {chi2} too large");
-        assert!(
-            chi2 > 800.0,
-            "chi-square statistic {chi2} suspiciously small"
-        );
     }
 
     #[test]

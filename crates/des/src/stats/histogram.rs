@@ -190,41 +190,6 @@ impl LogHistogram {
         }
         Some((self.log_min + self.counts.len() as f64 * self.log_growth).exp())
     }
-
-    /// Fraction of observations strictly greater than `threshold`
-    /// (resolved at bucket granularity).
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        if threshold < self.min_value {
-            return (self.total - self.underflow) as f64 / self.total as f64;
-        }
-        let idx = ((threshold.ln() - self.log_min) * self.inv_log_growth) as usize;
-        if idx >= self.counts.len() {
-            return self.overflow as f64 / self.total as f64;
-        }
-        let above: u64 = self.counts[idx + 1..].iter().sum::<u64>() + self.overflow;
-        above as f64 / self.total as f64
-    }
-
-    /// Merges another histogram with identical bucket layout.
-    ///
-    /// # Panics
-    /// Panics if the layouts differ.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.counts.len(), other.counts.len(), "layout mismatch");
-        assert!(
-            (self.log_min - other.log_min).abs() < 1e-12,
-            "layout mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +213,6 @@ mod tests {
     fn empty_histogram() {
         let h = LogHistogram::for_latencies();
         assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.fraction_above(1.0), 0.0);
         assert_eq!(h.count(), 0);
     }
 
@@ -261,37 +225,6 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.quantile(0.0).unwrap(), 1.0); // underflow bucket
         assert!(h.quantile(1.0).unwrap() >= 10.0); // overflow at top edge
-    }
-
-    #[test]
-    fn fraction_above_threshold() {
-        let mut h = LogHistogram::new(0.001, 10.0, 0.01);
-        for _ in 0..90 {
-            h.record(0.1);
-        }
-        for _ in 0..10 {
-            h.record(1.0);
-        }
-        let f = h.fraction_above(0.25);
-        assert!((f - 0.10).abs() < 0.01, "fraction {f}");
-        let f = h.fraction_above(5.0);
-        assert!(f.abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = LogHistogram::new(1.0, 100.0, 0.05);
-        let mut b = LogHistogram::new(1.0, 100.0, 0.05);
-        for i in 1..=50 {
-            a.record(i as f64);
-        }
-        for i in 51..=100 {
-            b.record(i as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 100);
-        let med = a.quantile(0.5).unwrap();
-        assert!((med - 50.0).abs() / 50.0 < 0.06, "median {med}");
     }
 
     /// Next representable f64 above/below a positive finite value.

@@ -91,26 +91,6 @@ impl OnlineStats {
     pub fn sum(&self) -> f64 {
         self.mean * self.n as f64
     }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -159,46 +139,6 @@ mod tests {
         assert_eq!(s.mean(), 5.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let (a, b) = xs.split_at(123);
-        let mut s1 = OnlineStats::new();
-        let mut s2 = OnlineStats::new();
-        for &x in a {
-            s1.push(x);
-        }
-        for &x in b {
-            s2.push(x);
-        }
-        s1.merge(&s2);
-        assert_eq!(s1.count(), all.count());
-        assert!((s1.mean() - all.mean()).abs() < 1e-10);
-        assert!((s1.variance() - all.variance()).abs() < 1e-8);
-        assert_eq!(s1.min(), all.min());
-        assert_eq!(s1.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut s = OnlineStats::new();
-        s.push(1.0);
-        s.push(2.0);
-        let before = s;
-        s.merge(&OnlineStats::new());
-        assert_eq!(s.count(), before.count());
-        assert_eq!(s.mean(), before.mean());
-
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e.count(), 2);
-        assert!((e.mean() - 1.5).abs() < 1e-12);
     }
 
     #[test]

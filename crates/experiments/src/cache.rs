@@ -162,12 +162,13 @@ pub(crate) struct CacheFirst {
     pub(crate) corrupt: usize,
 }
 
-/// The cache-first pass of campaigns and replay grids: looks every
-/// `(scenario, rep)` run up in `cache`, hands the misses — each with
-/// its input index — to `run_misses` (called only when something
-/// missed; it returns the summaries tagged with those indices, in any
-/// order), stores the fresh summaries best-effort (a full disk must not
-/// fail the caller), and returns every summary in input order.
+/// The cache-first pass of campaigns, replay grids and single replays:
+/// looks every `(scenario, rep)` run up in `cache`, hands the misses —
+/// each with its input index — to `run_misses` (called only when
+/// something missed; it returns the summaries tagged with those
+/// indices, in any order), stores the fresh summaries best-effort (a
+/// full disk must not fail the caller, so a failed store is one warning
+/// on stderr), and returns every summary in input order.
 pub(crate) fn cache_first<F>(
     cache: Option<&RunCache>,
     runs: Vec<(Scenario, u32)>,
@@ -203,9 +204,17 @@ where
         }
     }
     if let Some(cache) = cache {
+        let mut failed = 0usize;
+        let mut first_error = None;
         for (slot, key) in keys {
             let (summary, _) = slots[slot].as_ref().expect("every miss ran");
-            let _ = cache.store(key, summary);
+            if let Err(e) = cache.store(key, summary) {
+                failed += 1;
+                first_error.get_or_insert(e);
+            }
+        }
+        if let Some(e) = first_error {
+            eprintln!("warning: cannot store run cache entries ({failed} failed): {e}");
         }
     }
     CacheFirst {
@@ -350,5 +359,21 @@ mod tests {
         assert_eq!(run_key_with(TAG, &web, 3), 0x495e_9efe_6c3a_1706);
         assert_eq!(run_key_with(TAG, &sci, 2), 0xddc8_6eda_41d7_59c5);
         assert_eq!(run_key_with(TAG, &replay, 1), 0xbe6d_aacb_6007_ff64);
+    }
+
+    /// A trace scenario cut past its last row runs the run of its own
+    /// horizon, so it shares both keys; a cut before the last row is a
+    /// shorter run and moves both.
+    #[test]
+    fn a_cut_past_the_trace_end_keeps_the_run_and_arrival_keys() {
+        let spec = pinned_trace();
+        let end = spec.end_time.as_secs();
+        let own = Scenario::trace_replay(spec, PolicySpec::Static(5), 7);
+        let past = own.clone().with_horizon(SimTime::from_secs(2.0 * end));
+        let short = own.clone().with_horizon(SimTime::from_secs(0.5 * end));
+        assert_eq!(run_key(&past, 0), run_key(&own, 0));
+        assert_eq!(past.arrival_key(0), own.arrival_key(0));
+        assert_ne!(run_key(&short, 0), run_key(&own, 0));
+        assert_ne!(short.arrival_key(0), own.arrival_key(0));
     }
 }

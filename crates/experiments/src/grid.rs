@@ -226,11 +226,6 @@ impl ReplayGrid {
             finished
         });
 
-        let miss_source = if cache.is_some() {
-            ReplaySource::CacheMiss
-        } else {
-            ReplaySource::Uncached
-        };
         let cells = self
             .analyzers
             .iter()
@@ -240,11 +235,7 @@ impl ReplayGrid {
                 analyzer,
                 rep,
                 summary,
-                source: if hit {
-                    ReplaySource::CacheHit
-                } else {
-                    miss_source
-                },
+                source: ReplaySource::of(cache.is_some(), hit),
             })
             .collect();
         GridOutcome {

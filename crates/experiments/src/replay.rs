@@ -2,7 +2,7 @@
 //! cache-first execution, and the peak-RSS probe `trace_smoke.sh` uses
 //! to assert that ingestion memory stays bounded by the chunk buffer.
 
-use crate::cache::{run_key, Lookup, RunCache};
+use crate::cache::{cache_first, RunCache};
 use crate::runner::run_once;
 use crate::scenario::Scenario;
 use vmprov_cloudsim::RunSummary;
@@ -71,6 +71,16 @@ pub enum ReplaySource {
 }
 
 impl ReplaySource {
+    /// How a run of a cache-first pass was answered: `hit` is the
+    /// pass's hit flag, `cached` whether the pass had a cache.
+    pub(crate) fn of(cached: bool, hit: bool) -> ReplaySource {
+        match (cached, hit) {
+            (_, true) => ReplaySource::CacheHit,
+            (true, false) => ReplaySource::CacheMiss,
+            (false, false) => ReplaySource::Uncached,
+        }
+    }
+
     /// Short label for logs.
     pub fn label(&self) -> &'static str {
         match self {
@@ -82,25 +92,22 @@ impl ReplaySource {
 }
 
 /// Runs one replication of `scenario`, cache-first when a cache is
-/// given — the same schema-v5 content-hash keying the figure campaign
-/// uses, so re-replaying an unchanged trace costs one file read.
+/// given: a cache-first pass of one run, keyed as campaigns and replay
+/// grids key theirs, so re-replaying an unchanged trace costs one file
+/// read.
 pub fn replay_once(
     scenario: &Scenario,
     rep: u32,
     cache: Option<&RunCache>,
 ) -> (RunSummary, ReplaySource) {
-    let Some(cache) = cache else {
-        return (run_once(scenario, rep), ReplaySource::Uncached);
-    };
-    let key = run_key(scenario, rep);
-    if let Lookup::Hit(summary) = cache.lookup(key) {
-        return (*summary, ReplaySource::CacheHit);
-    }
-    let summary = run_once(scenario, rep);
-    if let Err(e) = cache.store(key, &summary) {
-        eprintln!("warning: cannot store run cache entry: {e}");
-    }
-    (summary, ReplaySource::CacheMiss)
+    let pass = cache_first(cache, vec![(scenario.clone(), rep)], |misses| {
+        misses
+            .into_iter()
+            .map(|(slot, scenario, rep)| (slot, run_once(&scenario, rep)))
+            .collect()
+    });
+    let (summary, hit) = pass.runs.into_iter().next().expect("one run");
+    (summary, ReplaySource::of(cache.is_some(), hit))
 }
 
 #[cfg(test)]

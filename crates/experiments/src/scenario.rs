@@ -225,10 +225,22 @@ impl Scenario {
     /// mode) generates exactly the full intervals; one that does not
     /// ends with a shorter interval carrying its share of the requests.
     /// A trace replay stops at its first row past the horizon; past the
-    /// trace's last row it replays every row.
+    /// trace's last row it replays every row, the same run as at the
+    /// trace's own horizon (see [`simulated_horizon`](Self::simulated_horizon)).
     pub fn with_horizon(mut self, horizon: SimTime) -> Self {
         self.horizon = horizon;
         self
+    }
+
+    /// The horizon the run simulates: `horizon`, except that a trace
+    /// replay ends at its last row, `min(horizon, end_time)`. The
+    /// workload, the run-cache key and the arrival key all read this,
+    /// so a cut past the trace's end names the run it runs.
+    pub fn simulated_horizon(&self) -> SimTime {
+        match self.workload {
+            WorkloadKind::Trace => self.horizon.min(self.trace_spec().end_time),
+            WorkloadKind::Web | WorkloadKind::Scientific => self.horizon,
+        }
     }
 
     /// QoS targets of the scenario.
@@ -284,12 +296,11 @@ impl Scenario {
                 horizon: self.horizon,
             })
             .into(),
-            WorkloadKind::Trace => {
-                let spec = self.trace_spec();
-                spec.replay()
-                    .with_horizon(self.horizon.min(spec.end_time))
-                    .into()
-            }
+            WorkloadKind::Trace => self
+                .trace_spec()
+                .replay()
+                .with_horizon(self.simulated_horizon())
+                .into(),
         }
     }
 
@@ -415,7 +426,7 @@ impl Scenario {
         // arrivals" or not before this builds.
         let Scenario {
             workload,
-            horizon,
+            horizon: _,
             seed,
             trace,
             policy: _,
@@ -427,7 +438,7 @@ impl Scenario {
         } = self;
         ArrivalKey {
             workload: *workload,
-            horizon_bits: horizon.as_secs().to_bits(),
+            horizon_bits: self.simulated_horizon().as_secs().to_bits(),
             trace: trace.as_ref().map(|t| {
                 (
                     t.content_hash,
@@ -480,7 +491,10 @@ impl vmprov_json::ToJson for Scenario {
             ("workload", Json::from(workload)),
             ("policy", policy),
             ("dispatch", Json::from(dispatch)),
-            ("horizon_secs", Json::from(self.horizon.as_secs())),
+            (
+                "horizon_secs",
+                Json::from(self.simulated_horizon().as_secs()),
+            ),
             ("backend", Json::from(backend)),
             ("seed", Json::from(self.seed)),
             ("boot_delay", Json::from(self.boot_delay)),

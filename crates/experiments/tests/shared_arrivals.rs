@@ -162,9 +162,10 @@ fn spec(g: &mut Gen) -> TraceSpec {
 }
 
 /// Perturbing anything that shapes the arrivals — the workload kind,
-/// horizon, replayed trace, seed or rep — splits the group key; what
-/// shapes only the run (policy, analyzer, dispatch, boot delay, the
-/// trace's path and chunk) does not.
+/// simulated horizon, replayed trace, seed or rep — splits the group
+/// key; what shapes only the run (policy, analyzer, dispatch, boot
+/// delay, the trace's path and chunk, a replay's horizon past its last
+/// row) does not.
 #[test]
 fn every_arrival_input_splits_the_group_key() {
     cases(64, |g: &mut Gen| {
@@ -186,6 +187,10 @@ fn every_arrival_input_splits_the_group_key() {
         if let Some(t) = &mut same.trace {
             t.path = std::path::PathBuf::from("copy-of-trace.csv");
             t.chunk = 7;
+            // A replay cut anywhere past its last row replays every row.
+            if base.horizon >= t.end_time {
+                same.horizon = SimTime::from_secs(base.horizon.as_secs() + g.f64_in(0.5..10.0));
+            }
         }
         assert_eq!(same.arrival_key(rep), key, "a run-only field split the key");
 
@@ -200,9 +205,12 @@ fn every_arrival_input_splits_the_group_key() {
                 "seed",
             ),
             (
-                base.clone().with_horizon(SimTime::from_secs(
-                    base.horizon.as_secs() + g.f64_in(0.5..10.0),
-                )),
+                base.clone()
+                    .with_horizon(SimTime::from_secs(match &base.trace {
+                        // A replay cut before its last row.
+                        Some(t) => base.horizon.min(t.end_time).as_secs() * g.f64_in(0.1..0.99),
+                        None => base.horizon.as_secs() + g.f64_in(0.5..10.0),
+                    })),
                 rep,
                 "horizon",
             ),

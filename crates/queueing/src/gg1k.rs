@@ -108,7 +108,7 @@ impl GG1K {
         )
     }
 
-    /// Offered load ρ = λ E[S].
+    /// Offered load `ρ = λ E[S]`.
     pub fn rho(&self) -> f64 {
         self.lambda * self.mean_service
     }

@@ -104,7 +104,7 @@ impl MM1K {
     }
 
     /// Steady-state probability of exactly `n` in the system (`n ≤ K`),
-    /// computed by the geometric recurrence (see [`geometric_sums`]).
+    /// computed by the geometric recurrence (see `geometric_sums`).
     pub fn prob_n(&self, n: u32) -> f64 {
         assert!(n <= self.k, "state {n} exceeds capacity {}", self.k);
         let g = geometric_sums(self.rho(), self.k, n);

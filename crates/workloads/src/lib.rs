@@ -10,8 +10,8 @@
 //!   Weibull interarrivals in peak hours, Weibull job counts per 30-min
 //!   window off-peak, Weibull task batch sizes, 300 s tasks.
 //!
-//! Plus [`synthetic`] generators (Poisson, step, ramp, flash crowd,
-//! MMPP) used by tests and the robustness ablations, and the [`dataset`]
+//! Plus [`synthetic`] generators (Poisson, step, flash crowd) used by
+//! tests and the robustness ablations, and the [`dataset`]
 //! seam for streaming trace replay ([`DatasetReader`], [`StreamReplay`],
 //! the synthetic trace generator).
 

@@ -7,9 +7,8 @@
 //! production traces, future dataset formats — enters through the
 //! [`crate::dataset`] seam instead ([`CsvReader`](crate::dataset::CsvReader)
 //! and friends); `Trace` is the in-memory recording side only, and
-//! [`Trace::replay`] routes through the same
-//! [`StreamReplay`](crate::dataset::StreamReplay) plumbing the on-disk
-//! readers use.
+//! [`Trace::replay`] routes through the same [`StreamReplay`] plumbing
+//! the on-disk readers use.
 
 use crate::dataset::{row_count_error, DatasetError, StreamReplay, MAX_ROW_COUNT};
 use crate::traits::{ArrivalBatch, ArrivalProcess};

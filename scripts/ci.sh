@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml: format check, lints, release
-# build, tests, the examples, and the quickbench suite.
+# Local mirror of .github/workflows/ci.yml: format check, lints, docs,
+# release build, tests, the examples, and the quickbench suite.
 #
 # Works without network access: when the registry is unreachable the
 # cargo steps run with --offline against the committed Cargo.lock (the
@@ -22,6 +22,7 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy "${OFFLINE[@]}" --workspace --all-targets -- -D warnings
+run env RUSTDOCFLAGS="-D warnings" cargo doc "${OFFLINE[@]}" --workspace --no-deps
 run cargo build "${OFFLINE[@]}" --workspace --release
 run cargo test "${OFFLINE[@]}" --workspace -q
 # Again on one test thread: the suite must pass at any thread count.

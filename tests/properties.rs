@@ -4,7 +4,6 @@
 use vmprov::core::dispatch::{Dispatcher, InstanceView, LeastOutstanding, RoundRobin};
 use vmprov::core::modeler::{ModelerOptions, PerformanceModeler, SizingInputs};
 use vmprov::core::QosTargets;
-use vmprov::des::stats::OnlineStats;
 use vmprov::des::{EventQueue, SimTime};
 use vmprov::queueing::{GiM1K, InterarrivalKind, GG1K, MM1K};
 use vmprov_check::{cases, Gen};
@@ -163,31 +162,6 @@ fn dispatchers_never_pick_full_or_inactive() {
                 }
             }
         }
-    });
-}
-
-#[test]
-fn online_stats_merge_equals_sequential() {
-    cases(128, |g: &mut Gen| {
-        let xs = g.vec(1..200, |g| g.f64_in(-1e6..1e6));
-        let split = g.usize_in(0..200).min(xs.len());
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (a, b) = xs.split_at(split);
-        let mut s1 = OnlineStats::new();
-        let mut s2 = OnlineStats::new();
-        for &x in a {
-            s1.push(x);
-        }
-        for &x in b {
-            s2.push(x);
-        }
-        s1.merge(&s2);
-        assert_eq!(s1.count(), whole.count());
-        assert!((s1.mean() - whole.mean()).abs() <= 1e-6 * whole.mean().abs().max(1.0));
-        assert!((s1.variance() - whole.variance()).abs() <= 1e-5 * whole.variance().abs().max(1.0));
     });
 }
 

@@ -182,14 +182,11 @@ fn paper_regime_has_negligible_blocking_in_both_views() {
     // (smooth arrivals, near-deterministic service) blocking is ≈0 at
     // ρ = 0.8 while verbatim M/M/1/2 predicts ~26%. Simulate an
     // E32/D-ish/1/2 queue: Erlang-32 arrivals, service U(1.0, 1.1)/1.05.
-    use vmprov::des::dist::Uniform;
     let lambda = 0.8 / 1.05; // ρ = λ·E[S] = 0.8 with E[S] = 1.05
     let stage = Exponential::new(32.0 * lambda);
-    let uni = Uniform::new(1.0, 1.1);
 
     struct DetWorld {
         in_system: u32,
-        uni: Uniform,
         stage: Exponential,
         rng_a: SimRng,
         rng_s: SimRng,
@@ -211,7 +208,7 @@ fn paper_regime_has_negligible_blocking_in_both_views() {
                     } else {
                         self.in_system += 1;
                         if self.in_system == 1 {
-                            let s = self.uni.sample(&mut self.rng_s);
+                            let s = self.rng_s.uniform(1.0, 1.1);
                             sched.after(s, E2::Dep);
                         }
                     }
@@ -221,7 +218,7 @@ fn paper_regime_has_negligible_blocking_in_both_views() {
                 E2::Dep => {
                     self.in_system -= 1;
                     if self.in_system > 0 {
-                        let s = self.uni.sample(&mut self.rng_s);
+                        let s = self.rng_s.uniform(1.0, 1.1);
                         sched.after(s, E2::Dep);
                     }
                 }
@@ -231,7 +228,6 @@ fn paper_regime_has_negligible_blocking_in_both_views() {
     let f = RngFactory::new(13);
     let mut engine = Engine::new(DetWorld {
         in_system: 0,
-        uni,
         stage,
         rng_a: f.stream("a"),
         rng_s: f.stream("s"),
