@@ -560,7 +560,7 @@ fn bench_modeler_sweep(runs: u32) -> Timing {
 /// one standard-exponential deviate, `-ln U` (the per-draw unit every
 /// workload's interarrival and Weibull sampling pays).
 fn bench_exp_sampler(draws: usize, runs: u32) -> Timing {
-    use vmprov_des::dist::{Distribution, Exponential};
+    use vmprov_des::dist::Exponential;
     let mut rng = RngFactory::new(0x216).stream("exp-hot");
     let exp = Exponential::new(1.0);
     bench("exp_sampler_hot", draws as u64, 1, runs, || {

@@ -630,7 +630,7 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
     /// Draws a time-to-failure for a fresh instance, if failures are on.
     fn draw_ttf(&mut self) -> Option<f64> {
         let mtbf = self.cfg.instance_mtbf?;
-        use vmprov_des::dist::{Distribution, Exponential};
+        use vmprov_des::dist::Exponential;
         Some(Exponential::from_mean(mtbf).sample(&mut self.rng_failures))
     }
 

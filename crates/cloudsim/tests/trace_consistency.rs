@@ -4,7 +4,7 @@
 
 use vmprov_cloudsim::config::PriorityConfig;
 use vmprov_cloudsim::{RunSummary, SimBuilder, SimConfig, TraceProbe};
-use vmprov_core::analyzer::SlidingWindowAnalyzer;
+use vmprov_core::estimator::{EstimatorAnalyzer, SlidingWindowMle};
 use vmprov_core::modeler::{ModelerOptions, PerformanceModeler};
 use vmprov_core::policy::AdaptivePolicy;
 use vmprov_core::qos::QosTargets;
@@ -60,12 +60,10 @@ fn run_traced(seed: u64) -> (RunSummary, String) {
     cfg.instance_mtbf = Some(120.0);
     let qos = QosTargets::web_paper();
     let modeler = PerformanceModeler::new(qos, 500, ModelerOptions::default());
-    let policy = AdaptivePolicy::new(
-        Box::new(SlidingWindowAnalyzer::new(5, 3.0, 30.0)),
-        modeler,
-        60.0,
-        3,
-    );
+    // The Poisson MLE over the last five monitoring windows, from the
+    // workload's own 60 req/s as its prior.
+    let analyzer = EstimatorAnalyzer::new(Box::new(SlidingWindowMle::new(50.0)), 60.0, 0.05, 30.0);
+    let policy = AdaptivePolicy::new(Box::new(analyzer), modeler, 60.0, 3);
     let (summary, trace) = SimBuilder::new(cfg)
         .workload(Box::new(PoissonProcess::new(
             60.0,

@@ -10,13 +10,10 @@
 //! a look-ahead window so capacity is in place before ramps (the alert
 //! "must be issued before the expected time for the rate to change").
 //!
-//! The paper's future work points at richer predictors (QRSM, ARMAX);
-//! as steps in that direction this module also provides reactive
-//! predictors that learn from observed arrivals only:
-//! [`SlidingWindowAnalyzer`], [`EwmaAnalyzer`], and [`ArAnalyzer`]
-//! (autoregressive via Yule–Walker).
+//! Analyzers that learn λ from observed arrivals instead mount a
+//! [`RateEstimator`](crate::estimator::RateEstimator) behind
+//! [`EstimatorAnalyzer`](crate::estimator::EstimatorAnalyzer).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use vmprov_des::SimTime;
 
@@ -101,295 +98,6 @@ impl WorkloadAnalyzer for ScheduleAnalyzer {
     }
 }
 
-/// The paper's web analyzer verbatim (§V-B1): each day is divided into
-/// six periods — 11:30–12:30 (peak), 12:30–16:00 and 16:00–20:00
-/// (decreasing), 20:00–02:00 (lowest), 02:00–07:00 and 07:00–11:30
-/// (increasing) — and a prediction update (alert) fires at each period
-/// boundary, ahead of the change by a configurable lead so capacity is
-/// ready "before the expected time for the rate to change".
-///
-/// Within increasing periods the prediction is refreshed on a secondary
-/// grid (default every 30 min) so the pool tracks the ramp instead of
-/// pre-provisioning the whole period's maximum; this matches the
-/// min/max instance counts the paper reports (55–153), which a pure
-/// max-over-period rule cannot produce (it would never drop below the
-/// evening rate of ≈850 req/s).
-#[derive(Clone)]
-pub struct SixPeriodAnalyzer {
-    inner: ScheduleAnalyzer,
-    lead: f64,
-}
-
-/// The six period boundaries, as seconds-of-day (§V-B1).
-pub const SIX_PERIOD_BOUNDARIES: [f64; 6] = [
-    2.0 * 3600.0,  // 02:00 — lowest → increasing
-    7.0 * 3600.0,  // 07:00 — increasing (steeper)
-    11.5 * 3600.0, // 11:30 — peak hour begins
-    12.5 * 3600.0, // 12:30 — decreasing
-    16.0 * 3600.0, // 16:00 — decreasing (later)
-    20.0 * 3600.0, // 20:00 — lowest activity
-];
-
-impl SixPeriodAnalyzer {
-    /// Creates the analyzer over the known `rate_fn` with alerts `lead`
-    /// seconds before each boundary and a `refresh` grid inside periods.
-    pub fn new(
-        rate_fn: Arc<dyn Fn(SimTime) -> f64 + Send + Sync>,
-        lead: f64,
-        refresh: f64,
-    ) -> Self {
-        assert!(lead >= 0.0 && refresh > 0.0);
-        SixPeriodAnalyzer {
-            inner: ScheduleAnalyzer::new(rate_fn, refresh, 0.0),
-            lead,
-        }
-    }
-
-    /// Seconds until the next period boundary after `now`.
-    fn until_next_boundary(now: SimTime) -> f64 {
-        let t_day = now.second_of_day();
-        let next = SIX_PERIOD_BOUNDARIES
-            .iter()
-            .map(|&b| b - t_day)
-            .filter(|&d| d > 1e-9)
-            .fold(f64::INFINITY, f64::min);
-        if next.is_finite() {
-            next
-        } else {
-            // Past the last boundary: first boundary of the next day.
-            86_400.0 - t_day + SIX_PERIOD_BOUNDARIES[0]
-        }
-    }
-}
-
-impl std::fmt::Debug for SixPeriodAnalyzer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SixPeriodAnalyzer")
-            .field("lead", &self.lead)
-            .finish()
-    }
-}
-
-impl WorkloadAnalyzer for SixPeriodAnalyzer {
-    fn observe(&mut self, _window_end: SimTime, _arrivals: u64, _window_len: f64) {}
-
-    fn predict_rate(&mut self, now: SimTime, horizon: f64) -> f64 {
-        self.inner.predict_rate(now, horizon)
-    }
-
-    fn next_alert(&self, now: SimTime) -> SimTime {
-        // The earlier of: the in-period refresh, or `lead` seconds
-        // before the next boundary.
-        let refresh = self.inner.next_alert(now) - now;
-        let boundary = (Self::until_next_boundary(now) - self.lead).max(1.0);
-        now + refresh.min(boundary)
-    }
-}
-
-/// Sliding-window analyzer: predicts from the mean plus a configurable
-/// number of standard deviations of the last `window` observed rates.
-#[derive(Debug, Clone)]
-pub struct SlidingWindowAnalyzer {
-    window: usize,
-    headroom_sigmas: f64,
-    update_interval: f64,
-    rates: VecDeque<f64>,
-}
-
-impl SlidingWindowAnalyzer {
-    /// Creates the analyzer keeping `window` observations and predicting
-    /// `mean + headroom_sigmas·σ`.
-    pub fn new(window: usize, headroom_sigmas: f64, update_interval: f64) -> Self {
-        assert!(window >= 1);
-        assert!(update_interval > 0.0);
-        SlidingWindowAnalyzer {
-            window,
-            headroom_sigmas,
-            update_interval,
-            rates: VecDeque::with_capacity(window),
-        }
-    }
-}
-
-impl WorkloadAnalyzer for SlidingWindowAnalyzer {
-    fn observe(&mut self, _window_end: SimTime, arrivals: u64, window_len: f64) {
-        assert!(window_len > 0.0);
-        if self.rates.len() == self.window {
-            self.rates.pop_front();
-        }
-        self.rates.push_back(arrivals as f64 / window_len);
-    }
-
-    fn predict_rate(&mut self, _now: SimTime, _horizon: f64) -> f64 {
-        if self.rates.is_empty() {
-            return 0.0;
-        }
-        let n = self.rates.len() as f64;
-        let mean = self.rates.iter().sum::<f64>() / n;
-        let var = self
-            .rates
-            .iter()
-            .map(|r| (r - mean) * (r - mean))
-            .sum::<f64>()
-            / n;
-        (mean + self.headroom_sigmas * var.sqrt()).max(0.0)
-    }
-
-    fn next_alert(&self, now: SimTime) -> SimTime {
-        now + self.update_interval
-    }
-}
-
-/// Exponentially-weighted moving average analyzer.
-#[derive(Debug, Clone)]
-pub struct EwmaAnalyzer {
-    alpha: f64,
-    headroom: f64,
-    update_interval: f64,
-    level: Option<f64>,
-}
-
-impl EwmaAnalyzer {
-    /// Creates the analyzer with smoothing factor `alpha` in (0, 1] and a
-    /// relative `headroom` added to predictions.
-    pub fn new(alpha: f64, headroom: f64, update_interval: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        assert!(headroom >= 0.0);
-        assert!(update_interval > 0.0);
-        EwmaAnalyzer {
-            alpha,
-            headroom,
-            update_interval,
-            level: None,
-        }
-    }
-}
-
-impl WorkloadAnalyzer for EwmaAnalyzer {
-    fn observe(&mut self, _window_end: SimTime, arrivals: u64, window_len: f64) {
-        assert!(window_len > 0.0);
-        let rate = arrivals as f64 / window_len;
-        self.level = Some(match self.level {
-            None => rate,
-            Some(level) => level + self.alpha * (rate - level),
-        });
-    }
-
-    fn predict_rate(&mut self, _now: SimTime, _horizon: f64) -> f64 {
-        self.level.unwrap_or(0.0) * (1.0 + self.headroom)
-    }
-
-    fn next_alert(&self, now: SimTime) -> SimTime {
-        now + self.update_interval
-    }
-}
-
-/// Autoregressive AR(p) analyzer fitted by Yule–Walker on the recent
-/// rate history — a step toward the ARMAX models of the paper's future
-/// work. Falls back to the window mean until enough history exists.
-#[derive(Debug, Clone)]
-pub struct ArAnalyzer {
-    order: usize,
-    history: VecDeque<f64>,
-    capacity: usize,
-    headroom: f64,
-    update_interval: f64,
-}
-
-impl ArAnalyzer {
-    /// Creates an AR(`order`) analyzer over the last `capacity`
-    /// observations (`capacity ≥ 4·order` recommended).
-    pub fn new(order: usize, capacity: usize, headroom: f64, update_interval: f64) -> Self {
-        assert!(order >= 1 && capacity > 2 * order);
-        assert!(update_interval > 0.0);
-        ArAnalyzer {
-            order,
-            history: VecDeque::with_capacity(capacity),
-            capacity,
-            headroom,
-            update_interval,
-        }
-    }
-
-    /// Sample autocovariance at `lag` of the (mean-removed) history.
-    fn autocov(xs: &[f64], mean: f64, lag: usize) -> f64 {
-        let n = xs.len();
-        (0..n - lag)
-            .map(|i| (xs[i] - mean) * (xs[i + lag] - mean))
-            .sum::<f64>()
-            / n as f64
-    }
-
-    /// Fits AR coefficients by solving the Yule–Walker equations with
-    /// Levinson–Durbin recursion.
-    fn fit(&self) -> Option<(f64, Vec<f64>)> {
-        if self.history.len() < 2 * self.order + 2 {
-            return None;
-        }
-        let xs: Vec<f64> = self.history.iter().copied().collect();
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let r: Vec<f64> = (0..=self.order)
-            .map(|lag| Self::autocov(&xs, mean, lag))
-            .collect();
-        if r[0] <= 1e-12 {
-            // Constant signal: AR degenerates to the mean.
-            return Some((mean, vec![0.0; self.order]));
-        }
-        // Levinson–Durbin.
-        let mut a = vec![0.0; self.order];
-        let mut e = r[0];
-        for i in 0..self.order {
-            let mut acc = r[i + 1];
-            for j in 0..i {
-                acc -= a[j] * r[i - j];
-            }
-            let kappa = acc / e;
-            let mut new_a = a.clone();
-            new_a[i] = kappa;
-            for j in 0..i {
-                new_a[j] = a[j] - kappa * a[i - 1 - j];
-            }
-            a = new_a;
-            e *= 1.0 - kappa * kappa;
-            if e <= 0.0 {
-                break;
-            }
-        }
-        Some((mean, a))
-    }
-}
-
-impl WorkloadAnalyzer for ArAnalyzer {
-    fn observe(&mut self, _window_end: SimTime, arrivals: u64, window_len: f64) {
-        assert!(window_len > 0.0);
-        if self.history.len() == self.capacity {
-            self.history.pop_front();
-        }
-        self.history.push_back(arrivals as f64 / window_len);
-    }
-
-    fn predict_rate(&mut self, _now: SimTime, _horizon: f64) -> f64 {
-        let Some((mean, coeffs)) = self.fit() else {
-            // Insufficient history: window mean.
-            if self.history.is_empty() {
-                return 0.0;
-            }
-            return self.history.iter().sum::<f64>() / self.history.len() as f64;
-        };
-        // One-step-ahead forecast on the mean-removed series.
-        let mut pred = mean;
-        for (j, &c) in coeffs.iter().enumerate() {
-            let idx = self.history.len() - 1 - j;
-            pred += c * (self.history[idx] - mean);
-        }
-        (pred * (1.0 + self.headroom)).max(0.0)
-    }
-
-    fn next_alert(&self, now: SimTime) -> SimTime {
-        now + self.update_interval
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,123 +127,5 @@ mod tests {
         let mut a = ScheduleAnalyzer::new(Arc::new(|_| 100.0), 60.0, 0.2);
         assert!((a.predict_rate(t(0.0), 60.0) - 120.0).abs() < 1e-9);
         assert_eq!(a.next_alert(t(0.0)), t(60.0));
-    }
-
-    #[test]
-    fn six_period_alerts_land_before_boundaries() {
-        let a = SixPeriodAnalyzer::new(Arc::new(|_| 100.0), 120.0, 1800.0);
-        // At 01:40, the 02:00 boundary (in 20 min) minus 2 min lead comes
-        // before the 30-min refresh.
-        let now = t(100.0 * 60.0);
-        let alert = a.next_alert(now);
-        assert!(
-            (alert.as_secs() - (2.0 * 3600.0 - 120.0)).abs() < 1.0,
-            "{alert}"
-        );
-        // Mid-period (e.g. 21:00), the refresh grid wins.
-        let now = t(21.0 * 3600.0);
-        let alert = a.next_alert(now);
-        assert!((alert - now - 1800.0).abs() < 1.0);
-        // Just after the last boundary (23:00) the next boundary is
-        // 02:00 tomorrow.
-        let now = t(23.0 * 3600.0);
-        let until = SixPeriodAnalyzer::until_next_boundary(now);
-        assert!((until - 3.0 * 3600.0).abs() < 1.0, "until {until}");
-    }
-
-    #[test]
-    fn six_period_predicts_envelope_like_schedule() {
-        use vmprov_des::DAY;
-        let rate = Arc::new(|t: SimTime| {
-            500.0 + 700.0 * (std::f64::consts::PI * t.second_of_day() / DAY).sin()
-        });
-        let mut six = SixPeriodAnalyzer::new(rate.clone(), 60.0, 1800.0);
-        let mut plain = ScheduleAnalyzer::new(rate, 1800.0, 0.0);
-        for hour in [0.0, 6.0, 9.0, 12.0, 15.0, 22.0] {
-            let now = t(hour * 3600.0);
-            let a = six.predict_rate(now, 1860.0);
-            let b = plain.predict_rate(now, 1860.0);
-            assert!((a - b).abs() < 1e-9, "hour {hour}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn sliding_window_tracks_mean_and_headroom() {
-        let mut a = SlidingWindowAnalyzer::new(4, 0.0, 60.0);
-        assert_eq!(a.predict_rate(t(0.0), 60.0), 0.0); // no data yet
-        for (i, n) in [600u64, 600, 1200, 1200].iter().enumerate() {
-            a.observe(t(60.0 * (i as f64 + 1.0)), *n, 60.0);
-        }
-        assert!((a.predict_rate(t(300.0), 60.0) - 15.0).abs() < 1e-9);
-        // With headroom the prediction exceeds the mean.
-        let mut b = SlidingWindowAnalyzer::new(4, 2.0, 60.0);
-        for (i, n) in [600u64, 600, 1200, 1200].iter().enumerate() {
-            b.observe(t(60.0 * (i as f64 + 1.0)), *n, 60.0);
-        }
-        assert!(b.predict_rate(t(300.0), 60.0) > 15.0);
-    }
-
-    #[test]
-    fn sliding_window_evicts_old_observations() {
-        let mut a = SlidingWindowAnalyzer::new(2, 0.0, 60.0);
-        a.observe(t(60.0), 6000, 60.0); // rate 100, will be evicted
-        a.observe(t(120.0), 60, 60.0); // rate 1
-        a.observe(t(180.0), 60, 60.0); // rate 1
-        assert!((a.predict_rate(t(180.0), 0.0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ewma_converges_and_applies_headroom() {
-        let mut a = EwmaAnalyzer::new(0.5, 0.1, 60.0);
-        for i in 0..20 {
-            a.observe(t(60.0 * (i as f64 + 1.0)), 600, 60.0); // rate 10
-        }
-        let p = a.predict_rate(t(1200.0), 60.0);
-        assert!((p - 11.0).abs() < 1e-6, "prediction {p}");
-    }
-
-    #[test]
-    fn ewma_responds_to_step() {
-        let mut slow = EwmaAnalyzer::new(0.1, 0.0, 60.0);
-        let mut fast = EwmaAnalyzer::new(0.9, 0.0, 60.0);
-        for i in 0..10 {
-            slow.observe(t(i as f64), 60, 60.0);
-            fast.observe(t(i as f64), 60, 60.0);
-        }
-        slow.observe(t(11.0), 6000, 60.0);
-        fast.observe(t(11.0), 6000, 60.0);
-        assert!(fast.predict_rate(t(11.0), 0.0) > slow.predict_rate(t(11.0), 0.0));
-    }
-
-    #[test]
-    fn ar_analyzer_learns_oscillation() {
-        // Alternating high/low rates: AR(1) should predict the flip
-        // better than the plain mean.
-        let mut a = ArAnalyzer::new(1, 40, 0.0, 60.0);
-        for i in 0..40 {
-            let rate = if i % 2 == 0 { 1200u64 } else { 600 };
-            a.observe(t(60.0 * i as f64), rate * 60, 60.0);
-        }
-        // Last observation was odd index 39 → 600; next should be high.
-        let p = a.predict_rate(t(2400.0), 60.0);
-        assert!(p > 900.0, "AR prediction {p} should anticipate the flip");
-    }
-
-    #[test]
-    fn ar_analyzer_constant_signal() {
-        let mut a = ArAnalyzer::new(2, 20, 0.0, 60.0);
-        for i in 0..20 {
-            a.observe(t(60.0 * i as f64), 300, 60.0);
-        }
-        assert!((a.predict_rate(t(1200.0), 60.0) - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ar_analyzer_falls_back_with_little_data() {
-        let mut a = ArAnalyzer::new(3, 30, 0.0, 60.0);
-        assert_eq!(a.predict_rate(t(0.0), 60.0), 0.0);
-        a.observe(t(60.0), 120, 60.0);
-        a.observe(t(120.0), 240, 60.0);
-        assert!((a.predict_rate(t(120.0), 60.0) - 3.0).abs() < 1e-9);
     }
 }

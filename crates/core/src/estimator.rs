@@ -46,11 +46,9 @@ pub trait RateEstimator: Send {
 /// Sliding-window Poisson MLE: λ̂ = Σ arrivals / Σ window length over
 /// the trailing `window_secs` seconds of observed coverage.
 ///
-/// Distinct from [`SlidingWindowAnalyzer`](crate::analyzer::SlidingWindowAnalyzer),
-/// which keeps a fixed *count* of per-window rates and adds a σ-based
-/// headroom: this estimator is time-windowed (robust to a changing
-/// monitoring interval) and reports the raw MLE — headroom is the
-/// adapter's business, not the estimator's.
+/// The window is measured in time, not in observations, so it is robust
+/// to a changing monitoring interval. The estimator reports the raw MLE;
+/// headroom is the adapter's business, not the estimator's.
 #[derive(Debug, Clone)]
 pub struct SlidingWindowMle {
     window_secs: f64,

@@ -27,10 +27,7 @@ pub mod modeler;
 pub mod policy;
 pub mod qos;
 
-pub use analyzer::{
-    ArAnalyzer, EwmaAnalyzer, ScheduleAnalyzer, SixPeriodAnalyzer, SlidingWindowAnalyzer,
-    WorkloadAnalyzer,
-};
+pub use analyzer::{ScheduleAnalyzer, WorkloadAnalyzer};
 pub use backend::AnalyticBackend;
 pub use dispatch::{
     AnyDispatcher, Dispatcher, InstancePool, InstanceView, LeastOutstanding, RandomDispatch,

@@ -135,14 +135,20 @@ pub struct AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
-    /// Creates the adaptive policy.
+    /// Creates the adaptive policy. Panics unless `planning_horizon` is
+    /// finite and non-negative and `initial ≥ 1`.
     pub fn new(
         analyzer: Box<dyn WorkloadAnalyzer>,
         modeler: PerformanceModeler,
         planning_horizon: f64,
         initial: u32,
     ) -> Self {
-        assert!(planning_horizon >= 0.0);
+        // A schedule analyzer scans the whole look-ahead window, so an
+        // infinite horizon would never return.
+        assert!(
+            planning_horizon >= 0.0 && planning_horizon.is_finite(),
+            "planning horizon must be finite and non-negative"
+        );
         assert!(initial >= 1);
         AdaptivePolicy {
             analyzer,
@@ -295,6 +301,15 @@ mod tests {
             PerformanceModeler::new(QosTargets::web_paper(), 1000, ModelerOptions::default());
         let mut p = AdaptivePolicy::new(Box::new(analyzer), modeler, 0.0, 5);
         assert_eq!(p.evaluate(&status(0.0, 50)), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "planning horizon must be finite")]
+    fn adaptive_rejects_an_infinite_planning_horizon() {
+        let analyzer = ScheduleAnalyzer::new(Arc::new(|_| 1.0), 60.0, 0.0);
+        let modeler =
+            PerformanceModeler::new(QosTargets::web_paper(), 10, ModelerOptions::default());
+        AdaptivePolicy::new(Box::new(analyzer), modeler, f64::INFINITY, 1);
     }
 
     #[test]

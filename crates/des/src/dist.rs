@@ -4,24 +4,11 @@
 //!
 //! Implemented over the engine's own uniform source ([`SimRng`]) so that
 //! every sampler in the repository is deterministic, documented, and
-//! property-tested in one place. Each distribution exposes its analytic
-//! mean and variance where a closed form exists; tests compare sample
-//! moments against them.
+//! property-tested in one place. Each type draws with an inherent
+//! `sample`; the tests compare sample moments against closed forms.
 
 use crate::rng::SimRng;
 use crate::special::gamma;
-
-/// A sampleable distribution over the reals.
-pub trait Distribution: Send + Sync {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut SimRng) -> f64;
-
-    /// Analytic mean, if finite and known.
-    fn mean(&self) -> Option<f64>;
-
-    /// Analytic variance, if finite and known.
-    fn variance(&self) -> Option<f64>;
-}
 
 /// Exponential with rate λ (mean 1/λ). Sampled by inversion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,17 +33,11 @@ impl Exponential {
     pub fn rate(&self) -> f64 {
         self.rate
     }
-}
 
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
+    /// Draws one sample by inversion: `−ln U / λ`.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
         -rng.uniform01_open_left().ln() / self.rate
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(1.0 / self.rate)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(1.0 / (self.rate * self.rate))
     }
 }
 
@@ -106,6 +87,11 @@ impl Weibull {
         }
     }
 
+    /// The mean λ·Γ(1 + 1/k).
+    pub fn mean(&self) -> f64 {
+        self.scale * gamma(1.0 + 1.0 / self.shape)
+    }
+
     /// Survival function P(X > x) = exp(−(x/λ)^k).
     pub fn survival(&self, x: f64) -> f64 {
         if x <= 0.0 {
@@ -119,19 +105,11 @@ impl Weibull {
     pub fn cdf(&self, x: f64) -> f64 {
         1.0 - self.survival(x)
     }
-}
 
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
+    /// Draws one sample by inversion: `λ · (−ln U)^{1/k}`.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
         self.scale * (-rng.uniform01_open_left().ln()).powf(self.inv_shape)
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.scale * gamma(1.0 + 1.0 / self.shape))
-    }
-    fn variance(&self) -> Option<f64> {
-        let g1 = gamma(1.0 + 1.0 / self.shape);
-        let g2 = gamma(1.0 + 2.0 / self.shape);
-        Some(self.scale * self.scale * (g2 - g1 * g1))
     }
 }
 
@@ -157,17 +135,10 @@ impl Normal {
         let u2 = rng.uniform01();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
-}
 
-impl Distribution for Normal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
+    /// Draws one sample: `μ + σ·Z`, `Z` a standard normal deviate.
+    pub fn sample(&self, rng: &mut SimRng) -> f64 {
         self.mu + self.sigma * Self::standard_sample(rng)
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.mu)
-    }
-    fn variance(&self) -> Option<f64> {
-        Some(self.sigma * self.sigma)
     }
 }
 
@@ -176,20 +147,26 @@ mod tests {
     use super::*;
     use crate::rng::RngFactory;
 
-    fn check_moments(d: &dyn Distribution, label: &str, tol: f64) {
+    /// Compares the sample mean and variance of `sample` against the
+    /// closed forms `want_m` and `want_v`.
+    fn check_moments(
+        mut sample: impl FnMut(&mut SimRng) -> f64,
+        want_m: f64,
+        want_v: f64,
+        label: &str,
+        tol: f64,
+    ) {
         const N: usize = 200_000;
         let mut rng = RngFactory::new(0xD15C0).stream(label);
         let mut sum = 0.0;
         let mut sum2 = 0.0;
         for _ in 0..N {
-            let x = d.sample(&mut rng);
+            let x = sample(&mut rng);
             sum += x;
             sum2 += x * x;
         }
         let m = sum / N as f64;
         let v = sum2 / N as f64 - m * m;
-        let want_m = d.mean().unwrap();
-        let want_v = d.variance().unwrap();
         assert!(
             (m - want_m).abs() <= tol * want_m.abs().max(1.0),
             "{label}: mean {m} vs {want_m}"
@@ -202,17 +179,28 @@ mod tests {
 
     #[test]
     fn exponential_moments() {
-        check_moments(&Exponential::new(0.25), "exp", 0.01);
+        // Exp(λ): mean 1/λ, variance 1/λ².
+        let d = Exponential::new(0.25);
+        check_moments(|r| d.sample(r), 4.0, 16.0, "exp", 0.01);
         let d = Exponential::from_mean(4.0);
         assert!((d.rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn weibull_moments_bot_parameters() {
-        // The three Weibull parameterisations used by the scientific workload.
-        check_moments(&Weibull::new(4.25, 7.86), "w1", 0.01);
-        check_moments(&Weibull::new(1.79, 24.16), "w2", 0.015);
-        check_moments(&Weibull::new(1.76, 2.11), "w3", 0.015);
+        // The three Weibull parameterisations used by the scientific
+        // workload. W(k, λ): mean λΓ(1+1/k), variance λ²(Γ(1+2/k) − Γ(1+1/k)²).
+        for (shape, scale, label, tol) in [
+            (4.25, 7.86, "w1", 0.01),
+            (1.79, 24.16, "w2", 0.015),
+            (1.76, 2.11, "w3", 0.015),
+        ] {
+            let d = Weibull::new(shape, scale);
+            let g1 = gamma(1.0 + 1.0 / shape);
+            let g2 = gamma(1.0 + 2.0 / shape);
+            let var = scale * scale * (g2 - g1 * g1);
+            check_moments(|r| d.sample(r), d.mean(), var, label, tol);
+        }
     }
 
     #[test]
@@ -248,7 +236,8 @@ mod tests {
 
     #[test]
     fn normal_moments() {
-        check_moments(&Normal::new(10.0, 3.0), "normal", 0.01);
+        let d = Normal::new(10.0, 3.0);
+        check_moments(|r| d.sample(r), 10.0, 9.0, "normal", 0.01);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! ## Example: an M/M/1 queue in ~40 lines
 //!
 //! ```
-//! use vmprov_des::dist::{Distribution, Exponential};
+//! use vmprov_des::dist::Exponential;
 //! use vmprov_des::{Engine, RngFactory, Scheduler, SimRng, SimTime, World};
 //!
 //! enum Ev { Arrival, Departure }

@@ -145,7 +145,7 @@ mod tests {
     fn coverage_simulation() {
         // Empirically: ~95% of CIs built from n=10 normal samples should
         // cover the true mean.
-        use crate::dist::{Distribution, Normal};
+        use crate::dist::Normal;
         use crate::rng::RngFactory;
         let d = Normal::new(10.0, 2.0);
         let f = RngFactory::new(0xC1);

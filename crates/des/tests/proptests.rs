@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation kernel.
 
 use vmprov_check::{cases, Gen};
-use vmprov_des::dist::{Distribution, Exponential, Weibull};
+use vmprov_des::dist::{Exponential, Weibull};
 use vmprov_des::special::ln_gamma;
 use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted};
 use vmprov_des::{EventHandle, EventQueue, RngFactory, SimTime};

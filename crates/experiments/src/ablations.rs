@@ -7,20 +7,21 @@
 //! * **Dispatch strategy** — round-robin (paper) vs join-shortest-queue
 //!   vs random;
 //! * **Boot delay** — how VM readiness lag erodes QoS;
-//! * **Analyzer** — the schedule oracle vs reactive predictors (sliding
-//!   window, EWMA, AR) on a workload with an unscheduled flash crowd.
+//! * **Analyzer** — the [`AnalyzerSpec`] rate sources `repro replay`
+//!   offers (the schedule oracle, the sliding-window MLE, the EWMA) on a
+//!   flash crowd.
 
 use crate::runner::run_once;
-use crate::scenario::{DispatchSpec, PolicySpec, Scenario};
+use crate::scenario::{AnalyzerSpec, DispatchSpec, PolicySpec, Scenario, ESTIMATOR_HEADROOM};
+use std::sync::Arc;
 use vmprov_cloudsim::{RunSummary, SimBuilder, SimConfig};
-use vmprov_core::analyzer::{ArAnalyzer, EwmaAnalyzer, SlidingWindowAnalyzer, WorkloadAnalyzer};
 use vmprov_core::modeler::{ModelerOptions, PerformanceModeler};
 use vmprov_core::policy::AdaptivePolicy;
 use vmprov_core::qos::QosTargets;
 use vmprov_core::{AnalyticBackend, RoundRobin};
 use vmprov_des::{RngFactory, SimTime};
 use vmprov_workloads::synthetic::PiecewiseRateProcess;
-use vmprov_workloads::ServiceModel;
+use vmprov_workloads::{ArrivalProcess, ServiceModel};
 
 /// One ablation data point: variant label + its run summary.
 #[derive(Debug, Clone)]
@@ -80,41 +81,41 @@ pub fn boot_delay_ablation(seed: u64, horizon: SimTime) -> Vec<AblationRow> {
         .collect()
 }
 
-/// Analyzer ablation on a flash-crowd workload no schedule predicts:
-/// 60 req/s baseline with a 480 req/s burst for 15 minutes.
+/// Analyzer ablation on a flash crowd: 60 req/s baseline with a
+/// 480 req/s burst for 15 minutes. The oracle scans the crowd's own
+/// rate schedule with the estimators' headroom as its margin, so the
+/// rows differ only by λ̂; every row sees the same arrivals.
 pub fn analyzer_ablation(seed: u64) -> Vec<AblationRow> {
-    let horizon = SimTime::from_hours(2.0);
-    let make_workload = || {
-        Box::new(PiecewiseRateProcess::flash_crowd(
-            60.0, 480.0, 2400.0, 900.0, horizon,
-        ))
+    const INTERVAL: f64 = 60.0;
+    let crowd =
+        PiecewiseRateProcess::flash_crowd(60.0, 480.0, 2400.0, 900.0, SimTime::from_hours(2.0));
+    let schedule = {
+        let crowd = crowd.clone();
+        Arc::new(move |t: SimTime| crowd.model_rate(t))
     };
+    let prior_rate = crowd.model_rate(SimTime::ZERO);
     let qos = QosTargets::web_paper();
-    let analyzers: Vec<(&str, Box<dyn WorkloadAnalyzer>)> = vec![
-        (
-            "sliding-window(5, 3σ)",
-            Box::new(SlidingWindowAnalyzer::new(5, 3.0, 60.0)),
-        ),
-        (
-            "ewma(0.5, +20%)",
-            Box::new(EwmaAnalyzer::new(0.5, 0.2, 60.0)),
-        ),
-        ("ar(3)", Box::new(ArAnalyzer::new(3, 60, 0.2, 60.0))),
-    ];
-    analyzers
-        .into_iter()
-        .map(|(label, analyzer)| {
-            let modeler = PerformanceModeler::new(qos, 1000, ModelerOptions::default());
-            let policy = AdaptivePolicy::new(analyzer, modeler, 120.0, 10);
-            let summary = SimBuilder::new(SimConfig::paper(0.100, 0.250))
-                .workload(make_workload())
-                .service(ServiceModel::new(0.100, 0.10))
-                .policy(Box::new(policy))
-                .dispatcher(Box::new(RoundRobin::new()))
-                .run(&RngFactory::new(seed));
-            row(label, summary)
-        })
-        .collect()
+    [
+        AnalyzerSpec::Oracle,
+        AnalyzerSpec::SlidingMle {
+            window_secs: 5.0 * INTERVAL,
+        },
+        AnalyzerSpec::Ewma { alpha: 0.5 },
+    ]
+    .into_iter()
+    .map(|spec| {
+        let analyzer = spec.build(schedule.clone(), prior_rate, ESTIMATOR_HEADROOM, INTERVAL);
+        let modeler = PerformanceModeler::new(qos, 1000, ModelerOptions::default());
+        let policy = AdaptivePolicy::new(analyzer, modeler, 2.0 * INTERVAL, 10);
+        let summary = SimBuilder::new(SimConfig::paper(0.100, 0.250))
+            .workload(Box::new(crowd.clone()))
+            .service(ServiceModel::new(0.100, 0.10))
+            .policy(Box::new(policy))
+            .dispatcher(Box::new(RoundRobin::new()))
+            .run(&RngFactory::new(seed));
+        row(spec.label(), summary)
+    })
+    .collect()
 }
 
 /// Formats ablation rows as a table.
@@ -190,6 +191,28 @@ mod tests {
         let first = rows.first().unwrap().summary.rejection_rate;
         let last = rows.last().unwrap().summary.rejection_rate;
         assert!(last >= first - 1e-9, "first {first} last {last}");
+    }
+
+    #[test]
+    fn analyzer_ablation_compares_rate_sources_on_common_arrivals() {
+        // `repro`'s default seed.
+        let rows = analyzer_ablation(20110926);
+        let labels: Vec<&str> = rows.iter().map(|r| r.variant.as_str()).collect();
+        assert_eq!(labels, ["oracle", "mle", "ewma"]);
+        let offered = rows[0].summary.offered_requests;
+        assert!(offered > 0);
+        for r in &rows {
+            assert_eq!(r.summary.offered_requests, offered, "{}", r.variant);
+        }
+        // Measured order at this seed: the oracle sizes for the burst
+        // before it lands; the EWMA (α = 0.5) catches up faster than
+        // the five-minute MLE window.
+        let reject = |i: usize| rows[i].summary.rejected_requests;
+        let (oracle, mle, ewma) = (reject(0), reject(1), reject(2));
+        assert!(
+            oracle < ewma && ewma < mle,
+            "oracle {oracle} ewma {ewma} mle {mle}"
+        );
     }
 
     #[test]

@@ -397,7 +397,7 @@ fn figures_main(argv: &[String]) {
                 ));
                 text.push('\n');
                 text.push_str(&ablation_table(
-                    "Ablation: reactive analyzers on an unscheduled flash crowd",
+                    "Ablation: analyzer rate source (oracle, mle, ewma) on a flash crowd",
                     &analyzer_ablation(args.seed),
                 ));
                 println!("{text}");

@@ -4,8 +4,8 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 use vmprov_cloudsim::SimConfig;
-use vmprov_core::analyzer::ScheduleAnalyzer;
-use vmprov_core::estimator::{EstimatorAnalyzer, EwmaRate, SlidingWindowMle};
+use vmprov_core::analyzer::{ScheduleAnalyzer, WorkloadAnalyzer};
+use vmprov_core::estimator::{EstimatorAnalyzer, EwmaRate, RateEstimator, SlidingWindowMle};
 use vmprov_core::modeler::{ModelerOptions, PerformanceModeler, SizingInputs};
 use vmprov_core::policy::{AdaptivePolicy, ProvisioningPolicy, StaticPolicy};
 use vmprov_core::qos::QosTargets;
@@ -38,8 +38,8 @@ pub enum WorkloadKind {
 ///
 /// The paper's analyzer knows the generative workload model (an oracle
 /// λ); the estimator variants drive Algorithm 1 from *observed*
-/// arrivals instead — the CILP-style extension ISSUE 7 / the ROADMAP
-/// call for. Ignored by static policies.
+/// arrivals instead (the CILP-style observed-arrival loop). Ignored by
+/// static policies.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AnalyzerSpec {
     /// The paper's time-based prediction model over the known rate
@@ -79,6 +79,39 @@ impl AnalyzerSpec {
             AnalyzerSpec::Oracle => "oracle",
             AnalyzerSpec::SlidingMle { .. } => "mle",
             AnalyzerSpec::Ewma { .. } => "ewma",
+        }
+    }
+
+    /// Builds the analyzer this spec names, re-evaluating every
+    /// `update_interval` seconds. The oracle scans `schedule` and
+    /// inflates it by `oracle_margin`; the estimators predict from
+    /// observed arrivals with [`ESTIMATOR_HEADROOM`], falling back to
+    /// `prior_rate` until the first observation.
+    pub fn build(
+        self,
+        schedule: Arc<dyn Fn(SimTime) -> f64 + Send + Sync>,
+        prior_rate: f64,
+        oracle_margin: f64,
+        update_interval: f64,
+    ) -> Box<dyn WorkloadAnalyzer> {
+        let estimate = |estimator: Box<dyn RateEstimator>| -> Box<dyn WorkloadAnalyzer> {
+            Box::new(EstimatorAnalyzer::new(
+                estimator,
+                prior_rate,
+                ESTIMATOR_HEADROOM,
+                update_interval,
+            ))
+        };
+        match self {
+            AnalyzerSpec::Oracle => Box::new(ScheduleAnalyzer::new(
+                schedule,
+                update_interval,
+                oracle_margin,
+            )),
+            AnalyzerSpec::SlidingMle { window_secs } => {
+                estimate(Box::new(SlidingWindowMle::new(window_secs)))
+            }
+            AnalyzerSpec::Ewma { alpha } => estimate(Box::new(EwmaRate::new(alpha))),
         }
     }
 }
@@ -381,25 +414,9 @@ impl Scenario {
                     WorkloadKind::Trace => ESTIMATOR_HEADROOM,
                     WorkloadKind::Web | WorkloadKind::Scientific => 0.0,
                 };
-                let analyzer: Box<dyn vmprov_core::WorkloadAnalyzer> = match self.analyzer {
-                    AnalyzerSpec::Oracle => Box::new(ScheduleAnalyzer::new(
-                        rate_fn,
-                        ANALYZER_INTERVAL,
-                        oracle_margin,
-                    )),
-                    AnalyzerSpec::SlidingMle { window_secs } => Box::new(EstimatorAnalyzer::new(
-                        Box::new(SlidingWindowMle::new(window_secs)),
-                        rate0,
-                        ESTIMATOR_HEADROOM,
-                        ANALYZER_INTERVAL,
-                    )),
-                    AnalyzerSpec::Ewma { alpha } => Box::new(EstimatorAnalyzer::new(
-                        Box::new(EwmaRate::new(alpha)),
-                        rate0,
-                        ESTIMATOR_HEADROOM,
-                        ANALYZER_INTERVAL,
-                    )),
-                };
+                let analyzer =
+                    self.analyzer
+                        .build(rate_fn, rate0, oracle_margin, ANALYZER_INTERVAL);
                 Box::new(AdaptivePolicy::new(
                     analyzer,
                     modeler,

@@ -17,7 +17,7 @@
 //! exposed as constants and re-derived in tests.
 
 use crate::traits::{ArrivalBatch, ArrivalProcess, ServiceModel};
-use vmprov_des::dist::{Distribution, Weibull};
+use vmprov_des::dist::Weibull;
 use vmprov_des::{SimRng, SimTime, DAY, HOUR};
 
 /// Start of peak time (8 a.m.), seconds into the day.
@@ -189,9 +189,9 @@ impl ArrivalProcess for ScientificWorkload {
     fn model_rate(&self, t: SimTime) -> f64 {
         let tasks_per_job = self.mean_tasks_per_job();
         if is_peak(t.second_of_day()) {
-            tasks_per_job / self.interarrival.mean().unwrap()
+            tasks_per_job / self.interarrival.mean()
         } else {
-            tasks_per_job * self.jobs_per_window.mean().unwrap() / OFFPEAK_WINDOW
+            tasks_per_job * self.jobs_per_window.mean() / OFFPEAK_WINDOW
         }
     }
 

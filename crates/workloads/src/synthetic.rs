@@ -3,7 +3,7 @@
 //! unmodeled shifts (step, flash crowd).
 
 use crate::traits::{ArrivalBatch, ArrivalProcess};
-use vmprov_des::dist::{Distribution, Exponential};
+use vmprov_des::dist::Exponential;
 use vmprov_des::{SimRng, SimTime};
 
 /// Homogeneous Poisson arrivals at `rate` requests/second.

@@ -35,6 +35,9 @@ done
 # The end-to-end benchmark harness lives outside the workspace and pins
 # the crates' public API.
 run cargo test --offline -q --manifest-path e2ebench/Cargo.toml
+# The four ablation tables at smoke size: no other step runs the
+# `ablations` target.
+run cargo run "${OFFLINE[@]}" --release -q -p vmprov-experiments --bin repro -- figures ablations --mode smoke --out target/ablations-smoke
 # Full sizes (the suite takes seconds), written under target/ so the
 # committed BENCH_des.json at the repo root is not clobbered. Two gates:
 # the probe-overhead gate fails the build when a probe-less run is

@@ -2,7 +2,7 @@
 //! simulation — the evidence that the performance modeler's predictions
 //! describe the system the simulator actually runs.
 
-use vmprov::des::dist::{Distribution, Exponential};
+use vmprov::des::dist::Exponential;
 use vmprov::des::{Engine, RngFactory, Scheduler, SimRng, SimTime, World};
 use vmprov::queueing::{GiM1K, InterarrivalKind, GG1K, MM1K};
 
