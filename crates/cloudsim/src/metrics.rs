@@ -177,11 +177,13 @@ impl RunMetrics {
     /// Freezes the accumulators into a summary at `end`. `in_flight`
     /// is the number of admitted requests still queued or in service.
     ///
-    /// Debug builds check request conservation: every offered request
+    /// # Panics
+    /// Panics when request conservation fails: every offered request
     /// was accepted or rejected, and every accepted one completed, was
-    /// lost to a failure, or is still in flight.
+    /// lost to a failure, or is still in flight. Checked in every
+    /// build, so a broken run never reaches a figure.
     pub fn finalize(&self, end: SimTime, policy: &str, in_flight: u64) -> RunSummary {
-        debug_assert!(
+        assert!(
             self.rejected <= self.offered && self.rejected_high <= self.offered_high,
             "more rejections than offers: {} of {} ({} of {} high)",
             self.rejected,
@@ -190,7 +192,7 @@ impl RunMetrics {
             self.offered_high
         );
         let accepted = self.offered - self.rejected;
-        debug_assert_eq!(
+        assert_eq!(
             accepted,
             self.response.count() + self.requests_lost_to_failures + in_flight,
             "accepted requests must complete, be lost, or be in flight"
@@ -443,6 +445,18 @@ mod tests {
         assert_eq!(s.utilization, 0.0);
         assert_eq!(s.mean_response_time, 0.0);
         assert!(s.p99_response_time.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "accepted requests must complete, be lost, or be in flight")]
+    fn finalize_rejects_a_run_that_loses_requests() {
+        // 10 accepted, but only 1 completed + 2 lost + 3 in flight.
+        let mut m = RunMetrics::new(1, MetricsOptions::default());
+        m.offered = 12;
+        m.rejected = 2;
+        m.record_completion(0.1, 0.1, 1.0);
+        m.requests_lost_to_failures = 2;
+        m.finalize(SimTime::from_secs(1.0), "Leaky", 3);
     }
 
     #[test]

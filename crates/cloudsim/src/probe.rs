@@ -133,10 +133,12 @@ impl ToJson for PoolSample {
 /// needs. Hooks receive `&mut self` and plain data; they must not (and
 /// cannot) touch the simulation, its RNG streams, or its event list —
 /// which is what keeps any probe's run bit-identical to a probe-less
-/// one. Periodic sampling is opt-in via
-/// [`sample_interval`](Self::sample_interval): returning `Some(Δt)`
-/// makes the simulation deliver [`on_sample`](Self::on_sample) at
-/// t = 0, Δt, 2Δt, … (plus one final sample when the run ends
+/// one. Every hook carries its event's true time, but the service hooks
+/// do not arrive in global time order (see
+/// [`on_service_start`](Self::on_service_start)). Periodic sampling is
+/// opt-in via [`sample_interval`](Self::sample_interval): returning
+/// `Some(Δt)` makes the simulation deliver [`on_sample`](Self::on_sample)
+/// at t = 0, Δt, 2Δt, … (plus one final sample when the run ends
 /// off-grid).
 pub trait Probe {
     /// A request reaches admission control.
@@ -153,10 +155,21 @@ pub trait Probe {
     fn on_admit(&mut self, _now: SimTime, _slot: u32, _queue_len: u32) {}
 
     /// Instance `slot` started serving the request at its queue head.
+    ///
+    /// `now` is the true start time. A request that waits starts when
+    /// its predecessor departs, and the simulation learns of departures
+    /// lazily, so this hook (and
+    /// [`on_service_complete`](Self::on_service_complete)) may reach the
+    /// probe after events of later times, and after hooks of other
+    /// instances; each request's start still comes before its
+    /// completion.
     #[inline]
     fn on_service_start(&mut self, _now: SimTime, _slot: u32) {}
 
-    /// A request completed with the given response and service times.
+    /// A request completed with the given response and service times;
+    /// `now` is its true departure time, which may be earlier than
+    /// events the probe has already seen (see
+    /// [`on_service_start`](Self::on_service_start)).
     #[inline]
     fn on_service_complete(&mut self, _now: SimTime, _slot: u32, _response: f64, _service: f64) {}
 

@@ -12,9 +12,19 @@
 //!   ones (no new work, destroyed when the last request completes);
 //!   scale-up revives draining instances before booting new VMs.
 //!
-//! The web scenario processes ~10⁹ events per replication, so the hot
-//! path (arrival → dispatch → enqueue, completion → dequeue) is
-//! allocation-free and O(1) except for rare pool-management events.
+//! An instance serves FIFO on one core, so request i's departure
+//! `d_i = max(a_i, d_{i−1}) + s_i` is fixed when it is admitted (as
+//! CloudSim's space-shared scheduler fixes a cloudlet's finish time at
+//! submission). Departures are therefore not events: each instance keeps
+//! a ring of its pending requests and expires it lazily — when the
+//! dispatcher picks the instance, at each evaluation, at a crash, and at
+//! the end of the run — recording each request's
+//! response and service at its true departure. Only an instance that
+//! fills, or drains, holds an event-list entry.
+//!
+//! The web scenario offers ~10⁹ requests per replication, so the hot
+//! path (arrival → dispatch → expire → enqueue) is allocation-free and
+//! O(1) except for rare pool-management events.
 
 use crate::arrivals::ArrivalStream;
 use crate::config::SimConfig;
@@ -33,7 +43,10 @@ pub enum Event {
     /// One request reaches admission control. Arrivals enter the event
     /// list's lane, released by the run's [`RunGroup`].
     Arrival,
-    /// The request at the head of instance `slot`'s queue completes.
+    /// Instance `slot`'s one wake-up: an active instance that filled
+    /// gets its room back (the departure that leaves `k − 1` requests),
+    /// or a draining one has served its last request. Other departures
+    /// are not events; the rings expire them lazily.
     Completion {
         /// Instance slot index.
         slot: u32,
@@ -72,25 +85,37 @@ enum InstState {
     Dead,
 }
 
-/// The per-instance fields every completion touches, packed into one
-/// record (≈40 bytes, under a cache line) so the completion hot path
-/// reads a single contiguous location instead of four scattered SoA
-/// arrays: lifecycle state, the queue-ring head/length, the slot's
-/// membership-list position, and the pending completion timer.
+/// The per-instance fields every admission and expiry touches, packed
+/// into one record (≈56 bytes, under a cache line) so the hot path
+/// reads a single contiguous location instead of scattered SoA arrays:
+/// lifecycle state, the queue-ring head/length, the head and tail
+/// departure times, the slot's membership-list position, and the
+/// pending wake-up timer.
 #[derive(Debug, Clone, Copy)]
 struct InstHot {
     state: InstState,
-    /// Ring index of the request in service.
+    /// Ring index of the oldest request not yet expired.
     qhead: u32,
-    /// Requests in the ring (head in service).
+    /// Requests in the ring, departed-but-unexpired ones included.
     qlen: u32,
     /// Position of the slot in the `active` list while `Active`, or in
     /// the `draining` list while `Draining` — the index swap-removal
-    /// and completion-side bitset maintenance use. Meaningless in other
+    /// and wake-up-side bitset maintenance use. Meaningless in other
     /// states.
     list_pos: u32,
-    /// Pending [`Event::Completion`] for the request in service;
-    /// withdrawn when a crash discards the queue.
+    /// Departure time of the ring's head request (meaningful while
+    /// `qlen > 0`). Each later departure follows from the recurrence
+    /// `d_i = d_{i−1} + s_i`: a request that joins a busy instance
+    /// starts when its predecessor departs.
+    head_dep: f64,
+    /// Departure time of the latest admitted request: the start time of
+    /// the next one while it is in the future.
+    tail_dep: f64,
+    /// The instance's one [`Event::Completion`] entry, if any: while
+    /// `Active`, armed exactly when the ring holds `k` or more requests,
+    /// at the departure that leaves `k − 1`; while `Draining`, at the
+    /// tail departure. Withdrawn when a crash or destruction discards
+    /// the queue and when an expiry at a tick frees the room first.
     completion_timer: Option<EventHandle>,
 }
 
@@ -101,6 +126,8 @@ impl InstHot {
             qhead: 0,
             qlen: 0,
             list_pos: 0,
+            head_dep: 0.0,
+            tail_dep: 0.0,
             completion_timer: None,
         }
     }
@@ -108,18 +135,18 @@ impl InstHot {
 
 /// Struct-of-arrays instance storage with free-list slot reuse.
 ///
-/// The hot path (arrival → enqueue, completion → dequeue) touches only
-/// the packed [`InstHot`] records and `qdata`, which stay contiguous
-/// across every live instance instead of being scattered per-`Instance`
-/// heap objects. Request queues live in one flat slab: slot `s` owns
-/// the ring `qdata[s·stride .. (s+1)·stride]` where `stride` is the
+/// The hot path (arrival → expire → enqueue) touches only the packed
+/// [`InstHot`] records and `qdata`, which stay contiguous across every
+/// live instance instead of being scattered per-`Instance` heap
+/// objects. Request queues live in one flat slab: slot `s` owns the
+/// ring `qdata[s·stride .. (s+1)·stride]` where `stride` is the
 /// smallest power of two holding `k + 1` entries, so admitting or
-/// completing a request is index arithmetic on shared storage and a
+/// expiring a request is index arithmetic on shared storage and a
 /// destroyed slot's ring is reused verbatim by the next boot —
 /// steady-state VM churn allocates nothing. Cold fields (host, creation
 /// time/sequence, boot and failure timers) stay in separate arrays.
 struct InstanceSlots {
-    /// Completion-hot per-slot state (see [`InstHot`]).
+    /// Admission-hot per-slot state (see [`InstHot`]).
     hot: Vec<InstHot>,
     host: Vec<usize>,
     created_at: Vec<SimTime>,
@@ -136,7 +163,7 @@ struct InstanceSlots {
     /// destroyed before its crash (and at end-of-workload teardown).
     failure_timer: Vec<Option<EventHandle>>,
     /// Flat ring-buffer slab of (arrival time, service time) FIFOs; the
-    /// head entry of each slot's ring is the request in service.
+    /// head entry of each slot's ring departs at its `head_dep`.
     qdata: Vec<(f64, f64)>,
     /// Per-slot ring size (a power of two ≥ k + 1; grows on demand,
     /// never shrinks).
@@ -242,36 +269,64 @@ impl InstanceSlots {
         self.hot[slot as usize].qlen
     }
 
-    /// Appends a request to the slot's ring; returns the new length.
+    /// Appends a request arriving at `now` with service time `svc`;
+    /// returns the new length. It starts at `now` on an empty ring and
+    /// at its predecessor's departure otherwise (the ring must hold no
+    /// request departed by `now`: the caller expires first).
     #[inline]
-    fn push_back(&mut self, slot: u32, entry: (f64, f64)) -> u32 {
+    fn push_back(&mut self, slot: u32, now: f64, svc: f64) -> u32 {
         let i = slot as usize;
         let h = &mut self.hot[i];
         debug_assert!((h.qlen as usize) < self.stride, "ring overflow");
+        debug_assert!(
+            h.qlen == 0 || h.head_dep > now,
+            "push onto an unexpired ring"
+        );
+        let start = if h.qlen == 0 { now } else { h.tail_dep };
+        h.tail_dep = start + svc;
+        if h.qlen == 0 {
+            h.head_dep = h.tail_dep;
+        }
         let pos = (h.qhead as usize + h.qlen as usize) & (self.stride - 1);
         h.qlen += 1;
         let qlen = h.qlen;
-        self.qdata[i * self.stride + pos] = entry;
+        self.qdata[i * self.stride + pos] = (now, svc);
         qlen
     }
 
-    /// Removes and returns the request in service.
-    #[inline]
-    fn pop_front(&mut self, slot: u32) -> (f64, f64) {
+    /// The slot's ring in FIFO order as `(arrival, service, departure)`,
+    /// departures following the recurrence from `head_dep`.
+    fn departures(&self, slot: u32) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
         let i = slot as usize;
-        let h = &mut self.hot[i];
-        debug_assert!(h.qlen > 0, "pop on empty instance");
-        let head = h.qhead as usize;
-        h.qhead = ((head + 1) & (self.stride - 1)) as u32;
-        h.qlen -= 1;
-        self.qdata[i * self.stride + head]
+        let h = &self.hot[i];
+        let (base, mask, head) = (i * self.stride, self.stride - 1, h.qhead as usize);
+        let mut dep = h.head_dep;
+        (0..h.qlen as usize).map(move |j| {
+            let (arr, svc) = self.qdata[base + ((head + j) & mask)];
+            if j > 0 {
+                dep += svc;
+            }
+            (arr, svc, dep)
+        })
     }
 
-    /// The request in service (head of the ring).
+    /// Requests of `slot` still in the system at `now` (departure after
+    /// `now`), whether or not the departed ones have been expired.
     #[inline]
-    fn front(&self, slot: u32) -> (f64, f64) {
-        let i = slot as usize;
-        self.qdata[i * self.stride + self.hot[i].qhead as usize]
+    fn in_system(&self, slot: u32, now: f64) -> u32 {
+        let h = &self.hot[slot as usize];
+        if h.qlen == 0 || h.head_dep > now {
+            return h.qlen;
+        }
+        self.departures(slot).filter(|&(_, _, d)| d > now).count() as u32
+    }
+
+    /// Departure time of the request whose completion leaves `k − 1` in
+    /// the ring (the ring must hold at least `k ≥ 1`).
+    fn room_time(&self, slot: u32, k: u32) -> SimTime {
+        let n = (self.queue_len(slot) - k) as usize;
+        let (_, _, d) = self.departures(slot).nth(n).expect("ring holds k requests");
+        SimTime::from_secs(d)
     }
 
     fn clear_queue(&mut self, slot: u32) {
@@ -309,10 +364,13 @@ impl InstanceSlots {
 /// the maintained has-room bitset — exposed only when it encodes this
 /// probe's capacity exactly, i.e. for the `capacity == k` class.
 /// The low-priority class (capacity < k) falls back to the
-/// dispatcher's per-instance probe loop.
+/// dispatcher's per-instance probe loop. A view counts the requests
+/// still in the system at `now`, so a ring's departed-but-unexpired
+/// entries never read as occupancy.
 struct PoolViewRef<'a> {
-    hot: &'a [InstHot],
+    slots: &'a InstanceSlots,
     active: &'a [u32],
+    now: f64,
     capacity: u32,
     exact_free: Option<usize>,
     bits: Option<&'a [u64]>,
@@ -324,7 +382,7 @@ impl InstancePool for PoolViewRef<'_> {
     }
     fn view(&self, i: usize) -> InstanceView {
         InstanceView {
-            in_system: self.hot[self.active[i] as usize].qlen,
+            in_system: self.slots.in_system(self.active[i], self.now),
             capacity: self.capacity,
             accepting: true,
         }
@@ -368,13 +426,13 @@ pub struct CloudSim<P: Probe = NullProbe, D: Dispatcher = AnyDispatcher> {
     /// (`room_bits[i/64] >> (i%64) & 1` ⟺ `active[i]` holds fewer than
     /// `k` requests; bits at index ≥ `active.len()` are zero). The
     /// branch-free round-robin admission path word-scans this instead
-    /// of probing instances. Each slot's position in the active (or
-    /// draining) list lives in its packed [`InstHot`] record
-    /// (`list_pos`), making completion-side bit maintenance and
-    /// failure/drain removal O(1).
+    /// of probing instances. The bits are exact although rings expire
+    /// lazily: a ring with room keeps it whatever departs, and a full
+    /// one holds a wake-up at the departure that frees its room. Each
+    /// slot's position in the active (or draining) list lives in its
+    /// packed [`InstHot`] record (`list_pos`), making wake-up-side bit
+    /// maintenance and failure/drain removal O(1).
     room_bits: Vec<u64>,
-    /// Active instances currently serving a request.
-    busy_count: usize,
     /// Current per-instance queue capacity (Eq. 1, re-derived from the
     /// monitored Tm at each evaluation).
     k: u32,
@@ -387,6 +445,10 @@ pub struct CloudSim<P: Probe = NullProbe, D: Dispatcher = AnyDispatcher> {
     rng_failures: SimRng,
     /// Arrivals seen since the last monitor tick.
     window_arrivals: u64,
+    /// Arrivals of the last closed monitor window: what an evaluation
+    /// reports, since the tick that closes a window resets the open
+    /// count before an evaluation at the same instant runs.
+    closed_window_arrivals: u64,
     horizon: SimTime,
     /// Exposed accumulators.
     pub metrics: RunMetrics,
@@ -464,7 +526,6 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
             booting_slots: Vec::new(),
             free_count: 0,
             room_bits: Vec::new(),
-            busy_count: 0,
             k,
             service,
             policy,
@@ -474,6 +535,7 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
             rng_class: rngs.stream("class"),
             rng_failures: rngs.stream("failures"),
             window_arrivals: 0,
+            closed_window_arrivals: 0,
             horizon,
             metrics: RunMetrics::new(0, cfg.metrics),
             ts,
@@ -519,13 +581,26 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
     }
 
     /// Captures aggregate pool state and hands it to the probe.
+    ///
+    /// Reads the rings without expiring them: requests departed by
+    /// `now` count as completed here, but are folded into the metrics
+    /// only where an unprobed run folds them too, so a sampling probe
+    /// leaves the [`RunSummary`] bit-identical.
     fn emit_sample(&mut self, now: SimTime) {
-        let queue_depth: u64 = self
-            .active
-            .iter()
-            .chain(self.draining.iter())
-            .map(|&s| self.instances.queue_len(s) as u64)
-            .sum();
+        let t = now.as_secs();
+        let (mut queue_depth, mut departed) = (0u64, 0u64);
+        let (mut departed_response, mut departed_service) = (0.0, 0.0);
+        for &slot in self.active.iter().chain(self.draining.iter()) {
+            for (arr, svc, dep) in self.instances.departures(slot) {
+                if dep <= t {
+                    departed += 1;
+                    departed_response += dep - arr;
+                    departed_service += svc;
+                } else {
+                    queue_depth += 1;
+                }
+            }
+        }
         // VM seconds accrued so far: destroyed instances are already in
         // the metric; live ones are counted up to `now` in creation
         // order (the same float summation order as the end-of-run
@@ -536,25 +611,147 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
             .collect();
         live.sort_unstable_by_key(|&(seq, _)| seq);
         let live_vm_seconds: f64 = live.iter().map(|&(_, created)| now - created).sum();
-        let completed = self.metrics.response.count();
+        let recorded = self.metrics.response.count();
         let sample = PoolSample {
-            t: now.as_secs(),
+            t,
             instances: self.existing(),
             active: self.active.len() as u32,
             booting: self.booting_slots.len() as u32,
             draining: self.draining.len() as u32,
             queue_depth,
-            busy: self.busy_count as u32,
+            busy: self.busy(t),
             k: self.k,
             offered: self.metrics.offered,
             rejected: self.metrics.rejected,
-            completed,
-            response_sum: self.metrics.response.mean() * completed as f64,
-            busy_seconds: self.metrics.busy_seconds,
+            completed: recorded + departed,
+            response_sum: self.metrics.response.mean() * recorded as f64 + departed_response,
+            busy_seconds: self.metrics.busy_seconds + departed_service,
             vm_seconds: self.metrics.vm_seconds + live_vm_seconds,
         };
-        self.last_sample_t = now.as_secs();
+        self.last_sample_t = t;
         self.probe.on_sample(&sample);
+    }
+
+    /// Active instances serving a request at `now`.
+    fn busy(&self, now: f64) -> u32 {
+        self.active
+            .iter()
+            .filter(|&&s| {
+                let h = &self.instances.hot[s as usize];
+                h.qlen > 0 && h.tail_dep > now
+            })
+            .count() as u32
+    }
+
+    /// Pops every request of `slot` that departed by `now`, folding its
+    /// response and service times into the metrics and passing the
+    /// probe its true departure (and its successor's start). Returns
+    /// whether anything departed. Room bits and timers are the
+    /// caller's: see [`settle`](Self::settle).
+    #[inline]
+    fn expire(&mut self, slot: u32, now: f64) -> bool {
+        let i = slot as usize;
+        let stride = self.instances.stride;
+        let h = self.instances.hot[i];
+        if h.qlen == 0 || h.head_dep > now {
+            return false;
+        }
+        let ring = &self.instances.qdata[i * stride..(i + 1) * stride];
+        let (mut head, mut len, mut dep) = (h.qhead as usize, h.qlen, h.head_dep);
+        loop {
+            let (arr, svc) = ring[head];
+            let response = dep - arr;
+            self.metrics.record_run_completion(response, svc, self.ts);
+            self.probe
+                .on_service_complete(SimTime::from_secs(dep), slot, response, svc);
+            head = (head + 1) & (stride - 1);
+            len -= 1;
+            if len == 0 {
+                break;
+            }
+            // The successor joined while this request was in service
+            // (its ring was expired at admission), so it starts now.
+            self.probe.on_service_start(SimTime::from_secs(dep), slot);
+            dep += ring[head].1;
+            if dep > now {
+                break;
+            }
+        }
+        let h = &mut self.instances.hot[i];
+        h.qhead = head as u32;
+        h.qlen = len;
+        h.head_dep = dep;
+        true
+    }
+
+    /// [`expire`](Self::expire) plus the state change a departure makes
+    /// when an evaluation or a crash reaches it before its wake-up: a
+    /// full active instance gets its room back (its wake-up withdrawn),
+    /// and an emptied draining one is destroyed.
+    fn settle(&mut self, slot: u32, now: SimTime, sched: &mut Scheduler<'_, Event>) {
+        if !self.expire(slot, now.as_secs()) {
+            return;
+        }
+        let i = slot as usize;
+        match self.instances.hot[i].state {
+            InstState::Active => {
+                if self.instances.hot[i].qlen < self.k {
+                    if let Some(timer) = self.instances.hot[i].completion_timer.take() {
+                        sched.cancel(timer);
+                        self.restore_room(slot);
+                    }
+                }
+            }
+            InstState::Draining => {
+                if self.instances.hot[i].qlen == 0 {
+                    self.remove_draining(slot);
+                    self.destroy_instance(slot, now, sched);
+                }
+            }
+            InstState::Booting | InstState::Dead => {}
+        }
+    }
+
+    /// Settles every active and draining ring at `now`, so an
+    /// evaluation reads the monitored Tm, the idle instances and the
+    /// pool counts an event-per-departure run would hold. It costs a
+    /// pass over the pool, so only evaluations pay it: a monitor tick
+    /// reads no ring state.
+    fn settle_all(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
+        for idx in 0..self.active.len() {
+            self.settle(self.active[idx], now, sched);
+        }
+        // Back to front: settling may swap-remove the entry it visits.
+        for pos in (0..self.draining.len()).rev() {
+            self.settle(self.draining[pos], now, sched);
+        }
+    }
+
+    /// A full active instance's room comes back: count it free again
+    /// and set its has-room bit.
+    fn restore_room(&mut self, slot: u32) {
+        self.free_count += 1;
+        let idx = self.instances.hot[slot as usize].list_pos as usize;
+        debug_assert_eq!(self.active[idx], slot, "active list_pos out of sync");
+        self.room_bits[idx >> 6] |= 1u64 << (idx & 63);
+    }
+
+    /// Arms the wake-up of a full active instance at the departure
+    /// that gives it room again.
+    fn arm_room_timer(&mut self, slot: u32, sched: &mut Scheduler<'_, Event>) {
+        let at = self.instances.room_time(slot, self.k);
+        let h = sched.at(at, Event::Completion { slot });
+        let old = self.instances.hot[slot as usize]
+            .completion_timer
+            .replace(h);
+        debug_assert!(old.is_none(), "instance already held a wake-up");
+    }
+
+    /// Withdraws the instance's wake-up, if it holds one.
+    fn disarm(&mut self, slot: u32, sched: &mut Scheduler<'_, Event>) {
+        if let Some(timer) = self.instances.hot[slot as usize].completion_timer.take() {
+            sched.cancel(timer);
+        }
     }
 
     /// Existing (non-dead) instance count: booting + active + draining.
@@ -674,15 +871,33 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
     }
 
     /// Debug-build audit of the admission state: bit `i` of `room_bits`
-    /// is set exactly when `active[i]` holds fewer than `k` requests,
-    /// every bit at an index ≥ `active.len()` is zero, and `free_count`
-    /// is the number of set bits. Runs at each monitor tick and after
-    /// each evaluation (which may change `k` and resize the pool).
+    /// is set exactly when `active[i]`'s ring holds fewer than `k`
+    /// requests, every bit at an index ≥ `active.len()` is zero,
+    /// `free_count` is the number of set bits, an active instance holds
+    /// a wake-up exactly when its ring is full, and a draining one
+    /// always holds one. Rings count their unexpired entries, so the
+    /// audit needs no expiry. Runs at each monitor tick and after each
+    /// evaluation (which may change `k` and resize the pool).
     fn debug_check_room_bits(&self) {
         if !cfg!(debug_assertions) {
             return;
         }
         assert!(self.room_bits.len() * 64 >= self.active.len());
+        for &s in &self.active {
+            let h = &self.instances.hot[s as usize];
+            assert_eq!(
+                h.completion_timer.is_some(),
+                h.qlen >= self.k,
+                "slot {s}: wake-up out of sync with a full ring"
+            );
+        }
+        for &s in &self.draining {
+            let h = &self.instances.hot[s as usize];
+            assert!(
+                h.qlen > 0 && h.completion_timer.is_some(),
+                "slot {s}: drain timer"
+            );
+        }
         for (w, &word) in self.room_bits.iter().enumerate() {
             for b in 0..64 {
                 let idx = w * 64 + b;
@@ -697,16 +912,21 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
         assert_eq!(set as usize, self.free_count, "free_count out of sync");
     }
 
-    /// Recomputes `free_count` and rebuilds the has-room bitset after
-    /// `k` changes.
-    fn recount_free(&mut self) {
+    /// Recomputes `free_count`, rebuilds the has-room bitset and
+    /// re-arms the full instances' wake-ups after `k` changes (the rings
+    /// are settled).
+    fn recount_free(&mut self, sched: &mut Scheduler<'_, Event>) {
         self.room_bits.clear();
         self.room_bits.resize(self.active.len().div_ceil(64), 0);
         let mut free = 0;
-        for (idx, &s) in self.active.iter().enumerate() {
+        for idx in 0..self.active.len() {
+            let s = self.active[idx];
+            self.disarm(s, sched);
             if self.instances.queue_len(s) < self.k {
                 free += 1;
                 self.room_bits[idx >> 6] |= 1 << (idx & 63);
+            } else {
+                self.arm_room_timer(s, sched);
             }
         }
         self.free_count = free;
@@ -726,9 +946,13 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
                 };
                 debug_assert_eq!(self.instances.hot[slot as usize].state, InstState::Draining);
                 self.instances.hot[slot as usize].state = InstState::Active;
+                // The drain timer goes; a full ring needs a wake-up.
+                self.disarm(slot, sched);
                 self.push_active(slot);
                 if self.instance_has_room(slot) {
                     self.free_count += 1;
+                } else {
+                    self.arm_room_timer(slot, sched);
                 }
                 self.probe.on_vm_revive(now, slot);
                 need -= 1;
@@ -791,6 +1015,16 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
                 if self.instance_has_room(slot) {
                     self.free_count -= 1;
                 }
+                // Idle instances died above, so this one is busy: swap
+                // any room wake-up for one timer at its last departure.
+                debug_assert!(
+                    self.instances.queue_len(slot) > 0,
+                    "draining an idle instance"
+                );
+                self.disarm(slot, sched);
+                let last = self.instances.hot[slot as usize].tail_dep;
+                let h = sched.at(SimTime::from_secs(last), Event::Completion { slot });
+                self.instances.hot[slot as usize].completion_timer = Some(h);
                 self.instances.hot[slot as usize].state = InstState::Draining;
                 self.instances.hot[slot as usize].list_pos = self.draining.len() as u32;
                 self.draining.push(slot);
@@ -845,8 +1079,9 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
             // the class probing with capacity == k (exactly when the
             // exact-free counter applies).
             let view = PoolViewRef {
-                hot: &self.instances.hot,
+                slots: &self.instances,
                 active: &self.active,
+                now: now.as_secs(),
                 capacity,
                 exact_free,
                 bits: exact_free.map(|_| self.room_bits.as_slice()),
@@ -868,64 +1103,44 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
             return;
         };
         let slot = self.active[idx];
+        // Departures up to `now` leave first, so the new request starts
+        // at `now` on an idle instance and at the last departure else.
+        self.expire(slot, now.as_secs());
         debug_assert!(
             self.instances.queue_len(slot) < capacity,
             "admission picked active[{idx}] with no room"
         );
         let svc = self.service.sample(&mut self.rng_service);
-        let len = self.instances.push_back(slot, (now.as_secs(), svc));
+        let len = self.instances.push_back(slot, now.as_secs(), svc);
         self.probe.on_admit(now, slot, len);
         if len == 1 {
-            // Idle instance starts serving right away.
-            self.busy_count += 1;
-            self.instances.hot[slot as usize].completion_timer =
-                Some(sched.after(svc, Event::Completion { slot }));
             self.probe.on_service_start(now, slot);
         }
         if len == self.k {
             self.free_count -= 1;
             // `idx` is the pick's active-list position of `slot`.
             self.room_bits[idx >> 6] &= !(1u64 << (idx & 63));
+            self.arm_room_timer(slot, sched);
         }
     }
 
+    /// An instance's one wake-up fires: a full active instance gets its
+    /// room back, and a draining one has served its last request.
     fn handle_completion(&mut self, slot: u32, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        let state = self.instances.state(slot);
-        // Crashes withdraw the pending completion, so this event can
-        // only reach a live instance.
-        debug_assert!(
-            state != InstState::Dead,
-            "completion leaked past cancellation"
-        );
-        self.instances.hot[slot as usize].completion_timer = None;
-        let (arr, svc) = self.instances.pop_front(slot);
-        let response = now.as_secs() - arr;
-        self.metrics.record_run_completion(response, svc, self.ts);
-        self.probe.on_service_complete(now, slot, response, svc);
-        let remaining = self.instances.queue_len(slot);
-        if remaining > 0 {
-            let next_svc = self.instances.front(slot).1;
-            let h = sched.after(next_svc, Event::Completion { slot });
-            self.instances.hot[slot as usize].completion_timer = Some(h);
-            self.probe.on_service_start(now, slot);
-        } else {
-            self.busy_count -= 1;
-        }
-        match state {
+        // Crashes, revives and early expiries withdraw the wake-up, so
+        // this event can only reach the live instance that armed it.
+        let timer = self.instances.hot[slot as usize].completion_timer.take();
+        debug_assert!(timer.is_some(), "completion leaked past cancellation");
+        self.expire(slot, now.as_secs());
+        match self.instances.state(slot) {
             InstState::Active => {
-                // Freed one unit of room if it was exactly full.
-                if remaining + 1 == self.k {
-                    self.free_count += 1;
-                    let idx = self.instances.hot[slot as usize].list_pos as usize;
-                    debug_assert_eq!(self.active[idx], slot, "active list_pos out of sync");
-                    self.room_bits[idx >> 6] |= 1u64 << (idx & 63);
-                }
+                debug_assert!(self.instance_has_room(slot), "wake-up left the ring full");
+                self.restore_room(slot);
             }
             InstState::Draining => {
-                if remaining == 0 {
-                    self.remove_draining(slot);
-                    self.destroy_instance(slot, now, sched);
-                }
+                debug_assert_eq!(self.instances.queue_len(slot), 0, "drain timer too early");
+                self.remove_draining(slot);
+                self.destroy_instance(slot, now, sched);
             }
             InstState::Booting | InstState::Dead => {
                 unreachable!("completions never target booting or dead instances")
@@ -937,11 +1152,18 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
     /// lost, resources are released, and the policy is re-evaluated
     /// immediately (idealized instant failure detection).
     fn handle_failure(&mut self, slot: u32, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        let state = self.instances.state(slot);
         // Destruction withdraws the failure clock, so this event can
         // only reach a live instance.
-        debug_assert!(state != InstState::Dead, "failure leaked past cancellation");
+        debug_assert!(
+            self.instances.state(slot) != InstState::Dead,
+            "failure leaked past cancellation"
+        );
         self.instances.failure_timer[slot as usize] = None;
+        // Requests that departed by the crash completed; the rest of
+        // the ring is lost. A draining instance whose last request
+        // departs at this very instant is gone before the crash.
+        self.settle(slot, now, sched);
+        let state = self.instances.state(slot);
         match state {
             InstState::Active => {
                 let idx = self.instances.hot[slot as usize].list_pos as usize;
@@ -949,9 +1171,6 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
                 self.remove_active(idx);
                 if self.instance_has_room(slot) {
                     self.free_count -= 1;
-                }
-                if self.instances.queue_len(slot) > 0 {
-                    self.busy_count -= 1;
                 }
             }
             InstState::Draining => {
@@ -965,15 +1184,15 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
                     .expect("booting instance not in booting list");
                 self.booting_slots.remove(idx);
             }
-            InstState::Dead => unreachable!(),
+            InstState::Dead => return,
         }
         let lost = self.instances.queue_len(slot) as u64;
         self.metrics.requests_lost_to_failures += lost;
         self.metrics.instance_failures += 1;
         self.instances.clear_queue(slot);
         self.probe.on_vm_crash(now, slot, lost);
-        // destroy_instance withdraws the in-flight completion timer of
-        // the request that just died with the instance.
+        // destroy_instance withdraws the wake-up of the ring that just
+        // died with the instance.
         self.destroy_instance(slot, now, sched);
         // Monitoring notices and the provisioner replaces the capacity
         // (without disturbing the periodic evaluation schedule).
@@ -986,12 +1205,13 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
         sched: &mut Scheduler<'_, Event>,
         reschedule: bool,
     ) {
+        self.settle_all(now, sched);
         let (tm, scv) = self.monitored_service();
         let new_k = self.policy.queue_capacity(tm);
         if new_k != self.k {
             self.k = new_k;
             self.instances.ensure_stride(new_k);
-            self.recount_free();
+            self.recount_free(sched);
         }
         let status = PoolStatus {
             now,
@@ -1000,12 +1220,12 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
             monitor: MonitorReport {
                 mean_service_time: tm,
                 service_scv: scv,
-                observed_arrival_rate: self.window_arrivals as f64
+                observed_arrival_rate: self.closed_window_arrivals as f64
                     / self.cfg.monitor_interval.max(1e-9),
                 pool_utilization: if self.active.is_empty() {
                     0.0
                 } else {
-                    self.busy_count as f64 / self.active.len() as f64
+                    f64::from(self.busy(now.as_secs())) / self.active.len() as f64
                 },
             },
         };
@@ -1074,6 +1294,7 @@ impl<P: Probe, D: Dispatcher> World for CloudSim<P, D> {
                 self.hosts.debug_check_hosts();
                 self.policy
                     .observe_arrivals(now, self.window_arrivals, self.cfg.monitor_interval);
+                self.closed_window_arrivals = self.window_arrivals;
                 self.window_arrivals = 0;
                 let next = now + self.cfg.monitor_interval;
                 if next <= self.horizon {
@@ -1257,8 +1478,19 @@ fn run_engine_core<P: Probe, D: Dispatcher>(
     // drain admits and serves them, so a replay offers every request
     // of the trace.
     engine.run();
-    let end = engine.now();
+    // Every draining instance met its timer; the active ones' rings
+    // empty now, each request at its own departure. The run ends at its
+    // last event or its last departure, whichever is later.
+    let mut end = engine.now();
     let world = engine.world_mut();
+    for idx in 0..world.active.len() {
+        let slot = world.active[idx];
+        let h = &world.instances.hot[slot as usize];
+        if h.qlen > 0 {
+            end = end.max(SimTime::from_secs(h.tail_dep));
+            world.expire(slot, f64::INFINITY);
+        }
+    }
     // A sampling probe gets one final off-grid sample so the series
     // covers the drain tail (skipped when the end lands on the grid).
     if world.probe.sample_interval().is_some() && end.as_secs() > world.last_sample_t {
@@ -1281,7 +1513,7 @@ fn run_engine_core<P: Probe, D: Dispatcher>(
             )
         })
         .collect();
-    debug_assert_eq!(in_flight, 0, "run ended with work in flight");
+    assert_eq!(in_flight, 0, "run ended with work in flight");
     live.sort_unstable_by_key(|&(seq, _)| seq);
     for &(_, created) in &live {
         world.metrics.vm_seconds += end - created;
@@ -1512,11 +1744,13 @@ mod tests {
         assert!(s.rejection_rate < 0.25, "rejection {}", s.rejection_rate);
     }
 
-    /// A policy that walks a fixed list of targets, one per evaluation.
+    /// A policy that walks a fixed list of targets, one per evaluation,
+    /// at a fixed queue capacity `k`.
     struct TargetSequence {
         targets: Vec<u32>,
         idx: std::cell::Cell<usize>,
         period: f64,
+        k: u32,
     }
 
     impl vmprov_core::policy::ProvisioningPolicy for TargetSequence {
@@ -1535,9 +1769,8 @@ mod tests {
         fn next_evaluation(&self, now: SimTime) -> SimTime {
             now + self.period
         }
-        fn queue_capacity(&self, monitored_service_time: f64) -> u32 {
-            QosTargets::new(monitored_service_time * 2.5, 0.0, 0.8)
-                .queue_capacity(monitored_service_time)
+        fn queue_capacity(&self, _monitored_service_time: f64) -> u32 {
+            self.k
         }
     }
 
@@ -1556,6 +1789,7 @@ mod tests {
             targets: vec![10, 2, 10, 10],
             idx: std::cell::Cell::new(0),
             period: 30.0,
+            k: 2,
         };
         let burst = |t: f64| vmprov_workloads::ArrivalBatch {
             time: SimTime::from_secs(t),
@@ -1693,5 +1927,252 @@ mod tests {
         assert!(s.vm_creation_failures > 0);
         // Overflow traffic is rejected, not lost.
         assert!(s.rejection_rate > 0.3);
+    }
+
+    #[test]
+    fn an_underloaded_pool_handles_about_one_event_per_request() {
+        // k = 2 on 10 instances at ρ ≈ 0.4 each: round-robin spreads the
+        // arrivals, so an admission rarely fills an instance, and only a
+        // fill (or a control tick) adds an event beside the arrival.
+        let builder = SimBuilder::new(small_config())
+            .workload(poisson(40.0, 500.0))
+            .service(service())
+            .policy(Box::new(StaticPolicy::new(10, QosTargets::web_paper())))
+            .dispatcher(RoundRobin::new());
+        let mut group = RunGroup::start(vec![builder], &RngFactory::new(21), None);
+        group.advance_before(SimTime::from_secs(f64::MAX));
+        let steps = group.runs[0].steps();
+        let (s, _) = group.finish(None).pop().expect("one run");
+        assert!(s.offered_requests > 15_000, "{s:?}");
+        let per_request = steps as f64 / s.offered_requests as f64;
+        assert!(
+            per_request <= 1.05,
+            "{per_request:.3} events per request ({steps} for {} requests)",
+            s.offered_requests
+        );
+    }
+
+    #[test]
+    fn a_rejected_arrival_adds_no_event_list_entry() {
+        // Two k = 2 instances offered 100 req/s: most arrivals find the
+        // pool full, and each such arrival leaves only by being popped.
+        let parts = SimBuilder::new(small_config())
+            .service(service())
+            .policy(Box::new(StaticPolicy::new(2, QosTargets::web_paper())))
+            .dispatcher(RoundRobin::new())
+            .into_parts();
+        let mut engine = CloudSim::build_engine(
+            parts.cfg,
+            SimTime::from_secs(50.0),
+            parts.service,
+            parts.policy,
+            parts.dispatcher,
+            &RngFactory::new(5),
+            parts.probe,
+            None,
+        );
+        let times: Vec<SimTime> = (0..5_000)
+            .map(|i| SimTime::from_secs(f64::from(i) * 0.01))
+            .collect();
+        engine.schedule_run(&times, Event::Arrival);
+        let mut rejects = 0;
+        while engine.world().metrics.offered < 5_000 {
+            let (pending, rejected) = (engine.pending(), engine.world().metrics.rejected);
+            assert!(engine.step());
+            if engine.world().metrics.rejected > rejected {
+                rejects += 1;
+                assert_eq!(
+                    engine.pending(),
+                    pending - 1,
+                    "a rejection scheduled an event"
+                );
+            }
+        }
+        assert!(
+            rejects > 2_500,
+            "only {rejects} rejections: the pool is not saturated"
+        );
+    }
+
+    /// The departures of `n` back-to-back requests of length `svc` that
+    /// all reach an idle instance at `t0`, by the simulator's recurrence.
+    fn departures(t0: f64, svc: f64, n: usize) -> Vec<f64> {
+        let mut d = t0;
+        (0..n)
+            .map(|_| {
+                d += svc;
+                d
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_crash_loses_exactly_the_requests_not_yet_departed() {
+        // Five 0.1 s requests reach one k = 5 instance at t = 1; a crash
+        // at t completes those departed by t (a departure at exactly t
+        // included) and loses the rest.
+        let deps = departures(1.0, 0.1, 5);
+        for crash in [1.05, 1.15, deps[1], 1.33, deps[4], 2.0] {
+            let burst = vmprov_workloads::ArrivalBatch {
+                time: SimTime::from_secs(1.0),
+                count: 5,
+                spread: 0.0,
+            };
+            let late = vmprov_workloads::ArrivalBatch {
+                time: SimTime::from_secs(10.0),
+                count: 1,
+                spread: 0.0,
+            };
+            let trace = vmprov_workloads::Trace::new(vec![burst, late]).unwrap();
+            let builder = SimBuilder::new(SimConfig::paper(0.1, 0.55))
+                .workload(trace.replay())
+                .service(ServiceModel::new(0.1, 0.0))
+                .policy(Box::new(StaticPolicy::new(
+                    1,
+                    QosTargets::new(0.55, 0.0, 0.8),
+                )))
+                .dispatcher(RoundRobin::new())
+                .probe(crate::probe::CounterProbe::new());
+            let mut group = RunGroup::start(vec![builder], &RngFactory::new(3), None);
+            group.runs[0].schedule(SimTime::from_secs(crash), Event::Failure { slot: 0 });
+            let (s, counters) = group.finish(None).pop().expect("one run");
+            let lost = deps.iter().filter(|&&d| d > crash).count() as u64;
+            assert_eq!(s.instance_failures, 1, "crash at {crash}");
+            assert_eq!(s.requests_lost_to_failures, lost, "crash at {crash}");
+            assert_eq!(counters.lost_requests, lost, "crash at {crash}");
+            assert_eq!(s.accepted_requests, 6, "crash at {crash}");
+            assert_eq!(counters.completions, 6 - lost, "crash at {crash}");
+        }
+    }
+
+    /// Records the drain, revive and destroy instants of every slot.
+    #[derive(Default)]
+    struct Lifecycle(Vec<(&'static str, f64, u32)>);
+
+    impl Probe for Lifecycle {
+        fn on_vm_drain(&mut self, now: SimTime, slot: u32) {
+            self.0.push(("drain", now.as_secs(), slot));
+        }
+        fn on_vm_revive(&mut self, now: SimTime, slot: u32) {
+            self.0.push(("revive", now.as_secs(), slot));
+        }
+        fn on_vm_destroy(&mut self, now: SimTime, slot: u32) {
+            self.0.push(("destroy", now.as_secs(), slot));
+        }
+    }
+
+    /// Two k = 5 instances each take three 1 s requests at t = 0.5; the
+    /// policy walks `targets`, one per second, so the t = 1 scale-down
+    /// to 1 drains `active[0]`, whose last request departs at 3.5.
+    fn drain_run(targets: Vec<u32>) -> (RunSummary, Lifecycle) {
+        let burst = |t: f64, count: u64| vmprov_workloads::ArrivalBatch {
+            time: SimTime::from_secs(t),
+            count,
+            spread: 0.0,
+        };
+        let trace = vmprov_workloads::Trace::new(vec![burst(0.5, 6), burst(20.0, 1)]).unwrap();
+        let policy = TargetSequence {
+            targets,
+            idx: std::cell::Cell::new(0),
+            period: 1.0,
+            k: 5,
+        };
+        SimBuilder::new(SimConfig::paper(1.0, 5.5))
+            .workload(trace.replay())
+            .service(ServiceModel::new(1.0, 0.0))
+            .policy(Box::new(policy))
+            .dispatcher(RoundRobin::new())
+            .probe(Lifecycle::default())
+            .run_probed(&RngFactory::new(8))
+    }
+
+    #[test]
+    fn a_draining_instance_dies_at_its_last_departure() {
+        let (s, log) = drain_run(vec![2, 1]);
+        let drained = log.0[0];
+        assert_eq!((drained.0, drained.1), ("drain", 1.0), "{:?}", log.0);
+        let deaths: Vec<_> = log.0.iter().filter(|e| e.0 == "destroy").collect();
+        assert_eq!(deaths, [&("destroy", 3.5, drained.2)], "{:?}", log.0);
+        assert_eq!(s.accepted_requests, 7);
+        assert_eq!(s.max_response_time, 3.0);
+    }
+
+    #[test]
+    fn a_revive_before_the_last_departure_cancels_the_destruction() {
+        let (s, log) = drain_run(vec![2, 1, 2]);
+        let drained = log.0[0];
+        assert_eq!((drained.0, drained.1), ("drain", 1.0), "{:?}", log.0);
+        assert_eq!(log.0[1], ("revive", 2.0, drained.2), "{:?}", log.0);
+        assert!(
+            log.0.iter().all(|e| e.0 != "destroy"),
+            "a revived instance was destroyed: {:?}",
+            log.0
+        );
+        assert_eq!(s.vms_created, 2);
+        assert_eq!(s.accepted_requests, 7);
+        assert_eq!(s.max_response_time, 3.0);
+    }
+
+    /// A static pool that records the arrival rate each evaluation is
+    /// handed.
+    struct RateLog {
+        seen: Arc<std::sync::Mutex<Vec<(f64, f64)>>>,
+    }
+
+    impl ProvisioningPolicy for RateLog {
+        fn name(&self) -> String {
+            "RateLog".into()
+        }
+        fn initial_instances(&self) -> u32 {
+            10
+        }
+        fn evaluate(&mut self, status: &PoolStatus) -> u32 {
+            let rate = status.monitor.observed_arrival_rate;
+            self.seen.lock().unwrap().push((status.now.as_secs(), rate));
+            10
+        }
+        fn next_evaluation(&self, now: SimTime) -> SimTime {
+            now + 10.0
+        }
+        fn queue_capacity(&self, monitored_service_time: f64) -> u32 {
+            QosTargets::web_paper().queue_capacity(monitored_service_time)
+        }
+    }
+
+    /// Records every arrival instant.
+    #[derive(Default)]
+    struct ArrivalLog(Vec<f64>);
+
+    impl Probe for ArrivalLog {
+        fn on_arrival(&mut self, now: SimTime, _class: RequestClass) {
+            self.0.push(now.as_secs());
+        }
+    }
+
+    #[test]
+    fn an_evaluation_on_the_monitor_grid_sees_the_closed_window_rate() {
+        // Evaluations and monitor ticks share the 10 s grid; the tick
+        // closes its window first, and the evaluation must report that
+        // window, not the one the tick just opened.
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let (_, arrivals) = SimBuilder::new(small_config())
+            .workload(poisson(50.0, 100.0))
+            .service(service())
+            .policy(Box::new(RateLog { seen: seen.clone() }))
+            .dispatcher(RoundRobin::new())
+            .probe(ArrivalLog::default())
+            .run_probed(&RngFactory::new(17));
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 11, "{seen:?}");
+        assert_eq!(seen[0], (0.0, 0.0), "no window has closed at t = 0");
+        for &(t, rate) in &seen[1..] {
+            let count = arrivals
+                .0
+                .iter()
+                .filter(|&&a| a >= t - 10.0 && a < t)
+                .count();
+            assert_eq!(rate, count as f64 / 10.0, "evaluation at {t}");
+            assert!(rate > 30.0, "evaluation at {t} read {rate} req/s of 50");
+        }
     }
 }

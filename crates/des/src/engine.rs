@@ -184,6 +184,12 @@ impl<W: World> Engine<W> {
         self.steps
     }
 
+    /// Number of pending events, lane entries included.
+    #[inline]
+    pub fn pending(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Shared access to the model.
     #[inline]
     pub fn world(&self) -> &W {

@@ -126,7 +126,13 @@ fn main() {
         "\nburst-sized static never rejects but burns {:.1}× the adaptive VM hours;",
         static_peak.vm_hours / adaptive.vm_hours
     );
-    println!("reactive/learning policies reject while they catch up with the burst.");
+    println!(
+        "both elastic policies reject while they catch up with the burst: the reactive rule, \
+         sized from the last minute's rate, {:.1}%; the adaptive policy, whose estimator \
+         averages five minutes, {:.1}%.",
+        100.0 * reactive.rejection_rate,
+        100.0 * adaptive.rejection_rate
+    );
 
     // Both elastic policies must beat the static pool on cost.
     assert!(adaptive.vm_hours < static_peak.vm_hours);

@@ -27,6 +27,9 @@ run cargo build "${OFFLINE[@]}" --workspace --release
 run cargo test "${OFFLINE[@]}" --workspace -q
 # Again on one test thread: the suite must pass at any thread count.
 run env RUST_TEST_THREADS=1 cargo test "${OFFLINE[@]}" --workspace -q
+# The goldens again in a release build, the one the figures and the
+# benchmark use (debug builds add the per-tick room-bit audit).
+run cargo test "${OFFLINE[@]}" --release -q -p vmprov-experiments --test golden_summaries
 # Each example asserts the headline result it demonstrates; run them all
 # (release build, a few seconds in total).
 for example in examples/*.rs; do
