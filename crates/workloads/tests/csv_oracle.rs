@@ -223,6 +223,33 @@ const EDGE_ROWS: &[&[u8]] = &[
     b"5,1,1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
     b"0.1000000000000000055511151231257827021181583404541015625,1,0",
     b"5,1,0.30000000000000004",
+    // Both sides of the exact decoder's window (19 significant digits,
+    // leading zeros not counted; 27 fraction digits), for the time and
+    // for the spread: inside it the fast path decodes, past it the
+    // general parser does, and both must give `str::parse`'s bits.
+    b"5.123456789012345678,1,0",
+    b"5.1234567890123456789,1,0",
+    b"5.123456789012345670,1,0",
+    b"5.1234567890123456780,1,0",
+    b"00000000005.123456789012345678,1,0",
+    b"1234567890123456789,1,0",
+    b"12345678901234567890,1,0",
+    b"0.000000001234567890123456789,1,0",
+    b"0.0000000001234567890123456789,1,0",
+    b"0.000000000000000000000000005,1,0",
+    b"0.0000000000000000000000000005,1,0",
+    b"0.000000000000000000000000000,1,0",
+    b"0.0000000000000000000000000000,1,0",
+    b"9007199254740993,1,0",
+    b"5,1,5.123456789012345678",
+    b"5,1,5.1234567890123456789",
+    b"5,1,00000000005.123456789012345678",
+    b"5,1,12345678901234567890",
+    b"5,1,0.000000001234567890123456789",
+    b"5,1,0.0000000001234567890123456789",
+    b"5,1,0.000000000000000000000000005",
+    b"5,1,0.0000000000000000000000000005",
+    b"5,1,9007199254740993",
     "\u{0665},1,0".as_bytes(),
     "5,\u{0661},0".as_bytes(),
     "\u{00a0}5,1,0".as_bytes(),

@@ -30,6 +30,10 @@ run env RUST_TEST_THREADS=1 cargo test "${OFFLINE[@]}" --workspace -q
 # The goldens again in a release build, the one the figures and the
 # benchmark use (debug builds add the per-tick room-bit audit).
 run cargo test "${OFFLINE[@]}" --release -q -p vmprov-experiments --test golden_summaries
+# The trace decoder's wrapping, 128-bit and eight-digits-per-word
+# arithmetic again without debug overflow checks, as the benchmark and
+# `repro` build it.
+run cargo test "${OFFLINE[@]}" --release -q -p vmprov-workloads
 # Each example asserts the headline result it demonstrates; run them all
 # (release build, a few seconds in total).
 for example in examples/*.rs; do
