@@ -264,7 +264,7 @@ fn bench_arrival_expand(batches: usize, runs: u32) -> Timing {
             ..WebConfig::default()
         })
     };
-    let expand = |stream: &mut ArrivalStream<WebWorkload>| -> u64 {
+    let expand = |stream: &mut ArrivalStream| -> u64 {
         let mut arrivals = 0;
         while stream.next_release().is_some() {
             stream.expand();
@@ -275,9 +275,9 @@ fn bench_arrival_expand(batches: usize, runs: u32) -> Timing {
         }
         arrivals
     };
-    let arrivals = expand(&mut ArrivalStream::new(workload(), &rngs, 64));
+    let arrivals = expand(&mut ArrivalStream::new(Box::new(workload()), &rngs, 64));
     bench("arrival_expand_web", arrivals, 1, runs, || {
-        let mut stream = ArrivalStream::new(workload(), &rngs, 64);
+        let mut stream = ArrivalStream::new(Box::new(workload()), &rngs, 64);
         black_box(expand(&mut stream));
     })
 }
@@ -569,33 +569,6 @@ fn bench_exp_sampler(draws: usize, runs: u32) -> Timing {
             acc += exp.sample(&mut rng);
         }
         black_box(acc);
-    })
-}
-
-/// The same scenario as `web_small_run`, but driven through the
-/// `Box<dyn>`-erased entry point (boxed workload through the forwarding
-/// impl, boxed dispatcher enum): the per-request price of runtime
-/// erasure relative to the monomorphized path. The two runs consume
-/// identical RNG streams, so the ratio printed against `web_small_run`
-/// is pure dispatch overhead.
-fn bench_dispatch_erased(horizon: f64, runs: u32) -> Timing {
-    use vmprov_cloudsim::SimBuilder;
-    use vmprov_workloads::ArrivalProcess;
-    let scenario =
-        Scenario::web(PolicySpec::Static(60), 0xBE7C).with_horizon(SimTime::from_secs(horizon));
-    let rngs = RngFactory::new(replication_seed(scenario.seed, 0));
-    let run = || {
-        let workload: Box<dyn ArrivalProcess + Send> = Box::new(scenario.build_workload());
-        SimBuilder::new(scenario.sim_config())
-            .workload(workload)
-            .service(scenario.service_model())
-            .policy(scenario.build_policy())
-            .dispatcher(Box::new(scenario.build_dispatcher()))
-            .run(&rngs)
-    };
-    let offered = run().offered_requests;
-    bench("dispatch_static_vs_dyn", offered.max(1), 1, runs, || {
-        black_box(run());
     })
 }
 
@@ -1119,9 +1092,6 @@ fn main() {
         vec![bench_exp_sampler(sizes.sampler_draws, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
-        vec![bench_dispatch_erased(sizes.web_horizon, sizes.runs)]
-    })));
-    groups.push(run_group(Box::new(move || {
         vec![bench_pool_dispatch(sizes.pool_jobs, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
@@ -1211,23 +1181,12 @@ fn main() {
 
     let timings: Vec<Timing> = groups.into_iter().flat_map(|g| g.timings).collect();
 
-    // Headline comparison: the erased entry point vs the monomorphized
-    // hot path on the identical seeded web run.
     let ns_per_op = |name: &str| {
         timings
             .iter()
             .find(|t| t.name == name)
             .map(Timing::ns_per_op)
     };
-    if let (Some(mono), Some(erased)) = (
-        ns_per_op("web_small_run"),
-        ns_per_op("dispatch_static_vs_dyn"),
-    ) {
-        println!(
-            "  erased vs monomorphized web run: {:.2}x ({erased:.1} vs {mono:.1} ns/request)",
-            erased / mono
-        );
-    }
     // Headline: what one Fig 6 run costs before its requests do.
     if let Some(setup) = ns_per_op("sci_setup_run") {
         println!("  sci set-up: {:.1} us per Fig 6 run", setup / 1e3);

@@ -20,8 +20,8 @@ use vmprov_workloads::{ArrivalBatch, ArrivalProcess};
 
 /// The arrival times of one replication, in time order, a pulled run
 /// at a time.
-pub struct ArrivalStream<W> {
-    workload: W,
+pub struct ArrivalStream {
+    workload: Box<dyn ArrivalProcess + Send>,
     rng: SimRng,
     /// Batches pulled per run.
     run: usize,
@@ -38,11 +38,11 @@ pub struct ArrivalStream<W> {
     taken: usize,
 }
 
-impl<W: ArrivalProcess> ArrivalStream<W> {
+impl ArrivalStream {
     /// Opens the stream of `workload` on `rngs`' `"arrivals"` stream,
     /// pulling `run` batches at a time (at least one), and pulls the
     /// first run.
-    pub fn new(mut workload: W, rngs: &RngFactory, run: u32) -> Self {
+    pub fn new(mut workload: Box<dyn ArrivalProcess + Send>, rngs: &RngFactory, run: u32) -> Self {
         let mut rng = rngs.stream("arrivals");
         let run = run.max(1) as usize;
         let mut pending = Vec::new();
@@ -141,7 +141,7 @@ mod tests {
     }
 
     /// Every time of the stream, expanding and taking until the end.
-    fn drain(stream: &mut ArrivalStream<vmprov_workloads::StreamReplay>) -> Vec<f64> {
+    fn drain(stream: &mut ArrivalStream) -> Vec<f64> {
         let mut out = Vec::new();
         loop {
             out.extend(stream.ready().iter().map(|t| t.as_secs()));
@@ -164,7 +164,8 @@ mod tests {
         ])
         .unwrap();
         for run in [1, 2, 64] {
-            let mut stream = ArrivalStream::new(trace.clone().replay(), &RngFactory::new(5), run);
+            let mut stream =
+                ArrivalStream::new(Box::new(trace.clone().replay()), &RngFactory::new(5), run);
             let times = drain(&mut stream);
             assert_eq!(times.len(), 104, "run {run}");
             assert!(times.windows(2).all(|w| w[0] <= w[1]), "run {run}");
@@ -176,7 +177,7 @@ mod tests {
     #[test]
     fn ready_times_never_pass_the_next_release() {
         let trace = Trace::new(vec![batch(0.0, 20, 60.0), batch(5.0, 2, 0.0)]).unwrap();
-        let mut stream = ArrivalStream::new(trace.clone().replay(), &RngFactory::new(1), 1);
+        let mut stream = ArrivalStream::new(Box::new(trace.replay()), &RngFactory::new(1), 1);
         assert_eq!(stream.next_release(), Some(SimTime::ZERO));
         stream.expand();
         assert_eq!(stream.next_release(), Some(SimTime::from_secs(5.0)));

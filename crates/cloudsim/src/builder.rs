@@ -14,8 +14,9 @@
 //!     .run(&rngs);
 //! ```
 //!
-//! Attaching a probe rebinds the builder's type parameter, so the
-//! unprobed path stays statically monomorphized over [`NullProbe`]:
+//! The probe is the builder's one type parameter: attaching one
+//! rebinds it, so the unprobed path stays statically monomorphized over
+//! [`NullProbe`]:
 //!
 //! ```ignore
 //! let (summary, sampler) = SimBuilder::new(cfg)
@@ -30,10 +31,10 @@ use crate::metrics::{MetricsOptions, RunSummary};
 use crate::probe::{NullProbe, Probe};
 use crate::sim::RunGroup;
 use std::convert::Infallible;
-use vmprov_core::dispatch::{AnyDispatcher, Dispatcher};
+use vmprov_core::dispatch::AnyDispatcher;
 use vmprov_core::policy::ProvisioningPolicy;
 use vmprov_des::RngFactory;
-use vmprov_workloads::{AnyWorkload, ArrivalProcess, ServiceModel};
+use vmprov_workloads::{ArrivalProcess, ServiceModel};
 
 /// Builder for one simulation run. Construct with [`SimBuilder::new`],
 /// supply the four required components (workload, service model,
@@ -41,25 +42,16 @@ use vmprov_workloads::{AnyWorkload, ArrivalProcess, ServiceModel};
 /// then [`run`](SimBuilder::run). Missing components panic at `run`
 /// time with the component's name.
 ///
-/// The builder is generic over the workload and dispatcher it carries;
-/// [`workload`](SimBuilder::workload) and
-/// [`dispatcher`](SimBuilder::dispatcher) rebind those parameters the
-/// same way [`probe`](SimBuilder::probe) rebinds the probe type, so the
-/// simulation that eventually runs is monomorphized over exactly the
-/// component types supplied. The defaults ([`AnyWorkload`],
-/// [`AnyDispatcher`]) are what the experiments layer's scenario decoder
-/// supplies, keeping the un-annotated `SimBuilder` name valid there.
-pub struct SimBuilder<P = NullProbe, W = AnyWorkload, D = AnyDispatcher>
-where
-    P: Probe,
-    W: ArrivalProcess + Send,
-    D: Dispatcher,
-{
+/// The builder's one type parameter is its probe, which
+/// [`probe`](SimBuilder::probe) rebinds. The workload is boxed, since a
+/// run calls it once per pulled run of batches; the dispatcher, called
+/// once per request, is the closed [`AnyDispatcher`] enum.
+pub struct SimBuilder<P: Probe = NullProbe> {
     cfg: SimConfig,
-    workload: Option<W>,
+    workload: Option<Box<dyn ArrivalProcess + Send>>,
     service: Option<ServiceModel>,
     policy: Option<Box<dyn ProvisioningPolicy>>,
-    dispatcher: Option<D>,
+    dispatcher: Option<AnyDispatcher>,
     probe: P,
 }
 
@@ -77,20 +69,11 @@ impl SimBuilder {
     }
 }
 
-impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
-    /// The arrival process driving the run (required). Rebinds the
-    /// builder's workload type: pass a concrete process for a fully
-    /// monomorphized run, or `Box<dyn ArrivalProcess + Send>` to keep
-    /// the choice erased until runtime.
-    pub fn workload<W2: ArrivalProcess + Send>(self, workload: W2) -> SimBuilder<P, W2, D> {
-        SimBuilder {
-            cfg: self.cfg,
-            workload: Some(workload),
-            service: self.service,
-            policy: self.policy,
-            dispatcher: self.dispatcher,
-            probe: self.probe,
-        }
+impl<P: Probe> SimBuilder<P> {
+    /// The arrival process driving the run (required).
+    pub fn workload(mut self, workload: impl ArrivalProcess + Send + 'static) -> Self {
+        self.workload = Some(Box::new(workload));
+        self
     }
 
     /// The service-time model (required).
@@ -105,17 +88,11 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
         self
     }
 
-    /// The request dispatcher (required). Rebinds the builder's
-    /// dispatcher type (see [`workload`](Self::workload)).
-    pub fn dispatcher<D2: Dispatcher>(self, dispatcher: D2) -> SimBuilder<P, W, D2> {
-        SimBuilder {
-            cfg: self.cfg,
-            workload: self.workload,
-            service: self.service,
-            policy: self.policy,
-            dispatcher: Some(dispatcher),
-            probe: self.probe,
-        }
+    /// The request dispatcher (required): any strategy, or an
+    /// [`AnyDispatcher`] picked at runtime.
+    pub fn dispatcher(mut self, dispatcher: impl Into<AnyDispatcher>) -> Self {
+        self.dispatcher = Some(dispatcher.into());
+        self
     }
 
     /// Overrides the metrics collection options (default: the config's).
@@ -136,7 +113,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
 
     /// Attaches a probe, rebinding the builder's probe type. Compose
     /// several with a tuple: `.probe((trace, sampler))`.
-    pub fn probe<Q: Probe>(self, probe: Q) -> SimBuilder<Q, W, D> {
+    pub fn probe<Q: Probe>(self, probe: Q) -> SimBuilder<Q> {
         SimBuilder {
             cfg: self.cfg,
             workload: self.workload,
@@ -175,14 +152,14 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
     /// callers that advance it in steps (see [`RunGroup`]).
     /// `start(r).finish(None)` returns what
     /// [`run_probed`](Self::run_probed) does.
-    pub fn start(self, rngs: &RngFactory) -> RunGroup<P, W, D> {
+    pub fn start(self, rngs: &RngFactory) -> RunGroup<P> {
         RunGroup::start(vec![self], rngs, None)
     }
 
     /// The builder's components; missing ones panic here with their
     /// names (the workload may be absent: a group reads only its first
     /// run's).
-    pub(crate) fn into_parts(self) -> Parts<P, W, D> {
+    pub(crate) fn into_parts(self) -> Parts<P> {
         Parts {
             cfg: self.cfg,
             workload: self.workload,
@@ -195,12 +172,12 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> SimBuilder<P, W, D> {
 }
 
 /// A [`SimBuilder`]'s components, checked.
-pub(crate) struct Parts<P, W, D> {
+pub(crate) struct Parts<P> {
     pub(crate) cfg: SimConfig,
-    pub(crate) workload: Option<W>,
+    pub(crate) workload: Option<Box<dyn ArrivalProcess + Send>>,
     pub(crate) service: ServiceModel,
     pub(crate) policy: Box<dyn ProvisioningPolicy>,
-    pub(crate) dispatcher: D,
+    pub(crate) dispatcher: AnyDispatcher,
     pub(crate) probe: P,
 }
 
@@ -232,9 +209,7 @@ mod tests {
         }
     }
 
-    /// A monomorphized builder: concrete workload and dispatcher types,
-    /// no boxes anywhere on the hot path.
-    fn base(m: u32, rate: f64, horizon: f64) -> SimBuilder<NullProbe, PoissonProcess, RoundRobin> {
+    fn base(m: u32, rate: f64, horizon: f64) -> SimBuilder {
         SimBuilder::new(cfg())
             .workload(PoissonProcess::new(rate, SimTime::from_secs(horizon)))
             .service(ServiceModel::new(0.100, 0.10))
@@ -332,7 +307,7 @@ mod tests {
         SimBuilder::new(cfg())
             .service(ServiceModel::new(0.1, 0.1))
             .policy(Box::new(StaticPolicy::new(1, QosTargets::web_paper())))
-            .dispatcher(Box::new(RoundRobin::new()))
+            .dispatcher(RoundRobin::new())
             .run(&RngFactory::new(1));
     }
 }

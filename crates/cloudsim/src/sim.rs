@@ -35,7 +35,7 @@ use vmprov_core::dispatch::{AnyDispatcher, Dispatcher, InstancePool, InstanceVie
 use vmprov_core::policy::{MonitorReport, PoolStatus, ProvisioningPolicy};
 use vmprov_des::stats::TimeWeighted;
 use vmprov_des::{Engine, EventHandle, EventQueue, RngFactory, Scheduler, SimRng, SimTime, World};
-use vmprov_workloads::{AnyWorkload, ArrivalProcess, ServiceModel};
+use vmprov_workloads::ServiceModel;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -398,17 +398,14 @@ impl InstancePool for PoolViewRef<'_> {
     }
 }
 
-/// The simulation world, generic over its observer and dispatcher.
-/// The default [`NullProbe`] monomorphizes every hook to nothing, so an
-/// unprobed `CloudSim` compiles to the same hot path as before the
-/// observability layer existed; the dispatcher parameter monomorphizes
-/// the per-request hot path (`handle_arrival` → `pick`) to direct
-/// calls. The default is the closed runtime-selection enum the
-/// scenario decoder produces; callers that must erase the dispatcher
-/// pass `Box<ConcreteDispatcher>`, which satisfies the same bound
-/// through the forwarding impl. The world holds no workload: its
-/// arrivals come from the [`RunGroup`] that steps it.
-pub struct CloudSim<P: Probe = NullProbe, D: Dispatcher = AnyDispatcher> {
+/// The simulation world, generic over its observer. The default
+/// [`NullProbe`] monomorphizes every hook to nothing, so an unprobed
+/// `CloudSim` compiles to the same hot path as before the observability
+/// layer existed. The dispatcher is the closed [`AnyDispatcher`] enum,
+/// so the per-request `pick` is a `match` over inlinable strategies,
+/// not a vtable call. The world holds no workload: its arrivals come
+/// from the [`RunGroup`] that steps it.
+pub struct CloudSim<P: Probe = NullProbe> {
     cfg: SimConfig,
     hosts: HostPool,
     instances: InstanceSlots,
@@ -438,7 +435,7 @@ pub struct CloudSim<P: Probe = NullProbe, D: Dispatcher = AnyDispatcher> {
     k: u32,
     service: ServiceModel,
     policy: Box<dyn ProvisioningPolicy>,
-    dispatcher: D,
+    dispatcher: AnyDispatcher,
     rng_service: SimRng,
     rng_dispatch: SimRng,
     rng_class: SimRng,
@@ -488,7 +485,7 @@ impl SimScratch {
     }
 }
 
-impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
+impl<P: Probe> CloudSim<P> {
     /// Builds the world and returns an [`Engine`] primed with the
     /// initial fleet, first evaluation, and monitor tick (plus the
     /// sampling tick when the probe asks for one), recycling `scratch`'s
@@ -499,7 +496,7 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
         horizon: SimTime,
         service: ServiceModel,
         policy: Box<dyn ProvisioningPolicy>,
-        dispatcher: D,
+        dispatcher: AnyDispatcher,
         rngs: &RngFactory,
         probe: P,
         scratch: Option<&mut SimScratch>,
@@ -1247,7 +1244,7 @@ impl<P: Probe, D: Dispatcher> CloudSim<P, D> {
     }
 }
 
-impl<P: Probe, D: Dispatcher> World for CloudSim<P, D> {
+impl<P: Probe> World for CloudSim<P> {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<'_, Event>) {
@@ -1332,15 +1329,12 @@ const LANE_SLICE: usize = 4096;
 /// [`RunSummary`]s. The group pulls from its workload only to expand a
 /// run released before the bound, so a replay grid can step a cell up
 /// to the trace rows already decoded.
-pub struct RunGroup<P: Probe = NullProbe, W = AnyWorkload, D: Dispatcher = AnyDispatcher>
-where
-    W: ArrivalProcess + Send,
-{
-    stream: ArrivalStream<W>,
-    runs: Vec<Engine<CloudSim<P, D>>>,
+pub struct RunGroup<P: Probe = NullProbe> {
+    stream: ArrivalStream,
+    runs: Vec<Engine<CloudSim<P>>>,
 }
 
-impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> RunGroup<P, W, D> {
+impl<P: Probe> RunGroup<P> {
     /// Builds one run per builder off one arrival stream on `rngs`,
     /// recycling `scratch`'s storage when given. The stream reads the
     /// first builder's workload; the others' workloads, if set, are
@@ -1350,7 +1344,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> RunGroup<P, W, D> {
     /// Panics when `builders` is empty, when the first builder carries
     /// no workload, or when a builder lacks another component.
     pub fn start(
-        builders: Vec<crate::SimBuilder<P, W, D>>,
+        builders: Vec<crate::SimBuilder<P>>,
         rngs: &RngFactory,
         mut scratch: Option<&mut SimScratch>,
     ) -> Self {
@@ -1432,7 +1426,7 @@ impl<P: Probe, W: ArrivalProcess + Send, D: Dispatcher> RunGroup<P, W, D> {
 /// the workload horizon the run first handles everything up to the
 /// horizon and withdraws its failure clocks, as the end of a run does
 /// (see [`run_engine_core`]); both steps are no-ops once done.
-fn step_before<P: Probe, D: Dispatcher>(engine: &mut Engine<CloudSim<P, D>>, bound: SimTime) {
+fn step_before<P: Probe>(engine: &mut Engine<CloudSim<P>>, bound: SimTime) {
     let horizon = engine.world().horizon;
     if bound > horizon {
         engine.run_until(horizon);
@@ -1446,7 +1440,7 @@ fn step_before<P: Probe, D: Dispatcher>(engine: &mut Engine<CloudSim<P, D>>, bou
 /// re-evaluates the policy, which boots a replacement with a fresh
 /// clock, so the run would never end, and every ghost crash would push
 /// the billed end time further out.
-fn withdraw_failure_clocks<P: Probe, D: Dispatcher>(engine: &mut Engine<CloudSim<P, D>>) {
+fn withdraw_failure_clocks<P: Probe>(engine: &mut Engine<CloudSim<P>>) {
     let clocks: Vec<EventHandle> = engine
         .world_mut()
         .instances
@@ -1463,9 +1457,9 @@ fn withdraw_failure_clocks<P: Probe, D: Dispatcher>(engine: &mut Engine<CloudSim
 /// the horizon, withdraws the failure clocks, drains the accepted work
 /// still in flight, and bills the surviving VMs up to that final
 /// instant.
-fn run_engine_core<P: Probe, D: Dispatcher>(
-    mut engine: Engine<CloudSim<P, D>>,
-) -> (RunSummary, CloudSim<P, D>, EventQueue<Event>) {
+fn run_engine_core<P: Probe>(
+    mut engine: Engine<CloudSim<P>>,
+) -> (RunSummary, CloudSim<P>, EventQueue<Event>) {
     let name = engine.world().policy.name();
     let horizon = engine.world().horizon;
     engine.run_until(horizon);
@@ -1547,14 +1541,14 @@ mod tests {
         ServiceModel::new(0.100, 0.10)
     }
 
-    fn poisson(rate: f64, horizon: f64) -> Box<dyn ArrivalProcess + Send> {
-        Box::new(PoissonProcess::new(rate, SimTime::from_secs(horizon)))
+    fn poisson(rate: f64, horizon: f64) -> PoissonProcess {
+        PoissonProcess::new(rate, SimTime::from_secs(horizon))
     }
 
     /// Builds and runs a scenario with the round-robin dispatcher.
     fn run_sim(
         cfg: SimConfig,
-        workload: Box<dyn ArrivalProcess + Send>,
+        workload: impl vmprov_workloads::ArrivalProcess + Send + 'static,
         svc: ServiceModel,
         policy: Box<dyn ProvisioningPolicy>,
         seed: u64,
@@ -1563,7 +1557,7 @@ mod tests {
             .workload(workload)
             .service(svc)
             .policy(policy)
-            .dispatcher(Box::new(RoundRobin::new()))
+            .dispatcher(RoundRobin::new())
             .run(&RngFactory::new(seed))
     }
 
@@ -1685,12 +1679,12 @@ mod tests {
         let rate_fn = Arc::new(|t: SimTime| if t.as_secs() < 2_000.0 { 100.0 } else { 20.0 });
         let s = run_sim(
             small_config(),
-            Box::new(vmprov_workloads::synthetic::PiecewiseRateProcess::step(
+            vmprov_workloads::synthetic::PiecewiseRateProcess::step(
                 100.0,
                 20.0,
                 2_000.0,
                 SimTime::from_secs(4_000.0),
-            )),
+            ),
             service(),
             adaptive_policy(rate_fn),
             4,
@@ -1716,7 +1710,7 @@ mod tests {
             .workload(poisson(50.0, 1_000.0))
             .service(service())
             .policy(Box::new(StaticPolicy::new(6, QosTargets::web_paper())))
-            .dispatcher(Box::new(RoundRobin::new()))
+            .dispatcher(RoundRobin::new())
             .probe(crate::probe::CounterProbe::new())
             .run_probed(&RngFactory::new(9));
         assert_eq!(
@@ -1799,7 +1793,7 @@ mod tests {
         let trace = vmprov_workloads::Trace::new(vec![burst(5.0), burst(120.0)]).unwrap();
         let s = run_sim(
             cfg,
-            Box::new(trace.replay()),
+            trace.replay(),
             ServiceModel::new(100.0, 0.0),
             Box::new(policy),
             51,

@@ -87,13 +87,10 @@ fn steady_state_event_loop_is_allocation_free() {
         ..WindowMarker::default()
     };
     let (summary, marker) = SimBuilder::new(cfg)
-        .workload(Box::new(PoissonProcess::new(
-            50.0,
-            SimTime::from_secs(horizon),
-        )))
+        .workload(PoissonProcess::new(50.0, SimTime::from_secs(horizon)))
         .service(ServiceModel::new(0.100, 0.10))
         .policy(Box::new(StaticPolicy::new(8, QosTargets::web_paper())))
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .probe(marker)
         .run_probed(&RngFactory::new(0xA110C));
     assert!(summary.offered_requests > 10_000, "window saw real load");

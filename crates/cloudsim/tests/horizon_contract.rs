@@ -15,8 +15,8 @@ use vmprov_workloads::{
 };
 
 /// Every arrival time of `workload`, expanding and taking until the end.
-fn drain<W: ArrivalProcess>(workload: W, seed: u64, run: u32) -> Vec<f64> {
-    let mut stream = ArrivalStream::new(workload, &RngFactory::new(seed), run);
+fn drain(workload: impl ArrivalProcess + Send + 'static, seed: u64, run: u32) -> Vec<f64> {
+    let mut stream = ArrivalStream::new(Box::new(workload), &RngFactory::new(seed), run);
     let mut out = Vec::new();
     loop {
         out.extend(stream.ready().iter().map(|t| t.as_secs()));
@@ -43,7 +43,11 @@ fn scientific(horizon: f64) -> ScientificWorkload {
 
 /// Asserts every expanded time of `make()` lies in `[0, horizon)` at
 /// arrival runs 1 and 64, and that both cadences expand the same times.
-fn assert_within_horizon<W: ArrivalProcess>(name: &str, horizon: f64, make: impl Fn() -> W) {
+fn assert_within_horizon<W: ArrivalProcess + Send + 'static>(
+    name: &str,
+    horizon: f64,
+    make: impl Fn() -> W,
+) {
     let mut counts = Vec::new();
     for run in [1, 64] {
         let times = drain(make(), 0x40_121A, run);

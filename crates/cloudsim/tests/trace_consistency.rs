@@ -65,13 +65,10 @@ fn run_traced(seed: u64) -> (RunSummary, String) {
     let analyzer = EstimatorAnalyzer::new(Box::new(SlidingWindowMle::new(50.0)), 60.0, 0.05, 30.0);
     let policy = AdaptivePolicy::new(Box::new(analyzer), modeler, 60.0, 3);
     let (summary, trace) = SimBuilder::new(cfg)
-        .workload(Box::new(PoissonProcess::new(
-            60.0,
-            SimTime::from_secs(600.0),
-        )))
+        .workload(PoissonProcess::new(60.0, SimTime::from_secs(600.0)))
         .service(ServiceModel::new(0.100, 0.10))
         .policy(Box::new(policy))
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .probe(TraceProbe::new(Vec::new()))
         .run_probed(&RngFactory::new(seed));
     let text = String::from_utf8(trace.into_inner()).expect("trace is UTF-8");

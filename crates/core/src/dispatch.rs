@@ -82,11 +82,11 @@ impl InstancePool for &[InstanceView] {
 
 /// A strategy for picking the instance that receives the next request.
 ///
-/// `pick` is generic over the pool probe (not `&dyn InstancePool`), so a
-/// monomorphized simulation compiles the per-request strategy and the
-/// pool's `view`/`has_free` down to direct, inlinable calls. The trait
-/// is therefore not object-safe; runtime strategy selection goes through
-/// the closed [`AnyDispatcher`] enum instead of a vtable.
+/// `pick` is generic over the pool probe (not `&dyn InstancePool`), so
+/// the per-request strategy and the pool's `view`/`has_free` compile
+/// down to direct, inlinable calls. The trait is therefore not
+/// object-safe: a run holds its strategy as the closed [`AnyDispatcher`]
+/// enum, and each strategy converts into it with `From`.
 pub trait Dispatcher: Send {
     /// Index of the chosen instance, or `None` to reject the request
     /// (admission control: every instance is full or not accepting).
@@ -113,37 +113,13 @@ pub trait Dispatcher: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Forwarding impl so heap-owned strategies (`Box<RoundRobin>`, or the
-/// erased-entry-point `Box<AnyDispatcher>`) plug into the same generic
-/// seams.
-impl<T: Dispatcher> Dispatcher for Box<T> {
-    #[inline]
-    fn pick<P: InstancePool + ?Sized>(&mut self, pool: &P, random01: f64) -> Option<usize> {
-        (**self).pick(pool, random01)
-    }
-
-    #[inline]
-    fn pick_drawing<P: InstancePool + ?Sized>(
-        &mut self,
-        pool: &P,
-        draw: impl FnOnce() -> f64,
-    ) -> Option<usize> {
-        (**self).pick_drawing(pool, draw)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-/// Every dispatch strategy in the repository, as a closed enum.
+/// Every dispatch strategy in the repository, as a closed enum: the
+/// one dispatcher type a run holds.
 ///
-/// The scenario decoder needs *runtime* strategy selection, but routing
-/// that through `Box<dyn Dispatcher>` would drag a vtable call into the
-/// per-request hot path. A `match` over a three-variant enum compiles to
-/// a jump the branch predictor resolves perfectly within a run (the
-/// variant never changes mid-simulation), and the callee bodies stay
-/// inlinable.
+/// The dispatcher is called once per request, so it stays a `match`
+/// rather than a vtable: a three-variant `match` compiles to a jump the
+/// branch predictor resolves perfectly within a run (the variant never
+/// changes mid-simulation), and the callee bodies stay inlinable.
 #[derive(Debug, Clone)]
 pub enum AnyDispatcher {
     /// The paper's round-robin strategy.

@@ -108,10 +108,10 @@ pub fn analyzer_ablation(seed: u64) -> Vec<AblationRow> {
         let modeler = PerformanceModeler::new(qos, 1000, ModelerOptions::default());
         let policy = AdaptivePolicy::new(analyzer, modeler, 2.0 * INTERVAL, 10);
         let summary = SimBuilder::new(SimConfig::paper(0.100, 0.250))
-            .workload(Box::new(crowd.clone()))
+            .workload(crowd.clone())
             .service(ServiceModel::new(0.100, 0.10))
             .policy(Box::new(policy))
-            .dispatcher(Box::new(RoundRobin::new()))
+            .dispatcher(RoundRobin::new())
             .run(&RngFactory::new(seed));
         row(spec.label(), summary)
     })

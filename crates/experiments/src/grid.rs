@@ -323,7 +323,7 @@ impl SteppedCell {
         } = self;
         run.get_or_insert_with(|| {
             let replay = replay.take().expect("a cell starts once");
-            start_with(scenario, *rep, replay.into())
+            start_with(scenario, *rep, replay)
         })
     }
 

@@ -134,7 +134,7 @@ pub fn run_group_warm(cells: &[(Scenario, u32)]) -> Vec<RunSummary> {
 pub fn start_with(
     scenario: &Scenario,
     rep: u32,
-    workload: vmprov_workloads::AnyWorkload,
+    workload: impl vmprov_workloads::ArrivalProcess + Send + 'static,
 ) -> RunGroup {
     components(scenario)
         .workload(workload)

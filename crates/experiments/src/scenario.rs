@@ -315,9 +315,8 @@ impl Scenario {
     }
 
     /// Builds the arrival process for this scenario's horizon, as the
-    /// closed [`AnyWorkload`] enum — the simulation stays monomorphized
-    /// (no `Box<dyn ArrivalProcess>` on the hot path) even though the
-    /// model is picked at runtime.
+    /// closed [`AnyWorkload`] enum: one concrete type whatever model
+    /// the scenario picks, so callers can clone it.
     pub fn build_workload(&self) -> AnyWorkload {
         match self.workload {
             WorkloadKind::Web => WebWorkload::new(WebConfig {
@@ -427,8 +426,8 @@ impl Scenario {
         }
     }
 
-    /// Builds the dispatcher, as the closed [`AnyDispatcher`] enum (same
-    /// static-dispatch rationale as [`build_workload`](Self::build_workload)).
+    /// Builds the dispatcher, as the closed [`AnyDispatcher`] enum a run
+    /// holds: the per-request pick is a `match`, not a vtable call.
     pub fn build_dispatcher(&self) -> AnyDispatcher {
         match self.dispatch {
             DispatchSpec::RoundRobin => RoundRobin::new().into(),

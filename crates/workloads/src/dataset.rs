@@ -419,11 +419,11 @@ fn canonical_row(b: &[u8]) -> Option<((f64, u64, f64), usize)> {
 }
 
 impl RowState {
-    /// Decodes one complete line (its `\n` included when present), or
-    /// `None` for skippable lines (blank, header, comment).
+    /// Decodes one complete line (its `\n` or `\r\n` included when
+    /// present), or `None` for skippable lines (blank, header, comment).
     fn decode_line(&mut self, raw: &[u8]) -> Result<Option<ArrivalBatch>, DatasetError> {
         if let Some((row, end)) = canonical_row(raw) {
-            if end == raw.len() || (end + 1 == raw.len() && raw[end] == b'\n') {
+            if matches!(&raw[end..], b"" | b"\n" | b"\r\n") {
                 self.line += 1;
                 return self.accept(row).map(Some);
             }
@@ -530,8 +530,15 @@ impl RowState {
             let rest = &buf[pos..];
             if carry.is_empty() {
                 if let Some((row, end)) = canonical_row(rest) {
-                    if rest.get(end) == Some(&b'\n') {
-                        pos += end + 1;
+                    // `\n` is matched first, so an LF trace pays nothing
+                    // for CRLF line ends.
+                    let eol = match rest.get(end) {
+                        Some(b'\n') => 1,
+                        Some(b'\r') if rest.get(end + 1) == Some(&b'\n') => 2,
+                        _ => 0,
+                    };
+                    if eol > 0 {
+                        pos += end + eol;
                         self.line += 1;
                         match self.accept(row) {
                             Ok(batch) => {

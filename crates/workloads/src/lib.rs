@@ -36,12 +36,10 @@ pub use web::{eq2_rate, web_service_model, WebConfig, WebWorkload, WEEKDAY_NAMES
 
 use vmprov_des::{SimRng, SimTime};
 
-/// The production workload models as a closed enum.
-///
-/// The scenario decoder picks the model at runtime; a two-variant
-/// `match` (instead of `Box<dyn ArrivalProcess>`) keeps the per-batch
-/// call devirtualized and inlinable in a monomorphized simulation while
-/// still being a single concrete type the decoder can return.
+/// The production workload models as a closed enum: the one concrete,
+/// `Clone`-able type the scenario decoder returns, whichever model it
+/// picks at runtime, so a caller can copy a built workload and hand each
+/// copy to a run.
 #[derive(Debug, Clone)]
 pub enum AnyWorkload {
     /// The web workload (§V-B1).

@@ -24,11 +24,10 @@ pub struct ArrivalBatch {
 
 /// A stochastic arrival process with a known underlying model.
 ///
-/// Deliberately object-safe: the monomorphized simulator is generic
-/// over its workload, but `Box<dyn ArrivalProcess + Send>` remains the
-/// erased entry point for callers that decide the model at runtime (the
-/// forwarding impl below makes the boxed form satisfy the same generic
-/// bounds).
+/// Deliberately object-safe: a run owns its workload as a
+/// `Box<dyn ArrivalProcess + Send>` and calls it once per pulled run of
+/// batches, not once per request, so the virtual call is off the
+/// per-request path.
 pub trait ArrivalProcess {
     /// Draws the next batch, or `None` once the horizon is exhausted.
     /// Batches are produced in non-decreasing time order.
@@ -78,31 +77,6 @@ pub trait ArrivalProcess {
 
     /// End of the generation horizon.
     fn horizon(&self) -> SimTime;
-}
-
-impl<T: ArrivalProcess + ?Sized> ArrivalProcess for Box<T> {
-    #[inline]
-    fn next_batch(&mut self, rng: &mut SimRng) -> Option<ArrivalBatch> {
-        (**self).next_batch(rng)
-    }
-
-    #[inline]
-    fn next_batch_run(
-        &mut self,
-        rng: &mut SimRng,
-        max: usize,
-        out: &mut Vec<ArrivalBatch>,
-    ) -> usize {
-        (**self).next_batch_run(rng, max, out)
-    }
-
-    fn model_rate(&self, t: SimTime) -> f64 {
-        (**self).model_rate(t)
-    }
-
-    fn horizon(&self) -> SimTime {
-        (**self).horizon()
-    }
 }
 
 /// Per-request service demand: a base time inflated by a uniform factor,

@@ -305,10 +305,18 @@ fn generated_traces_decode_like_the_reference() {
         3,
     )
     .unwrap();
-    for cap in [7usize, 64, 1000, 64 * 1024] {
-        let (batches, _, err) = assert_same(&csv, cap, 512);
-        assert!(err.is_none(), "{err:?}");
-        assert!(batches.len() > 5000);
+    // The same trace with CRLF line ends: refills cut rows between their
+    // `\r` and `\n`.
+    let crlf = String::from_utf8(csv.clone())
+        .unwrap()
+        .replace('\n', "\r\n")
+        .into_bytes();
+    for bytes in [&csv, &crlf] {
+        for cap in [7usize, 64, 1000, 64 * 1024] {
+            let (batches, _, err) = assert_same(bytes, cap, 512);
+            assert!(err.is_none(), "{err:?}");
+            assert!(batches.len() > 5000);
+        }
     }
 }
 

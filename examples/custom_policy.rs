@@ -56,15 +56,9 @@ impl ProvisioningPolicy for ReactiveRule {
     }
 }
 
-fn flash_crowd() -> Box<dyn ArrivalProcess + Send> {
+fn flash_crowd() -> impl ArrivalProcess + Send {
     // 50 req/s baseline; a 10-minute 400 req/s burst at t = 30 min.
-    Box::new(PiecewiseRateProcess::flash_crowd(
-        50.0,
-        400.0,
-        1800.0,
-        600.0,
-        SimTime::from_hours(1.5),
-    ))
+    PiecewiseRateProcess::flash_crowd(50.0, 400.0, 1800.0, 600.0, SimTime::from_hours(1.5))
 }
 
 fn run(policy: Box<dyn ProvisioningPolicy>, seed: u64) -> RunSummary {
@@ -72,7 +66,7 @@ fn run(policy: Box<dyn ProvisioningPolicy>, seed: u64) -> RunSummary {
         .workload(flash_crowd())
         .service(ServiceModel::new(0.100, 0.10))
         .policy(policy)
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .run(&RngFactory::new(seed))
 }
 

@@ -34,13 +34,10 @@ fn main() {
         let mut cfg = SimConfig::paper(0.100, 0.250);
         cfg.priority = priority;
         let s = SimBuilder::new(cfg)
-            .workload(Box::new(PoissonProcess::new(
-                60.0,
-                SimTime::from_mins(30.0),
-            )))
+            .workload(PoissonProcess::new(60.0, SimTime::from_mins(30.0)))
             .service(ServiceModel::new(0.100, 0.10))
             .policy(Box::new(StaticPolicy::new(5, qos)))
-            .dispatcher(Box::new(RoundRobin::new()))
+            .dispatcher(RoundRobin::new())
             .run(&RngFactory::new(3));
         println!(
             "  {label}: overall rejection {:>5.1}%  high {:>5.1}%  low {:>5.1}%",
@@ -60,10 +57,7 @@ fn main() {
     let analyzer = ScheduleAnalyzer::new(Arc::new(|_| 120.0), 120.0, 0.0);
     let modeler = PerformanceModeler::new(qos, 1000, ModelerOptions::default());
     let s = SimBuilder::new(cfg)
-        .workload(Box::new(PoissonProcess::new(
-            120.0,
-            SimTime::from_hours(1.0),
-        )))
+        .workload(PoissonProcess::new(120.0, SimTime::from_hours(1.0)))
         .service(ServiceModel::new(0.100, 0.10))
         .policy(Box::new(AdaptivePolicy::new(
             Box::new(analyzer),
@@ -71,7 +65,7 @@ fn main() {
             180.0,
             16,
         )))
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .run(&RngFactory::new(5));
     println!(
         "  {} crashes killed {} in-flight requests;",

@@ -36,10 +36,10 @@ fn main() {
     let cfg = SimConfig::paper(0.100, qos.max_response_time);
 
     let summary = SimBuilder::new(cfg)
-        .workload(Box::new(workload))
+        .workload(workload)
         .service(service)
         .policy(Box::new(policy))
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .run(&RngFactory::new(7));
 
     println!("policy           : {}", summary.policy);

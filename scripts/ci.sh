@@ -34,6 +34,10 @@ run cargo test "${OFFLINE[@]}" --release -q -p vmprov-experiments --test golden_
 # arithmetic again without debug overflow checks, as the benchmark and
 # `repro` build it.
 run cargo test "${OFFLINE[@]}" --release -q -p vmprov-workloads
+# The simulator's tests in the build the benchmark and `repro` measure:
+# `alloc_free.rs` proves the steady-state loop does not allocate there
+# too.
+run cargo test "${OFFLINE[@]}" --release -q -p vmprov-cloudsim
 # Each example asserts the headline result it demonstrates; run them all
 # (release build, a few seconds in total).
 for example in examples/*.rs; do

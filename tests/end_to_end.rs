@@ -19,13 +19,10 @@ fn web_qos() -> QosTargets {
 
 fn run_static_poisson(m: u32, rate: f64, horizon: f64, seed: u64) -> RunSummary {
     SimBuilder::new(SimConfig::paper(0.100, 0.250))
-        .workload(Box::new(PoissonProcess::new(
-            rate,
-            SimTime::from_secs(horizon),
-        )))
+        .workload(PoissonProcess::new(rate, SimTime::from_secs(horizon)))
         .service(ServiceModel::new(0.100, 0.10))
         .policy(Box::new(StaticPolicy::new(m, web_qos())))
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .run(&RngFactory::new(seed))
 }
 
@@ -65,10 +62,10 @@ fn adaptive_beats_peak_static_on_cost_with_equal_qos() {
     // A two-level workload: the adaptive pool must spend fewer VM-hours
     // than a static pool sized for the peak, at (near) zero rejection.
     let make_workload = || {
-        Box::new(PiecewiseRateProcess::new(
+        PiecewiseRateProcess::new(
             vec![(0.0, 30.0), (1200.0, 120.0), (2400.0, 30.0)],
             SimTime::from_secs(3600.0),
-        ))
+        )
     };
     let rate_fn = Arc::new(|t: SimTime| {
         if (1200.0..2400.0).contains(&t.as_secs()) {
@@ -88,13 +85,13 @@ fn adaptive_beats_peak_static_on_cost_with_equal_qos() {
             240.0,
             5,
         )))
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .run(&RngFactory::new(21));
     let peak_static = SimBuilder::new(SimConfig::paper(0.100, 0.250))
         .workload(make_workload())
         .service(ServiceModel::new(0.100, 0.10))
         .policy(Box::new(StaticPolicy::new(16, web_qos())))
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .run(&RngFactory::new(21));
     assert!(
         adaptive.rejection_rate < 0.005,
@@ -116,10 +113,10 @@ fn adaptive_beats_peak_static_on_cost_with_equal_qos() {
 fn no_accepted_request_is_ever_lost() {
     // Drain semantics: accepted == completed even with aggressive
     // scale-downs (the piecewise workload forces them).
-    let workload = Box::new(PiecewiseRateProcess::new(
+    let workload = PiecewiseRateProcess::new(
         vec![(0.0, 100.0), (600.0, 5.0), (1200.0, 100.0), (1800.0, 5.0)],
         SimTime::from_secs(2400.0),
-    ));
+    );
     let rate_fn = Arc::new(|t: SimTime| {
         let s = t.as_secs().rem_euclid(1200.0);
         if s < 600.0 {
@@ -139,7 +136,7 @@ fn no_accepted_request_is_ever_lost() {
             90.0,
             12,
         )))
-        .dispatcher(Box::new(RoundRobin::new()))
+        .dispatcher(RoundRobin::new())
         .run(&RngFactory::new(33));
     assert_eq!(
         s.accepted_requests + s.rejected_requests,
