@@ -31,7 +31,8 @@
 //! `trace_replay_hot` streams a generated on-disk Poisson trace
 //! through the `DatasetReader` seam and the full simulation, bounding
 //! per-request ingestion cost; `trace_decode_hot` (CSV decode of an
-//! in-memory trace) and `trace_scan` (`TraceSpec::scan` of the same
+//! in-memory trace), `trace_decode_short` (the same rows with their
+//! times cut to 3 decimals) and `trace_scan` (`TraceSpec::scan` of the
 //! trace on disk) isolate the ingestion layer per row.
 //! `stats_record_hot[_hist]` isolates the
 //! per-request bookkeeping (`RunMetrics::record_completion`, with and
@@ -657,10 +658,12 @@ fn bench_trace_replay(horizon: f64, runs: u32) -> Timing {
 /// Trace ingestion in isolation, over a stationary Poisson trace at
 /// 2000 req/s (one row per request): `trace_decode_hot` is
 /// `CsvReader::read_chunk` in default-sized chunks over the CSV held in
-/// memory (pure decode, no I/O), and `trace_scan` is `TraceSpec::scan`
-/// of the same bytes on disk (the content-hash pass beside the ranged
-/// parse, on one batch as wide as the machine; page cache warm). Both
-/// are per row.
+/// memory (pure decode, no I/O), `trace_decode_short` the same over
+/// those rows with their times printed to 3 decimals (short fractions,
+/// which the word reader ends early), and `trace_scan` is
+/// `TraceSpec::scan` of the generated bytes on disk (the content-hash
+/// pass beside the ranged parse, on one batch as wide as the machine;
+/// page cache warm). All are per row.
 fn bench_trace_ingest(horizon: f64, runs: u32) -> Vec<Timing> {
     use vmprov_workloads::{
         generate_poisson_csv, CsvReader, DatasetReader, TraceSpec, DEFAULT_CHUNK,
@@ -670,18 +673,33 @@ fn bench_trace_ingest(horizon: f64, runs: u32) -> Vec<Timing> {
     let gen = generate_poisson_csv(&mut csv, RATE, SimTime::from_secs(horizon), 0xBE7C)
         .expect("write trace");
     let rows = gen.rows.max(1);
+    let short_csv: String = std::str::from_utf8(&csv)
+        .expect("generated trace is ASCII")
+        .lines()
+        .map(|line| {
+            let row = line.split_once(',');
+            match row.and_then(|(t, rest)| Some((t.parse::<f64>().ok()?, rest))) {
+                Some((t, rest)) => format!("{t:.3},{rest}\n"),
+                None => format!("{line}\n"),
+            }
+        })
+        .collect();
     let mut buf = Vec::with_capacity(DEFAULT_CHUNK);
-    let decode = bench("trace_decode_hot", rows, 1, runs, || {
-        let mut reader = CsvReader::new(&csv[..]);
-        while reader
-            .read_chunk(&mut buf, DEFAULT_CHUNK)
-            .expect("generated trace decodes")
-            > 0
-        {
-            black_box(&buf);
-            buf.clear();
-        }
-    });
+    let mut decode = |name: &str, csv: &[u8]| {
+        bench(name, rows, 1, runs, || {
+            let mut reader = CsvReader::new(csv);
+            while reader
+                .read_chunk(&mut buf, DEFAULT_CHUNK)
+                .expect("generated trace decodes")
+                > 0
+            {
+                black_box(&buf);
+                buf.clear();
+            }
+        })
+    };
+    let hot = decode("trace_decode_hot", &csv);
+    let short = decode("trace_decode_short", short_csv.as_bytes());
     let path =
         std::env::temp_dir().join(format!("vmprov_quickbench_scan_{}.csv", std::process::id()));
     std::fs::write(&path, &csv).expect("write trace file");
@@ -689,7 +707,7 @@ fn bench_trace_ingest(horizon: f64, runs: u32) -> Vec<Timing> {
         black_box(TraceSpec::scan(&path, DEFAULT_CHUNK).expect("scan trace"));
     });
     let _ = std::fs::remove_file(&path);
-    vec![decode, scan]
+    vec![hot, short, scan]
 }
 
 /// Per-request bookkeeping in isolation: `RunMetrics::record_completion`

@@ -60,6 +60,17 @@ impl ArrivalStream {
         }
     }
 
+    /// How many rows past a pulled run's first row the stream has
+    /// taken from the workload once it has [expanded](Self::expand)
+    /// that run, pulling `run` batches at a time: the run itself
+    /// reaches `run − 1` rows past its first, and the pull at the end
+    /// of `expand` takes up to `run` more. A workload fed from rows
+    /// published ahead of a bound (a stepped trace scan) must have this
+    /// many out past the row of any run released before the bound.
+    pub fn rows_ahead(run: u32) -> usize {
+        2 * run.max(1) as usize - 1
+    }
+
     /// The workload's generation horizon.
     pub fn horizon(&self) -> SimTime {
         self.workload.horizon()
@@ -113,6 +124,8 @@ impl ArrivalStream {
             self.times.sort_unstable();
         }
         self.pending.clear();
+        // The pull `rows_ahead` counts: up to `run` rows after the
+        // expanded run's.
         if self
             .workload
             .next_batch_run(&mut self.rng, self.run, &mut self.pending)

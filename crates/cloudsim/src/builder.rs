@@ -1,10 +1,5 @@
 //! The run API: compose a scenario, attach a probe, run it.
 //!
-//! [`SimBuilder`] replaced the old six-positional-argument
-//! `run_scenario` free function (removed after its one-release
-//! deprecation window) so probes, metrics options, and future knobs
-//! compose without another argument explosion:
-//!
 //! ```ignore
 //! let summary = SimBuilder::new(cfg)
 //!     .workload(workload)
@@ -27,7 +22,7 @@
 //! ```
 
 use crate::config::SimConfig;
-use crate::metrics::{MetricsOptions, RunSummary};
+use crate::metrics::RunSummary;
 use crate::probe::{NullProbe, Probe};
 use crate::sim::RunGroup;
 use std::convert::Infallible;
@@ -92,12 +87,6 @@ impl<P: Probe> SimBuilder<P> {
     /// [`AnyDispatcher`] picked at runtime.
     pub fn dispatcher(mut self, dispatcher: impl Into<AnyDispatcher>) -> Self {
         self.dispatcher = Some(dispatcher.into());
-        self
-    }
-
-    /// Overrides the metrics collection options (default: the config's).
-    pub fn metrics(mut self, options: MetricsOptions) -> Self {
-        self.cfg.metrics = options;
         self
     }
 
@@ -194,7 +183,8 @@ fn solo<P>(mut results: Vec<(RunSummary, P)>) -> (RunSummary, P) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{CounterProbe, TimeSeriesProbe, TraceProbe};
+    use crate::metrics::MetricsOptions;
+    use crate::probe::{TimeSeriesProbe, TraceProbe};
     use crate::sim::SimScratch;
     use vmprov_core::qos::QosTargets;
     use vmprov_core::{RoundRobin, StaticPolicy};
@@ -230,18 +220,29 @@ mod tests {
     fn any_probe_leaves_the_summary_bit_identical() {
         let rngs = RngFactory::new(7);
         let plain = base(6, 40.0, 400.0).run(&rngs);
+        /// Counts arrivals and completions.
+        #[derive(Default)]
+        struct Counts(u64, u64);
+        impl Probe for Counts {
+            fn on_arrival(&mut self, _: SimTime, _: crate::RequestClass) {
+                self.0 += 1;
+            }
+            fn on_service_complete(&mut self, _: SimTime, _: u32, _: f64, _: f64) {
+                self.1 += 1;
+            }
+        }
         let (traced, probe) = base(6, 40.0, 400.0)
             .probe((
                 TraceProbe::new(Vec::new()),
-                (TimeSeriesProbe::new(25.0), CounterProbe::new()),
+                (TimeSeriesProbe::new(25.0), Counts::default()),
             ))
             .run_probed(&rngs);
         assert_eq!(plain, traced, "probes must not perturb the run");
-        let (trace, (sampler, counters)) = probe;
+        let (trace, (sampler, counts)) = probe;
         assert!(trace.lines() > 0);
         assert!(sampler.samples().len() >= 400 / 25);
-        assert_eq!(counters.arrivals, plain.offered_requests);
-        assert_eq!(counters.completions, plain.accepted_requests);
+        assert_eq!(counts.0, plain.offered_requests);
+        assert_eq!(counts.1, plain.accepted_requests);
     }
 
     #[test]
@@ -294,9 +295,16 @@ mod tests {
     }
 
     #[test]
-    fn metrics_override_enables_p99() {
-        let s = base(8, 50.0, 300.0)
-            .metrics(MetricsOptions::with_histogram())
+    fn histogram_metrics_enable_p99() {
+        let cfg = SimConfig {
+            metrics: MetricsOptions::with_histogram(),
+            ..cfg()
+        };
+        let s = SimBuilder::new(cfg)
+            .workload(PoissonProcess::new(50.0, SimTime::from_secs(300.0)))
+            .service(ServiceModel::new(0.100, 0.10))
+            .policy(Box::new(StaticPolicy::new(8, QosTargets::web_paper())))
+            .dispatcher(RoundRobin::new())
             .run(&RngFactory::new(11));
         assert!(s.p99_response_time.is_some());
     }

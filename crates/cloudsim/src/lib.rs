@@ -34,7 +34,7 @@ pub use config::SimConfig;
 pub use host::{HostPool, Resources, PAPER_HOST, PAPER_VM};
 pub use metrics::{MetricsOptions, RunMetrics, RunSummary};
 pub use probe::{
-    CounterProbe, NullProbe, PoolSample, Probe, RejectReason, RequestClass, TimeSample, TimeSeries,
+    NullProbe, PoolSample, Probe, RejectReason, RequestClass, TimeSample, TimeSeries,
     TimeSeriesProbe, TraceProbe,
 };
 pub use sim::{CloudSim, Event, RunGroup, SimScratch};

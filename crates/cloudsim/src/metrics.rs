@@ -9,10 +9,6 @@ use vmprov_json::{field, field_f64, field_str, field_u64, FromJson, Json, ToJson
 
 /// Collection knobs for [`RunMetrics`] — what to record beyond the
 /// always-on counters, and at what cost.
-///
-/// Replaces the old bare `bool` histogram flag so new options compose
-/// without growing the constructor's positional arguments (the same
-/// treatment [`SimBuilder`](crate::SimBuilder) gives the run API).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricsOptions {
     /// Record a response-time histogram (required for quantiles).

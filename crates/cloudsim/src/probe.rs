@@ -16,16 +16,14 @@
 //! * [`TraceProbe`] — one JSON object per event, written as JSONL;
 //! * [`TimeSeriesProbe`] — aggregate pool state at a configurable Δt
 //!   (instance count, queue depth, λ predicted vs. realized, rolling
-//!   utilization — the Fig 5/6 panel quantities);
-//! * [`CounterProbe`] — event counters plus a response-time histogram.
+//!   utilization — the Fig 5/6 panel quantities).
 //!
 //! Probes compose as tuples: `(TraceProbe, TimeSeriesProbe)` feeds both.
 
 use std::io::Write;
 use vmprov_core::modeler::SizingDecision;
-use vmprov_des::stats::LogHistogram;
 use vmprov_des::SimTime;
-use vmprov_json::{field_f64, field_u64, FromJson, Json, ToJson};
+use vmprov_json::{Json, ToJson};
 
 /// Priority class of a request (always `High` when priority admission
 /// is disabled — every request then sees the full queue capacity).
@@ -522,27 +520,6 @@ impl ToJson for TimeSample {
     }
 }
 
-impl FromJson for TimeSample {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let u32_field = |key: &str| -> Result<u32, String> {
-            u32::try_from(field_u64(v, key)?).map_err(|_| format!("field `{key}` overflows u32"))
-        };
-        Ok(TimeSample {
-            t: field_f64(v, "t")?,
-            instances: u32_field("instances")?,
-            active: u32_field("active")?,
-            queue_depth: field_u64(v, "queue_depth")?,
-            utilization: field_f64(v, "utilization")?,
-            realized_rate: field_f64(v, "realized_rate")?,
-            predicted_rate: field_f64(v, "predicted_rate")?,
-            sized_instances: u32_field("sized_instances")?,
-            mean_response: field_f64(v, "mean_response")?,
-            vm_hours: field_f64(v, "vm_hours")?,
-            rejected: field_u64(v, "rejected")?,
-        })
-    }
-}
-
 /// The output of a [`TimeSeriesProbe`] run: samples every `dt` seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
@@ -561,22 +538,6 @@ impl ToJson for TimeSeries {
                 Json::arr(self.samples.iter().map(ToJson::to_json)),
             ),
         ])
-    }
-}
-
-impl FromJson for TimeSeries {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let samples = match v.get("samples") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(TimeSample::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("field `samples` missing or not an array".to_string()),
-        };
-        Ok(TimeSeries {
-            dt: field_f64(v, "dt")?,
-            samples,
-        })
     }
 }
 
@@ -660,113 +621,6 @@ impl Probe for TimeSeriesProbe {
     }
 }
 
-// ---------------------------------------------------------------------
-// CounterProbe — event counters + response-time histogram
-// ---------------------------------------------------------------------
-
-/// Counts every event category and records a response-time histogram —
-/// the cheap always-on recorder for tests and consistency checks.
-#[derive(Debug)]
-pub struct CounterProbe {
-    /// Requests offered.
-    pub arrivals: u64,
-    /// Requests rejected.
-    pub rejects: u64,
-    /// Requests admitted.
-    pub admits: u64,
-    /// Service starts.
-    pub service_starts: u64,
-    /// Service completions.
-    pub completions: u64,
-    /// VMs allocated (each begins booting).
-    pub vm_boots: u64,
-    /// Instances that became active.
-    pub vm_actives: u64,
-    /// Drain transitions.
-    pub vm_drains: u64,
-    /// Revive transitions.
-    pub vm_revives: u64,
-    /// Instances destroyed.
-    pub vm_destroys: u64,
-    /// Injected crashes.
-    pub vm_crashes: u64,
-    /// Admitted requests lost to crashes.
-    pub lost_requests: u64,
-    /// Algorithm 1 sizing decisions observed.
-    pub sizings: u64,
-    /// Response times of completed requests.
-    pub response_hist: LogHistogram,
-}
-
-impl CounterProbe {
-    /// Creates a zeroed recorder with the latency-shaped histogram.
-    pub fn new() -> Self {
-        CounterProbe {
-            arrivals: 0,
-            rejects: 0,
-            admits: 0,
-            service_starts: 0,
-            completions: 0,
-            vm_boots: 0,
-            vm_actives: 0,
-            vm_drains: 0,
-            vm_revives: 0,
-            vm_destroys: 0,
-            vm_crashes: 0,
-            lost_requests: 0,
-            sizings: 0,
-            response_hist: LogHistogram::for_latencies(),
-        }
-    }
-}
-
-impl Default for CounterProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Probe for CounterProbe {
-    fn on_arrival(&mut self, _now: SimTime, _class: RequestClass) {
-        self.arrivals += 1;
-    }
-    fn on_reject(&mut self, _now: SimTime, _class: RequestClass, _reason: RejectReason) {
-        self.rejects += 1;
-    }
-    fn on_admit(&mut self, _now: SimTime, _slot: u32, _queue_len: u32) {
-        self.admits += 1;
-    }
-    fn on_service_start(&mut self, _now: SimTime, _slot: u32) {
-        self.service_starts += 1;
-    }
-    fn on_service_complete(&mut self, _now: SimTime, _slot: u32, response: f64, _service: f64) {
-        self.completions += 1;
-        self.response_hist.record(response);
-    }
-    fn on_vm_boot(&mut self, _now: SimTime, _slot: u32) {
-        self.vm_boots += 1;
-    }
-    fn on_vm_active(&mut self, _now: SimTime, _slot: u32) {
-        self.vm_actives += 1;
-    }
-    fn on_vm_drain(&mut self, _now: SimTime, _slot: u32) {
-        self.vm_drains += 1;
-    }
-    fn on_vm_revive(&mut self, _now: SimTime, _slot: u32) {
-        self.vm_revives += 1;
-    }
-    fn on_vm_destroy(&mut self, _now: SimTime, _slot: u32) {
-        self.vm_destroys += 1;
-    }
-    fn on_vm_crash(&mut self, _now: SimTime, _slot: u32, lost_requests: u64) {
-        self.vm_crashes += 1;
-        self.lost_requests += lost_requests;
-    }
-    fn on_sizing(&mut self, _now: SimTime, _decision: &SizingDecision) {
-        self.sizings += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,15 +668,26 @@ mod tests {
 
     #[test]
     fn tuple_forwards_to_both_members() {
-        let mut pair = (CounterProbe::new(), CounterProbe::new());
+        /// Counts arrivals, rejections and requests lost to crashes.
+        #[derive(Default)]
+        struct Counts(u64, u64, u64);
+        impl Probe for Counts {
+            fn on_arrival(&mut self, _: SimTime, _: RequestClass) {
+                self.0 += 1;
+            }
+            fn on_reject(&mut self, _: SimTime, _: RequestClass, _: RejectReason) {
+                self.1 += 1;
+            }
+            fn on_vm_crash(&mut self, _: SimTime, _: u32, lost_requests: u64) {
+                self.2 += lost_requests;
+            }
+        }
+        let mut pair = (Counts::default(), Counts::default());
         pair.on_arrival(SimTime::ZERO, RequestClass::High);
         pair.on_reject(SimTime::ZERO, RequestClass::Low, RejectReason::PoolFull);
         pair.on_vm_crash(SimTime::ZERO, 0, 3);
         for c in [&pair.0, &pair.1] {
-            assert_eq!(c.arrivals, 1);
-            assert_eq!(c.rejects, 1);
-            assert_eq!(c.vm_crashes, 1);
-            assert_eq!(c.lost_requests, 3);
+            assert_eq!((c.0, c.1, c.2), (1, 1, 3));
         }
     }
 
@@ -878,24 +743,38 @@ mod tests {
     }
 
     #[test]
-    fn time_series_json_round_trips() {
+    fn time_series_json_writes_every_field() {
         let mut p = TimeSeriesProbe::new(10.0);
         p.on_sample(&sample(0.0, 0));
         p.on_sample(&sample(10.0, 200));
-        let mut ts = p.into_series();
-        // NaN is not representable in JSON; the writer emits null and
-        // the reader refuses it — scrub as a consumer would.
-        for s in &mut ts.samples {
-            if s.predicted_rate.is_nan() {
-                s.predicted_rate = 0.0;
-            }
-            if s.mean_response.is_nan() {
-                s.mean_response = 0.0;
-            }
+        let ts = p.into_series();
+        let v = Json::parse(&ts.to_json().to_string_pretty()).unwrap();
+        assert_eq!(v.get("dt").and_then(Json::as_f64), Some(10.0));
+        let samples = v.get("samples").and_then(Json::as_array).unwrap();
+        assert_eq!(samples.len(), 2);
+        let (want, got) = (&ts.samples[1], &samples[1]);
+        let f64s = [
+            ("t", want.t),
+            ("utilization", want.utilization),
+            ("realized_rate", want.realized_rate),
+            ("mean_response", want.mean_response),
+            ("vm_hours", want.vm_hours),
+        ];
+        for (key, value) in f64s {
+            assert_eq!(got.get(key).and_then(Json::as_f64), Some(value), "{key}");
         }
-        let text = ts.to_json().to_string_pretty();
-        let back = TimeSeries::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, ts);
+        let u64s = [
+            ("instances", u64::from(want.instances)),
+            ("active", u64::from(want.active)),
+            ("queue_depth", want.queue_depth),
+            ("sized_instances", u64::from(want.sized_instances)),
+            ("rejected", want.rejected),
+        ];
+        for (key, value) in u64s {
+            assert_eq!(got.get(key).and_then(Json::as_u64), Some(value), "{key}");
+        }
+        // JSON has no NaN: the rate no sizing decision has set is null.
+        assert_eq!(got.get("predicted_rate"), Some(&Json::Null));
     }
 
     #[test]

@@ -1702,19 +1702,35 @@ mod tests {
         assert!(s.vm_hours < 13.0 * 4_000.0 / 3_600.0);
     }
 
+    /// Counts completed requests and requests lost to crashes.
+    #[derive(Default)]
+    struct Outcomes {
+        completions: u64,
+        lost: u64,
+    }
+
+    impl Probe for Outcomes {
+        fn on_service_complete(&mut self, _: SimTime, _: u32, _: f64, _: f64) {
+            self.completions += 1;
+        }
+        fn on_vm_crash(&mut self, _: SimTime, _: u32, lost_requests: u64) {
+            self.lost += lost_requests;
+        }
+    }
+
     #[test]
     fn completions_equal_accepted_requests() {
         // Every accepted request completes exactly once (the drain
         // invariant): metrics.response counts completions.
-        let (s, counters) = SimBuilder::new(small_config())
+        let (s, outcomes) = SimBuilder::new(small_config())
             .workload(poisson(50.0, 1_000.0))
             .service(service())
             .policy(Box::new(StaticPolicy::new(6, QosTargets::web_paper())))
             .dispatcher(RoundRobin::new())
-            .probe(crate::probe::CounterProbe::new())
+            .probe(Outcomes::default())
             .run_probed(&RngFactory::new(9));
         assert_eq!(
-            counters.completions,
+            outcomes.completions,
             s.offered_requests - s.rejected_requests
         );
     }
@@ -2026,16 +2042,16 @@ mod tests {
                     QosTargets::new(0.55, 0.0, 0.8),
                 )))
                 .dispatcher(RoundRobin::new())
-                .probe(crate::probe::CounterProbe::new());
+                .probe(Outcomes::default());
             let mut group = RunGroup::start(vec![builder], &RngFactory::new(3), None);
             group.runs[0].schedule(SimTime::from_secs(crash), Event::Failure { slot: 0 });
-            let (s, counters) = group.finish(None).pop().expect("one run");
+            let (s, outcomes) = group.finish(None).pop().expect("one run");
             let lost = deps.iter().filter(|&&d| d > crash).count() as u64;
             assert_eq!(s.instance_failures, 1, "crash at {crash}");
             assert_eq!(s.requests_lost_to_failures, lost, "crash at {crash}");
-            assert_eq!(counters.lost_requests, lost, "crash at {crash}");
+            assert_eq!(outcomes.lost, lost, "crash at {crash}");
             assert_eq!(s.accepted_requests, 6, "crash at {crash}");
-            assert_eq!(counters.completions, 6 - lost, "crash at {crash}");
+            assert_eq!(outcomes.completions, 6 - lost, "crash at {crash}");
         }
     }
 

@@ -50,7 +50,7 @@ pub struct Weibull {
     scale: f64,
     // 1/shape, precomputed at construction: `powf(inv_shape)` per draw
     // instead of a division + `powf`. Same f64 value as `1.0 / shape`
-    // computed inline, so samples are bit-identical to the old code.
+    // computed inline, so samples are bit-identical to dividing per draw.
     inv_shape: f64,
 }
 
@@ -242,9 +242,9 @@ mod tests {
 
     #[test]
     fn weibull_precomputed_inv_shape_matches_inline_division() {
-        // Satellite guard: the constructor precomputes `1.0 / shape`;
-        // every draw must equal the old per-draw expression
-        // `scale * (-ln U).powf(1.0 / shape)` bit-for-bit.
+        // The constructor precomputes `1.0 / shape`; every draw must
+        // equal the per-draw expression `scale * (-ln U).powf(1.0 /
+        // shape)` bit-for-bit.
         for (shape, scale) in [(4.25, 7.86), (1.79, 24.16), (1.76, 2.11), (0.9, 1.0)] {
             let d = Weibull::new(shape, scale);
             let mut rng = RngFactory::new(0x57A7).stream("weibull-inv-shape");

@@ -75,33 +75,12 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.schedule(self.now + delay, event)
     }
 
-    /// Schedules `event` at the current instant (it will fire after all
-    /// other events already scheduled for this instant with
-    /// [`at`](Self::at), `after` or `now`, but before any lane entry
-    /// at this instant, released with [`Engine::schedule_run`]).
-    #[inline]
-    pub fn now(&mut self, event: E) -> EventHandle {
-        self.queue.schedule(self.now, event)
-    }
-
     /// Cancels a pending event scheduled earlier. Returns whether an
     /// entry was withdrawn: `false` if the event already fired or was
     /// cancelled.
     #[inline]
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         self.queue.cancel(handle)
-    }
-
-    /// The current simulation time.
-    #[inline]
-    pub fn clock(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events (including ones scheduled by this handler).
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -152,11 +131,11 @@ impl<W: World> Engine<W> {
     /// into the queue's lane (see [`EventQueue::schedule_run`] for the
     /// contract: one payload per lane, sorted releases cheapest).
     /// Lane entries tie-break *late*: at an equal timestamp they fire
-    /// after every event placed with [`Scheduler::at`],
-    /// [`Scheduler::after`] or [`Scheduler::now`], even one scheduled
-    /// later. They cannot be cancelled (no handles are returned). A
-    /// caller that feeds the lane in slices releases each one before
-    /// the clock passes its earliest time.
+    /// after every event placed with [`Scheduler::at`] or
+    /// [`Scheduler::after`], even one scheduled later. They cannot be
+    /// cancelled (no handles are returned). A caller that feeds the
+    /// lane in slices releases each one before the clock passes its
+    /// earliest time.
     ///
     /// # Panics
     /// Panics if the earliest time is earlier than the current clock.
@@ -200,11 +179,6 @@ impl<W: World> Engine<W> {
     #[inline]
     pub fn world_mut(&mut self) -> &mut W {
         &mut self.world
-    }
-
-    /// Consumes the engine, returning the model.
-    pub fn into_world(self) -> W {
-        self.world
     }
 
     /// Consumes the engine, returning the model *and* the event queue so

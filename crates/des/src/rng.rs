@@ -39,11 +39,6 @@ impl RngFactory {
         RngFactory { master_seed }
     }
 
-    /// The master seed this factory derives from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Returns the stream identified by `label`.
     ///
     /// The same `(master_seed, label)` pair always yields the same stream;
@@ -82,18 +77,6 @@ pub struct SimRng {
 }
 
 impl SimRng {
-    /// Creates a stream directly from a 64-bit seed (prefer
-    /// [`RngFactory`] for labelled streams).
-    pub fn seed_from_u64(seed: u64) -> Self {
-        let mut state = seed;
-        SimRng::from_state([
-            splitmix64(&mut state),
-            splitmix64(&mut state),
-            splitmix64(&mut state),
-            splitmix64(&mut state),
-        ])
-    }
-
     fn from_state(s: [u64; 4]) -> Self {
         // The all-zero state is the one fixed point of the linear
         // engine; SplitMix64 output makes it astronomically unlikely,

@@ -47,12 +47,6 @@ impl SimTime {
         Self::from_secs(hours * HOUR)
     }
 
-    /// Creates a time from days.
-    #[inline]
-    pub fn from_days(days: f64) -> Self {
-        Self::from_secs(days * DAY)
-    }
-
     /// Raw seconds since the start of the run.
     #[inline]
     pub fn as_secs(self) -> f64 {
@@ -76,12 +70,6 @@ impl SimTime {
     #[inline]
     pub fn day_index(self) -> u64 {
         (self.0 / DAY).floor() as u64
-    }
-
-    /// Hour-of-day in `[0, 24)`.
-    #[inline]
-    pub fn hour_of_day(self) -> f64 {
-        self.second_of_day() / HOUR
     }
 
     /// Returns the later of two times.
@@ -163,7 +151,6 @@ mod tests {
     fn construction_and_units() {
         assert_eq!(SimTime::from_mins(2.0).as_secs(), 120.0);
         assert_eq!(SimTime::from_hours(1.0).as_secs(), HOUR);
-        assert_eq!(SimTime::from_days(1.0).as_secs(), DAY);
         assert_eq!(SimTime::ZERO.as_secs(), 0.0);
     }
 
@@ -172,7 +159,6 @@ mod tests {
         let t = SimTime::from_secs(DAY * 2.0 + HOUR * 3.0 + 42.0);
         assert_eq!(t.day_index(), 2);
         assert!((t.second_of_day() - (HOUR * 3.0 + 42.0)).abs() < 1e-9);
-        assert!((t.hour_of_day() - (3.0 + 42.0 / HOUR)).abs() < 1e-12);
     }
 
     #[test]

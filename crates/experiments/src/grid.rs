@@ -49,7 +49,7 @@ use crate::replay::{peak_rss_kb, qos_verdict, ReplaySource};
 use crate::runner::start_with;
 use crate::scenario::{AnalyzerSpec, PolicySpec, Scenario};
 use std::convert::Infallible;
-use vmprov_cloudsim::{RunGroup, RunSummary};
+use vmprov_cloudsim::{ArrivalStream, RunGroup, RunSummary};
 use vmprov_des::FelBackend;
 use vmprov_json::{Json, ToJson};
 use vmprov_workloads::{ScanStats, SharedTraceScan, StepBound, StreamReplay, TraceSpec};
@@ -269,17 +269,16 @@ impl ReplayGrid {
         let per_worker = misses.len().div_ceil(workers);
         // Rounding the share up can leave fewer threads than `workers`.
         let threads = misses.len().div_ceil(per_worker);
-        // Expanding the stream run released at row i (only done
-        // before the bound) holds the pulled rows up to i + run − 1 and
-        // pulls up to `run` more.
+        // Cells expand stream runs only before the bound, so the
+        // deepest pull sets how far the scan must publish ahead of it.
         let run = misses
             .iter()
-            .map(|(_, s, _)| s.sim_config().arrival_run.max(1) as usize)
+            .map(|(_, s, _)| s.sim_config().arrival_run)
             .max()
             .expect("misses is not empty");
         let (scan, replays) = self
             .spec
-            .replay_stepped(misses.len(), threads, 2 * run - 1)
+            .replay_stepped(misses.len(), threads, ArrivalStream::rows_ahead(run))
             .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
         let mut groups: Vec<Vec<SteppedCell>> = Vec::with_capacity(threads);
         for (i, ((slot, scenario, rep), replay)) in misses.into_iter().zip(replays).enumerate() {

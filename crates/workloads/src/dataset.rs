@@ -4,17 +4,17 @@
 //! trait, [`DatasetReader`]: a chunked pull interface that yields
 //! time-ordered [`ArrivalBatch`] runs without ever materializing the
 //! full trace. [`CsvReader`] implements it for `time,count,spread` CSV
-//! files (the only on-disk format today); [`MemoryReader`] adapts an
-//! in-memory [`Trace`] so recorded traces replay through the same seam;
-//! future dataset formats (Wikipedia request logs, cluster traces) slot
-//! in as further implementations without touching the simulator.
+//! files (the only on-disk format today); further dataset formats
+//! (Wikipedia request logs, cluster traces) slot in as further
+//! implementations without touching the simulator.
 //!
-//! [`StreamReplay`] turns any reader into an [`ArrivalProcess`]: it
+//! [`StreamReplay`] turns a trace into an [`ArrivalProcess`]: it
 //! buffers `chunk` batches at a time, so peak ingestion memory is
 //! `chunk × size_of::<ArrivalBatch>()` regardless of trace length, and
-//! a 10M-request file replays in a few megabytes. Arrivals are
-//! byte-identical for every chunk size (pinned by a property test): the
-//! buffer is pure plumbing, invisible to the simulation.
+//! a 10M-request file replays in a few megabytes. An in-memory
+//! [`Trace`] replays as one chunk. Arrivals are byte-identical for every
+//! chunk size (pinned by a property test): the buffer is pure plumbing,
+//! invisible to the simulation.
 //!
 //! [`SharedTraceScan`] is the **fan-out layer** on top of the seam:
 //! one decode pass feeding N [`StreamReplay`] consumers through
@@ -137,9 +137,8 @@ const MAX_U64_DIGITS: usize = 19;
 /// Streaming `time,count,spread` CSV reader (header and comment lines
 /// skipped; the spread column optional, defaulting to 0).
 ///
-/// Unlike the retired `Trace::read_csv`, which slurped the file and
-/// sorted it, this reader holds one line at a time — so out-of-order
-/// timestamps are a *parse error* (streaming cannot sort), as are
+/// The reader holds one line at a time, so out-of-order timestamps
+/// are a *parse error* (streaming cannot sort), as are
 /// truncated rows, non-finite or negative values, a count above
 /// [`MAX_ROW_COUNT`], and a count that would push the running request
 /// total past `u64::MAX`, all reported with their line number.
@@ -633,36 +632,6 @@ impl<R: BufRead + Send> DatasetReader for CsvReader<R> {
     }
 }
 
-/// Adapts a recorded in-memory [`Trace`] to the reader seam, so
-/// recorded and on-disk traces replay through identical plumbing. The
-/// `Arc` keeps cloning a replay cheap: the batches are shared, only the
-/// cursor is per-reader.
-pub struct MemoryReader {
-    trace: Arc<Trace>,
-    pos: usize,
-}
-
-impl MemoryReader {
-    /// Creates a reader over a shared trace.
-    pub fn new(trace: Arc<Trace>) -> Self {
-        MemoryReader { trace, pos: 0 }
-    }
-}
-
-impl DatasetReader for MemoryReader {
-    fn read_chunk(
-        &mut self,
-        out: &mut Vec<ArrivalBatch>,
-        max: usize,
-    ) -> Result<usize, DatasetError> {
-        let rest = &self.trace.batches()[self.pos..];
-        let take = rest.len().min(max);
-        out.extend_from_slice(&rest[..take]);
-        self.pos += take;
-        Ok(take)
-    }
-}
-
 /// Default batches held in memory at once by [`StreamReplay`] — 8192
 /// batches ≈ 192 KiB, the whole ingestion footprint of a replay.
 pub const DEFAULT_CHUNK: usize = 8192;
@@ -691,8 +660,7 @@ pub struct ScanStats {
     /// Consumers registered at fan-out time.
     pub consumers: usize,
     /// Trace files this scan opened: 1 when built by
-    /// [`TraceSpec::replay_shared`], 0 when [`SharedTraceScan::fan_out`]
-    /// was handed an open reader.
+    /// [`TraceSpec::replay_shared`] or [`TraceSpec::replay_stepped`].
     pub file_opens: u64,
 }
 
@@ -844,17 +812,6 @@ impl ScanShared {
 }
 
 impl SharedTraceScan {
-    /// Fans `reader` out to `consumers` concurrent consumers decoding
-    /// `chunk` batches at a time. All consumers register up front; the
-    /// returned handle reports [`ScanStats`] while and after they run.
-    pub fn fan_out(
-        reader: Box<dyn DatasetReader>,
-        consumers: usize,
-        chunk: usize,
-    ) -> (SharedTraceScan, Vec<ScanConsumer>) {
-        Self::build(reader, consumers, chunk, 0, 0)
-    }
-
     /// The one constructor of both kinds of scan: `workers` threads
     /// step the consumers (see [`publish_past`](Self::publish_past)),
     /// whose steps pull at most `lookahead` rows past the row they are
@@ -1178,15 +1135,11 @@ impl TraceSpec {
 
     /// Builds the streaming replay process for this trace.
     pub fn replay(&self) -> StreamReplay {
-        StreamReplay {
-            source: ReplaySource::File(self.path.clone()),
-            chunk: self.chunk,
-            mean_rate: self.mean_rate,
-            horizon: self.end_time,
+        let source = ReplaySource::File {
+            path: self.path.clone(),
             reader: None,
-            buf: ChunkBuf::empty(),
-            pos: 0,
-        }
+        };
+        StreamReplay::new(source, self.chunk, self.mean_rate, self.end_time)
     }
 
     /// Builds `consumers` replay processes that share **one** scan of
@@ -1238,14 +1191,9 @@ impl TraceSpec {
         scan.file_opens = 1;
         let replays = handles
             .into_iter()
-            .map(|consumer| StreamReplay {
-                source: ReplaySource::Shared(consumer),
-                chunk: self.chunk,
-                mean_rate: self.mean_rate,
-                horizon: self.end_time,
-                reader: None,
-                buf: ChunkBuf::empty(),
-                pos: 0,
+            .map(|consumer| {
+                let source = ReplaySource::Shared(consumer);
+                StreamReplay::new(source, self.chunk, self.mean_rate, self.end_time)
             })
             .collect();
         Ok((scan, replays))
@@ -1401,59 +1349,33 @@ fn stitch(decoded: &[Result<RangeTotals, DatasetError>]) -> Option<RangeTotals> 
     Some(whole)
 }
 
-/// Where a [`StreamReplay`] gets its reader from. The file and memory
-/// sources are re-openable so the replay can be `Clone` (each clone
-/// starts a fresh pass) even though a live reader is not; a shared-scan
+/// Where a [`StreamReplay`] gets its chunks from. The file and memory
+/// sources restart, so the replay can be `Clone` (each clone starts a
+/// fresh pass) even though a live reader cannot fork; a shared-scan
 /// consumer is single-pass by construction, so cloning one panics.
 enum ReplaySource {
-    File(PathBuf),
-    Memory(Arc<Trace>),
+    /// A trace file, opened at the first refill and read into the
+    /// replay's own chunk.
+    File {
+        path: PathBuf,
+        reader: Option<CsvReader<BufReader<File>>>,
+    },
+    /// An in-memory trace, whose batches are the replay's one chunk
+    /// from the start: there is nothing to refill.
+    Memory,
+    /// One consumer of a [`SharedTraceScan`], which hands over each
+    /// chunk it decoded.
     Shared(ScanConsumer),
 }
 
-impl Clone for ReplaySource {
-    fn clone(&self) -> Self {
-        match self {
-            ReplaySource::File(p) => ReplaySource::File(p.clone()),
-            ReplaySource::Memory(t) => ReplaySource::Memory(Arc::clone(t)),
-            ReplaySource::Shared(_) => panic!(
-                "a shared-scan replay cannot be cloned: the scan is single-pass \
-                 (build one consumer per run via TraceSpec::replay_shared)"
-            ),
-        }
-    }
-}
-
-/// The replay's current chunk: owned when this replay read it itself,
-/// ref-counted when it came off a [`SharedTraceScan`] (no per-consumer
-/// copy — the handle *is* the bounded buffering).
-enum ChunkBuf {
-    Owned(Vec<ArrivalBatch>),
-    Shared(Arc<Vec<ArrivalBatch>>),
-}
-
-impl ChunkBuf {
-    fn empty() -> Self {
-        ChunkBuf::Owned(Vec::new())
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[ArrivalBatch] {
-        match self {
-            ChunkBuf::Owned(v) => v,
-            ChunkBuf::Shared(a) => a,
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-}
-
-/// An [`ArrivalProcess`] that streams batches off a [`DatasetReader`]
-/// `chunk` at a time. Consumes no randomness; peak memory is one chunk
-/// of batches regardless of trace length.
+/// An [`ArrivalProcess`] that streams batches off a trace `chunk` at a
+/// time. Consumes no randomness; peak memory is one chunk of batches
+/// regardless of trace length.
+///
+/// Every source fills the same ref-counted chunk: a file replay refills
+/// its own uniquely held chunk in place, a shared-scan consumer takes
+/// the scan's handle (no per-consumer copy), and an in-memory trace is
+/// one chunk.
 ///
 /// Cloning resets the stream: the clone replays from the start with its
 /// own reader (the source — a path or a shared in-memory trace — is
@@ -1464,12 +1386,22 @@ pub struct StreamReplay {
     chunk: usize,
     mean_rate: f64,
     horizon: SimTime,
-    reader: Option<Box<dyn DatasetReader>>,
-    buf: ChunkBuf,
+    buf: Arc<Vec<ArrivalBatch>>,
     pos: usize,
 }
 
 impl StreamReplay {
+    fn new(source: ReplaySource, chunk: usize, mean_rate: f64, horizon: SimTime) -> Self {
+        StreamReplay {
+            source,
+            chunk,
+            mean_rate,
+            horizon,
+            buf: Arc::default(),
+            pos: 0,
+        }
+    }
+
     /// Replays a recorded in-memory trace (see also [`Trace::replay`]).
     pub fn from_trace(trace: Trace) -> StreamReplay {
         let horizon = trace.end_time();
@@ -1479,12 +1411,11 @@ impl StreamReplay {
             0.0
         };
         StreamReplay {
-            source: ReplaySource::Memory(Arc::new(trace)),
-            chunk: DEFAULT_CHUNK,
+            source: ReplaySource::Memory,
+            chunk: trace.len(),
             mean_rate,
             horizon,
-            reader: None,
-            buf: ChunkBuf::empty(),
+            buf: Arc::new(trace.into_batches()),
             pos: 0,
         }
     }
@@ -1497,75 +1428,58 @@ impl StreamReplay {
         self
     }
 
+    /// Moves to the next chunk, from the start; `None` at the end of the
+    /// stream. A reader error means the file changed after the scan
+    /// that validated it, which is fatal.
     fn refill(&mut self) -> Option<()> {
+        match &mut self.source {
+            ReplaySource::Memory => return None,
+            ReplaySource::Shared(consumer) => {
+                self.buf = consumer
+                    .next_chunk()
+                    .unwrap_or_else(|e| panic!("trace changed after scan: {e}"))?;
+            }
+            ReplaySource::File { path, reader } => {
+                let reader = reader.get_or_insert_with(|| {
+                    CsvReader::open(path)
+                        .unwrap_or_else(|e| panic!("trace changed after scan: {e}"))
+                });
+                // Nothing else holds a file replay's chunk, so this
+                // reuses its storage.
+                let buf = Arc::make_mut(&mut self.buf);
+                buf.clear();
+                reader
+                    .read_chunk(buf, self.chunk)
+                    .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
+            }
+        }
         self.pos = 0;
-        if let ReplaySource::Shared(consumer) = &mut self.source {
-            // The shared scan decodes each chunk once and hands out a
-            // ref-counted handle — this consumer never parses anything.
-            let next = consumer
-                .next_chunk()
-                .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
-            return match next {
-                Some(chunk) => {
-                    self.buf = ChunkBuf::Shared(chunk);
-                    Some(())
-                }
-                None => {
-                    self.buf = ChunkBuf::empty();
-                    None
-                }
-            };
-        }
-        let chunk = self.chunk;
-        let reader = match &mut self.reader {
-            Some(r) => r,
-            None => {
-                let fresh: Box<dyn DatasetReader> = match &self.source {
-                    // The file was validated by `TraceSpec::scan`; an
-                    // open failure now means it vanished mid-campaign.
-                    ReplaySource::File(path) => Box::new(
-                        CsvReader::open(path)
-                            .unwrap_or_else(|e| panic!("trace changed after scan: {e}")),
-                    ),
-                    ReplaySource::Memory(t) => Box::new(MemoryReader::new(Arc::clone(t))),
-                    ReplaySource::Shared(_) => unreachable!("handled above"),
-                };
-                self.reader.insert(fresh)
-            }
-        };
-        let buf = match &mut self.buf {
-            ChunkBuf::Owned(v) => v,
-            // A shared handle can't land here (the shared path returned
-            // above), but replacing is harmless and keeps this total.
-            shared => {
-                *shared = ChunkBuf::empty();
-                match shared {
-                    ChunkBuf::Owned(v) => v,
-                    ChunkBuf::Shared(_) => unreachable!(),
-                }
-            }
-        };
-        buf.clear();
-        let got = reader
-            .read_chunk(buf, chunk)
-            .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
-        if got == 0 {
-            None
-        } else {
-            Some(())
-        }
+        (!self.buf.is_empty()).then_some(())
     }
 }
 
 impl Clone for StreamReplay {
     fn clone(&self) -> Self {
+        let (source, buf) = match &self.source {
+            ReplaySource::File { path, .. } => {
+                let source = ReplaySource::File {
+                    path: path.clone(),
+                    reader: None,
+                };
+                (source, Arc::default())
+            }
+            ReplaySource::Memory => (ReplaySource::Memory, Arc::clone(&self.buf)),
+            ReplaySource::Shared(_) => panic!(
+                "a shared-scan replay cannot be cloned: the scan is single-pass \
+                 (build one consumer per run via TraceSpec::replay_shared)"
+            ),
+        };
         StreamReplay {
-            source: self.source.clone(),
+            source,
             chunk: self.chunk,
             mean_rate: self.mean_rate,
             horizon: self.horizon,
-            reader: None,
-            buf: ChunkBuf::empty(),
+            buf,
             pos: 0,
         }
     }
@@ -1574,8 +1488,8 @@ impl Clone for StreamReplay {
 impl fmt::Debug for StreamReplay {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let source = match &self.source {
-            ReplaySource::File(path) => format!("file {}", path.display()),
-            ReplaySource::Memory(t) => format!("memory ({} batches)", t.len()),
+            ReplaySource::File { path, .. } => format!("file {}", path.display()),
+            ReplaySource::Memory => format!("memory ({} batches)", self.buf.len()),
             ReplaySource::Shared(c) => format!("shared scan (consumer {})", c.id),
         };
         f.debug_struct("StreamReplay")
@@ -1593,7 +1507,7 @@ impl ArrivalProcess for StreamReplay {
         if self.pos == self.buf.len() {
             self.refill()?;
         }
-        let b = self.buf.as_slice()[self.pos];
+        let b = self.buf[self.pos];
         if b.time > self.horizon {
             return None;
         }
@@ -1618,7 +1532,7 @@ impl ArrivalProcess for StreamReplay {
             if self.pos == self.buf.len() && self.refill().is_none() {
                 break;
             }
-            let buf = self.buf.as_slice();
+            let buf = &self.buf;
             let mut window = &buf[self.pos..buf.len().min(self.pos + (max - n))];
             // Rows are in time order, so the horizon cuts a window at
             // most once, and only the last window it reaches.
@@ -1857,8 +1771,8 @@ mod tests {
     fn arrivals_bit_identical_across_chunk_sizes() {
         // The chunk buffer must be invisible: whatever the buffer size,
         // the replayed arrival stream is bit-identical. Random traces ×
-        // buffer sizes {1, 7, 4096}, through both the in-memory and the
-        // on-disk source.
+        // buffer sizes {1, 7, 4096} through the on-disk source, and the
+        // in-memory trace, which replays as one chunk.
         let dir = std::env::temp_dir().join(format!("vmprov_dataset_chunk_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         vmprov_check::cases(24, |g| {
@@ -1893,12 +1807,11 @@ mod tests {
                 let file_stream: Vec<ArrivalBatch> =
                     std::iter::from_fn(|| file_replay.next_batch(&mut rng)).collect();
                 assert_eq!(file_stream, reference, "chunk {chunk} (file)");
-                let mut mem_replay = StreamReplay::from_trace(trace.clone());
-                mem_replay.chunk = chunk;
-                let mem_stream: Vec<ArrivalBatch> =
-                    std::iter::from_fn(|| mem_replay.next_batch(&mut rng)).collect();
-                assert_eq!(mem_stream, reference, "chunk {chunk} (memory)");
             }
+            let mut mem_replay = trace.replay();
+            let mem_stream: Vec<ArrivalBatch> =
+                std::iter::from_fn(|| mem_replay.next_batch(&mut rng)).collect();
+            assert_eq!(mem_stream, reference, "memory");
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2216,6 +2129,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `consumers` concurrent replays of `trace` off one scan of its
+    /// CSV text, `chunk` batches at a time: the consumers of
+    /// [`TraceSpec::replay_shared`], over bytes in memory.
+    fn shared_replays(
+        trace: &Trace,
+        consumers: usize,
+        chunk: usize,
+    ) -> (SharedTraceScan, Vec<StreamReplay>) {
+        let mut csv = Vec::new();
+        trace.write_csv(&mut csv).unwrap();
+        let reader = Box::new(CsvReader::new(io::Cursor::new(csv)));
+        let (scan, handles) = SharedTraceScan::build(reader, consumers, chunk, 0, 0);
+        let replays = handles
+            .into_iter()
+            .map(|c| StreamReplay::new(ReplaySource::Shared(c), chunk, 1.0, trace.end_time()))
+            .collect();
+        (scan, replays)
+    }
+
     #[test]
     fn shared_scan_preserves_spread_batches() {
         // The stop-after-spread rule of `next_batch_run` must behave
@@ -2231,23 +2163,9 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let reference = trace.batches().to_vec();
-        let (scan, consumers) =
-            SharedTraceScan::fan_out(Box::new(MemoryReader::new(Arc::new(trace))), 3, 16);
-        let replays: Vec<StreamReplay> = consumers
-            .into_iter()
-            .map(|c| StreamReplay {
-                source: ReplaySource::Shared(c),
-                chunk: 16,
-                mean_rate: 1.0,
-                horizon: SimTime::from_secs(300.0),
-                reader: None,
-                buf: ChunkBuf::empty(),
-                pos: 0,
-            })
-            .collect();
+        let (scan, replays) = shared_replays(&trace, 3, 16);
         for got in drain_replay_threaded(replays) {
-            assert_eq!(got, reference);
+            assert_eq!(got, trace.batches());
         }
         assert_eq!(scan.stats().batches_decoded, 300);
     }
@@ -2267,26 +2185,12 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let reference = trace.batches().to_vec();
         // chunk 8 → 125 chunks, far beyond SCAN_DEPTH: survivors only
         // finish if eviction stops waiting on the dropped consumer.
-        let (scan, mut consumers) =
-            SharedTraceScan::fan_out(Box::new(MemoryReader::new(Arc::new(trace))), 3, 8);
-        drop(consumers.remove(1));
-        let replays: Vec<StreamReplay> = consumers
-            .into_iter()
-            .map(|c| StreamReplay {
-                source: ReplaySource::Shared(c),
-                chunk: 8,
-                mean_rate: 1.0,
-                horizon: SimTime::from_secs(1000.0),
-                reader: None,
-                buf: ChunkBuf::empty(),
-                pos: 0,
-            })
-            .collect();
+        let (scan, mut replays) = shared_replays(&trace, 3, 8);
+        drop(replays.remove(1));
         for got in drain_replay_threaded(replays) {
-            assert_eq!(got, reference);
+            assert_eq!(got, trace.batches());
         }
         assert_eq!(scan.stats().batches_decoded, 1000);
     }
@@ -2299,18 +2203,8 @@ mod tests {
             spread: 0.0,
         }])
         .unwrap();
-        let (_scan, consumers) =
-            SharedTraceScan::fan_out(Box::new(MemoryReader::new(Arc::new(trace))), 1, 4);
-        let replay = StreamReplay {
-            source: ReplaySource::Shared(consumers.into_iter().next().unwrap()),
-            chunk: 4,
-            mean_rate: 1.0,
-            horizon: SimTime::from_secs(1.0),
-            reader: None,
-            buf: ChunkBuf::empty(),
-            pos: 0,
-        };
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| replay.clone()))
+        let (_scan, replays) = shared_replays(&trace, 1, 4);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| replays[0].clone()))
             .expect_err("cloning a shared-scan replay must panic");
         let msg = err
             .downcast_ref::<String>()
@@ -2324,7 +2218,7 @@ mod tests {
     fn shared_scan_propagates_reader_errors_to_every_consumer() {
         let input = "0,1,0\n1.0,notanumber\n";
         let reader = CsvReader::new(io::BufReader::new(input.as_bytes()));
-        let (_scan, consumers) = SharedTraceScan::fan_out(Box::new(reader), 2, 64);
+        let (_scan, consumers) = SharedTraceScan::build(Box::new(reader), 2, 64, 0, 0);
         for mut c in consumers {
             let err = c.next_chunk().expect_err("bad row must surface");
             assert_eq!(err.line, Some(2), "{err}");

@@ -1,21 +1,17 @@
-//! Recorded arrival traces: capture any [`ArrivalProcess`] into a
-//! concrete list of batches and persist it as CSV.
+//! In-memory arrival traces: a validated list of batches that can be
+//! written as CSV and replayed.
 //!
-//! Recording enables exact workload sharing between runs that must see
-//! identical traffic regardless of how many random draws each policy
-//! consumes. Everything *read back* — this crate's own CSV, real
-//! production traces, future dataset formats — enters through the
-//! [`crate::dataset`] seam instead ([`CsvReader`](crate::dataset::CsvReader)
-//! and friends); `Trace` is the in-memory recording side only, and
-//! [`Trace::replay`] routes through the same [`StreamReplay`] plumbing
-//! the on-disk readers use.
+//! Everything *read back* — this crate's own CSV, real production
+//! traces — enters through the [`crate::dataset`] seam instead
+//! ([`CsvReader`](crate::dataset::CsvReader) and friends); [`Trace::replay`]
+//! hands the whole trace to [`StreamReplay`] as its one chunk.
 
 use crate::dataset::{row_count_error, DatasetError, StreamReplay, MAX_ROW_COUNT};
-use crate::traits::{ArrivalBatch, ArrivalProcess};
+use crate::traits::ArrivalBatch;
 use std::io::{self, Write};
-use vmprov_des::{SimRng, SimTime};
+use vmprov_des::SimTime;
 
-/// A recorded arrival trace.
+/// An in-memory arrival trace.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     batches: Vec<ArrivalBatch>,
@@ -62,16 +58,6 @@ impl Trace {
         Ok(Trace { batches })
     }
 
-    /// Records `process` to exhaustion using `rng`. Infallible: a
-    /// well-behaved process emits ordered batches by contract.
-    pub fn record(process: &mut dyn ArrivalProcess, rng: &mut SimRng) -> Self {
-        let mut batches = Vec::new();
-        while let Some(b) = process.next_batch(rng) {
-            batches.push(b);
-        }
-        Trace { batches }
-    }
-
     /// Number of batches.
     pub fn len(&self) -> usize {
         self.batches.len()
@@ -107,34 +93,22 @@ impl Trace {
         Ok(())
     }
 
-    /// Turns the trace into a replayable arrival process, streaming
-    /// through the [`crate::dataset`] seam (consumes no randomness).
+    /// Turns the trace into a replayable arrival process whose one
+    /// chunk is the whole trace (consumes no randomness).
     pub fn replay(self) -> StreamReplay {
         StreamReplay::from_trace(self)
+    }
+
+    /// The batches, moved out.
+    pub(crate) fn into_batches(self) -> Vec<ArrivalBatch> {
+        self.batches
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synthetic::PoissonProcess;
-    use vmprov_des::RngFactory;
-
-    #[test]
-    fn record_and_replay_are_identical() {
-        let mut rng = RngFactory::new(5).stream("trace");
-        let mut p = PoissonProcess::new(10.0, SimTime::from_secs(100.0));
-        let trace = Trace::record(&mut p, &mut rng);
-        assert!(trace.len() > 500);
-        assert_eq!(trace.total_requests(), trace.len() as u64); // 1/batch
-        let mut replay = trace.clone().replay();
-        let mut other_rng = RngFactory::new(999).stream("unused");
-        for want in trace.batches() {
-            let got = replay.next_batch(&mut other_rng).unwrap();
-            assert_eq!(&got, want);
-        }
-        assert!(replay.next_batch(&mut other_rng).is_none());
-    }
+    use crate::traits::ArrivalProcess;
 
     #[test]
     fn replay_reports_the_mean_rate_and_horizon() {
