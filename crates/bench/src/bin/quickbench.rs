@@ -8,9 +8,11 @@
 //! ```
 //!
 //! Covers the future-event list (the 4-ary heap, `fel_*_quad_heap`)
-//! at small and large pending sizes, cancellation churn,
-//! lane releases (`fel_bulk_insert_*` — sorted arrival runs appended to
-//! the event list's lane, vs per-entry `fel_fill_drain_*`), the
+//! at small and large pending sizes, cancellation churn, the arrival
+//! path (`fel_dispatch_run_*` — sorted 4096-time slices handed to
+//! `Engine::dispatch_run` against a heap at the simulator's depth, in
+//! ns per arrival; the retired `fel_bulk_insert_*` timed the event
+//! list's arrival lane, and the baseline keeps it as history), the
 //! expansion of one web arrival batch (`arrival_expand_web`: ~30.5k
 //! spread offsets drawn and sorted), the branchless admission probe
 //! (`admission_bitset_hot`), and
@@ -207,46 +209,47 @@ fn bench_fill_drain(n: usize, runs: u32) -> Timing {
     })
 }
 
-/// Lane releases at the simulator's cadence: sorted 64-entry runs,
-/// all with one payload as the lane requires, land through
-/// `schedule_run` a few runs ahead of the drain (a steady window, like
-/// arrival slices released just ahead of the clock), `n` events in
-/// total. Each run starts where the previous one ends, as slices of
-/// one sorted arrival stream do, so every release appends. One append
-/// per run, O(1) per pop; compare with `fel_fill_drain_*`, which pays
-/// per-entry insertion for the same event count.
-fn bench_bulk_insert(n: usize, runs: u32) -> Timing {
-    const RUN: usize = 64;
-    const WINDOW: usize = 4; // runs in flight
-    let mut rng = RngFactory::new(0xB0B5).stream("bulk");
-    let name = format!("fel_bulk_insert_{n}_{FEL_TAG}");
-    bench(&name, 2 * n as u64, 1, runs, || {
-        let mut q = EventQueue::with_capacity(RUN * (WINDOW + 1));
-        let mut times = Vec::with_capacity(RUN);
-        let mut base = 0.0;
-        let mut scheduled = 0usize;
-        let mut push_run = |q: &mut EventQueue<usize>, scheduled: &mut usize| {
-            base += 1.0;
-            times.clear();
-            for _ in 0..RUN {
-                times.push(SimTime::from_secs(base + rng.uniform(0.0, 1.0)));
+/// The arrival path: `n` sorted arrival times handed to
+/// `Engine::dispatch_run` in 4096-time slices, as a `RunGroup` hands
+/// them to a run, against a heap held at the simulator's depth (48
+/// timers, each re-armed 0–2000 s ahead when it fires, so about one
+/// heap pop per 20 arrivals). Each arrival costs a bound check against
+/// the heap minimum and a handler call; in ns per arrival.
+fn bench_dispatch_run(n: usize, runs: u32) -> Timing {
+    use vmprov_des::{Engine, Scheduler, SimRng, World};
+    const SLICE: usize = 4096;
+    const DEPTH: u32 = 48;
+    const ARRIVAL: u32 = u32::MAX;
+    struct Timers(SimRng);
+    impl World for Timers {
+        type Event = u32;
+        fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<'_, u32>) {
+            if ev != ARRIVAL {
+                sched.at(now + self.0.uniform(0.0, 2000.0), ev);
             }
-            times.sort_unstable();
-            q.schedule_run(&times, 0);
-            *scheduled += RUN;
-        };
-        for _ in 0..WINDOW {
-            push_run(&mut q, &mut scheduled);
-        }
-        while scheduled < n {
-            push_run(&mut q, &mut scheduled);
-            for _ in 0..RUN {
-                black_box(q.pop());
-            }
-        }
-        while let Some(ev) = q.pop() {
             black_box(ev);
         }
+    }
+    let rngs = RngFactory::new(0xD15C);
+    let mut rng = rngs.stream("arrivals");
+    let mut t = 0.0;
+    let times: Vec<SimTime> = (0..n)
+        .map(|_| {
+            t += rng.uniform(0.0, 2.0);
+            SimTime::from_secs(t)
+        })
+        .collect();
+    let name = format!("fel_dispatch_run_{n}_{FEL_TAG}");
+    bench(&name, n as u64, 1, runs, || {
+        let mut timers = rngs.stream("timers");
+        let mut engine = Engine::new(Timers(rngs.stream("re-arm")));
+        for slot in 0..DEPTH {
+            engine.schedule(SimTime::from_secs(timers.uniform(0.0, 2000.0)), slot);
+        }
+        for slice in times.chunks(SLICE) {
+            engine.dispatch_run(slice, ARRIVAL);
+        }
+        black_box(engine.steps());
     })
 }
 
@@ -1073,7 +1076,7 @@ fn main() {
         vec![bench_cancel(sizes.fill, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
-        vec![bench_bulk_insert(sizes.fill, sizes.runs)]
+        vec![bench_dispatch_run(sizes.hold_large, sizes.runs)]
     })));
     groups.push(run_group(Box::new(move || {
         vec![bench_arrival_expand(sizes.web_batches, sizes.runs)]

@@ -40,11 +40,11 @@ pub struct SimConfig {
     /// [`ArrivalStream`](crate::ArrivalStream) pulls from the workload
     /// and expands at a time (at least 1; default
     /// [`DEFAULT_ARRIVAL_RUN`]). Performance only: every depth yields
-    /// the same [`RunSummary`](crate::RunSummary), because arrivals
-    /// enter the event list's lane, whose entries tie-break after every
-    /// individually scheduled event at their instant, exactly where the
-    /// one-batch-at-a-time cadence (`1`) puts them. Pinned for every
-    /// depth by the batched-vs-scalar tests.
+    /// the same [`RunSummary`](crate::RunSummary), because each arrival
+    /// is handled after every scheduled event at its instant
+    /// ([`Engine::dispatch_run`](vmprov_des::Engine::dispatch_run)),
+    /// exactly where the one-batch-at-a-time cadence (`1`) puts it.
+    /// Pinned for every depth by the batched-vs-scalar tests.
     pub arrival_run: u32,
 }
 

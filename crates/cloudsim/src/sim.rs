@@ -40,8 +40,9 @@ use vmprov_workloads::ServiceModel;
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
-    /// One request reaches admission control. Arrivals enter the event
-    /// list's lane, released by the run's [`RunGroup`].
+    /// One request reaches admission control. Arrivals never enter the
+    /// event list: the run's [`RunGroup`] hands each to
+    /// [`Engine::dispatch_run`] at its time.
     Arrival,
     /// Instance `slot`'s one wake-up: an active instance that filled
     /// gets its room back (the departure that leaves `k − 1` requests),
@@ -461,7 +462,7 @@ pub struct CloudSim<P: Probe = NullProbe> {
 
 /// Warm per-thread simulation storage recycled between consecutive
 /// runs: instance-slot slabs (state vectors + the flat queue-ring slab)
-/// and future-event lists (heap array and lane buffers), one of each
+/// and future-event lists (heap arrays), one of each
 /// per run of the largest group stepped so far.
 ///
 /// A campaign worker thread keeps one `SimScratch` and threads it
@@ -1302,25 +1303,24 @@ impl<P: Probe> World for CloudSim<P> {
     }
 }
 
-/// Arrival times a run's lane takes in one release. The group hands a
-/// ready run of arrivals to its runs in slices of this many, each
-/// released just before the runs reach it, so a lane never holds more
-/// than about one slice whatever the workload's batch size.
-const LANE_SLICE: usize = 4096;
+/// Arrival times the group hands to each of its runs in turn. A slice
+/// (32 KiB of times) stays in cache while every run of the group
+/// dispatches it, whatever the workload's batch size.
+const ARRIVAL_SLICE: usize = 4096;
 
 /// Runs that read one arrival stream, stepped together: the policies
 /// of one replication of a figure set, or a single run (a group of
 /// one — [`SimBuilder::start`](crate::SimBuilder::start) and every
 /// `run` entry point go through here, so there is one arrival path).
 ///
-/// The group expands the workload once ([`ArrivalStream`]) and releases
-/// each ready slice of arrival times into every run's event-list lane
-/// after advancing that run through every event before the slice's
-/// first time. Lane entries lose ties to every other event, so a run
-/// pops its events in the order of the scalar cadence, which released
-/// each batch's arrivals at the batch's own instant; the group only
-/// decides *when* the times are copied in, which never changes what a
-/// run computes.
+/// The group expands the workload once ([`ArrivalStream`]) and hands
+/// each ready slice of arrival times to every run's
+/// [`Engine::dispatch_run`], which handles each arrival after every
+/// event at or before its time. Arrivals so lose ties to every other
+/// event, and a run handles its events in the order of the scalar
+/// cadence, which released each batch's arrivals at the batch's own
+/// instant; how the group slices the times never changes what a run
+/// computes.
 ///
 /// [`advance_before`](Self::advance_before) pauses the runs: a paused
 /// run's clock stays at its last event, so stepping through any
@@ -1377,23 +1377,20 @@ impl<P: Probe> RunGroup<P> {
         RunGroup { stream, runs }
     }
 
-    /// Handles, in every run, each event that fires strictly before
-    /// `bound`, then pauses. Expands only stream runs released before
-    /// `bound`; arrivals already expanded are released up to the bound.
+    /// Handles, in every run, each event and arrival that falls
+    /// strictly before `bound`, then pauses. Expands only stream runs
+    /// released before `bound`.
     pub fn advance_before(&mut self, bound: SimTime) {
         let RunGroup { stream, runs } = self;
         loop {
-            while let Some(&first) = stream.ready().first() {
-                if first >= bound {
-                    break;
-                }
-                let ready = stream.ready();
-                let slice = &ready[..ready.len().min(LANE_SLICE)];
+            let ready = stream.ready();
+            let n = ready.partition_point(|&t| t < bound).min(ARRIVAL_SLICE);
+            if n > 0 {
                 for run in runs.iter_mut() {
-                    step_before(run, first);
-                    run.schedule_run(slice, Event::Arrival);
+                    dispatch_arrivals(run, &ready[..n]);
                 }
-                stream.take(slice.len());
+                stream.take(n);
+                continue;
             }
             match stream.next_release() {
                 Some(release) if release < bound && stream.ready().is_empty() => stream.expand(),
@@ -1422,17 +1419,34 @@ impl<P: Probe> RunGroup<P> {
     }
 }
 
-/// Advances `engine` through every event strictly before `bound`. Past
-/// the workload horizon the run first handles everything up to the
-/// horizon and withdraws its failure clocks, as the end of a run does
-/// (see [`run_engine_core`]); both steps are no-ops once done.
-fn step_before<P: Probe>(engine: &mut Engine<CloudSim<P>>, bound: SimTime) {
+/// Handles the arrivals at `times` (sorted, none before the run's
+/// clock). Arrivals past the workload horizon wait until the run has
+/// [closed its horizon](close_horizon).
+fn dispatch_arrivals<P: Probe>(engine: &mut Engine<CloudSim<P>>, times: &[SimTime]) {
     let horizon = engine.world().horizon;
-    if bound > horizon {
-        engine.run_until(horizon);
-        withdraw_failure_clocks(engine);
+    let (within, past) = times.split_at(times.partition_point(|&t| t <= horizon));
+    engine.dispatch_run(within, Event::Arrival);
+    if !past.is_empty() {
+        close_horizon(engine);
+        engine.dispatch_run(past, Event::Arrival);
+    }
+}
+
+/// Advances `engine` through every event strictly before `bound`,
+/// closing the run's horizon first if `bound` lies past it.
+fn step_before<P: Probe>(engine: &mut Engine<CloudSim<P>>, bound: SimTime) {
+    if bound > engine.world().horizon {
+        close_horizon(engine);
     }
     engine.run_before(bound);
+}
+
+/// Handles everything up to the workload horizon and withdraws the
+/// failure clocks, as the end of a run does (see [`run_engine_core`]);
+/// a no-op once done.
+fn close_horizon<P: Probe>(engine: &mut Engine<CloudSim<P>>) {
+    engine.run_until(engine.world().horizon);
+    withdraw_failure_clocks(engine);
 }
 
 /// Cancels the failure clocks still armed for surviving instances.
@@ -1453,7 +1467,7 @@ fn withdraw_failure_clocks<P: Probe>(engine: &mut Engine<CloudSim<P>>) {
     }
 }
 
-/// Ends a run whose arrivals are all released: handles everything up to
+/// Ends a run whose arrivals are all handled: handles everything up to
 /// the horizon, withdraws the failure clocks, drains the accepted work
 /// still in flight, and bills the surviving VMs up to that final
 /// instant.
@@ -1461,16 +1475,13 @@ fn run_engine_core<P: Probe>(
     mut engine: Engine<CloudSim<P>>,
 ) -> (RunSummary, CloudSim<P>, EventQueue<Event>) {
     let name = engine.world().policy.name();
-    let horizon = engine.world().horizon;
-    engine.run_until(horizon);
-    withdraw_failure_clocks(&mut engine);
+    close_horizon(&mut engine);
     // Drain the accepted work that is still in flight. Generated
     // workloads submit nothing at or past the horizon (the web
-    // workload clips its last interval to it), so for them the drain
-    // only finishes that work. A replayed trace whose last row carries
-    // a spread still releases arrivals past the trace's end time; the
-    // drain admits and serves them, so a replay offers every request
-    // of the trace.
+    // workload clips its last interval to it). A replayed trace whose
+    // last row carries a spread still has arrivals past the trace's
+    // end time; the group hands them over once the horizon is closed,
+    // so a replay offers every request of the trace.
     engine.run();
     // Every draining instance met its timer; the active ones' rings
     // empty now, each request at its own departure. The run ends at its
@@ -1965,7 +1976,7 @@ mod tests {
     #[test]
     fn a_rejected_arrival_adds_no_event_list_entry() {
         // Two k = 2 instances offered 100 req/s: most arrivals find the
-        // pool full, and each such arrival leaves only by being popped.
+        // pool full, and such an arrival schedules nothing.
         let parts = SimBuilder::new(small_config())
             .service(service())
             .policy(Box::new(StaticPolicy::new(2, QosTargets::web_paper())))
@@ -1981,23 +1992,25 @@ mod tests {
             parts.probe,
             None,
         );
-        let times: Vec<SimTime> = (0..5_000)
-            .map(|i| SimTime::from_secs(f64::from(i) * 0.01))
-            .collect();
-        engine.schedule_run(&times, Event::Arrival);
         let mut rejects = 0;
-        while engine.world().metrics.offered < 5_000 {
-            let (pending, rejected) = (engine.pending(), engine.world().metrics.rejected);
-            assert!(engine.step());
+        for i in 0..5_000 {
+            let t = SimTime::from_secs(f64::from(i) * 0.01);
+            // The queued events up to the arrival's instant go first, so
+            // the dispatch below handles the arrival alone.
+            engine.run_until(t);
+            let (pending, rejected, steps) = (
+                engine.pending(),
+                engine.world().metrics.rejected,
+                engine.steps(),
+            );
+            assert_eq!(engine.dispatch_run(&[t], Event::Arrival), 1);
+            assert_eq!(engine.steps(), steps + 1);
             if engine.world().metrics.rejected > rejected {
                 rejects += 1;
-                assert_eq!(
-                    engine.pending(),
-                    pending - 1,
-                    "a rejection scheduled an event"
-                );
+                assert_eq!(engine.pending(), pending, "a rejection scheduled an event");
             }
         }
+        assert_eq!(engine.world().metrics.offered, 5_000);
         assert!(
             rejects > 2_500,
             "only {rejects} rejections: the pool is not saturated"

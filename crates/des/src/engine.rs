@@ -5,6 +5,11 @@
 //! the clock, and hands the event to [`World::handle`], which may schedule
 //! further events through the [`Scheduler`] it receives.
 //!
+//! Events whose times are known before the clock reaches them and that
+//! carry one payload — the simulator's arrivals — need no queue entry:
+//! [`Engine::dispatch_run`] handles each at its time, after every queued
+//! event at or before it.
+//!
 //! ```
 //! use vmprov_des::{Engine, Scheduler, SimTime, World};
 //!
@@ -127,25 +132,6 @@ impl<W: World> Engine<W> {
         self.queue.schedule(time, event)
     }
 
-    /// Releases one entry carrying `event` at every time in `times`
-    /// into the queue's lane (see [`EventQueue::schedule_run`] for the
-    /// contract: one payload per lane, sorted releases cheapest).
-    /// Lane entries tie-break *late*: at an equal timestamp they fire
-    /// after every event placed with [`Scheduler::at`] or
-    /// [`Scheduler::after`], even one scheduled later. They cannot be
-    /// cancelled (no handles are returned). A caller that feeds the
-    /// lane in slices releases each one before the clock passes its
-    /// earliest time.
-    ///
-    /// # Panics
-    /// Panics if the earliest time is earlier than the current clock.
-    pub fn schedule_run(&mut self, times: &[SimTime], event: W::Event)
-    where
-        W::Event: Clone,
-    {
-        self.queue.release_run(times, event, Some(self.now));
-    }
-
     /// Cancels a pending event from outside a handler.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         self.queue.cancel(handle)
@@ -163,7 +149,9 @@ impl<W: World> Engine<W> {
         self.steps
     }
 
-    /// Number of pending events, lane entries included.
+    /// Number of pending events. Times handed to
+    /// [`dispatch_run`](Self::dispatch_run) are never pending: each is
+    /// handled before the call returns.
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -231,6 +219,39 @@ impl<W: World> Engine<W> {
         self.steps - start
     }
 
+    /// Handles `event` at every time in `times`, in order: for each
+    /// time `t`, first every queued event that fires at or before `t`
+    /// (including any an earlier time's handler scheduled at `t`), then
+    /// `event` itself at `t`. So at an equal timestamp the dispatched
+    /// event comes after every event placed with [`schedule`](Self::schedule),
+    /// [`Scheduler::at`] or [`Scheduler::after`], whenever it was
+    /// scheduled. Each dispatched time counts as one step; the clock
+    /// ends at the last time. Returns events processed.
+    ///
+    /// # Panics
+    /// Panics if a time is earlier than the clock when its turn comes
+    /// (the times must be sorted and not before [`now`](Self::now));
+    /// the times before it have been handled by then.
+    pub fn dispatch_run(&mut self, times: &[SimTime], event: W::Event) -> u64
+    where
+        W::Event: Clone,
+    {
+        let start = self.steps;
+        for &t in times {
+            assert!(
+                t >= self.now,
+                "cannot dispatch into the past: now={}, requested={}",
+                self.now,
+                t
+            );
+            while let Some((time, queued)) = self.queue.pop_until(t) {
+                self.dispatch(time, queued);
+            }
+            self.dispatch(t, event.clone());
+        }
+        self.steps - start
+    }
+
     /// Processes every event that fires strictly before `bound`, then
     /// pauses. Unlike [`run_until`](Self::run_until) the clock stays at
     /// the last event handled, so a run paused at any sequence of
@@ -254,6 +275,7 @@ mod tests {
         fired: Vec<(f64, u32)>,
     }
 
+    #[derive(Clone)]
     enum Ev {
         Mark(u32),
         Chain { id: u32, remaining: u32, gap: f64 },
@@ -423,33 +445,71 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_release_into_the_past_panics_and_releases_nothing() {
-        struct Idle;
-        impl World for Idle {
-            type Event = ();
-            fn handle(&mut self, _: SimTime, _: (), _: &mut Scheduler<'_, ()>) {}
+    fn dispatched_events_follow_every_queued_event_at_their_instant() {
+        /// Records each event; `Mark(1)` schedules `Mark(2)` at its own
+        /// instant, and `Mark(9)` (the dispatched one) `Mark(7)`.
+        struct Ties(Vec<(f64, u32)>);
+        impl World for Ties {
+            type Event = u32;
+            fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<'_, u32>) {
+                self.0.push((now.as_secs(), ev));
+                match ev {
+                    1 => drop(sched.at(now, 2)),
+                    9 => drop(sched.at(now, 7)),
+                    _ => {}
+                }
+            }
         }
-        let mut eng = Engine::new(Idle);
-        eng.schedule(SimTime::from_secs(5.0), ());
+        let mut eng = Engine::new(Ties(vec![]));
+        eng.schedule(SimTime::from_secs(5.0), 1);
+        eng.schedule(SimTime::from_secs(6.0), 3);
+        let times = [4.0, 5.0, 5.0, 8.0].map(SimTime::from_secs);
+        assert_eq!(eng.dispatch_run(&times, 9), 10);
+        let expected = vec![
+            (4.0, 9),
+            (4.0, 7),
+            (5.0, 1),
+            (5.0, 2),
+            (5.0, 9),
+            (5.0, 7),
+            (5.0, 9),
+            (5.0, 7),
+            (6.0, 3),
+            (8.0, 9),
+        ];
+        // The second 9 at 5.0 waits for the 7 the first one scheduled
+        // there; the 7 the last 9 schedules stays queued.
+        assert_eq!(eng.world().0, expected);
+        assert_eq!(eng.steps(), 10);
+        assert_eq!(eng.now(), SimTime::from_secs(8.0));
+        assert_eq!(eng.pending(), 1, "the last 9's follow-up is queued");
+    }
+
+    #[test]
+    fn a_dispatch_into_the_past_panics_and_handles_nothing() {
+        let mut eng = Engine::new(Recorder { fired: vec![] });
+        eng.schedule(SimTime::from_secs(5.0), Ev::Mark(1));
+        eng.schedule(SimTime::from_secs(6.5), Ev::Mark(2));
         eng.step();
-        eng.schedule_run(&[SimTime::from_secs(6.0)], ());
-        let times = [7.0, 3.0, 4.0, 9.0].map(SimTime::from_secs);
+        assert_eq!(eng.dispatch_run(&[SimTime::from_secs(6.0)], Ev::Mark(3)), 1);
+        let times = [3.0, 7.0, 9.0].map(SimTime::from_secs);
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            eng.schedule_run(&times, ());
+            eng.dispatch_run(&times, Ev::Mark(4));
         }))
-        .expect_err("a release before the clock must panic");
+        .expect_err("a dispatch before the clock must panic");
         let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
         assert_eq!(
             msg,
             format!(
-                "cannot schedule into the past: now={}, requested={}",
-                SimTime::from_secs(5.0),
+                "cannot dispatch into the past: now={}, requested={}",
+                SimTime::from_secs(6.0),
                 SimTime::from_secs(3.0)
-            ),
-            "the earliest time is named, not the first"
+            )
         );
-        assert_eq!(eng.run(), 1, "only the earlier release is pending");
-        assert_eq!(eng.now(), SimTime::from_secs(6.0));
+        assert_eq!(eng.steps(), 2, "the panicking dispatch handled nothing");
+        assert_eq!(eng.pending(), 1);
+        assert_eq!(eng.run(), 1);
+        assert_eq!(eng.world().fired, vec![(5.0, 1), (6.0, 3), (6.5, 2)]);
     }
 
     #[test]

@@ -1,34 +1,29 @@
 //! Pending-event set (future-event list).
 //!
 //! [`EventQueue`] is a future-event list keyed by [`SimTime`]. Events
-//! with equal timestamps are delivered in a fixed order, which keeps
-//! simulations deterministic: individually scheduled events first, in
-//! insertion (FIFO) order, then lane entries
-//! ([`EventQueue::schedule_run`]).
+//! with equal timestamps are delivered in insertion (FIFO) order, which
+//! keeps simulations deterministic.
 //!
-//! Individually scheduled events sit on an implicit min-heap with four
-//! children per node, keyed by `(time, id)` packed into two `u64`s. The
-//! simulator keeps 30–60 single events pending, a depth at which the
-//! shallow, cache-friendly heap beats bucketed structures. The
-//! reference it is checked against is a sorted list in the crate's
-//! property tests, not a second backend.
+//! Events sit on an implicit min-heap with four children per node,
+//! keyed by `(time, id)` packed into two `u64`s. The simulator keeps
+//! 30–60 events pending, a depth at which the shallow, cache-friendly
+//! heap beats bucketed structures. The reference it is checked against
+//! is a sorted list in the crate's property tests, not a second
+//! backend.
 //!
 //! [`EventQueue::schedule`] returns an [`EventHandle`] that can later be
 //! passed to [`EventQueue::cancel`], so models can withdraw timers
 //! (boot deadlines, failure clocks) outright instead of filtering
 //! tombstones at dispatch time.
 //!
-//! [`EventQueue::schedule_run`] releases many entries carrying one
-//! payload — the simulator's arrivals — into a *lane* beside the heap:
-//! a sorted array of time keys behind a cursor. Every pop compares the
-//! lane head with the heap minimum once, and the lane loses ties, so at
-//! an equal timestamp lane entries pop after every individually
-//! scheduled event. An arrival costs an append and O(1) per pop instead
-//! of a heap insertion.
+//! The simulator's arrivals never enter the queue: their times are
+//! fixed before the clock reaches them, so
+//! [`Engine::dispatch_run`](crate::Engine::dispatch_run) hands each one
+//! to the model between pops.
 //!
 //! [`EventQueue::pop_until`] pops the earliest event only if it fires
-//! at or before a bound; [`EventQueue::pop`] is the same merge without
-//! a bound.
+//! at or before a bound; [`EventQueue::pop`] is the same without a
+//! bound.
 
 use crate::time::SimTime;
 
@@ -268,113 +263,15 @@ impl<E> QuadHeap<E> {
     }
 }
 
-/// The arrival lane: entries released through
-/// [`EventQueue::schedule_run`], all carrying one payload, kept as
-/// sorted [`time_key`]s behind a cursor.
-///
-/// The lane sits beside the heap, not in it: a pop compares the lane
-/// head with the heap minimum, and the lane takes the pop only when it
-/// is strictly earlier. So at an equal timestamp every entry placed
-/// with [`EventQueue::schedule`] pops first, whenever it was scheduled.
-struct Lane<E> {
-    /// Released keys, non-decreasing; `keys[cursor..]` are pending.
-    keys: Vec<u64>,
-    cursor: usize,
-    /// The payload every lane entry pops with.
-    event: Option<Payload<E>>,
-}
-
-/// The lane's payload and its clone function, captured where `E: Clone`
-/// is known, so popping needs no bound on `E`.
-struct Payload<E> {
-    event: E,
-    clone: fn(&E) -> E,
-}
-
-impl<E> Lane<E> {
-    fn new() -> Self {
-        Lane {
-            keys: Vec::new(),
-            cursor: 0,
-            event: None,
-        }
-    }
-
-    #[inline]
-    fn head(&self) -> Option<u64> {
-        self.keys.get(self.cursor).copied()
-    }
-
-    /// Adds `times` to the lane, keeping it sorted: a sorted release
-    /// that starts at or after the lane's tail (every release the
-    /// simulator makes) is appended; any other re-sorts the pending
-    /// keys. Lane entries share one payload, so the order of equal keys
-    /// is unobservable. One pass over `times` converts them, finds the
-    /// earliest and checks the order.
-    ///
-    /// # Panics
-    /// Panics, leaving the lane as it was, if a time is earlier than
-    /// `not_before`.
-    fn release(&mut self, times: &[SimTime], not_before: Option<SimTime>) {
-        // Drop the popped prefix once it outweighs the pending tail, so
-        // compaction costs O(1) per popped entry.
-        if self.cursor > 0 && self.cursor * 2 >= self.keys.len() {
-            self.keys.drain(..self.cursor);
-            self.cursor = 0;
-        }
-        let from = self.keys.len();
-        let mut prev = if from > self.cursor {
-            self.keys[from - 1]
-        } else {
-            0
-        };
-        let (mut earliest, mut sorted) = (u64::MAX, true);
-        self.keys.extend(times.iter().map(|&t| {
-            let key = time_key(t);
-            earliest = earliest.min(key);
-            sorted &= prev <= key;
-            prev = key;
-            key
-        }));
-        if let Some(now) = not_before {
-            let first = key_time(earliest);
-            if first < now {
-                self.keys.truncate(from);
-                panic!("cannot schedule into the past: now={now}, requested={first}");
-            }
-        }
-        if !sorted {
-            self.keys[self.cursor..].sort_unstable();
-        }
-    }
-
-    /// Pops the head entry (the lane must have one).
-    #[inline]
-    fn pop(&mut self) -> (SimTime, E) {
-        let time = key_time(self.keys[self.cursor]);
-        self.cursor += 1;
-        let payload = self.event.as_ref().expect("a released lane has a payload");
-        (time, (payload.clone)(&payload.event))
-    }
-
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.cursor = 0;
-        self.event = None;
-    }
-}
-
 // ---------------------------------------------------------------------
 // Public queue
 // ---------------------------------------------------------------------
 
-/// A future-event list with deterministic tie-breaking (FIFO among
-/// single events, lane entries last) and event cancellation.
+/// A future-event list with deterministic (FIFO) tie-breaking and
+/// event cancellation.
 pub struct EventQueue<E> {
     heap: QuadHeap<E>,
-    lane: Lane<E>,
     next_id: u64,
-    live: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -399,9 +296,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: QuadHeap::with_capacity(cap),
-            lane: Lane::new(),
             next_id: 0,
-            live: 0,
         }
     }
 
@@ -411,57 +306,23 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventHandle {
         let id = self.next_id;
         self.next_id += 1;
-        self.live += 1;
         let slot = self.heap.push(entry_key(time_key(time), id), event);
         EventHandle { id, slot }
     }
 
-    /// Releases one entry carrying `event` at every time in `times`
-    /// into the queue's lane. Returns `times.len()`.
-    ///
-    /// At an equal timestamp a lane entry pops after every entry placed
-    /// by [`schedule`](Self::schedule), whenever that was scheduled.
-    /// The lane keeps its entries sorted: a sorted release that starts
-    /// at or after the lane's tail is appended; any other release
-    /// (unsorted, or starting before the tail) re-sorts the pending
-    /// entries. Releases are cheapest sorted and in time order, as the
-    /// simulator's are.
-    ///
-    /// The lane holds **one** payload: every entry pops with a clone of
-    /// the latest release's `event`, so all releases into a queue
-    /// should carry equal payloads. Lane entries cannot be cancelled
-    /// (no handles are returned).
+    /// Schedules a clone of `event` at every time in `times`, in order,
+    /// as that many [`schedule`](Self::schedule) calls would; returns
+    /// `times.len()`. The simulator does not call it: it is kept so
+    /// that code written against the retired arrival lane still
+    /// compiles. Unlike the lane's entries, these tie FIFO with the
+    /// other events; no handles are returned.
     pub fn schedule_run(&mut self, times: &[SimTime], event: E) -> usize
     where
         E: Clone,
     {
-        self.release_run(times, event, None)
-    }
-
-    /// [`schedule_run`](Self::schedule_run) with the engine's causality
-    /// check folded into the release's one pass over `times`.
-    ///
-    /// # Panics
-    /// Panics, releasing nothing, if a time is earlier than
-    /// `not_before`.
-    pub(crate) fn release_run(
-        &mut self,
-        times: &[SimTime],
-        event: E,
-        not_before: Option<SimTime>,
-    ) -> usize
-    where
-        E: Clone,
-    {
-        if times.is_empty() {
-            return 0;
+        for &t in times {
+            self.schedule(t, event.clone());
         }
-        self.lane.release(times, not_before);
-        self.lane.event = Some(Payload {
-            event,
-            clone: E::clone,
-        });
-        self.live += times.len();
         times.len()
     }
 
@@ -469,11 +330,7 @@ impl<E> EventQueue<E> {
     /// `false` if the handle's event was already popped or cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
         debug_assert!(handle.id < self.next_id, "foreign handle");
-        let removed = self.heap.remove(handle.slot, handle.id);
-        if removed {
-            self.live -= 1;
-        }
-        removed
+        self.heap.remove(handle.slot, handle.id)
     }
 
     /// Removes and returns the earliest event, if any.
@@ -496,57 +353,36 @@ impl<E> EventQueue<E> {
         self.pop_within(time_key(bound).checked_sub(1)?)
     }
 
-    /// The one merge behind every pop: the lane head if it is strictly
-    /// earlier than the heap minimum, else the heap minimum — if its
-    /// time key is at most `limit`.
+    /// The heap minimum, if its time key is at most `limit`.
     #[inline]
     fn pop_within(&mut self, limit: u64) -> Option<(SimTime, E)> {
-        let top = self.heap.peek_key().map(key_time_bits);
-        let popped = match self.lane.head() {
-            Some(lane) if top.is_none_or(|t| lane < t) => {
-                if lane > limit {
-                    return None;
-                }
-                self.lane.pop()
-            }
-            _ => {
-                if top? > limit {
-                    return None;
-                }
-                let node = self.heap.pop().expect("peeked");
-                (key_time(key_time_bits(node.key)), node.event)
-            }
-        };
-        self.live -= 1;
-        Some(popped)
+        if key_time_bits(self.heap.peek_key()?) > limit {
+            return None;
+        }
+        let node = self.heap.pop().expect("peeked");
+        Some((key_time(key_time_bits(node.key)), node.event))
     }
 
     /// Timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let key = match (self.heap.peek_key().map(key_time_bits), self.lane.head()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        key.map(key_time)
+        self.heap.peek_key().map(|key| key_time(key_time_bits(key)))
     }
 
     /// Number of pending (non-cancelled) events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.nodes.len()
     }
 
     /// Whether no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.nodes.is_empty()
     }
 
-    /// Drops every pending event, the lane's included.
+    /// Drops every pending event.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.lane.clear();
-        self.live = 0;
     }
 }
 
@@ -625,27 +461,40 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_and_pop_before_honour_the_lane() {
+    fn pop_until_and_pop_before_stop_at_their_bounds() {
         let mut q = EventQueue::new();
-        q.schedule(t(2.0), "single");
-        q.schedule_run(&[t(1.5), t(3.0), t(3.0), t(4.0)], "lane");
-        // Just before the lane head: nothing moves.
+        for (time, e) in [(1.5, "a"), (2.0, "b"), (3.0, "c"), (3.0, "d")] {
+            q.schedule(t(time), e);
+        }
+        // Just before the head: nothing moves.
         assert_eq!(q.pop_until(t(1.499)), None);
         assert_eq!(q.pop_before(t(1.5)), None);
-        assert_eq!(q.len(), 5);
-        // At the bound: the lane head is due, then the single.
-        assert_eq!(q.pop_until(t(1.5)), Some((t(1.5), "lane")));
+        assert_eq!(q.len(), 4);
+        // At the bound: the head is due.
+        assert_eq!(q.pop_until(t(1.5)), Some((t(1.5), "a")));
         assert_eq!(q.pop_until(t(1.5)), None);
-        assert_eq!(q.pop_before(t(2.5)), Some((t(2.0), "single")));
-        // Strictly before the lane's next instant: the lane waits.
+        assert_eq!(q.pop_before(t(2.5)), Some((t(2.0), "b")));
+        // Strictly before the next instant: it waits.
         assert_eq!(q.pop_before(t(3.0)), None);
         assert_eq!(q.peek_time(), Some(t(3.0)));
-        assert_eq!(q.pop_until(t(3.5)), Some((t(3.0), "lane")));
-        assert_eq!(q.pop_until(t(3.5)), Some((t(3.0), "lane")));
-        assert_eq!(q.pop_until(t(3.5)), None);
-        assert_eq!(q.pop_until(t(100.0)), Some((t(4.0), "lane")));
+        assert_eq!(q.pop_until(t(3.0)), Some((t(3.0), "c")));
+        assert_eq!(q.pop_until(t(3.0)), Some((t(3.0), "d")));
         assert_eq!(q.pop_until(t(100.0)), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn schedule_run_is_a_loop_over_schedule() {
+        let mut q = EventQueue::new();
+        q.schedule(t(2.0), 'a');
+        assert_eq!(q.schedule_run(&[t(3.0), t(2.0), t(1.0)], 'r'), 3);
+        q.schedule(t(2.0), 'b');
+        let order: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|(time, e)| (time.as_secs(), e))
+            .collect();
+        // Entries tie FIFO with the rest, in release order.
+        let expected = vec![(1.0, 'r'), (2.0, 'a'), (2.0, 'r'), (2.0, 'b'), (3.0, 'r')];
+        assert_eq!(order, expected);
     }
 
     #[test]
@@ -759,112 +608,5 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, n);
-    }
-
-    /// Pops everything, as `(time, payload)`.
-    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(f64, E)> {
-        std::iter::from_fn(|| q.pop())
-            .map(|(time, e)| (time.as_secs(), e))
-            .collect()
-    }
-
-    #[test]
-    fn the_lane_loses_ties_to_singles_scheduled_before_and_after_it() {
-        // At one instant, lane entries pop after every single event,
-        // including one scheduled after the release.
-        let mut q = EventQueue::new();
-        q.schedule(t(5.0), 0);
-        q.schedule_run(&[t(4.0), t(5.0), t(5.0), t(6.0)], 9);
-        q.schedule(t(5.0), 1);
-        q.schedule(t(6.0), 2);
-        let order = drain(&mut q);
-        let expected = vec![
-            (4.0, 9),
-            (5.0, 0),
-            (5.0, 1),
-            (5.0, 9),
-            (5.0, 9),
-            (6.0, 2),
-            (6.0, 9),
-        ];
-        assert_eq!(order, expected);
-    }
-
-    #[test]
-    fn overlapping_releases_merge_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule_run(&[t(1.0), t(3.0), t(5.0), t(7.0)], 'a');
-        assert_eq!(q.pop(), Some((t(1.0), 'a')));
-        // Lands before the tail: sorted into the pending entries.
-        q.schedule_run(&[t(2.0), t(3.0), t(6.0), t(9.0)], 'a');
-        // Lands after the tail: appended.
-        q.schedule_run(&[t(9.5), t(10.0)], 'a');
-        // Unsorted and partly before the head: sorted in as well.
-        q.schedule_run(&[t(4.0), t(0.5), t(8.0)], 'a');
-        q.schedule(t(3.0), 's');
-        assert_eq!(q.len(), 13);
-        let order = drain(&mut q);
-        let expected = vec![
-            (0.5, 'a'),
-            (2.0, 'a'),
-            (3.0, 's'),
-            (3.0, 'a'),
-            (3.0, 'a'),
-            (4.0, 'a'),
-            (5.0, 'a'),
-            (6.0, 'a'),
-            (7.0, 'a'),
-            (8.0, 'a'),
-            (9.0, 'a'),
-            (9.5, 'a'),
-            (10.0, 'a'),
-        ];
-        assert_eq!(order, expected);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn the_lane_stores_one_payload() {
-        use std::rc::Rc;
-        let payload = Rc::new(7u32);
-        let mut q = EventQueue::new();
-        q.schedule_run(&[t(1.0); 16], Rc::clone(&payload));
-        // One stored copy, not one per entry.
-        assert_eq!(Rc::strong_count(&payload), 2);
-        let first = q.pop().expect("pending").1;
-        assert_eq!(Rc::strong_count(&payload), 3);
-        drop(first);
-        q.clear();
-        assert_eq!(Rc::strong_count(&payload), 1, "clear drops the payload");
-    }
-
-    #[test]
-    fn clear_and_a_recycled_queue_drop_the_lane() {
-        let mut q = EventQueue::new();
-        let times: Vec<SimTime> = (0..32).map(|i| t(i as f64)).collect();
-        q.schedule_run(&times, ());
-        assert_eq!(q.pop(), Some((t(0.0), ())));
-        q.schedule(t(50.0), ());
-        assert_eq!(q.len(), 32);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
-        // The queue stays usable, and the old lane is gone.
-        q.schedule_run(&times[10..12], ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(drain(&mut q), vec![(10.0, ()), (11.0, ())]);
-        // An engine recycling a queue starts without its lane.
-        struct Count(u32);
-        impl crate::World for Count {
-            type Event = ();
-            fn handle(&mut self, _: SimTime, _: (), _: &mut crate::Scheduler<'_, ()>) {
-                self.0 += 1;
-            }
-        }
-        let mut q = EventQueue::new();
-        q.schedule_run(&[t(1.0), t(2.0)], ());
-        let mut engine = crate::Engine::with_recycled_queue(Count(0), q);
-        assert_eq!(engine.run(), 0);
     }
 }

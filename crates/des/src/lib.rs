@@ -3,10 +3,12 @@
 //! The substrate on which the cloud model is built (the role CloudSim
 //! plays in the original paper). It provides:
 //!
-//! * a simulation clock and future-event list with deterministic
-//!   tie-breaking: FIFO for single events, lane-released ones last
-//!   ([`SimTime`], [`EventQueue`]);
-//! * an engine driving a user-defined [`World`] ([`Engine`]);
+//! * a simulation clock and future-event list with deterministic FIFO
+//!   tie-breaking ([`SimTime`], [`EventQueue`]);
+//! * an engine driving a user-defined [`World`] ([`Engine`]), which
+//!   also hands pre-timed events to the world without queueing them,
+//!   after every queued event at their instant
+//!   ([`Engine::dispatch_run`]);
 //! * labelled, reproducible random streams ([`RngFactory`], [`SimRng`]);
 //! * the probability distributions used by the workload models
 //!   ([`dist`]);

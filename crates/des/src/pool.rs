@@ -69,9 +69,31 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
+        self.run_batch_started(items, |_| {}, f)
+    }
+
+    /// [`run_batch`](Self::run_batch) for items that wait on each other
+    /// and so must run at the same time, one per thread, such as the
+    /// shares of a stepped trace scan. Before the caller's thread takes
+    /// an item, `started` learns how many threads (the caller's
+    /// included) run the batch. Fewer than the items means a thread
+    /// failed to spawn: an item past that count runs only once another
+    /// has returned, so the items must not wait for it.
+    pub fn run_batch_started<T, R, F>(
+        &self,
+        items: Vec<T>,
+        started: impl FnOnce(usize),
+        f: F,
+    ) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
         let n = items.len();
         let threads = self.workers.min(n);
         if threads <= 1 {
+            started(1);
             return items
                 .into_iter()
                 .enumerate()
@@ -106,6 +128,7 @@ impl WorkerPool {
                         .ok()
                 })
                 .collect();
+            started(others.len() + 1);
             let mut done = work();
             for worker in others {
                 match worker.join() {
@@ -214,6 +237,20 @@ mod tests {
                     .sum::<u64>()
             });
             assert_eq!(out, vec![3, 33, 63, 93], "width {width}");
+        }
+    }
+
+    #[test]
+    fn started_counts_the_threads_before_the_caller_works() {
+        for (width, items, threads) in [(1, 5, 1), (3, 5, 3), (4, 2, 2), (2, 1, 1), (2, 0, 1)] {
+            let count = Mutex::new(None);
+            let out = WorkerPool::new(width).run_batch_started(
+                (0..items).collect::<Vec<u64>>(),
+                |n| *count.lock().unwrap() = Some(n),
+                |_, x| x,
+            );
+            assert_eq!(out.len(), items as usize);
+            assert_eq!(count.into_inner().unwrap(), Some(threads), "width {width}");
         }
     }
 

@@ -4,7 +4,7 @@ use vmprov_check::{cases, Gen};
 use vmprov_des::dist::{Exponential, Weibull};
 use vmprov_des::special::ln_gamma;
 use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted};
-use vmprov_des::{EventHandle, EventQueue, RngFactory, SimTime};
+use vmprov_des::{Engine, EventHandle, EventQueue, RngFactory, Scheduler, SimTime, World};
 
 #[test]
 fn samples_stay_in_support() {
@@ -129,21 +129,19 @@ fn rng_streams_reproducible() {
     });
 }
 
-/// Under arbitrary interleavings of schedule, lane releases, cancel,
-/// pop, bounded pop and peek — including bursts at identical
-/// timestamps — the event queue agrees with a sorted reference list at
-/// every step: every pop and bounded pop is the list's (earliest time
-/// first, singles before lane entries at one instant, singles in
+/// Under arbitrary interleavings of schedule, cancel, pop, bounded pop
+/// and peek — including bursts at identical timestamps — the event
+/// queue agrees with a sorted reference list at every step: every pop
+/// and bounded pop is the list's (earliest time first, equal times in
 /// scheduling order), and `peek_time` and `len` match the list's after
 /// every operation. A handle whose event was popped or cancelled does
 /// not cancel.
 #[test]
 fn event_queue_matches_the_sorted_reference_list() {
-    const LANE: u64 = u64::MAX;
     /// Removes and returns the reference list's next event, if it fires
     /// at or before `end`.
     fn model_pop(model: &mut Vec<(SimTime, u64)>, end: SimTime) -> Option<(SimTime, u64)> {
-        let i = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1 == LANE, model[i].1))?;
+        let i = (0..model.len()).min_by_key(|&i| (model[i].0, model[i].1))?;
         (model[i].0 <= end).then(|| model.swap_remove(i))
     }
     cases(256, |g: &mut Gen| {
@@ -151,7 +149,7 @@ fn event_queue_matches_the_sorted_reference_list() {
         let mut q = EventQueue::new();
         let mut clock = 0.0_f64;
         // Live handles, keyed by a unique payload so a pop can retire
-        // exactly the entry it delivered. Lane entries have no handles.
+        // exactly the entry it delivered.
         let mut live: Vec<(u64, EventHandle)> = Vec::new();
         let mut dead: Vec<EventHandle> = Vec::new();
         let mut next_payload = 0_u64;
@@ -175,7 +173,7 @@ fn event_queue_matches_the_sorted_reference_list() {
         };
         let n_ops = g.usize_in(10..400);
         for _ in 0..n_ops {
-            match g.usize_in(0..14) {
+            match g.usize_in(0..13) {
                 // Schedule at a fresh future time.
                 0..=3 => {
                     let t = SimTime::from_secs(clock + g.f64_in(0.0..8.0));
@@ -188,23 +186,8 @@ fn event_queue_matches_the_sorted_reference_list() {
                         push(&mut q, &mut live, &mut model, t);
                     }
                 }
-                // Lane release: sorted or not, often before the lane's
-                // tail and often tying single events. The lane holds
-                // one payload, so every release carries the same one.
-                5 => {
-                    let start = clock + g.f64_in(0.0..4.0);
-                    let n = g.usize_in(1..40);
-                    let mut times: Vec<SimTime> = (0..n)
-                        .map(|_| SimTime::from_secs(start + g.usize_in(0..8) as f64 * 0.5))
-                        .collect();
-                    if g.usize_in(0..4) > 0 {
-                        times.sort_unstable();
-                    }
-                    assert_eq!(q.schedule_run(&times, LANE), n);
-                    model.extend(times.iter().map(|&t| (t, LANE)));
-                }
                 // Cancel a random live handle.
-                6 | 7 if !live.is_empty() => {
+                5 | 6 if !live.is_empty() => {
                     let k = g.usize_in(0..live.len());
                     let (p, h) = live.swap_remove(k);
                     assert!(q.cancel(h));
@@ -212,7 +195,7 @@ fn event_queue_matches_the_sorted_reference_list() {
                     model.retain(|&(_, x)| x != p);
                 }
                 // Pop.
-                8 | 9 => {
+                7 | 8 => {
                     let a = q.pop();
                     assert_eq!(a, model_pop(&mut model, SimTime::from_secs(f64::MAX)));
                     if let Some((t, _)) = a {
@@ -221,7 +204,7 @@ fn event_queue_matches_the_sorted_reference_list() {
                     retire(&mut live, &mut dead, a);
                 }
                 // Bounded pop, the bound often exactly on a pending time.
-                10 | 11 => {
+                9 | 10 => {
                     let end = match q.peek_time() {
                         Some(t) if g.usize_in(0..2) == 0 => t,
                         _ => SimTime::from_secs(clock + g.f64_in(0.0..4.0)),
@@ -235,7 +218,7 @@ fn event_queue_matches_the_sorted_reference_list() {
                     retire(&mut live, &mut dead, a);
                 }
                 // Cancel a handle whose event already left.
-                12 if !dead.is_empty() => {
+                11 if !dead.is_empty() => {
                     let h = dead[g.usize_in(0..dead.len())];
                     assert!(!q.cancel(h));
                 }
@@ -257,5 +240,187 @@ fn event_queue_matches_the_sorted_reference_list() {
                 break;
             }
         }
+    });
+}
+
+/// Payload flag of a dispatched event (the simulator's arrivals).
+const DISPATCHED: u64 = 1 << 63;
+/// Payload flag of an event a handler scheduled.
+const CHILD: u64 = 1 << 62;
+
+/// What handling `ev` at `now` schedules, the `handled`-th event of the
+/// run: a root whose id is a multiple of 3 schedules a child at its own
+/// instant, one that is 1 modulo 5 a child half a second later, and
+/// every other dispatched event a child at its own instant. Children
+/// schedule nothing.
+fn follow_ups(now: f64, ev: u64, handled: usize, next_child: &mut u64) -> Vec<(f64, u64)> {
+    let mut at = |t: f64| {
+        *next_child += 1;
+        (t, CHILD | *next_child)
+    };
+    if ev & DISPATCHED != 0 {
+        if handled.is_multiple_of(2) {
+            return vec![at(now)];
+        }
+    } else if ev & CHILD == 0 {
+        let mut out = Vec::new();
+        if ev.is_multiple_of(3) {
+            out.push(at(now));
+        }
+        if ev % 5 == 1 {
+            out.push(at(now + 0.5));
+        }
+        return out;
+    }
+    Vec::new()
+}
+
+/// A model that logs every event it handles and schedules its
+/// [`follow_ups`].
+struct Log {
+    handled: Vec<(f64, u64)>,
+    next_child: u64,
+}
+
+impl World for Log {
+    type Event = u64;
+    fn handle(&mut self, now: SimTime, ev: u64, sched: &mut Scheduler<'_, u64>) {
+        let n = self.handled.len();
+        self.handled.push((now.as_secs(), ev));
+        for (t, child) in follow_ups(now.as_secs(), ev, n, &mut self.next_child) {
+            sched.at(SimTime::from_secs(t), child);
+        }
+    }
+}
+
+/// The reference engine: a list of pending `(time, dispatched, seq,
+/// payload)` handled in `(time, dispatched, seq)` order, so at one
+/// instant every scheduled event goes first, in scheduling order.
+struct Reference {
+    pending: Vec<(f64, bool, u64, u64)>,
+    seq: u64,
+    now: f64,
+    log: Log,
+}
+
+impl Reference {
+    fn push(&mut self, t: f64, dispatched: bool, payload: u64) {
+        self.pending.push((t, dispatched, self.seq, payload));
+        self.seq += 1;
+    }
+
+    /// Handles the earliest pending entry if `due` accepts its time.
+    fn step(&mut self, due: impl Fn(f64) -> bool) -> bool {
+        let Some(i) = (0..self.pending.len()).min_by(|&a, &b| {
+            let (ta, da, sa, _) = self.pending[a];
+            let (tb, db, sb, _) = self.pending[b];
+            ta.total_cmp(&tb).then(da.cmp(&db)).then(sa.cmp(&sb))
+        }) else {
+            return false;
+        };
+        if !due(self.pending[i].0) {
+            return false;
+        }
+        let (t, _, _, ev) = self.pending.swap_remove(i);
+        self.now = t;
+        let n = self.log.handled.len();
+        self.log.handled.push((t, ev));
+        for (ct, child) in follow_ups(t, ev, n, &mut self.log.next_child) {
+            self.push(ct, false, child);
+        }
+        true
+    }
+}
+
+/// Under arbitrary mixes of `schedule`, `cancel`, dispatched runs,
+/// bounded runs and single steps — with handlers that schedule at their
+/// own instant — the engine handles events in the order of a sorted
+/// reference in which dispatched times lose ties: earliest first, and
+/// at one instant every scheduled event before a dispatched one,
+/// including events that an earlier dispatched time at that instant
+/// scheduled. The log, `steps`, `pending` and `now` agree after every
+/// operation, and a dispatch returns the events it handled.
+#[test]
+fn dispatched_runs_lose_every_tie_to_scheduled_events() {
+    cases(256, |g: &mut Gen| {
+        let mut engine = Engine::new(Log {
+            handled: Vec::new(),
+            next_child: 0,
+        });
+        let mut reference = Reference {
+            pending: Vec::new(),
+            seq: 0,
+            now: 0.0,
+            log: Log {
+                handled: Vec::new(),
+                next_child: 0,
+            },
+        };
+        let mut roots: Vec<(u64, EventHandle)> = Vec::new();
+        let mut next_root = 0_u64;
+        // Every time lies on a quarter-second grid, so ties are common.
+        let ahead = |g: &mut Gen, now: f64, steps: usize| now + 0.25 * g.usize_in(0..steps) as f64;
+        for slice in 0..g.usize_in(5..80) as u64 {
+            let now = reference.now;
+            match g.usize_in(0..10) {
+                0..=2 => {
+                    for _ in 0..g.usize_in(1..4) {
+                        let t = ahead(g, now, 12);
+                        next_root += 1;
+                        let h = engine.schedule(SimTime::from_secs(t), next_root);
+                        roots.push((next_root, h));
+                        reference.push(t, false, next_root);
+                    }
+                }
+                3 if !roots.is_empty() => {
+                    let (id, h) = roots.swap_remove(g.usize_in(0..roots.len()));
+                    let pending = reference.pending.iter().position(|e| e.3 == id);
+                    assert_eq!(engine.cancel(h), pending.is_some());
+                    if let Some(i) = pending {
+                        reference.pending.swap_remove(i);
+                    }
+                }
+                4..=6 => {
+                    let mut t = ahead(g, now, 8);
+                    let times: Vec<f64> = (0..g.usize_in(1..20))
+                        .map(|_| {
+                            t = ahead(g, t, 3);
+                            t
+                        })
+                        .collect();
+                    let event = DISPATCHED | slice;
+                    let sim_times: Vec<SimTime> =
+                        times.iter().map(|&t| SimTime::from_secs(t)).collect();
+                    let handled = engine.dispatch_run(&sim_times, event);
+                    let before = reference.log.handled.len();
+                    for &t in &times {
+                        reference.push(t, true, event);
+                    }
+                    while reference.pending.iter().any(|e| e.3 == event) {
+                        assert!(reference.step(|_| true));
+                    }
+                    assert_eq!(handled as usize, reference.log.handled.len() - before);
+                }
+                7 => {
+                    let end = ahead(g, now, 8);
+                    engine.run_until(SimTime::from_secs(end));
+                    while reference.step(|t| t <= end) {}
+                    reference.now = reference.now.max(end);
+                }
+                8 => {
+                    let bound = ahead(g, now, 8);
+                    engine.run_before(SimTime::from_secs(bound));
+                    while reference.step(|t| t < bound) {}
+                }
+                _ => assert_eq!(engine.step(), reference.step(|_| true)),
+            }
+            assert_eq!(engine.world().handled, reference.log.handled);
+            assert_eq!(engine.steps(), reference.log.handled.len() as u64);
+            assert_eq!(engine.pending(), reference.pending.len());
+            assert_eq!(engine.now().as_secs(), reference.now);
+        }
+        engine.run();
+        while reference.step(|_| true) {}
+        assert_eq!(engine.world().handled, reference.log.handled);
     });
 }

@@ -10,10 +10,11 @@
 //! [`SharedTraceScan`] ([`TraceSpec::replay_stepped`]), which opens and
 //! decodes the trace exactly once and hands out ref-counted chunks.
 //!
-//! Execution: one [`WorkerPool::run_batch`] of `W` shares, one per
-//! worker thread (the caller's thread is one of them), each of
+//! Execution: one [`WorkerPool::run_batch_started`] of `W` shares, one
+//! per worker thread (the caller's thread is one of them), each of
 //! ⌈misses / W⌉ cells; `W` is [`ReplayGrid::concurrency`], else
 //! [`pool::default_workers`], capped by the misses and [`MAX_WAVE`].
+//! The scan's lockstep counts only the shares whose thread started.
 //! A worker builds and advances each of its cells as a [`RunGroup`] of
 //! one through every event before the scan's bound — the timestamp of
 //! the row `lookahead` rows behind the last published one, where
@@ -264,10 +265,22 @@ impl ReplayGrid {
         let workers = self
             .concurrency
             .unwrap_or_else(pool::default_workers)
-            .clamp(1, MAX_WAVE)
-            .min(misses.len());
-        let per_worker = misses.len().div_ceil(workers);
-        // Rounding the share up can leave fewer threads than `workers`.
+            .clamp(1, MAX_WAVE);
+        let (scan, shares) = self.stepped_shares(misses, workers);
+        let threads = shares.len();
+        let finished = step_shares(&scan, shares, WorkerPool::new(threads));
+        (scan.stats(), finished)
+    }
+
+    /// Opens one stepped scan over `misses` and splits them into shares
+    /// of ⌈misses / workers⌉ cells, one per stepping worker.
+    fn stepped_shares(
+        &self,
+        misses: Vec<(usize, Scenario, u32)>,
+        workers: usize,
+    ) -> (SharedTraceScan, Vec<Vec<SteppedCell>>) {
+        let per_worker = misses.len().div_ceil(workers.min(misses.len()));
+        // Rounding the share up can leave fewer shares than `workers`.
         let threads = misses.len().div_ceil(per_worker);
         // Cells expand stream runs only before the bound, so the
         // deepest pull sets how far the scan must publish ahead of it.
@@ -280,12 +293,12 @@ impl ReplayGrid {
             .spec
             .replay_stepped(misses.len(), threads, ArrivalStream::rows_ahead(run))
             .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
-        let mut groups: Vec<Vec<SteppedCell>> = Vec::with_capacity(threads);
+        let mut shares: Vec<Vec<SteppedCell>> = Vec::with_capacity(threads);
         for (i, ((slot, scenario, rep), replay)) in misses.into_iter().zip(replays).enumerate() {
             if i % per_worker == 0 {
-                groups.push(Vec::with_capacity(per_worker));
+                shares.push(Vec::with_capacity(per_worker));
             }
-            groups.last_mut().expect("pushed above").push(SteppedCell {
+            shares.last_mut().expect("pushed above").push(SteppedCell {
                 slot,
                 scenario,
                 rep,
@@ -293,12 +306,30 @@ impl ReplayGrid {
                 run: None,
             });
         }
-        // One group per thread: every worker steps its own share, so
-        // the scan's lockstep counts each of them.
-        let finished =
-            WorkerPool::new(threads).run_batch(groups, |_, group| step_cells(&scan, group));
-        (scan.stats(), finished.into_iter().flatten().collect())
+        (scan, shares)
     }
+}
+
+/// Steps every share on its own thread of `pool`. The scan's lockstep
+/// counts a worker per share, so the shares whose thread did not start
+/// are retired from it before the caller's share runs: the pool runs
+/// them only after another share returns, and a share waiting for them
+/// would wait forever.
+fn step_shares(
+    scan: &SharedTraceScan,
+    shares: Vec<Vec<SteppedCell>>,
+    pool: WorkerPool,
+) -> Vec<(usize, RunSummary)> {
+    let n = shares.len();
+    let started = |threads: usize| {
+        for _ in threads..n {
+            scan.retire_worker();
+        }
+    };
+    pool.run_batch_started(shares, started, |_, share| step_cells(scan, share))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// One grid miss on its worker: built once the scan's reach lets its
@@ -412,6 +443,7 @@ pub fn grid_table(title: &str, grid: &GridOutcome, analyzers: &[AnalyzerSpec]) -
 mod tests {
     use super::*;
     use crate::runner::run_once;
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn tiny_trace(dir: &std::path::Path) -> TraceSpec {
         std::fs::create_dir_all(dir).unwrap();
@@ -452,6 +484,53 @@ mod tests {
             );
             assert_eq!(cell.source, ReplaySource::Uncached);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stepped_grid_finishes_on_one_thread() {
+        // A two-worker grid whose second thread did not start: one
+        // thread steps both shares, the second only after the first
+        // returns, and must not wait for it meanwhile.
+        let dir = std::env::temp_dir().join(format!("vmprov_grid_one_{}", std::process::id()));
+        let grid = ReplayGrid {
+            concurrency: Some(2),
+            ..ReplayGrid::new(
+                tiny_trace(&dir),
+                vec![AnalyzerSpec::Oracle, AnalyzerSpec::parse("ewma").unwrap()],
+                2,
+                77,
+            )
+        };
+        let two_threads = grid.run(None);
+        let misses: Vec<(usize, Scenario, u32)> = grid
+            .analyzers
+            .iter()
+            .flat_map(|&a| (0..grid.reps).map(move |rep| (a, rep)))
+            .enumerate()
+            .map(|(slot, (a, rep))| (slot, grid.cell_scenario(a), rep))
+            .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stepping = std::thread::spawn(move || {
+            let (scan, shares) = grid.stepped_shares(misses, 2);
+            assert_eq!(shares.len(), 2);
+            let mut finished = step_shares(&scan, shares, WorkerPool::new(1));
+            finished.sort_by_key(|&(slot, _)| slot);
+            let _ = tx.send(finished);
+        });
+        let one_thread = match rx.recv_timeout(Duration::from_secs(120)) {
+            Ok(finished) => finished,
+            Err(RecvTimeoutError::Timeout) => panic!("one thread stepping both shares hung"),
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(stepping.join().expect_err("it panicked, not sending"))
+            }
+        };
+        stepping
+            .join()
+            .expect("the stepping thread sent and returned");
+        let summaries: Vec<_> = one_thread.into_iter().map(|(_, s)| s).collect();
+        let expected: Vec<_> = two_threads.cells.into_iter().map(|c| c.summary).collect();
+        assert_eq!(summaries, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,6 +38,9 @@ run cargo test "${OFFLINE[@]}" --release -q -p vmprov-workloads
 # `alloc_free.rs` proves the steady-state loop does not allocate there
 # too.
 run cargo test "${OFFLINE[@]}" --release -q -p vmprov-cloudsim
+# The event list's and the engine's property tests in the build the
+# benchmark measures.
+run cargo test "${OFFLINE[@]}" --release -q -p vmprov-des
 # Each example asserts the headline result it demonstrates; run them all
 # (release build, a few seconds in total).
 for example in examples/*.rs; do
