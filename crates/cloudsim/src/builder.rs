@@ -137,14 +137,6 @@ impl<P: Probe> SimBuilder<P> {
         solo(RunGroup::start(vec![self], rngs, None).finish(None))
     }
 
-    /// Builds the run without starting it, as a group of one, for
-    /// callers that advance it in steps (see [`RunGroup`]).
-    /// `start(r).finish(None)` returns what
-    /// [`run_probed`](Self::run_probed) does.
-    pub fn start(self, rngs: &RngFactory) -> RunGroup<P> {
-        RunGroup::start(vec![self], rngs, None)
-    }
-
     /// The builder's components; missing ones panic here with their
     /// names (the workload may be absent: a group reads only its first
     /// run's).
@@ -278,7 +270,7 @@ mod tests {
         let whole = base(8, 50.0, 500.0).run(&RngFactory::new(11));
         let mut state = 0x5eed_u64;
         for trial in 0..4 {
-            let mut run = base(8, 50.0, 500.0).start(&RngFactory::new(11));
+            let mut run = RunGroup::start(vec![base(8, 50.0, 500.0)], &RngFactory::new(11), None);
             let mut bound = 0.0;
             while bound < 520.0 {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);

@@ -1309,9 +1309,10 @@ impl<P: Probe> World for CloudSim<P> {
 const ARRIVAL_SLICE: usize = 4096;
 
 /// Runs that read one arrival stream, stepped together: the policies
-/// of one replication of a figure set, or a single run (a group of
-/// one — [`SimBuilder::start`](crate::SimBuilder::start) and every
-/// `run` entry point go through here, so there is one arrival path).
+/// of one replication of a figure set, the analyzers of one rep of a
+/// replay grid, or a single run (a group of one — every
+/// [`SimBuilder`](crate::SimBuilder) `run` entry point goes through
+/// here, so there is one arrival path).
 ///
 /// The group expands the workload once ([`ArrivalStream`]) and hands
 /// each ready slice of arrival times to every run's
@@ -1327,7 +1328,7 @@ const ARRIVAL_SLICE: usize = 4096;
 /// sequence of bounds handles the events, in the order, of a group that
 /// never paused, and [`finish`](Self::finish) returns the same
 /// [`RunSummary`]s. The group pulls from its workload only to expand a
-/// run released before the bound, so a replay grid can step a cell up
+/// run released before the bound, so a replay grid can step a group up
 /// to the trace rows already decoded.
 pub struct RunGroup<P: Probe = NullProbe> {
     stream: ArrivalStream,

@@ -6,26 +6,29 @@
 //! re-reads and re-parses the trace once per cell. A [`ReplayGrid`]
 //! instead runs the whole matrix off **one** scan: cache-first per cell
 //! (the keys are exactly the single-run keys: content hash, scenario
-//! and rep), then every miss replays a stepped consumer of one
-//! [`SharedTraceScan`] ([`TraceSpec::replay_stepped`]), which opens and
-//! decodes the trace exactly once and hands out ref-counted chunks.
+//! and rep), then every arrival group of misses replays a stepped
+//! consumer of one [`SharedTraceScan`] ([`TraceSpec::replay_stepped`]),
+//! which opens and decodes the trace exactly once and hands out
+//! ref-counted chunks.
 //!
 //! Execution: one [`WorkerPool::run_batch_started`] of `W` shares, one
 //! per worker thread (the caller's thread is one of them), each of
-//! ⌈misses / W⌉ cells; `W` is [`ReplayGrid::concurrency`], else
-//! [`pool::default_workers`], capped by the misses and [`MAX_WAVE`].
-//! The scan's lockstep counts only the shares whose thread started.
-//! A worker builds and advances each of its cells as a [`RunGroup`] of
-//! one through every event before the scan's bound — the timestamp of
-//! the row `lookahead` rows behind the last published one, where
-//! `lookahead` covers the rows one expansion of the cell's arrival
-//! stream may pull. So a cell's pulls never outrun the decoded rows,
-//! and no cell ever blocks inside its simulation. Once all of a
-//! worker's cells are parked at the bound, it publishes the next chunk,
-//! or waits for the other workers' cells while the window holds
+//! ⌈misses / W⌉ cells taken rep-major; `W` is
+//! [`ReplayGrid::concurrency`], else [`pool::default_workers`], capped
+//! by the misses and [`MAX_WAVE`]. The scan's lockstep counts only the
+//! shares whose thread started. A share's cells of one rep (they
+//! replay identical arrivals) form one [`RunGroup`], built as a
+//! campaign job is and reading one consumer of the scan. A worker
+//! advances each of its groups through every event before the scan's
+//! bound — the timestamp of the row `lookahead` rows behind the last
+//! published one, where `lookahead` covers the rows one expansion of a
+//! group's arrival stream may pull. So a group's pulls never outrun the
+//! decoded rows, and no run ever blocks inside its simulation. Once all
+//! of a worker's groups are parked at the bound, it publishes the next
+//! chunk, or waits for the other workers' groups while the window holds
 //! [`SCAN_DEPTH`](vmprov_workloads::SCAN_DEPTH) chunks — unless every
 //! worker is parked, in which case the window grows past the depth
-//! rather than deadlock (see [`SharedTraceScan::publish_past`]). Cells
+//! rather than deadlock (see [`SharedTraceScan::publish_past`]). Runs
 //! pause without moving their clocks, so a stepped cell computes what
 //! an unpaused run does.
 //!
@@ -47,8 +50,8 @@ use std::time::{Duration, Instant};
 use crate::cache::{cache_first, RunCache};
 use crate::pool::{self, WorkerPool};
 use crate::replay::{peak_rss_kb, qos_verdict, ReplaySource};
-use crate::runner::start_with;
-use crate::scenario::{AnalyzerSpec, PolicySpec, Scenario};
+use crate::runner::start_group;
+use crate::scenario::{AnalyzerSpec, ArrivalKey, PolicySpec, Scenario};
 use std::convert::Infallible;
 use vmprov_cloudsim::{ArrivalStream, RunGroup, RunSummary};
 use vmprov_des::FelBackend;
@@ -272,39 +275,54 @@ impl ReplayGrid {
         (scan.stats(), finished)
     }
 
-    /// Opens one stepped scan over `misses` and splits them into shares
-    /// of ⌈misses / workers⌉ cells, one per stepping worker.
+    /// Opens one stepped scan over `misses` and splits them, rep-major,
+    /// into shares of ⌈misses / workers⌉ cells, one per stepping worker;
+    /// a share's cells that share their arrivals form one group, which
+    /// reads one consumer of the scan.
     fn stepped_shares(
         &self,
-        misses: Vec<(usize, Scenario, u32)>,
+        mut misses: Vec<(usize, Scenario, u32)>,
         workers: usize,
-    ) -> (SharedTraceScan, Vec<Vec<SteppedCell>>) {
+    ) -> (SharedTraceScan, Vec<Vec<SteppedGroup>>) {
+        misses.sort_by_key(|&(slot, _, rep)| (rep, slot));
         let per_worker = misses.len().div_ceil(workers.min(misses.len()));
-        // Rounding the share up can leave fewer shares than `workers`.
-        let threads = misses.len().div_ceil(per_worker);
-        // Cells expand stream runs only before the bound, so the
+        // Groups expand stream runs only before the bound, so the
         // deepest pull sets how far the scan must publish ahead of it.
         let run = misses
             .iter()
             .map(|(_, s, _)| s.sim_config().arrival_run)
             .max()
             .expect("misses is not empty");
+        let mut shares: Vec<Vec<SteppedGroup>> = Vec::new();
+        for (i, (slot, scenario, rep)) in misses.into_iter().enumerate() {
+            if i % per_worker == 0 {
+                shares.push(Vec::new());
+            }
+            let share = shares.last_mut().expect("pushed above");
+            let key = scenario.arrival_key(rep);
+            match share.last_mut() {
+                Some(group) if group.key == key => {
+                    group.slots.push(slot);
+                    group.cells.push((scenario, rep));
+                }
+                _ => share.push(SteppedGroup {
+                    key,
+                    slots: vec![slot],
+                    cells: vec![(scenario, rep)],
+                    replay: None,
+                    run: None,
+                }),
+            }
+        }
+        // One consumer per group, and one worker per share: rounding
+        // the share up can leave fewer shares than `workers`.
+        let groups = shares.iter().map(Vec::len).sum();
         let (scan, replays) = self
             .spec
-            .replay_stepped(misses.len(), threads, ArrivalStream::rows_ahead(run))
+            .replay_stepped(groups, shares.len(), ArrivalStream::rows_ahead(run))
             .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
-        let mut shares: Vec<Vec<SteppedCell>> = Vec::with_capacity(threads);
-        for (i, ((slot, scenario, rep), replay)) in misses.into_iter().zip(replays).enumerate() {
-            if i % per_worker == 0 {
-                shares.push(Vec::with_capacity(per_worker));
-            }
-            shares.last_mut().expect("pushed above").push(SteppedCell {
-                slot,
-                scenario,
-                rep,
-                replay: Some(replay),
-                run: None,
-            });
+        for (group, replay) in shares.iter_mut().flatten().zip(replays) {
+            group.replay = Some(replay);
         }
         (scan, shares)
     }
@@ -317,7 +335,7 @@ impl ReplayGrid {
 /// would wait forever.
 fn step_shares(
     scan: &SharedTraceScan,
-    shares: Vec<Vec<SteppedCell>>,
+    shares: Vec<Vec<SteppedGroup>>,
     pool: WorkerPool,
 ) -> Vec<(usize, RunSummary)> {
     let n = shares.len();
@@ -326,50 +344,48 @@ fn step_shares(
             scan.retire_worker();
         }
     };
-    pool.run_batch_started(shares, started, |_, share| step_cells(scan, share))
+    pool.run_batch_started(shares, started, |_, share| step_groups(scan, share))
         .into_iter()
         .flatten()
         .collect()
 }
 
-/// One grid miss on its worker: built once the scan's reach lets its
+/// The grid misses of one rep on one worker, which share their
+/// arrivals: built as one [`RunGroup`] once the scan's reach lets its
 /// first pull through, then stepped to the end.
-struct SteppedCell {
-    slot: usize,
-    scenario: Scenario,
-    rep: u32,
+struct SteppedGroup {
+    key: ArrivalKey,
+    slots: Vec<usize>,
+    cells: Vec<(Scenario, u32)>,
     replay: Option<StreamReplay>,
     run: Option<RunGroup>,
 }
 
-impl SteppedCell {
+impl SteppedGroup {
     fn run(&mut self) -> &mut RunGroup {
-        let Self {
-            scenario,
-            rep,
-            replay,
-            run,
-            ..
-        } = self;
-        run.get_or_insert_with(|| {
-            let replay = replay.take().expect("a cell starts once");
-            start_with(scenario, *rep, replay)
-        })
+        if self.run.is_none() {
+            let replay = self.replay.take().expect("a group starts once");
+            self.run = Some(start_group(&self.cells, replay, None));
+        }
+        self.run.as_mut().expect("started above")
     }
 
-    fn finish(mut self) -> (usize, RunSummary) {
+    fn finish(mut self) -> Vec<(usize, RunSummary)> {
         self.run();
         let run = self.run.take().expect("started above");
-        let (summary, _) = run.finish(None).pop().expect("a cell is a group of one");
-        (self.slot, summary)
+        self.slots
+            .into_iter()
+            .zip(run.finish(None))
+            .map(|(slot, (summary, _))| (slot, summary))
+            .collect()
     }
 }
 
-/// A worker's loop: advance every cell through the events the scan's
+/// A worker's loop: advance every group through the events the scan's
 /// reach allows, then publish (or wait for) the next chunk, until the
-/// whole trace is out; then finish the cells one by one.
-fn step_cells(scan: &SharedTraceScan, mut cells: Vec<SteppedCell>) -> Vec<(usize, RunSummary)> {
-    /// Retires the worker however it stops, so a panicking cell cannot
+/// whole trace is out; then finish the groups one by one.
+fn step_groups(scan: &SharedTraceScan, mut groups: Vec<SteppedGroup>) -> Vec<(usize, RunSummary)> {
+    /// Retires the worker however it stops, so a panicking group cannot
     /// leave the other workers waiting for it.
     struct Retire<'a>(&'a SharedTraceScan);
     impl Drop for Retire<'_> {
@@ -383,8 +399,8 @@ fn step_cells(scan: &SharedTraceScan, mut cells: Vec<SteppedCell>) -> Vec<(usize
         match reach.bound {
             StepBound::Nothing => {}
             StepBound::Before(bound) => {
-                for cell in &mut cells {
-                    cell.run().advance_before(bound);
+                for group in &mut groups {
+                    group.run().advance_before(bound);
                 }
             }
             StepBound::End => break,
@@ -393,7 +409,7 @@ fn step_cells(scan: &SharedTraceScan, mut cells: Vec<SteppedCell>) -> Vec<(usize
             .publish_past(reach)
             .unwrap_or_else(|e| panic!("trace changed after scan: {e}"));
     }
-    cells.into_iter().map(SteppedCell::finish).collect()
+    groups.into_iter().flat_map(SteppedGroup::finish).collect()
 }
 
 /// The cross-analyzer QoS comparison table: one row per analyzer,
@@ -459,6 +475,46 @@ mod tests {
         TraceSpec::scan(&path, 256).unwrap()
     }
 
+    /// Every cell of `grid` as a miss, in the grid's slot order.
+    fn every_cell(grid: &ReplayGrid) -> Vec<(usize, Scenario, u32)> {
+        grid.analyzers
+            .iter()
+            .flat_map(|&a| (0..grid.reps).map(move |rep| (a, rep)))
+            .enumerate()
+            .map(|(slot, (a, rep))| (slot, grid.cell_scenario(a), rep))
+            .collect()
+    }
+
+    #[test]
+    fn the_analyzers_of_a_rep_step_as_one_group() {
+        let dir = std::env::temp_dir().join(format!("vmprov_grid_layout_{}", std::process::id()));
+        let spec = tiny_trace(&dir);
+        let analyzers = ["oracle", "mle", "ewma"].map(|a| AnalyzerSpec::parse(a).unwrap());
+        // Cells per group, per share, on two workers.
+        let layout = |reps| {
+            let grid = ReplayGrid::new(spec.clone(), analyzers.to_vec(), reps, 5);
+            let (scan, shares) = grid.stepped_shares(every_cell(&grid), 2);
+            for group in shares.iter().flatten() {
+                let rep = group.cells[0].1;
+                assert!(
+                    group.cells.iter().all(|&(_, r)| r == rep),
+                    "a group mixes reps"
+                );
+            }
+            let groups: Vec<Vec<usize>> = shares
+                .iter()
+                .map(|share| share.iter().map(|group| group.cells.len()).collect())
+                .collect();
+            let n_groups = groups.iter().map(Vec::len).sum::<usize>();
+            assert_eq!(scan.stats().consumers, n_groups, "one consumer per group");
+            groups
+        };
+        assert_eq!(layout(2), [vec![3], vec![3]]);
+        // 15 cells cut 8 + 7: rep 2 straddles the shares.
+        assert_eq!(layout(5), [vec![3, 3, 2], vec![1, 3, 3]]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn grid_cells_match_single_runs_bit_for_bit() {
         let dir = std::env::temp_dir().join(format!("vmprov_grid_unit_{}", std::process::id()));
@@ -503,13 +559,7 @@ mod tests {
             )
         };
         let two_threads = grid.run(None);
-        let misses: Vec<(usize, Scenario, u32)> = grid
-            .analyzers
-            .iter()
-            .flat_map(|&a| (0..grid.reps).map(move |rep| (a, rep)))
-            .enumerate()
-            .map(|(slot, (a, rep))| (slot, grid.cell_scenario(a), rep))
-            .collect();
+        let misses = every_cell(&grid);
         let (tx, rx) = std::sync::mpsc::channel();
         let stepping = std::thread::spawn(move || {
             let (scan, shares) = grid.stepped_shares(misses, 2);

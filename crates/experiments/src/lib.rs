@@ -40,7 +40,7 @@ pub use figures::{fig3_series, fig4_series, fig5_spec, fig6_spec, table2, RunMod
 pub use grid::{grid_table, GridCell, GridOutcome, GridStats, ReplayGrid, StatsMode, MAX_WAVE};
 pub use replay::{peak_rss_kb, qos_verdict, replay_once, QosVerdict, ReplaySource};
 pub use runner::{
-    builder_for, run_group_warm, run_once, start_with, trace_dt, traced_run, Replicated, TracedRun,
+    builder_for, run_group_warm, run_once, trace_dt, traced_run, Replicated, TracedRun,
 };
 pub use scenario::{
     fig5_scenarios, fig6_scenarios, AnalyzerSpec, ArrivalKey, DispatchSpec, PolicySpec, Scenario,

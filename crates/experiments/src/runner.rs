@@ -1,11 +1,12 @@
 //! Replicated scenario execution and cross-replication aggregation.
 //!
 //! The paper repeats every scenario 10 times and reports averages
-//! (§V-A). This module runs one replication ([`run_once`]), or one
-//! arrival group of them off a shared arrival stream
-//! ([`run_group_warm`]), and folds the per-run [`RunSummary`] records
-//! of a scenario into means with 95% Student-t confidence intervals
-//! ([`Replicated`]). Replications run in parallel through a
+//! (§V-A). This module runs one replication ([`run_once`], the
+//! independent reference), or one arrival group of them off a shared
+//! arrival stream ([`run_group_warm`]; campaign jobs and replay-grid
+//! groups are built alike), and folds the per-run [`RunSummary`]
+//! records of a scenario into means with 95% Student-t confidence
+//! intervals ([`Replicated`]). Replications run in parallel through a
 //! [`crate::campaign::Campaign`], which batches every figure's groups
 //! on the scoped executor of [`crate::pool`] (and optionally answers
 //! them from a run cache).
@@ -94,29 +95,10 @@ std::thread_local! {
 /// # Panics
 /// Panics when `cells` is empty or its cells' arrival keys differ.
 pub fn run_group_warm(cells: &[(Scenario, u32)]) -> Vec<RunSummary> {
-    let (first, rep) = cells.first().expect("a group needs a cell");
-    let key = first.arrival_key(*rep);
-    let builders: Vec<SimBuilder> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, (scenario, rep))| {
-            assert!(
-                scenario.arrival_key(*rep) == key,
-                "a group's cells must share their arrivals"
-            );
-            let builder = components(scenario);
-            if i == 0 {
-                builder.workload(scenario.build_workload())
-            } else {
-                builder
-            }
-        })
-        .collect();
-    let rngs = RngFactory::new(replication_seed(first.seed, *rep));
+    let (first, _) = cells.first().expect("a group needs a cell");
     WARM.with(|scratch| {
         let scratch = &mut *scratch.borrow_mut();
-        let group = RunGroup::start(builders, &rngs, Some(&mut *scratch));
-        group
+        start_group(cells, first.build_workload(), Some(&mut *scratch))
             .finish(Some(scratch))
             .into_iter()
             .map(|(summary, _)| summary)
@@ -124,21 +106,40 @@ pub fn run_group_warm(cells: &[(Scenario, u32)]) -> Vec<RunSummary> {
     })
 }
 
-/// Builds one replication of `scenario` as a group of one, with a
-/// caller-supplied arrival process in place of
-/// `scenario.build_workload()`. The replay grid injects stepped
-/// shared-scan consumers here; the caller **must** hand in a workload
-/// that yields the byte-identical arrival stream the scenario
-/// describes, or cached summaries keyed on the scenario would lie
-/// (pinned by the shared-vs-independent grid test).
-pub fn start_with(
-    scenario: &Scenario,
-    rep: u32,
+/// Builds the cells of one arrival group as one [`RunGroup`] reading
+/// `workload`, which **must** yield the arrivals the cells' shared
+/// [`Scenario::arrival_key`] describes, or cached summaries keyed on
+/// the scenarios would lie: campaigns hand in the first cell's own
+/// workload, the replay grid a stepped shared-scan consumer. Panics
+/// when `cells` is empty or its cells' arrival keys differ.
+pub(crate) fn start_group(
+    cells: &[(Scenario, u32)],
     workload: impl vmprov_workloads::ArrivalProcess + Send + 'static,
+    scratch: Option<&mut SimScratch>,
 ) -> RunGroup {
-    components(scenario)
-        .workload(workload)
-        .start(&RngFactory::new(replication_seed(scenario.seed, rep)))
+    let (first, rep) = cells.first().expect("a group needs a cell");
+    let key = first.arrival_key(*rep);
+    // The group reads the first builder's workload.
+    let mut workload = Some(workload);
+    let builders = cells
+        .iter()
+        .map(|(scenario, rep)| {
+            assert!(
+                scenario.arrival_key(*rep) == key,
+                "a group's cells must share their arrivals"
+            );
+            let builder = components(scenario);
+            match workload.take() {
+                Some(workload) => builder.workload(workload),
+                None => builder,
+            }
+        })
+        .collect();
+    RunGroup::start(
+        builders,
+        &RngFactory::new(replication_seed(first.seed, *rep)),
+        scratch,
+    )
 }
 
 /// A [`SimBuilder`] primed with every component of `scenario` — attach

@@ -167,9 +167,12 @@ pub struct Scenario {
 
 /// What fixes one replication's arrival timestamps: the workload (its
 /// kind, horizon and replayed trace content), the base seed and the
-/// rep. Replications with equal keys see identical arrivals, so a
-/// [`Campaign`](crate::Campaign) runs them as one group off one
-/// arrival stream ([`run_group_warm`](crate::runner::run_group_warm)).
+/// rep. Replications with equal keys see identical arrivals, and both
+/// executors run them as one group off one arrival stream: a
+/// [`Campaign`](crate::Campaign) the policies of one rep
+/// ([`run_group_warm`](crate::runner::run_group_warm)), a
+/// [`ReplayGrid`](crate::ReplayGrid) the analyzers of one rep, off one
+/// consumer of its trace scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrivalKey {
     workload: WorkloadKind,

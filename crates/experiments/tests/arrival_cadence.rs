@@ -5,9 +5,9 @@
 //! The scientific workload is the hard case. Off-peak Bag-of-Tasks jobs
 //! land exactly on 30-minute boundaries, which are also monitor ticks,
 //! so a prefetched arrival ties with a control event scheduled after it
-//! was released. The event list's late rule (lane entries pop after
-//! every individually scheduled entry at their instant) puts it
-//! where the scalar cadence does; the estimator analyzers, which read
+//! was released. `Engine::dispatch_run` handles each arrival after
+//! every queued event at its instant, which puts it where the scalar
+//! cadence does; the estimator analyzers, which read
 //! each monitor window's arrival count, see any other order.
 
 use vmprov_check::{cases, Gen};

@@ -42,6 +42,7 @@
 //! scan — means the file changed underneath the run, and
 //! `StreamReplay` treats that as fatal.
 
+use crate::synthetic::PiecewiseRateProcess;
 use crate::trace::Trace;
 use crate::traits::{ArrivalBatch, ArrivalProcess};
 use std::collections::VecDeque;
@@ -1581,52 +1582,28 @@ pub struct GeneratedTrace {
 /// Streams a synthetic piecewise-constant-rate Poisson trace to `w` as
 /// `time,count,spread` CSV, never materializing it: the offline stand-in
 /// for a real datacenter trace that CI replays. `pieces` are
-/// `(start_time, rate)` breakpoints starting at 0; deterministic in
-/// `seed` (inverse-CDF exponential gaps off one RNG stream).
+/// `(start_time, rate)` breakpoints starting at 0; the rows are the
+/// arrivals of a [`PiecewiseRateProcess`] over `pieces` on the
+/// `"trace-gen"` stream of `seed`.
+///
+/// # Panics
+/// Panics on the pieces [`PiecewiseRateProcess::new`] rejects.
 pub fn generate_piecewise_csv<W: Write>(
     w: W,
     pieces: &[(f64, f64)],
     horizon: SimTime,
     seed: u64,
 ) -> io::Result<GeneratedTrace> {
-    assert!(
-        !pieces.is_empty() && pieces[0].0 == 0.0,
-        "pieces must start at t=0"
-    );
-    assert!(pieces.windows(2).all(|p| p[0].0 < p[1].0));
-    assert!(pieces.iter().all(|&(_, r)| r >= 0.0 && r.is_finite()));
+    let mut process = PiecewiseRateProcess::new(pieces.to_vec(), horizon);
+    let mut rng = vmprov_des::RngFactory::new(seed).stream("trace-gen");
     let mut w = io::BufWriter::new(w);
     writeln!(w, "time,count,spread")?;
-    let mut rng = vmprov_des::RngFactory::new(seed).stream("trace-gen");
-    let end = horizon.as_secs();
-    let mut t = 0.0f64;
     let mut rows = 0u64;
     let mut last = 0.0f64;
-    let mut piece = 0usize;
-    loop {
-        let piece_end = pieces.get(piece + 1).map_or(end, |&(s, _)| s);
-        let rate = pieces[piece].1;
-        if rate <= 0.0 {
-            t = piece_end;
-        } else {
-            t += -rng.uniform01_open_left().ln() / rate;
-        }
-        // Crossing a breakpoint restarts the exponential clock there
-        // (memorylessness makes that exact, same as PiecewiseRateProcess).
-        if t >= piece_end {
-            if piece + 1 >= pieces.len() || t >= end {
-                break;
-            }
-            t = piece_end;
-            piece += 1;
-            continue;
-        }
-        if t >= end {
-            break;
-        }
-        writeln!(w, "{t},1,0")?;
+    while let Some(batch) = process.next_batch(&mut rng) {
+        last = batch.time.as_secs();
+        writeln!(w, "{last},1,0")?;
         rows += 1;
-        last = t;
     }
     w.flush()?;
     Ok(GeneratedTrace {
@@ -2224,6 +2201,72 @@ mod tests {
             assert_eq!(err.line, Some(2), "{err}");
             assert!(err.msg.contains("bad count"), "{err}");
         }
+    }
+
+    #[test]
+    fn generated_traces_keep_their_bytes() {
+        // The replay goldens and e2ebench replay generated traces, so
+        // the generator's bytes are pinned: FNV-1a digests of the CSV
+        // for one rate, the goldens' 10/40/20 steps, zero-rate pieces,
+        // a breakpoint past the horizon, and e2ebench's 12-step diurnal
+        // trace (300 − 150·cos(2πt/3600) req/s in 5-minute steps).
+        let diurnal: Vec<(f64, f64)> = (0..12)
+            .map(|i| {
+                let t = f64::from(i) * 300.0;
+                (
+                    t,
+                    300.0 - 150.0 * (std::f64::consts::TAU * t / 3600.0).cos(),
+                )
+            })
+            .collect();
+        // Rows written and the digest of the bytes.
+        let digest = |pieces: &[(f64, f64)], horizon: f64, seed: u64| {
+            let mut csv = Vec::new();
+            let horizon = SimTime::from_secs(horizon);
+            let rows = generate_piecewise_csv(&mut csv, pieces, horizon, seed)
+                .unwrap()
+                .rows;
+            (rows, vmprov_des::stable_hash64(&csv))
+        };
+        assert_eq!(
+            digest(&[(0.0, 40.0)], 400.0, 9),
+            (15_900, 0x48e5_628e_f16a_8df4)
+        );
+        assert_eq!(
+            digest(&[(0.0, 10.0), (2000.0, 40.0), (4000.0, 20.0)], 6000.0, 2028),
+            (139_473, 0x317a_c96a_8411_456c)
+        );
+        assert_eq!(
+            digest(
+                &[(0.0, 5.0), (100.0, 0.0), (250.0, 30.0), (300.0, 0.0)],
+                500.0,
+                3
+            ),
+            (1975, 0xa19e_e11c_a2f3_427b)
+        );
+        assert_eq!(
+            digest(&[(0.0, 20.0), (700.0, 50.0)], 500.0, 4),
+            (9929, 0x71c2_0788_7f49_9f97)
+        );
+        assert_eq!(
+            digest(&diurnal, 3600.0, 20_110_926),
+            (1_081_264, 0x908f_49d3_971b_2130)
+        );
+    }
+
+    #[test]
+    fn a_gap_past_the_horizon_restarts_at_the_breakpoint() {
+        // Seed 1's first gap at 0.01 req/s runs past the 200-s horizon;
+        // the 10 req/s piece from 100 s must still fill (a generator
+        // that stopped at that gap wrote no rows at all).
+        let mut csv = Vec::new();
+        let pieces = [(0.0, 0.01), (100.0, 10.0)];
+        let generated =
+            generate_piecewise_csv(&mut csv, &pieces, SimTime::from_secs(200.0), 1).unwrap();
+        assert!(
+            (generated.rows as f64 - 1000.0).abs() < 150.0,
+            "{generated:?}"
+        );
     }
 
     #[test]
