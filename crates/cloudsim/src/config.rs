@@ -26,13 +26,9 @@ pub struct SimConfig {
     pub initial_scv_estimate: f64,
     /// Response-time bound Ts used for violation counting.
     pub qos_ts: f64,
-    /// What the run records beyond the always-on counters (histogram
-    /// on/off plus its bounds, p99 toggle).
+    /// What the run records beyond the always-on counters (the
+    /// response-time histogram, and with it the p99).
     pub metrics: MetricsOptions,
-    /// Two-class priority admission (the paper's future-work item on
-    /// serving high-priority requests first under contention). `None`
-    /// disables classes entirely.
-    pub priority: Option<PriorityConfig>,
     /// Mean time between failures of one *instance* (exponential), the
     /// "uncertain behavior" of §I. `None` disables failures.
     pub instance_mtbf: Option<f64>,
@@ -54,29 +50,6 @@ pub struct SimConfig {
 /// (the web workload) stop a pull after one batch anyway.
 pub const DEFAULT_ARRIVAL_RUN: u32 = 64;
 
-/// Two-class priority admission: a fraction of requests is high
-/// priority; low-priority requests may only occupy `k − reserved_slots`
-/// of each instance's queue, so the reserved headroom is always
-/// available to high-priority traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriorityConfig {
-    /// Fraction of arrivals that are high priority, in [0, 1].
-    pub high_fraction: f64,
-    /// Queue slots per instance reserved for high-priority requests.
-    pub reserved_slots: u32,
-}
-
-impl PriorityConfig {
-    /// Creates a validated config.
-    pub fn new(high_fraction: f64, reserved_slots: u32) -> Self {
-        assert!((0.0..=1.0).contains(&high_fraction));
-        PriorityConfig {
-            high_fraction,
-            reserved_slots,
-        }
-    }
-}
-
 impl SimConfig {
     /// The paper's data center with the given service-time prior and Ts.
     pub fn paper(initial_service_estimate: f64, qos_ts: f64) -> Self {
@@ -91,7 +64,6 @@ impl SimConfig {
             initial_scv_estimate: 0.00076,
             qos_ts,
             metrics: MetricsOptions::default(),
-            priority: None,
             instance_mtbf: None,
             arrival_run: DEFAULT_ARRIVAL_RUN,
         }
@@ -131,18 +103,5 @@ mod tests {
     #[should_panic]
     fn rejects_bad_estimate() {
         SimConfig::paper(0.0, 1.0);
-    }
-
-    #[test]
-    fn priority_config_validates() {
-        let p = PriorityConfig::new(0.2, 1);
-        assert_eq!(p.reserved_slots, 1);
-        assert!(SimConfig::paper_web().priority.is_none());
-    }
-
-    #[test]
-    #[should_panic]
-    fn priority_fraction_bounds() {
-        PriorityConfig::new(1.5, 1);
     }
 }

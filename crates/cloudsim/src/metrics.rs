@@ -7,11 +7,13 @@ use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted};
 use vmprov_des::SimTime;
 use vmprov_json::{field, field_f64, field_str, field_u64, FromJson, Json, ToJson};
 
-/// Collection knobs for [`RunMetrics`] — what to record beyond the
+/// Collection knobs for [`RunMetrics`]: what to record beyond the
 /// always-on counters, and at what cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricsOptions {
-    /// Record a response-time histogram (required for quantiles).
+    /// Record a [`LogHistogram::for_latencies`] response-time histogram
+    /// (1 µs … ~3 h at 1%), which the summary's p99 is read from.
+    /// Off by default (the full-scale setting).
     /// Measured cost per completion in `quickbench`: 9.1 ns without
     /// (`stats_record_hot`) vs 9.9 ns with (`stats_record_hot_hist`) —
     /// the bit-index fast path (`LogHistogram::record`) hides most of
@@ -19,48 +21,12 @@ pub struct MetricsOptions {
     /// historical `ln()` bucket index cost 13.4 ns per completion at
     /// the same baseline (BENCH_des.json history).
     pub histogram: bool,
-    /// `(min, max)` response-time bounds of the histogram in seconds.
-    /// Observations outside land in under/overflow buckets.
-    pub histogram_bounds: (f64, f64),
-    /// Relative bucket width of the histogram (0.01 → 1% resolution).
-    pub histogram_resolution: f64,
-    /// Report the p99 response time in [`RunSummary`] (requires
-    /// `histogram`; with it off the summary's p99 is `None` even when
-    /// the histogram was collected).
-    pub p99: bool,
-}
-
-impl Default for MetricsOptions {
-    /// Histogram off (the full-scale default); if enabled later, the
-    /// bounds match [`LogHistogram::for_latencies`] (1 µs … ~3 h at 1%).
-    fn default() -> Self {
-        MetricsOptions {
-            histogram: false,
-            histogram_bounds: (1e-6, 1.2e4),
-            histogram_resolution: 0.01,
-            p99: true,
-        }
-    }
 }
 
 impl MetricsOptions {
     /// Default options with histogram (and hence p99) collection on.
     pub fn with_histogram() -> Self {
-        MetricsOptions {
-            histogram: true,
-            ..MetricsOptions::default()
-        }
-    }
-
-    /// Builds the configured histogram, if enabled.
-    fn build_histogram(&self) -> Option<LogHistogram> {
-        self.histogram.then(|| {
-            LogHistogram::new(
-                self.histogram_bounds.0,
-                self.histogram_bounds.1,
-                self.histogram_resolution,
-            )
-        })
+        MetricsOptions { histogram: true }
     }
 }
 
@@ -95,17 +61,10 @@ pub struct RunMetrics {
     pub vms_created: u64,
     /// VM creation attempts refused by the host pool (capacity).
     pub vm_creation_failures: u64,
-    /// High-priority requests rejected (priority admission only).
-    pub rejected_high: u64,
-    /// High-priority requests offered.
-    pub offered_high: u64,
     /// Instances killed by injected failures.
     pub instance_failures: u64,
     /// Admitted requests lost to instance crashes.
     pub requests_lost_to_failures: u64,
-    /// The options this run was collected with (needed at finalization
-    /// for the p99 toggle).
-    options: MetricsOptions,
 }
 
 impl RunMetrics {
@@ -115,7 +74,7 @@ impl RunMetrics {
         RunMetrics {
             response: OnlineStats::new(),
             service: OnlineStats::new(),
-            response_hist: options.build_histogram(),
+            response_hist: options.histogram.then(LogHistogram::for_latencies),
             rejected: 0,
             offered: 0,
             qos_violations: 0,
@@ -124,11 +83,8 @@ impl RunMetrics {
             instances: TimeWeighted::new(SimTime::ZERO, f64::from(initial_instances)),
             vms_created: 0,
             vm_creation_failures: 0,
-            rejected_high: 0,
-            offered_high: 0,
             instance_failures: 0,
             requests_lost_to_failures: 0,
-            options,
         }
     }
 
@@ -180,12 +136,10 @@ impl RunMetrics {
     /// build, so a broken run never reaches a figure.
     pub fn finalize(&self, end: SimTime, policy: &str, in_flight: u64) -> RunSummary {
         assert!(
-            self.rejected <= self.offered && self.rejected_high <= self.offered_high,
-            "more rejections than offers: {} of {} ({} of {} high)",
+            self.rejected <= self.offered,
+            "more rejections than offers: {} of {}",
             self.rejected,
-            self.offered,
-            self.rejected_high,
-            self.offered_high
+            self.offered
         );
         let accepted = self.offered - self.rejected;
         assert_eq!(
@@ -193,17 +147,18 @@ impl RunMetrics {
             self.response.count() + self.requests_lost_to_failures + in_flight,
             "accepted requests must complete, be lost, or be in flight"
         );
+        let rejection_rate = if self.offered > 0 {
+            self.rejected as f64 / self.offered as f64
+        } else {
+            0.0
+        };
         RunSummary {
             policy: policy.to_string(),
             end_time: end.as_secs(),
             offered_requests: self.offered,
             accepted_requests: accepted,
             rejected_requests: self.rejected,
-            rejection_rate: if self.offered > 0 {
-                self.rejected as f64 / self.offered as f64
-            } else {
-                0.0
-            },
+            rejection_rate,
             qos_violations: self.qos_violations,
             mean_response_time: self.response.mean(),
             std_response_time: self.response.std_dev(),
@@ -212,11 +167,7 @@ impl RunMetrics {
             } else {
                 0.0
             },
-            p99_response_time: if self.options.p99 {
-                self.response_hist.as_ref().and_then(|h| h.quantile(0.99))
-            } else {
-                None
-            },
+            p99_response_time: self.response_hist.as_ref().and_then(|h| h.quantile(0.99)),
             min_instances: self.instances.min() as u32,
             max_instances: self.instances.max() as u32,
             mean_instances: self.instances.average(end),
@@ -228,22 +179,10 @@ impl RunMetrics {
             },
             vms_created: self.vms_created,
             vm_creation_failures: self.vm_creation_failures,
-            rejected_high: self.rejected_high,
-            offered_high: self.offered_high,
-            rejection_rate_high: if self.offered_high > 0 {
-                self.rejected_high as f64 / self.offered_high as f64
-            } else {
-                0.0
-            },
-            rejection_rate_low: {
-                let offered_low = self.offered - self.offered_high;
-                let rejected_low = self.rejected - self.rejected_high;
-                if offered_low > 0 {
-                    rejected_low as f64 / offered_low as f64
-                } else {
-                    0.0
-                }
-            },
+            rejected_high: 0,
+            offered_high: 0,
+            rejection_rate_high: 0.0,
+            rejection_rate_low: rejection_rate,
             instance_failures: self.instance_failures,
             requests_lost_to_failures: self.requests_lost_to_failures,
         }
@@ -289,17 +228,17 @@ pub struct RunSummary {
     pub vms_created: u64,
     /// VM requests the data center could not place.
     pub vm_creation_failures: u64,
-    /// High-priority requests rejected (0 without priority admission).
+    /// Always 0. This field and the next three are compatibility names
+    /// left from the removed two-class priority admission: callers
+    /// still build `RunSummary` field by field, and the goldens and
+    /// cache entries carry them.
     pub rejected_high: u64,
-    /// High-priority requests offered (0 without priority admission).
+    /// Always 0 (a compatibility name, as `rejected_high`).
     pub offered_high: u64,
-    /// rejected_high / offered_high.
+    /// Always 0.0 (a compatibility name, as `rejected_high`).
     pub rejection_rate_high: f64,
-    /// Low-priority rejection rate, derived by subtraction:
-    /// (rejected − rejected_high) / (offered − offered_high). Without
-    /// priority admission every request counts as low-priority (the
-    /// high counters stay 0), so this equals `rejection_rate` — it is
-    /// *not* an independently sampled rate.
+    /// Always equal to `rejection_rate` (a compatibility name, as
+    /// `rejected_high`): with no high class every request is "low".
     pub rejection_rate_low: f64,
     /// Instances killed by injected failures.
     pub instance_failures: u64,
@@ -464,31 +403,13 @@ mod tests {
     }
 
     #[test]
-    fn p99_toggle_suppresses_quantile_but_not_histogram() {
-        let mut m = RunMetrics::new(
-            1,
-            MetricsOptions {
-                p99: false,
-                ..MetricsOptions::with_histogram()
-            },
-        );
-        m.offered = 1;
-        m.record_completion(0.1, 0.1, 1.0);
-        assert!(m.response_hist.is_some(), "histogram still collected");
-        let s = m.finalize(SimTime::from_secs(1.0), "T", 0);
-        assert_eq!(s.p99_response_time, None, "p99 toggled off");
-    }
-
-    #[test]
-    fn custom_histogram_bounds_are_honoured() {
-        let mut m = RunMetrics::new(
-            1,
-            MetricsOptions {
-                histogram: true,
-                histogram_bounds: (1e-3, 10.0),
-                histogram_resolution: 0.05,
-                p99: true,
-            },
+    fn p99_is_read_from_a_collected_non_empty_histogram() {
+        let mut m = RunMetrics::new(1, MetricsOptions::with_histogram());
+        assert_eq!(
+            m.finalize(SimTime::from_secs(1.0), "T", 0)
+                .p99_response_time,
+            None,
+            "an empty histogram has no p99"
         );
         m.offered = 100;
         for _ in 0..100 {
@@ -498,35 +419,24 @@ mod tests {
             .finalize(SimTime::from_secs(1.0), "T", 0)
             .p99_response_time
             .expect("quantile available");
-        assert!((p99 - 0.5).abs() < 0.5 * 0.06, "p99 {p99} within 5% bucket");
-    }
-
-    #[test]
-    fn priority_rejection_rates_derive_by_subtraction() {
-        // 10 offered = 4 high + 6 low; 3 rejected = 1 high + 2 low.
-        let mut m = RunMetrics::new(1, MetricsOptions::default());
-        m.offered = 10;
-        m.rejected = 3;
-        m.offered_high = 4;
-        m.rejected_high = 1;
-        let s = m.finalize(SimTime::from_secs(1.0), "P", 7);
-        assert!((s.rejection_rate_high - 1.0 / 4.0).abs() < 1e-12);
-        // Low = (rejected − rejected_high) / (offered − offered_high).
-        assert!((s.rejection_rate_low - 2.0 / 6.0).abs() < 1e-12);
-        assert!((s.rejection_rate - 3.0 / 10.0).abs() < 1e-12);
+        assert!(
+            (p99 - 0.5).abs() < 0.5 * 0.011,
+            "p99 {p99} within 1% bucket"
+        );
     }
 
     #[test]
     fn without_priority_low_rate_equals_overall() {
-        // With zero high-priority traffic all requests are low-priority,
-        // so the subtraction-derived low rate collapses to the overall.
+        // The four fields left from priority admission are constants
+        // but for the "low" rate, which is the overall rate bit for bit.
         let mut m = RunMetrics::new(1, MetricsOptions::default());
-        m.offered = 8;
-        m.rejected = 2;
-        let s = m.finalize(SimTime::from_secs(1.0), "P", 6);
-        assert_eq!(s.rejection_rate_high, 0.0);
-        assert!((s.rejection_rate_low - s.rejection_rate).abs() < 1e-12);
-        assert!((s.rejection_rate - 0.25).abs() < 1e-12);
+        m.offered = 7;
+        m.rejected = 3;
+        let s = m.finalize(SimTime::from_secs(1.0), "P", 4);
+        assert_eq!((s.rejected_high, s.offered_high), (0, 0));
+        assert_eq!(s.rejection_rate_high.to_bits(), 0.0f64.to_bits());
+        assert_eq!(s.rejection_rate_low.to_bits(), s.rejection_rate.to_bits());
+        assert_eq!(s.rejection_rate.to_bits(), (3.0f64 / 7.0).to_bits());
     }
 
     #[test]
@@ -564,7 +474,7 @@ mod tests {
     #[test]
     fn summary_json_round_trips_every_field() {
         // A summary with every field set to a distinct, non-default
-        // value — including Some(p99) and the priority/failure counters
+        // value — including Some(p99) and the compatibility/failure counters
         // — survives ToJson → parse → FromJson bit-identically.
         let s = RunSummary {
             policy: "Adaptive".to_string(),

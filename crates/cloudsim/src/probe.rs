@@ -25,35 +25,22 @@ use vmprov_core::modeler::SizingDecision;
 use vmprov_des::SimTime;
 use vmprov_json::{Json, ToJson};
 
-/// Priority class of a request (always `High` when priority admission
-/// is disabled — every request then sees the full queue capacity).
+/// The class of a request. One variant: a compatibility name left
+/// from the removed two-class priority admission, kept because
+/// [`Probe::on_arrival`] and [`Probe::on_reject`] still carry it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestClass {
-    /// High-priority: may use every queue slot.
+    /// Every request: it may use every queue slot.
     High,
-    /// Low-priority: barred from the reserved slots.
-    Low,
 }
 
-impl RequestClass {
-    /// Stable label used in traces.
-    pub fn label(self) -> &'static str {
-        match self {
-            RequestClass::High => "high",
-            RequestClass::Low => "low",
-        }
-    }
-}
-
-/// Why admission control rejected a request.
+/// Why admission control rejected a request. One variant (a
+/// compatibility name, as [`RequestClass`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// Every accepting instance was at its class-visible capacity (or
-    /// the pool held no active instances at all).
+    /// Every active instance held k requests (or the pool held no
+    /// active instances at all).
     PoolFull,
-    /// The class's visible capacity is zero (`reserved_slots ≥ k`
-    /// starves the low class entirely).
-    NoClassCapacity,
 }
 
 impl RejectReason {
@@ -61,7 +48,6 @@ impl RejectReason {
     pub fn label(self) -> &'static str {
         match self {
             RejectReason::PoolFull => "pool_full",
-            RejectReason::NoClassCapacity => "no_class_capacity",
         }
     }
 }
@@ -353,18 +339,16 @@ impl<W: Write> TraceProbe<W> {
 }
 
 impl<W: Write> Probe for TraceProbe<W> {
-    fn on_arrival(&mut self, now: SimTime, class: RequestClass) {
+    fn on_arrival(&mut self, now: SimTime, _class: RequestClass) {
         self.line(Json::obj([
             ("t", Json::from(now.as_secs())),
             ("ev", Json::from("arrival")),
-            ("class", Json::from(class.label())),
         ]));
     }
-    fn on_reject(&mut self, now: SimTime, class: RequestClass, reason: RejectReason) {
+    fn on_reject(&mut self, now: SimTime, _class: RequestClass, reason: RejectReason) {
         self.line(Json::obj([
             ("t", Json::from(now.as_secs())),
             ("ev", Json::from("reject")),
-            ("class", Json::from(class.label())),
             ("reason", Json::from(reason.label())),
         ]));
     }
@@ -684,7 +668,7 @@ mod tests {
         }
         let mut pair = (Counts::default(), Counts::default());
         pair.on_arrival(SimTime::ZERO, RequestClass::High);
-        pair.on_reject(SimTime::ZERO, RequestClass::Low, RejectReason::PoolFull);
+        pair.on_reject(SimTime::ZERO, RequestClass::High, RejectReason::PoolFull);
         pair.on_vm_crash(SimTime::ZERO, 0, 3);
         for c in [&pair.0, &pair.1] {
             assert_eq!((c.0, c.1, c.2), (1, 1, 3));
@@ -697,8 +681,8 @@ mod tests {
         probe.on_arrival(SimTime::from_secs(1.5), RequestClass::High);
         probe.on_reject(
             SimTime::from_secs(2.0),
-            RequestClass::Low,
-            RejectReason::NoClassCapacity,
+            RequestClass::High,
+            RejectReason::PoolFull,
         );
         probe.on_admit(SimTime::from_secs(2.5), 7, 2);
         probe.on_sample(&sample(10.0, 100));
@@ -712,10 +696,9 @@ mod tests {
         }
         let reject = Json::parse(lines[1]).unwrap();
         assert_eq!(reject.get("ev").and_then(Json::as_str), Some("reject"));
-        assert_eq!(reject.get("class").and_then(Json::as_str), Some("low"));
         assert_eq!(
             reject.get("reason").and_then(Json::as_str),
-            Some("no_class_capacity")
+            Some("pool_full")
         );
         let s = Json::parse(lines[3]).unwrap();
         assert_eq!(s.get("ev").and_then(Json::as_str), Some("sample"));

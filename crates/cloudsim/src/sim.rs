@@ -357,24 +357,19 @@ impl InstanceSlots {
     }
 }
 
-/// Admission probe over the active instances. `capacity` is the
-/// class-specific queue bound (k for high priority, k − reserved for
-/// low). When `exact_free` is `Some`, admission is O(1) via the
-/// maintained counter; otherwise the default scan runs (used for the
-/// low-priority class, whose experiments are small-scale). `bits` is
-/// the maintained has-room bitset — exposed only when it encodes this
-/// probe's capacity exactly, i.e. for the `capacity == k` class.
-/// The low-priority class (capacity < k) falls back to the
-/// dispatcher's per-instance probe loop. A view counts the requests
-/// still in the system at `now`, so a ring's departed-but-unexpired
-/// entries never read as occupancy.
+/// Admission probe over the active instances at queue capacity `k`.
+/// Admission is O(1) via the maintained free-instance counter, and
+/// `bits` is the maintained has-room bitset, so round-robin picks by
+/// word scans. A view counts the requests still in the system at
+/// `now`, so a ring's departed-but-unexpired entries never read as
+/// occupancy.
 struct PoolViewRef<'a> {
     slots: &'a InstanceSlots,
     active: &'a [u32],
     now: f64,
-    capacity: u32,
-    exact_free: Option<usize>,
-    bits: Option<&'a [u64]>,
+    k: u32,
+    free: usize,
+    bits: &'a [u64],
 }
 
 impl InstancePool for PoolViewRef<'_> {
@@ -384,18 +379,15 @@ impl InstancePool for PoolViewRef<'_> {
     fn view(&self, i: usize) -> InstanceView {
         InstanceView {
             in_system: self.slots.in_system(self.active[i], self.now),
-            capacity: self.capacity,
+            capacity: self.k,
             accepting: true,
         }
     }
     fn has_free(&self) -> bool {
-        match self.exact_free {
-            Some(free) => free > 0,
-            None => (0..self.len()).any(|i| self.view(i).has_room()),
-        }
+        self.free > 0
     }
     fn room_bits(&self) -> Option<&[u64]> {
-        self.bits
+        Some(self.bits)
     }
 }
 
@@ -439,7 +431,6 @@ pub struct CloudSim<P: Probe = NullProbe> {
     dispatcher: AnyDispatcher,
     rng_service: SimRng,
     rng_dispatch: SimRng,
-    rng_class: SimRng,
     rng_failures: SimRng,
     /// Arrivals seen since the last monitor tick.
     window_arrivals: u64,
@@ -530,7 +521,6 @@ impl<P: Probe> CloudSim<P> {
             dispatcher,
             rng_service: rngs.stream("service"),
             rng_dispatch: rngs.stream("dispatch"),
-            rng_class: rngs.stream("class"),
             rng_failures: rngs.stream("failures"),
             window_arrivals: 0,
             closed_window_arrivals: 0,
@@ -1051,53 +1041,22 @@ impl<P: Probe> CloudSim<P> {
     fn handle_arrival(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
         self.metrics.offered += 1;
         self.window_arrivals += 1;
-        // Priority class of this request (all-high when classes are off).
-        let (high, capacity, exact_free) = match self.cfg.priority {
-            None => (true, self.k, Some(self.free_count)),
-            Some(pc) => {
-                let high = self.rng_class.uniform01() < pc.high_fraction;
-                if high {
-                    self.metrics.offered_high += 1;
-                    (true, self.k, Some(self.free_count))
-                } else {
-                    (false, self.k.saturating_sub(pc.reserved_slots), None)
-                }
-            }
+        self.probe.on_arrival(now, RequestClass::High);
+        let view = PoolViewRef {
+            slots: &self.instances,
+            active: &self.active,
+            now: now.as_secs(),
+            k: self.k,
+            free: self.free_count,
+            bits: &self.room_bits,
         };
-        let class = if high {
-            RequestClass::High
-        } else {
-            RequestClass::Low
-        };
-        self.probe.on_arrival(now, class);
-        let pick = if capacity == 0 {
-            None
-        } else {
-            // The bitset encodes "qlen < k", so it is only valid for
-            // the class probing with capacity == k (exactly when the
-            // exact-free counter applies).
-            let view = PoolViewRef {
-                slots: &self.instances,
-                active: &self.active,
-                now: now.as_secs(),
-                capacity,
-                exact_free,
-                bits: exact_free.map(|_| self.room_bits.as_slice()),
-            };
-            self.dispatcher
-                .pick_drawing(&view, || self.rng_dispatch.uniform01())
-        };
+        let pick = self
+            .dispatcher
+            .pick_drawing(&view, || self.rng_dispatch.uniform01());
         let Some(idx) = pick else {
             self.metrics.rejected += 1;
-            if high && self.cfg.priority.is_some() {
-                self.metrics.rejected_high += 1;
-            }
-            let reason = if capacity == 0 {
-                RejectReason::NoClassCapacity
-            } else {
-                RejectReason::PoolFull
-            };
-            self.probe.on_reject(now, class, reason);
+            self.probe
+                .on_reject(now, RequestClass::High, RejectReason::PoolFull);
             return;
         };
         let slot = self.active[idx];
@@ -1105,7 +1064,7 @@ impl<P: Probe> CloudSim<P> {
         // at `now` on an idle instance and at the last departure else.
         self.expire(slot, now.as_secs());
         debug_assert!(
-            self.instances.queue_len(slot) < capacity,
+            self.instances.queue_len(slot) < self.k,
             "admission picked active[{idx}] with no room"
         );
         let svc = self.service.sample(&mut self.rng_service);
@@ -1833,63 +1792,6 @@ mod tests {
         assert_eq!(s.min_instances, 10, "draining instances still exist");
         assert_eq!(s.rejected_requests, 0);
         assert_eq!(s.accepted_requests, 20);
-    }
-
-    #[test]
-    fn priority_classes_differentiate_rejection() {
-        // Overloaded static pool with 1 of k=2 slots reserved: the
-        // high-priority class must see far fewer rejections.
-        let mut cfg = small_config();
-        cfg.priority = Some(crate::config::PriorityConfig::new(0.2, 1));
-        let s = run_sim(
-            cfg,
-            poisson(60.0, 2_000.0), // offered ρ ≈ 1.26 on 5 instances
-            service(),
-            Box::new(StaticPolicy::new(5, QosTargets::web_paper())),
-            31,
-        );
-        assert!(s.offered_high > 10_000);
-        let low_rate = s.rejection_rate_low;
-        let high_rate = s.rejection_rate_high;
-        assert!(
-            high_rate < 0.3 * low_rate,
-            "high {high_rate} vs low {low_rate}"
-        );
-        assert!(
-            low_rate > 0.3,
-            "low class must bear the overload: {low_rate}"
-        );
-        // Overall accounting still consistent.
-        assert_eq!(
-            s.offered_requests,
-            s.accepted_requests + s.rejected_requests
-        );
-    }
-
-    #[test]
-    fn priority_disabled_has_no_class_metrics() {
-        let s = run_static(5, 60.0, 500.0, 32);
-        assert_eq!(s.offered_high, 0);
-        assert_eq!(s.rejected_high, 0);
-        assert_eq!(s.rejection_rate_high, 0.0);
-        // Low-class rate degenerates to the overall rate.
-        assert!((s.rejection_rate_low - s.rejection_rate).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reserving_all_slots_starves_low_class() {
-        let mut cfg = small_config();
-        cfg.priority = Some(crate::config::PriorityConfig::new(0.5, 10)); // ≥ k
-        let s = run_sim(
-            cfg,
-            poisson(10.0, 500.0),
-            service(),
-            Box::new(StaticPolicy::new(5, QosTargets::web_paper())),
-            33,
-        );
-        // Every low-priority request is rejected; high flows freely.
-        assert!((s.rejection_rate_low - 1.0).abs() < 1e-9);
-        assert!(s.rejection_rate_high < 0.01);
     }
 
     #[test]

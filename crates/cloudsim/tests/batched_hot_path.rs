@@ -6,19 +6,17 @@
 //!   depth — arrival times are a deterministic
 //!   multiset and `Arrival` events carry no payload, so reassigning
 //!   insertion ids within a sorted run is unobservable.
-//! * Bitset admission (trailing-zeros scan over the k-full bitmap)
-//!   keeps its bitmap consistent with the instance queues over
-//!   randomized k / fleet-size grids, with and without priority
-//!   reservations. The simulator audits the bitmap in debug builds at
-//!   every monitor tick and evaluation and checks every pick has room;
-//!   these runs drive that audit. The pick itself is pinned against the
+//! * Bitset admission (trailing-zeros scan over the k-full bitmap, the
+//!   only admission path) keeps its bitmap consistent with the instance
+//!   queues over randomized k / fleet-size grids. The simulator audits
+//!   the bitmap in debug builds at every monitor tick and evaluation
+//!   and checks every pick has room; these runs drive that audit. The pick itself is pinned against the
 //!   branchy ring probe in `vmprov-core`'s dispatch tests.
 //! * A policy that oscillates the target every tick churns the
 //!   draining list (drain → revive → drain, with failures landing
 //!   mid-list), exercising its O(1) swap-remove path; runs must stay
 //!   deterministic under that churn.
 
-use vmprov_cloudsim::config::PriorityConfig;
 use vmprov_cloudsim::{RunSummary, SimBuilder, SimConfig};
 use vmprov_core::policy::{PoolStatus, ProvisioningPolicy};
 use vmprov_core::qos::QosTargets;
@@ -139,33 +137,6 @@ fn room_bits_stay_consistent_over_grid() {
             .run(&RngFactory::new(0x9A7E ^ u64::from(k * 1000 + m)));
         assert!(summary.offered_requests > 1_000, "k={k} m={m}: tiny run");
     }
-}
-
-/// With a priority reservation the low class scans a shrunk capacity
-/// (the branchy path) while the high class still sees the exact bitmap;
-/// the bitmap must stay consistent under the mixed traffic.
-#[test]
-#[cfg_attr(
-    not(debug_assertions),
-    ignore = "the room_bits audit is a debug assertion"
-)]
-fn room_bits_stay_consistent_with_priority() {
-    let cfg = SimConfig {
-        hosts: 100,
-        priority: Some(PriorityConfig::new(0.3, 2)),
-        ..SimConfig::paper(0.100, 0.250)
-    };
-    let summary = SimBuilder::new(cfg)
-        .workload(PoissonProcess::new(280.0, SimTime::from_secs(300.0)))
-        .service(ServiceModel::new(0.100, 0.10))
-        .policy(Box::new(FixedPool { m: 30, k: 5 }))
-        .dispatcher(RoundRobin::new())
-        .run(&RngFactory::new(0xC1A55));
-    assert!(summary.offered_high > 1_000, "no high-priority traffic");
-    assert!(
-        summary.rejected_requests > summary.rejected_high,
-        "the low class never hit its reservation"
-    );
 }
 
 /// A target that flips between a wide and a narrow fleet every

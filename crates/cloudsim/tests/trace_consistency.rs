@@ -2,7 +2,6 @@
 //! counters folded out of the JSONL trace must agree bit-for-bit with
 //! the [`RunSummary`].
 
-use vmprov_cloudsim::config::PriorityConfig;
 use vmprov_cloudsim::{RunSummary, SimBuilder, SimConfig, TraceProbe};
 use vmprov_core::estimator::{EstimatorAnalyzer, SlidingWindowMle};
 use vmprov_core::modeler::{ModelerOptions, PerformanceModeler};
@@ -47,16 +46,15 @@ fn fold(trace: &str) -> Folded {
     f
 }
 
-/// A deliberately eventful scenario: priority classes, injected
-/// crashes, and an adaptive policy scaling a small pool under load, so
-/// every counter in the fold is non-trivially exercised.
+/// A deliberately eventful scenario: injected crashes and an adaptive
+/// policy scaling a small pool under load, so every counter in the fold
+/// is non-trivially exercised.
 fn run_traced(seed: u64) -> (RunSummary, String) {
     let mut cfg = SimConfig {
         hosts: 50,
         monitor_interval: 10.0,
         ..SimConfig::paper(0.100, 0.250)
     };
-    cfg.priority = Some(PriorityConfig::new(0.20, 1));
     cfg.instance_mtbf = Some(120.0);
     let qos = QosTargets::web_paper();
     let modeler = PerformanceModeler::new(qos, 500, ModelerOptions::default());

@@ -238,11 +238,22 @@ fn run_figure_campaign(args: &FigureArgs) -> (Option<Vec<Replicated>>, Option<Ve
     (h5.map(|h| result.take(h)), h6.map(|h| result.take(h)))
 }
 
+/// The value of `r`, or a one-line message and exit code 2: an output
+/// that cannot be written is reported like any other bad argument.
+fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>, what: &str, path: &Path) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("repro: cannot {what} {}: {e}", path.display());
+        std::process::exit(2);
+    })
+}
+
+fn create_dir(dir: &Path) {
+    or_exit(fs::create_dir_all(dir), "create directory", dir);
+}
+
+/// Writes one output file; its directory is created before any run.
 fn write(path: &Path, content: &str) {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir).expect("create output dir");
-    }
-    fs::write(path, content).expect("write output");
+    or_exit(fs::write(path, content), "write", path);
     println!("  wrote {}", path.display());
 }
 
@@ -258,10 +269,9 @@ fn emit_experiment(name: &str, title: &str, reps: &[Replicated], out: &Path) {
 /// writes the trace, the sampled time series, and the rendered curves
 /// under `dir`.
 fn emit_trace(name: &str, scenario: &Scenario, dir: &Path) {
-    fs::create_dir_all(dir).expect("create trace dir");
     let dt = trace_dt(scenario.horizon.as_secs());
     let jsonl = dir.join(format!("{name}_adaptive.jsonl"));
-    let traced = traced_run(scenario, 0, dt, &jsonl).expect("write trace");
+    let traced = or_exit(traced_run(scenario, 0, dt, &jsonl), "write", &jsonl);
     println!(
         "  traced adaptive run: {} events, {} samples (Δt {dt:.0} s)",
         traced.trace_lines,
@@ -295,6 +305,12 @@ fn figures_main(argv: &[String]) {
     );
     if let Some(n) = args.jobs {
         configure_global_workers(n);
+    }
+    // Every output directory exists before any run starts, so an
+    // unwritable one costs no simulation.
+    create_dir(&args.out);
+    if let Some(dir) = &args.trace {
+        create_dir(dir);
     }
     let (mut fig5_runs, mut fig6_runs) = run_figure_campaign(&args);
 
@@ -552,6 +568,7 @@ fn replay_main(argv: &[String]) {
             std::process::exit(1);
         }
     };
+    create_dir(&args.out);
     println!(
         "replay: {} — {} requests in {} batches over {:.0} s (mean rate {:.2}/s, \
          content hash {:016x}, chunk {})",
@@ -821,12 +838,15 @@ fn gen_trace_main(argv: &[String]) {
         _ => vec![(0.0, rate)],
     };
     if let Some(dir) = out.parent() {
-        fs::create_dir_all(dir).expect("create output dir");
+        create_dir(dir);
     }
     let started = Instant::now();
-    let file = fs::File::create(&out).expect("create trace file");
-    let gen = generate_piecewise_csv(file, &pieces, SimTime::from_secs(horizon), seed)
-        .expect("write trace");
+    let file = or_exit(fs::File::create(&out), "create", &out);
+    let gen = or_exit(
+        generate_piecewise_csv(file, &pieces, SimTime::from_secs(horizon), seed),
+        "write",
+        &out,
+    );
     let bytes = fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!(
         "gen-trace: wrote {} — {} rows over {:.0} s ({:.1} MB) in {:.1}s (seed {seed})",

@@ -152,3 +152,31 @@ fn the_pre_subcommand_spelling_is_an_unknown_subcommand() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("unknown subcommand `all`\n"), "{stderr}");
 }
+
+#[test]
+fn unwritable_outputs_exit_2_before_any_run() {
+    // `--out` under a regular file cannot be created: both commands say
+    // so on one line and exit 2, and `figures` starts no campaign.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-unwritable");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("regular-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let figures = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["figures", "fig6", "--mode", "smoke", "--no-cache", "--out"])
+        .arg(file.join("out"))
+        .output()
+        .expect("spawn repro");
+    let gen_trace = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["gen-trace", "--out"])
+        .arg(file.join("x.csv"))
+        .output()
+        .expect("spawn repro");
+    for (name, out) in [("figures", &figures), ("gen-trace", &gen_trace)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+    }
+    let stdout = String::from_utf8_lossy(&figures.stdout);
+    assert!(!stdout.contains("campaign:"), "{stdout}");
+}

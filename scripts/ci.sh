@@ -41,6 +41,9 @@ run cargo test "${OFFLINE[@]}" --release -q -p vmprov-cloudsim
 # The event list's and the engine's property tests in the build the
 # benchmark measures.
 run cargo test "${OFFLINE[@]}" --release -q -p vmprov-des
+# Every simulated admission is the bitset round-robin pick; its pin
+# against the per-instance probe, in the measured build.
+run cargo test "${OFFLINE[@]}" --release -q -p vmprov-core
 # The replay grid's byte-identity and stepping tests in the build the
 # benchmark measures: grouped, stepped cells against single runs.
 run cargo test "${OFFLINE[@]}" --release -q -p vmprov-experiments --test replay_grid --test shared_arrivals
