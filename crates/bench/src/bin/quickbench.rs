@@ -39,8 +39,11 @@
 //! `stats_record_hot[_hist]` isolates the
 //! per-request bookkeeping (`RunMetrics::record_completion`, with and
 //! without the histogram) — the baseline for the sub-100 ns/request
-//! push; `stats_record_stream` times the full
-//! `record_run_completion` sink, and
+//! push; `stats_record_interleaved` feeds four such sinks round-robin
+//! (the throughput the simulation sees, where one sink back to back is
+//! latency-bound; the retired `stats_record_stream` timed the same
+//! sink as `stats_record_hot` once the service fold joined it, and the
+//! baseline keeps it as history), and
 //! `hist_bucket_index_hot` the histogram's bit-index bucket record in
 //! isolation. `replay_grid_shared` runs a 3-analyzer grid off one shared
 //! trace scan and `replay_grid_cold` the equivalent sequential
@@ -714,15 +717,18 @@ fn bench_trace_ingest(horizon: f64, runs: u32) -> Vec<Timing> {
 }
 
 /// Per-request bookkeeping in isolation: `RunMetrics::record_completion`
-/// against pre-drawn samples, histogram off (the default hot path — an
-/// `OnlineStats` push, busy-seconds accumulation, and the QoS-violation
-/// compare) and on (adds the log-histogram bucket record). This is the
-/// measure-first baseline for the sub-100 ns/request push: the
-/// simulation cannot get under any target this floor exceeds.
+/// against pre-drawn samples, histogram off (the default hot path — the
+/// two-lane response/service fold, busy-seconds accumulation, and the
+/// QoS-violation compare) and on (adds the log-histogram bucket
+/// record). This is the measure-first baseline for the sub-100
+/// ns/request push: the simulation cannot get under any target this
+/// floor exceeds.
 ///
-/// `stats_record_stream` measures the full per-completion sink the
-/// engine actually calls (`record_run_completion`, response *and*
-/// service accumulation).
+/// One sink fed back to back is latency-bound: each push waits on the
+/// previous one's division. `stats_record_interleaved` feeds four sinks
+/// round-robin, so their folds overlap as the simulation's folds
+/// overlap with admission and dispatch; it is the throughput-shaped
+/// entry that reconciles with the end-to-end number.
 fn bench_stats_record(ops: usize, runs: u32) -> Vec<Timing> {
     use vmprov_cloudsim::{MetricsOptions, RunMetrics};
     let mut rng = RngFactory::new(0xBE7C).stream("stats_record");
@@ -740,18 +746,21 @@ fn bench_stats_record(ops: usize, runs: u32) -> Vec<Timing> {
             black_box(metrics.response.mean());
         })
     };
-    let mut metrics = RunMetrics::new(10, MetricsOptions::default());
-    let stream = bench("stats_record_stream", ops as u64, 1, runs, || {
+    let mut sinks: [RunMetrics; 4] =
+        std::array::from_fn(|_| RunMetrics::new(10, MetricsOptions::default()));
+    let interleaved = bench("stats_record_interleaved", ops as u64, 1, runs, || {
         for i in 0..ops {
             let (resp, svc) = samples[i & 1023];
-            metrics.record_run_completion(black_box(resp), svc, 0.3);
+            sinks[i & 3].record_completion(black_box(resp), svc, 0.3);
         }
-        black_box(metrics.response.mean());
+        for sink in &sinks {
+            black_box(sink.response.mean());
+        }
     });
     vec![
         run_variant("stats_record_hot", MetricsOptions::default()),
         run_variant("stats_record_hot_hist", MetricsOptions::with_histogram()),
-        stream,
+        interleaved,
     ]
 }
 

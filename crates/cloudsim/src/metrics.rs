@@ -3,7 +3,7 @@
 //! concurrent instances, VM hours, QoS violations, rejection percentage,
 //! and the resource utilization rate (busy time / VM hours).
 
-use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted};
+use vmprov_des::stats::{LogHistogram, TimeWeighted, TwoLaneStats};
 use vmprov_des::SimTime;
 use vmprov_json::{field, field_f64, field_str, field_u64, FromJson, Json, ToJson};
 
@@ -14,12 +14,12 @@ pub struct MetricsOptions {
     /// Record a [`LogHistogram::for_latencies`] response-time histogram
     /// (1 µs … ~3 h at 1%), which the summary's p99 is read from.
     /// Off by default (the full-scale setting).
-    /// Measured cost per completion in `quickbench`: 9.1 ns without
-    /// (`stats_record_hot`) vs 9.9 ns with (`stats_record_hot_hist`) —
+    /// Measured cost per completion in `quickbench`: 8.4 ns without
+    /// (`stats_record_hot`) vs 9.3 ns with (`stats_record_hot_hist`) —
     /// the bit-index fast path (`LogHistogram::record`) hides most of
-    /// the bucket increment under the Welford division chain. The
-    /// historical `ln()` bucket index cost 13.4 ns per completion at
-    /// the same baseline (BENCH_des.json history).
+    /// the bucket increment under the two-lane Welford division chain.
+    /// The historical `ln()` bucket index cost 13.4 ns per completion
+    /// at the same baseline (BENCH_des.json history).
     pub histogram: bool,
 }
 
@@ -33,11 +33,12 @@ impl MetricsOptions {
 /// Live metric accumulators updated by the simulation.
 #[derive(Debug)]
 pub struct RunMetrics {
-    /// Response times of accepted requests.
-    pub response: OnlineStats,
-    /// Service times of completed requests — the monitored Tm/SCV the
-    /// G/G/1/k refinement reads at every evaluation.
-    pub service: OnlineStats,
+    /// Completed requests, folded once each: lane 0 holds the response
+    /// times (so `response.mean()`, `std_dev()` and `max()` are the
+    /// response moments the summary reports) and lane 1 the service
+    /// times, the monitored Tm/SCV the G/G/1/k refinement reads at
+    /// every evaluation.
+    pub response: TwoLaneStats,
     /// Response-time histogram (for quantiles), optional because the
     /// full-scale web run records 5·10⁸ samples and the per-sample
     /// bucket increment is measurable at that volume (see
@@ -72,8 +73,7 @@ impl RunMetrics {
     /// collecting what `options` asks for.
     pub fn new(initial_instances: u32, options: MetricsOptions) -> Self {
         RunMetrics {
-            response: OnlineStats::new(),
-            service: OnlineStats::new(),
+            response: TwoLaneStats::new(),
             response_hist: options.histogram.then(LogHistogram::for_latencies),
             rejected: 0,
             offered: 0,
@@ -88,18 +88,18 @@ impl RunMetrics {
         }
     }
 
-    /// Records one accepted request's completion into the response-side
-    /// accumulators (the service-time accumulator is the engine's via
-    /// [`record_run_completion`](Self::record_run_completion)).
+    /// Records one accepted request's completion: its response and
+    /// service times in one two-lane fold, the histogram, the busy
+    /// time and the QoS-violation count.
     ///
-    /// `inline(always)` (here and on the run-completion wrapper): these
-    /// are the per-request sinks on the simulation hot path, and the
-    /// histogram body is built to overlap with the Welford fold — LLVM
-    /// outlines them once a binary accumulates several call sites,
-    /// which costs a call per sample and serializes that overlap.
+    /// `inline(always)`: this is the per-request sink on the simulation
+    /// hot path, and the histogram body is built to overlap with the
+    /// Welford fold — LLVM outlines it once a binary accumulates
+    /// several call sites, which costs a call per sample and
+    /// serializes that overlap.
     #[inline(always)]
     pub fn record_completion(&mut self, response_time: f64, service_time: f64, ts: f64) {
-        self.response.push(response_time);
+        self.response.push([response_time, service_time]);
         if let Some(h) = &mut self.response_hist {
             h.record(response_time);
         }
@@ -111,13 +111,12 @@ impl RunMetrics {
         self.qos_violations += u64::from(response_time > ts);
     }
 
-    /// The engine-facing completion record: response *and* service
-    /// accumulators ([`record_completion`](Self::record_completion)
-    /// followed by a service-time push).
+    /// [`record_completion`](Self::record_completion) under its old
+    /// engine-facing name, kept for callers written when the service
+    /// fold was a separate push.
     #[inline(always)]
     pub fn record_run_completion(&mut self, response_time: f64, service_time: f64, ts: f64) {
         self.record_completion(response_time, service_time, ts);
-        self.service.push(service_time);
     }
 
     /// No-op: every completion is folded into the accumulators as it
@@ -327,6 +326,7 @@ impl FromJson for RunSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmprov_des::stats::OnlineStats;
 
     #[test]
     fn summary_derivations() {
@@ -441,33 +441,31 @@ mod tests {
 
     #[test]
     fn streaming_run_completion_is_bit_identical_to_legacy_sequence() {
-        // The engine's historical operation order was record_completion
-        // followed by a separate service-stats push; the streaming arm
-        // of record_run_completion must reproduce it exactly.
-        let mut legacy = RunMetrics::new(1, MetricsOptions::default());
+        // The engine once folded each completion twice, a response push
+        // and a separate service push; the two-lane fold reproduces
+        // both standalone folds exactly.
+        let (mut response, mut service) = (OnlineStats::new(), OnlineStats::new());
         let mut unified = RunMetrics::new(1, MetricsOptions::default());
         for i in 0..200u64 {
             let r = 0.09 + (i % 7) as f64 * 0.011;
             let svc = 0.08 + (i % 5) as f64 * 0.007;
-            legacy.record_completion(r, svc, 0.25);
-            legacy.service.push(svc);
-            unified.record_run_completion(r, svc, 0.25);
+            response.push(r);
+            service.push(svc);
+            unified.record_completion(r, svc, 0.25);
         }
+        let folded = &unified.response;
+        assert_eq!(folded.count(), response.count());
+        assert_eq!(folded.mean().to_bits(), response.mean().to_bits());
+        assert_eq!(folded.std_dev().to_bits(), response.std_dev().to_bits());
+        assert_eq!(folded.max().to_bits(), response.max().to_bits());
+        assert_eq!(folded.means()[1].to_bits(), service.mean().to_bits());
         assert_eq!(
-            legacy.response.mean().to_bits(),
-            unified.response.mean().to_bits()
+            folded.population_variances()[1].to_bits(),
+            service.population_variance().to_bits()
         );
         assert_eq!(
-            legacy.response.std_dev().to_bits(),
-            unified.response.std_dev().to_bits()
-        );
-        assert_eq!(
-            legacy.service.mean().to_bits(),
-            unified.service.mean().to_bits()
-        );
-        assert_eq!(
-            legacy.service.std_dev().to_bits(),
-            unified.service.std_dev().to_bits()
+            folded.variances()[1].to_bits(),
+            service.variance().to_bits()
         );
     }
 

@@ -649,7 +649,7 @@ impl<P: Probe> CloudSim<P> {
         loop {
             let (arr, svc) = ring[head];
             let response = dep - arr;
-            self.metrics.record_run_completion(response, svc, self.ts);
+            self.metrics.record_completion(response, svc, self.ts);
             self.probe
                 .on_service_complete(SimTime::from_secs(dep), slot, response, svc);
             head = (head + 1) & (stride - 1);
@@ -1025,10 +1025,10 @@ impl<P: Probe> CloudSim<P> {
     /// The monitored Tm / SCV, falling back to configured priors until
     /// enough completions are recorded.
     fn monitored_service(&self) -> (f64, f64) {
-        let service = &self.metrics.service;
-        if service.count() >= 30 {
-            let mean = service.mean();
-            let scv = service.population_variance() / (mean * mean);
+        let folded = &self.metrics.response;
+        if folded.count() >= 30 {
+            let mean = folded.means()[1];
+            let scv = folded.population_variances()[1] / (mean * mean);
             (mean, scv)
         } else {
             (

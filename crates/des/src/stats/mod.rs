@@ -9,4 +9,4 @@ mod welford;
 pub use ci::{confidence_interval, Interval, Level};
 pub use histogram::LogHistogram;
 pub use timeweighted::TimeWeighted;
-pub use welford::OnlineStats;
+pub use welford::{OnlineStats, TwoLaneStats};

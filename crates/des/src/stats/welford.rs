@@ -93,6 +93,110 @@ impl OnlineStats {
     }
 }
 
+/// Two Welford folds over paired observations with one shared count:
+/// each lane runs exactly [`OnlineStats::push`]'s arithmetic, so every
+/// lane's count, mean and variances equal those of an `OnlineStats` fed
+/// the same lane bit for bit. Lane 0 also keeps its maximum; the
+/// single-lane readers ([`mean`](Self::mean), [`std_dev`](Self::std_dev),
+/// [`max`](Self::max)) read lane 0.
+///
+/// The lanes are `[f64; 2]` so that the fold compiles to packed SSE2
+/// (one `divpd` per push for both lanes, where two `OnlineStats` take
+/// two `divsd`): IEEE arithmetic is lane-wise and Rust never contracts
+/// `a * b + c` into an FMA, so packing changes no bit.
+#[derive(Debug, Clone, Copy)]
+pub struct TwoLaneStats {
+    n: u64,
+    mean: [f64; 2],
+    m2: [f64; 2],
+    max: f64,
+}
+
+impl Default for TwoLaneStats {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TwoLaneStats {
+    /// Creates an empty accumulator.
+    pub fn new() -> Self {
+        TwoLaneStats {
+            n: 0,
+            mean: [0.0; 2],
+            m2: [0.0; 2],
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Folds one observation into each lane.
+    #[inline(always)]
+    pub fn push(&mut self, x: [f64; 2]) {
+        self.n += 1;
+        // One `cvtsi2sd` where `n as f64` takes the unsigned-conversion
+        // sequence; equal for every count below 2^63.
+        let n = self.n as i64 as f64;
+        let delta = [x[0] - self.mean[0], x[1] - self.mean[1]];
+        self.mean = [self.mean[0] + delta[0] / n, self.mean[1] + delta[1] / n];
+        self.m2 = [
+            self.m2[0] + delta[0] * (x[0] - self.mean[0]),
+            self.m2[1] + delta[1] * (x[1] - self.mean[1]),
+        ];
+        if x[0] > self.max {
+            self.max = x[0];
+        }
+    }
+
+    /// Number of observations (the same in both lanes).
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.n
+    }
+
+    /// Each lane's sample mean (0 when empty).
+    #[inline]
+    pub fn means(&self) -> [f64; 2] {
+        self.mean
+    }
+
+    /// Each lane's unbiased sample variance (0 with fewer than two
+    /// observations).
+    pub fn variances(&self) -> [f64; 2] {
+        if self.n < 2 {
+            [0.0; 2]
+        } else {
+            let d = (self.n - 1) as f64;
+            [self.m2[0] / d, self.m2[1] / d]
+        }
+    }
+
+    /// Each lane's population variance (divides by n).
+    pub fn population_variances(&self) -> [f64; 2] {
+        if self.n == 0 {
+            [0.0; 2]
+        } else {
+            let d = self.n as f64;
+            [self.m2[0] / d, self.m2[1] / d]
+        }
+    }
+
+    /// Lane 0's sample mean.
+    #[inline]
+    pub fn mean(&self) -> f64 {
+        self.mean[0]
+    }
+
+    /// Lane 0's sample standard deviation.
+    pub fn std_dev(&self) -> f64 {
+        self.variances()[0].sqrt()
+    }
+
+    /// Lane 0's largest observation (`-inf` when empty).
+    pub fn max(&self) -> f64 {
+        self.max
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

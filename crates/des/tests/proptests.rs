@@ -3,7 +3,7 @@
 use vmprov_check::{cases, Gen};
 use vmprov_des::dist::{Exponential, Weibull};
 use vmprov_des::special::ln_gamma;
-use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted};
+use vmprov_des::stats::{LogHistogram, OnlineStats, TimeWeighted, TwoLaneStats};
 use vmprov_des::{Engine, EventHandle, EventQueue, RngFactory, Scheduler, SimTime, World};
 
 #[test]
@@ -58,6 +58,71 @@ fn online_stats_bounds_and_ordering() {
         assert!(s.max() >= s.mean() - 1e-6 * s.mean().abs().max(1.0));
         assert!(s.variance() >= 0.0);
         assert_eq!(s.count(), xs.len() as u64);
+    });
+}
+
+/// A value in 1e-9 … 1e6, log-uniform so that every decade is drawn.
+fn positive_magnitude(g: &mut Gen) -> f64 {
+    10f64.powf(g.f64_in(-9.0..6.0))
+}
+
+/// Pairs for the two-lane fold: fresh magnitudes, repeats of the
+/// previous pair or of one lane, and values drawn from a pool of two.
+fn paired_sequence(g: &mut Gen, len: usize) -> Vec<[f64; 2]> {
+    let pool = [positive_magnitude(g), positive_magnitude(g)];
+    let mut xs: Vec<[f64; 2]> = Vec::with_capacity(len);
+    for _ in 0..len {
+        let fresh = [positive_magnitude(g), positive_magnitude(g)];
+        let x = match (xs.last(), g.usize_in(0..4)) {
+            (Some(&prev), 0) => prev,
+            (Some(&prev), 1) => [prev[0], fresh[1]],
+            (_, 2) => [*g.choose(&pool), *g.choose(&pool)],
+            _ => fresh,
+        };
+        xs.push(x);
+    }
+    xs
+}
+
+#[test]
+fn two_lane_fold_equals_two_online_stats_folds_bit_for_bit() {
+    cases(128, |g: &mut Gen| {
+        let long = g.usize_in(3..300);
+        for len in [0, 1, 2, long] {
+            let xs = paired_sequence(g, len);
+            let mut folded = TwoLaneStats::new();
+            let mut lanes = [OnlineStats::new(), OnlineStats::new()];
+            for &x in &xs {
+                folded.push(x);
+                lanes[0].push(x[0]);
+                lanes[1].push(x[1]);
+            }
+            for (lane, s) in lanes.iter().enumerate() {
+                assert_eq!(folded.count(), s.count(), "count, n = {len}");
+                assert_eq!(
+                    folded.means()[lane].to_bits(),
+                    s.mean().to_bits(),
+                    "lane {lane} mean, n = {len}"
+                );
+                assert_eq!(
+                    folded.variances()[lane].to_bits(),
+                    s.variance().to_bits(),
+                    "lane {lane} variance, n = {len}"
+                );
+                assert_eq!(
+                    folded.population_variances()[lane].to_bits(),
+                    s.population_variance().to_bits(),
+                    "lane {lane} population variance, n = {len}"
+                );
+            }
+            assert_eq!(folded.mean().to_bits(), lanes[0].mean().to_bits());
+            assert_eq!(folded.std_dev().to_bits(), lanes[0].std_dev().to_bits());
+            assert_eq!(
+                folded.max().to_bits(),
+                lanes[0].max().to_bits(),
+                "lane 0 max, n = {len}"
+            );
+        }
     });
 }
 
